@@ -10,10 +10,12 @@ under the scenario seed (wall-clock aside).
 Comparators optimize the exact counterfactual cost of a fixed policy on
 the recorded perturbation sequence.  For disturbance-action and
 disturbance-response policies the counterfactual state is affine in the
-policy parameters, so the objective is convex whenever the cost is; it is
-minimized by plain gradient descent with a 1/sqrt(iter) schedule.  The
-best fixed linear gain is a non-convex objective and is handled by
-multi-start local descent, documented as a heuristic.
+policy parameters, so the objective is convex whenever the cost is.  For
+a quadratic cost it is an exact quadratic and is minimized by solving its
+normal equations; other costs are minimized by gradient descent with a
+1/sqrt(iter) schedule and a Newton polish.  The best fixed linear gain is
+a non-convex objective and is handled by multi-start local descent,
+documented as a heuristic.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ __all__ = [
     "load_config",
 ]
 
-#: Offline comparator budget: gradient steps, schedule scale, and tolerance.
+#: Iterative comparator budget for non-quadratic costs: gradient steps and
+#: tolerance.
 COMPARATOR_MAX_ITER = 5000
 COMPARATOR_TOL = 1e-8
 
@@ -374,33 +377,36 @@ def _drc_affine_maps(
     d_x, d_u, d_y = system.d_x, system.d_u, system.d_y
     eye_u = np.eye(d_u)
 
-    # Zero-control rollout gives the driving signals.
-    ynat = np.zeros((T, d_y))
-    x = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
-    A_seq, B_seq, C_seq = [], [], []
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        C_t = np.eye(d_x) if C_t is None else C_t
-        A_seq.append(A_t)
-        B_seq.append(B_t)
-        C_seq.append(C_t)
-        ynat[t] = C_t @ x
-        x = A_t @ x + w_record[t]
-
-    Y = _signal_windows(ynat, h + 1, lag=0)
-    Ynat = ynat
+    Ynat = _natural_observations(system, w_record, x0)
+    Y = _signal_windows(Ynat, h + 1, lag=0)
     YPhi = np.zeros((T, d_y, h + 1, d_u, d_y))
     Unat = np.zeros((T, d_u))
     UPsi = np.zeros((T, d_u, h + 1, d_u, d_y))
 
     phi = np.zeros((d_x, h + 1, d_u, d_y))
     for t in range(T):
+        A_t, B_t, C_t = system.matrices(t)
         UPsi[t] = np.einsum("ua,ib->uiab", eye_u, Y[t])
-        YPhi[t] = np.einsum("yx,xiab->yiab", C_seq[t], phi)
-        phi = np.einsum("xy,yiab->xiab", A_seq[t], phi) + np.einsum(
-            "xu,uiab->xiab", B_seq[t], UPsi[t]
+        YPhi[t] = phi if C_t is None else np.einsum("yx,xiab->yiab", C_t, phi)
+        phi = np.einsum("xy,yiab->xiab", A_t, phi) + np.einsum(
+            "xu,uiab->xiab", B_t, UPsi[t]
         )
     return Ynat, YPhi, Unat, UPsi
+
+
+def _natural_observations(
+    system: LinearSystem, w_record: np.ndarray, x0: Optional[np.ndarray]
+) -> np.ndarray:
+    """Observations ``ynat_t = C_t x_t`` of the zero-control rollout: the
+    signal that disturbance-response policies act on."""
+    T = w_record.shape[0]
+    ynat = np.zeros((T, system.d_y))
+    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
+    for t in range(T):
+        A_t, _, C_t = system.matrices(t)
+        ynat[t] = x if C_t is None else C_t @ x
+        x = A_t @ x + w_record[t]
+    return ynat
 
 
 def _affine_objective(
@@ -411,32 +417,109 @@ def _affine_objective(
     UPsi: np.ndarray,
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Total-cost objective (value and gradient) over policy blocks ``M``
-    given affine trajectory maps.  Convex whenever the cost is."""
-    quadratic = isinstance(cost, QuadraticCost)
+    given affine trajectory maps, for a cost given by value and gradient
+    callbacks.  Convex whenever the cost is."""
 
     def J_and_grad(M: np.ndarray) -> tuple[float, np.ndarray]:
         X = Xnat + np.einsum("txiab,iab->tx", XPhi, M)
         U = Unat + np.einsum("tuiab,iab->tu", UPsi, M)
-        if quadratic:
-            Xd = X if cost.target is None else X - cost.target
-            value = float(np.einsum("tx,xy,ty->", Xd, cost.Q, Xd))
-            value += float(np.einsum("tu,uv,tv->", U, cost.R, U))
-            GX = 2.0 * Xd @ cost.Q
-            GU = 2.0 * U @ cost.R
-        else:
-            value = 0.0
-            GX = np.zeros_like(X)
-            GU = np.zeros_like(U)
-            for t in range(X.shape[0]):
-                value += cost.value(X[t], U[t])
-                GX[t] = cost.grad_x(X[t], U[t])
-                GU[t] = cost.grad_u(X[t], U[t])
+        value = 0.0
+        GX = np.zeros_like(X)
+        GU = np.zeros_like(U)
+        for t in range(X.shape[0]):
+            value += cost.value(X[t], U[t])
+            GX[t] = cost.grad_x(X[t], U[t])
+            GU[t] = cost.grad_u(X[t], U[t])
         grad = np.einsum("txiab,tx->iab", XPhi, GX) + np.einsum(
             "tuiab,tu->iab", UPsi, GU
         )
         return value, grad
 
     return J_and_grad
+
+
+# ---------------------------------------------------------------------------
+# Exact solve for quadratic costs
+# ---------------------------------------------------------------------------
+
+
+def _best_quadratic_policy(
+    system: LinearSystem,
+    cost: QuadraticCost,
+    K: np.ndarray,
+    w_record: np.ndarray,
+    signals: np.ndarray,
+    depth: int,
+    lag: int,
+    x0: Optional[np.ndarray],
+    observe: bool,
+    label: str,
+) -> tuple[np.ndarray, float]:
+    """Exact minimizer of a quadratic counterfactual cost over fixed
+    disturbance-feedback policies ``u_t = K x_t + sum_{i<depth} M_i
+    s_{t-lag-i}``, with the cost charged on ``C_t x_t`` when ``observe`` and
+    on ``x_t`` otherwise.
+
+    The trajectory is affine in the flattened blocks ``m``, so the total
+    cost is exactly ``J(m) = c + 2 g.m + m.G.m``.  One forward pass
+    accumulates ``G``, ``g`` and ``c``; it carries only the current state
+    sensitivity (d_x, p) and the signal window, so memory does not grow
+    with T.  ``G`` may be singular (a cost blind to some control input, or
+    no excitation), so the normal equations ``G m = -g`` are solved by
+    least squares: the minimizer is then the minimum-norm one, and the
+    optimal value is unique either way.
+    """
+    T, d_s = signals.shape
+    d_x, d_u = system.d_x, system.d_u
+    p = depth * d_u * d_s
+    d_z = cost.Q.shape[0]
+    W = np.zeros((d_z + d_u, d_z + d_u))
+    W[:d_z, :d_z] = cost.Q
+    W[d_z:, d_z:] = cost.R
+    offset = np.zeros(d_z + d_u)
+    if cost.target is not None:
+        offset[:d_z] = cost.target
+    # selector[u, i, a, b] = [u == a]; times the window it gives the map
+    # from the blocks to the control sum_i M_i s_{t-lag-i}.
+    selector = np.eye(d_u)[:, None, :, None]
+
+    window = np.zeros((depth, d_s))
+    x = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
+    phi = np.zeros((d_x, p))  # d x_t / d m
+    L = np.zeros((d_z + d_u, p))  # d (z_t, u_t) / d m
+    G = np.zeros((p, p))
+    g = np.zeros(p)
+    c = 0.0
+    # A diverging rollout overflows; the finiteness check below turns that
+    # into an EvaluationError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            A_t, B_t, C_t = system.matrices(t)
+            if t >= lag:
+                window[1:] = window[:-1]
+                window[:1] = signals[t - lag]
+            psi = K @ phi + (selector * window[:, None, :]).reshape(d_u, p)
+            u = K @ x
+            if observe and C_t is not None:
+                z = C_t @ x
+                L[:d_z] = C_t @ phi
+            else:
+                z = x
+                L[:d_z] = phi
+            L[d_z:] = psi
+            r = np.concatenate((z, u)) - offset
+            WL = W @ L
+            G += L.T @ WL
+            g += r @ WL
+            c += float(r @ W @ r)
+            phi = A_t @ phi + B_t @ psi
+            x = A_t @ x + B_t @ u + w_record[t]
+
+    if not (np.isfinite(c) and np.isfinite(g).all() and np.isfinite(G).all()):
+        raise EvaluationError(f"{label} objective became non-finite")
+    m, *_ = np.linalg.lstsq(G, -g, rcond=None)
+    value = c + float(m @ (2.0 * g + G @ m))
+    return m.reshape(depth, d_u, d_s), value
 
 
 # ---------------------------------------------------------------------------
@@ -588,20 +671,27 @@ def best_dac_in_hindsight(
     """Best fixed disturbance-action policy on a recorded run.
 
     Minimizes the exact counterfactual total cost of ``u_t = K x_t +
-    sum_i M_i w_{t-i}`` over the action blocks by offline gradient descent;
-    the objective is convex because the trajectory is affine in ``M``.
-    Returns ``(Ms, total_cost)`` with ``Ms`` of shape (h, d_u, d_x).
+    sum_i M_i w_{t-i}`` over the action blocks; the objective is convex
+    because the trajectory is affine in ``M``.  A :class:`QuadraticCost` is
+    minimized exactly by solving the normal equations of that quadratic;
+    any other cost by offline gradient descent with a Newton polish, to
+    which ``max_iter``, ``tol`` and ``step_scale`` apply.  Returns ``(Ms,
+    total_cost)`` with ``Ms`` of shape (h, d_u, d_x).
     """
     w_record = np.asarray(w_record, dtype=float)
     if w_record.ndim != 2 or w_record.shape[0] == 0:
         raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
     K = _coerce_K(K, system.d_u, system.d_x)
+    label = "action-policy comparator"
+    if isinstance(cost, QuadraticCost):
+        return _best_quadratic_policy(
+            system, cost, K, w_record, signals=w_record, depth=int(h), lag=1,
+            x0=x0, observe=False, label=label,
+        )
     maps = _dac_affine_maps(system, K, w_record, int(h), x0)
     objective = _affine_objective(cost, *maps)
     m0 = np.zeros((int(h), system.d_u, system.d_x))
-    return _minimize_convex(
-        objective, m0, max_iter, tol, step_scale, label="action-policy comparator"
-    )
+    return _minimize_convex(objective, m0, max_iter, tol, step_scale, label)
 
 
 def best_drc_in_hindsight(
@@ -618,18 +708,29 @@ def best_drc_in_hindsight(
 
     Minimizes the counterfactual total cost of ``u_t = sum_{i=0..h} M_i
     ynat_{t-i}`` where ``ynat`` is the zero-control observation sequence;
-    the cost consumes (observation, control) pairs.  Returns ``(Ms,
-    total_cost)`` with ``Ms`` of shape (h+1, d_u, d_y).
+    the cost consumes (observation, control) pairs.  A
+    :class:`QuadraticCost` is minimized exactly by solving the normal
+    equations of the quadratic objective; any other cost by offline
+    gradient descent with a Newton polish, to which ``max_iter``, ``tol``
+    and ``step_scale`` apply.  Returns ``(Ms, total_cost)`` with ``Ms`` of
+    shape (h+1, d_u, d_y).
     """
     w_record = np.asarray(w_record, dtype=float)
     if w_record.ndim != 2 or w_record.shape[0] == 0:
         raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
+    label = "response-policy comparator"
+    if isinstance(cost, QuadraticCost):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ynat = _natural_observations(system, w_record, x0)
+        K = np.zeros((system.d_u, system.d_x))
+        return _best_quadratic_policy(
+            system, cost, K, w_record, signals=ynat, depth=int(h) + 1, lag=0,
+            x0=x0, observe=True, label=label,
+        )
     maps = _drc_affine_maps(system, w_record, int(h), x0)
     objective = _affine_objective(cost, *maps)
     m0 = np.zeros((int(h) + 1, system.d_u, system.d_y))
-    return _minimize_convex(
-        objective, m0, max_iter, tol, step_scale, label="response-policy comparator"
-    )
+    return _minimize_convex(objective, m0, max_iter, tol, step_scale, label)
 
 
 def _linear_objective(
@@ -811,24 +912,14 @@ def drc_rollout_costs(
     w_record = np.asarray(w_record, dtype=float)
     Ms = np.asarray(Ms, dtype=float)
     T = w_record.shape[0]
-
-    ynat = np.zeros((T, system.d_y))
-    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    mats = []
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        C_t = np.eye(system.d_x) if C_t is None else C_t
-        mats.append((A_t, B_t, C_t))
-        ynat[t] = C_t @ x
-        x = A_t @ x + w_record[t]
-    Y = _signal_windows(ynat, Ms.shape[0], lag=0)
+    Y = _signal_windows(_natural_observations(system, w_record, x0), Ms.shape[0], lag=0)
 
     out = np.zeros(T)
     x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
     for t in range(T):
-        A_t, B_t, C_t = mats[t]
+        A_t, B_t, C_t = system.matrices(t)
         u = np.einsum("iab,ib->a", Ms, Y[t])
-        out[t] = cost.value(C_t @ x, u)
+        out[t] = cost.value(x if C_t is None else C_t @ x, u)
         x = A_t @ x + B_t @ u + w_record[t]
     return out
 
@@ -1157,10 +1248,6 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
             system, cost, w_record, comp_h, config.x0, **comp_spec
         )
         comparator_costs = drc_rollout_costs(system, cost, Ms, w_record, config.x0)
-        if config.cost_on == "state":
-            # Response-policy rollouts cost observations; with full state
-            # observation the two coincide.
-            pass
     elif comp_kind == "best-linear":
         K_star, _ = best_linear_in_hindsight(
             system, cost, w_record, config.x0, seed=config.seed, **comp_spec

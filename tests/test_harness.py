@@ -9,12 +9,15 @@ returned optimum.
 
 import os
 import tempfile
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nscontrol.errors import ConfigurationError
+from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import (
     CSV_COLUMNS,
     RegretReport,
@@ -34,7 +37,12 @@ from nscontrol.harness import (
     scenario_presets,
     write_report_csv,
 )
-from nscontrol.lds_core import LinearSystem, PerturbationSource, QuadraticCost
+from nscontrol.lds_core import (
+    CallableCost,
+    LinearSystem,
+    PerturbationSource,
+    QuadraticCost,
+)
 from nscontrol.optimal_control import dare_solve
 from nscontrol.serialize import (
     load_matrix,
@@ -425,6 +433,128 @@ def test_best_drc_zero_noise_is_zero():
     Ms, value = best_drc_in_hindsight(system, cost, w, h=2)
     assert np.linalg.norm(Ms) <= 1e-8
     assert abs(value) < 1e-12
+
+
+def _random_comparator_problem(seed, d_x, d_u, d_y, T, observe, with_target, singular_R):
+    """A random quadratic comparator problem: a system whose closed loop
+    under the returned gain ``K`` is stable (``K = 0`` for response
+    policies), a cost, a disturbance record and an initial state."""
+    rng = np.random.default_rng(seed)
+    A_cl = rng.standard_normal((d_x, d_x))
+    A_cl *= rng.uniform(0.0, 0.95) / max(spectral_radius(A_cl), 1e-12)
+    B = rng.standard_normal((d_x, d_u))
+    K = np.zeros((d_u, d_x)) if observe else 0.3 * rng.standard_normal((d_u, d_x))
+    C = rng.standard_normal((d_y, d_x)) if observe else None
+    system = LinearSystem.time_invariant(A_cl - B @ K, B, C)
+    d_z = d_y if observe else d_x
+    F = rng.standard_normal((d_z, d_z))
+    V = np.linalg.qr(rng.standard_normal((d_u, d_u)))[0]
+    r_eig = rng.uniform(0.1, 2.0, d_u)
+    if singular_R:
+        r_eig[0] = 0.0
+    cost = QuadraticCost(
+        Q=F @ F.T + 0.1 * np.eye(d_z),
+        R=(V * r_eig) @ V.T,
+        target=rng.standard_normal(d_z) if with_target else None,
+    )
+    w = rng.standard_normal((T, d_x))
+    return system, cost, K, w, rng.standard_normal(d_x)
+
+
+def _iterative_reference(cost):
+    """The same quadratic behind a callable cost, which routes the
+    comparator through offline gradient descent and the Newton polish.
+    Callers pass ``tol=0`` so the polish runs all its rounds: on an
+    ill-conditioned problem the default gradient tolerance stops it
+    measurably short of the optimum."""
+    return CallableCost(fn=cost.value, gx=cost.grad_x, gu=cost.grad_u)
+
+
+def _assert_same_optimum(value, ref, total, zero_total):
+    """``value`` matches the iterative optimum ``ref`` and the rollout
+    total of the returned blocks to 1e-9, relative to the larger of the
+    optimum and the cost at M = 0.  When the optimum is a tiny fraction of
+    the cost at M = 0, large blocks cancel most of that cost and each
+    floating-point evaluation of the optimum keeps only that share of its
+    digits, while the minimizers themselves still agree."""
+    tol = dict(rel=1e-9, abs=1e-9 * zero_total)
+    assert value == pytest.approx(ref, **tol)
+    assert value == pytest.approx(total, **tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    h=st.integers(1, 3),
+    T=st.integers(5, 200),
+    with_target=st.booleans(),
+    singular_R=st.booleans(),
+)
+# Optimum 1.5e-3 of the cost at M = 0, blocks of norm ~1.6e3: the three
+# float evaluations of the optimum differ by about 1e-7 relative.
+@example(seed=11113, d_x=1, d_u=2, h=3, T=5, with_target=True, singular_R=True)
+def test_best_dac_exact_solve_matches_iterative(
+    seed, d_x, d_u, h, T, with_target, singular_R
+):
+    system, cost, K, w, x0 = _random_comparator_problem(
+        seed, d_x, d_u, d_x, T, False, with_target, singular_R
+    )
+    Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
+    assert Ms.shape == (h, d_u, d_x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, ref = best_dac_in_hindsight(
+            system, _iterative_reference(cost), K, w, h, x0, max_iter=50, tol=0.0
+        )
+    total = dac_rollout_costs(system, cost, K, Ms, w, x0).sum()
+    zero_total = dac_rollout_costs(system, cost, K, np.zeros_like(Ms), w, x0).sum()
+    _assert_same_optimum(value, ref, total, zero_total)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    d_y=st.integers(1, 3),
+    h=st.integers(0, 2),
+    T=st.integers(5, 200),
+    with_target=st.booleans(),
+    singular_R=st.booleans(),
+)
+# Costless control acting through C B = 1.3e-3: with its default gradient
+# tolerance the iterative reference stops 3.4e-6 relative above the optimum.
+@example(seed=300, d_x=1, d_u=1, d_y=1, h=1, T=5, with_target=True, singular_R=True)
+def test_best_drc_exact_solve_matches_iterative(
+    seed, d_x, d_u, d_y, h, T, with_target, singular_R
+):
+    system, cost, _, w, x0 = _random_comparator_problem(
+        seed, d_x, d_u, d_y, T, True, with_target, singular_R
+    )
+    Ms, value = best_drc_in_hindsight(system, cost, w, h, x0)
+    assert Ms.shape == (h + 1, d_u, d_y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, ref = best_drc_in_hindsight(
+            system, _iterative_reference(cost), w, h, x0, max_iter=50, tol=0.0
+        )
+    total = drc_rollout_costs(system, cost, Ms, w, x0).sum()
+    zero_total = drc_rollout_costs(system, cost, np.zeros_like(Ms), w, x0).sum()
+    _assert_same_optimum(value, ref, total, zero_total)
+
+
+def test_comparators_raise_typed_error_on_divergence():
+    system = LinearSystem.time_invariant([[1.5]], [[1.0]])
+    cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
+    w = np.ones((3000, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="objective became non-finite"):
+            best_dac_in_hindsight(system, cost, [[0.0]], w, h=2)
+        with pytest.raises(EvaluationError, match="objective became non-finite"):
+            best_drc_in_hindsight(system, cost, w, h=2)
 
 
 def test_best_linear_matches_grid_scalar():
