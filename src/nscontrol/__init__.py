@@ -48,9 +48,7 @@ from .online_control import (
     OGDState,
     counterfactual_state,
     gpc_runner,
-    gpc_step,
     grc_runner,
-    grc_step,
     ogd_update,
 )
 from .harness import (

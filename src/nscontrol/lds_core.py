@@ -55,7 +55,7 @@ def _as_matrix(M: object, name: str) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ConfigurationError(f"{name} contains non-finite entries")
     return A
 

@@ -12,16 +12,18 @@ descent (OGD) and the two controllers built on it.
 Both construct the per-step loss ``l_t(M) = c_t(state-or-observation(M),
 u_t(M))`` where the counterfactual signals are the ones that would have
 occurred had the current parameters been played from the beginning of
-time; both compute gradients analytically (the counterfactuals are linear
-in ``M``, so the loss is convex) and keep incremental caches of the
-transition products so a step costs ``O(h * H * d^2)`` instead of
-re-rolling history.
+time, truncated to the last ``H_trunc`` steps; both compute gradients
+analytically (the counterfactuals are linear in ``M``, so the loss is
+convex).  Both run one private core, :class:`_DisturbanceFeedback`, whose
+preallocated caches are updated in place and whose step is a fixed number
+of whole-array numpy calls on one Hankel gather of the signal window: no
+Python loop over ``h`` or ``H``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -36,8 +38,6 @@ __all__ = [
     "counterfactual_state",
     "GPCController",
     "GRCController",
-    "gpc_step",
-    "grc_step",
     "gpc_runner",
     "grc_runner",
 ]
@@ -99,16 +99,16 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
             f"gradient dimension {g.shape[0]} does not match point dimension "
             f"{state.point.shape[0]}"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise EvaluationError("OGD update rejected: non-finite gradient")
     t_next = state.t + 1
     eta = state.step_size(t_next)
     y = state.point - eta * g
     if state.radius is not None:
-        norm = float(np.linalg.norm(y))
+        norm = math.sqrt(y @ y)
         if norm > state.radius:
             y = y * (state.radius / norm)
-    return replace(state, point=y, t=t_next)
+    return OGDState(y, state.radius, state.step_scale, state.schedule, t_next)
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +188,166 @@ def _resolve_cost(cost: object, t: int) -> object:
 
 
 # ---------------------------------------------------------------------------
+# Disturbance-feedback core shared by GPC and GRC
+# ---------------------------------------------------------------------------
+
+
+class _DisturbanceFeedback:
+    """Parameters, OGD iterate, caches and per-step work of a learner that
+    plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a signal ``s``
+    (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0).
+
+    ``Ms[i]`` multiplies ``window[i]``, so ``u_{t-m}(M) = sum_i Ms[i]
+    window[m+i]`` for every lag ``m``, and one Hankel gather of the window
+    feeds all lags.  The caches hold no past control until the first
+    transition matrix fixes ``H_trunc``; then they are allocated at that
+    depth and updated in place:
+
+    * ``_Z`` (``H_trunc + len(Ms)``, d_s): the signal window, newest first.
+    * ``_P`` (d_x, ``H_trunc``, d_u): block ``[:, k]`` is the transition
+      product over the last ``k`` steps times ``B_{t-1-k}``; it moves on by
+      one flat matrix product into a spare buffer that is swapped in.
+    * ``_D`` (``H_trunc``, d_x), GPC only: the same products times ``w``.
+
+    Sums over lags are sequential reductions (lag after lag), not BLAS dot
+    products, so scalar runs round exactly as a plain per-lag loop does: a
+    diverging run such as the README's ``sysid`` example amplifies any
+    change of rounding into its printed result.
+    """
+
+    #: Telemetry key of the norm of the signal recorded at each update.
+    _signal_key = ""
+    #: Whether the signal itself drives the state (GPC's ``w``).
+    _drifts = False
+
+    def __init__(self, d_s, n_M, radius, step_size, schedule, horizon, H_trunc, eps_trunc,
+                 telemetry_sink):
+        # Subclasses set d_x, d_u and h first.
+        self.Ms = np.zeros((n_M, self.d_u, d_s))
+        scale = float(step_size) if step_size is not None else float(radius)
+        if schedule == "constant":
+            if horizon is None:
+                raise ConfigurationError("constant schedule needs the horizon T")
+            scale = scale / math.sqrt(horizon)
+        self.ogd = OGDState(
+            point=self.Ms.ravel(), radius=float(radius), step_scale=scale, schedule=schedule
+        )
+        if H_trunc is not None and int(H_trunc) < 1:
+            raise ConfigurationError(f"H_trunc must be at least 1, got {H_trunc}")
+        self._eps_trunc = float(eps_trunc)
+        self.H_trunc: Optional[int] = None if H_trunc is None else int(H_trunc)
+        self.delta_hat: Optional[float] = None
+        self.telemetry: list = []
+        self._sink = telemetry_sink
+        self._last: Optional[tuple] = None
+        self._Z = np.zeros((0, d_s))
+        self._allocate(0)
+
+    def _start(self, transition: np.ndarray) -> None:
+        """Size the caches from the first transition matrix's decay."""
+        self.delta_hat = _measure_decay(transition)
+        if self.H_trunc is None:
+            self.H_trunc = _default_depth(self.h, self.delta_hat, self._eps_trunc)
+        self._allocate(self.H_trunc)
+
+    def _allocate(self, H: int) -> None:
+        """Allocate the caches at depth ``H``, keeping the window's entries."""
+        n_M, d_u, d_s = self.Ms.shape
+        window = self._Z
+        self._Z = np.zeros((H + n_M, d_s))
+        self._Z[: len(window)] = window
+        # _hankel[i, k] indexes window[i + 1 + k], the entry Ms[i] meets at lag k + 1.
+        lag = np.arange(n_M)[:, None, None] + 1 + np.arange(H)[:, None]
+        self._hankel = d_s * lag + np.arange(d_s)
+        self._P = np.zeros((self.d_x, H, d_u))
+        self._P_spare = np.zeros_like(self._P)
+        self._D = np.zeros((H, self.d_x)) if self._drifts else None
+        self._D_spare = np.zeros((H, self.d_x)) if self._drifts else None
+
+    def _feedback(self) -> np.ndarray:
+        """``sum_i Ms[i] window[i]``: the learned part of the current control."""
+        return np.einsum("juy,jy->u", self.Ms, self._Z[: len(self.Ms)])
+
+    def _response(self) -> tuple:
+        """``(z, Zh)``: the truncated state response to the controls the
+        held parameters would have played (plus the drift, for GPC), and
+        the Hankel gather of the window."""
+        Zh = self._Z.take(self._hankel)
+        U = np.add.reduce(np.matmul(Zh, self.Ms.transpose(0, 2, 1)), axis=0)
+        z = np.einsum("xku,ku->x", self._P, U)
+        return (z if self._D is None else z + np.add.reduce(self._D, axis=0)), Zh
+
+    def _gradient(self, v: np.ndarray, gu: np.ndarray, Zh: np.ndarray) -> np.ndarray:
+        """Gradient, shaped like ``Ms``, of a loss whose derivative is ``v``
+        along the state response and ``gu`` along the current control."""
+        S = (v @ self._P.reshape(len(v), -1)).reshape(-1, self.d_u)
+        return np.matmul(S.T, Zh) + gu[:, None] * self._Z[: len(self.Ms), None, :]
+
+    def _learn(self, grad: np.ndarray, row: dict, signal: np.ndarray) -> None:
+        """Projected OGD step on ``grad``, its invariants, and the telemetry row.
+
+        Raises
+        ------
+        EvaluationError
+            If the new iterate left the ball or moved further than
+            ``eta * ||grad||``.
+        """
+        g = grad.ravel()
+        previous = self.ogd.point
+        self.ogd = ogd_update(self.ogd, g)
+        point = self.ogd.point
+        grad_norm = math.sqrt(g @ g)
+        M_norm = math.sqrt(point @ point)
+        if self.ogd.radius is not None and M_norm > self.ogd.radius + 1e-9:
+            raise EvaluationError(f"OGD iterate left the ball of radius {self.ogd.radius}")
+        moved = point - previous
+        if math.sqrt(moved @ moved) > self.ogd.step_size(self.ogd.t) * grad_norm + 1e-12:
+            raise EvaluationError("OGD iterate moved further than eta * ||g||")
+        self.Ms = point.reshape(self.Ms.shape)
+        row["M_norm"] = M_norm
+        row[self._signal_key] = math.sqrt(signal @ signal)
+        row["grad_norm"] = grad_norm
+        self.telemetry.append(row)
+        if self._sink is not None:
+            self._sink(row)
+
+    def _advance(self, transition: np.ndarray, B: np.ndarray, drift=None) -> None:
+        """Move the stacks one step on: older blocks are multiplied by
+        ``transition`` and the oldest falls out; ``B`` (and, for GPC, the
+        ``drift`` w) become block 0."""
+        P, self._P = self._P, self._P_spare
+        np.matmul(transition, P[:, :-1].reshape(self.d_x, -1),
+                  out=self._P[:, 1:].reshape(self.d_x, -1))
+        self._P[:, 0] = B
+        self._P_spare = P
+        if self._D is not None:
+            D, self._D = self._D, self._D_spare
+            np.matmul(D[:-1], transition.T, out=self._D[1:])
+            self._D[0] = drift
+            self._D_spare = D
+
+    def _push(self, signal: np.ndarray) -> None:
+        """Shift the signal window one row and put ``signal`` first."""
+        self._Z[1:] = self._Z[:-1]
+        self._Z[0] = signal
+
+
+# ---------------------------------------------------------------------------
 # GPC
 # ---------------------------------------------------------------------------
 
 
-class GPCController:
+class GPCController(_DisturbanceFeedback):
     """Gradient perturbation controller.
 
     Per step ``t``: play ``u_t = K_t x_t + sum_{i=1}^{h} M_i^t w_{t-i}``,
     observe ``x_{t+1}``, recover ``w_t = x_{t+1} - A_t x_t - B_t u_t``,
     build the counterfactual loss ``l_t(M) = c_t(x_t(M), u_t(M))``, and
     take one projected OGD step on it.
+
+    Runs on the core shared with :class:`GRCController`: the ``w`` window
+    and the ``H_trunc``-deep closed-loop products applied to ``B`` and ``w``
+    are allocated at the first update and updated in place.
 
     Parameters
     ----------
@@ -224,6 +373,9 @@ class GPCController:
         Receives one dict per update (also kept in ``self.telemetry``).
     """
 
+    _signal_key = "w_norm"
+    _drifts = True
+
     def __init__(
         self,
         d_x: int,
@@ -243,26 +395,8 @@ class GPCController:
             raise ConfigurationError("GPC needs a window h >= 1")
         self._K_provider = K if callable(K) else None
         self._K_fixed = None if callable(K) else _as_matrix(K, "K")
-        self.Ms = np.zeros((self.h, self.d_u, self.d_x))
-        scale = float(step_size) if step_size is not None else float(radius)
-        if schedule == "constant":
-            if horizon is None:
-                raise ConfigurationError("constant schedule needs the horizon T")
-            scale = scale / math.sqrt(horizon)
-        self.ogd = OGDState(
-            point=self.Ms.ravel(), radius=float(radius), step_scale=scale, schedule=schedule
-        )
-        self._H_override = None if H_trunc is None else int(H_trunc)
-        self._eps_trunc = float(eps_trunc)
-        self.H_trunc: Optional[int] = self._H_override
-        self.delta_hat: Optional[float] = None
-        self.telemetry: list = []
-        self._sink = telemetry_sink
-        # Rolling caches, all ordered most recent first.
-        self._W: Optional[np.ndarray] = None  # (H+h, d_x): w_{t-1}, w_{t-2}, ...
-        self._PB: Optional[np.ndarray] = None  # (H, d_x, d_u): prod(A~) B_{t-k}
-        self._Pw: Optional[np.ndarray] = None  # (H, d_x):      prod(A~) w_{t-k}
-        self._last: Optional[tuple] = None  # (t, x_t, u_t, K_t)
+        super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc,
+                         eps_trunc, telemetry_sink)
 
     def gain(self, t: int) -> np.ndarray:
         return (
@@ -271,65 +405,37 @@ class GPCController:
             else _as_matrix(self._K_provider(t), f"K_{t}")
         )
 
-    def _ensure_caches(self, closed: np.ndarray) -> None:
-        if self._W is not None:
-            return
-        self.delta_hat = _measure_decay(closed)
-        if self.H_trunc is None:
-            self.H_trunc = _default_depth(self.h, self.delta_hat, self._eps_trunc)
-        self._W = np.zeros((self.H_trunc + self.h, self.d_x))
-        self._PB = np.zeros((self.H_trunc, self.d_x, self.d_u))
-        self._Pw = np.zeros((self.H_trunc, self.d_x))
-
     def act(self, t: int, x: object) -> np.ndarray:
         """Emit ``u_t`` from the current parameters and perturbation window."""
         x = np.asarray(x, dtype=float)
         K_t = self.gain(t)
-        u = K_t @ x
-        if self._W is not None:
-            u = u + np.einsum("juy,jy->u", self.Ms, self._W[: self.h])
+        u = K_t @ x + self._feedback()
         self._last = (t, x.copy(), u.copy(), K_t)
         return u
+
+    def _counterfactual(self) -> tuple:
+        """``(x_t(M), u_t(M), Zh)`` with the Hankel gather they used."""
+        if self._last is None:
+            raise ConfigurationError("call act() before querying counterfactuals")
+        x_cf, Zh = self._response()
+        return x_cf, self._last[3] @ x_cf + self._feedback(), Zh
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
         parameters now held (cache-based fast path)."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        _, _, _, K_t = self._last
-        W, PB, Pw = self._W, self._PB, self._Pw
-        if W is None:
-            x_cf = np.zeros(self.d_x)
-            return x_cf, K_t @ x_cf
-        H = PB.shape[0]
-        U = np.zeros((H, self.d_u))
-        for j in range(1, self.h + 1):
-            U += W[j : j + H] @ self.Ms[j - 1].T
-        x_cf = np.einsum("kxu,ku->x", PB, U) + Pw.sum(axis=0)
-        u_cf = K_t @ x_cf + np.einsum("juy,jy->u", self.Ms, W[: self.h])
-        return x_cf, u_cf
+        return self._counterfactual()[:2]
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient with respect to the parameter stack.  Valid
         between act() and update()."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying the loss")
+        x_cf, u_cf, Zh = self._counterfactual()
         t, _, _, K_t = self._last
         cost_t = _resolve_cost(cost, t)
-        x_cf, u_cf = self.counterfactuals()
         loss = float(cost_t.value(x_cf, u_cf))
-        if self._W is None:
-            return loss, np.zeros_like(self.Ms)
         gx = np.asarray(cost_t.grad_x(x_cf, u_cf), dtype=float)
         gu = np.asarray(cost_t.grad_u(x_cf, u_cf), dtype=float)
-        v = gx + K_t.T @ gu
-        H = self._PB.shape[0]
-        S = np.einsum("kxu,x->ku", self._PB, v)
-        grad = np.zeros_like(self.Ms)
-        for j in range(1, self.h + 1):
-            grad[j - 1] = S.T @ self._W[j : j + H] + np.outer(gu, self._W[j - 1])
-        return loss, grad
+        return loss, self._gradient(gx + K_t.T @ gu, gu, Zh)
 
     def update(self, t: int, A_t: object, B_t: object, x_next: object, cost: object) -> np.ndarray:
         """Recover ``w_t``, take the OGD step on ``l_t``, advance caches.
@@ -343,61 +449,19 @@ class GPCController:
         x_next = np.asarray(x_next, dtype=float)
         _, x, u, K_t = self._last
         w_t = x_next - A_t @ x - B_t @ u
-        if not np.all(np.isfinite(w_t)):
+        if not np.isfinite(w_t).all():
             raise EvaluationError(f"recovered perturbation is non-finite at t={t}; aborting run")
         closed = A_t + B_t @ K_t
-        self._ensure_caches(closed)
+        if self.delta_hat is None:
+            self._start(closed)
 
         cost_t = _resolve_cost(cost, t)
         loss, grad = self.loss_and_gradient(cost_t)
-
-        previous = self.ogd.point.copy()
-        self.ogd = ogd_update(self.ogd, grad.ravel())
-        eta = self.ogd.step_size(self.ogd.t)
-        moved = float(np.linalg.norm(self.ogd.point - previous))
-        assert moved <= eta * float(np.linalg.norm(grad)) + 1e-12, "OGD iterate moved too far"
-        if self.ogd.radius is not None:
-            assert np.linalg.norm(self.ogd.point) <= self.ogd.radius + 1e-9
-        self.Ms = self.ogd.point.reshape(self.Ms.shape)
-
-        row = {
-            "t": t,
-            "cost": float(cost_t.value(x, u)),
-            "loss": loss,
-            "M_norm": float(np.linalg.norm(self.Ms)),
-            "w_norm": float(np.linalg.norm(w_t)),
-            "grad_norm": float(np.linalg.norm(grad)),
-        }
-        self.telemetry.append(row)
-        if self._sink is not None:
-            self._sink(row)
-
-        # Advance caches to represent time t+1.
-        self._PB = np.concatenate(
-            [B_t[None], np.einsum("xy,kyu->kxu", closed, self._PB[:-1])], axis=0
-        )
-        self._Pw = np.concatenate([w_t[None], self._Pw[:-1] @ closed.T], axis=0)
-        self._W = np.concatenate([w_t[None], self._W[:-1]], axis=0)
+        self._learn(grad, {"t": t, "cost": float(cost_t.value(x, u)), "loss": loss}, w_t)
+        self._advance(closed, B_t, w_t)
+        self._push(w_t)
         self._last = None
         return w_t
-
-
-def gpc_step(
-    controller: GPCController,
-    A_t: object,
-    B_t: object,
-    x_next: object,
-    cost: object,
-    t: Optional[int] = None,
-) -> np.ndarray:
-    """Spec-level GPC step: recover the perturbation from the observed next
-    state, construct the counterfactual loss, and update the parameters.
-    ``act`` must have been called for this step.  Returns the updated
-    parameter stack."""
-    if t is None:
-        t = controller._last[0] if controller._last else 0
-    controller.update(t, A_t, B_t, x_next, cost)
-    return controller.Ms
 
 
 def gpc_runner(
@@ -423,7 +487,7 @@ def gpc_runner(
 # ---------------------------------------------------------------------------
 
 
-class GRCController:
+class GRCController(_DisturbanceFeedback):
     """Gradient response controller for stable, partially observed systems.
 
     Per step ``t``: compute nature's y ``ynat_t = y_t - C_t z_t``, play
@@ -432,8 +496,15 @@ class GRCController:
     through the cached Markov operators ``F_i``, and take one projected
     OGD step on ``l_t(M) = c_t(y_t(M), u_t(M))``.
 
+    Runs on the core shared with :class:`GPCController`: the ``ynat``
+    window and the ``H_trunc``-deep stack of ``F_i`` are allocated at the
+    first update and updated in place.  ``A_t`` must have spectral radius
+    below 1, checked whenever ``A_t`` differs from the last matrix checked.
+
     The cost is evaluated on (observation, control) pairs.
     """
+
+    _signal_key = "ynat_norm"
 
     def __init__(
         self,
@@ -450,90 +521,46 @@ class GRCController:
         telemetry_sink: Optional[Callable[[dict], None]] = None,
     ):
         self.d_x, self.d_u, self.d_y, self.h = int(d_x), int(d_u), int(d_y), int(h)
-        self.Ms = np.zeros((self.h + 1, self.d_u, self.d_y))
-        scale = float(step_size) if step_size is not None else float(radius)
-        if schedule == "constant":
-            if horizon is None:
-                raise ConfigurationError("constant schedule needs the horizon T")
-            scale = scale / math.sqrt(horizon)
-        self.ogd = OGDState(
-            point=self.Ms.ravel(), radius=float(radius), step_scale=scale, schedule=schedule
-        )
-        self._H_override = None if H_trunc is None else int(H_trunc)
-        self._eps_trunc = float(eps_trunc)
-        self.H_trunc: Optional[int] = self._H_override
-        self.delta_hat: Optional[float] = None
+        super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc,
+                         eps_trunc, telemetry_sink)
         self.tracker = NaturesYTracker(self.d_x)
-        self.telemetry: list = []
-        self._sink = telemetry_sink
-        self._Y: Optional[np.ndarray] = None  # (H+h+1, d_y): ynat_t, ynat_{t-1}, ...
-        self._F: Optional[np.ndarray] = None  # (H, d_x, d_u): prod(A) B_{t-i}
-        self._last: Optional[tuple] = None  # (t, ynat_t, u_t)
+        self._A_checked: Optional[np.ndarray] = None
 
-    def _ensure_caches(self, A: np.ndarray) -> None:
-        if self._Y is not None:
-            return
-        self.delta_hat = _measure_decay(A)
-        if self.H_trunc is None:
-            self.H_trunc = _default_depth(self.h, self.delta_hat, self._eps_trunc)
-        self._Y = np.zeros((self.H_trunc + self.h + 1, self.d_y))
-        self._F = np.zeros((self.H_trunc, self.d_x, self.d_u))
+    def _output(self, C_t: Optional[object]) -> np.ndarray:
+        return np.eye(self.d_x) if C_t is None else _as_matrix(C_t, "C_t")
 
     def act(self, t: int, y: object, C_t: Optional[object] = None) -> np.ndarray:
         """Compute ``ynat_t`` from the observation and emit ``u_t``."""
         ynat = self.tracker.observe(np.asarray(y, dtype=float), C_t)
-        if self._Y is not None:
-            self._Y = np.concatenate([ynat[None], self._Y[:-1]], axis=0)
-            u = np.einsum("juy,jy->u", self.Ms, self._Y[: self.h + 1])
-        else:
-            # First step: the window is [ynat_t, 0, 0, ...].
-            u = self.Ms[0] @ ynat
+        self._push(ynat)
+        u = self._feedback()
         self._last = (t, ynat, u.copy())
         return u
+
+    def _counterfactual(self, C: np.ndarray) -> tuple:
+        """``(y_t(M), u_t(M), Zh)`` with the Hankel gather they used."""
+        if self._last is None:
+            raise ConfigurationError("call act() before querying counterfactuals")
+        z, Zh = self._response()
+        return self._last[1] + C @ z, self._feedback(), Zh
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
         valid between act() and update()."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        _, ynat, _ = self._last
-        if self._Y is None:
-            return ynat.copy(), self.Ms[0] @ ynat
-        C = np.eye(self.d_x) if C_t is None else _as_matrix(C_t, "C_t")
-        H = self._F.shape[0]
-        U = np.zeros((H, self.d_u))
-        for j in range(self.h + 1):
-            U += self._Y[j + 1 : j + 1 + H] @ self.Ms[j].T
-        y_cf = ynat + np.einsum("yx,kxu,ku->y", C, self._F, U)
-        u_cf = np.einsum("juy,jy->u", self.Ms, self._Y[: self.h + 1])
-        return y_cf, u_cf
+        return self._counterfactual(self._output(C_t))[:2]
 
     def loss_and_gradient(
         self, cost: object, C_t: Optional[object] = None
     ) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient.  Valid between act() and update()."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying the loss")
-        t = self._last[0]
-        cost_t = _resolve_cost(cost, t)
-        y_cf, u_cf = self.counterfactuals(C_t)
+        C = self._output(C_t)
+        y_cf, u_cf, Zh = self._counterfactual(C)
+        cost_t = _resolve_cost(cost, self._last[0])
         loss = float(cost_t.value(y_cf, u_cf))
-        if self._Y is None:
-            gu = np.asarray(cost_t.grad_u(y_cf, u_cf), dtype=float)
-            grad = np.zeros_like(self.Ms)
-            grad[0] = np.outer(gu, self._last[1])
-            return loss, grad
-        C = np.eye(self.d_x) if C_t is None else _as_matrix(C_t, "C_t")
         gy = np.asarray(cost_t.grad_x(y_cf, u_cf), dtype=float)
         gu = np.asarray(cost_t.grad_u(y_cf, u_cf), dtype=float)
-        H = self._F.shape[0]
-        G = np.einsum("yx,kxu->kyu", C, self._F)
-        S = np.einsum("kyu,y->ku", G, gy)
-        grad = np.zeros_like(self.Ms)
-        for j in range(self.h + 1):
-            grad[j] = S.T @ self._Y[j + 1 : j + 1 + H] + np.outer(gu, self._Y[j])
-        return loss, grad
+        return loss, self._gradient(C.T @ gy, gu, Zh)
 
     def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
         """Advance nature's-y, take the OGD step on ``l_t``, refresh caches."""
@@ -541,65 +568,22 @@ class GRCController:
             raise ConfigurationError("update(t) must follow act(t)")
         A_t = _as_matrix(A_t, "A_t")
         B_t = _as_matrix(B_t, "B_t")
-        C = np.eye(self.d_x) if C_t is None else _as_matrix(C_t, "C_t")
-        if spectral_radius(A_t) >= 1.0:
-            raise ConfigurationError(
-                "GRC requires a stable system: spectral radius of A_t is >= 1"
-            )
-        first = self._Y is None
-        self._ensure_caches(A_t)
+        if self._A_checked is None or not np.array_equal(A_t, self._A_checked):
+            if spectral_radius(A_t) >= 1.0:
+                raise ConfigurationError(
+                    "GRC requires a stable system: spectral radius of A_t is >= 1"
+                )
+            self._A_checked = A_t.copy()
         _, ynat, u_played = self._last
-        if first:
-            self._Y = np.concatenate([ynat[None], self._Y[:-1]], axis=0)
+        if self.delta_hat is None:
+            self._start(A_t)
 
         cost_t = _resolve_cost(cost, t)
-        loss, grad = self.loss_and_gradient(cost_t, C)
-
-        previous = self.ogd.point.copy()
-        self.ogd = ogd_update(self.ogd, grad.ravel())
-        eta = self.ogd.step_size(self.ogd.t)
-        assert (
-            float(np.linalg.norm(self.ogd.point - previous))
-            <= eta * float(np.linalg.norm(grad)) + 1e-12
-        )
-        if self.ogd.radius is not None:
-            assert np.linalg.norm(self.ogd.point) <= self.ogd.radius + 1e-9
-        self.Ms = self.ogd.point.reshape(self.Ms.shape)
-
-        row = {
-            "t": t,
-            "loss": loss,
-            "M_norm": float(np.linalg.norm(self.Ms)),
-            "ynat_norm": float(np.linalg.norm(ynat)),
-            "grad_norm": float(np.linalg.norm(grad)),
-        }
-        self.telemetry.append(row)
-        if self._sink is not None:
-            self._sink(row)
-
+        loss, grad = self.loss_and_gradient(cost_t, C_t)
+        self._learn(grad, {"t": t, "loss": loss}, ynat)
         self.tracker.advance(A_t, B_t, u_played)
-        self._F = np.concatenate(
-            [B_t[None], np.einsum("xy,kyu->kxu", A_t, self._F[:-1])], axis=0
-        )
+        self._advance(A_t, B_t)
         self._last = None
-
-
-def grc_step(
-    controller: GRCController,
-    A_t: object,
-    B_t: object,
-    C_t: Optional[object],
-    y_t: object,
-    cost: object,
-    t: Optional[int] = None,
-) -> np.ndarray:
-    """Spec-level GRC step: given the step-t matrices and the observation
-    already passed to act(), run the loss construction and the OGD update.
-    Returns the updated parameter stack."""
-    if t is None:
-        t = controller._last[0] if controller._last else 0
-    controller.update(t, A_t, B_t, C_t, cost)
-    return controller.Ms
 
 
 def grc_runner(

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nscontrol import online_control
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.lds_core import (
     LinearSystem,
@@ -709,3 +712,219 @@ def test_grc_runner_matches_manual_loop():
         c2.update(t, A, B, C, cost)
         x = A @ x + B @ u + ws[t]
     assert np.allclose(traj.controls, np.array(controls), atol=1e-12)
+
+
+def test_grc_unstable_time_varying_system_raises_at_the_unstable_step():
+    # A_t drifts while stable for t < 7 and jumps above 1 at t = 7: the
+    # stability check runs whenever A_t changes, so update(7) raises.
+    k = 7
+    cost = QuadraticCost(np.eye(1), np.eye(1))
+    controller = GRCController(1, 1, 1, h=2, radius=2.0, step_size=0.1)
+    for t in range(k):
+        controller.act(t, np.array([0.3]), np.eye(1))
+        controller.update(t, np.array([[0.5 + 0.05 * t]]), np.eye(1), np.eye(1), cost)
+    controller.act(k, np.array([0.3]), np.eye(1))
+    with pytest.raises(ConfigurationError):
+        controller.update(k, np.array([[1.05]]), np.eye(1), np.eye(1), cost)
+
+
+def test_grc_checks_stability_once_for_a_time_invariant_system(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+    monkeypatch.setattr(online_control, "spectral_radius", counting)
+    rng = np.random.default_rng(99)
+    A, B, C = _po_system(rng)
+    cost = QuadraticCost(Q=np.eye(2), R=np.eye(2))
+    controller = GRCController(3, 2, 2, h=2, radius=3.0, step_size=0.05)
+    _drive_grc(controller, A, B, C, cost, lambda t: rng.uniform(-1, 1, size=3), T=50)
+    assert len(calls) == 1
+
+
+def _escaping_ogd(offset):
+    """Stand-in for ogd_update whose iterate lands ``offset`` away from the
+    ball's centre, whatever the gradient."""
+
+    def fake(state, gradient):
+        point = np.zeros_like(state.point)
+        point[0] = offset
+        return OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
+
+    return fake
+
+
+def _one_gpc_update(noise):
+    controller = GPCController(1, 1, np.zeros((1, 1)), h=2, radius=1.0, step_size=0.1)
+    controller.act(0, np.zeros(1))
+    controller.update(0, np.eye(1) * 0.5, np.eye(1), np.array([noise]),
+                      QuadraticCost(np.eye(1), np.eye(1)))
+
+
+def _one_grc_update(noise):
+    controller = GRCController(1, 1, 1, h=2, radius=1.0, step_size=0.1)
+    controller.act(0, np.array([noise]), np.eye(1))
+    controller.update(0, np.eye(1) * 0.5, np.eye(1), np.eye(1),
+                      QuadraticCost(np.eye(1), np.eye(1)))
+
+
+@pytest.mark.parametrize("one_update", [_one_gpc_update, _one_grc_update])
+def test_ogd_invariants_raise_typed_errors(monkeypatch, one_update):
+    # A step that leaves the ball, or moves although the gradient is zero,
+    # is rejected with EvaluationError (the checks are not asserts, so they
+    # also run under python -O).
+    monkeypatch.setattr(online_control, "ogd_update", _escaping_ogd(2.0))
+    with pytest.raises(EvaluationError, match="left the ball"):
+        one_update(0.7)
+    monkeypatch.setattr(online_control, "ogd_update", _escaping_ogd(0.5))
+    with pytest.raises(EvaluationError, match="moved further"):
+        one_update(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Property tests over random stable time-varying systems
+# ---------------------------------------------------------------------------
+
+
+def _rescaled(A, rho):
+    """``A`` scaled to spectral radius ``rho``."""
+    return A * (rho / max(float(np.max(np.abs(np.linalg.eigvals(A)))), 1e-12))
+
+
+def _fd_gradient(controller, loss_at):
+    flat = controller.Ms.ravel().copy()
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        up, dn = flat.copy(), flat.copy()
+        up[i] += FD_STEP
+        dn[i] -= FD_STEP
+        fd[i] = (loss_at(up) - loss_at(dn)) / (2.0 * FD_STEP)
+    return fd
+
+
+def _assert_gradient_matches_fd(controller, grad, loss_at):
+    fd = _fd_gradient(controller, loss_at)
+    assert np.max(np.abs(grad.ravel() - fd)) <= 1e-5 * max(1.0, float(np.max(np.abs(fd))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    h=st.integers(1, 4),
+    H_trunc=st.integers(1, 12),
+    T=st.integers(1, 16),
+)
+def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_trunc, T):
+    rng = np.random.default_rng(seed)
+    A0, A1 = _rescaled(rng.normal(size=(d_x, d_x)), 0.6), 0.1 * rng.normal(size=(d_x, d_x))
+    B0, B1 = rng.normal(size=(d_x, d_u)), 0.2 * rng.normal(size=(d_x, d_u))
+    K0 = 0.1 * rng.normal(size=(d_u, d_x))
+    A_at = lambda t: A0 + np.sin(0.7 * t) * A1
+    B_at = lambda t: B0 + np.cos(0.5 * t) * B1
+    K_at = lambda t: (1.0 + 0.2 * np.sin(t)) * K0
+    L = rng.normal(size=(d_x, d_x))
+    cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_x), R=np.eye(d_u))
+    controller = GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05,
+                               H_trunc=H_trunc)
+    ws = rng.uniform(-1, 1, size=(T + 1, d_x))
+    A_hist: list = []
+    B_hist: list = []
+    w_hist: list = []
+    x = np.zeros(d_x)
+    for t in range(T + 1):
+        u = controller.act(t, x)
+        if t >= 1:
+            x_ref = counterfactual_state(list(controller.Ms), w_hist, A_hist, B_hist, H_trunc)
+            u_ref = K_at(t) @ x_ref
+            for j in range(1, min(h, t) + 1):
+                u_ref = u_ref + controller.Ms[j - 1] @ ws[t - j]
+            x_cf, u_cf = controller.counterfactuals()
+            assert np.allclose(x_cf, x_ref, atol=1e-10)
+            assert np.allclose(u_cf, u_ref, atol=1e-10)
+        if t == T:
+            break
+        x_next = A_at(t) @ x + B_at(t) @ u + ws[t]
+        controller.update(t, A_at(t), B_at(t), x_next, cost)
+        A_hist.insert(0, A_at(t) + B_at(t) @ K_at(t))
+        B_hist.insert(0, B_at(t))
+        w_hist.insert(0, ws[t])
+        x = x_next
+
+    def loss_at(flat):
+        saved = controller.Ms
+        controller.Ms = flat.reshape(saved.shape)
+        x_cf, u_cf = controller.counterfactuals()
+        controller.Ms = saved
+        return float(cost.value(x_cf, u_cf))
+
+    _, grad = controller.loss_and_gradient(cost)
+    _assert_gradient_matches_fd(controller, grad, loss_at)
+    controller.Ms = rng.normal(size=controller.Ms.shape)
+    _, grad = controller.loss_and_gradient(cost)
+    _assert_gradient_matches_fd(controller, grad, loss_at)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    d_y=st.integers(1, 3),
+    h=st.integers(1, 4),
+    H_trunc=st.integers(1, 12),
+    T=st.integers(1, 16),
+)
+def test_grc_counterfactuals_and_gradient_match_references(
+    seed, d_x, d_u, d_y, h, H_trunc, T
+):
+    rng = np.random.default_rng(seed)
+    A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
+    B0, C0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x))
+    A_at = lambda t: _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
+    B_at = lambda t: (1.0 + 0.3 * np.cos(0.5 * t)) * B0
+    C_at = lambda t: (1.0 + 0.2 * np.sin(0.3 * t)) * C0
+    L = rng.normal(size=(d_y, d_y))
+    cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_y), R=np.eye(d_u))
+    controller = GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05,
+                               H_trunc=H_trunc)
+    ws = rng.uniform(-1, 1, size=(T + 1, d_x))
+    ynats: list = []  # oldest first
+    x = np.zeros(d_x)
+    for t in range(T + 1):
+        u = controller.act(t, C_at(t) @ x, C_at(t))
+        ynats.append(controller._last[1].copy())
+
+        def u_of_M(s):
+            total = np.zeros(d_u)
+            for j in range(min(h, s) + 1):
+                total = total + controller.Ms[j] @ ynats[s - j]
+            return total
+
+        # Zero-history rollout of the last min(t, H_trunc) controls.
+        z = np.zeros(d_x)
+        for s in range(t - min(t, H_trunc), t):
+            z = A_at(s) @ z + B_at(s) @ u_of_M(s)
+        y_cf, u_cf = controller.counterfactuals(C_at(t))
+        assert np.allclose(y_cf, ynats[t] + C_at(t) @ z, atol=1e-10)
+        assert np.allclose(u_cf, u_of_M(t), atol=1e-10)
+        if t == T:
+            break
+        controller.update(t, A_at(t), B_at(t), C_at(t), cost)
+        x = A_at(t) @ x + B_at(t) @ u + ws[t]
+
+    def loss_at(flat):
+        saved = controller.Ms
+        controller.Ms = flat.reshape(saved.shape)
+        y_cf, u_cf = controller.counterfactuals(C_at(T))
+        controller.Ms = saved
+        return float(cost.value(y_cf, u_cf))
+
+    _, grad = controller.loss_and_gradient(cost, C_at(T))
+    _assert_gradient_matches_fd(controller, grad, loss_at)
+    controller.Ms = rng.normal(size=controller.Ms.shape)
+    _, grad = controller.loss_and_gradient(cost, C_at(T))
+    _assert_gradient_matches_fd(controller, grad, loss_at)
