@@ -11,13 +11,20 @@ Three predictor families:
   fixed eigenbasis of the integral operator ``Z_T = int mu_a mu_a' da``,
   which approximates every geometric-decay profile at once
   (:func:`build_Z`, :func:`spectral_basis`, :func:`learn_spectral_step`).
+
+``Z_T`` is a Hankel matrix apart from its first row and column, and its
+eigenvalues fall off geometrically.  :func:`spectral_basis` therefore finds
+the top ``h`` eigenpairs by block subspace iteration on ``p = min(T, h + 10)``
+columns from a fixed start block, applying ``Z_T`` by FFT correlation in
+O(p T log T) per iteration and O(T p) memory; the dense ``build_Z`` serves
+only as a reference.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -299,9 +306,23 @@ def learn_linear_step(
 # ---------------------------------------------------------------------------
 
 
+def _z_edge(j: np.ndarray) -> np.ndarray:
+    """First row and column of ``Z_T`` past the corner: ``Z[0][j]`` for
+    ``j >= 1``."""
+    return 1.0 / (j + 1.0) - 1.0 / j
+
+
+def _z_hankel(s: np.ndarray) -> np.ndarray:
+    """Entries ``Z[i][j]`` for ``i, j >= 1``, which depend only on
+    ``s = i + j``."""
+    return 1.0 / (s + 1.0) - 2.0 / s + 1.0 / (s - 1.0)
+
+
 def build_Z(T: int) -> np.ndarray:
     """Gram matrix ``Z_T[i][j] = int_0^1 mu_a[i] mu_a[j] da`` of the decay
     profiles ``mu_a = [1, (a-1), (a-1)a, ..., (a-1)a^{T-2}]`` in closed form.
+
+    This is the dense reference; :func:`spectral_basis` never forms it.
     """
     T = int(T)
     if T < 2:
@@ -309,12 +330,40 @@ def build_Z(T: int) -> np.ndarray:
     Z = np.empty((T, T))
     Z[0, 0] = 1.0
     j = np.arange(1, T, dtype=float)
-    edge = 1.0 / (j + 1.0) - 1.0 / j
+    edge = _z_edge(j)
     Z[0, 1:] = edge
     Z[1:, 0] = edge
-    s = np.add.outer(j, j)
-    Z[1:, 1:] = 1.0 / (s + 1.0) - 2.0 / s + 1.0 / (s - 1.0)
+    Z[1:, 1:] = _z_hankel(np.add.outer(j, j))
     return Z
+
+
+def _z_operator(T: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``V -> Z_T V`` for a (T, p) block, without forming ``Z_T``.
+
+    The corner and the edge vector are applied directly.  The rest is the
+    Hankel product ``(Z V)[1 + a] += sum_b f(a + b + 2) V[1 + b]`` with
+    ``f`` = :func:`_z_hankel`, a correlation with the sequence
+    ``f(2), ..., f(2T - 2)``.  It is computed for all p columns at once by
+    real FFTs of length at least ``2(T - 1) - 1``, so nothing wraps around.
+    Cost O(p T log T), memory O(p T).
+    """
+    n = T - 1
+    edge = _z_edge(np.arange(1, T, dtype=float))
+    length = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1
+    kernel = np.fft.rfft(_z_hankel(np.arange(2, 2 * n + 1, dtype=float)), n=length)
+
+    def apply(V: np.ndarray) -> np.ndarray:
+        head, tail = V[0], V[1:]
+        spectrum = np.fft.rfft(tail, n=length, axis=0)
+        np.conjugate(spectrum, out=spectrum)
+        spectrum *= kernel[:, None]
+        out = np.empty_like(V)
+        out[0] = head + edge @ tail
+        out[1:] = np.fft.irfft(spectrum, n=length, axis=0)[:n]
+        out[1:] += np.outer(edge, head)
+        return out
+
+    return apply
 
 
 def hankel_W(T: int) -> np.ndarray:
@@ -358,27 +407,64 @@ def _fix_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
+#: Extra block columns carried beyond the ``h`` wanted eigenpairs.
+_OVERSAMPLE = 10
+#: Stop once every returned pair has ``||Z v - lambda v|| <= _RESIDUAL_TOL * lambda_1``.
+_RESIDUAL_TOL = 1e-13
+#: Subspace iterations allowed before :func:`spectral_basis` gives up.
+_MAX_ITERATIONS = 50
+#: Seed of the fixed start block, drawn from a private generator.
+_START_SEED = 0
+
+
 def spectral_basis(T: int, h: int) -> SpectralBasis:
-    """Top-``h`` eigenpairs of :func:`build_Z`.
+    """Top-``h`` eigenpairs of :func:`build_Z`, without forming ``Z_T``.
+
+    Block subspace iteration on ``p = min(T, h + 10)`` columns: each
+    iteration applies ``Z_T`` through its Hankel structure by FFT
+    (O(p T log T)), then Rayleigh-Ritz (``eigh`` of the p x p matrix
+    ``Q' Z Q``) gives the Ritz pairs, and a QR of ``Z Q Y`` starts the next
+    iteration.  It stops when every returned pair has residual
+    ``||Z v - lambda v|| <= 1e-13 lambda_1``.  Memory is O(T p).  The start
+    block is a fixed Gaussian draw from a private generator, so the result
+    is the same on every call and global RNG state is untouched.  When
+    ``p = T`` the first Rayleigh-Ritz step covers the whole space and is
+    exact.
 
     Raises
     ------
     ConfigurationError
-        If ``h > T``.
+        If ``h > T``, ``T < 2`` or ``h < 1``.
     EvaluationError
-        If the eigensolver fails to converge.
+        If the iteration does not converge within its iteration cap.
     """
     T, h = int(T), int(h)
     if h > T:
         raise ConfigurationError("spectral basis size h cannot exceed the horizon T")
-    Z = build_Z(T)
-    try:
-        w, V = np.linalg.eigh(Z)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise EvaluationError(f"eigendecomposition of Z_{T} failed: {exc}") from exc
-    order = np.argsort(w)[::-1][:h]
-    eigenvalues = np.maximum(w[order], 0.0)
-    vectors = np.stack([_fix_sign(V[:, idx]) for idx in order])
+    if T < 2 or h < 1:
+        raise ConfigurationError("spectral_basis requires T >= 2 and h >= 1")
+    apply_Z = _z_operator(T)
+    p = min(T, h + _OVERSAMPLE)
+    start = np.random.default_rng(_START_SEED).standard_normal((T, p))
+    Q = np.linalg.qr(start)[0]
+    for _ in range(_MAX_ITERATIONS):
+        ZQ = apply_Z(Q)
+        projected = Q.T @ ZQ
+        theta, Y = np.linalg.eigh(0.5 * (projected + projected.T))
+        theta, Y = theta[::-1], Y[:, ::-1]
+        V = Q @ Y[:, :h]
+        ZY = ZQ @ Y
+        residual = np.linalg.norm(ZY[:, :h] - V * theta[:h], axis=0)
+        if residual.max() <= _RESIDUAL_TOL * theta[0]:
+            break
+        Q = np.linalg.qr(ZY)[0]
+    else:
+        raise EvaluationError(
+            f"subspace iteration for the top {h} eigenpairs of Z_{T} did not "
+            f"converge in {_MAX_ITERATIONS} iterations"
+        )
+    eigenvalues = np.maximum(theta[:h], 0.0)
+    vectors = np.stack([_fix_sign(v) for v in V.T])
     return SpectralBasis(T=T, h=h, eigenvalues=eigenvalues, vectors=vectors)
 
 

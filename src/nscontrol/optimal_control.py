@@ -7,6 +7,7 @@ Gain convention: the *signed* gain is stored, so the control law is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -157,7 +158,8 @@ def dare_solve(
     Raises
     ------
     EvaluationError
-        If ``max_iter`` iterations do not reach the tolerance.
+        If ``max_iter`` iterations do not reach the tolerance, or as soon as
+        an iterate or the residual is non-finite (the iteration diverged).
     ConfigurationError
         If the converged closed loop ``A + BK`` is not stable (the
         stabilizability precondition fails).
@@ -181,13 +183,13 @@ def dare_solve(
                 )
             correction = A.T @ S @ B @ np.linalg.pinv(BtSB) @ B.T @ S @ A
             S_next = Q + A.T @ S @ A - correction
-        if not np.all(np.isfinite(S_next)):
+            S_next = (S_next + S_next.T) / 2.0
+            residual = float(np.linalg.norm(S_next - S))
+        if not (math.isfinite(residual) and np.all(np.isfinite(S_next))):
             raise EvaluationError(
                 f"DARE value iteration diverged at iteration {iteration}; "
                 "(A, B) does not appear stabilizable"
             )
-        S_next = (S_next + S_next.T) / 2.0
-        residual = float(np.linalg.norm(S_next - S))
         S = S_next
         if residual <= tol:
             K = _riccati_gain(A, B, R, S)

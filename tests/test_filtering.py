@@ -10,18 +10,26 @@ duality and an offline least-squares comparator.
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_discrete_are
 
+import nscontrol.filtering as filtering
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.filtering import (
     KalmanState,
     LinearPredictor,
     OnlineSpectralFilter,
     SpectralPredictor,
+    _fix_sign,
     _group_ball_scales,
+    _z_operator,
     build_Z,
     cached_basis,
     hankel_W,
@@ -412,6 +420,80 @@ def test_basis_save_load_roundtrip():
         again = cached_basis(25, 7, tmp)
         assert np.array_equal(built.vectors, again.vectors)
         assert np.array_equal(built.vectors, basis.vectors)
+
+
+@pytest.mark.parametrize("T", [2, 3, 17, 500, 2000])
+def test_z_operator_matches_dense_product(T):
+    rng = np.random.default_rng(T)
+    V = np.linalg.qr(rng.normal(size=(T, min(T, 30))))[0]
+    Z = build_Z(T)
+    error = np.abs(_z_operator(T)(V) - Z @ V).max()
+    assert error <= 1e-13 * np.linalg.norm(Z)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 2000).flatmap(lambda T: st.tuples(st.just(T), st.integers(1, min(T, 30)))))
+@example((2, 2))
+@example((2000, 30))
+def test_spectral_basis_matches_dense_eigh(sizes):
+    T, h = sizes
+    basis = spectral_basis(T, h)
+    Z = build_Z(T)
+    w, U = scipy.linalg.eigh(Z)
+    w, U = w[::-1], U[:, ::-1]
+    lam1 = w[0]
+    eps = np.finfo(float).eps
+    for j in range(h):
+        if w[j] <= 1e-12 * lam1:
+            break
+        assert abs(basis.eigenvalues[j] - w[j]) <= 1e-13 * lam1
+        # Both vectors are accurate to about (eps or the stopping residual)
+        # * lambda_1 / gap_j; the 1e-13 lambda_1 residual tolerance is
+        # about 450 eps lambda_1, hence c = 1000.
+        gap = np.abs(np.delete(w, j) - w[j]).min()
+        error = np.linalg.norm(basis.vectors[j] - _fix_sign(U[:, j]))
+        assert error <= 1000 * eps * lam1 / gap
+    residual = Z @ basis.vectors.T - basis.vectors.T * basis.eigenvalues
+    assert np.linalg.norm(residual, axis=0).max() <= 1e-12 * lam1
+    gram = basis.vectors @ basis.vectors.T
+    assert np.abs(gram - np.eye(h)).max() <= 1e-12
+
+
+def test_spectral_basis_is_deterministic():
+    np.random.seed(123)
+    first = spectral_basis(700, 20)
+    drawn = np.random.random()
+    np.random.seed(123)
+    second = spectral_basis(700, 20)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.vectors, second.vectors)
+    assert drawn == np.random.random()  # global RNG state untouched
+
+
+def test_spectral_basis_long_horizon_memory_and_residual():
+    # A dense Z_20000 alone would be 3.2 GB.
+    T, h = 20_000, 20
+    tracemalloc.start()
+    try:
+        basis = spectral_basis(T, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    residual = _z_operator(T)(basis.vectors.T) - basis.vectors.T * basis.eigenvalues
+    assert np.linalg.norm(residual, axis=0).max() <= 1e-12 * basis.eigenvalues[0]
+
+
+def test_spectral_basis_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(filtering, "_MAX_ITERATIONS", 1)
+    with pytest.raises(EvaluationError, match="did not converge"):
+        spectral_basis(500, 20)
+
+
+@pytest.mark.parametrize("T, h", [(1, 1), (5, 0)])
+def test_spectral_basis_rejects_bad_sizes(T, h):
+    with pytest.raises(ConfigurationError):
+        spectral_basis(T, h)
 
 
 # ---------------------------------------------------------------------------

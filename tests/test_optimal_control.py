@@ -6,6 +6,8 @@ step on the same data gives K = -1/2, S = 3/2.  scipy's dedicated DARE
 solver serves as an independent cross-check.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
@@ -171,6 +173,15 @@ def test_dare_nonconvergence_raises():
     # A = 1, B = 0: S <- Q + S diverges, so the cap must trip.
     with pytest.raises(EvaluationError):
         dare_solve([[1.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=50)
+
+
+def test_dare_divergence_raises_without_overflow_warnings():
+    # A = 2, B = 0: S grows 4x per iteration until it overflows.  The
+    # divergence must surface as a typed error, not as a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="diverged"):
+            dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
 
 def test_dare_policy_beats_perturbed_gains_monte_carlo():
