@@ -81,12 +81,45 @@ class KalmanState:
 
     def __post_init__(self):
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).ravel())
-        S = _as_matrix(self.Sigma, "Sigma")
-        if not np.allclose(S, S.T, atol=1e-9):
-            raise ConfigurationError("Sigma must be symmetric")
-        if float(np.linalg.eigvalsh(S).min()) < -TOL_PSD:
-            raise ConfigurationError("Sigma must be positive semidefinite")
-        object.__setattr__(self, "Sigma", 0.5 * (S + S.T))
+        object.__setattr__(self, "Sigma", _check_psd(self.Sigma, "Sigma"))
+
+
+def _covariance_update(
+    A: np.ndarray,
+    C: np.ndarray,
+    Sig: np.ndarray,
+    Sigma_x: np.ndarray,
+    Sigma_y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the predictive covariance recursion.
+
+    Returns the gain ``L = A Sig C' (C Sig C' + Sigma_y)^+`` and the
+    symmetrised next covariance ``A Sig A' - L C Sig A' + Sigma_x``.
+    """
+    innovation = C @ Sig @ C.T + Sigma_y
+    L = A @ (Sig @ C.T @ np.linalg.pinv(innovation))
+    Sigma_next = A @ Sig @ A.T - L @ C @ Sig @ A.T + Sigma_x
+    return L, 0.5 * (Sigma_next + Sigma_next.T)
+
+
+def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
+    """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised Sigma_y)``.
+
+    Reuses the validated pair carried by ``state`` when both inputs have the
+    same content as the copies it holds; otherwise checks both with
+    :func:`_check_psd` and keeps private copies of the raw inputs, so an
+    in-place change between calls is seen.
+    """
+    noise = getattr(state, "_noise", None)
+    if (
+        noise is not None
+        and np.array_equal(Sigma_x, noise[0])
+        and np.array_equal(Sigma_y, noise[1])
+    ):
+        return noise
+    raw_x = np.array(Sigma_x, dtype=float)
+    raw_y = np.array(Sigma_y, dtype=float)
+    return raw_x, raw_y, _check_psd(raw_x, "Sigma_x"), _check_psd(raw_y, "Sigma_y")
 
 
 def kalman_step(
@@ -110,23 +143,43 @@ def kalman_step(
 
     The innovation covariance is pseudo-inverted, so zero-noise corner
     cases degrade gracefully instead of failing.
+
+    ``Sigma_x`` and ``Sigma_y`` must be symmetric PSD.  They are validated
+    on first use and whenever their content differs from the pair the
+    incoming state was stepped with: the returned state carries private
+    copies of the validated pair, so a chain of calls with unchanged
+    covariances checks them once, while a user-built state or an in-place
+    change is checked again.  The new covariance ``Sigma'`` gets its
+    finiteness and PSD check on every step.
+
+    Raises
+    ------
+    ConfigurationError
+        If a noise covariance is not symmetric PSD, or the new covariance
+        is non-finite or not PSD.
     """
     A = _as_matrix(A, "A")
     C = _as_matrix(C, "C")
-    Sigma_x = _check_psd(Sigma_x, "Sigma_x")
-    Sigma_y = _check_psd(Sigma_y, "Sigma_y")
-    Sig = state.Sigma
-    innovation = C @ Sig @ C.T + Sigma_y
-    gain_core = Sig @ C.T @ np.linalg.pinv(innovation)
-    L = A @ gain_core
+    noise = _validated_noise(state, Sigma_x, Sigma_y)
+    _, _, Sx, Sy = noise
+    L, Sigma_next = _covariance_update(A, C, state.Sigma, Sx, Sy)
     x_hat = (A - L @ C) @ state.x_hat
     if B is not None and u is not None:
         B = _as_matrix(B, "B")
         x_hat = x_hat + B @ _as_vector(u, B.shape[1], "u")
     if y is not None:
         x_hat = x_hat + L @ _as_vector(y, C.shape[0], "y")
-    Sigma_next = A @ Sig @ A.T - A @ gain_core @ C @ Sig @ A.T + Sigma_x
-    return KalmanState(x_hat=x_hat, Sigma=0.5 * (Sigma_next + Sigma_next.T))
+    # Sigma_next is symmetric by construction, so only finiteness and the
+    # PSD property are checked; KalmanState.__post_init__ is bypassed.
+    if not np.isfinite(Sigma_next).all():
+        raise ConfigurationError("Sigma contains non-finite entries")
+    if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
+        raise ConfigurationError("Sigma must be positive semidefinite")
+    out = object.__new__(KalmanState)
+    object.__setattr__(out, "x_hat", x_hat)
+    object.__setattr__(out, "Sigma", Sigma_next)
+    object.__setattr__(out, "_noise", noise)
+    return out
 
 
 def kalman_steady_state(
@@ -154,10 +207,7 @@ def kalman_steady_state(
     Sigma_y = _check_psd(Sigma_y, "Sigma_y")
     Sig = Sigma_x.copy()
     for _ in range(int(max_iter)):
-        innovation = C @ Sig @ C.T + Sigma_y
-        gain_core = Sig @ C.T @ np.linalg.pinv(innovation)
-        Sig_next = A @ Sig @ A.T - A @ gain_core @ C @ Sig @ A.T + Sigma_x
-        Sig_next = 0.5 * (Sig_next + Sig_next.T)
+        _, Sig_next = _covariance_update(A, C, Sig, Sigma_x, Sigma_y)
         if float(np.linalg.norm(Sig_next - Sig)) <= tol:
             Sig = Sig_next
             break
@@ -474,9 +524,8 @@ def save_basis(basis: SpectralBasis, path: str) -> None:
     digits (lossless for double precision)."""
     with open(path, "w") as fh:
         fh.write(f"{basis.T} {basis.h}\n")
-        fh.write(" ".join("%.17g" % v for v in basis.eigenvalues) + "\n")
-        for row in basis.vectors:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+        np.savetxt(fh, basis.eigenvalues[None], fmt="%.17g", delimiter=" ")
+        np.savetxt(fh, basis.vectors, fmt="%.17g", delimiter=" ")
 
 
 def load_basis(path: str) -> SpectralBasis:
@@ -609,12 +658,18 @@ class OnlineSpectralFilter:
     integrate its errors into an uncorrectable drift.  Call :meth:`step`
     once per round with the input just played and the observation it
     produced.
+
+    The history lives in a ring buffer of ``2T`` rows: each input is written
+    at ``pos`` and ``pos + T`` while ``pos`` moves down modulo ``T``, so the
+    reversed, zero-padded history is always the contiguous view
+    ``buf[pos:pos + T]`` and a step copies one row instead of ``T``.
     """
 
     def __init__(self, predictor: SpectralPredictor, d_u: int):
         self.predictor = predictor
         self.d_u = int(d_u)
-        self._u_tilde = np.zeros((predictor.basis.T, self.d_u))
+        self._buf = np.zeros((2 * predictor.basis.T, self.d_u))
+        self._pos = 0
         self._y_prev = np.zeros(predictor.M0.shape[0])
         self.losses: list = []
 
@@ -622,9 +677,15 @@ class OnlineSpectralFilter:
         """Predict ``y_t`` from the inputs up to ``u_{t-1}`` and the
         previous observation, then learn from the realized ``y_t``."""
         u_prev = np.asarray(u_prev, dtype=float).ravel()
-        self._u_tilde = np.concatenate([u_prev[None], self._u_tilde[:-1]], axis=0)
+        if u_prev.shape != (self.d_u,):
+            raise ConfigurationError(
+                f"u_prev must have {self.d_u} entries, got {u_prev.size}"
+            )
+        T = self._buf.shape[0] // 2
+        pos = self._pos = (self._pos - 1) % T
+        self._buf[pos] = self._buf[pos + T] = u_prev
         y_hat, self.predictor = learn_spectral_step(
-            self.predictor, self._u_tilde, self._y_prev, u_prev, y_true
+            self.predictor, self._buf[pos : pos + T], self._y_prev, u_prev, y_true
         )
         self._y_prev = np.asarray(y_true, dtype=float).ravel()
         self.losses.append(float(np.sum((y_hat - self._y_prev) ** 2)))

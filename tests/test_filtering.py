@@ -7,10 +7,12 @@ against finite differences, and Kalman against both the transposed-DARE
 duality and an offline least-squares comparator.
 """
 
+import dataclasses
 import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_discrete_are
 
 import nscontrol.filtering as filtering
+from nscontrol import cli
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.filtering import (
     KalmanState,
@@ -44,7 +47,9 @@ from nscontrol.filtering import (
     spectral_basis,
     spectral_predict,
 )
+from nscontrol.lds_core import TOL_PSD
 from nscontrol.optimal_control import dare_solve
+from nscontrol.serialize import read_json_summary
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -210,6 +215,140 @@ def test_kalman_beats_offline_linear_fit_monte_carlo():
     mse_offline = float(np.mean((design @ coef - target) ** 2))
     mse_kalman = float(np.mean((predictions[lags:] - target) ** 2))
     assert mse_kalman <= mse_offline * 1.01
+
+
+def _random_covariance(rng, d, rank):
+    """PSD d x d matrix of the given rank (0 gives the zero matrix)."""
+    G = rng.normal(size=(d, rank))
+    return G @ G.T
+
+
+def _reference_kalman_step(x, Sig, A, B, C, Sx, Sy, u, y):
+    """The predictive recursion of kalman_step, written out with pinv."""
+    gain_core = Sig @ C.T @ np.linalg.pinv(C @ Sig @ C.T + Sy)
+    L = A @ gain_core
+    x = (A - L @ C) @ x
+    if u is not None:
+        x = x + B @ u
+    x = x + L @ y
+    Sig_next = A @ Sig @ A.T - A @ gain_core @ C @ Sig @ A.T + Sx
+    return x, 0.5 * (Sig_next + Sig_next.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 4),
+    d_y=st.integers(1, 3),
+    rank_x=st.integers(0, 4),
+    rank_y=st.integers(0, 3),
+    with_input=st.booleans(),
+    steps=st.integers(1, 30),
+)
+@example(seed=303, d_x=2, d_y=2, rank_x=1, rank_y=0, with_input=False, steps=2)
+@example(seed=2, d_x=1, d_y=2, rank_x=0, rank_y=0, with_input=False, steps=21)
+def test_kalman_chain_matches_reference_recursion(
+    seed, d_x, d_y, rank_x, rank_y, with_input, steps
+):
+    # Chained kalman_step states equal, bit for bit, the reference
+    # recursion.  Ranks below the dimension give singular noise
+    # covariances.  With zero observation noise, pinv can invert a
+    # rounding-level eigenvalue of the innovation covariance: the reference
+    # then leaves an indefinite covariance (the first example) or overflows
+    # once the covariance has decayed to subnormal numbers (the second), and
+    # kalman_step must fail in the same way.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d_x, d_x))
+    A *= 0.95 / max(abs(np.linalg.eigvals(A)).max(), 1e-3)
+    B = rng.normal(size=(d_x, 2)) if with_input else None
+    C = rng.normal(size=(d_y, d_x))
+    Sx = _random_covariance(rng, d_x, min(rank_x, d_x))
+    Sy = _random_covariance(rng, d_y, min(rank_y, d_y))
+    S0 = _random_covariance(rng, d_x, d_x)
+    x0 = rng.normal(size=d_x)
+    us = rng.normal(size=(steps, 2))
+    ys = rng.normal(size=(steps, d_y))
+
+    state = KalmanState(x_hat=x0, Sigma=S0)
+    x_ref, Sig_ref = x0.copy(), 0.5 * (S0 + S0.T)
+    Sx_sym, Sy_sym = 0.5 * (Sx + Sx.T), 0.5 * (Sy + Sy.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in range(steps):
+            u = us[t] if with_input else None
+            try:
+                x_ref, Sig_ref = _reference_kalman_step(
+                    x_ref, Sig_ref, A, B, C, Sx_sym, Sy_sym, u, ys[t]
+                )
+            except RuntimeWarning:
+                with pytest.raises(RuntimeWarning):
+                    kalman_step(state, A, B, C, Sx, Sy, u=u, y=ys[t])
+                return
+            if np.linalg.eigvalsh(Sig_ref).min() < -TOL_PSD:
+                with pytest.raises(ConfigurationError, match="Sigma must be positive semidefinite"):
+                    kalman_step(state, A, B, C, Sx, Sy, u=u, y=ys[t])
+                return
+            state = kalman_step(state, A, B, C, Sx, Sy, u=u, y=ys[t])
+            assert np.array_equal(state.x_hat, x_ref)
+            assert np.array_equal(state.Sigma, Sig_ref)
+
+
+def test_kalman_revalidates_covariances_changed_in_place():
+    rng = np.random.default_rng(4)
+    A = 0.5 * np.eye(2)
+    C = np.eye(2)
+    Sx = np.eye(2)
+    Sy = np.eye(2)
+    state = KalmanState(x_hat=np.zeros(2), Sigma=np.eye(2))
+    for _ in range(3):
+        state = kalman_step(state, A, None, C, Sx, Sy, y=rng.normal(size=2))
+
+    # A PSD change in place is used by the next chained step.
+    Sx *= 4.0
+    y = rng.normal(size=2)
+    chained = kalman_step(state, A, None, C, Sx, Sy, y=y)
+    fresh = kalman_step(
+        KalmanState(x_hat=state.x_hat, Sigma=state.Sigma), A, None, C, Sx.copy(), Sy, y=y
+    )
+    assert np.array_equal(chained.x_hat, fresh.x_hat)
+    assert np.array_equal(chained.Sigma, fresh.Sigma)
+
+    # An indefinite or asymmetric covariance set in place is rejected.
+    Sx[0, 0] = -1.0
+    with pytest.raises(ConfigurationError, match="Sigma_x must be positive semidefinite"):
+        kalman_step(chained, A, None, C, Sx, Sy, y=y)
+    Sx[0, 0] = 4.0
+    Sy[0, 1] = 0.5
+    with pytest.raises(ConfigurationError, match="Sigma_y must be symmetric"):
+        kalman_step(chained, A, None, C, Sx, Sy, y=y)
+
+
+def test_kalman_state_fields_unchanged_by_chaining():
+    one = np.eye(1)
+    state = kalman_step(KalmanState(x_hat=np.zeros(1), Sigma=one), one, None, one, one, one)
+    assert [f.name for f in dataclasses.fields(state)] == ["x_hat", "Sigma"]
+    assert "_noise" not in repr(state)
+    assert np.array_equal(state.Sigma, 0.5 * (state.Sigma + state.Sigma.T))
+
+
+def test_cli_filter_matches_always_validating_loop(monkeypatch):
+    # The CLI loop chains kalman_step; rebuilding a user-built KalmanState
+    # before every step forces full validation and must not change a bit.
+    def run(tmp):
+        assert cli.main(["filter", "--preset", "b747", "--horizon", "200", "--out", tmp]) == 0
+        return read_json_summary(os.path.join(tmp, "summary.json"))["mse_state"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        chained = run(tmp)
+
+    def fresh_step(state, *args, **kwargs):
+        rebuilt = KalmanState(x_hat=state.x_hat, Sigma=state.Sigma)
+        assert not hasattr(rebuilt, "_noise")
+        return kalman_step(rebuilt, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "kalman_step", fresh_step)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run(tmp) == chained
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +561,21 @@ def test_basis_save_load_roundtrip():
         assert np.array_equal(built.vectors, basis.vectors)
 
 
+@pytest.mark.parametrize("T, h", [(2, 1), (2, 2), (25, 7)])
+def test_save_basis_bytes_match_join_format(T, h):
+    basis = spectral_basis(T, h)
+    lines = [f"{T} {h}", " ".join("%.17g" % v for v in basis.eigenvalues)]
+    lines += [" ".join("%.17g" % v for v in row) for row in basis.vectors]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basis.txt")
+        save_basis(basis, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == ("\n".join(lines) + "\n").encode()
+        loaded = load_basis(path)
+    assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
+    assert np.array_equal(loaded.vectors, basis.vectors)
+
+
 @pytest.mark.parametrize("T", [2, 3, 17, 500, 2000])
 def test_z_operator_matches_dense_product(T):
     rng = np.random.default_rng(T)
@@ -600,3 +754,33 @@ def test_spectral_full_basis_matches_raw_linear_fit():
     sse_raw = float(np.sum((raw @ np.linalg.lstsq(raw, b, rcond=None)[0] - b) ** 2))
     sse_spec = float(np.sum((spec @ np.linalg.lstsq(spec, b, rcond=None)[0] - b) ** 2))
     assert abs(sse_raw - sse_spec) <= 1e-8
+
+
+@pytest.mark.parametrize("d_u", [1, 2])
+def test_online_spectral_filter_ring_matches_concatenated_history(d_u):
+    # T + 7 steps make the ring buffer wrap; the reference rebuilds the
+    # padded history with np.concatenate and calls learn_spectral_step.
+    T, h, d_y = 30, 6, 2
+    rng = np.random.default_rng(d_u)
+    us = rng.uniform(-1.0, 1.0, size=(T + 7, d_u))
+    ys = rng.normal(size=(T + 7, d_y))
+    basis = spectral_basis(T, h)
+    filt = OnlineSpectralFilter(SpectralPredictor.zeros(basis, d_y=d_y, d_u=d_u), d_u=d_u)
+    predictor = SpectralPredictor.zeros(basis, d_y=d_y, d_u=d_u)
+    u_tilde = np.zeros((T, d_u))
+    y_prev = np.zeros(d_y)
+    for t in range(T + 7):
+        y_hat = filt.step(us[t], ys[t])
+        u_tilde = np.concatenate([us[t][None], u_tilde[:-1]], axis=0)
+        y_ref, predictor = learn_spectral_step(predictor, u_tilde, y_prev, us[t], ys[t])
+        y_prev = ys[t]
+        assert np.array_equal(y_hat, y_ref)
+        assert filt.losses[-1] == float(np.sum((y_ref - ys[t]) ** 2))
+    assert np.array_equal(filt.predictor.ogd.point, predictor.ogd.point)
+
+
+def test_online_spectral_filter_rejects_wrong_input_size():
+    basis = spectral_basis(10, 3)
+    filt = OnlineSpectralFilter(SpectralPredictor.zeros(basis, d_y=1, d_u=2), d_u=2)
+    with pytest.raises(ConfigurationError, match="u_prev must have 2 entries"):
+        filt.step(np.ones(1), np.zeros(1))
