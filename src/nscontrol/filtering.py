@@ -618,6 +618,41 @@ def spectral_predict(
     return y_prev + predictor.M0 @ u_last + np.einsum("jab,jb->a", predictor.M, projections)
 
 
+def _spectral_learn(
+    vectors: np.ndarray,
+    M0: np.ndarray,
+    M: np.ndarray,
+    ogd: OGDState,
+    u_tilde: np.ndarray,
+    y_prev: np.ndarray,
+    u_last: np.ndarray,
+    y_true: np.ndarray,
+    features: np.ndarray,
+    grad: np.ndarray,
+) -> tuple:
+    """Prediction, squared-error gradient and projected OGD step of the
+    difference-form predictor on already coerced inputs.
+
+    ``features`` (h + 1, d_u) and ``grad`` (h + 1, d_y, d_u) are scratch:
+    ``features`` receives ``u_last`` and the filter outputs, and ``grad``
+    the gradient, which is ``2 (y_hat - y_true)`` times each feature in the
+    OGD point's ``[M0, M]`` order.  Returns ``(y_hat, y_hat - y_true, ogd)``.
+    """
+    features[0] = u_last
+    projections = features[1:]
+    vectors.dot(u_tilde, out=projections)
+    y_hat = y_prev + M0.dot(u_last) + np.einsum("jab,jb->a", M, projections)
+    error = y_hat - y_true
+    np.multiply((2.0 * error)[:, None], features[:, None, :], out=grad)
+    return y_hat, error, ogd_update(ogd, grad)
+
+
+def _scratch(predictor: SpectralPredictor) -> tuple:
+    """Empty ``(features, grad)`` buffers for :func:`_spectral_learn`."""
+    h, d_y, d_u = predictor.M.shape
+    return np.empty((h + 1, d_u)), np.empty((h + 1, d_y, d_u))
+
+
 def learn_spectral_step(
     predictor: SpectralPredictor,
     u_tilde: object,
@@ -632,20 +667,14 @@ def learn_spectral_step(
     u_tilde = _coerce_u_tilde(u_tilde, predictor.basis.T)
     y_true = np.asarray(y_true, dtype=float).ravel()
     u_last = u_tilde[0] if u_prev is None else np.asarray(u_prev, dtype=float).ravel()
-    projections = predictor.basis.filter_outputs(u_tilde)
-    y_hat = (
-        np.asarray(y_prev, dtype=float).ravel()
-        + predictor.M0 @ u_last
-        + np.einsum("jab,jb->a", predictor.M, projections)
+    y_prev = np.asarray(y_prev, dtype=float).ravel()
+    features, grad = _scratch(predictor)
+    y_hat, _, ogd = _spectral_learn(
+        predictor.basis.vectors, predictor.M0, predictor.M, predictor.ogd, u_tilde, y_prev,
+        u_last, y_true, features, grad,
     )
-    residual = 2.0 * (y_hat - y_true)
-    grad0 = np.outer(residual, u_last)
-    grad = np.einsum("a,jb->jab", residual, projections)
-    ogd = ogd_update(predictor.ogd, np.concatenate([grad0.ravel(), grad.ravel()]))
-    n0 = predictor.M0.size
-    M0 = ogd.point[:n0].reshape(predictor.M0.shape)
-    M = ogd.point[n0:].reshape(predictor.M.shape)
-    return y_hat, replace(predictor, M0=M0, M=M, ogd=ogd)
+    W = ogd.point.reshape(grad.shape)
+    return y_hat, SpectralPredictor(basis=predictor.basis, M0=W[0], M=W[1:], ogd=ogd)
 
 
 class OnlineSpectralFilter:
@@ -662,16 +691,26 @@ class OnlineSpectralFilter:
     The history lives in a ring buffer of ``2T`` rows: each input is written
     at ``pos`` and ``pos + T`` while ``pos`` moves down modulo ``T``, so the
     reversed, zero-padded history is always the contiguous view
-    ``buf[pos:pos + T]`` and a step copies one row instead of ``T``.
+    ``buf[pos:pos + T]`` and a step copies one row instead of ``T``.  The
+    coefficients are views of the OGD point and the features and gradient
+    are written into preallocated scratch, so a step makes a fixed set of
+    numpy calls with the same arithmetic as :func:`learn_spectral_step`.
     """
 
     def __init__(self, predictor: SpectralPredictor, d_u: int):
-        self.predictor = predictor
         self.d_u = int(d_u)
+        self._basis = predictor.basis
+        self._M0, self._M, self._ogd = predictor.M0, predictor.M, predictor.ogd
+        self._features, self._grad = _scratch(predictor)
         self._buf = np.zeros((2 * predictor.basis.T, self.d_u))
         self._pos = 0
         self._y_prev = np.zeros(predictor.M0.shape[0])
         self.losses: list = []
+
+    @property
+    def predictor(self) -> SpectralPredictor:
+        """The predictor as it stands after the last step."""
+        return SpectralPredictor(basis=self._basis, M0=self._M0, M=self._M, ogd=self._ogd)
 
     def step(self, u_prev: object, y_true: object) -> np.ndarray:
         """Predict ``y_t`` from the inputs up to ``u_{t-1}`` and the
@@ -684,9 +723,13 @@ class OnlineSpectralFilter:
         T = self._buf.shape[0] // 2
         pos = self._pos = (self._pos - 1) % T
         self._buf[pos] = self._buf[pos + T] = u_prev
-        y_hat, self.predictor = learn_spectral_step(
-            self.predictor, self._buf[pos : pos + T], self._y_prev, u_prev, y_true
+        y_true = np.asarray(y_true, dtype=float).ravel()
+        y_hat, error, self._ogd = _spectral_learn(
+            self._basis.vectors, self._M0, self._M, self._ogd, self._buf[pos : pos + T],
+            self._y_prev, u_prev, y_true, self._features, self._grad,
         )
-        self._y_prev = np.asarray(y_true, dtype=float).ravel()
-        self.losses.append(float(np.sum((y_hat - self._y_prev) ** 2)))
+        W = self._ogd.point.reshape(self._grad.shape)
+        self._M0, self._M = W[0], W[1:]
+        self._y_prev = y_true
+        self.losses.append(float(np.add.reduce(error * error)))
         return y_hat

@@ -61,7 +61,10 @@ def _as_matrix(M: object, name: str) -> np.ndarray:
 
 
 def _as_vector(v: object, dim: int, name: str) -> np.ndarray:
-    """Coerce to a 1-D float array of the given dimension."""
+    """Coerce to a 1-D float array of the given dimension (a float64 vector
+    of that dimension is returned as it is, without a copy)."""
+    if type(v) is np.ndarray and v.shape == (dim,) and v.dtype == np.float64:
+        return v
     x = np.atleast_1d(np.asarray(v, dtype=float))
     if x.ndim != 1 or x.shape[0] != dim:
         raise ConfigurationError(f"{name} must be a vector of dimension {dim}, got shape {x.shape}")
@@ -347,7 +350,7 @@ class QuadraticCost:
         """Evaluate the cost at (x, u)."""
         dx = self._dx(np.asarray(x, dtype=float))
         u = np.asarray(u, dtype=float)
-        return float(dx @ self.Q @ dx + u @ self.R @ u)
+        return float(dx.dot(self.Q).dot(dx) + u.dot(self.R).dot(u))
 
     def grad_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Gradient of the cost with respect to x."""
@@ -458,34 +461,40 @@ def simulate(
     Raises
     ------
     EvaluationError
-        If the controller emits a non-finite control.
+        If the controller emits a non-finite control, or the cost is
+        non-finite at some step.
+    ConfigurationError
+        On a negative horizon, or a control or perturbation of the wrong
+        dimension.
     """
     if T < 0:
         raise ConfigurationError("horizon T must be nonnegative")
     rng = np.random.default_rng(seed)
-    x = np.zeros(system.d_x) if x0 is None else _as_vector(x0, system.d_x, "x0")
+    d_x, d_u = system.d_x, system.d_u
+    x = np.zeros(d_x) if x0 is None else _as_vector(x0, d_x, "x0")
 
-    states = np.zeros((T + 1, system.d_x))
-    controls = np.zeros((T, system.d_u))
-    noises = np.zeros((T, system.d_x))
+    states = np.zeros((T + 1, d_x))
+    controls = np.zeros((T, d_u))
+    noises = np.zeros((T, d_x))
     observations = np.zeros((T, system.d_y))
     costs = np.zeros(T)
 
     states[0] = x
     for t in range(T):
-        y = observe(system, x, t)
-        u = _as_vector(controller(t, x.copy(), y.copy()), system.d_u, f"u_{t}")
-        if not np.all(np.isfinite(u)):
+        A, B, C = system.matrices(t)
+        y = x.copy() if C is None else C.dot(x)
+        observations[t] = y
+        u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
+        if not np.isfinite(u).all():
             raise EvaluationError(f"controller emitted a non-finite control at t={t}: {u}")
-        w = perturbations.sample(t, system.d_x, rng)
+        w = _as_vector(perturbations.sample(t, d_x, rng), d_x, "w")
         c = cost.value(x, u)
         if not np.isfinite(c):
             raise EvaluationError(f"cost is non-finite at t={t}")
-        x = step(system, x, u, w, t)
+        x = A.dot(x) + B.dot(u) + w
         states[t + 1] = x
         controls[t] = u
         noises[t] = w
-        observations[t] = y
         costs[t] = c
     return Trajectory(states, controls, noises, observations, costs)
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import _as_matrix, spectral_radius
+from .lds_core import QuadraticCost, _as_matrix, spectral_radius
 from .policies import NaturesYTracker
 
 __all__ = [
@@ -62,6 +62,12 @@ class OGDState:
     Euclidean ball of the given ``radius`` (None = unconstrained).  With
     ``schedule="sqrt"`` the step is ``step_scale / sqrt(t)``; with
     ``"constant"`` it is ``step_scale`` every round.
+
+    Raises
+    ------
+    ConfigurationError
+        On an unknown schedule, a ``radius`` that is not None and not a
+        finite number >= 0, or a ``step_scale`` that is not finite and >= 0.
     """
 
     point: np.ndarray
@@ -73,6 +79,14 @@ class OGDState:
     def __post_init__(self):
         if self.schedule not in ("sqrt", "constant"):
             raise ConfigurationError(f"unknown OGD schedule {self.schedule!r}")
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise ConfigurationError(
+                f"OGD radius must be None or a finite number >= 0, got {self.radius}"
+            )
+        if not (math.isfinite(self.step_scale) and self.step_scale >= 0.0):
+            raise ConfigurationError(
+                f"OGD step_scale must be a finite number >= 0, got {self.step_scale}"
+            )
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float).ravel())
 
     def step_size(self, t: int) -> float:
@@ -80,6 +94,13 @@ class OGDState:
         if self.schedule == "sqrt":
             return self.step_scale / math.sqrt(t)
         return self.step_scale
+
+    def _successor(self, point: np.ndarray, t: int) -> "OGDState":
+        """This state with a new flat float ``point`` and counter ``t``.  The
+        other fields passed ``__post_init__`` already, so it is skipped."""
+        new = object.__new__(OGDState)
+        new.__dict__.update(self.__dict__, point=point, t=t)
+        return new
 
 
 def ogd_update(state: OGDState, gradient: object) -> OGDState:
@@ -102,13 +123,12 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
     if not np.isfinite(g).all():
         raise EvaluationError("OGD update rejected: non-finite gradient")
     t_next = state.t + 1
-    eta = state.step_size(t_next)
-    y = state.point - eta * g
+    y = state.point - state.step_size(t_next) * g
     if state.radius is not None:
-        norm = math.sqrt(y @ y)
+        norm = math.sqrt(y.dot(y))
         if norm > state.radius:
-            y = y * (state.radius / norm)
-    return OGDState(y, state.radius, state.step_scale, state.schedule, t_next)
+            y *= state.radius / norm
+    return state._successor(y, t_next)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +207,34 @@ def _resolve_cost(cost: object, t: int) -> object:
     raise ConfigurationError("cost must expose value/grad_x/grad_u or be a provider")
 
 
+def _cost_terms(cost: object, x: np.ndarray, u: np.ndarray) -> tuple:
+    """``(c(x, u), grad_x, grad_u)``.  A :class:`QuadraticCost` takes one
+    fused pass that forms ``Q dx`` and ``R u`` once; any other cost object
+    goes through its ``value``/``grad_x``/``grad_u`` protocol."""
+    if type(cost) is QuadraticCost:
+        dx = x if cost.target is None else x - cost.target
+        Qdx = cost.Q.dot(dx)
+        Ru = cost.R.dot(u)
+        return float(dx.dot(Qdx) + u.dot(Ru)), 2.0 * Qdx, 2.0 * Ru
+    return (
+        float(cost.value(x, u)),
+        np.asarray(cost.grad_x(x, u), dtype=float),
+        np.asarray(cost.grad_u(x, u), dtype=float),
+    )
+
+
+def _cost_value(cost: object, x: np.ndarray, u: np.ndarray) -> float:
+    """``c(x, u)``, by the same fused pass as :func:`_cost_terms`."""
+    if type(cost) is QuadraticCost:
+        return _cost_terms(cost, x, u)[0]
+    return float(cost.value(x, u))
+
+
+def _fingerprint(M: Optional[np.ndarray]) -> Optional[tuple]:
+    """Cheap content key of a small matrix: its shape and its bytes."""
+    return None if M is None else (M.shape, M.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # Disturbance-feedback core shared by GPC and GRC
 # ---------------------------------------------------------------------------
@@ -198,21 +246,34 @@ class _DisturbanceFeedback:
     (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0).
 
     ``Ms[i]`` multiplies ``window[i]``, so ``u_{t-m}(M) = sum_i Ms[i]
-    window[m+i]`` for every lag ``m``, and one Hankel gather of the window
-    feeds all lags.  The caches hold no past control until the first
-    transition matrix fixes ``H_trunc``; then they are allocated at that
-    depth and updated in place:
+    window[m+i]`` for every lag ``m``.  The OGD point ``m`` holds the
+    parameters in ``(d_u, len(Ms), d_s)`` order and ``Ms`` is the
+    ``(len(Ms), d_u, d_s)`` view of it, so that the current feedback
+    ``sum_i Ms[i] window[i]`` is one matrix-vector product.
+
+    The state response to the controls the parameters would have played is
+    linear in them: ``x_t(M) = Phi_t m + drift`` (``drift`` is GPC's own
+    ``w`` response).  The sensitivity matrix ``Phi_t`` (d_x, p) is one
+    batched product of the transition stack with the Hankel gather of the
+    window, so the counterfactual state is ``Phi_t m`` and the state part of
+    the loss gradient is ``v' Phi_t``.  It truncates at ``H_trunc`` lags
+    exactly as :func:`counterfactual_state` does.  The caches hold no past
+    control until the first transition matrix fixes ``H_trunc``; then they
+    are allocated at that depth and updated in place:
 
     * ``_Z`` (``H_trunc + len(Ms)``, d_s): the signal window, newest first.
-    * ``_P`` (d_x, ``H_trunc``, d_u): block ``[:, k]`` is the transition
-      product over the last ``k`` steps times ``B_{t-1-k}``; it moves on by
-      one flat matrix product into a spare buffer that is swapped in.
-    * ``_D`` (``H_trunc``, d_x), GPC only: the same products times ``w``.
+    * ``_P`` (d_x, ``H_trunc``, d_u [+ 1]): block ``[:, k, :d_u]`` is the
+      transition product over the last ``k`` steps times ``B_{t-1-k}``; for
+      GPC the extra column ``[:, k, d_u]`` is the same product times
+      ``w_{t-1-k}``, whose sum over ``k`` is the drift.  The stack moves on
+      by one flat matrix product into a spare buffer that is swapped in.
 
-    Sums over lags are sequential reductions (lag after lag), not BLAS dot
-    products, so scalar runs round exactly as a plain per-lag loop does: a
-    diverging run such as the README's ``sysid`` example amplifies any
-    change of rounding into its printed result.
+    ``update`` validates the dynamics matrices, and derives the closed-loop
+    matrix (GPC) or checks stability (GRC), only when their content differs
+    from the last validated ones: the comparison is by shape and bytes, so
+    a matrix mutated in place is validated again.  The feedback that
+    ``act`` computed is reused for the counterfactual control while ``Ms``
+    is the same object.
     """
 
     #: Telemetry key of the norm of the signal recorded at each update.
@@ -223,15 +284,17 @@ class _DisturbanceFeedback:
     def __init__(self, d_s, n_M, radius, step_size, schedule, horizon, H_trunc, eps_trunc,
                  telemetry_sink):
         # Subclasses set d_x, d_u and h first.
-        self.Ms = np.zeros((n_M, self.d_u, d_s))
+        self._n_M, self._d_s = n_M, d_s
         scale = float(step_size) if step_size is not None else float(radius)
         if schedule == "constant":
             if horizon is None:
                 raise ConfigurationError("constant schedule needs the horizon T")
             scale = scale / math.sqrt(horizon)
         self.ogd = OGDState(
-            point=self.Ms.ravel(), radius=float(radius), step_scale=scale, schedule=schedule
+            point=np.zeros(self.d_u * n_M * d_s), radius=float(radius), step_scale=scale,
+            schedule=schedule,
         )
+        self.Ms = self._stacked(self.ogd.point)
         if H_trunc is not None and int(H_trunc) < 1:
             raise ConfigurationError(f"H_trunc must be at least 1, got {H_trunc}")
         self._eps_trunc = float(eps_trunc)
@@ -240,8 +303,21 @@ class _DisturbanceFeedback:
         self.telemetry: list = []
         self._sink = telemetry_sink
         self._last: Optional[tuple] = None
+        self._feedback_Ms: Optional[np.ndarray] = None
+        self._feedback_u: Optional[np.ndarray] = None
+        self._dynamics_key: Optional[tuple] = None
+        self._dynamics: Optional[tuple] = None
         self._Z = np.zeros((0, d_s))
         self._allocate(0)
+
+    def _stacked(self, flat: np.ndarray) -> np.ndarray:
+        """The ``(len(Ms), d_u, d_s)`` view of a flat vector in point order
+        (the OGD point, or a gradient)."""
+        return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
+
+    def _point_order(self) -> np.ndarray:
+        """``Ms`` as ``(d_u, len(Ms) * d_s)``: a view unless ``Ms`` was replaced."""
+        return self.Ms.transpose(1, 0, 2).reshape(self.d_u, -1)
 
     def _start(self, transition: np.ndarray) -> None:
         """Size the caches from the first transition matrix's decay."""
@@ -252,39 +328,63 @@ class _DisturbanceFeedback:
 
     def _allocate(self, H: int) -> None:
         """Allocate the caches at depth ``H``, keeping the window's entries."""
-        n_M, d_u, d_s = self.Ms.shape
+        n_M, d_s = self._n_M, self._d_s
         window = self._Z
         self._Z = np.zeros((H + n_M, d_s))
         self._Z[: len(window)] = window
-        # _hankel[i, k] indexes window[i + 1 + k], the entry Ms[i] meets at lag k + 1.
-        lag = np.arange(n_M)[:, None, None] + 1 + np.arange(H)[:, None]
-        self._hankel = d_s * lag + np.arange(d_s)
-        self._P = np.zeros((self.d_x, H, d_u))
+        # _hankel[k, i * d_s + s] indexes window[i + 1 + k, s]: the entry Ms[i]
+        # meets at lag k + 1.
+        lag = np.arange(H)[:, None] + 1 + np.arange(n_M)
+        self._hankel = ((d_s * lag)[:, :, None] + np.arange(d_s)).reshape(H, n_M * d_s)
+        width = self.d_u + 1 if self._drifts else self.d_u
+        self._P = np.zeros((self.d_x, H, width))
         self._P_spare = np.zeros_like(self._P)
-        self._D = np.zeros((H, self.d_x)) if self._drifts else None
-        self._D_spare = np.zeros((H, self.d_x)) if self._drifts else None
+
+    def _validated(self, A_t: object, B_t: object, extra: object) -> tuple:
+        """The subclass's validated dynamics for ``(A_t, B_t, extra)``,
+        recomputed only when their content differs from the last call's."""
+        A_t = np.asarray(A_t, dtype=float)
+        B_t = np.asarray(B_t, dtype=float)
+        extra = None if extra is None else np.asarray(extra, dtype=float)
+        key = (_fingerprint(A_t), _fingerprint(B_t), _fingerprint(extra))
+        if key != self._dynamics_key:
+            self._dynamics = self._validate(A_t, B_t, extra)
+            self._dynamics_key = key
+        return self._dynamics
 
     def _feedback(self) -> np.ndarray:
-        """``sum_i Ms[i] window[i]``: the learned part of the current control."""
-        return np.einsum("juy,jy->u", self.Ms, self._Z[: len(self.Ms)])
+        """``sum_i Ms[i] window[i]``: the learned part of the current control,
+        kept for reuse while ``Ms`` is the same object."""
+        self._feedback_u = self._point_order().dot(self._Z[: self._n_M].reshape(-1))
+        self._feedback_Ms = self.Ms
+        return self._feedback_u
+
+    def _current_feedback(self) -> np.ndarray:
+        """The feedback ``act`` computed, unless ``Ms`` was replaced since."""
+        return self._feedback_u if self.Ms is self._feedback_Ms else self._feedback()
 
     def _response(self) -> tuple:
-        """``(z, Zh)``: the truncated state response to the controls the
+        """``(z, Phi)``: the truncated state response to the controls the
         held parameters would have played (plus the drift, for GPC), and
-        the Hankel gather of the window."""
-        Zh = self._Z.take(self._hankel)
-        U = np.add.reduce(np.matmul(Zh, self.Ms.transpose(0, 2, 1)), axis=0)
-        z = np.einsum("xku,ku->x", self._P, U)
-        return (z if self._D is None else z + np.add.reduce(self._D, axis=0)), Zh
+        the sensitivity matrix ``Phi`` (d_x, p) in point order."""
+        d_u = self.d_u
+        Phi = np.matmul(self._P[:, :, :d_u].transpose(0, 2, 1), self._Z.take(self._hankel))
+        Phi = Phi.reshape(self.d_x, -1)
+        z = Phi.dot(self._point_order().reshape(-1))
+        if self._drifts:
+            z += np.add.reduce(self._P[:, :, d_u], axis=1)
+        return z, Phi
 
-    def _gradient(self, v: np.ndarray, gu: np.ndarray, Zh: np.ndarray) -> np.ndarray:
-        """Gradient, shaped like ``Ms``, of a loss whose derivative is ``v``
+    def _gradient(self, v: np.ndarray, gu: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+        """Flat gradient, in point order, of a loss whose derivative is ``v``
         along the state response and ``gu`` along the current control."""
-        S = (v @ self._P.reshape(len(v), -1)).reshape(-1, self.d_u)
-        return np.matmul(S.T, Zh) + gu[:, None] * self._Z[: len(self.Ms), None, :]
+        g = v.dot(Phi).reshape(self.d_u, -1)
+        g += gu[:, None] * self._Z[: self._n_M].reshape(-1)
+        return g.reshape(-1)
 
-    def _learn(self, grad: np.ndarray, row: dict, signal: np.ndarray) -> None:
-        """Projected OGD step on ``grad``, its invariants, and the telemetry row.
+    def _learn(self, grad: np.ndarray, row: dict, signal_norm: float) -> None:
+        """Projected OGD step on the flat ``grad``, its invariants, and the
+        telemetry row.
 
         Raises
         ------
@@ -292,39 +392,35 @@ class _DisturbanceFeedback:
             If the new iterate left the ball or moved further than
             ``eta * ||grad||``.
         """
-        g = grad.ravel()
         previous = self.ogd.point
-        self.ogd = ogd_update(self.ogd, g)
+        self.ogd = ogd_update(self.ogd, grad)
         point = self.ogd.point
-        grad_norm = math.sqrt(g @ g)
-        M_norm = math.sqrt(point @ point)
+        grad_norm = math.sqrt(grad.dot(grad))
+        M_norm = math.sqrt(point.dot(point))
         if self.ogd.radius is not None and M_norm > self.ogd.radius + 1e-9:
             raise EvaluationError(f"OGD iterate left the ball of radius {self.ogd.radius}")
         moved = point - previous
-        if math.sqrt(moved @ moved) > self.ogd.step_size(self.ogd.t) * grad_norm + 1e-12:
+        if math.sqrt(moved.dot(moved)) > self.ogd.step_size(self.ogd.t) * grad_norm + 1e-12:
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
-        self.Ms = point.reshape(self.Ms.shape)
+        self.Ms = self._stacked(point)
         row["M_norm"] = M_norm
-        row[self._signal_key] = math.sqrt(signal @ signal)
+        row[self._signal_key] = signal_norm
         row["grad_norm"] = grad_norm
         self.telemetry.append(row)
         if self._sink is not None:
             self._sink(row)
 
     def _advance(self, transition: np.ndarray, B: np.ndarray, drift=None) -> None:
-        """Move the stacks one step on: older blocks are multiplied by
+        """Move the stack one step on: older blocks are multiplied by
         ``transition`` and the oldest falls out; ``B`` (and, for GPC, the
         ``drift`` w) become block 0."""
         P, self._P = self._P, self._P_spare
         np.matmul(transition, P[:, :-1].reshape(self.d_x, -1),
                   out=self._P[:, 1:].reshape(self.d_x, -1))
-        self._P[:, 0] = B
+        self._P[:, 0, : self.d_u] = B
+        if drift is not None:
+            self._P[:, 0, self.d_u] = drift
         self._P_spare = P
-        if self._D is not None:
-            D, self._D = self._D, self._D_spare
-            np.matmul(D[:-1], transition.T, out=self._D[1:])
-            self._D[0] = drift
-            self._D_spare = D
 
     def _push(self, signal: np.ndarray) -> None:
         """Shift the signal window one row and put ``signal`` first."""
@@ -409,33 +505,40 @@ class GPCController(_DisturbanceFeedback):
         """Emit ``u_t`` from the current parameters and perturbation window."""
         x = np.asarray(x, dtype=float)
         K_t = self.gain(t)
-        u = K_t @ x + self._feedback()
+        u = K_t.dot(x) + self._feedback()
         self._last = (t, x.copy(), u.copy(), K_t)
         return u
 
+    def _validate(self, A_t: np.ndarray, B_t: np.ndarray, K_t: np.ndarray) -> tuple:
+        A_t = _as_matrix(A_t, "A_t")
+        B_t = _as_matrix(B_t, "B_t")
+        return A_t, B_t, A_t + B_t @ K_t
+
     def _counterfactual(self) -> tuple:
-        """``(x_t(M), u_t(M), Zh)`` with the Hankel gather they used."""
+        """``(x_t(M), u_t(M), Phi)`` with the sensitivity matrix they used."""
         if self._last is None:
             raise ConfigurationError("call act() before querying counterfactuals")
-        x_cf, Zh = self._response()
-        return x_cf, self._last[3] @ x_cf + self._feedback(), Zh
+        x_cf, Phi = self._response()
+        return x_cf, self._last[3].dot(x_cf) + self._current_feedback(), Phi
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
         parameters now held (cache-based fast path)."""
         return self._counterfactual()[:2]
 
+    def _loss_and_gradient(self, cost_t: object) -> tuple:
+        x_cf, u_cf, Phi = self._counterfactual()
+        loss, gx, gu = _cost_terms(cost_t, x_cf, u_cf)
+        return loss, self._gradient(gx + self._last[3].T.dot(gu), gu, Phi)
+
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
-        analytic gradient with respect to the parameter stack.  Valid
-        between act() and update()."""
-        x_cf, u_cf, Zh = self._counterfactual()
-        t, _, _, K_t = self._last
-        cost_t = _resolve_cost(cost, t)
-        loss = float(cost_t.value(x_cf, u_cf))
-        gx = np.asarray(cost_t.grad_x(x_cf, u_cf), dtype=float)
-        gu = np.asarray(cost_t.grad_u(x_cf, u_cf), dtype=float)
-        return loss, self._gradient(gx + K_t.T @ gu, gu, Zh)
+        analytic gradient, shaped like ``Ms``.  Valid between act() and
+        update()."""
+        if self._last is None:
+            raise ConfigurationError("call act() before querying counterfactuals")
+        loss, grad = self._loss_and_gradient(_resolve_cost(cost, self._last[0]))
+        return loss, self._stacked(grad)
 
     def update(self, t: int, A_t: object, B_t: object, x_next: object, cost: object) -> np.ndarray:
         """Recover ``w_t``, take the OGD step on ``l_t``, advance caches.
@@ -444,20 +547,20 @@ class GPCController(_DisturbanceFeedback):
         """
         if self._last is None or self._last[0] != t:
             raise ConfigurationError("update(t) must follow act(t)")
-        A_t = _as_matrix(A_t, "A_t")
-        B_t = _as_matrix(B_t, "B_t")
-        x_next = np.asarray(x_next, dtype=float)
         _, x, u, K_t = self._last
-        w_t = x_next - A_t @ x - B_t @ u
-        if not np.isfinite(w_t).all():
+        A_t, B_t, closed = self._validated(A_t, B_t, K_t)
+        w_t = np.asarray(x_next, dtype=float) - A_t.dot(x) - B_t.dot(u)
+        ww = w_t.dot(w_t)
+        # w.w is finite exactly when every entry is, unless it overflows.
+        if not math.isfinite(ww) and not np.isfinite(w_t).all():
             raise EvaluationError(f"recovered perturbation is non-finite at t={t}; aborting run")
-        closed = A_t + B_t @ K_t
         if self.delta_hat is None:
             self._start(closed)
 
         cost_t = _resolve_cost(cost, t)
-        loss, grad = self.loss_and_gradient(cost_t)
-        self._learn(grad, {"t": t, "cost": float(cost_t.value(x, u)), "loss": loss}, w_t)
+        loss, grad = self._loss_and_gradient(cost_t)
+        played = _cost_value(cost_t, x, u)
+        self._learn(grad, {"t": t, "cost": played, "loss": loss}, math.sqrt(ww))
         self._advance(closed, B_t, w_t)
         self._push(w_t)
         self._last = None
@@ -500,6 +603,7 @@ class GRCController(_DisturbanceFeedback):
     window and the ``H_trunc``-deep stack of ``F_i`` are allocated at the
     first update and updated in place.  ``A_t`` must have spectral radius
     below 1, checked whenever ``A_t`` differs from the last matrix checked.
+    ``C_t = None`` means the state is observed.
 
     The cost is evaluated on (observation, control) pairs.
     """
@@ -526,61 +630,70 @@ class GRCController(_DisturbanceFeedback):
         self.tracker = NaturesYTracker(self.d_x)
         self._A_checked: Optional[np.ndarray] = None
 
-    def _output(self, C_t: Optional[object]) -> np.ndarray:
-        return np.eye(self.d_x) if C_t is None else _as_matrix(C_t, "C_t")
+    @staticmethod
+    def _output(C_t: Optional[object]) -> Optional[np.ndarray]:
+        return None if C_t is None else _as_matrix(C_t, "C_t")
 
     def act(self, t: int, y: object, C_t: Optional[object] = None) -> np.ndarray:
         """Compute ``ynat_t`` from the observation and emit ``u_t``."""
         ynat = self.tracker.observe(np.asarray(y, dtype=float), C_t)
         self._push(ynat)
         u = self._feedback()
-        self._last = (t, ynat, u.copy())
-        return u
+        self._last = (t, ynat, u)
+        return u.copy()
 
-    def _counterfactual(self, C: np.ndarray) -> tuple:
-        """``(y_t(M), u_t(M), Zh)`` with the Hankel gather they used."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        z, Zh = self._response()
-        return self._last[1] + C @ z, self._feedback(), Zh
-
-    def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
-        valid between act() and update()."""
-        return self._counterfactual(self._output(C_t))[:2]
-
-    def loss_and_gradient(
-        self, cost: object, C_t: Optional[object] = None
-    ) -> tuple[float, np.ndarray]:
-        """Counterfactual loss ``l_t(M)`` at the held parameters and its
-        analytic gradient.  Valid between act() and update()."""
-        C = self._output(C_t)
-        y_cf, u_cf, Zh = self._counterfactual(C)
-        cost_t = _resolve_cost(cost, self._last[0])
-        loss = float(cost_t.value(y_cf, u_cf))
-        gy = np.asarray(cost_t.grad_x(y_cf, u_cf), dtype=float)
-        gu = np.asarray(cost_t.grad_u(y_cf, u_cf), dtype=float)
-        return loss, self._gradient(C.T @ gy, gu, Zh)
-
-    def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
-        """Advance nature's-y, take the OGD step on ``l_t``, refresh caches."""
-        if self._last is None or self._last[0] != t:
-            raise ConfigurationError("update(t) must follow act(t)")
+    def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[np.ndarray]) -> tuple:
         A_t = _as_matrix(A_t, "A_t")
         B_t = _as_matrix(B_t, "B_t")
+        C_t = self._output(C_t)
         if self._A_checked is None or not np.array_equal(A_t, self._A_checked):
             if spectral_radius(A_t) >= 1.0:
                 raise ConfigurationError(
                     "GRC requires a stable system: spectral radius of A_t is >= 1"
                 )
             self._A_checked = A_t.copy()
+        return A_t, B_t, C_t
+
+    def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
+        """``(y_t(M), u_t(M), Phi)`` with the sensitivity matrix they used."""
+        if self._last is None:
+            raise ConfigurationError("call act() before querying counterfactuals")
+        z, Phi = self._response()
+        return self._last[1] + (z if C is None else C.dot(z)), self._current_feedback(), Phi
+
+    def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
+        valid between act() and update()."""
+        return self._counterfactual(self._output(C_t))[:2]
+
+    def _loss_and_gradient(self, cost_t: object, C: Optional[np.ndarray]) -> tuple:
+        y_cf, u_cf, Phi = self._counterfactual(C)
+        loss, gy, gu = _cost_terms(cost_t, y_cf, u_cf)
+        return loss, self._gradient(gy if C is None else C.T.dot(gy), gu, Phi)
+
+    def loss_and_gradient(
+        self, cost: object, C_t: Optional[object] = None
+    ) -> tuple[float, np.ndarray]:
+        """Counterfactual loss ``l_t(M)`` at the held parameters and its
+        analytic gradient, shaped like ``Ms``.  Valid between act() and
+        update()."""
+        C = self._output(C_t)
+        if self._last is None:
+            raise ConfigurationError("call act() before querying counterfactuals")
+        loss, grad = self._loss_and_gradient(_resolve_cost(cost, self._last[0]), C)
+        return loss, self._stacked(grad)
+
+    def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
+        """Advance nature's-y, take the OGD step on ``l_t``, refresh caches."""
+        if self._last is None or self._last[0] != t:
+            raise ConfigurationError("update(t) must follow act(t)")
+        A_t, B_t, C = self._validated(A_t, B_t, C_t)
         _, ynat, u_played = self._last
         if self.delta_hat is None:
             self._start(A_t)
 
-        cost_t = _resolve_cost(cost, t)
-        loss, grad = self.loss_and_gradient(cost_t, C_t)
-        self._learn(grad, {"t": t, "loss": loss}, ynat)
+        loss, grad = self._loss_and_gradient(_resolve_cost(cost, t), C)
+        self._learn(grad, {"t": t, "loss": loss}, math.sqrt(ynat.dot(ynat)))
         self.tracker.advance(A_t, B_t, u_played)
         self._advance(A_t, B_t)
         self._last = None

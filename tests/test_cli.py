@@ -191,6 +191,17 @@ def test_configuration_error_exit_code():
     assert "state cost" in err
 
 
+def test_invalid_learner_radius_exit_code():
+    # A negative projection radius is a configuration error (exit 2), not a
+    # ZeroDivisionError traceback from the first zero-gradient update.
+    code, _, err = run_cli(
+        ["regret", "--preset", "scalar-0.9", "--controller", "gpc", "--radius", "-1",
+         "--horizon", "50"]
+    )
+    assert code == 2
+    assert "radius" in err
+
+
 def test_numerical_failure_exit_code():
     # An inline system with B = 0 cannot be excited: every moment is zero
     # and the pipeline aborts with a numerical diagnostic.

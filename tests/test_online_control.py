@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscontrol import online_control
+from nscontrol import lds_core, online_control
 from nscontrol.errors import ConfigurationError, EvaluationError
+from nscontrol.harness import config_from_preset, run_experiment
 from nscontrol.lds_core import (
     LinearSystem,
     PerturbationSource,
@@ -108,6 +109,38 @@ def test_ogd_invalid_schedule():
         assert False, "expected ConfigurationError"
     except ConfigurationError:
         pass
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"radius": -1.0},
+        {"radius": float("nan")},
+        {"radius": float("inf")},
+        {"step_scale": -0.5},
+        {"step_scale": float("nan")},
+        {"step_scale": float("inf")},
+    ],
+)
+def test_ogd_rejects_invalid_radius_and_step_scale(fields):
+    with pytest.raises(ConfigurationError):
+        OGDState(point=np.zeros(2), **fields)
+
+
+def test_ogd_update_cannot_start_from_a_negative_radius():
+    # A negative radius once reflected the step (a zero-norm iterate divided
+    # by zero): the state is now rejected before any update.
+    with pytest.raises(ConfigurationError, match="radius"):
+        ogd_update(OGDState(np.zeros(2), radius=-1), [1.0, 0.0])
+    # Radius 0 is valid: every iterate is projected onto the origin.
+    out = ogd_update(OGDState(np.zeros(2), radius=0.0), [1.0, 0.0])
+    assert np.array_equal(out.point, np.zeros(2))
+
+
+@pytest.mark.parametrize("options", [{"radius": -1.0}, {"step_size": -0.5}])
+def test_gpc_rejects_invalid_radius_and_step_size(options):
+    with pytest.raises(ConfigurationError):
+        GPCController(1, 1, np.zeros((1, 1)), h=2, **options)
 
 
 @pytest.mark.parametrize("T", [100, 1000])
@@ -809,6 +842,28 @@ def _assert_gradient_matches_fd(controller, grad, loss_at):
     assert np.max(np.abs(grad.ravel() - fd)) <= 1e-5 * max(1.0, float(np.max(np.abs(fd))))
 
 
+#: How a time-varying provider hands its matrices to the learner:
+#: ``fresh`` new arrays of the time-varying content, ``in-place`` the same
+#: array objects overwritten with that content every step, and
+#: ``fresh-equal`` new arrays of one fixed content every step.
+PROVIDER_MODES = ("fresh", "in-place", "fresh-equal")
+
+
+def _handed(mode, *content_at):
+    """``t -> matrices`` as the learner receives them under ``mode``;
+    ``content_at`` gives each matrix's content at step ``t``."""
+    if mode != "in-place":
+        return lambda t: tuple(at(t) for at in content_at)
+    buffers = [np.zeros_like(at(0)) for at in content_at]
+
+    def in_place(t):
+        for buffer, at in zip(buffers, content_at):
+            buffer[...] = at(t)
+        return tuple(buffers)
+
+    return in_place
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -817,15 +872,20 @@ def _assert_gradient_matches_fd(controller, grad, loss_at):
     h=st.integers(1, 4),
     H_trunc=st.integers(1, 12),
     T=st.integers(1, 16),
+    mode=st.sampled_from(PROVIDER_MODES),
 )
-def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_trunc, T):
+def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_trunc, T, mode):
     rng = np.random.default_rng(seed)
     A0, A1 = _rescaled(rng.normal(size=(d_x, d_x)), 0.6), 0.1 * rng.normal(size=(d_x, d_x))
     B0, B1 = rng.normal(size=(d_x, d_u)), 0.2 * rng.normal(size=(d_x, d_u))
     K0 = 0.1 * rng.normal(size=(d_u, d_x))
-    A_at = lambda t: A0 + np.sin(0.7 * t) * A1
-    B_at = lambda t: B0 + np.cos(0.5 * t) * B1
-    K_at = lambda t: (1.0 + 0.2 * np.sin(t)) * K0
+    if mode == "fresh-equal":
+        A_at, B_at, K_at = (lambda t: A0.copy()), (lambda t: B0.copy()), (lambda t: K0.copy())
+    else:
+        A_at = lambda t: A0 + np.sin(0.7 * t) * A1
+        B_at = lambda t: B0 + np.cos(0.5 * t) * B1
+        K_at = lambda t: (1.0 + 0.2 * np.sin(t)) * K0
+    handed = _handed(mode, A_at, B_at)
     L = rng.normal(size=(d_x, d_x))
     cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_x), R=np.eye(d_u))
     controller = GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05,
@@ -848,7 +908,7 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_
         if t == T:
             break
         x_next = A_at(t) @ x + B_at(t) @ u + ws[t]
-        controller.update(t, A_at(t), B_at(t), x_next, cost)
+        controller.update(t, *handed(t), x_next, cost)
         A_hist.insert(0, A_at(t) + B_at(t) @ K_at(t))
         B_hist.insert(0, B_at(t))
         w_hist.insert(0, ws[t])
@@ -877,16 +937,22 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_
     h=st.integers(1, 4),
     H_trunc=st.integers(1, 12),
     T=st.integers(1, 16),
+    mode=st.sampled_from(PROVIDER_MODES),
 )
 def test_grc_counterfactuals_and_gradient_match_references(
-    seed, d_x, d_u, d_y, h, H_trunc, T
+    seed, d_x, d_u, d_y, h, H_trunc, T, mode
 ):
     rng = np.random.default_rng(seed)
     A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
     B0, C0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x))
-    A_at = lambda t: _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
-    B_at = lambda t: (1.0 + 0.3 * np.cos(0.5 * t)) * B0
-    C_at = lambda t: (1.0 + 0.2 * np.sin(0.3 * t)) * C0
+    if mode == "fresh-equal":
+        A_fixed = _rescaled(A0, 0.8)
+        A_at, B_at, C_at = (lambda t: A_fixed.copy()), (lambda t: B0.copy()), (lambda t: C0.copy())
+    else:
+        A_at = lambda t: _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
+        B_at = lambda t: (1.0 + 0.3 * np.cos(0.5 * t)) * B0
+        C_at = lambda t: (1.0 + 0.2 * np.sin(0.3 * t)) * C0
+    handed = _handed(mode, A_at, B_at, C_at)
     L = rng.normal(size=(d_y, d_y))
     cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_y), R=np.eye(d_u))
     controller = GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05,
@@ -895,7 +961,8 @@ def test_grc_counterfactuals_and_gradient_match_references(
     ynats: list = []  # oldest first
     x = np.zeros(d_x)
     for t in range(T + 1):
-        u = controller.act(t, C_at(t) @ x, C_at(t))
+        A_t, B_t, C_t = handed(t)
+        u = controller.act(t, C_at(t) @ x, C_t)
         ynats.append(controller._last[1].copy())
 
         def u_of_M(s):
@@ -913,7 +980,7 @@ def test_grc_counterfactuals_and_gradient_match_references(
         assert np.allclose(u_cf, u_of_M(t), atol=1e-10)
         if t == T:
             break
-        controller.update(t, A_at(t), B_at(t), C_at(t), cost)
+        controller.update(t, A_t, B_t, C_t, cost)
         x = A_at(t) @ x + B_at(t) @ u + ws[t]
 
     def loss_at(flat):
@@ -928,3 +995,59 @@ def test_grc_counterfactuals_and_gradient_match_references(
     controller.Ms = rng.normal(size=controller.Ms.shape)
     _, grad = controller.loss_and_gradient(cost, C_at(T))
     _assert_gradient_matches_fd(controller, grad, loss_at)
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
+    # The validated dynamics are cached by content, so a matrix the caller
+    # mutates in place is validated again, and a non-finite entry is caught.
+    A, B, C = np.array([[0.5]]), np.eye(1), np.eye(1)
+    cost = QuadraticCost(np.eye(1), np.eye(1))
+    if kind == "gpc":
+        controller = GPCController(1, 1, np.zeros((1, 1)), h=2, radius=1.0, step_size=0.1)
+        step = lambda t: (controller.act(t, np.array([0.1])),
+                          controller.update(t, A, B, np.array([0.2]), cost))
+    else:
+        controller = GRCController(1, 1, 1, h=2, radius=1.0, step_size=0.1)
+        step = lambda t: (controller.act(t, np.array([0.1]), C),
+                          controller.update(t, A, B, C, cost))
+    for t in range(3):
+        step(t)
+    A[0, 0] = np.nan
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        step(3)
+
+
+def test_gpc_step_evaluates_cost_once_and_validates_fixed_dynamics_once(monkeypatch):
+    # Per closed-loop step, simulate() evaluates the played stage cost and the
+    # learner evaluates its counterfactual loss in one fused pass; the
+    # time-invariant A and B are validated at the first update only.
+    T = 40
+    config = config_from_preset(
+        "b747", controller={"kind": "gpc", "h": 8, "radius": 2.0, "step_size": 0.05},
+        horizon=T, seed=0, comparator={"kind": "none"},
+    )
+    A, B, _ = config.system.matrices(0)
+    values = []
+    value = QuadraticCost.value
+
+    def counting_value(self, x, u):
+        values.append(1)
+        return value(self, x, u)
+
+    validated = []
+
+    def counting(original):
+        def as_matrix(M, name):
+            validated.append(M)
+            return original(M, name)
+
+        return as_matrix
+
+    monkeypatch.setattr(QuadraticCost, "value", counting_value)
+    for module in (lds_core, online_control):
+        monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
+    run_experiment(config)
+    assert len(values) <= 2 * T
+    assert sum(M is A for M in validated) <= 1
+    assert sum(M is B for M in validated) <= 1
