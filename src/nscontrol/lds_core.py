@@ -360,6 +360,15 @@ class QuadraticCost:
         """Gradient of the cost with respect to u."""
         return 2.0 * (self.R @ np.asarray(u, dtype=float))
 
+    def terms(self, x: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(value, grad_x, grad_u)`` at (x, u) in one pass: ``Q dx`` and
+        ``R u`` are formed once and give the value and both gradients."""
+        dx = self._dx(np.asarray(x, dtype=float))
+        u = np.asarray(u, dtype=float)
+        Qdx = self.Q.dot(dx)
+        Ru = self.R.dot(u)
+        return float(dx.dot(Qdx) + u.dot(Ru)), 2.0 * Qdx, 2.0 * Ru
+
 
 @dataclass(frozen=True)
 class CallableCost:
@@ -481,7 +490,7 @@ def simulate(
 
     states[0] = x
     for t in range(T):
-        A, B, C = system.matrices(t)
+        C = system.matrices(t)[2]
         y = x.copy() if C is None else C.dot(x)
         observations[t] = y
         u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
@@ -491,6 +500,9 @@ def simulate(
         c = cost.value(x, u)
         if not np.isfinite(c):
             raise EvaluationError(f"cost is non-finite at t={t}")
+        # Fetched after the controller ran: a provider may hand out buffers
+        # that the controller's own matrices() calls overwrite.
+        A, B, _ = system.matrices(t)
         x = A.dot(x) + B.dot(u) + w
         states[t + 1] = x
         controls[t] = u

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import QuadraticCost, _as_matrix, spectral_radius
+from .lds_core import _as_matrix, spectral_radius
 from .policies import NaturesYTracker
 
 __all__ = [
@@ -208,26 +208,17 @@ def _resolve_cost(cost: object, t: int) -> object:
 
 
 def _cost_terms(cost: object, x: np.ndarray, u: np.ndarray) -> tuple:
-    """``(c(x, u), grad_x, grad_u)``.  A :class:`QuadraticCost` takes one
-    fused pass that forms ``Q dx`` and ``R u`` once; any other cost object
-    goes through its ``value``/``grad_x``/``grad_u`` protocol."""
-    if type(cost) is QuadraticCost:
-        dx = x if cost.target is None else x - cost.target
-        Qdx = cost.Q.dot(dx)
-        Ru = cost.R.dot(u)
-        return float(dx.dot(Qdx) + u.dot(Ru)), 2.0 * Qdx, 2.0 * Ru
+    """``(c(x, u), grad_x, grad_u)``: one ``terms`` call for a cost that has
+    it (such as :class:`~nscontrol.lds_core.QuadraticCost`), otherwise the
+    ``value``/``grad_x``/``grad_u`` protocol."""
+    terms = getattr(cost, "terms", None)
+    if terms is not None:
+        return terms(x, u)
     return (
         float(cost.value(x, u)),
         np.asarray(cost.grad_x(x, u), dtype=float),
         np.asarray(cost.grad_u(x, u), dtype=float),
     )
-
-
-def _cost_value(cost: object, x: np.ndarray, u: np.ndarray) -> float:
-    """``c(x, u)``, by the same fused pass as :func:`_cost_terms`."""
-    if type(cost) is QuadraticCost:
-        return _cost_terms(cost, x, u)[0]
-    return float(cost.value(x, u))
 
 
 def _fingerprint(M: Optional[np.ndarray]) -> Optional[tuple]:
@@ -271,9 +262,7 @@ class _DisturbanceFeedback:
     ``update`` validates the dynamics matrices, and derives the closed-loop
     matrix (GPC) or checks stability (GRC), only when their content differs
     from the last validated ones: the comparison is by shape and bytes, so
-    a matrix mutated in place is validated again.  The feedback that
-    ``act`` computed is reused for the counterfactual control while ``Ms``
-    is the same object.
+    a matrix mutated in place is validated again.
     """
 
     #: Telemetry key of the norm of the signal recorded at each update.
@@ -303,8 +292,6 @@ class _DisturbanceFeedback:
         self.telemetry: list = []
         self._sink = telemetry_sink
         self._last: Optional[tuple] = None
-        self._feedback_Ms: Optional[np.ndarray] = None
-        self._feedback_u: Optional[np.ndarray] = None
         self._dynamics_key: Optional[tuple] = None
         self._dynamics: Optional[tuple] = None
         self._Z = np.zeros((0, d_s))
@@ -353,15 +340,8 @@ class _DisturbanceFeedback:
         return self._dynamics
 
     def _feedback(self) -> np.ndarray:
-        """``sum_i Ms[i] window[i]``: the learned part of the current control,
-        kept for reuse while ``Ms`` is the same object."""
-        self._feedback_u = self._point_order().dot(self._Z[: self._n_M].reshape(-1))
-        self._feedback_Ms = self.Ms
-        return self._feedback_u
-
-    def _current_feedback(self) -> np.ndarray:
-        """The feedback ``act`` computed, unless ``Ms`` was replaced since."""
-        return self._feedback_u if self.Ms is self._feedback_Ms else self._feedback()
+        """``sum_i Ms[i] window[i]``: the learned part of the current control."""
+        return self._point_order().dot(self._Z[: self._n_M].reshape(-1))
 
     def _response(self) -> tuple:
         """``(z, Phi)``: the truncated state response to the controls the
@@ -519,7 +499,7 @@ class GPCController(_DisturbanceFeedback):
         if self._last is None:
             raise ConfigurationError("call act() before querying counterfactuals")
         x_cf, Phi = self._response()
-        return x_cf, self._last[3].dot(x_cf) + self._current_feedback(), Phi
+        return x_cf, self._last[3].dot(x_cf) + self._feedback(), Phi
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
@@ -559,7 +539,7 @@ class GPCController(_DisturbanceFeedback):
 
         cost_t = _resolve_cost(cost, t)
         loss, grad = self._loss_and_gradient(cost_t)
-        played = _cost_value(cost_t, x, u)
+        played = float(cost_t.value(x, u))
         self._learn(grad, {"t": t, "cost": played, "loss": loss}, math.sqrt(ww))
         self._advance(closed, B_t, w_t)
         self._push(w_t)
@@ -659,7 +639,7 @@ class GRCController(_DisturbanceFeedback):
         if self._last is None:
             raise ConfigurationError("call act() before querying counterfactuals")
         z, Phi = self._response()
-        return self._last[1] + (z if C is None else C.dot(z)), self._current_feedback(), Phi
+        return self._last[1] + (z if C is None else C.dot(z)), self._feedback(), Phi
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,

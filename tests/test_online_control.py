@@ -1018,9 +1018,10 @@ def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
         step(3)
 
 
-def test_gpc_step_evaluates_cost_once_and_validates_fixed_dynamics_once(monkeypatch):
-    # Per closed-loop step, simulate() evaluates the played stage cost and the
-    # learner evaluates its counterfactual loss in one fused pass; the
+def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch):
+    # Per closed-loop step, simulate() and the learner's telemetry each
+    # evaluate the played stage cost with value(), and the learner evaluates
+    # its counterfactual loss and both gradients in one terms() pass; the
     # time-invariant A and B are validated at the first update only.
     T = 40
     config = config_from_preset(
@@ -1028,12 +1029,16 @@ def test_gpc_step_evaluates_cost_once_and_validates_fixed_dynamics_once(monkeypa
         horizon=T, seed=0, comparator={"kind": "none"},
     )
     A, B, _ = config.system.matrices(0)
-    values = []
-    value = QuadraticCost.value
+    calls = {"value": 0, "terms": 0, "grad_x": 0, "grad_u": 0}
 
-    def counting_value(self, x, u):
-        values.append(1)
-        return value(self, x, u)
+    def counted(name):
+        original = getattr(QuadraticCost, name)
+
+        def method(self, x, u):
+            calls[name] += 1
+            return original(self, x, u)
+
+        return method
 
     validated = []
 
@@ -1044,10 +1049,78 @@ def test_gpc_step_evaluates_cost_once_and_validates_fixed_dynamics_once(monkeypa
 
         return as_matrix
 
-    monkeypatch.setattr(QuadraticCost, "value", counting_value)
+    for name in calls:
+        monkeypatch.setattr(QuadraticCost, name, counted(name))
     for module in (lds_core, online_control):
         monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
     run_experiment(config)
-    assert len(values) <= 2 * T
+    # T steps are played and T - 1 of them are learned from.
+    assert calls == {"value": 2 * T - 1, "terms": T - 1, "grad_x": 0, "grad_u": 0}
     assert sum(M is A for M in validated) <= 1
     assert sum(M is B for M in validated) <= 1
+
+
+def test_quadratic_cost_terms_match_value_and_gradients():
+    rng = np.random.default_rng(5)
+    L = rng.normal(size=(3, 3))
+    cost = QuadraticCost(Q=L @ L.T, R=np.diag([1.0, 2.0]), target=rng.normal(size=3))
+    x, u = rng.normal(size=3), rng.normal(size=2)
+    value, gx, gu = cost.terms(x, u)
+    assert math.isclose(value, cost.value(x, u), rel_tol=1e-14)
+    assert np.allclose(gx, cost.grad_x(x, u), rtol=1e-14, atol=0.0)
+    assert np.allclose(gu, cost.grad_u(x, u), rtol=1e-14, atol=0.0)
+
+
+def test_simulate_steps_with_current_matrices_of_an_in_place_provider():
+    # The provider overwrites the same buffers on every call, and gpc_runner
+    # asks for the previous step's matrices inside the controller callback;
+    # simulate() must still step x_t with A_t and B_t.
+    d_x, d_u, T = 2, 1, 30
+    rng = np.random.default_rng(11)
+    A0, A1 = _rescaled(rng.normal(size=(d_x, d_x)), 0.7), 0.2 * rng.normal(size=(d_x, d_x))
+    B0, B1 = rng.normal(size=(d_x, d_u)), 0.3 * rng.normal(size=(d_x, d_u))
+    A_at = lambda t: A0 + np.sin(0.9 * t) * A1
+    B_at = lambda t: B0 + np.cos(0.4 * t) * B1
+    system = LinearSystem.time_varying(_handed("in-place", A_at, B_at), d_x, d_u)
+    cost = QuadraticCost(np.eye(d_x), np.eye(d_u))
+    controller = GPCController(d_x, d_u, np.zeros((d_u, d_x)), h=3, radius=2.0,
+                               step_size=0.1, H_trunc=6)
+    traj = simulate(system, gpc_runner(controller, system, cost),
+                    PerturbationSource.gaussian(0.5), cost, T, seed=3)
+    for t in range(T):
+        expected = A_at(t) @ traj.states[t] + B_at(t) @ traj.controls[t] + traj.perturbations[t]
+        assert np.allclose(traj.states[t + 1], expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
+    # Ms is a view of the OGD point; a write into it between act() and the
+    # counterfactual query must reach u_t(M), and the returned u_t(M) must not
+    # share memory with the control act() played.
+    A, B, C = np.array([[0.5]]), np.eye(1), np.eye(1)
+    cost = QuadraticCost(np.eye(1), np.eye(1))
+    if kind == "gpc":
+        controller = GPCController(1, 1, np.zeros((1, 1)), h=2, radius=5.0, step_size=0.1)
+        act = lambda t: controller.act(t, np.array([0.1 * t]))
+        update = lambda t: controller.update(t, A, B, np.array([0.3]), cost)
+        query = controller.counterfactuals
+    else:
+        controller = GRCController(1, 1, 1, h=2, radius=5.0, step_size=0.1)
+        act = lambda t: controller.act(t, np.array([0.1 * t]), C)
+        update = lambda t: controller.update(t, A, B, C, cost)
+        query = lambda: controller.counterfactuals(C)
+    for t in range(4):
+        act(t)
+        update(t)
+    act(4)
+    # Entries of the signal window the learned part multiplies, newest first.
+    window = controller._Z[: len(controller.Ms)].copy()
+    controller.Ms[...] = np.arange(1.0, len(controller.Ms) + 1).reshape(controller.Ms.shape)
+    _, u_cf = query()
+    learned = sum(M @ s for M, s in zip(controller.Ms, window))
+    if kind == "gpc":
+        x_cf, _ = query()
+        learned = learned + controller._last[3] @ x_cf
+    assert np.allclose(u_cf, learned, rtol=1e-14, atol=0.0)
+    u_cf[...] = np.nan
+    assert np.isfinite(controller._last[2]).all()
