@@ -9,13 +9,15 @@ under the scenario seed (wall-clock aside).
 
 Comparators optimize the exact counterfactual cost of a fixed policy on
 the recorded perturbation sequence.  For disturbance-action and
-disturbance-response policies the counterfactual state is affine in the
-policy parameters, so the objective is convex whenever the cost is.  For
-a quadratic cost it is an exact quadratic and is minimized by solving its
-normal equations; other costs are minimized by gradient descent with a
-1/sqrt(iter) schedule and a Newton polish.  The best fixed linear gain is
-a non-convex objective and is handled by multi-start local descent,
-documented as a heuristic.
+disturbance-response policies the counterfactual trajectory is affine in
+the policy parameters, so the objective is convex whenever the cost is.
+One streamed Newton engine minimizes it for every cost: each forward pass
+carries the trajectory's sensitivity to the parameters and returns the
+objective with its gradient and Hessian.  A quadratic cost is minimized
+exactly by one pass and one least-squares solve; other convex costs take
+damped Newton steps until the Newton decrement is negligible.  The best
+fixed linear gain is a non-convex objective and is handled by multi-start
+local descent, documented as a heuristic.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +38,6 @@ from .lds_core import (
     LinearSystem,
     PerturbationSource,
     QuadraticCost,
-    Trajectory,
     linearize,
     simulate,
     spectral_radius,
@@ -64,10 +65,13 @@ __all__ = [
     "load_config",
 ]
 
-#: Iterative comparator budget for non-quadratic costs: gradient steps and
-#: tolerance.
-COMPARATOR_MAX_ITER = 5000
-COMPARATOR_TOL = 1e-8
+#: Comparator budget for non-quadratic costs: forward passes of the damped
+#: Newton engine, and the Newton decrement, relative to 1 + |J|, that ends it.
+COMPARATOR_MAX_ITER = 50
+COMPARATOR_TOL = 1e-10
+#: Relative step of the gradient differences that give the stage Hessian of
+#: a non-quadratic cost.
+_HESSIAN_STEP = 1e-4
 
 
 def component_seed(master: int, tag: str) -> int:
@@ -293,7 +297,7 @@ def generate_perturbations(
 
 
 # ---------------------------------------------------------------------------
-# Affine counterfactual maps
+# Counterfactual policy passes
 # ---------------------------------------------------------------------------
 
 
@@ -304,94 +308,11 @@ def _coerce_K(K: object, d_u: int, d_x: int) -> np.ndarray:
     return K
 
 
-def _signal_windows(signals: np.ndarray, depth: int, lag: int) -> np.ndarray:
-    """Stack ``V[t, i] = signals[t - lag - i]`` (zero before the start).
-
-    ``lag=1`` windows start at the previous step, ``lag=0`` at the current
-    one.
-    """
-    T, d = signals.shape
-    V = np.zeros((T, depth, d))
-    for i in range(depth):
-        shift = lag + i
-        if shift < T:
-            V[shift:, i] = signals[: T - shift if shift else T]
-    return V
-
-
-def _dac_affine_maps(
-    system: LinearSystem,
-    K: np.ndarray,
-    w_record: np.ndarray,
-    h: int,
-    x0: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact affine maps of the closed-loop trajectory in the action blocks.
-
-    For ``u_t = K x_t + sum_i M_i w_{t-i}`` the state and control are affine
-    in ``M``; returns ``(Xnat, XPhi, Unat, UPsi)`` with shapes (T, d_x),
-    (T, d_x, h, d_u, d_x), (T, d_u), (T, d_u, h, d_u, d_x) so that
-    ``x_t(M) = Xnat[t] + XPhi[t] . M`` and likewise for the control.
-    """
-    T = w_record.shape[0]
-    d_x, d_u = system.d_x, system.d_u
-    V = _signal_windows(w_record, h, lag=1)
-    eye_u = np.eye(d_u)
-
-    Xnat = np.zeros((T, d_x))
-    XPhi = np.zeros((T, d_x, h, d_u, d_x))
-    Unat = np.zeros((T, d_u))
-    UPsi = np.zeros((T, d_u, h, d_u, d_x))
-
-    x = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
-    phi = np.zeros((d_x, h, d_u, d_x))
-    for t in range(T):
-        A_t, B_t, _ = system.matrices(t)
-        Xnat[t] = x
-        XPhi[t] = phi
-        Unat[t] = K @ x
-        UPsi[t] = np.einsum("uy,yiab->uiab", K, phi) + np.einsum(
-            "ua,ib->uiab", eye_u, V[t]
-        )
-        phi = np.einsum("xy,yiab->xiab", A_t, phi) + np.einsum(
-            "xu,uiab->xiab", B_t, UPsi[t]
-        )
-        x = (A_t + B_t @ K) @ x + w_record[t]
-    return Xnat, XPhi, Unat, UPsi
-
-
-def _drc_affine_maps(
-    system: LinearSystem,
-    w_record: np.ndarray,
-    h: int,
-    x0: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Affine maps for disturbance-response policies.
-
-    For ``u_t = sum_{i=0..h} M_i ynat_{t-i}`` returns ``(Ynat, YPhi, Unat,
-    UPsi)`` in observation space: ``y_t(M) = Ynat[t] + YPhi[t] . M`` with
-    block shape (h+1, d_u, d_y); ``Unat`` is zero since the control does not
-    feed back on the counterfactual state.
-    """
-    T = w_record.shape[0]
-    d_x, d_u, d_y = system.d_x, system.d_u, system.d_y
-    eye_u = np.eye(d_u)
-
-    Ynat = _natural_observations(system, w_record, x0)
-    Y = _signal_windows(Ynat, h + 1, lag=0)
-    YPhi = np.zeros((T, d_y, h + 1, d_u, d_y))
-    Unat = np.zeros((T, d_u))
-    UPsi = np.zeros((T, d_u, h + 1, d_u, d_y))
-
-    phi = np.zeros((d_x, h + 1, d_u, d_y))
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        UPsi[t] = np.einsum("ua,ib->uiab", eye_u, Y[t])
-        YPhi[t] = phi if C_t is None else np.einsum("yx,xiab->yiab", C_t, phi)
-        phi = np.einsum("xy,yiab->xiab", A_t, phi) + np.einsum(
-            "xu,uiab->xiab", B_t, UPsi[t]
-        )
-    return Ynat, YPhi, Unat, UPsi
+def _check_record(w_record: object) -> np.ndarray:
+    w_record = np.asarray(w_record, dtype=float)
+    if w_record.ndim != 2 or w_record.shape[0] == 0:
+        raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
+    return w_record
 
 
 def _natural_observations(
@@ -409,43 +330,34 @@ def _natural_observations(
     return ynat
 
 
-def _affine_objective(
-    cost: object,
-    Xnat: np.ndarray,
-    XPhi: np.ndarray,
-    Unat: np.ndarray,
-    UPsi: np.ndarray,
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Total-cost objective (value and gradient) over policy blocks ``M``
-    given affine trajectory maps, for a cost given by value and gradient
-    callbacks.  Convex whenever the cost is."""
+def _stage_terms(
+    cost: object, z: np.ndarray, u: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, half gradient and half Hessian of a stage cost at ``(z, u)``.
 
-    def J_and_grad(M: np.ndarray) -> tuple[float, np.ndarray]:
-        X = Xnat + np.einsum("txiab,iab->tx", XPhi, M)
-        U = Unat + np.einsum("tuiab,iab->tu", UPsi, M)
-        value = 0.0
-        GX = np.zeros_like(X)
-        GU = np.zeros_like(U)
-        for t in range(X.shape[0]):
-            value += cost.value(X[t], U[t])
-            GX[t] = cost.grad_x(X[t], U[t])
-            GU[t] = cost.grad_u(X[t], U[t])
-        grad = np.einsum("txiab,tx->iab", XPhi, GX) + np.einsum(
-            "tuiab,tu->iab", UPsi, GU
-        )
-        return value, grad
+    The Hessian comes from forward differences of the gradient in the
+    (d_z + d_u) coordinates, symmetrized; the differences are exact up to
+    rounding when the cost is quadratic in ``(z, u)``.
+    """
+    d_z = z.shape[0]
 
-    return J_and_grad
+    def half_grad(v: np.ndarray) -> np.ndarray:
+        z, u = v[:d_z], v[d_z:]
+        return 0.5 * np.concatenate((cost.grad_x(z, u), cost.grad_u(z, u)))
+
+    v = np.concatenate((z, u))
+    g = half_grad(v)
+    H = np.empty((v.size, v.size))
+    for j in range(v.size):
+        probe = v.copy()
+        probe[j] += _HESSIAN_STEP * (1.0 + abs(v[j]))
+        H[:, j] = (half_grad(probe) - g) / (probe[j] - v[j])
+    return cost.value(z, u), g, 0.5 * (H + H.T)
 
 
-# ---------------------------------------------------------------------------
-# Exact solve for quadratic costs
-# ---------------------------------------------------------------------------
-
-
-def _best_quadratic_policy(
+def _policy_pass(
     system: LinearSystem,
-    cost: QuadraticCost,
+    cost: object,
     K: np.ndarray,
     w_record: np.ndarray,
     signals: np.ndarray,
@@ -453,32 +365,37 @@ def _best_quadratic_policy(
     lag: int,
     x0: Optional[np.ndarray],
     observe: bool,
+    m: Optional[np.ndarray],
     label: str,
-) -> tuple[np.ndarray, float]:
-    """Exact minimizer of a quadratic counterfactual cost over fixed
-    disturbance-feedback policies ``u_t = K x_t + sum_{i<depth} M_i
-    s_{t-lag-i}``, with the cost charged on ``C_t x_t`` when ``observe`` and
-    on ``x_t`` otherwise.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """One forward pass of the fixed disturbance-feedback policy ``u_t = K
+    x_t + sum_{i<depth} M_i s_{t-lag-i}`` at the flattened blocks ``m``
+    (``None`` for zero blocks), with the cost charged on ``z_t = C_t x_t``
+    when ``observe`` and on ``z_t = x_t`` otherwise.
 
-    The trajectory is affine in the flattened blocks ``m``, so the total
-    cost is exactly ``J(m) = c + 2 g.m + m.G.m``.  One forward pass
-    accumulates ``G``, ``g`` and ``c``; it carries only the current state
-    sensitivity (d_x, p) and the signal window, so memory does not grow
-    with T.  ``G`` may be singular (a cost blind to some control input, or
-    no excitation), so the normal equations ``G m = -g`` are solved by
-    least squares: the minimizer is then the minimum-norm one, and the
-    optimal value is unique either way.
+    The trajectory is affine in ``m``, and the pass carries its sensitivity
+    ``L_t = d (z_t, u_t) / d m`` (d_z + d_u, p) next to the state, so memory
+    does not grow with T.  Returns the total cost ``J(m)``, half its
+    gradient ``g = sum_t L_t' grad c_t / 2``, half its Hessian ``H = sum_t
+    L_t' hess c_t L_t / 2`` and the Newton step ``dm`` solving ``H dm = -g``.
+    ``H`` may be singular (a cost blind to some control input, or no
+    excitation), so the step is a least-squares solution, the minimum-norm
+    one.  A :class:`QuadraticCost` is ``r' W r`` with ``r = (z_t, u_t) -
+    (target, 0)`` and ``W = blockdiag(Q, R)``; other costs get their stage
+    Hessians from :func:`_stage_terms`.
     """
     T, d_s = signals.shape
     d_x, d_u = system.d_x, system.d_u
+    d_z = system.d_y if observe else d_x
     p = depth * d_u * d_s
-    d_z = cost.Q.shape[0]
-    W = np.zeros((d_z + d_u, d_z + d_u))
-    W[:d_z, :d_z] = cost.Q
-    W[d_z:, d_z:] = cost.R
-    offset = np.zeros(d_z + d_u)
-    if cost.target is not None:
-        offset[:d_z] = cost.target
+    quadratic = isinstance(cost, QuadraticCost)
+    if quadratic:
+        W = np.zeros((d_z + d_u, d_z + d_u))
+        W[:d_z, :d_z] = cost.Q
+        W[d_z:, d_z:] = cost.R
+        offset = np.zeros(d_z + d_u)
+        if cost.target is not None:
+            offset[:d_z] = cost.target
     # selector[u, i, a, b] = [u == a]; times the window it gives the map
     # from the blocks to the control sum_i M_i s_{t-lag-i}.
     selector = np.eye(d_u)[:, None, :, None]
@@ -498,8 +415,11 @@ def _best_quadratic_policy(
             if t >= lag:
                 window[1:] = window[:-1]
                 window[:1] = signals[t - lag]
-            psi = K @ phi + (selector * window[:, None, :]).reshape(d_u, p)
+            S = (selector * window[:, None, :]).reshape(d_u, p)
+            psi = K @ phi + S
             u = K @ x
+            if m is not None:
+                u = u + S @ m
             if observe and C_t is not None:
                 z = C_t @ x
                 L[:d_z] = C_t @ phi
@@ -507,149 +427,114 @@ def _best_quadratic_policy(
                 z = x
                 L[:d_z] = phi
             L[d_z:] = psi
-            r = np.concatenate((z, u)) - offset
-            WL = W @ L
+            if quadratic:
+                r = np.concatenate((z, u)) - offset
+                WL = W @ L
+                g += r @ WL
+                c += float(r @ W @ r)
+            else:
+                value, half_grad, W = _stage_terms(cost, z, u)
+                WL = W @ L
+                g += half_grad @ L
+                c += value
             G += L.T @ WL
-            g += r @ WL
-            c += float(r @ W @ r)
             phi = A_t @ phi + B_t @ psi
             x = A_t @ x + B_t @ u + w_record[t]
 
     if not (np.isfinite(c) and np.isfinite(g).all() and np.isfinite(G).all()):
         raise EvaluationError(f"{label} objective became non-finite")
-    m, *_ = np.linalg.lstsq(G, -g, rcond=None)
-    value = c + float(m @ (2.0 * g + G @ m))
-    return m.reshape(depth, d_u, d_s), value
+    step, *_ = np.linalg.lstsq(G, -g, rcond=None)
+    return c, g, G, step
 
 
-# ---------------------------------------------------------------------------
-# Offline gradient descent
-# ---------------------------------------------------------------------------
-
-
-def _offline_gd(
-    J_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    m0: np.ndarray,
-    max_iter: int = COMPARATOR_MAX_ITER,
-    tol: float = COMPARATOR_TOL,
-    step_scale: Optional[float] = None,
-    label: str = "comparator",
-    warn: bool = True,
-) -> tuple[np.ndarray, float]:
-    """Gradient descent with step ``step_scale / sqrt(iter)``.
-
-    The returned point is the best iterate seen (the start included), so
-    the result never exceeds the starting objective.  A warning is issued
-    when the gradient tolerance is not reached within the budget.
-    """
-    m = m0.astype(float).copy()
-    value, grad = J_and_grad(m)
-    best_value, best_m = value, m.copy()
-
-    if step_scale is None:
-        # Probe the curvature along the first gradient to scale the steps.
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return best_m, best_value
-        delta = 1e-3 * (1.0 + float(np.linalg.norm(m))) / gnorm
-        _, grad_probe = J_and_grad(m - delta * grad)
-        curvature = float(np.linalg.norm(grad_probe - grad)) / (delta * gnorm)
-        step_scale = 1.0 / curvature if curvature > 0 else 1.0
-
-    converged = False
-    for k in range(1, max_iter + 1):
-        if float(np.linalg.norm(grad)) <= tol:
-            converged = True
-            break
-        m = m - (step_scale / np.sqrt(k)) * grad
-        value, grad = J_and_grad(m)
-        if not np.isfinite(value):
-            raise EvaluationError(f"{label} objective became non-finite")
-        if value < best_value:
-            best_value, best_m = value, m.copy()
-    else:
-        converged = float(np.linalg.norm(grad)) <= tol
-    if warn and not converged:
-        warnings.warn(
-            f"{label} gradient descent stopped at gradient norm "
-            f"{float(np.linalg.norm(grad)):.3e} > {tol:g} after {max_iter} "
-            "iterations; returning the best iterate",
-            stacklevel=2,
-        )
-    return best_m, best_value
-
-
-def _newton_polish(
-    J_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    m0: np.ndarray,
-    value0: float,
-    tol: float = COMPARATOR_TOL,
-    rounds: int = 3,
-) -> tuple[np.ndarray, float]:
-    """Newton refinement for smooth convex objectives where the sqrt-schedule
-    stalls on ill conditioning.
-
-    The Hessian is assembled from gradient differences, so only the
-    value/gradient oracle is needed; for objectives that are exactly
-    quadratic one round lands on the minimizer.  Candidates are accepted
-    only when they strictly improve, so the result never regresses.
-    """
-    m, value = m0.copy(), value0
-    _, grad = J_and_grad(m)
-    n = m.size
-    for _ in range(rounds):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol or not np.isfinite(gnorm):
-            break
-        # A wide probe step keeps the gradient differences well above float
-        # cancellation; value-guarded acceptance absorbs any curvature bias.
-        eps = 1e-3 * (1.0 + float(np.linalg.norm(m)))
-        H = np.empty((n, n))
-        flat = m.ravel()
-        for i in range(n):
-            probe = flat.copy()
-            probe[i] += eps
-            _, grad_probe = J_and_grad(probe.reshape(m.shape))
-            H[:, i] = (grad_probe - grad).ravel() / eps
-        H = 0.5 * (H + H.T)
-        delta, *_ = np.linalg.lstsq(H, grad.ravel(), rcond=None)
-        candidate = m - delta.reshape(m.shape)
-        cand_value, cand_grad = J_and_grad(candidate)
-        cand_gnorm = float(np.linalg.norm(cand_grad))
-        better_value = np.isfinite(cand_value) and cand_value < value
-        same_value = (
-            np.isfinite(cand_value)
-            and cand_value <= value + 1e-12 * (1.0 + abs(value))
-            and cand_gnorm < 0.5 * gnorm
-        )
-        if not (better_value or same_value):
-            break
-        m, value, grad = candidate, cand_value, cand_grad
-    return m, value
-
-
-def _minimize_convex(
-    J_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    m0: np.ndarray,
+def _best_policy(
+    system: LinearSystem,
+    cost: object,
+    K: np.ndarray,
+    w_record: np.ndarray,
+    signals: np.ndarray,
+    depth: int,
+    lag: int,
+    x0: Optional[np.ndarray],
+    observe: bool,
     max_iter: int,
     tol: float,
-    step_scale: Optional[float],
     label: str,
 ) -> tuple[np.ndarray, float]:
-    """Comparator optimizer: scheduled gradient descent, then a Newton
-    polish; warns only if the gradient tolerance is still unmet."""
-    m, value = _offline_gd(
-        J_and_grad, m0, max_iter, tol, step_scale, label=label, warn=False
-    )
-    m, value = _newton_polish(J_and_grad, m, value, tol)
-    _, grad = J_and_grad(m)
-    if float(np.linalg.norm(grad)) > tol:
-        warnings.warn(
-            f"{label} optimization stopped at gradient norm "
-            f"{float(np.linalg.norm(grad)):.3e} > {tol:g}; returning the best iterate",
-            stacklevel=3,
-        )
-    return m, value
+    """Minimize the counterfactual total cost of the policy of
+    :func:`_policy_pass` over its blocks by Newton's method from ``m = 0``.
+
+    For a :class:`QuadraticCost` the objective is exactly ``J(m) = J(0) + 2
+    g.m + m.H.m``, so one pass and its Newton step give the minimizer and
+    its value.  Other costs take Armijo-damped steps, one pass per trial
+    point, until the Newton decrement ``-g.dm`` (the decrease the local
+    quadratic model predicts) is at most ``tol * (1 + |J|)``; after
+    ``max_iter`` passes a warning reports the decrement.  Returns the best
+    point seen and its value.
+    """
+    shape = (depth, system.d_u, signals.shape[1])
+    args = (system, cost, K, w_record, signals, depth, lag, x0, observe)
+
+    value, g, H, step = _policy_pass(*args, None, label)
+    if isinstance(cost, QuadraticCost):
+        return step.reshape(shape), value + float(step @ (2.0 * g + H @ step))
+
+    m = np.zeros(step.size)
+    best_m, best_value = m, value
+    passes, scale = 1, 1.0
+    while True:
+        decrement = -float(g @ step)
+        if decrement <= tol * (1.0 + abs(value)):
+            break
+        if passes >= max_iter:
+            warnings.warn(
+                f"{label} stopped after {passes} Newton passes at decrement "
+                f"{decrement:.3e} > {tol:g} * (1 + |J|); returning the best point",
+                stacklevel=3,
+            )
+            break
+        trial = m + scale * step
+        trial_value, trial_g, _, trial_step = _policy_pass(*args, trial, label)
+        passes += 1
+        if trial_value < best_value:
+            best_m, best_value = trial, trial_value
+        if trial_value <= value - 1e-4 * scale * decrement:
+            m, value, g, step, scale = trial, trial_value, trial_g, trial_step, 1.0
+        else:
+            scale *= 0.5
+    return best_m.reshape(shape), best_value
+
+
+def _policy_rollout_costs(
+    system: LinearSystem,
+    cost: object,
+    K: Optional[np.ndarray],
+    Ms: np.ndarray,
+    w_record: np.ndarray,
+    signals: np.ndarray,
+    lag: int,
+    x0: Optional[object],
+    observe: bool,
+) -> np.ndarray:
+    """Per-step costs of the fixed policy ``u_t = K x_t + sum_i M_i
+    s_{t-lag-i}`` (no ``K x_t`` term when ``K`` is None), charged on ``C_t
+    x_t`` when ``observe`` and on ``x_t`` otherwise.  A plain simulation,
+    independent of :func:`_policy_pass`, so it can check the comparators."""
+    T = w_record.shape[0]
+    window = np.zeros((Ms.shape[0], signals.shape[1]))
+    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
+    out = np.zeros(T)
+    for t in range(T):
+        A_t, B_t, C_t = system.matrices(t)
+        if t >= lag:
+            window[1:] = window[:-1]
+            window[:1] = signals[t - lag]
+        u = np.einsum("iab,ib->a", Ms, window)
+        if K is not None:
+            u = K @ x + u
+        out[t] = cost.value(C_t @ x if observe and C_t is not None else x, u)
+        x = A_t @ x + B_t @ u + w_record[t]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -666,32 +551,25 @@ def best_dac_in_hindsight(
     x0: Optional[object] = None,
     max_iter: int = COMPARATOR_MAX_ITER,
     tol: float = COMPARATOR_TOL,
-    step_scale: Optional[float] = None,
 ) -> tuple[np.ndarray, float]:
     """Best fixed disturbance-action policy on a recorded run.
 
     Minimizes the exact counterfactual total cost of ``u_t = K x_t +
     sum_i M_i w_{t-i}`` over the action blocks; the objective is convex
-    because the trajectory is affine in ``M``.  A :class:`QuadraticCost` is
-    minimized exactly by solving the normal equations of that quadratic;
-    any other cost by offline gradient descent with a Newton polish, to
-    which ``max_iter``, ``tol`` and ``step_scale`` apply.  Returns ``(Ms,
-    total_cost)`` with ``Ms`` of shape (h, d_u, d_x).
+    because the trajectory is affine in ``M``.  One streamed Newton engine
+    serves every cost: a :class:`QuadraticCost` is minimized exactly by a
+    single forward pass and one least-squares solve; any other convex cost
+    by damped Newton steps from ``M = 0``, at most ``max_iter`` forward
+    passes, stopping once the Newton decrement is at most ``tol * (1 +
+    |J|)``.  Returns ``(Ms, total_cost)`` with ``Ms`` of shape (h, d_u,
+    d_x).
     """
-    w_record = np.asarray(w_record, dtype=float)
-    if w_record.ndim != 2 or w_record.shape[0] == 0:
-        raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
+    w_record = _check_record(w_record)
     K = _coerce_K(K, system.d_u, system.d_x)
-    label = "action-policy comparator"
-    if isinstance(cost, QuadraticCost):
-        return _best_quadratic_policy(
-            system, cost, K, w_record, signals=w_record, depth=int(h), lag=1,
-            x0=x0, observe=False, label=label,
-        )
-    maps = _dac_affine_maps(system, K, w_record, int(h), x0)
-    objective = _affine_objective(cost, *maps)
-    m0 = np.zeros((int(h), system.d_u, system.d_x))
-    return _minimize_convex(objective, m0, max_iter, tol, step_scale, label)
+    return _best_policy(
+        system, cost, K, w_record, w_record, int(h), 1, x0, False, max_iter, tol,
+        "action-policy comparator",
+    )
 
 
 def best_drc_in_hindsight(
@@ -702,35 +580,25 @@ def best_drc_in_hindsight(
     x0: Optional[object] = None,
     max_iter: int = COMPARATOR_MAX_ITER,
     tol: float = COMPARATOR_TOL,
-    step_scale: Optional[float] = None,
 ) -> tuple[np.ndarray, float]:
     """Best fixed disturbance-response policy on a recorded run.
 
     Minimizes the counterfactual total cost of ``u_t = sum_{i=0..h} M_i
     ynat_{t-i}`` where ``ynat`` is the zero-control observation sequence;
-    the cost consumes (observation, control) pairs.  A
-    :class:`QuadraticCost` is minimized exactly by solving the normal
-    equations of the quadratic objective; any other cost by offline
-    gradient descent with a Newton polish, to which ``max_iter``, ``tol``
-    and ``step_scale`` apply.  Returns ``(Ms, total_cost)`` with ``Ms`` of
-    shape (h+1, d_u, d_y).
+    the cost consumes (observation, control) pairs.  The same streamed
+    Newton engine as :func:`best_dac_in_hindsight` minimizes it: exactly in
+    one pass for a :class:`QuadraticCost`, otherwise by damped Newton steps
+    bounded by ``max_iter`` passes and the relative decrement ``tol``.
+    Returns ``(Ms, total_cost)`` with ``Ms`` of shape (h+1, d_u, d_y).
     """
-    w_record = np.asarray(w_record, dtype=float)
-    if w_record.ndim != 2 or w_record.shape[0] == 0:
-        raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
-    label = "response-policy comparator"
-    if isinstance(cost, QuadraticCost):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ynat = _natural_observations(system, w_record, x0)
-        K = np.zeros((system.d_u, system.d_x))
-        return _best_quadratic_policy(
-            system, cost, K, w_record, signals=ynat, depth=int(h) + 1, lag=0,
-            x0=x0, observe=True, label=label,
-        )
-    maps = _drc_affine_maps(system, w_record, int(h), x0)
-    objective = _affine_objective(cost, *maps)
-    m0 = np.zeros((int(h) + 1, system.d_u, system.d_y))
-    return _minimize_convex(objective, m0, max_iter, tol, step_scale, label)
+    w_record = _check_record(w_record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ynat = _natural_observations(system, w_record, x0)
+    K = np.zeros((system.d_u, system.d_x))
+    return _best_policy(
+        system, cost, K, w_record, ynat, int(h) + 1, 0, x0, True, max_iter, tol,
+        "response-policy comparator",
+    )
 
 
 def _linear_objective(
@@ -792,8 +660,8 @@ def _local_descent(
     J_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     value_only: Callable[[np.ndarray], float],
     m0: np.ndarray,
-    max_iter: int = 300,
-    tol: float = COMPARATOR_TOL,
+    max_iter: int,
+    tol: float,
 ) -> tuple[np.ndarray, float]:
     """Gradient descent with Armijo backtracking (for non-convex objectives
     where a fixed schedule stalls).  Returns the best point seen."""
@@ -827,8 +695,7 @@ def best_linear_in_hindsight(
     x0: Optional[object] = None,
     starts: Optional[Sequence[object]] = None,
     max_iter: int = 300,
-    tol: float = COMPARATOR_TOL,
-    step_scale: Optional[float] = None,
+    tol: float = 1e-8,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Best fixed linear gain on a recorded run (multi-start local search).
@@ -838,9 +705,7 @@ def best_linear_in_hindsight(
     (when solvable), from zero, and from two perturbed copies, and the
     best local result wins.
     """
-    w_record = np.asarray(w_record, dtype=float)
-    if w_record.ndim != 2 or w_record.shape[0] == 0:
-        raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
+    w_record = _check_record(w_record)
     objective, value_only = _linear_objective(system, cost, w_record, x0)
 
     if starts is None:
@@ -881,23 +746,11 @@ def dac_rollout_costs(
 ) -> np.ndarray:
     """Exact per-step counterfactual costs of a fixed action policy."""
     w_record = np.asarray(w_record, dtype=float)
-    Ms = np.asarray(Ms, dtype=float)
     K = _coerce_K(K, system.d_u, system.d_x)
-    h = Ms.shape[0]
-    T = w_record.shape[0]
-    V = _signal_windows(w_record, h, lag=1)
-    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    out = np.zeros(T)
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        u = K @ x + np.einsum("iab,ib->a", Ms, V[t])
-        if cost_on == "observation":
-            signal = (np.eye(system.d_x) if C_t is None else C_t) @ x
-        else:
-            signal = x
-        out[t] = cost.value(signal, u)
-        x = A_t @ x + B_t @ u + w_record[t]
-    return out
+    return _policy_rollout_costs(
+        system, cost, K, np.asarray(Ms, dtype=float), w_record, w_record, 1, x0,
+        cost_on == "observation",
+    )
 
 
 def drc_rollout_costs(
@@ -910,18 +763,10 @@ def drc_rollout_costs(
     """Exact per-step counterfactual costs of a fixed response policy
     (cost on observation/control pairs)."""
     w_record = np.asarray(w_record, dtype=float)
-    Ms = np.asarray(Ms, dtype=float)
-    T = w_record.shape[0]
-    Y = _signal_windows(_natural_observations(system, w_record, x0), Ms.shape[0], lag=0)
-
-    out = np.zeros(T)
-    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        u = np.einsum("iab,ib->a", Ms, Y[t])
-        out[t] = cost.value(x if C_t is None else C_t @ x, u)
-        x = A_t @ x + B_t @ u + w_record[t]
-    return out
+    ynat = _natural_observations(system, w_record, x0)
+    return _policy_rollout_costs(
+        system, cost, None, np.asarray(Ms, dtype=float), w_record, ynat, 0, x0, True
+    )
 
 
 def linear_rollout_costs(
@@ -1178,6 +1023,16 @@ def _build_controller(
     )
 
 
+#: Options each comparator kind accepts besides ``kind`` and ``h``.
+_COMPARATOR_OPTIONS = {
+    "best-dac": {"K", "max_iter", "tol"},
+    "best-drc": {"max_iter", "tol"},
+    "best-linear": {"starts", "max_iter", "tol"},
+    "zero": set(),
+    "none": set(),
+}
+
+
 class _SilentCost:
     """Stand-in for simulate() when the scenario cost consumes observations;
     real per-step costs are recomputed from the trajectory afterwards."""
@@ -1202,6 +1057,20 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
     )
     callback, label, K_learner = _build_controller(config)
 
+    comp_spec = dict(config.comparator)
+    comp_kind = comp_spec.pop("kind", None)
+    if comp_kind is None:
+        comp_kind = "best-drc" if label == "grc" else "best-dac"
+    if comp_kind not in _COMPARATOR_OPTIONS:
+        raise ConfigurationError(
+            f"unknown comparator kind {comp_kind!r}; expected best-dac, best-drc, "
+            "best-linear, zero, or none"
+        )
+    comp_h = int(comp_spec.pop("h", config.controller.get("h", 5)))
+    unknown = sorted(set(comp_spec) - _COMPARATOR_OPTIONS[comp_kind])
+    if unknown:
+        raise ConfigurationError(f"unknown {comp_kind} options: {unknown}")
+
     sim_cost = _SilentCost() if config.cost_on == "observation" else cost
     trajectory = simulate(
         system,
@@ -1221,12 +1090,6 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         )
     else:
         costs = trajectory.costs
-
-    comp_spec = dict(config.comparator)
-    comp_kind = comp_spec.pop("kind", None)
-    if comp_kind is None:
-        comp_kind = "best-drc" if label == "grc" else "best-dac"
-    comp_h = int(comp_spec.pop("h", config.controller.get("h", 5)))
 
     if comp_kind == "best-dac":
         if config.cost_on == "observation":
@@ -1263,13 +1126,8 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
             config.x0,
             cost_on=config.cost_on,
         )
-    elif comp_kind == "none":
+    else:  # "none"
         comparator_costs = np.zeros(T)
-    else:
-        raise ConfigurationError(
-            f"unknown comparator kind {comp_kind!r}; expected best-dac, best-drc, "
-            "best-linear, zero, or none"
-        )
 
     report = RegretReport(
         controller=label,
@@ -1340,7 +1198,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     The format is flat ``key = value`` text under ``[section]`` headers:
     ``[system]`` (a ``preset`` name, or ``A``/``B``/``C`` matrix file
     references), ``[perturbation]``, ``[cost]`` (``Q``/``R`` matrix files),
-    ``[controller]``, and ``[run]`` (``horizon``, ``seed``, ``out``).
+    ``[controller]``, ``[comparator]`` (``kind``, ``h``, ``K``,
+    ``max_iter``, ``tol``), and ``[run]`` (``horizon``, ``seed``, ``out``).
     Matrix paths are relative to the config file.  ``overrides`` may
     replace ``horizon``, ``seed``, and ``out``.
     """
@@ -1408,23 +1267,28 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         perturbation = _parse_perturbation(sections["perturbation"], base_dir)
 
     controller = dict(sections.get("controller", {"kind": "zero"}))
-    for key in ("h", "h_trunc"):
-        if key in controller:
-            controller["H_trunc" if key == "h_trunc" else key] = (
-                int(controller.pop(key)) if key == "h_trunc" else int(controller[key])
-            )
-    for key in ("radius", "step_size"):
-        if key in controller:
-            controller[key] = float(controller[key])
-    if "k" in controller:
-        value = controller.pop("k")
-        controller["K"] = (
-            value if value in ("lqr", "zero") else load_matrix(os.path.join(base_dir, value))
-        )
-
     comparator = dict(sections.get("comparator", {}))
-    if "h" in comparator:
-        comparator["h"] = int(comparator["h"])
+    # configparser lowercases keys and returns strings.
+    if "h_trunc" in controller:
+        controller["H_trunc"] = controller.pop("h_trunc")
+    for spec, numbers in (
+        (controller, {"h": int, "H_trunc": int, "radius": float, "step_size": float}),
+        (comparator, {"h": int, "max_iter": int, "tol": float}),
+    ):
+        for key, kind in numbers.items():
+            if key in spec:
+                try:
+                    spec[key] = kind(spec[key])
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{key} = {spec[key]!r} is not a valid {kind.__name__}"
+                    ) from None
+        # A gain is a preset name or a matrix file.
+        if "k" in spec:
+            value = spec.pop("k")
+            spec["K"] = (
+                value if value in ("lqr", "zero") else load_matrix(os.path.join(base_dir, value))
+            )
 
     horizon = int(overrides.get("horizon", run_sec.get("horizon", 100)))
     seed = int(overrides.get("seed", run_sec.get("seed", 0)))

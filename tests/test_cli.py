@@ -113,6 +113,41 @@ horizon = 200
         assert "T=80" in out
 
 
+def _regret_from_config(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return run_cli(["regret", "--config", path])
+
+
+def test_regret_config_rejects_unknown_comparator_option():
+    # The gain key, lowercased by the config parser, is a known option; the
+    # unknown one is a configuration error, not a TypeError traceback.
+    code, _, err = _regret_from_config(
+        "[system]\npreset = scalar-0.9\n\n[controller]\nkind = zero\n\n"
+        "[comparator]\nkind = best-dac\nk = zero\nbogus = 1\n\n[run]\nhorizon = 20\n"
+    )
+    assert code == 2
+    assert "unknown best-dac options: ['bogus']" in err
+
+    code, _, err = _regret_from_config(
+        "[system]\npreset = ventilator\n\n[controller]\nkind = zero\n\n"
+        "[comparator]\nkind = best-drc\nmax_iter = many\n\n[run]\nhorizon = 20\n"
+    )
+    assert code == 2
+    assert "max_iter = 'many' is not a valid int" in err
+
+
+def test_regret_config_comparator_budget_options():
+    code, out, _ = _regret_from_config(
+        "[system]\npreset = ventilator\n\n[controller]\nkind = zero\n\n"
+        "[comparator]\nkind = best-drc\nmax_iter = 100\ntol = 1e-9\n\n[run]\nhorizon = 60\n"
+    )
+    assert code == 0
+    assert "comparator=best-drc T=60" in out
+
+
 def test_sysid_subcommand():
     with tempfile.TemporaryDirectory() as tmp:
         code, out, _ = run_cli(

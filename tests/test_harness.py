@@ -3,8 +3,9 @@ regret reports, artifact serialization, and the experiment driver.
 
 Comparator optimizers are checked against independent oracles: exact
 quadratic fits and dense grids for scalar problems, brute-force rollouts
-for the counterfactual cost accounting, and stationarity probes at the
-returned optimum.
+for the counterfactual cost accounting, least squares on trajectory maps
+read off plain policy rollouts, scipy minimization of rollout totals, and
+stationarity probes at the returned optimum.
 """
 
 import os
@@ -14,6 +15,8 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,8 +45,10 @@ from nscontrol.lds_core import (
     LinearSystem,
     PerturbationSource,
     QuadraticCost,
+    simulate,
 )
 from nscontrol.optimal_control import dare_solve
+from nscontrol.policies import DACPolicy, DRCPolicy, policy_runner
 from nscontrol.serialize import (
     load_matrix,
     read_csv,
@@ -461,17 +466,61 @@ def _random_comparator_problem(seed, d_x, d_u, d_y, T, observe, with_target, sin
     return system, cost, K, w, rng.standard_normal(d_x)
 
 
-def _iterative_reference(cost):
-    """The same quadratic behind a callable cost, which routes the
-    comparator through offline gradient descent and the Newton polish.
-    Callers pass ``tol=0`` so the polish runs all its rounds: on an
-    ill-conditioned problem the default gradient tolerance stops it
-    measurably short of the optimum."""
+_SILENT = CallableCost(fn=lambda x, u: 0.0, gx=None, gu=None)
+
+
+def _policy_signals(system, policy, w, x0, observe):
+    """Stacked ``(z_t, u_t)`` of one plain rollout of a fixed policy, with
+    ``z_t`` the observation when ``observe`` and the state otherwise."""
+    traj = simulate(
+        system, policy_runner(policy, system), PerturbationSource.recorded(w),
+        _SILENT, w.shape[0], x0=x0,
+    )
+    z = traj.observations if observe else traj.states[:-1]
+    return np.hstack([z, traj.controls]).ravel()
+
+
+def _lstsq_reference(system, cost, w, x0, shape, make_policy, observe):
+    """Optimal total cost of a fixed policy class, computed without the
+    comparator engine: the affine map from the flattened blocks to the
+    stacked trajectory is read off column by column from p + 1 plain
+    rollouts, and the sqrt(W)-weighted stacked rows are solved by
+    least squares."""
+    p = int(np.prod(shape))
+    v0 = _policy_signals(system, make_policy(np.zeros(shape)), w, x0, observe)
+    columns = []
+    for j in range(p):
+        M = np.zeros(p)
+        M[j] = 1.0
+        v = _policy_signals(system, make_policy(M.reshape(shape)), w, x0, observe)
+        columns.append(v - v0)
+    d_z = cost.Q.shape[0]
+    W = scipy.linalg.block_diag(cost.Q, cost.R)
+    eig, vecs = np.linalg.eigh(W)
+    sqrt_W = (vecs * np.sqrt(np.clip(eig, 0.0, None))) @ vecs.T
+    offset = np.zeros(W.shape[0])
+    if cost.target is not None:
+        offset[:d_z] = cost.target
+    n = W.shape[0]
+    T = w.shape[0]
+    # Row block t holds sqrt(W) (v_t(m) - offset) = a_t + E_t m.
+    a = ((v0.reshape(T, n) - offset) @ sqrt_W.T).ravel()
+    E = np.stack([(c.reshape(T, n) @ sqrt_W.T).ravel() for c in columns], axis=1)
+    # Singular values below rounding level are dropped, as by numpy's
+    # default cutoff: the blocks may be redundant (ynat confined to a
+    # subspace, a cost blind to some input).
+    m, *_ = scipy.linalg.lstsq(E, -a, cond=np.finfo(float).eps * max(E.shape))
+    return float(np.sum((a + E @ m) ** 2))
+
+
+def _callable(cost):
+    """The same quadratic behind a callable cost, which takes the
+    comparator's damped-Newton path instead of the single exact pass."""
     return CallableCost(fn=cost.value, gx=cost.grad_x, gu=cost.grad_u)
 
 
 def _assert_same_optimum(value, ref, total, zero_total):
-    """``value`` matches the iterative optimum ``ref`` and the rollout
+    """``value`` matches the reference optimum ``ref`` and the rollout
     total of the returned blocks to 1e-9, relative to the larger of the
     optimum and the cost at M = 0.  When the optimum is a tiny fraction of
     the cost at M = 0, large blocks cancel most of that cost and each
@@ -503,14 +552,17 @@ def test_best_dac_exact_solve_matches_iterative(
     )
     Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
     assert Ms.shape == (h, d_u, d_x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, ref = best_dac_in_hindsight(
-            system, _iterative_reference(cost), K, w, h, x0, max_iter=50, tol=0.0
-        )
+    ref = _lstsq_reference(
+        system, cost, w, x0, Ms.shape, lambda M: DACPolicy(K, list(M)), observe=False
+    )
     total = dac_rollout_costs(system, cost, K, Ms, w, x0).sum()
     zero_total = dac_rollout_costs(system, cost, K, np.zeros_like(Ms), w, x0).sum()
     _assert_same_optimum(value, ref, total, zero_total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Ms_cb, value_cb = best_dac_in_hindsight(system, _callable(cost), K, w, h, x0)
+    total_cb = dac_rollout_costs(system, cost, K, Ms_cb, w, x0).sum()
+    _assert_same_optimum(value_cb, ref, total_cb, zero_total)
 
 
 @settings(max_examples=20, deadline=None)
@@ -524,8 +576,9 @@ def test_best_dac_exact_solve_matches_iterative(
     with_target=st.booleans(),
     singular_R=st.booleans(),
 )
-# Costless control acting through C B = 1.3e-3: with its default gradient
-# tolerance the iterative reference stops 3.4e-6 relative above the optimum.
+# Costless control acting through C B = 1.3e-3: an iterative solve that
+# stops on an absolute gradient norm of 1e-8 ends 3.4e-6 relative above
+# the optimum.
 @example(seed=300, d_x=1, d_u=1, d_y=1, h=1, T=5, with_target=True, singular_R=True)
 def test_best_drc_exact_solve_matches_iterative(
     seed, d_x, d_u, d_y, h, T, with_target, singular_R
@@ -535,26 +588,83 @@ def test_best_drc_exact_solve_matches_iterative(
     )
     Ms, value = best_drc_in_hindsight(system, cost, w, h, x0)
     assert Ms.shape == (h + 1, d_u, d_y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, ref = best_drc_in_hindsight(
-            system, _iterative_reference(cost), w, h, x0, max_iter=50, tol=0.0
-        )
+    ref = _lstsq_reference(
+        system, cost, w, x0, Ms.shape, lambda M: DRCPolicy(list(M), d_x), observe=True
+    )
     total = drc_rollout_costs(system, cost, Ms, w, x0).sum()
     zero_total = drc_rollout_costs(system, cost, np.zeros_like(Ms), w, x0).sum()
     _assert_same_optimum(value, ref, total, zero_total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Ms_cb, value_cb = best_drc_in_hindsight(system, _callable(cost), w, h, x0)
+    total_cb = drc_rollout_costs(system, cost, Ms_cb, w, x0).sum()
+    _assert_same_optimum(value_cb, ref, total_cb, zero_total)
+
+
+def _log_cosh_problem():
+    """A non-quadratic convex comparator problem: sum of log cosh over the
+    state plus u^2, on a stable 2-state system, with p = 4 blocks."""
+    rng = np.random.default_rng(41)
+    system = LinearSystem.time_invariant([[0.7, 0.2], [-0.1, 0.6]], [[0.5], [1.0]])
+    cost = CallableCost(
+        fn=lambda x, u: float(np.sum(np.log(np.cosh(x))) + u @ u),
+        gx=lambda x, u: np.tanh(x),
+        gu=lambda x, u: 2.0 * u,
+    )
+    w = 1.5 * rng.standard_normal((60, 2))
+    K = np.array([[0.1, -0.2]])
+    return system, cost, K, w, np.array([2.0, -1.0])
+
+
+def test_best_dac_non_quadratic_cost_matches_scipy():
+    system, cost, K, w, x0 = _log_cosh_problem()
+    h = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
+
+    def total(m):
+        return dac_rollout_costs(system, cost, K, m.reshape(h, 1, 2), w, x0).sum()
+
+    ref = scipy.optimize.minimize(total, np.zeros(2 * h), method="BFGS", tol=1e-12)
+    assert value == pytest.approx(total(Ms.ravel()), rel=1e-12)
+    assert value <= ref.fun + 1e-12 * ref.fun
+    assert value == pytest.approx(ref.fun, rel=1e-9)
+    assert np.allclose(Ms.ravel(), ref.x, atol=1e-4)
+
+
+def test_comparator_warns_when_newton_budget_runs_out():
+    system, cost, K, w, x0 = _log_cosh_problem()
+    with pytest.warns(UserWarning, match="action-policy comparator stopped after 1 Newton"):
+        Ms, value = best_dac_in_hindsight(system, cost, K, w, 2, x0, max_iter=1)
+    assert np.all(Ms == 0.0)
+    assert value == pytest.approx(dac_rollout_costs(system, cost, K, Ms, w, x0).sum())
+
+
+def test_ventilator_comparator_long_horizon():
+    # Pinned from the gradient-descent comparator this engine replaced,
+    # which stopped at gradient norm 6.2e-8 with a warning.
+    bp = scenario_presets()["ventilator"]
+    w = generate_perturbations(bp.perturbation, 1000, 1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Ms, value = best_drc_in_hindsight(bp.system, bp.cost, w, 3, bp.x0)
+    total = drc_rollout_costs(bp.system, bp.cost, Ms, w, bp.x0).sum()
+    assert total <= 2142.774398593744 * (1.0 + 1e-12)
+    assert value == pytest.approx(total, rel=1e-12)
 
 
 def test_comparators_raise_typed_error_on_divergence():
     system = LinearSystem.time_invariant([[1.5]], [[1.0]])
-    cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
+    quadratic = QuadraticCost(Q=np.eye(1), R=np.eye(1))
     w = np.ones((3000, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EvaluationError, match="objective became non-finite"):
-            best_dac_in_hindsight(system, cost, [[0.0]], w, h=2)
-        with pytest.raises(EvaluationError, match="objective became non-finite"):
-            best_drc_in_hindsight(system, cost, w, h=2)
+        for cost in (quadratic, _callable(quadratic)):
+            with pytest.raises(EvaluationError, match="objective became non-finite"):
+                best_dac_in_hindsight(system, cost, [[0.0]], w, h=2)
+            with pytest.raises(EvaluationError, match="objective became non-finite"):
+                best_drc_in_hindsight(system, cost, w, h=2)
 
 
 def test_best_linear_matches_grid_scalar():
