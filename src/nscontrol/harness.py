@@ -28,7 +28,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +72,9 @@ COMPARATOR_TOL = 1e-10
 #: Relative step of the gradient differences that give the stage Hessian of
 #: a non-quadratic cost.
 _HESSIAN_STEP = 1e-4
+#: Bytes one per-chunk buffer of the comparator passes, rollouts and natural
+#: observations may hold; the chunk length follows from it.
+_CHUNK_BYTES = 128 * 1024
 
 
 def component_seed(master: int, tag: str) -> int:
@@ -315,18 +318,79 @@ def _check_record(w_record: object) -> np.ndarray:
     return w_record
 
 
+class _PolicyClass(NamedTuple):
+    """Fixed policies ``u_t = K x_t + sum_{i<depth} M_i s_{t-lag-i}`` on a
+    recorded run, charged on ``z_t = C_t x_t`` when ``observe``, else on
+    ``z_t = x_t``.  DAC: signal w, lag 1; DRC: signal ynat, lag 0, K = 0."""
+
+    system: LinearSystem
+    K: np.ndarray
+    w_record: np.ndarray
+    signals: np.ndarray
+    depth: int
+    lag: int
+    x0: Optional[np.ndarray]
+    observe: bool
+
+
+def _chunks(system: LinearSystem, T: int, width: int) -> Iterator[tuple]:
+    """The run in chunks of steps, as ``(start, A, B, C)`` stacks of the
+    chunk's matrices (``C_t = None`` stacked as the identity).  Each step's
+    ``system.matrices(t)`` is copied into the stacks as soon as it is
+    fetched, since a provider may overwrite the buffers it hands out.  A
+    chunk keeps every buffer within ``_CHUNK_BYTES`` when one step of the
+    widest takes ``width`` floats."""
+    d_x, d_u, d_y = system.d_x, system.d_u, system.d_y
+    n = max(1, min(T, _CHUNK_BYTES // (8 * max(width, d_x * max(d_x, d_u, d_y)))))
+    A, B, C = np.empty((n, d_x, d_x)), np.empty((n, d_x, d_u)), np.empty((n, d_y, d_x))
+    identity = np.eye(d_y, d_x)
+    for start in range(0, T, n):
+        stop = min(start + n, T)
+        for k in range(stop - start):
+            A[k], B[k], C_t = system.matrices(start + k)
+            C[k] = identity if C_t is None else C_t
+        yield start, A[: stop - start], B[: stop - start], C[: stop - start]
+
+
+def _affine_recursion(F: np.ndarray, E: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """States of ``x_{t+1} = F_t x_t + E_t r_t`` over a chunk, from the
+    vector or matrix state ``x`` entering it (row 0) to the one leaving it
+    (last row), with the inputs ``r_t`` known in advance.  The one
+    sequential loop of the comparator passes, rollouts and natural
+    observations: a step is one product ``[F_t | E_t] [x_t; r_t]`` written
+    in place, with the inputs stacked under the state."""
+    d = x.shape[0]
+    Z = np.empty((F.shape[0] + 1, d + r.shape[1]) + x.shape[1:])
+    Z[0, :d] = x
+    Z[:-1, d:] = r
+    for FE_t, z_t, x_next in zip(np.concatenate((F, E), axis=2), Z, Z[1:, :d]):
+        FE_t.dot(z_t, out=x_next)
+    return Z[:, :d]
+
+
+def _signal_windows(signals: np.ndarray, depth: int, lag: int) -> np.ndarray:
+    """``windows[t, i] = s_{t-lag-i}``, zero before the record starts: a
+    (T, depth, d_s) Hankel view of one zero-padded copy of the signals."""
+    T, d_s = signals.shape
+    padded = np.zeros((depth + lag + T, d_s))
+    padded[depth + lag :] = signals
+    windows = np.lib.stride_tricks.sliding_window_view(padded[1:], depth, axis=0)
+    return windows[:T, :, ::-1].transpose(0, 2, 1)
+
+
 def _natural_observations(
     system: LinearSystem, w_record: np.ndarray, x0: Optional[np.ndarray]
 ) -> np.ndarray:
     """Observations ``ynat_t = C_t x_t`` of the zero-control rollout: the
     signal that disturbance-response policies act on."""
     T = w_record.shape[0]
-    ynat = np.zeros((T, system.d_y))
+    ynat = np.empty((T, system.d_y))
     x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    for t in range(T):
-        A_t, _, C_t = system.matrices(t)
-        ynat[t] = x if C_t is None else C_t @ x
-        x = A_t @ x + w_record[t]
+    for start, A, _, C in _chunks(system, T, system.d_x + 1):
+        n = A.shape[0]
+        X = _affine_recursion(A, w_record[start : start + n, :, None], x, np.ones((n, 1)))
+        ynat[start : start + n] = np.matmul(C, X[:-1, :, None])[..., 0]
+        x = X[-1]
     return ynat
 
 
@@ -356,91 +420,72 @@ def _stage_terms(
 
 
 def _policy_pass(
-    system: LinearSystem,
-    cost: object,
-    K: np.ndarray,
-    w_record: np.ndarray,
-    signals: np.ndarray,
-    depth: int,
-    lag: int,
-    x0: Optional[np.ndarray],
-    observe: bool,
-    m: Optional[np.ndarray],
-    label: str,
+    policies: _PolicyClass, cost: object, m: Optional[np.ndarray], label: str
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """One forward pass of the fixed disturbance-feedback policy ``u_t = K
-    x_t + sum_{i<depth} M_i s_{t-lag-i}`` at the flattened blocks ``m``
-    (``None`` for zero blocks), with the cost charged on ``z_t = C_t x_t``
-    when ``observe`` and on ``z_t = x_t`` otherwise.
+    """One forward pass at the flat blocks ``m`` (``None`` for zero), whose
+    control sum is ``S_t m = sum_{i<depth} M_i s_{t-lag-i}``.
 
-    The trajectory is affine in ``m``, and the pass carries its sensitivity
-    ``L_t = d (z_t, u_t) / d m`` (d_z + d_u, p) next to the state, so memory
-    does not grow with T.  Returns the total cost ``J(m)``, half its
-    gradient ``g = sum_t L_t' grad c_t / 2``, half its Hessian ``H = sum_t
-    L_t' hess c_t L_t / 2`` and the Newton step ``dm`` solving ``H dm = -g``.
-    ``H`` may be singular (a cost blind to some control input, or no
-    excitation), so the step is a least-squares solution, the minimum-norm
-    one.  A :class:`QuadraticCost` is ``r' W r`` with ``r = (z_t, u_t) -
-    (target, 0)`` and ``W = blockdiag(Q, R)``; other costs get their stage
-    Hessians from :func:`_stage_terms`.
+    The state is affine in ``m``, ``x_t(m) = x_t(0) + Phi_t m``:
+    :func:`_affine_recursion` steps ``[Phi_t | x_t(0)]`` with ``F_t = A_t +
+    B_t K`` and the input ``[B_t S_t | w_t]``, and all other work is done
+    per chunk of steps, so memory is bounded by one chunk.  Returns ``J(m)``,
+    half its gradient ``g = sum_t L_t' grad c_t / 2``, half its Hessian ``H
+    = sum_t L_t' hess c_t L_t / 2`` (``L_t = d (z_t, u_t) / d m``) and the
+    minimum-norm least-squares Newton step of ``H dm = -g`` (``H`` may be
+    singular: a cost blind to some input, or no excitation).  A
+    :class:`QuadraticCost` is ``r' W r``, ``r = (z_t, u_t) - (target, 0)``,
+    ``W = blockdiag(Q, R)``: one product per chunk adds to ``H``, ``g`` and
+    ``J``.  Other costs get stage Hessians from :func:`_stage_terms`.
     """
+    system, K, w_record, signals, depth, lag, x0, observe = policies
     T, d_s = signals.shape
     d_x, d_u = system.d_x, system.d_u
     d_z = system.d_y if observe else d_x
-    p = depth * d_u * d_s
+    d_v, p = d_z + d_u, depth * d_u * d_s
     quadratic = isinstance(cost, QuadraticCost)
     if quadratic:
-        W = np.zeros((d_z + d_u, d_z + d_u))
-        W[:d_z, :d_z] = cost.Q
-        W[d_z:, d_z:] = cost.R
-        offset = np.zeros(d_z + d_u)
-        if cost.target is not None:
-            offset[:d_z] = cost.target
-    # selector[u, i, a, b] = [u == a]; times the window it gives the map
-    # from the blocks to the control sum_i M_i s_{t-lag-i}.
-    selector = np.eye(d_u)[:, None, :, None]
-
-    window = np.zeros((depth, d_s))
-    x = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
-    phi = np.zeros((d_x, p))  # d x_t / d m
-    L = np.zeros((d_z + d_u, p))  # d (z_t, u_t) / d m
-    G = np.zeros((p, p))
-    g = np.zeros(p)
-    c = 0.0
+        W = np.block([[cost.Q, np.zeros((d_z, d_u))], [np.zeros((d_u, d_z)), cost.R]])
+        offset = np.zeros(d_v)
+        offset[:d_z] = 0.0 if cost.target is None else cost.target
+    windows = _signal_windows(signals, depth, lag)
+    x = np.zeros((d_x, p + 1))  # [Phi_t | x_t(0)]
+    x[:, p] = 0.0 if x0 is None else x0
+    gram, g, c = np.zeros((p + 1, p + 1)), np.zeros(p), 0.0
     # A diverging rollout overflows; the finiteness check below turns that
     # into an EvaluationError.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            A_t, B_t, C_t = system.matrices(t)
-            if t >= lag:
-                window[1:] = window[:-1]
-                window[:1] = signals[t - lag]
-            S = (selector * window[:, None, :]).reshape(d_u, p)
-            psi = K @ phi + S
-            u = K @ x
+        for start, A, B, C in _chunks(system, T, max(d_x + d_u + 1, d_v) * (p + 1)):
+            n = A.shape[0]
+            # [B_t S_t | w_t] = [B_t | w_t] R_t, R_t = blockdiag(S_t, 1), with
+            # S[t, a, (i, a', b)] = [a == a'] s_{t-lag-i, b}.
+            R = np.zeros((n, d_u + 1, p + 1))
+            R[:, :d_u, :p] = (np.eye(d_u)[:, None, :, None]
+                              * windows[start : start + n, None, :, None, :]).reshape(n, d_u, p)
+            R[:, d_u, p] = 1.0
+            E = np.concatenate((B, w_record[start : start + n, :, None]), axis=2)
+            X = _affine_recursion(A + np.matmul(B, K), E, x, R)
+            x = X[-1]
+            # Y_t = [L_t | (z_t, u_t)]: the sensitivity, then the values at m.
+            Y = np.empty((n, d_v, p + 1))
+            Y[:, :d_z] = np.matmul(C, X[:-1]) if observe else X[:-1]
+            Y[:, d_z:] = np.matmul(K, X[:-1]) + R[:, :d_u]
             if m is not None:
-                u = u + S @ m
-            if observe and C_t is not None:
-                z = C_t @ x
-                L[:d_z] = C_t @ phi
-            else:
-                z = x
-                L[:d_z] = phi
-            L[d_z:] = psi
+                Y[..., p] += np.matmul(Y[..., :p], m)
             if quadratic:
-                r = np.concatenate((z, u)) - offset
-                WL = W @ L
-                g += r @ WL
-                c += float(r @ W @ r)
+                Y[..., p] -= offset
+                HY = np.matmul(W, Y)
             else:
-                value, half_grad, W = _stage_terms(cost, z, u)
-                WL = W @ L
-                g += half_grad @ L
-                c += value
-            G += L.T @ WL
-            phi = A_t @ phi + B_t @ psi
-            x = A_t @ x + B_t @ u + w_record[t]
+                half_grads, H = np.empty((n, d_v)), np.empty((n, d_v, d_v))
+                for k, v in enumerate(Y[..., p]):
+                    value, half_grads[k], H[k] = _stage_terms(cost, v[:d_z], v[d_z:])
+                    c += value
+                g += half_grads.ravel() @ Y[..., :p].reshape(n * d_v, p)
+                HY = np.matmul(H, Y)
+            gram += Y.reshape(n * d_v, p + 1).T @ HY.reshape(n * d_v, p + 1)
 
+    G = gram[:p, :p]
+    if quadratic:
+        g, c = gram[:p, p], float(gram[p, p])
     if not (np.isfinite(c) and np.isfinite(g).all() and np.isfinite(G).all()):
         raise EvaluationError(f"{label} objective became non-finite")
     step, *_ = np.linalg.lstsq(G, -g, rcond=None)
@@ -448,21 +493,10 @@ def _policy_pass(
 
 
 def _best_policy(
-    system: LinearSystem,
-    cost: object,
-    K: np.ndarray,
-    w_record: np.ndarray,
-    signals: np.ndarray,
-    depth: int,
-    lag: int,
-    x0: Optional[np.ndarray],
-    observe: bool,
-    max_iter: int,
-    tol: float,
-    label: str,
+    policies: _PolicyClass, cost: object, max_iter: int, tol: float, label: str
 ) -> tuple[np.ndarray, float]:
-    """Minimize the counterfactual total cost of the policy of
-    :func:`_policy_pass` over its blocks by Newton's method from ``m = 0``.
+    """Minimize the counterfactual total cost over the policy blocks by
+    Newton's method from ``m = 0``, one :func:`_policy_pass` per point.
 
     For a :class:`QuadraticCost` the objective is exactly ``J(m) = J(0) + 2
     g.m + m.H.m``, so one pass and its Newton step give the minimizer and
@@ -472,10 +506,8 @@ def _best_policy(
     ``max_iter`` passes a warning reports the decrement.  Returns the best
     point seen and its value.
     """
-    shape = (depth, system.d_u, signals.shape[1])
-    args = (system, cost, K, w_record, signals, depth, lag, x0, observe)
-
-    value, g, H, step = _policy_pass(*args, None, label)
+    shape = (policies.depth, policies.system.d_u, policies.signals.shape[1])
+    value, g, H, step = _policy_pass(policies, cost, None, label)
     if isinstance(cost, QuadraticCost):
         return step.reshape(shape), value + float(step @ (2.0 * g + H @ step))
 
@@ -494,7 +526,7 @@ def _best_policy(
             )
             break
         trial = m + scale * step
-        trial_value, trial_g, _, trial_step = _policy_pass(*args, trial, label)
+        trial_value, trial_g, _, trial_step = _policy_pass(policies, cost, trial, label)
         passes += 1
         if trial_value < best_value:
             best_m, best_value = trial, trial_value
@@ -505,35 +537,31 @@ def _best_policy(
     return best_m.reshape(shape), best_value
 
 
-def _policy_rollout_costs(
-    system: LinearSystem,
-    cost: object,
-    K: Optional[np.ndarray],
-    Ms: np.ndarray,
-    w_record: np.ndarray,
-    signals: np.ndarray,
-    lag: int,
-    x0: Optional[object],
-    observe: bool,
-) -> np.ndarray:
-    """Per-step costs of the fixed policy ``u_t = K x_t + sum_i M_i
-    s_{t-lag-i}`` (no ``K x_t`` term when ``K`` is None), charged on ``C_t
-    x_t`` when ``observe`` and on ``x_t`` otherwise.  A plain simulation,
-    independent of :func:`_policy_pass`, so it can check the comparators."""
+def _policy_rollout_costs(policies: _PolicyClass, cost: object, Ms: np.ndarray) -> np.ndarray:
+    """Per-step costs of the policy with blocks ``Ms``: a plain closed-loop
+    simulation, not the sensitivity recursion of :func:`_policy_pass`, so it
+    can check the comparators.  One einsum over the signal windows gives
+    every control sum ``v_t``; :func:`_affine_recursion` then steps ``x_{t+1}
+    = (A_t + B_t K) x_t + [B_t | w_t] [v_t; 1]``, and other buffers are
+    bounded by one chunk."""
+    system, K, w_record, signals, _, lag, x0, observe = policies
     T = w_record.shape[0]
-    window = np.zeros((Ms.shape[0], signals.shape[1]))
+    v = np.einsum("iab,tib->ta", Ms, _signal_windows(signals, Ms.shape[0], lag))
     x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    out = np.zeros(T)
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        if t >= lag:
-            window[1:] = window[:-1]
-            window[:1] = signals[t - lag]
-        u = np.einsum("iab,ib->a", Ms, window)
-        if K is not None:
-            u = K @ x + u
-        out[t] = cost.value(C_t @ x if observe and C_t is not None else x, u)
-        x = A_t @ x + B_t @ u + w_record[t]
+    out = np.empty(T)
+    for start, A, B, C in _chunks(system, T, system.d_x + system.d_u + 1):
+        stop = start + A.shape[0]
+        E = np.concatenate((B, w_record[start:stop, :, None]), axis=2)
+        r = np.concatenate((v[start:stop], np.ones((stop - start, 1))), axis=1)
+        X = _affine_recursion(A + np.matmul(B, K), E, x, r)
+        x, states = X[-1], X[:-1]
+        u = states @ K.T + v[start:stop]
+        z = np.matmul(C, states[..., None])[..., 0] if observe else states
+        if isinstance(cost, QuadraticCost):
+            dz = z if cost.target is None else z - cost.target
+            out[start:stop] = ((dz @ cost.Q) * dz).sum(axis=1) + ((u @ cost.R) * u).sum(axis=1)
+        else:
+            out[start:stop] = [cost.value(z_t, u_t) for z_t, u_t in zip(z, u)]
     return out
 
 
@@ -561,15 +589,14 @@ def best_dac_in_hindsight(
     single forward pass and one least-squares solve; any other convex cost
     by damped Newton steps from ``M = 0``, at most ``max_iter`` forward
     passes, stopping once the Newton decrement is at most ``tol * (1 +
-    |J|)``.  Returns ``(Ms, total_cost)`` with ``Ms`` of shape (h, d_u,
-    d_x).
+    |J|)``.  A pass works through the run in chunks of steps, so its memory
+    is bounded by one chunk, not by T.  Returns ``(Ms, total_cost)`` with
+    ``Ms`` of shape (h, d_u, d_x).
     """
     w_record = _check_record(w_record)
     K = _coerce_K(K, system.d_u, system.d_x)
-    return _best_policy(
-        system, cost, K, w_record, w_record, int(h), 1, x0, False, max_iter, tol,
-        "action-policy comparator",
-    )
+    policies = _PolicyClass(system, K, w_record, w_record, int(h), 1, x0, False)
+    return _best_policy(policies, cost, max_iter, tol, "action-policy comparator")
 
 
 def best_drc_in_hindsight(
@@ -588,17 +615,16 @@ def best_drc_in_hindsight(
     the cost consumes (observation, control) pairs.  The same streamed
     Newton engine as :func:`best_dac_in_hindsight` minimizes it: exactly in
     one pass for a :class:`QuadraticCost`, otherwise by damped Newton steps
-    bounded by ``max_iter`` passes and the relative decrement ``tol``.
-    Returns ``(Ms, total_cost)`` with ``Ms`` of shape (h+1, d_u, d_y).
+    bounded by ``max_iter`` passes and the relative decrement ``tol``, with
+    memory bounded by one chunk of steps.  Returns ``(Ms, total_cost)`` with
+    ``Ms`` of shape (h+1, d_u, d_y).
     """
     w_record = _check_record(w_record)
     with np.errstate(over="ignore", invalid="ignore"):
         ynat = _natural_observations(system, w_record, x0)
     K = np.zeros((system.d_u, system.d_x))
-    return _best_policy(
-        system, cost, K, w_record, ynat, int(h) + 1, 0, x0, True, max_iter, tol,
-        "response-policy comparator",
-    )
+    policies = _PolicyClass(system, K, w_record, ynat, int(h) + 1, 0, x0, True)
+    return _best_policy(policies, cost, max_iter, tol, "response-policy comparator")
 
 
 def _linear_objective(
@@ -615,7 +641,8 @@ def _linear_objective(
     to infinity instead of raising.
     """
     T = w_record.shape[0]
-    mats = [system.matrices(t)[:2] for t in range(T)]
+    # Copies: a provider may overwrite the buffers it hands out.
+    mats = [(A.copy(), B.copy()) for A, B, _ in map(system.matrices, range(T))]
 
     def value_only(K: np.ndarray) -> float:
         x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
@@ -745,12 +772,10 @@ def dac_rollout_costs(
     cost_on: str = "state",
 ) -> np.ndarray:
     """Exact per-step counterfactual costs of a fixed action policy."""
-    w_record = np.asarray(w_record, dtype=float)
+    w_record, Ms = np.asarray(w_record, dtype=float), np.asarray(Ms, dtype=float)
     K = _coerce_K(K, system.d_u, system.d_x)
-    return _policy_rollout_costs(
-        system, cost, K, np.asarray(Ms, dtype=float), w_record, w_record, 1, x0,
-        cost_on == "observation",
-    )
+    policies = _PolicyClass(system, K, w_record, w_record, len(Ms), 1, x0, cost_on == "observation")
+    return _policy_rollout_costs(policies, cost, Ms)
 
 
 def drc_rollout_costs(
@@ -762,11 +787,11 @@ def drc_rollout_costs(
 ) -> np.ndarray:
     """Exact per-step counterfactual costs of a fixed response policy
     (cost on observation/control pairs)."""
-    w_record = np.asarray(w_record, dtype=float)
+    w_record, Ms = np.asarray(w_record, dtype=float), np.asarray(Ms, dtype=float)
     ynat = _natural_observations(system, w_record, x0)
-    return _policy_rollout_costs(
-        system, cost, None, np.asarray(Ms, dtype=float), w_record, ynat, 0, x0, True
-    )
+    K = np.zeros((system.d_u, system.d_x))
+    policies = _PolicyClass(system, K, w_record, ynat, len(Ms), 0, x0, True)
+    return _policy_rollout_costs(policies, cost, Ms)
 
 
 def linear_rollout_costs(
@@ -983,40 +1008,22 @@ def _build_controller(
     if kind in ("linear", "lqr"):
         K = _resolve_gain(spec.pop("K", None if kind == "lqr" else None), config)
         return (lambda t, x, y: K @ x), kind, K
-    if kind == "gpc":
-        K = _resolve_gain(spec.pop("K", None), config)
-        controller = GPCController(
-            d_x=system.d_x,
-            d_u=system.d_u,
-            K=K,
+    if kind in ("gpc", "grc"):
+        K = _resolve_gain(spec.pop("K", None), config) if kind == "gpc" else None
+        options = dict(
             h=int(spec.pop("h", 5)),
             radius=float(spec.pop("radius", 10.0)),
-            step_size=(lambda v: None if v is None else float(v))(
-                spec.pop("step_size", None)
-            ),
+            step_size=(lambda v: None if v is None else float(v))(spec.pop("step_size", None)),
             schedule=str(spec.pop("schedule", "sqrt")),
             horizon=config.horizon,
             H_trunc=(lambda v: None if v is None else int(v))(spec.pop("H_trunc", None)),
         )
         if spec:
-            raise ConfigurationError(f"unknown gpc options: {sorted(spec)}")
-        return gpc_runner(controller, system, cost), "gpc", K
-    if kind == "grc":
-        controller = GRCController(
-            d_x=system.d_x,
-            d_u=system.d_u,
-            d_y=system.d_y,
-            h=int(spec.pop("h", 5)),
-            radius=float(spec.pop("radius", 10.0)),
-            step_size=(lambda v: None if v is None else float(v))(
-                spec.pop("step_size", None)
-            ),
-            schedule=str(spec.pop("schedule", "sqrt")),
-            horizon=config.horizon,
-            H_trunc=(lambda v: None if v is None else int(v))(spec.pop("H_trunc", None)),
-        )
-        if spec:
-            raise ConfigurationError(f"unknown grc options: {sorted(spec)}")
+            raise ConfigurationError(f"unknown {kind} options: {sorted(spec)}")
+        if kind == "gpc":
+            controller = GPCController(d_x=system.d_x, d_u=system.d_u, K=K, **options)
+            return gpc_runner(controller, system, cost), "gpc", K
+        controller = GRCController(d_x=system.d_x, d_u=system.d_u, d_y=system.d_y, **options)
         return grc_runner(controller, system, cost), "grc", None
     raise ConfigurationError(
         f"unknown controller kind {kind!r}; expected zero, linear, lqr, gpc, or grc"
@@ -1031,14 +1038,6 @@ _COMPARATOR_OPTIONS = {
     "zero": set(),
     "none": set(),
 }
-
-
-class _SilentCost:
-    """Stand-in for simulate() when the scenario cost consumes observations;
-    real per-step costs are recomputed from the trajectory afterwards."""
-
-    def value(self, x: np.ndarray, u: np.ndarray) -> float:
-        return 0.0
 
 
 def run_experiment(config: ScenarioConfig) -> RegretReport:
@@ -1071,7 +1070,9 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
     if unknown:
         raise ConfigurationError(f"unknown {comp_kind} options: {unknown}")
 
-    sim_cost = _SilentCost() if config.cost_on == "observation" else cost
+    # A cost on observations is recomputed from the trajectory afterwards.
+    silent = CallableCost(fn=lambda x, u: 0.0, gx=None, gu=None)
+    sim_cost = silent if config.cost_on == "observation" else cost
     trajectory = simulate(
         system,
         callback,
@@ -1117,14 +1118,9 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         )
         comparator_costs = linear_rollout_costs(system, cost, K_star, w_record, config.x0)
     elif comp_kind == "zero":
+        zero = np.zeros((system.d_u, system.d_x))
         comparator_costs = dac_rollout_costs(
-            system,
-            cost,
-            np.zeros((system.d_u, system.d_x)),
-            np.zeros((1, system.d_u, system.d_x)),
-            w_record,
-            config.x0,
-            cost_on=config.cost_on,
+            system, cost, zero, zero[None], w_record, config.x0, cost_on=config.cost_on
         )
     else:  # "none"
         comparator_costs = np.zeros(T)
@@ -1163,6 +1159,14 @@ _PERTURBATION_KEYS = {
 }
 
 
+def _parse_number(key: str, value: object, kind: type) -> object:
+    """``kind(value)``, or a configuration error naming the key."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigurationError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_perturbation(section: dict, base_dir: str) -> PerturbationSource:
     kind = section.get("kind", "zero")
     if kind not in _PERTURBATION_KEYS:
@@ -1175,14 +1179,14 @@ def _parse_perturbation(section: dict, base_dir: str) -> PerturbationSource:
         return PerturbationSource.zero()
     if kind == "iid-gaussian":
         return PerturbationSource.gaussian(
-            sigma=float(section.get("sigma", 1.0)), clip_to_unit_ball=clip
+            sigma=_parse_number("sigma", section.get("sigma", 1.0), float), clip_to_unit_ball=clip
         )
     if kind == "iid-uniform-ball":
         return PerturbationSource.uniform_ball()
     if kind == "sinusoidal":
         return PerturbationSource.sinusoidal(
-            amplitude=float(section.get("amplitude", 1.0)),
-            omega=float(section.get("omega", 1.0)),
+            amplitude=_parse_number("amplitude", section.get("amplitude", 1.0), float),
+            omega=_parse_number("omega", section.get("omega", 1.0), float),
             clip_to_unit_ball=clip,
         )
     if kind == "constant":
@@ -1277,12 +1281,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     ):
         for key, kind in numbers.items():
             if key in spec:
-                try:
-                    spec[key] = kind(spec[key])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{key} = {spec[key]!r} is not a valid {kind.__name__}"
-                    ) from None
+                spec[key] = _parse_number(key, spec[key], kind)
         # A gain is a preset name or a matrix file.
         if "k" in spec:
             value = spec.pop("k")
@@ -1290,8 +1289,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
                 value if value in ("lqr", "zero") else load_matrix(os.path.join(base_dir, value))
             )
 
-    horizon = int(overrides.get("horizon", run_sec.get("horizon", 100)))
-    seed = int(overrides.get("seed", run_sec.get("seed", 0)))
+    horizon = _parse_number("horizon", overrides.get("horizon", run_sec.get("horizon", 100)), int)
+    seed = _parse_number("seed", overrides.get("seed", run_sec.get("seed", 0)), int)
     out_dir = overrides.get("out", run_sec.get("out"))
     if out_dir is not None:
         out_dir = str(out_dir)

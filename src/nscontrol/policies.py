@@ -379,6 +379,14 @@ class DACPolicy:
         )
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _floats(a: object) -> np.ndarray:
+    """``a`` as a float array; a float64 ndarray passes through unconverted."""
+    return a if type(a) is np.ndarray and a.dtype is _FLOAT64 else np.asarray(a, dtype=float)
+
+
 class NaturesYTracker:
     """Running computation of nature's y: the observation the system would
     have produced with all controls forced to zero.
@@ -389,18 +397,15 @@ class NaturesYTracker:
 
     def __init__(self, d_x: int):
         self.z = np.zeros(int(d_x))
+        self._Bu = np.empty(int(d_x))  # scratch for B_t u_t
 
     def observe(self, y: np.ndarray, C: Optional[np.ndarray]) -> np.ndarray:
         """ynat at the current step (does not advance the recursion)."""
-        y = np.asarray(y, dtype=float)
-        contribution = self.z if C is None else np.asarray(C, dtype=float) @ self.z
-        return y - contribution
+        return _floats(y) - (self.z if C is None else _floats(C).dot(self.z))
 
     def advance(self, A: np.ndarray, B: np.ndarray, u: np.ndarray) -> None:
         """Advance ``z`` with the control actually played."""
-        self.z = np.asarray(A, dtype=float) @ self.z + np.asarray(B, dtype=float) @ np.asarray(
-            u, dtype=float
-        )
+        self.z = _floats(A).dot(self.z) + _floats(B).dot(_floats(u), out=self._Bu)
 
     def reset(self) -> None:
         self.z = np.zeros_like(self.z)

@@ -148,6 +148,21 @@ def test_regret_config_comparator_budget_options():
     assert "comparator=best-drc T=60" in out
 
 
+def test_regret_config_rejects_bad_run_and_perturbation_numbers():
+    code, _, err = _regret_from_config(
+        "[system]\npreset = scalar-0.9\n\n[controller]\nkind = zero\n\n[run]\nhorizon = ten\n"
+    )
+    assert code == 2
+    assert "horizon = 'ten' is not a valid int" in err
+
+    code, _, err = _regret_from_config(
+        "[system]\npreset = scalar-0.9\n\n[perturbation]\nkind = iid-gaussian\nsigma = big\n\n"
+        "[controller]\nkind = zero\n\n[run]\nhorizon = 20\n"
+    )
+    assert code == 2
+    assert "sigma = 'big' is not a valid float" in err
+
+
 def test_sysid_subcommand():
     with tempfile.TemporaryDirectory() as tmp:
         code, out, _ = run_cli(

@@ -12,6 +12,7 @@ import os
 import tempfile
 import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nscontrol import harness
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import (
     CSV_COLUMNS,
@@ -601,6 +603,142 @@ def test_best_drc_exact_solve_matches_iterative(
     _assert_same_optimum(value_cb, ref, total_cb, zero_total)
 
 
+def _provider(mode, *content_at):
+    """``t -> matrices`` whose content at step ``t`` is given by
+    ``content_at``: fresh arrays on every call, or (``"in-place"``) one set
+    of buffers overwritten on every call."""
+    if mode != "in-place":
+        return lambda t: tuple(at(t) for at in content_at)
+    buffers = [np.zeros_like(at(0)) for at in content_at]
+
+    def in_place(t):
+        for buffer, at in zip(buffers, content_at):
+            buffer[...] = at(t)
+        return tuple(buffers)
+
+    return in_place
+
+
+def _time_varying_problem(seed, d_x, d_u, d_y, T, observe, with_C, with_target, mode):
+    """A random quadratic comparator problem on a time-varying system
+    served by a provider in ``mode``; ``d_y = d_x`` without ``C``.  The
+    closed loop ``A_t + B_t K`` has spectral norm at most 0.8 at every
+    step, so rounding differences do not grow along the run."""
+    rng = np.random.default_rng(seed)
+    A0, A1 = rng.standard_normal((d_x, d_x)), rng.standard_normal((d_x, d_x))
+    A0 *= 0.6 / np.linalg.norm(A0, 2)
+    A1 *= 0.2 / np.linalg.norm(A1, 2)
+    B0, B1 = rng.standard_normal((d_x, d_u)), 0.3 * rng.standard_normal((d_x, d_u))
+    K = np.zeros((d_u, d_x)) if observe else 0.2 * rng.standard_normal((d_u, d_x))
+    B_at = lambda t: B0 + np.cos(0.5 * t) * B1  # noqa: E731
+    content = [lambda t: A0 + np.sin(0.7 * t) * A1 - B_at(t) @ K, B_at]
+    if with_C:
+        C0 = rng.standard_normal((d_y, d_x))
+        content.append(lambda t: (1.0 + 0.3 * np.sin(0.3 * t)) * C0)
+    else:
+        d_y = d_x
+    system = LinearSystem.time_varying(_provider(mode, *content), d_x, d_u, d_y)
+    d_z = d_y if observe else d_x
+    F = rng.standard_normal((d_z, d_z))
+    cost = QuadraticCost(
+        Q=F @ F.T + 0.1 * np.eye(d_z),
+        R=np.diag(rng.uniform(0.1, 2.0, d_u)),
+        target=rng.standard_normal(d_z) if with_target else None,
+    )
+    return system, cost, K, rng.standard_normal((T, d_x)), rng.standard_normal(d_x)
+
+
+def _counting_chunks(counts):
+    """``harness._chunks`` that appends the number of chunks of each call."""
+    chunks = harness._chunks
+
+    def counting(*args):
+        counts.append(0)
+        for chunk in chunks(*args):
+            counts[-1] += 1
+            yield chunk
+
+    return counting
+
+
+def _reference_costs(system, cost, policy, w, x0, observe):
+    """Per-step costs of a plain ``simulate`` + ``policy_runner`` rollout."""
+    v = _policy_signals(system, policy, w, x0, observe).reshape(w.shape[0], -1)
+    d_z = cost.Q.shape[0]
+    return np.array([cost.value(row[:d_z], row[d_z:]) for row in v])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dac", "drc"]),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    d_y=st.integers(1, 3),
+    h=st.integers(1, 2),
+    T=st.integers(24, 64),
+    with_C=st.booleans(),
+    with_target=st.booleans(),
+    mode=st.sampled_from(["fresh", "in-place"]),
+    chunk_bytes=st.integers(1, 128),
+)
+def test_chunked_comparators_on_time_varying_providers(
+    seed, kind, d_x, d_u, d_y, h, T, with_C, with_target, mode, chunk_bytes
+):
+    # A small chunk budget makes every pass, rollout and natural-observation
+    # sweep cross at least three chunk seams.
+    observe = kind == "drc"
+    system, cost, K, w, x0 = _time_varying_problem(
+        seed, d_x, d_u, d_y, T, observe, with_C, with_target, mode
+    )
+    counts = []
+    with mock.patch.object(harness, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(
+        harness, "_chunks", _counting_chunks(counts)
+    ):
+        if observe:
+            Ms, value = best_drc_in_hindsight(system, cost, w, h, x0)
+            make_policy = lambda M: DRCPolicy(list(M), d_x)  # noqa: E731
+            rollout = lambda M: drc_rollout_costs(system, cost, M, w, x0)  # noqa: E731
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                Ms_cb, value_cb = best_drc_in_hindsight(system, _callable(cost), w, h, x0)
+        else:
+            Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
+            make_policy = lambda M: DACPolicy(K, list(M))  # noqa: E731
+            rollout = lambda M: dac_rollout_costs(system, cost, K, M, w, x0)  # noqa: E731
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                Ms_cb, value_cb = best_dac_in_hindsight(system, _callable(cost), K, w, h, x0)
+        costs, total_cb = rollout(Ms), rollout(Ms_cb).sum()
+        zero_total = rollout(np.zeros_like(Ms)).sum()
+    assert min(counts) >= 3
+
+    ref = _lstsq_reference(system, cost, w, x0, Ms.shape, make_policy, observe)
+    _assert_same_optimum(value, ref, costs.sum(), zero_total)
+    _assert_same_optimum(value_cb, ref, total_cb, zero_total)
+    expected = _reference_costs(system, cost, make_policy(Ms), w, x0, observe)
+    np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0.0)
+
+
+def test_dac_comparator_crosses_chunks_at_the_default_budget():
+    # b747 with 8 action blocks: 64 parameters, so the pass works through
+    # the run in several chunks of the default budget.
+    bp = scenario_presets()["b747"]
+    A, B, _ = bp.system.matrices(0)
+    K = dare_solve(A, B, bp.cost.Q, bp.cost.R).K
+    w = generate_perturbations(bp.perturbation, 150, 4, 3, bp.noise_embedding)
+    counts = []
+    with mock.patch.object(harness, "_chunks", _counting_chunks(counts)):
+        Ms, value = best_dac_in_hindsight(bp.system, bp.cost, K, w, 8)
+    assert counts[0] >= 3
+    ref = _lstsq_reference(
+        bp.system, bp.cost, w, None, Ms.shape, lambda M: DACPolicy(K, list(M)), observe=False
+    )
+    total = dac_rollout_costs(bp.system, bp.cost, K, Ms, w).sum()
+    zero_total = dac_rollout_costs(bp.system, bp.cost, K, np.zeros_like(Ms), w).sum()
+    _assert_same_optimum(value, ref, total, zero_total)
+
+
 def _log_cosh_problem():
     """A non-quadratic convex comparator problem: sum of log cosh over the
     state plus u^2, on a stable 2-state system, with p = 4 blocks."""
@@ -680,6 +818,24 @@ def test_best_linear_matches_grid_scalar():
     j_grid = min(grid_values)
     assert value <= j_grid + 1e-3
     assert abs(value - j_grid) <= 1e-3 * (1.0 + abs(j_grid))
+
+
+def test_best_linear_on_an_in_place_provider():
+    # The provider overwrites one set of buffers on every call; the search
+    # must see each step's own matrices.
+    A_at = lambda t: np.array([[0.5 + 0.4 * np.sin(0.3 * t)]])  # noqa: E731
+    B_at = lambda t: np.array([[1.0]])  # noqa: E731
+    cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
+    w = np.random.default_rng(8).standard_normal((60, 1))
+    results = [
+        best_linear_in_hindsight(
+            LinearSystem.time_varying(_provider(mode, A_at, B_at), 1, 1), cost, w,
+            starts=[np.zeros((1, 1))],
+        )
+        for mode in ("fresh", "in-place")
+    ]
+    assert results[1][1] == results[0][1]
+    assert np.array_equal(results[1][0], results[0][0])
 
 
 def test_best_linear_zero_when_control_has_no_effect():
