@@ -29,8 +29,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import TOL_PSD, _as_matrix, _as_vector, spectral_radius
+from .lds_core import TOL_PSD, _as_matrix, _as_vector
 from .online_control import OGDState, ogd_update
+from .optimal_control import dare_solve
 
 __all__ = [
     "KalmanState",
@@ -192,34 +193,26 @@ def kalman_steady_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of the covariance recursion, iterated from ``Sigma_x``.
 
-    Returns the steady-state predictive covariance and gain ``(Sigma, L)``.
+    The recursion is the control Riccati iteration on transposed data (``A
+    -> A'``, ``B -> C'``, ``Q -> Sigma_x``, ``R -> Sigma_y``), so this is
+    :func:`~nscontrol.optimal_control.dare_solve` there, whose signed gain
+    ``K`` gives ``L = -K'``.  Returns the steady-state predictive covariance
+    and gain ``(Sigma, L)``.
 
     Raises
     ------
     EvaluationError
-        If the iteration does not converge within ``max_iter``.
+        If the iteration does not converge within ``max_iter``, or diverges.
     ConfigurationError
-        If it converges but the filter loop ``A - L C`` is not stable.
+        If a noise covariance is not symmetric PSD, or the iteration
+        converges but the filter loop ``A - L C`` is not stable.
     """
     A = _as_matrix(A, "A")
     C = _as_matrix(C, "C")
-    Sigma_x = _check_psd(Sigma_x, "Sigma_x")
-    Sigma_y = _check_psd(Sigma_y, "Sigma_y")
-    Sig = Sigma_x.copy()
-    for _ in range(int(max_iter)):
-        _, Sig_next = _covariance_update(A, C, Sig, Sigma_x, Sigma_y)
-        if float(np.linalg.norm(Sig_next - Sig)) <= tol:
-            Sig = Sig_next
-            break
-        Sig = Sig_next
-    else:
-        raise EvaluationError(
-            f"steady-state covariance iteration did not converge in {max_iter} steps"
-        )
-    L = A @ Sig @ C.T @ np.linalg.pinv(C @ Sig @ C.T + Sigma_y)
-    if spectral_radius(A - L @ C) >= 1.0:
-        raise ConfigurationError("steady-state filter loop A - L C is unstable")
-    return Sig, L
+    sol = dare_solve(
+        A.T, C.T, _check_psd(Sigma_x, "Sigma_x"), _check_psd(Sigma_y, "Sigma_y"), tol, max_iter
+    )
+    return sol.S, -sol.K.T
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ and emits a per-step CSV plus a flat JSON summary, both byte-reproducible
 under the scenario seed (wall-clock aside).
 
 Comparators optimize the exact counterfactual cost of a fixed policy on
-the recorded perturbation sequence.  For disturbance-action and
-disturbance-response policies the counterfactual trajectory is affine in
-the policy parameters, so the objective is convex whenever the cost is.
-One streamed Newton engine minimizes it for every cost: each forward pass
-carries the trajectory's sensitivity to the parameters and returns the
-objective with its gradient and Hessian.  A quadratic cost is minimized
-exactly by one pass and one least-squares solve; other convex costs take
-damped Newton steps until the Newton decrement is negligible.  The best
-fixed linear gain is a non-convex objective and is handled by multi-start
-local descent, documented as a heuristic.
+the recorded perturbation sequence.  One streamed Newton engine serves
+every comparator: each forward pass carries the trajectory's sensitivity
+to the parameters and returns the objective with its gradient and
+Hessian.  For disturbance-action and disturbance-response policies the
+trajectory is affine in the parameters, so the objective is convex
+whenever the cost is; a quadratic cost is minimized exactly by one pass
+and one least-squares solve, other convex costs take damped Newton steps
+until the Newton decrement is negligible.  The best fixed linear gain is
+not convex: at a gain K, the run's first-order sensitivity to a change of
+K is that of a one-block action class acting on K's own closed-loop
+states, so the same pass gives J(K), its gradient and the Gauss-Newton
+Hessian, and damped Gauss-Newton steps run from several starts, a
+heuristic that returns the best local result.
 """
 
 from __future__ import annotations
@@ -65,15 +68,16 @@ __all__ = [
     "load_config",
 ]
 
-#: Comparator budget for non-quadratic costs: forward passes of the damped
-#: Newton engine, and the Newton decrement, relative to 1 + |J|, that ends it.
+#: Comparator budget for non-quadratic costs and for each best-linear start:
+#: forward passes of the damped Newton engine, and the Newton decrement,
+#: relative to 1 + |J|, that ends it.
 COMPARATOR_MAX_ITER = 50
 COMPARATOR_TOL = 1e-10
 #: Relative step of the gradient differences that give the stage Hessian of
 #: a non-quadratic cost.
 _HESSIAN_STEP = 1e-4
-#: Bytes one per-chunk buffer of the comparator passes, rollouts and natural
-#: observations may hold; the chunk length follows from it.
+#: Bytes one per-chunk buffer of the comparator passes and closed-loop
+#: rollouts may hold; the chunk length follows from it.
 _CHUNK_BYTES = 128 * 1024
 
 
@@ -321,7 +325,8 @@ def _check_record(w_record: object) -> np.ndarray:
 class _PolicyClass(NamedTuple):
     """Fixed policies ``u_t = K x_t + sum_{i<depth} M_i s_{t-lag-i}`` on a
     recorded run, charged on ``z_t = C_t x_t`` when ``observe``, else on
-    ``z_t = x_t``.  DAC: signal w, lag 1; DRC: signal ynat, lag 0, K = 0."""
+    ``z_t = x_t``.  DAC: signal w, lag 1; DRC: signal ynat, lag 0, K = 0;
+    the linear class at K: signal x(K), depth 1, lag 0 (:func:`_linear_pass`)."""
 
     system: LinearSystem
     K: np.ndarray
@@ -356,9 +361,9 @@ def _affine_recursion(F: np.ndarray, E: np.ndarray, x: np.ndarray, r: np.ndarray
     """States of ``x_{t+1} = F_t x_t + E_t r_t`` over a chunk, from the
     vector or matrix state ``x`` entering it (row 0) to the one leaving it
     (last row), with the inputs ``r_t`` known in advance.  The one
-    sequential loop of the comparator passes, rollouts and natural
-    observations: a step is one product ``[F_t | E_t] [x_t; r_t]`` written
-    in place, with the inputs stacked under the state."""
+    sequential loop of the comparator passes and of :func:`_closed_loop`:
+    a step is one product ``[F_t | E_t] [x_t; r_t]`` written in place,
+    with the inputs stacked under the state."""
     d = x.shape[0]
     Z = np.empty((F.shape[0] + 1, d + r.shape[1]) + x.shape[1:])
     Z[0, :d] = x
@@ -378,20 +383,29 @@ def _signal_windows(signals: np.ndarray, depth: int, lag: int) -> np.ndarray:
     return windows[:T, :, ::-1].transpose(0, 2, 1)
 
 
-def _natural_observations(
-    system: LinearSystem, w_record: np.ndarray, x0: Optional[np.ndarray]
-) -> np.ndarray:
-    """Observations ``ynat_t = C_t x_t`` of the zero-control rollout: the
-    signal that disturbance-response policies act on."""
+def _closed_loop(
+    system: LinearSystem, K: np.ndarray, w_record: np.ndarray, x0: object, observe: bool,
+    v: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(z_t, u_t)`` along the rollout of ``u_t = K x_t + v_t`` (``v =
+    None`` for zero), with ``z_t = C_t x_t`` when ``observe``, else ``x_t``:
+    :func:`_affine_recursion` steps ``x_{t+1} = (A_t + B_t K) x_t + [B_t |
+    w_t] [v_t; 1]``.  With ``K = 0`` and ``observe``, ``z`` is the natural
+    observations ``ynat`` that disturbance-response policies act on; the
+    linear class acts on its own closed-loop states."""
     T = w_record.shape[0]
-    ynat = np.empty((T, system.d_y))
+    v = np.zeros((T, system.d_u)) if v is None else v
+    z, u = np.empty((T, system.d_y if observe else system.d_x)), np.empty((T, system.d_u))
     x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    for start, A, _, C in _chunks(system, T, system.d_x + 1):
-        n = A.shape[0]
-        X = _affine_recursion(A, w_record[start : start + n, :, None], x, np.ones((n, 1)))
-        ynat[start : start + n] = np.matmul(C, X[:-1, :, None])[..., 0]
-        x = X[-1]
-    return ynat
+    for start, A, B, C in _chunks(system, T, system.d_x + system.d_u + 1):
+        stop = start + A.shape[0]
+        E = np.concatenate((B, w_record[start:stop, :, None]), axis=2)
+        r = np.concatenate((v[start:stop], np.ones((stop - start, 1))), axis=1)
+        X = _affine_recursion(A + np.matmul(B, K), E, x, r)
+        x, states = X[-1], X[:-1]
+        u[start:stop] = states @ K.T + v[start:stop]
+        z[start:stop] = np.matmul(C, states[..., None])[..., 0] if observe else states
+    return z, u
 
 
 def _stage_terms(
@@ -493,23 +507,25 @@ def _policy_pass(
 
 
 def _best_policy(
-    policies: _PolicyClass, cost: object, max_iter: int, tol: float, label: str
-) -> tuple[np.ndarray, float]:
-    """Minimize the counterfactual total cost over the policy blocks by
-    Newton's method from ``m = 0``, one :func:`_policy_pass` per point.
+    pass_at: Callable, exact: bool, max_iter: int, tol: float, label: str
+) -> tuple[np.ndarray, float, Optional[str]]:
+    """Minimize a counterfactual total cost over flat parameters ``m`` by
+    Newton's method from ``m = 0``; ``pass_at(m)`` is one forward pass that
+    returns what :func:`_policy_pass` does (``m = None`` for zero).
 
-    For a :class:`QuadraticCost` the objective is exactly ``J(m) = J(0) + 2
-    g.m + m.H.m``, so one pass and its Newton step give the minimizer and
-    its value.  Other costs take Armijo-damped steps, one pass per trial
-    point, until the Newton decrement ``-g.dm`` (the decrease the local
-    quadratic model predicts) is at most ``tol * (1 + |J|)``; after
-    ``max_iter`` passes a warning reports the decrement.  Returns the best
-    point seen and its value.
+    With ``exact`` (an affine policy class under a :class:`QuadraticCost`)
+    the objective is exactly ``J(m) = J(0) + 2 g.m + m.H.m``, so one pass
+    and its Newton step give the minimizer and its value.  Otherwise
+    Armijo-damped steps, one pass per trial point, run until the Newton
+    decrement ``-g.dm`` (the decrease the local quadratic model predicts)
+    is at most ``tol * (1 + |J|)`` or ``max_iter`` passes are spent; a trial
+    whose pass is non-finite is a rejected step.  A non-finite first pass
+    raises.  Returns the best point seen, its value, and a message giving
+    the decrement when the budget ran out (else ``None``).
     """
-    shape = (policies.depth, policies.system.d_u, policies.signals.shape[1])
-    value, g, H, step = _policy_pass(policies, cost, None, label)
-    if isinstance(cost, QuadraticCost):
-        return step.reshape(shape), value + float(step @ (2.0 * g + H @ step))
+    value, g, H, step = pass_at(None)
+    if exact:
+        return step, value + float(step @ (2.0 * g + H @ step)), None
 
     m = np.zeros(step.size)
     best_m, best_value = m, value
@@ -517,52 +533,68 @@ def _best_policy(
     while True:
         decrement = -float(g @ step)
         if decrement <= tol * (1.0 + abs(value)):
-            break
+            return best_m, best_value, None
         if passes >= max_iter:
-            warnings.warn(
+            return best_m, best_value, (
                 f"{label} stopped after {passes} Newton passes at decrement "
-                f"{decrement:.3e} > {tol:g} * (1 + |J|); returning the best point",
-                stacklevel=3,
+                f"{decrement:.3e} > {tol:g} * (1 + |J|); returning the best point"
             )
-            break
         trial = m + scale * step
-        trial_value, trial_g, _, trial_step = _policy_pass(policies, cost, trial, label)
         passes += 1
+        try:
+            trial_value, trial_g, _, trial_step = pass_at(trial)
+        except EvaluationError:
+            scale *= 0.5
+            continue
         if trial_value < best_value:
             best_m, best_value = trial, trial_value
         if trial_value <= value - 1e-4 * scale * decrement:
             m, value, g, step, scale = trial, trial_value, trial_g, trial_step, 1.0
         else:
             scale *= 0.5
-    return best_m.reshape(shape), best_value
+
+
+def _best_affine_policy(
+    policies: _PolicyClass, cost: object, max_iter: int, tol: float, label: str
+) -> tuple[np.ndarray, float]:
+    """:func:`_best_policy` over an affine policy class, exact for a
+    :class:`QuadraticCost`, warning when the pass budget runs out.  Returns
+    the blocks, (depth, d_u, d_s), and their value."""
+    m, value, budget_note = _best_policy(
+        lambda m: _policy_pass(policies, cost, m, label),
+        isinstance(cost, QuadraticCost), max_iter, tol, label,
+    )
+    if budget_note:
+        warnings.warn(budget_note, stacklevel=3)
+    return m.reshape(policies.depth, policies.system.d_u, policies.signals.shape[1]), value
+
+
+def _linear_pass(
+    system: LinearSystem, cost: object, w_record: np.ndarray, x0: object, K: np.ndarray, label: str
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_policy_pass` for the linear class at the gain ``K``: ``J(K)``,
+    half its gradient and half its Gauss-Newton Hessian in the gain, and the
+    Gauss-Newton step.  To first order in a change ``M`` of the gain, ``u_t
+    = (K + M) x_t(K + M)`` equals ``K x_t + M x_t(K)``: a one-block, lag-0
+    action class on K's own closed-loop states, applied on top of K."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, _ = _closed_loop(system, K, w_record, x0, False)
+    policies = _PolicyClass(system, K, w_record, states, 1, 0, x0, False)
+    return _policy_pass(policies, cost, None, label)
 
 
 def _policy_rollout_costs(policies: _PolicyClass, cost: object, Ms: np.ndarray) -> np.ndarray:
     """Per-step costs of the policy with blocks ``Ms``: a plain closed-loop
     simulation, not the sensitivity recursion of :func:`_policy_pass`, so it
     can check the comparators.  One einsum over the signal windows gives
-    every control sum ``v_t``; :func:`_affine_recursion` then steps ``x_{t+1}
-    = (A_t + B_t K) x_t + [B_t | w_t] [v_t; 1]``, and other buffers are
-    bounded by one chunk."""
+    every control sum ``v_t`` for :func:`_closed_loop`."""
     system, K, w_record, signals, _, lag, x0, observe = policies
-    T = w_record.shape[0]
     v = np.einsum("iab,tib->ta", Ms, _signal_windows(signals, Ms.shape[0], lag))
-    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    out = np.empty(T)
-    for start, A, B, C in _chunks(system, T, system.d_x + system.d_u + 1):
-        stop = start + A.shape[0]
-        E = np.concatenate((B, w_record[start:stop, :, None]), axis=2)
-        r = np.concatenate((v[start:stop], np.ones((stop - start, 1))), axis=1)
-        X = _affine_recursion(A + np.matmul(B, K), E, x, r)
-        x, states = X[-1], X[:-1]
-        u = states @ K.T + v[start:stop]
-        z = np.matmul(C, states[..., None])[..., 0] if observe else states
-        if isinstance(cost, QuadraticCost):
-            dz = z if cost.target is None else z - cost.target
-            out[start:stop] = ((dz @ cost.Q) * dz).sum(axis=1) + ((u @ cost.R) * u).sum(axis=1)
-        else:
-            out[start:stop] = [cost.value(z_t, u_t) for z_t, u_t in zip(z, u)]
-    return out
+    z, u = _closed_loop(system, K, w_record, x0, observe, v)
+    if isinstance(cost, QuadraticCost):
+        dz = z if cost.target is None else z - cost.target
+        return ((dz @ cost.Q) * dz).sum(axis=1) + ((u @ cost.R) * u).sum(axis=1)
+    return np.array([cost.value(z_t, u_t) for z_t, u_t in zip(z, u)])
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +628,7 @@ def best_dac_in_hindsight(
     w_record = _check_record(w_record)
     K = _coerce_K(K, system.d_u, system.d_x)
     policies = _PolicyClass(system, K, w_record, w_record, int(h), 1, x0, False)
-    return _best_policy(policies, cost, max_iter, tol, "action-policy comparator")
+    return _best_affine_policy(policies, cost, max_iter, tol, "action-policy comparator")
 
 
 def best_drc_in_hindsight(
@@ -620,99 +652,11 @@ def best_drc_in_hindsight(
     ``Ms`` of shape (h+1, d_u, d_y).
     """
     w_record = _check_record(w_record)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ynat = _natural_observations(system, w_record, x0)
     K = np.zeros((system.d_u, system.d_x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ynat, _ = _closed_loop(system, K, w_record, x0, True)
     policies = _PolicyClass(system, K, w_record, ynat, int(h) + 1, 0, x0, True)
-    return _best_policy(policies, cost, max_iter, tol, "response-policy comparator")
-
-
-def _linear_objective(
-    system: LinearSystem,
-    cost: object,
-    w_record: np.ndarray,
-    x0: Optional[np.ndarray],
-) -> tuple[
-    Callable[[np.ndarray], tuple[float, np.ndarray]], Callable[[np.ndarray], float]
-]:
-    """Total rollout cost of ``u_t = K x_t`` with its adjoint gradient.
-
-    Returns ``(value_and_grad, value_only)``; diverging rollouts evaluate
-    to infinity instead of raising.
-    """
-    T = w_record.shape[0]
-    # Copies: a provider may overwrite the buffers it hands out.
-    mats = [(A.copy(), B.copy()) for A, B, _ in map(system.matrices, range(T))]
-
-    def value_only(K: np.ndarray) -> float:
-        x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-        value = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(T):
-                u = K @ x
-                value += cost.value(x, u)
-                if not np.isfinite(value):
-                    return np.inf
-                A_t, B_t = mats[t]
-                x = A_t @ x + B_t @ u + w_record[t]
-        return value
-
-    def J_and_grad(K: np.ndarray) -> tuple[float, np.ndarray]:
-        xs = np.zeros((T, system.d_x))
-        us = np.zeros((T, system.d_u))
-        x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
-        value = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(T):
-                u = K @ x
-                xs[t], us[t] = x, u
-                value += cost.value(x, u)
-                A_t, B_t = mats[t]
-                x = A_t @ x + B_t @ u + w_record[t]
-            if not np.isfinite(value):
-                return np.inf, np.full_like(K, np.nan)
-            lam = np.zeros(system.d_x)
-            grad = np.zeros_like(K)
-            for t in range(T - 1, -1, -1):
-                A_t, B_t = mats[t]
-                gu = cost.grad_u(xs[t], us[t]) + B_t.T @ lam
-                grad += np.outer(gu, xs[t])
-                lam = cost.grad_x(xs[t], us[t]) + K.T @ gu + A_t.T @ lam
-        return value, grad
-
-    return J_and_grad, value_only
-
-
-def _local_descent(
-    J_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    value_only: Callable[[np.ndarray], float],
-    m0: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    """Gradient descent with Armijo backtracking (for non-convex objectives
-    where a fixed schedule stalls).  Returns the best point seen."""
-    m = m0.astype(float).copy()
-    value, grad = J_and_grad(m)
-    if not np.isfinite(value):
-        return m, np.inf
-    step = 1.0
-    for _ in range(max_iter):
-        gnorm2 = float(np.sum(grad * grad))
-        if np.sqrt(gnorm2) <= tol:
-            break
-        while step > 1e-18:
-            candidate = m - step * grad
-            cand_value = value_only(candidate)
-            if np.isfinite(cand_value) and cand_value <= value - 1e-4 * step * gnorm2:
-                m = candidate
-                value, grad = J_and_grad(m)
-                step *= 1.3
-                break
-            step *= 0.5
-        else:
-            break
-    return m, value
+    return _best_affine_policy(policies, cost, max_iter, tol, "response-policy comparator")
 
 
 def best_linear_in_hindsight(
@@ -721,45 +665,58 @@ def best_linear_in_hindsight(
     w_record: object,
     x0: Optional[object] = None,
     starts: Optional[Sequence[object]] = None,
-    max_iter: int = 300,
-    tol: float = 1e-8,
+    max_iter: int = COMPARATOR_MAX_ITER,
+    tol: float = COMPARATOR_TOL,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Best fixed linear gain on a recorded run (multi-start local search).
 
-    The objective is not convex in the gain for general costs, so this is
-    a heuristic: descent runs from the infinite-horizon quadratic gain
-    (when solvable), from zero, and from two perturbed copies, and the
-    best local result wins.
+    The objective is not convex in the gain, so this is a heuristic: damped
+    Gauss-Newton steps on the streamed engine of
+    :func:`best_dac_in_hindsight` run from the infinite-horizon quadratic
+    gain (when solvable), from zero, and from two perturbed copies, or from
+    ``starts``, and the best local result wins.  Each start takes at most
+    ``max_iter`` passes and stops once the Newton decrement is at most
+    ``tol * (1 + |J|)``, the same meaning as for the other comparators; a
+    start whose first pass is non-finite has diverged and is dropped.  A
+    warning reports the decrement if the winning start spent its budget.
     """
     w_record = _check_record(w_record)
-    objective, value_only = _linear_objective(system, cost, w_record, x0)
+    label = "linear-policy comparator"
 
     if starts is None:
         rng = np.random.default_rng(component_seed(seed, "linear-starts"))
         starts = [np.zeros((system.d_u, system.d_x))]
-        anchor = None
         if isinstance(cost, QuadraticCost):
             A0, B0, _ = system.matrices(0)
             try:
-                anchor = dare_solve(A0, B0, cost.Q, cost.R).K
+                starts.insert(0, dare_solve(A0, B0, cost.Q, cost.R).K)
             except (ConfigurationError, EvaluationError):
-                anchor = None
-        if anchor is not None:
-            starts.insert(0, anchor)
+                pass
         base = starts[0]
         bump = 0.1 * rng.standard_normal(base.shape)
         starts.extend([base + bump, base - bump])
 
-    best_K, best_value = None, np.inf
+    best = None
     for start in starts:
         K0 = _coerce_K(start, system.d_u, system.d_x)
-        K_hat, value = _local_descent(objective, value_only, K0, max_iter, tol)
-        if value < best_value:
-            best_K, best_value = K_hat, value
-    if best_K is None:
+
+        def pass_at(m: Optional[np.ndarray]) -> tuple:
+            K = K0 if m is None else K0 + m.reshape(K0.shape)
+            return _linear_pass(system, cost, w_record, x0, K, label)
+
+        try:
+            m, value, budget_note = _best_policy(pass_at, False, max_iter, tol, label)
+        except EvaluationError:
+            continue
+        if best is None or value < best[1]:
+            best = (K0 + m.reshape(K0.shape), value, budget_note)
+    if best is None:
         raise EvaluationError("every local search start diverged")
-    return best_K, best_value
+    K_star, value, budget_note = best
+    if budget_note:
+        warnings.warn(budget_note, stacklevel=2)
+    return K_star, value
 
 
 def dac_rollout_costs(
@@ -788,8 +745,8 @@ def drc_rollout_costs(
     """Exact per-step counterfactual costs of a fixed response policy
     (cost on observation/control pairs)."""
     w_record, Ms = np.asarray(w_record, dtype=float), np.asarray(Ms, dtype=float)
-    ynat = _natural_observations(system, w_record, x0)
     K = np.zeros((system.d_u, system.d_x))
+    ynat, _ = _closed_loop(system, K, w_record, x0, True)
     policies = _PolicyClass(system, K, w_record, ynat, len(Ms), 0, x0, True)
     return _policy_rollout_costs(policies, cost, Ms)
 
@@ -1069,6 +1026,9 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
     unknown = sorted(set(comp_spec) - _COMPARATOR_OPTIONS[comp_kind])
     if unknown:
         raise ConfigurationError(f"unknown {comp_kind} options: {unknown}")
+    if config.cost_on == "observation" and comp_kind in ("best-dac", "best-linear"):
+        policy = "action" if comp_kind == "best-dac" else "linear"
+        raise ConfigurationError(f"the {policy}-policy comparator needs a state cost; use best-drc")
 
     # A cost on observations is recomputed from the trajectory afterwards.
     silent = CallableCost(fn=lambda x, u: 0.0, gx=None, gu=None)
@@ -1093,10 +1053,6 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         costs = trajectory.costs
 
     if comp_kind == "best-dac":
-        if config.cost_on == "observation":
-            raise ConfigurationError(
-                "the action-policy comparator needs a state cost; use best-drc"
-            )
         K_comp = comp_spec.pop("K", None)
         K_comp = K_learner if K_comp is None else _resolve_gain(K_comp, config)
         if K_comp is None:
@@ -1204,8 +1160,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     references), ``[perturbation]``, ``[cost]`` (``Q``/``R`` matrix files),
     ``[controller]``, ``[comparator]`` (``kind``, ``h``, ``K``,
     ``max_iter``, ``tol``), and ``[run]`` (``horizon``, ``seed``, ``out``).
-    Matrix paths are relative to the config file.  ``overrides`` may
-    replace ``horizon``, ``seed``, and ``out``.
+    For every comparator kind, best-linear included, ``max_iter`` bounds the
+    Newton passes (per start) and ``tol`` is the Newton decrement, relative
+    to 1 + |J|, that ends them.  Matrix paths are relative to the config
+    file.  ``overrides`` may replace ``horizon``, ``seed``, and ``out``.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -1213,6 +1171,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         raise ConfigurationError(f"cannot read config file {path!r}")
     base_dir = os.path.dirname(os.path.abspath(path))
     overrides = overrides or {}
+
+    def matrix(section: dict, key: str, default: Optional[np.ndarray] = None):
+        """The matrix in the file ``section[key]`` names, else ``default``."""
+        return load_matrix(os.path.join(base_dir, section[key])) if key in section else default
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
     system_sec = sections.get("system", {})
@@ -1228,13 +1190,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             raise ConfigurationError(
                 "[system] needs either a preset name or A and B matrix files"
             )
-        A = load_matrix(os.path.join(base_dir, system_sec["a"]))
-        B = load_matrix(os.path.join(base_dir, system_sec["b"]))
-        C = (
-            load_matrix(os.path.join(base_dir, system_sec["c"]))
-            if "c" in system_sec
-            else None
-        )
+        A, B, C = (matrix(system_sec, key) for key in "abc")
         blueprint = ScenarioBlueprint(
             name=os.path.splitext(os.path.basename(path))[0],
             description="inline system",
@@ -1249,22 +1205,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         kind = cost_sec.get("kind", "quadratic")
         if kind != "quadratic":
             raise ConfigurationError(f"unknown cost kind {kind!r} in config")
-        Q = (
-            load_matrix(os.path.join(base_dir, cost_sec["q"]))
-            if "q" in cost_sec
-            else np.eye(blueprint.system.d_x)
+        target = matrix(cost_sec, "target")
+        cost = QuadraticCost(
+            Q=matrix(cost_sec, "q", np.eye(blueprint.system.d_x)),
+            R=matrix(cost_sec, "r", np.eye(blueprint.system.d_u)),
+            target=None if target is None else target.ravel(),
         )
-        R = (
-            load_matrix(os.path.join(base_dir, cost_sec["r"]))
-            if "r" in cost_sec
-            else np.eye(blueprint.system.d_u)
-        )
-        target = (
-            load_matrix(os.path.join(base_dir, cost_sec["target"])).ravel()
-            if "target" in cost_sec
-            else None
-        )
-        cost = QuadraticCost(Q=Q, R=R, target=target)
 
     perturbation = blueprint.perturbation
     if "perturbation" in sections:
@@ -1284,10 +1230,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
                 spec[key] = _parse_number(key, spec[key], kind)
         # A gain is a preset name or a matrix file.
         if "k" in spec:
-            value = spec.pop("k")
-            spec["K"] = (
-                value if value in ("lqr", "zero") else load_matrix(os.path.join(base_dir, value))
-            )
+            spec["K"] = spec["k"] if spec["k"] in ("lqr", "zero") else matrix(spec, "k")
+            del spec["k"]
 
     horizon = _parse_number("horizon", overrides.get("horizon", run_sec.get("horizon", 100)), int)
     seed = _parse_number("seed", overrides.get("seed", run_sec.get("seed", 0)), int)

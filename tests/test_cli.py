@@ -8,9 +8,11 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
+from nscontrol import harness
 from nscontrol.cli import main
 from nscontrol.serialize import read_csv, read_json_summary, save_matrix
 
@@ -239,6 +241,19 @@ def test_configuration_error_exit_code():
     code, _, err = run_cli(["sysid", "--preset", "ventilator", "--horizon", "300"])
     assert code == 2
     assert "state cost" in err
+
+
+def test_state_cost_comparators_refuse_an_observation_cost_before_simulating():
+    # The ventilator cost lives on (pressure, flow) pairs; the action and
+    # linear comparators charge states, so both refuse before any step.
+    for kind, policy in (("best-linear", "linear"), ("best-dac", "action")):
+        with mock.patch.object(harness, "simulate", side_effect=AssertionError("simulated")):
+            code, _, err = run_cli(
+                ["regret", "--preset", "ventilator", "--controller", "zero",
+                 "--comparator", kind, "--horizon", "300"]
+            )
+        assert code == 2
+        assert f"the {policy}-policy comparator needs a state cost; use best-drc" in err
 
 
 def test_invalid_learner_radius_exit_code():

@@ -848,6 +848,81 @@ def test_best_linear_zero_when_control_has_no_effect():
     assert abs(value - ref) < 1e-10
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    T=st.integers(20, 60),
+    with_target=st.booleans(),
+    mode=st.sampled_from(["fresh", "in-place"]),
+)
+@example(seed=5, d_x=3, d_u=2, T=40, with_target=True, mode="in-place")
+def test_linear_pass_gradient_matches_central_differences(seed, d_x, d_u, T, with_target, mode):
+    # The one-block, lag-0 action class on K's own closed-loop states has
+    # the linear class's value and first derivatives in the gain.
+    system, cost, K, w, x0 = _time_varying_problem(
+        seed, d_x, d_u, d_x, T, False, False, with_target, mode
+    )
+    value, half_grad, _, _ = harness._linear_pass(system, cost, w, x0, K, "linear")
+    total = lambda K: linear_rollout_costs(system, cost, K, w, x0).sum()  # noqa: E731
+    assert value == pytest.approx(total(K), rel=1e-12)
+    eps = 1e-5
+    fd = [
+        (total(K + bump) - total(K - bump)) / (2.0 * eps)
+        for bump in eps * np.eye(K.size).reshape(K.size, *K.shape)
+    ]
+    assert np.linalg.norm(2.0 * half_grad - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    with_target=st.booleans(),
+    mode=st.sampled_from(["fresh", "in-place"]),
+)
+def test_best_linear_is_stationary(seed, d_x, d_u, with_target, mode):
+    # Gauss-Newton converges only linearly here (ratio up to about 0.7 a
+    # pass), so a few draws need more than the default 50 passes; the
+    # budget is raised for them to converge rather than warn.
+    system, cost, _, w, x0 = _time_varying_problem(
+        seed, d_x, d_u, d_x, 40, False, False, with_target, mode
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K_star, value = best_linear_in_hindsight(system, cost, w, x0, max_iter=200)
+    total = linear_rollout_costs(system, cost, K_star, w, x0).sum()
+    assert value == pytest.approx(total, rel=1e-12)
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        direction = rng.standard_normal(K_star.shape)
+        direction /= np.linalg.norm(direction)
+        for sign in (+1.0, -1.0):
+            probed = linear_rollout_costs(system, cost, K_star + sign * 1e-4 * direction, w, x0)
+            assert probed.sum() >= value - 1e-9 * (1.0 + abs(value))
+
+
+def test_best_linear_b747_long_horizon_without_warnings():
+    # The perturbed starts begin at unstable gains and spend their pass
+    # budget on huge finite costs; they lose and stay silent.
+    bp = scenario_presets()["b747"]
+    w = generate_perturbations(bp.perturbation, 1000, 4, 0, bp.noise_embedding)
+    A, B, _ = bp.system.matrices(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K_star, value = best_linear_in_hindsight(bp.system, bp.cost, w)
+        total = linear_rollout_costs(bp.system, bp.cost, K_star, w).sum()
+        dare_total = linear_rollout_costs(
+            bp.system, bp.cost, dare_solve(A, B, bp.cost.Q, bp.cost.R).K, w
+        ).sum()
+        zero_total = linear_rollout_costs(bp.system, bp.cost, np.zeros((2, 4)), w).sum()
+    assert value == pytest.approx(total, rel=1e-12)
+    assert value <= min(dare_total, zero_total)
+    assert value == pytest.approx(30377.376380431655, rel=1e-9)
+
+
 def test_comparator_input_validation():
     system = LinearSystem.time_invariant([[0.5]], [[1.0]])
     cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
