@@ -29,9 +29,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import TOL_PSD, _as_matrix, _as_vector
+from .lds_core import TOL_PSD, _as_matrix, _as_vector, _check_psd
 from .online_control import OGDState, ogd_update
-from .optimal_control import dare_solve
+from .optimal_control import _riccati_step, dare_solve
 
 __all__ = [
     "KalmanState",
@@ -55,15 +55,6 @@ __all__ = [
 ]
 
 
-def _check_psd(M: np.ndarray, name: str) -> np.ndarray:
-    M = _as_matrix(M, name)
-    if M.shape[0] != M.shape[1] or not np.allclose(M, M.T, atol=1e-9):
-        raise ConfigurationError(f"{name} must be symmetric")
-    if float(np.linalg.eigvalsh(M).min()) < -TOL_PSD:
-        raise ConfigurationError(f"{name} must be positive semidefinite")
-    return 0.5 * (M + M.T)
-
-
 # ---------------------------------------------------------------------------
 # Kalman filtering
 # ---------------------------------------------------------------------------
@@ -83,24 +74,6 @@ class KalmanState:
     def __post_init__(self):
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).ravel())
         object.__setattr__(self, "Sigma", _check_psd(self.Sigma, "Sigma"))
-
-
-def _covariance_update(
-    A: np.ndarray,
-    C: np.ndarray,
-    Sig: np.ndarray,
-    Sigma_x: np.ndarray,
-    Sigma_y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the predictive covariance recursion.
-
-    Returns the gain ``L = A Sig C' (C Sig C' + Sigma_y)^+`` and the
-    symmetrised next covariance ``A Sig A' - L C Sig A' + Sigma_x``.
-    """
-    innovation = C @ Sig @ C.T + Sigma_y
-    L = A @ (Sig @ C.T @ np.linalg.pinv(innovation))
-    Sigma_next = A @ Sig @ A.T - L @ C @ Sig @ A.T + Sigma_x
-    return L, 0.5 * (Sigma_next + Sigma_next.T)
 
 
 def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
@@ -135,15 +108,18 @@ def kalman_step(
 ) -> KalmanState:
     """One predictive Kalman recursion.
 
-    Computes the gain ``L = A Sigma C' (C Sigma C' + Sigma_y)^+`` and
-    returns the next predictive estimate::
+    The covariance update is the control Riccati step
+    :func:`~nscontrol.optimal_control._riccati_step` on the transposed data
+    ``(A', C', Sigma_x, Sigma_y)``, whose signed gain ``K`` gives ``L =
+    -K'``: ``L`` is the minimum-norm least-squares solution of ``L (C Sigma
+    C' + Sigma_y) = A Sigma C'``, and the next predictive estimate is::
 
         x_hat' = (A - L C) x_hat + B u + L y
-        Sigma' = A Sigma A' - A Sigma C' (C Sigma C' + Sigma_y)^+ C Sigma A'
-                 + Sigma_x
+        Sigma' = (A - L C) Sigma (A - L C)' + L Sigma_y L' + Sigma_x
 
-    The innovation covariance is pseudo-inverted, so zero-noise corner
-    cases degrade gracefully instead of failing.
+    This (Joseph) form is a sum of PSD congruences, so ``Sigma'`` stays PSD
+    with singular or zero noise covariances, and a rounding-level singular
+    value of the innovation covariance is never inverted.
 
     ``Sigma_x`` and ``Sigma_y`` must be symmetric PSD.  They are validated
     on first use and whenever their content differs from the pair the
@@ -162,8 +138,10 @@ def kalman_step(
     A = _as_matrix(A, "A")
     C = _as_matrix(C, "C")
     noise = _validated_noise(state, Sigma_x, Sigma_y)
-    _, _, Sx, Sy = noise
-    L, Sigma_next = _covariance_update(A, C, state.Sigma, Sx, Sy)
+    # An overflow leaves a non-finite Sigma_next, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], state.Sigma)
+    L = -K.T
     x_hat = (A - L @ C) @ state.x_hat
     if B is not None and u is not None:
         B = _as_matrix(B, "B")

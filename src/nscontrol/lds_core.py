@@ -43,7 +43,8 @@ __all__ = [
 #: Relative singular-value cutoff used for all numerical ranks.
 RANK_TOL = 1e-9
 
-#: Tolerance on the minimum eigenvalue when validating PSD cost matrices.
+#: Tolerance on the minimum eigenvalue, and relative tolerance on the
+#: asymmetry, when validating PSD matrices (:func:`_check_psd`).
 TOL_PSD = 1e-9
 
 #: Default finite-difference step for Jacobian computation.
@@ -58,6 +59,21 @@ def _as_matrix(M: object, name: str) -> np.ndarray:
     if not np.isfinite(A).all():
         raise ConfigurationError(f"{name} contains non-finite entries")
     return A
+
+
+def _check_psd(M: object, name: str) -> np.ndarray:
+    """Coerce with :func:`_as_matrix`, require a square matrix symmetric to
+    ``TOL_PSD * max(1, max |M_ij|)`` with no eigenvalue below ``-TOL_PSD``,
+    and return its symmetric part."""
+    M = _as_matrix(M, name)
+    if M.shape[0] != M.shape[1]:
+        raise ConfigurationError(f"{name} must be square")
+    if np.max(np.abs(M - M.T)) > TOL_PSD * max(1.0, np.max(np.abs(M))):
+        raise ConfigurationError(f"{name} must be symmetric")
+    M = 0.5 * (M + M.T)
+    if np.linalg.eigvalsh(M).min() < -TOL_PSD:
+        raise ConfigurationError(f"{name} must be positive semidefinite")
+    return M
 
 
 def _as_vector(v: object, dim: int, name: str) -> np.ndarray:
@@ -320,8 +336,8 @@ class PerturbationSource:
 class QuadraticCost:
     """Quadratic cost ``c(x, u) = (x - x*)' Q (x - x*) + u' R u``.
 
-    ``Q`` and ``R`` must be symmetric with eigenvalues above ``-TOL_PSD``.
-    ``target`` is the state target ``x*`` (defaults to the origin).
+    ``Q`` and ``R`` must pass :func:`_check_psd`; their symmetric parts are
+    stored.  ``target`` is the state target ``x*`` (defaults to the origin).
     """
 
     Q: np.ndarray
@@ -329,19 +345,10 @@ class QuadraticCost:
     target: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        Q = _as_matrix(self.Q, "Q")
-        R = _as_matrix(self.R, "R")
-        for name, M in (("Q", Q), ("R", R)):
-            if M.shape[0] != M.shape[1]:
-                raise ConfigurationError(f"{name} must be square")
-            if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
-                raise ConfigurationError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(M).min() < -TOL_PSD:
-                raise ConfigurationError(f"{name} must be positive semidefinite")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Q", _check_psd(self.Q, "Q"))
+        object.__setattr__(self, "R", _check_psd(self.R, "R"))
         if self.target is not None:
-            object.__setattr__(self, "target", _as_vector(self.target, Q.shape[0], "target"))
+            object.__setattr__(self, "target", _as_vector(self.target, self.Q.shape[0], "target"))
 
     def _dx(self, x: np.ndarray) -> np.ndarray:
         return x if self.target is None else x - self.target
@@ -516,13 +523,9 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def spectral_radius(M: object, tol: float = 0.0) -> float:
-    """Largest eigenvalue modulus of a square matrix.
-
-    Complex eigenvalues are handled; ``tol`` is accepted for interface
-    symmetry (the dense eigensolver is already accurate to machine
-    precision).
-    """
+def spectral_radius(M: object) -> float:
+    """Largest eigenvalue modulus of a square matrix (complex eigenvalues
+    included)."""
     A = _as_matrix(M, "M")
     if A.shape[0] != A.shape[1]:
         raise ConfigurationError(f"spectral_radius needs a square matrix, got {A.shape}")

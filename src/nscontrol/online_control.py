@@ -582,8 +582,8 @@ class GRCController(_DisturbanceFeedback):
     Runs on the core shared with :class:`GPCController`: the ``ynat``
     window and the ``H_trunc``-deep stack of ``F_i`` are allocated at the
     first update and updated in place.  ``A_t`` must have spectral radius
-    below 1, checked whenever ``A_t`` differs from the last matrix checked.
-    ``C_t = None`` means the state is observed.
+    below 1, checked whenever ``(A_t, B_t, C_t)`` differ from the last
+    dynamics validated.  ``C_t = None`` means the state is observed.
 
     The cost is evaluated on (observation, control) pairs.
     """
@@ -608,7 +608,6 @@ class GRCController(_DisturbanceFeedback):
         super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc,
                          eps_trunc, telemetry_sink)
         self.tracker = NaturesYTracker(self.d_x)
-        self._A_checked: Optional[np.ndarray] = None
 
     @staticmethod
     def _output(C_t: Optional[object]) -> Optional[np.ndarray]:
@@ -626,12 +625,8 @@ class GRCController(_DisturbanceFeedback):
         A_t = _as_matrix(A_t, "A_t")
         B_t = _as_matrix(B_t, "B_t")
         C_t = self._output(C_t)
-        if self._A_checked is None or not np.array_equal(A_t, self._A_checked):
-            if spectral_radius(A_t) >= 1.0:
-                raise ConfigurationError(
-                    "GRC requires a stable system: spectral radius of A_t is >= 1"
-                )
-            self._A_checked = A_t.copy()
+        if spectral_radius(A_t) >= 1.0:
+            raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
         return A_t, B_t, C_t
 
     def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:

@@ -1,6 +1,10 @@
 """Optimal-control baselines: finite-horizon LQR and the infinite-horizon
 discrete-time algebraic Riccati equation (DARE), solved by value iteration.
 
+Both iterate one Riccati step, :func:`_riccati_step`, in gain (Joseph)
+form; :mod:`nscontrol.filtering` runs the same step on the transposed data
+for the Kalman covariance.
+
 Gain convention: the *signed* gain is stored, so the control law is
 ``u = K x`` and the closed-loop matrix is ``A + B K``.
 """
@@ -9,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import TOL_PSD, _as_matrix, spectral_radius
+from .lds_core import _as_matrix, _check_psd, spectral_radius
 
 __all__ = ["LQRSolution", "DARESolution", "lqr_finite", "dare_solve"]
 
@@ -29,11 +33,27 @@ def _provider(M: MatrixOrProvider, name: str) -> Callable[[int], np.ndarray]:
     return lambda t: fixed
 
 
-def _check_psd(M: np.ndarray, name: str) -> None:
-    if np.max(np.abs(M - M.T)) > 1e-9 * max(1.0, np.max(np.abs(M))):
-        raise ConfigurationError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh((M + M.T) / 2.0).min() < -TOL_PSD:
-        raise ConfigurationError(f"{name} must be positive semidefinite")
+def _riccati_step(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the Riccati map in gain (Joseph) form, ``(K, S_next)``::
+
+        (R + B'SB) K = -B'SA        (minimum-norm least-squares solution)
+        S_next = Q + K'RK + (A + BK)' S (A + BK)     (symmetrised)
+
+    For PSD ``Q``, ``R`` and ``S``, ``S_next`` is a sum of congruences of PSD
+    matrices, so it stays PSD up to rounding whatever the rank of ``R +
+    B'SB``.  Both outputs are NaN when ``R + B'SB`` is not finite, so a
+    caller's finiteness check on ``S_next`` sees the divergence.
+    """
+    SB = S @ B
+    G = R + B.T @ SB
+    if not np.isfinite(G).all():
+        return np.full((B.shape[1], A.shape[1]), np.nan), np.full_like(S, np.nan)
+    K = -np.linalg.lstsq(G, SB.T @ A, rcond=None)[0]
+    closed = A + B @ K
+    S_next = Q + K.T @ R @ K + closed.T @ S @ closed
+    return K, 0.5 * (S_next + S_next.T)
 
 
 @dataclass
@@ -70,11 +90,6 @@ class DARESolution:
     residual: float
 
 
-def _riccati_gain(A: np.ndarray, B: np.ndarray, R: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Signed gain ``K = -(R + B'SB)^+ B'SA`` (pseudo-inverse)."""
-    return -np.linalg.pinv(R + B.T @ S @ B) @ (B.T @ S @ A)
-
-
 def lqr_finite(
     A: MatrixOrProvider,
     B: MatrixOrProvider,
@@ -102,12 +117,18 @@ def lqr_finite(
 
     Notes
     -----
-    The recursion from the terminal condition ``S_{T-1} = Q_{T-1}`` is::
+    From the terminal condition ``S_{T-1} = Q_{T-1}``, each step is
+    :func:`_riccati_step` on ``(A, B, Q, R)`` at ``t - 1``::
 
-        K_{t-1} = -(R + B' S_t B)^+ B' S_t A
+        (R + B' S_t B) K_{t-1} = -B' S_t A
         S_{t-1} = Q + K'RK + (A + BK)' S_t (A + BK)
 
     with the signed gain so that ``u = Kx``.
+
+    Raises
+    ------
+    EvaluationError
+        If a value matrix becomes non-finite.
     """
     if T < 1:
         raise ConfigurationError("horizon T must be at least 1")
@@ -118,24 +139,18 @@ def lqr_finite(
 
     d_x = A_of(0).shape[0]
     d_u = B_of(0).shape[1]
-    Q_T = Q_of(T - 1)
-    _check_psd(Q_T, "Q")
     _check_psd(R_of(T - 1), "R")
 
     S = np.zeros((T, d_x, d_x))
     K = np.zeros((T, d_u, d_x))
     c = np.zeros(T)
-    S[T - 1] = Q_T
+    S[T - 1] = _check_psd(Q_of(T - 1), "Q")
     for t in range(T - 1, 0, -1):
-        A_t, B_t = A_of(t - 1), B_of(t - 1)
-        Q_t, R_t = Q_of(t - 1), R_of(t - 1)
-        _check_psd(Q_t, "Q")
-        _check_psd(R_t, "R")
-        gain = _riccati_gain(A_t, B_t, R_t, S[t])
-        closed = A_t + B_t @ gain
-        S_new = Q_t + gain.T @ R_t @ gain + closed.T @ S[t] @ closed
-        S[t - 1] = (S_new + S_new.T) / 2.0
-        K[t - 1] = gain
+        Q_t, R_t = _check_psd(Q_of(t - 1), "Q"), _check_psd(R_of(t - 1), "R")
+        with np.errstate(over="ignore", invalid="ignore"):
+            K[t - 1], S[t - 1] = _riccati_step(A_of(t - 1), B_of(t - 1), Q_t, R_t, S[t])
+        if not np.isfinite(S[t - 1]).all():
+            raise EvaluationError(f"LQR value matrix became non-finite at step {t - 1}")
         c[t - 1] = c[t] + sigma2 * float(np.trace(S[t]))
     return LQRSolution(S=S, K=K, c=c, sigma2=float(sigma2))
 
@@ -150,10 +165,10 @@ def dare_solve(
 ) -> DARESolution:
     """Solve the DARE by value iteration from ``S_0 = Q``.
 
-    Iterates ``S <- Q + A'SA - A'SB (R + B'SB)^+ B'SA`` until the
-    Frobenius residual between successive iterates is at most ``tol``,
-    then returns the fixed point with its signed gain
-    ``K = -(R + B'SB)^+ B'SA``.
+    Iterates :func:`_riccati_step`, ``(R + B'SB) K = -B'SA`` and ``S <- Q +
+    K'RK + (A + BK)'S(A + BK)``, until the Frobenius residual between
+    successive iterates is at most ``tol``, then returns the fixed point with
+    its signed gain, from one more step.
 
     Raises
     ------
@@ -166,24 +181,14 @@ def dare_solve(
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
-    Q = _as_matrix(Q, "Q")
-    R = _as_matrix(R, "R")
-    _check_psd(Q, "Q")
-    _check_psd(R, "R")
+    Q = _check_psd(Q, "Q")
+    R = _check_psd(R, "R")
 
-    S = Q.copy()
+    S = Q
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            BtSB = R + B.T @ S @ B
-            if not np.all(np.isfinite(BtSB)):
-                raise EvaluationError(
-                    f"DARE value iteration diverged at iteration {iteration}; "
-                    "(A, B) does not appear stabilizable"
-                )
-            correction = A.T @ S @ B @ np.linalg.pinv(BtSB) @ B.T @ S @ A
-            S_next = Q + A.T @ S @ A - correction
-            S_next = (S_next + S_next.T) / 2.0
+            S_next = _riccati_step(A, B, Q, R, S)[1]
             residual = float(np.linalg.norm(S_next - S))
         if not (math.isfinite(residual) and np.all(np.isfinite(S_next))):
             raise EvaluationError(
@@ -192,7 +197,7 @@ def dare_solve(
             )
         S = S_next
         if residual <= tol:
-            K = _riccati_gain(A, B, R, S)
+            K = _riccati_step(A, B, Q, R, S)[0]
             if spectral_radius(A + B @ K) >= 1.0:
                 raise ConfigurationError(
                     "DARE converged but the closed loop is unstable; "
