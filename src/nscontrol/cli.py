@@ -215,9 +215,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     state = KalmanState(x_hat=np.zeros(d_x), Sigma=Sigma_x)
     rows = []
     state_sq = obs_sq = 0.0
-    for t in range(T):
-        A_t, _, C_t = system.matrices(t)
-        C_t = np.eye(d_x) if C_t is None else C_t
+    for t, (A_t, _, C_t) in enumerate(zip(*system.stacks(0, T))):
         d_y = C_t.shape[0]
         Sigma_y = (args.obs_noise**2) * np.eye(d_y)
         y = C_t @ x + args.obs_noise * rng_obs.standard_normal(d_y)
@@ -276,9 +274,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     x = np.zeros(system.d_x) if config.x0 is None else config.x0.copy()
     rows = []
     running = 0.0
-    for t in range(T):
-        A_t, B_t, C_t = system.matrices(t)
-        C_t = np.eye(system.d_x) if C_t is None else C_t
+    for t, (A_t, B_t, C_t) in enumerate(zip(*system.stacks(0, T))):
         u = rng.integers(0, 2, size=system.d_u).astype(float) * 2.0 - 1.0
         x = A_t @ x + B_t @ u
         y = C_t @ x

@@ -339,22 +339,12 @@ class _PolicyClass(NamedTuple):
 
 
 def _chunks(system: LinearSystem, T: int, width: int) -> Iterator[tuple]:
-    """The run in chunks of steps, as ``(start, A, B, C)`` stacks of the
-    chunk's matrices (``C_t = None`` stacked as the identity).  Each step's
-    ``system.matrices(t)`` is copied into the stacks as soon as it is
-    fetched, since a provider may overwrite the buffers it hands out.  A
-    chunk keeps every buffer within ``_CHUNK_BYTES`` when one step of the
-    widest takes ``width`` floats."""
+    """The run as ``(start, A, B, C)`` chunk stacks (:meth:`LinearSystem.stacks`), each
+    buffer within ``_CHUNK_BYTES`` when one step of the widest takes ``width`` floats."""
     d_x, d_u, d_y = system.d_x, system.d_u, system.d_y
     n = max(1, min(T, _CHUNK_BYTES // (8 * max(width, d_x * max(d_x, d_u, d_y)))))
-    A, B, C = np.empty((n, d_x, d_x)), np.empty((n, d_x, d_u)), np.empty((n, d_y, d_x))
-    identity = np.eye(d_y, d_x)
     for start in range(0, T, n):
-        stop = min(start + n, T)
-        for k in range(stop - start):
-            A[k], B[k], C_t = system.matrices(start + k)
-            C[k] = identity if C_t is None else C_t
-        yield start, A[: stop - start], B[: stop - start], C[: stop - start]
+        yield (start, *system.stacks(start, min(start + n, T)))
 
 
 def _affine_recursion(F: np.ndarray, E: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -119,6 +119,7 @@ class LinearSystem:
         self._B = B
         self._C = C
         self._provider = provider
+        self._held: tuple = (None, None)  # (t, matrices(t)) of a provider
         if min(self.d_x, self.d_u, self.d_y) < 1:
             raise ConfigurationError("system dimensions must be positive")
 
@@ -156,22 +157,21 @@ class LinearSystem:
         d_y: Optional[int] = None,
     ) -> "LinearSystem":
         """Build a time-varying system from ``provider(t)`` returning
-        ``(A_t, B_t)`` or ``(A_t, B_t, C_t)``."""
+        ``(A_t, B_t)`` or ``(A_t, B_t, C_t)``.  The provider must be a
+        function of ``t``; it is called once per step of a closed loop and of
+        each comparator sweep, and it may reuse its buffers."""
         return cls(d_x, d_u, d_x if d_y is None else d_y, provider=provider)
 
     # -- accessors ----------------------------------------------------
 
-    @property
-    def partially_observed(self) -> bool:
-        """True when an explicit observation matrix is in play."""
-        if self._provider is not None:
-            return self.d_y != self.d_x or len(self._provider(0)) > 2
-        return self._C is not None
-
     def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Return ``(A_t, B_t, C_t)``; ``C_t`` is None for full observation."""
+        """Return ``(A_t, B_t, C_t)``; ``C_t`` is None for full observation.
+        A provider's matrices are validated copies that the system owns; the
+        last step's are kept, so calls within one step make one provider call."""
         if self._provider is None:
             return self._A, self._B, self._C
+        if self._held[0] == t:
+            return self._held[1]
         out = self._provider(int(t))
         A = _as_matrix(out[0], f"A_{t}")
         B = _as_matrix(out[1], f"B_{t}")
@@ -185,7 +185,21 @@ class LinearSystem:
             raise ConfigurationError(
                 f"provider returned C{C.shape} at t={t}; expected ({self.d_y},{self.d_x})"
             )
-        return A, B, C
+        held = (A.copy(), B.copy(), None if C is None else C.copy())
+        for M in held[: 2 if C is None else 3]:
+            M.flags.writeable = False
+        self._held = (t, held)
+        return held
+
+    def stacks(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(A, B, C)`` stacks of steps ``start <= t < stop``, ``C_t = None`` as
+        the identity: read-only views of fixed matrices, else copies."""
+        identity = np.eye(self.d_y, self.d_x)
+        if self._provider is None:
+            n, C = stop - start, identity if self._C is None else self._C
+            return tuple(np.broadcast_to(M, (n,) + M.shape) for M in (self._A, self._B, C))
+        A, B, C = zip(*(self.matrices(t) for t in range(start, stop)))
+        return np.stack(A), np.stack(B), np.stack([identity if M is None else M for M in C])
 
 
 def step(system: LinearSystem, x: object, u: object, w: object, t: int = 0) -> np.ndarray:
@@ -457,6 +471,7 @@ def simulate(
     Parameters
     ----------
     system : LinearSystem
+        Each step's matrices are fetched once; a callback's fetch of step t reuses it.
     controller : callable
         ``controller(t, x_t, y_t) -> u_t``.  Stateful controllers recover
         perturbations themselves from consecutive states.
@@ -497,7 +512,7 @@ def simulate(
 
     states[0] = x
     for t in range(T):
-        C = system.matrices(t)[2]
+        A, B, C = system.matrices(t)
         y = x.copy() if C is None else C.dot(x)
         observations[t] = y
         u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
@@ -507,9 +522,6 @@ def simulate(
         c = cost.value(x, u)
         if not np.isfinite(c):
             raise EvaluationError(f"cost is non-finite at t={t}")
-        # Fetched after the controller ran: a provider may hand out buffers
-        # that the controller's own matrices() calls overwrite.
-        A, B, _ = system.matrices(t)
         x = A.dot(x) + B.dot(u) + w
         states[t + 1] = x
         controls[t] = u

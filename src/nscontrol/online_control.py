@@ -555,11 +555,12 @@ def gpc_runner(
     The update for step ``t-1`` happens at the start of the call for step
     ``t`` (when ``x_t`` has become observable).
     """
+    acted_on: list = []  # (A_t, B_t) of the last step acted on
 
     def callback(t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if t > 0 and controller._last is not None:
-            A_prev, B_prev, _ = system.matrices(t - 1)
-            controller.update(t - 1, A_prev, B_prev, x, cost)
+            controller.update(t - 1, *acted_on, x, cost)
+        acted_on[:] = system.matrices(t)[:2]
         return controller.act(t, x)
 
     return callback

@@ -543,15 +543,14 @@ def policy_runner(
     policy.reset()
 
     if policy.kind == "dac":
-        last: dict = {"x": None, "u": None}
+        last: list = []  # (x, u, A, B) of the last step acted on
 
         def dac_callback(t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            if last["x"] is not None:
-                A_prev, B_prev, _ = system.matrices(t - 1)
-                w_prev = x - A_prev @ last["x"] - B_prev @ last["u"]
-                policy.push_perturbation(w_prev)
+            if last:
+                x_prev, u_prev, A_prev, B_prev = last
+                policy.push_perturbation(x - A_prev @ x_prev - B_prev @ u_prev)
             u = policy.act(x, t)
-            last["x"], last["u"] = x.copy(), u.copy()
+            last[:] = x.copy(), u.copy(), *system.matrices(t)[:2]
             return u
 
         return dac_callback
@@ -559,8 +558,7 @@ def policy_runner(
     if policy.kind == "drc":
 
         def drc_callback(t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            A_t, B_t, C_t = system.matrices(t)
-            return policy.step(y, A_t, B_t, C_t)
+            return policy.step(y, *system.matrices(t))
 
         return drc_callback
 

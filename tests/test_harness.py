@@ -720,6 +720,23 @@ def test_chunked_comparators_on_time_varying_providers(
     np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0.0)
 
 
+def test_fixed_system_comparator_fetches_do_not_grow_with_the_horizon():
+    # The sweeps read a time-invariant system's stacks as broadcast views,
+    # so no step of the run calls matrices().
+    bp = scenario_presets()["b747"]
+    A, B, _ = bp.system.matrices(0)
+    K = dare_solve(A, B, bp.cost.Q, bp.cost.R).K
+    fetches = []
+    for T in (250, 1000):
+        w = generate_perturbations(bp.perturbation, T, 4, 0, bp.noise_embedding)
+        with mock.patch.object(LinearSystem, "matrices", autospec=True,
+                               side_effect=LinearSystem.matrices) as matrices:
+            Ms, _ = best_dac_in_hindsight(bp.system, bp.cost, K, w, 8)
+            dac_rollout_costs(bp.system, bp.cost, K, Ms, w)
+        fetches.append(matrices.call_count)
+    assert fetches[0] == fetches[1] <= 2
+
+
 def test_dac_comparator_crosses_chunks_at_the_default_budget():
     # b747 with 8 action blocks: 64 parameters, so the pass works through
     # the run in several chunks of the default budget.
@@ -887,6 +904,18 @@ def test_best_linear_is_stationary(seed, d_x, d_u, with_target, mode):
     # Gauss-Newton converges only linearly here (ratio up to about 0.7 a
     # pass), so a few draws need more than the default 50 passes; the
     # budget is raised for them to converge rather than warn.
+    _check_best_linear_is_stationary(seed, d_x, d_u, with_target, mode)
+
+
+@pytest.mark.xfail(strict=True, raises=UserWarning, reason=(
+    "the zero-gain start wanders in an ill-conditioned valley (cond G about 3e5) "
+    "and ends its 200 passes at decrement 16.6 with a budget warning"))
+def test_best_linear_is_stationary_on_an_ill_conditioned_draw():
+    # A draw of the test above that fails about 2 times in 300.
+    _check_best_linear_is_stationary(13548, 2, 2, True, "fresh")
+
+
+def _check_best_linear_is_stationary(seed, d_x, d_u, with_target, mode):
     system, cost, _, w, x0 = _time_varying_problem(
         seed, d_x, d_u, d_x, 40, False, False, with_target, mode
     )

@@ -7,6 +7,8 @@ explicit loops, geometric series) and frozen here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.lds_core import (
@@ -99,6 +101,103 @@ def test_time_varying_provider():
 
     sysv = LinearSystem.time_varying(provider, d_x=2, d_u=1)
     assert np.allclose(step(sysv, [1, 1], [0], [0, 0], t=2), [3, 3])
+
+
+def _content(seed, d_x, d_u, d_y, with_C):
+    """Matrices ``t -> (A_t, B_t[, C_t])`` of a random time-varying system."""
+    rng = np.random.default_rng(seed)
+    A0, A1, B0, C0 = (rng.standard_normal(shape) for shape in
+                      [(d_x, d_x), (d_x, d_x), (d_x, d_u), (d_y, d_x)])
+    content = [lambda t: A0 + np.sin(0.7 * t) * A1, lambda t: B0 * np.cos(0.4 * t)]
+    if with_C:
+        content.append(lambda t: (1.0 + t) * C0)
+    return content
+
+
+def _counted_provider(mode, content, calls, bad_at=None, fault=None):
+    """``t -> matrices`` that appends ``t`` to ``calls``: fresh arrays, or
+    (``"in-place"``) one set of buffers overwritten on every call.  At step
+    ``bad_at`` A_t has the wrong shape or a non-finite entry."""
+    buffers = [np.zeros_like(at(0)) for at in content]
+
+    def provider(t):
+        calls.append(t)
+        out = [at(t) for at in content]
+        if mode == "in-place":
+            for buffer, M in zip(buffers, out):
+                buffer[...] = M
+            out = list(buffers)
+        if t == bad_at:
+            out[0] = np.ones((1, 3)) if fault == "shape" else np.full_like(out[0], np.nan)
+        return tuple(out)
+
+    return provider
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["fixed", "fresh", "in-place"]),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    d_y=st.integers(1, 3),
+    with_C=st.booleans(),
+    start=st.integers(0, 20),
+    n=st.integers(1, 12),
+)
+def test_stacks_match_per_step_matrices(seed, mode, d_x, d_u, d_y, with_C, start, n):
+    content = _content(seed, d_x, d_u, d_y, with_C)
+    d_y = d_y if with_C else d_x
+    if mode == "fixed":
+        system = LinearSystem.time_invariant(*(at(3) for at in content))
+    else:
+        system = LinearSystem.time_varying(_counted_provider(mode, content, []), d_x, d_u, d_y)
+    A, B, C = system.stacks(start, start + n)
+    assert A.shape == (n, d_x, d_x) and B.shape == (n, d_x, d_u) and C.shape == (n, d_y, d_x)
+    for k, t in enumerate(range(start, start + n)):
+        A_t, B_t, C_t = system.matrices(t)
+        assert np.array_equal(A[k], A_t) and np.array_equal(B[k], B_t)
+        assert np.array_equal(C[k], np.eye(d_y, d_x) if C_t is None else C_t)
+
+
+@pytest.mark.parametrize("with_C", [False, True])
+def test_fixed_system_stacks_are_read_only(with_C):
+    C = [[1.0, 2.0]] if with_C else None
+    system = LinearSystem.time_invariant([[0.5, 0.1], [0.0, 0.3]], [[0.0], [1.0]], C)
+    for M in system.stacks(0, 7):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0, 0] = 1.0
+    A, _, _ = system.matrices(0)
+    assert A[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("fault", ["shape", "non-finite"])
+@pytest.mark.parametrize("accessor", ["stacks", "matrices"])
+def test_provider_fault_mid_chunk_names_its_step(fault, accessor):
+    content = _content(1, 2, 1, 1, True)
+    provider = _counted_provider("in-place", content, [], bad_at=5, fault=fault)
+    system = LinearSystem.time_varying(provider, 2, 1, 1)
+    system.stacks(0, 5)
+    with pytest.raises(ConfigurationError, match=r"(A_|t=)5\b"):
+        system.stacks(2, 9) if accessor == "stacks" else system.matrices(5)
+
+
+@pytest.mark.parametrize("mode", ["fresh", "in-place"])
+def test_matrices_fetch_once_per_step_and_own_their_copies(mode):
+    content = _content(2, 3, 2, 2, True)
+    calls = []
+    system = LinearSystem.time_varying(_counted_provider(mode, content, calls), 3, 2, 2)
+    first = system.matrices(4)
+    again = system.matrices(4)
+    assert calls == [4]
+    assert all(M is N for M, N in zip(first, again))
+    system.matrices(5)  # an in-place provider overwrites its buffers here
+    assert calls == [4, 5]
+    for M, at in zip(first, content):
+        assert np.array_equal(M, at(4))
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from nscontrol.online_control import (
     ogd_update,
 )
 from nscontrol.optimal_control import dare_solve
-from nscontrol.policies import LinearPolicy, policy_runner
+from nscontrol.policies import DACPolicy, DRCPolicy, LinearPolicy, policy_runner
 
 FD_STEP = 1e-6
 
@@ -1071,25 +1071,77 @@ def test_quadratic_cost_terms_match_value_and_gradients():
     assert np.allclose(gu, cost.grad_u(x, u), rtol=1e-14, atol=0.0)
 
 
-def test_simulate_steps_with_current_matrices_of_an_in_place_provider():
-    # The provider overwrites the same buffers on every call, and gpc_runner
-    # asks for the previous step's matrices inside the controller callback;
-    # simulate() must still step x_t with A_t and B_t.
-    d_x, d_u, T = 2, 1, 30
+def _in_place_problem(calls=None):
+    """A stable time-varying system whose provider overwrites one set of
+    buffers on every call (appending ``t`` to ``calls``), with its content
+    ``A_at``, ``B_at`` and a unit quadratic cost."""
+    d_x, d_u = 2, 1
     rng = np.random.default_rng(11)
     A0, A1 = _rescaled(rng.normal(size=(d_x, d_x)), 0.7), 0.2 * rng.normal(size=(d_x, d_x))
     B0, B1 = rng.normal(size=(d_x, d_u)), 0.3 * rng.normal(size=(d_x, d_u))
-    A_at = lambda t: A0 + np.sin(0.9 * t) * A1
-    B_at = lambda t: B0 + np.cos(0.4 * t) * B1
-    system = LinearSystem.time_varying(_handed("in-place", A_at, B_at), d_x, d_u)
-    cost = QuadraticCost(np.eye(d_x), np.eye(d_u))
-    controller = GPCController(d_x, d_u, np.zeros((d_u, d_x)), h=3, radius=2.0,
-                               step_size=0.1, H_trunc=6)
-    traj = simulate(system, gpc_runner(controller, system, cost),
+    A_at = lambda t: A0 + np.sin(0.9 * t) * A1  # noqa: E731
+    B_at = lambda t: B0 + np.cos(0.4 * t) * B1  # noqa: E731
+    handed = _handed("in-place", A_at, B_at)
+
+    def provider(t):
+        if calls is not None:
+            calls.append(t)
+        return handed(t)
+
+    system = LinearSystem.time_varying(provider, d_x, d_u)
+    return system, A_at, B_at, QuadraticCost(np.eye(d_x), np.eye(d_u))
+
+
+def _closed_loop_runner(kind, system, cost):
+    """A ``simulate`` callback: a GPC or GRC learner, or a fixed DAC or DRC
+    policy through ``policy_runner``."""
+    d_x, d_u = system.d_x, system.d_u
+    if kind == "gpc":
+        controller = GPCController(d_x, d_u, np.zeros((d_u, d_x)), h=3, radius=2.0,
+                                   step_size=0.1, H_trunc=6)
+        return gpc_runner(controller, system, cost)
+    if kind == "grc":
+        controller = GRCController(d_x, d_u, system.d_y, h=3, radius=2.0, step_size=0.1,
+                                   H_trunc=6)
+        return grc_runner(controller, system, cost)
+    Ms = [0.2 * np.full((d_u, d_x), (-1.0) ** i) for i in range(3)]
+    policy = DACPolicy(np.zeros((d_u, d_x)), Ms) if kind == "dac" else DRCPolicy(Ms, d_x)
+    return policy_runner(policy, system)
+
+
+RUNNERS = ["gpc", "grc", "dac", "drc"]
+
+
+@pytest.mark.parametrize("kind", RUNNERS)
+def test_simulate_steps_with_current_matrices_of_an_in_place_provider(kind):
+    # The provider overwrites the same buffers on every call, and every
+    # runner uses the system's matrices inside the controller callback;
+    # simulate() must still step x_t with A_t and B_t.
+    T = 30
+    system, A_at, B_at, cost = _in_place_problem()
+    traj = simulate(system, _closed_loop_runner(kind, system, cost),
                     PerturbationSource.gaussian(0.5), cost, T, seed=3)
     for t in range(T):
         expected = A_at(t) @ traj.states[t] + B_at(t) @ traj.controls[t] + traj.perturbations[t]
         assert np.allclose(traj.states[t + 1], expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", RUNNERS)
+def test_closed_loop_calls_the_provider_once_per_step(kind, monkeypatch):
+    # simulate() and the runner share one fetch per step; a GPC step
+    # validates A_t and B_t once on the fetch and once in the learner.
+    T, calls, validated = 100, [], []
+    system, _, _, cost = _in_place_problem(calls)
+    for module in (lds_core, online_control):
+        original = module._as_matrix
+        monkeypatch.setattr(module, "_as_matrix",
+                            lambda M, name, original=original: validated.append(name)
+                            or original(M, name))
+    simulate(system, _closed_loop_runner(kind, system, cost),
+             PerturbationSource.gaussian(0.5), cost, T, seed=3)
+    assert calls == list(range(T))
+    if kind == "gpc":
+        assert len(validated) <= 4 * T + 1
 
 
 @pytest.mark.parametrize("kind", ["gpc", "grc"])
