@@ -46,6 +46,7 @@ from .harness import (
     component_seed,
     config_from_preset,
     generate_perturbations,
+    learner_options,
     load_config,
     report_summary,
     run_experiment,
@@ -66,49 +67,51 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--horizon", type=int, metavar="T", help="number of steps")
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser, controller: str) -> None:
+def _add_scenario_flags(sub: argparse.ArgumentParser, controller: Optional[str]) -> None:
+    """Scenario and learner flags; ``--controller`` (defaulting to
+    ``controller``) unless ``controller`` is None."""
     sub.add_argument(
         "--preset",
         default="scalar-0.9",
         help="benchmark scenario name (ignored with --config)",
     )
-    sub.add_argument(
-        "--controller",
-        default=controller,
-        choices=["zero", "linear", "lqr", "gpc", "grc"],
-        help="controller kind (ignored with --config)",
-    )
+    if controller is not None:
+        sub.add_argument(
+            "--controller",
+            default=controller,
+            choices=["zero", "linear", "lqr", "gpc", "grc"],
+            help="controller kind (ignored with --config)",
+        )
     sub.add_argument("--h", type=int, help="learner window length")
     sub.add_argument("--radius", type=float, help="learner projection radius")
     sub.add_argument("--step-size", type=float, help="learner step-size scale")
 
 
 def _scenario_config(args: argparse.Namespace, default_horizon: int) -> ScenarioConfig:
+    """The config file's scenario, else the preset's; then the learner and
+    comparator flags given override its values."""
     if args.config:
-        overrides = {}
-        if args.horizon is not None:
-            overrides["horizon"] = args.horizon
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        return load_config(args.config, overrides)
-    controller = {"kind": getattr(args, "controller", "zero")}
+        overrides = {
+            key: getattr(args, key)
+            for key in ("horizon", "seed", "out")
+            if getattr(args, key) is not None
+        }
+        config = load_config(args.config, overrides)
+    else:
+        config = config_from_preset(
+            args.preset,
+            controller={"kind": getattr(args, "controller", "zero")},
+            horizon=args.horizon if args.horizon is not None else default_horizon,
+            seed=args.seed if args.seed is not None else 0,
+            out_dir=args.out,
+        )
     for key in ("h", "radius", "step_size"):
         value = getattr(args, key, None)
         if value is not None:
-            controller[key] = value
-    comparator = {}
+            config.controller[key] = value
     if getattr(args, "comparator", None):
-        comparator["kind"] = args.comparator
-    return config_from_preset(
-        args.preset,
-        controller=controller,
-        horizon=args.horizon if args.horizon is not None else default_horizon,
-        seed=args.seed if args.seed is not None else 0,
-        comparator=comparator,
-        out_dir=args.out,
-    )
+        config.comparator["kind"] = args.comparator
+    return config
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
@@ -151,6 +154,7 @@ def _cmd_regret(args: argparse.Namespace) -> int:
 
 def _cmd_sysid(args: argparse.Namespace) -> int:
     config = _scenario_config(args, default_horizon=2000)
+    learner = learner_options(config.controller)
     if config.cost_on != "state":
         raise ConfigurationError(
             "the identification pipeline needs a state cost; pick a preset "
@@ -163,22 +167,9 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
             source, T, config.system.d_x, config.seed, config.noise_embedding
         )
         source = PerturbationSource.recorded(w)
-    box = BlackBoxSystem(
-        config.system, source, seed=config.seed, x0=config.x0
-    )
-    gpc = {
-        key: config.controller[key]
-        for key in ("h", "radius", "step_size", "H_trunc")
-        if key in config.controller
-    }
-    report = identify_then_control(
-        box,
-        T,
-        config.cost,
-        k=args.k if args.k is not None else config.system.d_x,
-        seed=config.seed,
-        **gpc,
-    )
+    box = BlackBoxSystem(config.system, source, seed=config.seed, x0=config.x0)
+    k = args.k if args.k is not None else config.system.d_x
+    report = identify_then_control(box, T, config.cost, k=k, seed=config.seed, **learner)
     extras = report.extras
     print(
         f"{config.name}: T={T} T0={extras['T0']} k={extras['k']} "
@@ -337,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sysid", help="explore, identify, then control")
     _add_common_flags(sub)
-    _add_scenario_flags(sub, controller="gpc")
+    _add_scenario_flags(sub, controller=None)
     sub.add_argument("--k", type=int, help="controllability index (default d_x)")
     sub.set_defaults(func=_cmd_sysid)
 

@@ -30,7 +30,7 @@ import os
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ from .lds_core import (
     simulate,
     spectral_radius,
 )
-from .online_control import GPCController, GRCController, gpc_runner, grc_runner
+from .online_control import DEFAULT_H, GPCController, GRCController, gpc_runner, grc_runner
 from .optimal_control import dare_solve
 from .serialize import load_matrix, write_csv, write_json_summary
 
@@ -883,6 +883,21 @@ class ScenarioConfig:
                 )
 
 
+def _preset(name: str) -> ScenarioBlueprint:
+    presets = scenario_presets()
+    if name not in presets:
+        raise ConfigurationError(f"unknown preset {name!r}; available: {sorted(presets)}")
+    return presets[name]
+
+
+def _config_from_blueprint(bp: ScenarioBlueprint, **run) -> ScenarioConfig:
+    """The :class:`ScenarioConfig` that runs ``bp``'s scenario; ``run`` sets
+    the controller, comparator, horizon, seed and output directory."""
+    x0 = None if bp.x0 is None else bp.x0.copy()
+    return ScenarioConfig(bp.name, bp.system, bp.cost, bp.perturbation, x0=x0,
+                          noise_embedding=bp.noise_embedding, cost_on=bp.cost_on, **run)
+
+
 def config_from_preset(
     preset: str,
     controller: dict,
@@ -893,26 +908,12 @@ def config_from_preset(
     perturbation: Optional[PerturbationSource] = None,
 ) -> ScenarioConfig:
     """Instantiate a :class:`ScenarioConfig` from a named preset."""
-    presets = scenario_presets()
-    if preset not in presets:
-        raise ConfigurationError(
-            f"unknown preset {preset!r}; available: {sorted(presets)}"
-        )
-    bp = presets[preset]
-    return ScenarioConfig(
-        name=bp.name,
-        system=bp.system,
-        cost=bp.cost,
-        perturbation=bp.perturbation if perturbation is None else perturbation,
-        controller=dict(controller),
-        horizon=int(horizon),
-        seed=int(seed),
-        x0=None if bp.x0 is None else bp.x0.copy(),
-        noise_embedding=bp.noise_embedding,
-        cost_on=bp.cost_on,
-        comparator=dict(comparator or {}),
-        out_dir=out_dir,
-    )
+    bp = _preset(preset)
+    if perturbation is not None:
+        bp = replace(bp, perturbation=perturbation)
+    return _config_from_blueprint(bp, controller=dict(controller), horizon=int(horizon),
+                                  seed=int(seed), comparator=dict(comparator or {}),
+                                  out_dir=out_dir)
 
 
 def _default_gain(config: ScenarioConfig) -> np.ndarray:
@@ -940,43 +941,18 @@ def _resolve_gain(spec_K: object, config: ScenarioConfig) -> np.ndarray:
     return _coerce_K(spec_K, config.system.d_u, config.system.d_x)
 
 
-def _build_controller(
-    config: ScenarioConfig,
-) -> tuple[Callable[[int, np.ndarray, np.ndarray], np.ndarray], str, Optional[np.ndarray]]:
-    """Translate a controller spec dict into a simulate() callback.
-
-    Returns ``(callback, label, stabilizing_gain_or_None)``.
-    """
-    spec = dict(config.controller)
-    kind = spec.pop("kind", None)
-    system, cost = config.system, config.cost
-    if kind == "zero":
-        return (lambda t, x, y: np.zeros(system.d_u)), "zero", None
-    if kind in ("linear", "lqr"):
-        K = _resolve_gain(spec.pop("K", None if kind == "lqr" else None), config)
-        return (lambda t, x, y: K @ x), kind, K
-    if kind in ("gpc", "grc"):
-        K = _resolve_gain(spec.pop("K", None), config) if kind == "gpc" else None
-        options = dict(
-            h=int(spec.pop("h", 5)),
-            radius=float(spec.pop("radius", 10.0)),
-            step_size=(lambda v: None if v is None else float(v))(spec.pop("step_size", None)),
-            schedule=str(spec.pop("schedule", "sqrt")),
-            horizon=config.horizon,
-            H_trunc=(lambda v: None if v is None else int(v))(spec.pop("H_trunc", None)),
-        )
-        if spec:
-            raise ConfigurationError(f"unknown {kind} options: {sorted(spec)}")
-        if kind == "gpc":
-            controller = GPCController(d_x=system.d_x, d_u=system.d_u, K=K, **options)
-            return gpc_runner(controller, system, cost), "gpc", K
-        controller = GRCController(d_x=system.d_x, d_u=system.d_u, d_y=system.d_y, **options)
-        return grc_runner(controller, system, cost), "grc", None
-    raise ConfigurationError(
-        f"unknown controller kind {kind!r}; expected zero, linear, lqr, gpc, or grc"
-    )
-
-
+#: Keyword options of both learners that a controller spec may set.
+_LEARNER_OPTIONS = {"h", "radius", "step_size", "schedule", "H_trunc"}
+#: Options each controller kind accepts besides ``kind``: the learners'
+#: options and GPC's gain ``K``; for the fixed policies their gain ``K`` and
+#: ``h``, the comparator's default depth.
+_CONTROLLER_OPTIONS = {
+    "zero": {"h"},
+    "linear": {"h", "K"},
+    "lqr": {"h", "K"},
+    "gpc": _LEARNER_OPTIONS | {"K"},
+    "grc": _LEARNER_OPTIONS,
+}
 #: Options each comparator kind accepts besides ``kind`` and ``h``.
 _COMPARATOR_OPTIONS = {
     "best-dac": {"K", "max_iter", "tol"},
@@ -985,6 +961,52 @@ _COMPARATOR_OPTIONS = {
     "zero": set(),
     "none": set(),
 }
+
+
+def _check_options(spec: dict, allowed: set, label: str) -> dict:
+    """``spec``, once every key is in ``allowed``; otherwise a configuration
+    error naming the others."""
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown {label} options: {unknown}; accepted: {sorted(allowed)}")
+    return spec
+
+
+def learner_options(controller: dict) -> dict:
+    """A controller spec's options but ``kind``, checked against the
+    learners' options: what identify-then-control forwards."""
+    spec = {key: value for key, value in controller.items() if key != "kind"}
+    return _check_options(spec, _LEARNER_OPTIONS, "sysid")
+
+
+def _build_controller(
+    config: ScenarioConfig,
+) -> tuple[Callable[[int, np.ndarray, np.ndarray], np.ndarray], str, Optional[np.ndarray]]:
+    """Translate a controller spec dict into a simulate() callback.
+
+    The learners' options go to their constructors as given, so their
+    defaults live in :class:`GPCController` and :class:`GRCController`
+    alone.  Returns ``(callback, label, stabilizing_gain_or_None)``.
+    """
+    spec = dict(config.controller)
+    kind = spec.pop("kind", None)
+    if kind not in _CONTROLLER_OPTIONS:
+        raise ConfigurationError(
+            f"unknown controller kind {kind!r}; expected zero, linear, lqr, gpc, or grc"
+        )
+    _check_options(spec, _CONTROLLER_OPTIONS[kind], kind)
+    system, cost = config.system, config.cost
+    if kind == "zero":
+        return (lambda t, x, y: np.zeros(system.d_u)), "zero", None
+    if kind == "grc":
+        controller = GRCController(system.d_x, system.d_u, system.d_y, horizon=config.horizon,
+                                   **spec)
+        return grc_runner(controller, system, cost), "grc", None
+    K = _resolve_gain(spec.pop("K", None), config)
+    if kind == "gpc":
+        controller = GPCController(system.d_x, system.d_u, K, horizon=config.horizon, **spec)
+        return gpc_runner(controller, system, cost), "gpc", K
+    return (lambda t, x, y: K @ x), kind, K
 
 
 def run_experiment(config: ScenarioConfig) -> RegretReport:
@@ -1012,10 +1034,8 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
             f"unknown comparator kind {comp_kind!r}; expected best-dac, best-drc, "
             "best-linear, zero, or none"
         )
-    comp_h = int(comp_spec.pop("h", config.controller.get("h", 5)))
-    unknown = sorted(set(comp_spec) - _COMPARATOR_OPTIONS[comp_kind])
-    if unknown:
-        raise ConfigurationError(f"unknown {comp_kind} options: {unknown}")
+    comp_h = int(comp_spec.pop("h", config.controller.get("h", DEFAULT_H)))
+    _check_options(comp_spec, _COMPARATOR_OPTIONS[comp_kind], comp_kind)
     if config.cost_on == "observation" and comp_kind in ("best-dac", "best-linear"):
         policy = "action" if comp_kind == "best-dac" else "linear"
         raise ConfigurationError(f"the {policy}-policy comparator needs a state cost; use best-drc")
@@ -1095,6 +1115,17 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
 # Config files
 # ---------------------------------------------------------------------------
 
+#: Keys each config-file section accepts; None marks a spec checked against
+#: its kind (the perturbation's here, the others' by the experiment driver).
+_SECTION_KEYS = {
+    "system": {"preset", "a", "b", "c"},
+    "cost": {"kind", "q", "r", "target"},
+    "run": {"horizon", "seed", "out"},
+    "perturbation": None,
+    "controller": None,
+    "comparator": None,
+}
+
 _PERTURBATION_KEYS = {
     "zero": (),
     "iid-gaussian": ("sigma", "clip"),
@@ -1120,6 +1151,7 @@ def _parse_perturbation(section: dict, base_dir: str) -> PerturbationSource:
             f"unknown perturbation kind {kind!r}; expected one of "
             f"{sorted(_PERTURBATION_KEYS)}"
         )
+    _check_options(section, {"kind", *_PERTURBATION_KEYS[kind]}, f"{kind} perturbation")
     clip = section.get("clip", "false").lower() in ("1", "true", "yes")
     if kind == "zero":
         return PerturbationSource.zero()
@@ -1147,13 +1179,16 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
 
     The format is flat ``key = value`` text under ``[section]`` headers:
     ``[system]`` (a ``preset`` name, or ``A``/``B``/``C`` matrix file
-    references), ``[perturbation]``, ``[cost]`` (``Q``/``R`` matrix files),
-    ``[controller]``, ``[comparator]`` (``kind``, ``h``, ``K``,
-    ``max_iter``, ``tol``), and ``[run]`` (``horizon``, ``seed``, ``out``).
-    For every comparator kind, best-linear included, ``max_iter`` bounds the
-    Newton passes (per start) and ``tol`` is the Newton decrement, relative
-    to 1 + |J|, that ends them.  Matrix paths are relative to the config
-    file.  ``overrides`` may replace ``horizon``, ``seed``, and ``out``.
+    references), ``[perturbation]`` (``kind`` and that kind's keys),
+    ``[cost]`` (``kind``, ``Q``/``R``/``target`` matrix files),
+    ``[controller]`` (``kind`` and the options that kind accepts),
+    ``[comparator]`` (``kind``, ``h``, ``K``, ``max_iter``, ``tol``), and
+    ``[run]`` (``horizon``, ``seed``, ``out``).  An unknown
+    section or key is a configuration error.  For every comparator kind,
+    best-linear included, ``max_iter`` bounds the Newton passes (per start)
+    and ``tol`` is the Newton decrement, relative to 1 + |J|, that ends
+    them.  Matrix paths are relative to the config file.  ``overrides`` may
+    replace ``horizon``, ``seed``, and ``out``.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -1167,14 +1202,16 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         return load_matrix(os.path.join(base_dir, section[key])) if key in section else default
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
+    _check_options(sections, set(_SECTION_KEYS), "config file")
+    for name, keys in _SECTION_KEYS.items():
+        if keys is not None:
+            _check_options(sections.get(name, {}), keys, f"[{name}]")
     system_sec = sections.get("system", {})
     run_sec = sections.get("run", {})
 
     preset_name = system_sec.get("preset")
     if preset_name:
-        blueprint = scenario_presets().get(preset_name)
-        if blueprint is None:
-            raise ConfigurationError(f"unknown preset {preset_name!r}")
+        blueprint = _preset(preset_name)
     else:
         if "a" not in system_sec or "b" not in system_sec:
             raise ConfigurationError(
@@ -1231,17 +1268,6 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         if not os.path.isabs(out_dir):
             out_dir = os.path.join(base_dir, out_dir)
 
-    return ScenarioConfig(
-        name=blueprint.name,
-        system=blueprint.system,
-        cost=cost,
-        perturbation=perturbation,
-        controller=controller,
-        horizon=horizon,
-        seed=seed,
-        x0=None if blueprint.x0 is None else blueprint.x0.copy(),
-        noise_embedding=blueprint.noise_embedding,
-        cost_on=blueprint.cost_on,
-        comparator=comparator,
-        out_dir=out_dir,
-    )
+    return _config_from_blueprint(replace(blueprint, cost=cost, perturbation=perturbation),
+                                  controller=controller, horizon=horizon, seed=seed,
+                                  comparator=comparator, out_dir=out_dir)

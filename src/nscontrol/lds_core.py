@@ -61,6 +61,14 @@ def _as_matrix(M: object, name: str) -> np.ndarray:
     return A
 
 
+def _read_only(M: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """A read-only copy of ``M``; None stays None."""
+    if M is not None:
+        M = M.copy()
+        M.flags.writeable = False
+    return M
+
+
 def _check_psd(M: object, name: str) -> np.ndarray:
     """Coerce with :func:`_as_matrix`, require a square matrix symmetric to
     ``TOL_PSD * max(1, max |M_ij|)`` with no eigenvalue below ``-TOL_PSD``,
@@ -133,7 +141,8 @@ class LinearSystem:
         C: Optional[object] = None,
     ) -> "LinearSystem":
         """Build a fixed-matrix system from ``A`` (d_x×d_x), ``B`` (d_x×d_u),
-        and optional ``C`` (d_y×d_x)."""
+        and optional ``C`` (d_y×d_x).  The system keeps read-only copies, so
+        later writes into the arrays passed in do not reach it."""
         A = _as_matrix(A, "A")
         B = _as_matrix(B, "B")
         d_x = A.shape[0]
@@ -141,12 +150,11 @@ class LinearSystem:
             raise ConfigurationError(f"A must be square, got {A.shape}")
         if B.shape[0] != d_x:
             raise ConfigurationError(f"B must have {d_x} rows, got {B.shape}")
-        if C is None:
-            return cls(d_x, B.shape[1], d_x, A=A, B=B, C=None)
-        C = _as_matrix(C, "C")
-        if C.shape[1] != d_x:
+        C = None if C is None else _as_matrix(C, "C")
+        if C is not None and C.shape[1] != d_x:
             raise ConfigurationError(f"C must have {d_x} columns, got {C.shape}")
-        return cls(d_x, B.shape[1], C.shape[0], A=A, B=B, C=C)
+        d_y = d_x if C is None else C.shape[0]
+        return cls(d_x, B.shape[1], d_y, *map(_read_only, (A, B, C)))
 
     @classmethod
     def time_varying(
@@ -166,8 +174,9 @@ class LinearSystem:
 
     def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Return ``(A_t, B_t, C_t)``; ``C_t`` is None for full observation.
-        A provider's matrices are validated copies that the system owns; the
-        last step's are kept, so calls within one step make one provider call."""
+        The matrices are read-only validated copies that the system owns; a
+        provider's last step's are kept, so calls within one step make one
+        provider call."""
         if self._provider is None:
             return self._A, self._B, self._C
         if self._held[0] == t:
@@ -185,11 +194,8 @@ class LinearSystem:
             raise ConfigurationError(
                 f"provider returned C{C.shape} at t={t}; expected ({self.d_y},{self.d_x})"
             )
-        held = (A.copy(), B.copy(), None if C is None else C.copy())
-        for M in held[: 2 if C is None else 3]:
-            M.flags.writeable = False
-        self._held = (t, held)
-        return held
+        self._held = (t, tuple(map(_read_only, (A, B, C))))
+        return self._held[1]
 
     def stacks(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(A, B, C)`` stacks of steps ``start <= t < stop``, ``C_t = None`` as

@@ -45,6 +45,10 @@ __all__ = [
 #: Truncation tolerance entering the default cache-depth formula.
 EPS_TRUNC = 1e-6
 
+#: Default window length ``h`` of both learners, and the depth a hindsight
+#: comparator falls back to when neither it nor the controller names one.
+DEFAULT_H = 5
+
 #: Floor on the measured decay rate (guards the depth formula's ceiling).
 DELTA_MIN = 1e-3
 
@@ -194,8 +198,8 @@ def _measure_decay(closed: np.ndarray, n: int = 50) -> float:
     return float(min(max(rate, DELTA_MIN), 0.999))
 
 
-def _default_depth(h: int, delta_hat: float, eps_trunc: float = EPS_TRUNC) -> int:
-    return 2 * h + int(math.ceil(math.log(1.0 / eps_trunc) / delta_hat))
+def _default_depth(h: int, delta_hat: float) -> int:
+    return 2 * h + int(math.ceil(math.log(1.0 / EPS_TRUNC) / delta_hat))
 
 
 def _resolve_cost(cost: object, t: int) -> object:
@@ -270,8 +274,7 @@ class _DisturbanceFeedback:
     #: Whether the signal itself drives the state (GPC's ``w``).
     _drifts = False
 
-    def __init__(self, d_s, n_M, radius, step_size, schedule, horizon, H_trunc, eps_trunc,
-                 telemetry_sink):
+    def __init__(self, d_s, n_M, radius, step_size, schedule, horizon, H_trunc):
         # Subclasses set d_x, d_u and h first.
         self._n_M, self._d_s = n_M, d_s
         scale = float(step_size) if step_size is not None else float(radius)
@@ -286,11 +289,9 @@ class _DisturbanceFeedback:
         self.Ms = self._stacked(self.ogd.point)
         if H_trunc is not None and int(H_trunc) < 1:
             raise ConfigurationError(f"H_trunc must be at least 1, got {H_trunc}")
-        self._eps_trunc = float(eps_trunc)
         self.H_trunc: Optional[int] = None if H_trunc is None else int(H_trunc)
         self.delta_hat: Optional[float] = None
         self.telemetry: list = []
-        self._sink = telemetry_sink
         self._last: Optional[tuple] = None
         self._dynamics_key: Optional[tuple] = None
         self._dynamics: Optional[tuple] = None
@@ -310,7 +311,7 @@ class _DisturbanceFeedback:
         """Size the caches from the first transition matrix's decay."""
         self.delta_hat = _measure_decay(transition)
         if self.H_trunc is None:
-            self.H_trunc = _default_depth(self.h, self.delta_hat, self._eps_trunc)
+            self.H_trunc = _default_depth(self.h, self.delta_hat)
         self._allocate(self.H_trunc)
 
     def _allocate(self, H: int) -> None:
@@ -387,8 +388,6 @@ class _DisturbanceFeedback:
         row[self._signal_key] = signal_norm
         row["grad_norm"] = grad_norm
         self.telemetry.append(row)
-        if self._sink is not None:
-            self._sink(row)
 
     def _advance(self, transition: np.ndarray, B: np.ndarray, drift=None) -> None:
         """Move the stack one step on: older blocks are multiplied by
@@ -425,6 +424,11 @@ class GPCController(_DisturbanceFeedback):
     and the ``H_trunc``-deep closed-loop products applied to ``B`` and ``w``
     are allocated at the first update and updated in place.
 
+    A controller spec (dict, config file or CLI flags) sets the learner
+    options ``h``, ``radius``, ``step_size``, ``schedule`` and ``H_trunc``;
+    their defaults live here alone.  Each update appends a telemetry dict
+    to ``self.telemetry``.
+
     Parameters
     ----------
     d_x, d_u : int
@@ -443,10 +447,8 @@ class GPCController(_DisturbanceFeedback):
         Required for the constant schedule (sets ``eta = c/sqrt(T)``).
     H_trunc : int, optional
         Cache depth for the counterfactual sums; by default
-        ``2h + ceil(log(1/eps_trunc)/delta_hat)`` with the decay rate
+        ``2h + ceil(log(1/EPS_TRUNC)/delta_hat)`` with the decay rate
         measured from powers of the first closed-loop matrix.
-    telemetry_sink : callable, optional
-        Receives one dict per update (also kept in ``self.telemetry``).
     """
 
     _signal_key = "w_norm"
@@ -457,22 +459,19 @@ class GPCController(_DisturbanceFeedback):
         d_x: int,
         d_u: int,
         K: Union[object, Callable[[int], object]],
-        h: int = 5,
+        h: int = DEFAULT_H,
         radius: float = 10.0,
         step_size: Optional[float] = None,
         schedule: str = "sqrt",
         horizon: Optional[int] = None,
         H_trunc: Optional[int] = None,
-        eps_trunc: float = EPS_TRUNC,
-        telemetry_sink: Optional[Callable[[dict], None]] = None,
     ):
         self.d_x, self.d_u, self.h = int(d_x), int(d_u), int(h)
         if self.h < 1:
             raise ConfigurationError("GPC needs a window h >= 1")
         self._K_provider = K if callable(K) else None
         self._K_fixed = None if callable(K) else _as_matrix(K, "K")
-        super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc,
-                         eps_trunc, telemetry_sink)
+        super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc)
 
     def gain(self, t: int) -> np.ndarray:
         return (
@@ -586,7 +585,11 @@ class GRCController(_DisturbanceFeedback):
     below 1, checked whenever ``(A_t, B_t, C_t)`` differ from the last
     dynamics validated.  ``C_t = None`` means the state is observed.
 
-    The cost is evaluated on (observation, control) pairs.
+    The cost is evaluated on (observation, control) pairs.  ``d_y`` is the
+    observation dimension; ``h`` (the window holds ``h + 1`` matrices,
+    lags 0 to ``h``), ``radius``, ``step_size``, ``schedule``, ``horizon``
+    and ``H_trunc`` are the learner options of :class:`GPCController`, with
+    the same defaults.
     """
 
     _signal_key = "ynat_norm"
@@ -596,18 +599,15 @@ class GRCController(_DisturbanceFeedback):
         d_x: int,
         d_u: int,
         d_y: int,
-        h: int = 5,
+        h: int = DEFAULT_H,
         radius: float = 10.0,
         step_size: Optional[float] = None,
         schedule: str = "sqrt",
         horizon: Optional[int] = None,
         H_trunc: Optional[int] = None,
-        eps_trunc: float = EPS_TRUNC,
-        telemetry_sink: Optional[Callable[[dict], None]] = None,
     ):
         self.d_x, self.d_u, self.d_y, self.h = int(d_x), int(d_u), int(d_y), int(h)
-        super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc,
-                         eps_trunc, telemetry_sink)
+        super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc)
         self.tracker = NaturesYTracker(self.d_x)
 
     @staticmethod

@@ -34,7 +34,7 @@ from .harness import (
     dac_rollout_costs,
 )
 from .lds_core import LinearSystem, PerturbationSource, QuadraticCost, spectral_radius
-from .online_control import GPCController
+from .online_control import DEFAULT_H, GPCController
 from .optimal_control import dare_solve
 
 __all__ = [
@@ -297,9 +297,7 @@ def estimate_moments(record: ExcitationRecord, k: int, T0: int) -> MomentEstimat
     return MomentEstimates(k=k, T0=T0, moments=moments)
 
 
-def recover_AB(
-    estimates: MomentEstimates, sigma_threshold: float = SIGMA_MIN_THRESHOLD
-) -> IdentifiedSystem:
+def recover_AB(estimates: MomentEstimates) -> IdentifiedSystem:
     """Recover ``(A_hat, B_hat)`` from moment estimates by least squares.
 
     Stacks ``C0 = [G_0 .. G_{k-1}]`` and ``C1 = [G_1 .. G_k]`` and solves
@@ -308,7 +306,7 @@ def recover_AB(
     Exact on noiseless moments whenever ``C0`` has full row rank.
 
     Warns when the smallest singular value of ``C0`` falls below
-    ``sigma_threshold`` — the excitation barely reaches some state
+    ``SIGMA_MIN_THRESHOLD`` — the excitation barely reaches some state
     directions and the recovery is ill-posed.
     """
     k = int(estimates.k)
@@ -318,10 +316,10 @@ def recover_AB(
     C0 = np.concatenate(list(G[:k]), axis=1)
     C1 = np.concatenate(list(G[1 : k + 1]), axis=1)
     sigma_min = float(np.linalg.svd(C0, compute_uv=False)[-1])
-    if sigma_min < sigma_threshold:
+    if sigma_min < SIGMA_MIN_THRESHOLD:
         warnings.warn(
             f"excitation block matrix is near rank-deficient "
-            f"(smallest singular value {sigma_min:.3e} < {sigma_threshold:.1e}); "
+            f"(smallest singular value {sigma_min:.3e} < {SIGMA_MIN_THRESHOLD:.1e}); "
             "recovered dynamics are unreliable",
             RuntimeWarning,
             stacklevel=2,
@@ -401,11 +399,7 @@ def control_with_model(
     n_steps: int,
     cost: object,
     K: Optional[object] = None,
-    h: int = 5,
-    radius: float = 10.0,
-    step_size: Optional[float] = None,
-    schedule: str = "sqrt",
-    H_trunc: Optional[int] = None,
+    **learner,
 ) -> np.ndarray:
     """Run a disturbance-action gradient controller designed on a model.
 
@@ -413,23 +407,17 @@ def control_with_model(
     perturbations through ``(A_model, B_model)``, so any model error is
     treated as extra disturbance.  Returns the per-step costs actually
     incurred.  ``K`` defaults to the model's quadratic gain (zero for a
-    stable model without one).
+    stable model without one).  ``learner`` holds the
+    :class:`~nscontrol.online_control.GPCController` options ``h``,
+    ``radius``, ``step_size``, ``schedule`` and ``H_trunc``, forwarded as
+    given (the horizon is ``n_steps``); the controller holds their
+    defaults.
     """
     A_model = np.asarray(A_model, dtype=float)
     B_model = np.asarray(B_model, dtype=float)
     if K is None:
         K = _gain_for_identified(A_model, B_model, cost)
-    controller = GPCController(
-        d_x=box.d_x,
-        d_u=box.d_u,
-        K=K,
-        h=int(h),
-        radius=float(radius),
-        step_size=step_size,
-        schedule=schedule,
-        horizon=int(n_steps),
-        H_trunc=H_trunc,
-    )
+    controller = GPCController(box.d_x, box.d_u, K, horizon=int(n_steps), **learner)
     out = np.zeros(int(n_steps))
     x = box.read_state()
     for s in range(int(n_steps)):
@@ -447,14 +435,8 @@ def identify_then_control(
     T: int,
     cost: object,
     k: int = 1,
-    h: int = 5,
-    radius: float = 10.0,
-    step_size: Optional[float] = None,
-    schedule: str = "sqrt",
-    H_trunc: Optional[int] = None,
-    comparator_h: Optional[int] = None,
     seed: int = 0,
-    sigma_threshold: float = SIGMA_MIN_THRESHOLD,
+    **learner,
 ) -> RegretReport:
     """Explore with Rademacher controls, identify, then control.
 
@@ -468,13 +450,18 @@ def identify_then_control(
     extras record the exploration/exploitation split and identification
     diagnostics.
 
+    ``learner`` holds the :class:`~nscontrol.online_control.GPCController`
+    options ``h``, ``radius``, ``step_size``, ``schedule`` and ``H_trunc``,
+    forwarded to :func:`control_with_model` as given; the comparator's
+    depth is the learner's ``h``.
+
     Raises
     ------
     ConfigurationError
         If the budget cannot fit the identification phase.
     EvaluationError
         If the excitation block matrix is numerically rank-deficient
-        (below ``sigma_threshold``) — the pipeline aborts rather than
+        (below ``SIGMA_MIN_THRESHOLD``) — the pipeline aborts rather than
         control a bogus model.
     """
     start_time = time.perf_counter()
@@ -489,49 +476,26 @@ def identify_then_control(
 
     record = excite_and_record(box, k, T0, seed=component_seed(seed, "sysid"))
     estimates = estimate_moments(record, k, T0)
-    identified = recover_AB(estimates, sigma_threshold=sigma_threshold)
-    if identified.sigma_min < sigma_threshold:
+    identified = recover_AB(estimates)
+    if identified.sigma_min < SIGMA_MIN_THRESHOLD:
         raise EvaluationError(
             "identification failed: smallest singular value "
-            f"{identified.sigma_min:.3e} is below {sigma_threshold:.1e}; "
+            f"{identified.sigma_min:.3e} is below {SIGMA_MIN_THRESHOLD:.1e}; "
             "the system was not sufficiently excited"
         )
     A_hat, B_hat = identified.A_hat, identified.B_hat
 
-    explore_costs = np.array(
-        [
-            cost.value(record.states[t], record.controls[t])
-            for t in range(n_explore)
-        ]
-    )
+    explore_costs = np.array([cost.value(x, u) for x, u in zip(record.states, record.controls)])
 
     K_hat = _gain_for_identified(A_hat, B_hat, cost)
     n_exploit = T - n_explore
-    exploit_costs = control_with_model(
-        box,
-        A_hat,
-        B_hat,
-        n_exploit,
-        cost,
-        K=K_hat,
-        h=h,
-        radius=radius,
-        step_size=step_size,
-        schedule=schedule,
-        H_trunc=H_trunc,
-    )
+    exploit_costs = control_with_model(box, A_hat, B_hat, n_exploit, cost, K=K_hat, **learner)
 
     truth = box.reveal_system()
     w_record = box.recorded_perturbations
     states = box.recorded_states
-    Ms, _ = best_dac_in_hindsight(
-        truth,
-        cost,
-        K_hat,
-        w_record,
-        h=int(h if comparator_h is None else comparator_h),
-        x0=states[0],
-    )
+    h = int(learner.get("h", DEFAULT_H))
+    Ms, _ = best_dac_in_hindsight(truth, cost, K_hat, w_record, h=h, x0=states[0])
     comparator_costs = dac_rollout_costs(truth, cost, K_hat, Ms, w_record, states[0])
 
     costs = np.concatenate([explore_costs, exploit_costs])

@@ -15,6 +15,7 @@ import numpy as np
 from nscontrol import harness
 from nscontrol.cli import main
 from nscontrol.serialize import read_csv, read_json_summary, save_matrix
+from nscontrol.sysid import BlackBoxSystem, identify_then_control
 
 
 def run_cli(argv):
@@ -114,13 +115,39 @@ horizon = 200
         assert code == 0
         assert "T=80" in out
 
+        # Learner and comparator flags override the file's values.
+        h2 = os.path.join(tmp, "h2.cfg")
+        with open(h2, "w") as fh:
+            fh.write(text.replace("h = 3", "h = 2"))
+        reports = {}
+        for name, argv in (
+            ("file", ["--config", h2]),
+            ("flag", ["--config", path, "--h", "2"]),
+            ("h3", ["--config", path]),
+        ):
+            out_dir = os.path.join(tmp, name)
+            assert run_cli(["regret", *argv, "--horizon", "80", "--out", out_dir])[0] == 0
+            with open(os.path.join(out_dir, "report.csv"), "rb") as fh:
+                reports[name] = fh.read()
+        assert reports["flag"] == reports["file"] != reports["h3"]
 
-def _regret_from_config(text):
+        with open(path, "a") as fh:
+            fh.write("\n[comparator]\nkind = best-dac\n")
+        code, out, _ = run_cli(["regret", "--config", path, "--comparator", "zero"])
+        assert code == 0
+        assert "comparator=zero" in out
+
+
+def _run_config(command, text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:
             fh.write(text)
-        return run_cli(["regret", "--config", path])
+        return run_cli([command, "--config", path])
+
+
+def _regret_from_config(text):
+    return _run_config("regret", text)
 
 
 def test_regret_config_rejects_unknown_comparator_option():
@@ -165,6 +192,29 @@ def test_regret_config_rejects_bad_run_and_perturbation_numbers():
     assert "sigma = 'big' is not a valid float" in err
 
 
+def test_config_file_rejects_unknown_sections_and_keys():
+    base = "[system]\npreset = scalar-0.9\n\n[controller]\nkind = zero\n\n[run]\nhorizon = 20\n"
+    for extra, message in (
+        ("[controler]\nkind = gpc\n", "unknown config file options: ['controler']"),
+        ("[cost]\nkind = quadratic\nqq = Q.txt\n", "unknown [cost] options: ['qq']"),
+        ("[perturbation]\nkind = iid-gaussian\nsigmaa = 0.01\n",
+         "unknown iid-gaussian perturbation options: ['sigmaa']"),
+        ("[perturbation]\nkind = iid-uniform-ball\nclip = true\n",
+         "unknown iid-uniform-ball perturbation options: ['clip']"),
+    ):
+        code, _, err = _regret_from_config(base + "\n" + extra)
+        assert code == 2
+        assert message in err
+    for section, key in (("system", "presett"), ("run", "horizn")):
+        code, _, err = _regret_from_config(base.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        assert code == 2
+        assert f"unknown [{section}] options: ['{key}']" in err
+    for kind in ("zero", "linear", "lqr", "gpc", "grc"):
+        code, _, err = _regret_from_config(base.replace("kind = zero", f"kind = {kind}\nbogus = 1"))
+        assert code == 2
+        assert f"configuration error: unknown {kind} options: ['bogus']" in err
+
+
 def test_sysid_subcommand():
     with tempfile.TemporaryDirectory() as tmp:
         code, out, _ = run_cli(
@@ -192,6 +242,26 @@ def test_sysid_subcommand():
         assert summary["controller"] == "identify-then-control"
         assert summary["T0"] > 0
         assert "A_error" in summary and "residual" in summary
+
+        # A config file's learner options reach the controller.
+        path = os.path.join(tmp, "constant.cfg")
+        with open(path, "w") as fh:
+            fh.write("[system]\npreset = scalar-0.9\n\n[controller]\nradius = 2.0\n"
+                     "schedule = constant\n\n[run]\nhorizon = 600\nout = constant\n")
+        assert run_cli(["sysid", "--config", path])[0] == 0
+        reports = {}
+        for schedule in ("constant", "sqrt"):
+            config = harness.config_from_preset("scalar-0.9", {}, 600)
+            box = BlackBoxSystem(config.system, config.perturbation, seed=0, x0=config.x0)
+            report = identify_then_control(
+                box, 600, config.cost, k=1, radius=2.0, schedule=schedule
+            )
+            reports[schedule] = os.path.join(tmp, f"{schedule}.csv")
+            harness.write_report_csv(report, reports[schedule])
+        with open(os.path.join(tmp, "constant", "report.csv"), "rb") as fh:
+            by_cli = fh.read()
+        with open(reports["constant"], "rb") as fh, open(reports["sqrt"], "rb") as gh:
+            assert by_cli == fh.read() != gh.read()
 
 
 def test_filter_subcommand():
@@ -242,6 +312,13 @@ def test_configuration_error_exit_code():
     assert code == 2
     assert "state cost" in err
 
+    # sysid forwards the learner options and checks them first.
+    code, _, err = _run_config(
+        "sysid", "[system]\npreset = scalar-0.9\n\n[controller]\nschedule = constant\nbogus = 7\n"
+    )
+    assert code == 2
+    assert "unknown sysid options: ['bogus']" in err
+
 
 def test_state_cost_comparators_refuse_an_observation_cost_before_simulating():
     # The ventilator cost lives on (pressure, flow) pairs; the action and
@@ -265,6 +342,23 @@ def test_invalid_learner_radius_exit_code():
     )
     assert code == 2
     assert "radius" in err
+
+    # A fixed policy takes no learner option ...
+    code, _, err = run_cli(["simulate", "--controller", "lqr", "--radius", "9"])
+    assert code == 2
+    assert "configuration error: unknown lqr options: ['radius']" in err
+
+    # ... but its h still sets the comparator's depth.
+    zero = ["regret", "--preset", "scalar-0.9", "--controller", "zero", "--horizon", "50"]
+    code, by_flag, _ = run_cli(zero + ["--h", "3"])
+    assert code == 0
+    code, by_file, _ = _run_config(
+        "regret",
+        "[system]\npreset = scalar-0.9\n\n[controller]\nkind = zero\n\n"
+        "[comparator]\nh = 3\n\n[run]\nhorizon = 50\n",
+    )
+    assert code == 0
+    assert by_flag == by_file != run_cli(zero)[1]
 
 
 def test_numerical_failure_exit_code():

@@ -1130,6 +1130,10 @@ def test_run_experiment_observation_cost():
     y0 = (4.0 / 3.0) * 0.5
     assert abs(report.costs[0] - y0 * y0) < 1e-9
     assert report.comparator_total_cost <= report.total_cost + 1e-9
+    # A fixed policy's h is the comparator's default depth.
+    config.controller["h"] = 3
+    del config.comparator["h"]
+    assert np.array_equal(run_experiment(config).comparator_costs, report.comparator_costs)
 
     try:
         run_experiment(
@@ -1158,17 +1162,15 @@ def test_configuration_error_paths():
         assert False, "expected ConfigurationError"
     except ConfigurationError:
         pass
-    try:
-        run_experiment(
-            config_from_preset(
-                "scalar-0.9",
-                controller={"kind": "gpc", "h": 2, "bogus": 1.0},
-                horizon=10,
+    # Every controller kind checks its spec: an unknown key, or a learner
+    # option given to a fixed policy, is an error naming it.
+    for kind, key in [(k, "bogus") for k in ("zero", "linear", "lqr", "gpc", "grc")] + [
+        ("lqr", "radius"), ("zero", "schedule"), ("grc", "K")
+    ]:
+        with pytest.raises(ConfigurationError, match=rf"unknown {kind} options: \['{key}'\]"):
+            run_experiment(
+                config_from_preset("scalar-0.9", controller={"kind": kind, key: 1.0}, horizon=10)
             )
-        )
-        assert False, "expected ConfigurationError"
-    except ConfigurationError:
-        pass
     try:
         run_experiment(
             config_from_preset(

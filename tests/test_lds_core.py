@@ -162,14 +162,24 @@ def test_stacks_match_per_step_matrices(seed, mode, d_x, d_u, d_y, with_C, start
 
 @pytest.mark.parametrize("with_C", [False, True])
 def test_fixed_system_stacks_are_read_only(with_C):
-    C = [[1.0, 2.0]] if with_C else None
-    system = LinearSystem.time_invariant([[0.5, 0.1], [0.0, 0.3]], [[0.0], [1.0]], C)
+    A_in, B_in = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[0.0], [1.0]])
+    C_in = np.array([[1.0, 2.0]]) if with_C else None
+    system = LinearSystem.time_invariant(A_in, B_in, C_in)
     for M in system.stacks(0, 7):
         assert not M.flags.writeable
         with pytest.raises(ValueError):
             M[0, 0, 0] = 1.0
-    A, _, _ = system.matrices(0)
-    assert A[0, 0] == 0.5
+    # The system holds copies: writes into the arrays it was built from do
+    # not reach it, and the matrices it hands out are read-only.
+    for M in (A_in, B_in) if C_in is None else (A_in, B_in, C_in):
+        M[0, 0] = np.nan
+    A, B, C = system.matrices(0)
+    assert A[0, 0] == 0.5 and B[0, 0] == 0.0
+    assert C is None if C_in is None else C[0, 0] == 1.0
+    for M in (A, B) if C is None else (A, B, C):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("fault", ["shape", "non-finite"])
