@@ -291,9 +291,7 @@ def generate_perturbations(
     """
     rng = np.random.default_rng(component_seed(seed, "perturbation"))
     d_raw = d_x if embedding is None else embedding.shape[1]
-    w = np.array([source.sample(t, d_raw, rng) for t in range(int(T))])
-    if w.size == 0:
-        w = w.reshape(0, d_raw)
+    w = source.draw(0, int(T), d_raw, rng)
     if embedding is not None:
         if embedding.shape[0] != d_x:
             raise ConfigurationError(
@@ -1167,11 +1165,13 @@ def _parse_perturbation(section: dict, base_dir: str) -> PerturbationSource:
             omega=_parse_number("omega", section.get("omega", 1.0), float),
             clip_to_unit_ball=clip,
         )
+    key = "vector" if kind == "constant" else "sequence"
+    if key not in section:
+        raise ConfigurationError(f"[perturbation] kind = {kind} needs the matrix file key {key!r}")
+    data = load_matrix(os.path.join(base_dir, section[key]))
     if kind == "constant":
-        vec = load_matrix(os.path.join(base_dir, section["vector"])).ravel()
-        return PerturbationSource.constant(vec, clip_to_unit_ball=clip)
-    seq = load_matrix(os.path.join(base_dir, section["sequence"]))
-    return PerturbationSource.recorded(seq, clip_to_unit_ball=clip)
+        return PerturbationSource.constant(data.ravel(), clip_to_unit_ball=clip)
+    return PerturbationSource.recorded(data, clip_to_unit_ball=clip)
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
@@ -1184,7 +1184,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     ``[controller]`` (``kind`` and the options that kind accepts),
     ``[comparator]`` (``kind``, ``h``, ``K``, ``max_iter``, ``tol``), and
     ``[run]`` (``horizon``, ``seed``, ``out``).  An unknown
-    section or key is a configuration error.  For every comparator kind,
+    section or key is a configuration error, and so is best-linear's
+    ``starts``, which only the Python API can give.  For every comparator kind,
     best-linear included, ``max_iter`` bounds the Newton passes (per start)
     and ``tol`` is the Newton decrement, relative to 1 + |J|, that ends
     them.  Matrix paths are relative to the config file.  ``overrides`` may
@@ -1245,6 +1246,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
 
     controller = dict(sections.get("controller", {"kind": "zero"}))
     comparator = dict(sections.get("comparator", {}))
+    if "starts" in comparator:
+        raise ConfigurationError(
+            "[comparator] starts cannot be set in a config file, which has no syntax for "
+            "gains; give best-linear start gains through the Python API (the comparator "
+            "spec's 'starts' list)"
+        )
     # configparser lowercases keys and returns strings.
     if "h_trunc" in controller:
         controller["H_trunc"] = controller.pop("h_trunc")

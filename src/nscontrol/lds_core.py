@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -316,34 +317,75 @@ class PerturbationSource:
             clip_to_unit_ball=clip_to_unit_ball,
         )
 
+    def draw(self, start: int, stop: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+        """Emit the rows ``w_start, ..., w_{stop-1}`` as a fresh (stop - start,
+        dim) array, drawing from ``rng`` if random.
+
+        Each kind takes one numpy call for the whole block, except
+        ``iid-uniform-ball``, which draws row by row (a direction, then a
+        radius); clipping also goes row by row.  The block consumes ``rng``
+        exactly as :meth:`sample` called on each step in turn does, and gives
+        the same rows bit for bit.
+
+        Raises
+        ------
+        ConfigurationError
+            On an unknown kind, a recorded sequence shorter than ``stop`` or
+            of the wrong width, or a phase or constant vector of the wrong
+            dimension.
+        """
+        return self._rows(start, stop, dim, (stop - start, dim), rng)
+
     def sample(self, t: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-        """Emit ``w_t`` of dimension ``dim`` (drawing from ``rng`` if random)."""
-        if self.kind == "zero":
-            w = np.zeros(dim)
-        elif self.kind == "iid-gaussian":
-            w = self.sigma * rng.standard_normal(dim)
-        elif self.kind == "iid-uniform-ball":
-            direction = rng.standard_normal(dim)
-            direction /= max(np.linalg.norm(direction), 1e-300)
-            w = direction * rng.random() ** (1.0 / dim)
-        elif self.kind == "sinusoidal":
+        """Emit ``w_t`` of dimension ``dim``: :meth:`draw` of the one row
+        ``t``, shaped (dim,)."""
+        return self._rows(t, t + 1, dim, dim, rng)
+
+    def _rows(self, start: int, stop: int, dim: int, shape: object,
+              rng: np.random.Generator) -> np.ndarray:
+        """Rows ``start..stop-1`` in a fresh array of ``shape``: (n, dim), or
+        ``dim`` itself for the one row of :meth:`sample`."""
+        kind = self.kind
+        if kind == "zero":
+            w = np.zeros(shape)
+        elif kind == "iid-gaussian":
+            w = rng.standard_normal(shape)
+            w *= self.sigma
+        elif kind == "iid-uniform-ball":
+            w = np.empty(shape)
+            for row in w.reshape(-1, dim):
+                rng.standard_normal(out=row)
+                row /= max(math.sqrt(row.dot(row)), 1e-300)
+                row *= rng.random() ** (1.0 / dim)
+        elif kind == "sinusoidal":
             phase = np.zeros(dim) if self.phase is None else _as_vector(self.phase, dim, "phase")
-            w = self.amplitude * np.sin(self.omega * t + phase)
-        elif self.kind == "recorded":
-            if t >= self.sequence.shape[0]:
+            # One row takes its time as a scalar: the same values, fewer calls.
+            times = start if shape == dim else np.arange(start, stop)[:, None]
+            w = self.omega * times + phase
+            np.sin(w, w)
+            w *= self.amplitude
+        elif kind == "recorded":
+            length, width = self.sequence.shape
+            if stop > length:
                 raise ConfigurationError(
-                    f"recorded perturbation sequence of length {self.sequence.shape[0]} "
-                    f"exhausted at t={t}"
+                    f"recorded perturbation sequence of length {length} "
+                    f"exhausted at t={max(start, length)}"
                 )
-            w = _as_vector(self.sequence[t], dim, f"recorded w_{t}")
-        elif self.kind == "constant":
-            w = _as_vector(self.vector, dim, "constant w")
+            if width != dim:
+                raise ConfigurationError(
+                    f"recorded w_{start} must be a vector of dimension {dim}, got shape ({width},)"
+                )
+            w = self.sequence[start:stop].reshape(shape).astype(float)
+        elif kind == "constant":
+            w = np.empty(shape)
+            w[...] = _as_vector(self.vector, dim, "constant w")
         else:
-            raise ConfigurationError(f"unknown perturbation kind {self.kind!r}")
+            raise ConfigurationError(f"unknown perturbation kind {kind!r}")
         if self.clip_to_unit_ball:
-            norm = np.linalg.norm(w)
-            if norm > 1.0:
-                w = w / norm
+            for row in w.reshape(-1, dim):
+                norm = math.sqrt(row.dot(row))
+                if norm > 1.0:
+                    row /= norm
         return w
 
 
@@ -482,6 +524,7 @@ def simulate(
         ``controller(t, x_t, y_t) -> u_t``.  Stateful controllers recover
         perturbations themselves from consecutive states.
     perturbations : PerturbationSource
+        Its ``T`` rows are drawn in one block before the first step.
     cost : cost object
         Anything exposing ``value(x, u)``.
     T : int
@@ -501,8 +544,9 @@ def simulate(
         If the controller emits a non-finite control, or the cost is
         non-finite at some step.
     ConfigurationError
-        On a negative horizon, or a control or perturbation of the wrong
-        dimension.
+        On a negative horizon, a control of the wrong dimension, or a
+        perturbation source that cannot emit ``T`` rows of dimension d_x
+        (raised before the first step).
     """
     if T < 0:
         raise ConfigurationError("horizon T must be nonnegative")
@@ -512,7 +556,7 @@ def simulate(
 
     states = np.zeros((T + 1, d_x))
     controls = np.zeros((T, d_u))
-    noises = np.zeros((T, d_x))
+    noises = perturbations.draw(0, T, d_x, rng)
     observations = np.zeros((T, system.d_y))
     costs = np.zeros(T)
 
@@ -522,16 +566,15 @@ def simulate(
         y = x.copy() if C is None else C.dot(x)
         observations[t] = y
         u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
-        if not np.isfinite(u).all():
+        # u.u is finite exactly when every entry is, unless it overflows.
+        if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
             raise EvaluationError(f"controller emitted a non-finite control at t={t}: {u}")
-        w = _as_vector(perturbations.sample(t, d_x, rng), d_x, "w")
         c = cost.value(x, u)
-        if not np.isfinite(c):
+        if not math.isfinite(c):
             raise EvaluationError(f"cost is non-finite at t={t}")
-        x = A.dot(x) + B.dot(u) + w
+        x = A.dot(x) + B.dot(u) + noises[t]
         states[t + 1] = x
         controls[t] = u
-        noises[t] = w
         costs[t] = c
     return Trajectory(states, controls, noises, observations, costs)
 

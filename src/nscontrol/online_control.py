@@ -124,7 +124,16 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
             f"gradient dimension {g.shape[0]} does not match point dimension "
             f"{state.point.shape[0]}"
         )
-    if not np.isfinite(g).all():
+    return _ogd_step(state, g)[0]
+
+
+def _ogd_step(state: OGDState, g: np.ndarray) -> tuple[OGDState, float]:
+    """:func:`ogd_update` on a flat float gradient of the point's shape;
+    returns the new state and ``||g||``.  The entries are scanned only when
+    ``||g||`` is not finite."""
+    gg = g.dot(g)
+    # g.g is finite exactly when every entry is, unless it overflows.
+    if not math.isfinite(gg) and not np.isfinite(g).all():
         raise EvaluationError("OGD update rejected: non-finite gradient")
     t_next = state.t + 1
     y = state.point - state.step_size(t_next) * g
@@ -132,7 +141,7 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
         norm = math.sqrt(y.dot(y))
         if norm > state.radius:
             y *= state.radius / norm
-    return state._successor(y, t_next)
+    return state._successor(y, t_next), math.sqrt(gg)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +383,8 @@ class _DisturbanceFeedback:
             ``eta * ||grad||``.
         """
         previous = self.ogd.point
-        self.ogd = ogd_update(self.ogd, grad)
+        self.ogd, grad_norm = _ogd_step(self.ogd, grad)
         point = self.ogd.point
-        grad_norm = math.sqrt(grad.dot(grad))
         M_norm = math.sqrt(point.dot(point))
         if self.ogd.radius is not None and M_norm > self.ogd.radius + 1e-9:
             raise EvaluationError(f"OGD iterate left the ball of radius {self.ogd.radius}")
@@ -427,7 +435,12 @@ class GPCController(_DisturbanceFeedback):
     A controller spec (dict, config file or CLI flags) sets the learner
     options ``h``, ``radius``, ``step_size``, ``schedule`` and ``H_trunc``;
     their defaults live here alone.  Each update appends a telemetry dict
-    to ``self.telemetry``.
+    to ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
+    loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
+    and ``grad_norm``.  The played cost ``c_t(x_t, u_t)`` is not repeated
+    there: it is ``Trajectory.costs[t]`` under
+    :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the array that
+    :func:`~nscontrol.sysid.control_with_model` returns.
 
     Parameters
     ----------
@@ -536,10 +549,8 @@ class GPCController(_DisturbanceFeedback):
         if self.delta_hat is None:
             self._start(closed)
 
-        cost_t = _resolve_cost(cost, t)
-        loss, grad = self._loss_and_gradient(cost_t)
-        played = float(cost_t.value(x, u))
-        self._learn(grad, {"t": t, "cost": played, "loss": loss}, math.sqrt(ww))
+        loss, grad = self._loss_and_gradient(_resolve_cost(cost, t))
+        self._learn(grad, {"t": t, "loss": loss}, math.sqrt(ww))
         self._advance(closed, B_t, w_t)
         self._push(w_t)
         self._last = None
@@ -589,7 +600,9 @@ class GRCController(_DisturbanceFeedback):
     observation dimension; ``h`` (the window holds ``h + 1`` matrices,
     lags 0 to ``h``), ``radius``, ``step_size``, ``schedule``, ``horizon``
     and ``H_trunc`` are the learner options of :class:`GPCController`, with
-    the same defaults.
+    the same defaults.  Each update appends a telemetry dict to
+    ``self.telemetry`` with the keys ``t``, ``loss``, ``M_norm``,
+    ``ynat_norm`` and ``grad_norm``; the played cost is not among them.
     """
 
     _signal_key = "ynat_norm"

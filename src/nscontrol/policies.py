@@ -685,9 +685,10 @@ def approximation_gap(
     The perturbation source is sampled once, recorded, and replayed for
     both policies; the result is ``(1/T) * sum_t |c_t(a) - c_t(b)|``.
     """
+    if T < 1:
+        raise ConfigurationError(f"approximation_gap needs a horizon T >= 1, got {T}")
     rng = np.random.default_rng(seed)
-    recorded = np.array([perturbations.sample(t, system.d_x, rng) for t in range(T)])
-    replay = PerturbationSource.recorded(recorded)
+    replay = PerturbationSource.recorded(perturbations.draw(0, T, system.d_x, rng))
     traj_a = simulate(system, policy_runner(policy_a, system), replay, costs, T, seed=seed)
     traj_b = simulate(system, policy_runner(policy_b, system), replay, costs, T, seed=seed)
     return float(np.mean(np.abs(traj_a.costs - traj_b.costs)))

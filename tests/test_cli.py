@@ -201,6 +201,13 @@ def test_config_file_rejects_unknown_sections_and_keys():
          "unknown iid-gaussian perturbation options: ['sigmaa']"),
         ("[perturbation]\nkind = iid-uniform-ball\nclip = true\n",
          "unknown iid-uniform-ball perturbation options: ['clip']"),
+        # A key a kind needs, and a key the file format cannot express.
+        ("[perturbation]\nkind = constant\n",
+         "[perturbation] kind = constant needs the matrix file key 'vector'"),
+        ("[perturbation]\nkind = recorded\nclip = true\n",
+         "[perturbation] kind = recorded needs the matrix file key 'sequence'"),
+        ("[comparator]\nkind = best-linear\nstarts = 3\n",
+         "[comparator] starts cannot be set in a config file"),
     ):
         code, _, err = _regret_from_config(base + "\n" + extra)
         assert code == 2

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nscontrol.errors import ConfigurationError, EvaluationError
+from nscontrol.harness import component_seed, generate_perturbations
 from nscontrol.lds_core import (
     LinearSystem,
     PerturbationSource,
@@ -438,6 +439,143 @@ def test_simulate_same_seed_byte_identical():
     b = simulate(sys2, zero_controller, PerturbationSource.gaussian(1.0), cost, T=25, seed=5)
     assert a.states.tobytes() == b.states.tobytes()
     assert a.perturbations.tobytes() == b.perturbations.tobytes()
+
+
+def _reference_row(source, t, dim, rng):
+    """``w_t`` from the per-step formulas, one row and one draw at a time:
+    the oracle for the block draw."""
+    if source.kind == "zero":
+        w = np.zeros(dim)
+    elif source.kind == "iid-gaussian":
+        w = source.sigma * rng.standard_normal(dim)
+    elif source.kind == "iid-uniform-ball":
+        direction = rng.standard_normal(dim)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        w = direction * rng.random() ** (1.0 / dim)
+    elif source.kind == "sinusoidal":
+        phase = np.zeros(dim) if source.phase is None else source.phase
+        w = source.amplitude * np.sin(source.omega * t + phase)
+    elif source.kind == "recorded":
+        w = source.sequence[t].copy()
+    else:
+        w = source.vector.copy()
+    if source.clip_to_unit_ball:
+        norm = np.linalg.norm(w)
+        if norm > 1.0:
+            w = w / norm
+    return w
+
+
+@st.composite
+def _sources(draw, dim, length):
+    """A perturbation source of every kind, emitting rows of ``dim`` whose
+    norms fall on both sides of 1, with clipping on or off."""
+    kind = draw(st.sampled_from(
+        ["zero", "iid-gaussian", "iid-uniform-ball", "sinusoidal", "recorded", "constant"]
+    ))
+    clip = draw(st.booleans())
+    scale = draw(st.floats(0.01, 3.0))
+    values = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(length + 1, dim))
+    if kind == "iid-gaussian":
+        return PerturbationSource.gaussian(scale, clip_to_unit_ball=clip)
+    if kind == "sinusoidal":
+        phase = draw(st.sampled_from([None, values[-1]]))
+        return PerturbationSource.sinusoidal(scale, draw(st.floats(-3.0, 3.0)), phase, clip)
+    if kind == "recorded":
+        return PerturbationSource.recorded(scale * values, clip_to_unit_ball=clip)
+    if kind == "constant":
+        return PerturbationSource.constant(scale * values[-1], clip_to_unit_ball=clip)
+    return PerturbationSource(kind=kind, clip_to_unit_ball=clip)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5), start=st.integers(0, 5), n=st.integers(0, 30),
+       seed=st.integers(0, 2**16), embed=st.booleans())
+def test_block_draw_matches_per_step_samples(data, dim, start, n, seed, embed):
+    # The block draw, per-step sample() calls and the one-row-at-a-time
+    # formulas consume the stream alike and give the same bytes, for every
+    # kind; so does generate_perturbations, with and without an embedding.
+    stop = start + n
+    source = data.draw(_sources(dim, stop))
+    streams = [np.random.default_rng(seed) for _ in range(3)]
+    block = source.draw(start, stop, dim, streams[0])
+    steps = [source.sample(t, dim, streams[1]) for t in range(start, stop)]
+    reference = [_reference_row(source, t, dim, streams[2]) for t in range(start, stop)]
+    assert block.shape == (n, dim)
+    assert block.tobytes() == np.array(steps).tobytes() == np.array(reference).tobytes()
+    assert all(row.shape == (dim,) for row in steps)
+
+    d_x = dim + 1 if embed else dim
+    embedding = np.random.default_rng(seed).normal(size=(d_x, dim)) if embed else None
+    rng = np.random.default_rng(component_seed(seed, "perturbation"))
+    expected = np.array([_reference_row(source, t, dim, rng) for t in range(stop)]).reshape(stop, dim)
+    if embed:
+        expected = expected @ embedding.T
+    assert generate_perturbations(source, stop, d_x, seed, embedding).tobytes() == expected.tobytes()
+
+
+def _reference_simulate(system, controller, source, cost, T, seed):
+    """``simulate`` as a per-step loop that samples ``w_t`` inside each step."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(system.d_x)
+    states, controls, noises, observations, costs = [x], [], [], [], []
+    for t in range(T):
+        A, B, C = system.matrices(t)
+        y = x.copy() if C is None else C.dot(x)
+        u = np.asarray(controller(t, x.copy(), y), dtype=float)
+        w = source.sample(t, system.d_x, rng)
+        costs.append(cost.value(x, u))
+        x = A.dot(x) + B.dot(u) + w
+        states.append(x)
+        controls.append(u)
+        noises.append(w)
+        observations.append(y)
+    return states, controls, noises, observations, costs
+
+
+@pytest.mark.parametrize("kind", ["iid-gaussian", "recorded"])
+def test_simulate_matches_a_per_step_loop(kind):
+    rng = np.random.default_rng(3)
+    A0, B, C = rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
+    A0 *= 0.8 / spectral_radius(A0)
+    system = LinearSystem.time_varying(
+        lambda t: (A0 * (1.0 + 0.1 * np.sin(t)), B, C), d_x=3, d_u=2, d_y=2
+    )
+    gains = rng.normal(size=(7, 2, 2)) * 0.2
+    cost = QuadraticCost(np.eye(3), 0.5 * np.eye(2), target=[0.1, 0.0, -0.2])
+    T = 60
+    source = PerturbationSource.gaussian(0.4, clip_to_unit_ball=True)
+    if kind == "recorded":
+        source = PerturbationSource.recorded(rng.normal(size=(T + 5, 3)))
+
+    def controller(t, x, y):
+        return gains[t % 7].dot(y)
+
+    traj = simulate(system, controller, source, cost, T, seed=11)
+    expected = _reference_simulate(system, controller, source, cost, T, seed=11)
+    got = (traj.states, traj.controls, traj.perturbations, traj.observations, traj.costs)
+    for array, rows in zip(got, expected):
+        assert array.tobytes() == np.array(rows).tobytes()
+
+
+def test_simulate_draws_before_the_first_step():
+    # A recorded sequence too short for the horizon raises before the
+    # controller is called, with the step at which it runs out.
+    sys1 = LinearSystem.time_invariant([[0.5]], [[1.0]])
+    calls = []
+
+    def controller(t, x, y):
+        calls.append(t)
+        return np.zeros(1)
+
+    short = PerturbationSource.recorded(np.ones((4, 1)))
+    with pytest.raises(ConfigurationError, match="length 4 exhausted at t=4"):
+        simulate(sys1, controller, short, QuadraticCost(np.eye(1), np.eye(1)), T=6)
+    assert calls == []
+    with pytest.raises(ConfigurationError, match="recorded w_0 must be a vector of dimension 1"):
+        simulate(sys1, controller, PerturbationSource.recorded(np.ones((6, 2))),
+                 QuadraticCost(np.eye(1), np.eye(1)), T=6)
+    assert calls == []
 
 
 def test_simulate_nan_controller_aborts():

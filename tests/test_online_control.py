@@ -456,8 +456,8 @@ def test_gpc_counterfactual_fidelity_improves():
     K = dare_solve(A, B, np.eye(1), np.eye(1)).K
     noise = PerturbationSource.sinusoidal(amplitude=1.0, omega=2.0 * math.pi / 50.0)
     controller = GPCController(1, 1, K, h=8, radius=2.0, step_size=0.05)
-    simulate(system, gpc_runner(controller, system, cost), noise, cost, T, seed=0)
-    gaps = np.array([abs(row["loss"] - row["cost"]) for row in controller.telemetry])
+    played = simulate(system, gpc_runner(controller, system, cost), noise, cost, T, seed=0).costs
+    gaps = np.array([abs(row["loss"] - played[row["t"]]) for row in controller.telemetry])
     half = len(gaps) // 2
     assert gaps[half:].mean() < gaps[:half].mean()
 
@@ -778,13 +778,14 @@ def test_grc_checks_stability_once_for_a_time_invariant_system(monkeypatch):
 
 
 def _escaping_ogd(offset):
-    """Stand-in for ogd_update whose iterate lands ``offset`` away from the
-    ball's centre, whatever the gradient."""
+    """Stand-in for the learners' OGD step whose iterate lands ``offset``
+    away from the ball's centre, whatever the gradient."""
 
     def fake(state, gradient):
         point = np.zeros_like(state.point)
         point[0] = offset
-        return OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
+        new = OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
+        return new, math.sqrt(gradient.dot(gradient))
 
     return fake
 
@@ -808,10 +809,10 @@ def test_ogd_invariants_raise_typed_errors(monkeypatch, one_update):
     # A step that leaves the ball, or moves although the gradient is zero,
     # is rejected with EvaluationError (the checks are not asserts, so they
     # also run under python -O).
-    monkeypatch.setattr(online_control, "ogd_update", _escaping_ogd(2.0))
+    monkeypatch.setattr(online_control, "_ogd_step", _escaping_ogd(2.0))
     with pytest.raises(EvaluationError, match="left the ball"):
         one_update(0.7)
-    monkeypatch.setattr(online_control, "ogd_update", _escaping_ogd(0.5))
+    monkeypatch.setattr(online_control, "_ogd_step", _escaping_ogd(0.5))
     with pytest.raises(EvaluationError, match="moved further"):
         one_update(0.0)
 
@@ -1019,10 +1020,10 @@ def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
 
 
 def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch):
-    # Per closed-loop step, simulate() and the learner's telemetry each
-    # evaluate the played stage cost with value(), and the learner evaluates
-    # its counterfactual loss and both gradients in one terms() pass; the
-    # time-invariant A and B are validated at the first update only.
+    # Per closed-loop step, simulate() alone evaluates the played stage cost
+    # with value(), and the learner evaluates its counterfactual loss and
+    # both gradients in one terms() pass; the time-invariant A and B are
+    # validated at the first update only.
     T = 40
     config = config_from_preset(
         "b747", controller={"kind": "gpc", "h": 8, "radius": 2.0, "step_size": 0.05},
@@ -1055,7 +1056,7 @@ def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch
         monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
     run_experiment(config)
     # T steps are played and T - 1 of them are learned from.
-    assert calls == {"value": 2 * T - 1, "terms": T - 1, "grad_x": 0, "grad_u": 0}
+    assert calls == {"value": T, "terms": T - 1, "grad_x": 0, "grad_u": 0}
     assert sum(M is A for M in validated) <= 1
     assert sum(M is B for M in validated) <= 1
 

@@ -409,6 +409,9 @@ def test_approximation_gap_identical_policies():
         T=50,
     )
     assert gap == 0.0
+    with pytest.raises(ConfigurationError, match="T >= 1"):
+        approximation_gap(LinearPolicy([[-0.5]]), LinearPolicy([[-0.5]]), system,
+                          PerturbationSource.gaussian(0.5), cost, T=0)
 
 
 def test_approximation_gap_linear_vs_dac():
