@@ -26,6 +26,7 @@ All subcommands accept ``--config PATH`` (scenario file), ``--seed N``,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -193,6 +194,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     system = config.system
     d_x = system.d_x
     Sigma_x = (args.process_noise**2) * np.eye(d_x)
+    Sigma_y = (args.obs_noise**2) * np.eye(system.d_y)
 
     w = generate_perturbations(
         PerturbationSource.gaussian(sigma=args.process_noise),
@@ -201,18 +203,22 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         config.seed,
     )
     rng_obs = np.random.default_rng(component_seed(config.seed, "measurement"))
+    # The measurement noise in one block of T rows: the same normals as T
+    # draws of one row each.
+    v = args.obs_noise * rng_obs.standard_normal((T, system.d_y))
 
     x = np.zeros(d_x) if config.x0 is None else config.x0.copy()
     state = KalmanState(x_hat=np.zeros(d_x), Sigma=Sigma_x)
     rows = []
     state_sq = obs_sq = 0.0
     for t, (A_t, _, C_t) in enumerate(zip(*system.stacks(0, T))):
-        d_y = C_t.shape[0]
-        Sigma_y = (args.obs_noise**2) * np.eye(d_y)
-        y = C_t @ x + args.obs_noise * rng_obs.standard_normal(d_y)
-        state_err = float(np.linalg.norm(state.x_hat - x))
-        obs_err = float(np.linalg.norm(C_t @ state.x_hat - y))
-        rows.append([t + 1, state_err, obs_err, float(np.trace(state.Sigma))])
+        y = C_t @ x + v[t]
+        # sqrt(e.e) is np.linalg.norm(e) of a vector, bit for bit.
+        e = state.x_hat - x
+        state_err = math.sqrt(e.dot(e))
+        e = C_t @ state.x_hat - y
+        obs_err = math.sqrt(e.dot(e))
+        rows.append([t + 1, state_err, obs_err, float(state.Sigma.trace())])
         state_sq += state_err**2
         obs_sq += obs_err**2
         state = kalman_step(state, A_t, None, C_t, Sigma_x, Sigma_y, y=y)
@@ -262,11 +268,14 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     )
     online = OnlineSpectralFilter(predictor, d_u=system.d_u)
 
+    # One draw of all T rows takes the same signs from the stream as T
+    # draws of one row each.
+    inputs = rng.integers(0, 2, size=(T, system.d_u)).astype(float) * 2.0 - 1.0
+
     x = np.zeros(system.d_x) if config.x0 is None else config.x0.copy()
     rows = []
     running = 0.0
-    for t, (A_t, B_t, C_t) in enumerate(zip(*system.stacks(0, T))):
-        u = rng.integers(0, 2, size=system.d_u).astype(float) * 2.0 - 1.0
+    for t, (A_t, B_t, C_t, u) in enumerate(zip(*system.stacks(0, T), inputs)):
         x = A_t @ x + B_t @ u
         y = C_t @ x
         online.step(u, y)

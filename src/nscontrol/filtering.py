@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import TOL_PSD, _as_matrix, _as_vector, _check_psd
+from .lds_core import TOL_PSD, _all_finite, _as_matrix, _as_vector, _check_psd
 from .online_control import OGDState, ogd_update
 from .optimal_control import _riccati_step, dare_solve
 
@@ -65,35 +65,48 @@ class KalmanState:
     """State estimate and error covariance of the Kalman filter.
 
     ``x_hat`` is the prediction of the current state given all previous
-    observations; ``Sigma`` is its error covariance (symmetric PSD).
+    observations (finite); ``Sigma`` is its error covariance (symmetric PSD).
     """
 
     x_hat: np.ndarray
     Sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).ravel())
+        x_hat = np.asarray(self.x_hat, dtype=float).ravel()
+        if not _all_finite(x_hat):
+            raise ConfigurationError("x_hat contains non-finite entries")
+        object.__setattr__(self, "x_hat", x_hat)
         object.__setattr__(self, "Sigma", _check_psd(self.Sigma, "Sigma"))
+
+
+def _same(M: object, copy: np.ndarray) -> bool:
+    """Whether ``M``, as a float array, has the shape and bytes of ``copy``."""
+    M = np.asarray(M, dtype=float)
+    return M.shape == copy.shape and M.tobytes() == copy.tobytes()
 
 
 def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
     """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised Sigma_y)``.
 
     Reuses the validated pair carried by ``state`` when both inputs have the
-    same content as the copies it holds; otherwise checks both with
+    shape and bytes of the copies it holds; otherwise checks both with
     :func:`_check_psd` and keeps private copies of the raw inputs, so an
     in-place change between calls is seen.
     """
     noise = getattr(state, "_noise", None)
-    if (
-        noise is not None
-        and np.array_equal(Sigma_x, noise[0])
-        and np.array_equal(Sigma_y, noise[1])
-    ):
+    if noise is not None and _same(Sigma_x, noise[0]) and _same(Sigma_y, noise[1]):
         return noise
     raw_x = np.array(Sigma_x, dtype=float)
     raw_y = np.array(Sigma_y, dtype=float)
     return raw_x, raw_y, _check_psd(raw_x, "Sigma_x"), _check_psd(raw_y, "Sigma_y")
+
+
+def _finite_vector(v: object, dim: int, name: str) -> np.ndarray:
+    """:func:`_as_vector`, rejecting non-finite entries."""
+    v = _as_vector(v, dim, name)
+    if not _all_finite(v):
+        raise ConfigurationError(f"{name} contains non-finite entries")
+    return v
 
 
 def kalman_step(
@@ -132,8 +145,8 @@ def kalman_step(
     Raises
     ------
     ConfigurationError
-        If a noise covariance is not symmetric PSD, or the new covariance
-        is non-finite or not PSD.
+        If a noise covariance is not symmetric PSD, ``u`` or ``y`` has a
+        non-finite entry, or the new covariance is non-finite or not PSD.
     """
     A = _as_matrix(A, "A")
     C = _as_matrix(C, "C")
@@ -145,12 +158,12 @@ def kalman_step(
     x_hat = (A - L @ C) @ state.x_hat
     if B is not None and u is not None:
         B = _as_matrix(B, "B")
-        x_hat = x_hat + B @ _as_vector(u, B.shape[1], "u")
+        x_hat = x_hat + B @ _finite_vector(u, B.shape[1], "u")
     if y is not None:
-        x_hat = x_hat + L @ _as_vector(y, C.shape[0], "y")
+        x_hat = x_hat + L @ _finite_vector(y, C.shape[0], "y")
     # Sigma_next is symmetric by construction, so only finiteness and the
     # PSD property are checked; KalmanState.__post_init__ is bypassed.
-    if not np.isfinite(Sigma_next).all():
+    if not _all_finite(Sigma_next):
         raise ConfigurationError("Sigma contains non-finite entries")
     if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
         raise ConfigurationError("Sigma must be positive semidefinite")

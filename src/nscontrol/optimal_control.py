@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import _as_matrix, _check_psd, spectral_radius
+from .lds_core import _all_finite, _as_matrix, _check_psd, spectral_radius
 
 __all__ = ["LQRSolution", "DARESolution", "lqr_finite", "dare_solve"]
 
@@ -48,7 +48,7 @@ def _riccati_step(
     """
     SB = S @ B
     G = R + B.T @ SB
-    if not np.isfinite(G).all():
+    if not _all_finite(G):
         return np.full((B.shape[1], A.shape[1]), np.nan), np.full_like(S, np.nan)
     K = -np.linalg.lstsq(G, SB.T @ A, rcond=None)[0]
     closed = A + B @ K

@@ -19,6 +19,7 @@ steps; model error is absorbed into the recovered perturbations.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,13 @@ from .harness import (
     component_seed,
     dac_rollout_costs,
 )
-from .lds_core import LinearSystem, PerturbationSource, QuadraticCost, spectral_radius
+from .lds_core import (
+    LinearSystem,
+    PerturbationSource,
+    QuadraticCost,
+    _all_finite,
+    spectral_radius,
+)
 from .online_control import DEFAULT_H, GPCController
 from .optimal_control import dare_solve
 
@@ -55,26 +62,31 @@ __all__ = [
 #: matrix is treated as rank-deficient (weak controllability signal).
 SIGMA_MIN_THRESHOLD = 1e-6
 
+#: Perturbation rows a black box draws at a time, ahead of its step counter.
+_DRAW_BLOCK = 256
+
 
 class BlackBoxSystem:
     """Opaque stepper around a linear system with its own noise stream.
 
     Identification code may use only :meth:`read_state`,
-    :meth:`apply_control`, and the dimension properties.  The recorded
-    histories and :meth:`reveal_system` exist for evaluation and reporting
-    (hindsight comparators, error-to-truth diagnostics), never for the
-    learner.
+    :meth:`apply_control`, :meth:`apply_controls` (a block of controls in
+    one call), and the dimension properties.  The recorded histories and
+    :meth:`reveal_system` exist for evaluation and reporting (hindsight
+    comparators, error-to-truth diagnostics), never for the learner.
 
     Parameters
     ----------
     system : LinearSystem
         The hidden dynamics.
     perturbation : PerturbationSource, optional
-        Disturbance process (default: none).
+        Disturbance process (default: none).  Its rows are drawn in blocks
+        ahead of the step counter, which gives the same rows as drawing
+        one per step.
     seed : int
         Seeds the box's private disturbance stream.
     x0 : array_like, optional
-        Initial state (default: origin).
+        Initial state (default: origin); it must be finite.
     """
 
     def __init__(
@@ -92,10 +104,15 @@ class BlackBoxSystem:
             raise ConfigurationError(
                 f"x0 has shape {x.shape}, state dimension is {system.d_x}"
             )
+        if not _all_finite(x):
+            raise ConfigurationError("x0 contains non-finite entries")
         self._t = 0
-        self._states = [x.copy()]
+        self._states = [x]
         self._controls: list = []
         self._ws: list = []
+        # Perturbation rows w_{_w_start}, w_{_w_start + 1}, ... drawn so far.
+        self._w = np.zeros((0, system.d_x))
+        self._w_start = 0
 
     @property
     def d_x(self) -> int:
@@ -115,26 +132,75 @@ class BlackBoxSystem:
         return self._states[-1].copy()
 
     def apply_control(self, u: object) -> None:
-        """Advance one step under control ``u`` and the private noise."""
-        u = np.asarray(u, dtype=float)
+        """Advance one step under control ``u`` and the private noise:
+        :meth:`apply_controls` of the one row ``u``."""
+        u = np.array(u, dtype=float)
         if u.shape != (self.d_u,):
             raise ConfigurationError(
                 f"control has shape {u.shape}, expected ({self.d_u},)"
             )
-        A_t, B_t, _ = self._system.matrices(self._t)
-        w = np.asarray(
-            self._source.sample(self._t, self.d_x, self._rng), dtype=float
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_next = A_t @ self._states[-1] + B_t @ u + w
-        if not np.all(np.isfinite(x_next)):
-            raise EvaluationError(
-                f"black box emitted a non-finite state at step {self._t}; aborting"
+        self._advance((u,))
+
+    def apply_controls(self, U: object) -> np.ndarray:
+        """Advance one step per row of ``U`` (n, d_u), in order, and return
+        the n states reached, shape (n, d_x).
+
+        Each step is ``x' = A_t x + B_t u_t + w_t`` as in
+        :meth:`apply_control`, with the same rows and the same bits.  A
+        non-finite state raises :class:`EvaluationError` naming its step;
+        the histories then end at the last finite state.
+        """
+        U = np.array(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self.d_u:
+            raise ConfigurationError(
+                f"controls have shape {U.shape}, expected (n, {self.d_u})"
             )
-        self._states.append(x_next)
-        self._controls.append(u.copy())
-        self._ws.append(w)
-        self._t += 1
+        n = len(U)
+        self._advance(U)
+        return np.array(self._states[len(self._states) - n :]).reshape(n, self.d_x)
+
+    def _advance(self, U: object) -> None:
+        """The stepping kernel: one step per control of ``U`` (an array or a
+        tuple of rows, which the box owns), taking the perturbation rows in
+        order from the blocks drawn ahead."""
+        matrices = self._system.matrices
+        states, controls, ws = self._states, self._controls, self._ws
+        x, t = states[-1], self._t
+        w_rows, first = self._w, self._w_start
+        # A non-finite state is rejected below; numpy's warnings on the way
+        # there are not wanted.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for u in U:
+                    A_t, B_t, _ = matrices(t)
+                    if t - first >= len(w_rows):
+                        w_rows, first = self._draw_ahead(t), t
+                    w = w_rows[t - first]
+                    x = A_t.dot(x) + B_t.dot(u) + w
+                    # x.x is finite exactly when every entry is, unless it
+                    # overflows.
+                    if not math.isfinite(x.dot(x)) and not _all_finite(x):
+                        raise EvaluationError(
+                            f"black box emitted a non-finite state at step {t}; aborting"
+                        )
+                    states.append(x)
+                    controls.append(u)
+                    ws.append(w)
+                    t += 1
+            finally:
+                self._t = t
+
+    def _draw_ahead(self, t: int) -> np.ndarray:
+        """Draw and keep the perturbation rows from step ``t`` on,
+        ``_DRAW_BLOCK`` of them; a recorded sequence only up to its length,
+        so that running past its end raises at the step that needs the
+        missing row."""
+        stop = t + _DRAW_BLOCK
+        if self._source.kind == "recorded":
+            stop = max(min(stop, len(self._source.sequence)), t + 1)
+        self._w = self._source.draw(t, stop, self.d_x, self._rng)
+        self._w_start = t
+        return self._w
 
     # -- evaluation-side access (not for the learner) ----------------------
 
@@ -258,14 +324,12 @@ def excite_and_record(
         raise ConfigurationError("T0 must be at least 1")
     rng = np.random.default_rng(seed)
     n = exploration_length(k, T0)
-    states = np.zeros((n + 1, box.d_x))
-    controls = np.zeros((n, box.d_u))
+    # One draw of all n rows takes the same signs from the stream as n
+    # draws of one row each.
+    controls = rng.integers(0, 2, size=(n, box.d_u)).astype(float) * 2.0 - 1.0
+    states = np.empty((n + 1, box.d_x))
     states[0] = box.read_state()
-    for t in range(n):
-        eta = rng.integers(0, 2, size=box.d_u).astype(float) * 2.0 - 1.0
-        controls[t] = eta
-        box.apply_control(eta)
-        states[t + 1] = box.read_state()
+    states[1:] = box.apply_controls(controls)
     return ExcitationRecord(states=states, controls=controls)
 
 

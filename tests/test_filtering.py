@@ -47,8 +47,8 @@ from nscontrol.filtering import (
     spectral_basis,
     spectral_predict,
 )
-from nscontrol.lds_core import TOL_PSD
-from nscontrol.optimal_control import dare_solve
+from nscontrol.lds_core import TOL_PSD, _all_finite, _as_matrix
+from nscontrol.optimal_control import _riccati_step, dare_solve
 from nscontrol.serialize import read_json_summary
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -162,6 +162,60 @@ def test_kalman_rejects_bad_covariances():
         assert False, "expected ConfigurationError"
     except ConfigurationError:
         pass
+
+
+def test_kalman_rejects_nonfinite_estimate_and_inputs():
+    one = np.eye(1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="x_hat contains non-finite entries"):
+            KalmanState(x_hat=[bad], Sigma=one)
+    state = KalmanState(x_hat=np.zeros(1), Sigma=one)
+    with pytest.raises(ConfigurationError, match="y contains non-finite entries"):
+        kalman_step(state, one, None, one, one, one, y=[np.nan])
+    with pytest.raises(ConfigurationError, match="u contains non-finite entries"):
+        kalman_step(state, one, one, one, one, one, u=[np.inf], y=[0.0])
+
+
+_FINITENESS_CASES = {
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "+inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "+inf and -inf": [[np.inf, 0.0], [0.0, -np.inf]],  # their sum is NaN
+    "overflowing sum": [[1e308, 0.0], [0.0, 1e308]],  # finite entries
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FINITENESS_CASES))
+def test_finiteness_checks_keep_their_verdicts(case):
+    # Each case gets the verdict and message of np.isfinite(M).all(), with
+    # no RuntimeWarning (which the test configuration turns into an error).
+    M = np.array(_FINITENESS_CASES[case])
+    finite = case == "overflowing sum"
+    assert _all_finite(M) == finite
+    if finite:
+        assert _as_matrix(M, "M") is M
+    else:
+        with pytest.raises(ConfigurationError, match="^M contains non-finite entries$"):
+            _as_matrix(M, "M")
+    # The Riccati step's check of R + B'SB: NaN outputs exactly when it fails.
+    eye = np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, S_next = _riccati_step(eye, eye, np.zeros((2, 2)), M, eye)
+    if finite:
+        assert np.isfinite(K).all() and np.isfinite(S_next).all()
+    else:
+        assert np.isnan(K).all() and np.isnan(S_next).all()
+
+
+def test_kalman_new_covariance_check_keeps_its_verdicts():
+    state = KalmanState(x_hat=np.zeros(3), Sigma=np.eye(3))
+    eye, blind = np.eye(3), np.zeros((1, 3))
+    # Three entries of 8e307 are finite although their sum overflows.
+    big = kalman_step(state, math.sqrt(8e307) * eye, None, blind, eye, np.eye(1))
+    assert np.isfinite(big.Sigma).all() and np.diag(big.Sigma).min() > 7e307
+    # A Sigma' that overflows, and the NaN one of an overflowing C Sigma C'.
+    for A, C in ((1e200 * eye, blind), (eye, np.array([[1e200, 0.0, 0.0]]))):
+        with pytest.raises(ConfigurationError, match="^Sigma contains non-finite entries$"):
+            kalman_step(state, A, None, C, eye, np.eye(1), y=[0.0])
 
 
 def test_kalman_steady_state_divergence_raises():

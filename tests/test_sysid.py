@@ -4,12 +4,16 @@ Moment estimators are checked against hand expansions (exact cases at
 ``A = 0`` or ``B = 0``), Monte Carlo rates at frozen seeds, and the
 1/sqrt(T0) error-halving law; recovery is checked for exactness on
 noiseless moments; the pipeline is checked for bit-for-bit replay,
-regret decay with the horizon, and the model-error sweep.
+regret decay with the horizon, and the model-error sweep.  Block stepping
+and the one-draw excitation are checked bit for bit against per-step loops.
 """
 
 import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import component_seed
@@ -26,6 +30,7 @@ from nscontrol.sysid import (
     identify_then_control,
     recover_AB,
 )
+from test_lds_core import _sources  # every perturbation kind, clipping on or off
 
 SCALAR = LinearSystem.time_invariant([[0.5]], [[1.0]])
 UNIT_COST = QuadraticCost(Q=np.eye(1), R=np.eye(1))
@@ -87,6 +92,115 @@ def test_blackbox_nonfinite_state_aborts():
         pass
 
 
+def test_blackbox_rejects_nonfinite_x0():
+    for bad in ([np.nan], [np.inf]):
+        with pytest.raises(ConfigurationError, match="x0 contains non-finite entries"):
+            BlackBoxSystem(SCALAR, x0=bad)
+
+
+def _in_place_provider(seed, d_x, d_u):
+    """A time-varying provider that writes each step's matrices into the
+    same two buffers."""
+    rng = np.random.default_rng(seed)
+    A0, A1 = 0.4 * rng.normal(size=(2, d_x, d_x))
+    B0 = rng.normal(size=(d_x, d_u))
+    A, B = np.empty((d_x, d_x)), np.empty((d_x, d_u))
+
+    def provider(t):
+        A[...] = A0 + np.sin(0.3 * t) * A1
+        B[...] = np.cos(0.2 * t) * B0
+        return A, B
+
+    return provider
+
+
+def _reference_steps(system, source, seed, x0, U):
+    """The black box as a per-step loop: ``A_t @ x + B_t @ u + w_t`` with
+    ``w_t`` sampled inside each step.  Returns the states, perturbations and
+    the message of the error that stopped it (None if none did)."""
+    rng = np.random.default_rng(component_seed(seed, "blackbox"))
+    x, states, ws = x0, [x0], []
+    for t, u in enumerate(U):
+        A_t, B_t, _ = system.matrices(t)
+        try:
+            w = source.sample(t, system.d_x, rng)
+        except ConfigurationError as exc:
+            return states, ws, str(exc)
+        x = A_t @ x + B_t @ u + w
+        states.append(x)
+        ws.append(w)
+    return states, ws, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 2),
+    steps=st.integers(0, 700),
+    seed=st.integers(0, 2**16),
+    time_varying=st.booleans(),
+)
+def test_block_stepping_matches_per_step_reference(data, d_x, d_u, steps, seed, time_varying):
+    # Random splits of the controls into blocks, one-row blocks sometimes
+    # through apply_control, give the reference's states, controls and
+    # perturbations bit for bit; a recorded sequence that runs out raises at
+    # the same step with the same message and leaves the same histories.
+    source = data.draw(_sources(d_x, steps))
+    if source.kind == "recorded":  # it may end before the run does
+        length = data.draw(st.integers(0, steps + 1))
+        source = PerturbationSource.recorded(source.sequence[:length], source.clip_to_unit_ball)
+    rng = np.random.default_rng(seed)
+    if time_varying:
+        system = LinearSystem.time_varying(_in_place_provider(seed, d_x, d_u), d_x, d_u)
+    else:
+        system = LinearSystem.time_invariant(0.4 * rng.normal(size=(d_x, d_x)), rng.normal(size=(d_x, d_u)))
+    x0 = rng.normal(size=d_x)
+    U = rng.normal(size=(steps, d_u))
+    states, ws, error = _reference_steps(system, source, seed, x0, U)
+
+    box = BlackBoxSystem(system, source, seed=seed, x0=x0)
+    done, message = 0, None
+    try:
+        while done < steps:
+            n = data.draw(st.integers(1, steps - done))
+            if n == 1 and data.draw(st.booleans()):
+                box.apply_control(U[done])
+            else:
+                reached = box.apply_controls(U[done : done + n])
+                assert reached.tobytes() == np.array(states[done + 1 : done + n + 1]).tobytes()
+            done += n
+    except ConfigurationError as exc:
+        message = str(exc)
+    assert message == error
+    taken = len(ws)
+    assert box.steps == taken
+    assert box.recorded_states.tobytes() == np.array(states).tobytes()
+    assert box.recorded_controls.tobytes() == U[:taken].tobytes()
+    assert box.recorded_perturbations.tobytes() == np.array(ws).reshape(taken, d_x).tobytes()
+
+
+def test_apply_controls_validates_shape_and_handles_no_rows():
+    box = BlackBoxSystem(LinearSystem.time_invariant(np.eye(2), np.ones((2, 1))))
+    for bad in (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 1, 1))):
+        with pytest.raises(ConfigurationError, match="controls have shape"):
+            box.apply_controls(bad)
+    assert box.apply_controls(np.zeros((0, 1))).shape == (0, 2)
+    assert box.steps == 0
+
+
+def test_nonfinite_state_mid_block_names_its_step():
+    # x_t = 1e100^t: x_2 = 1e200 overflows x.x but is finite and accepted;
+    # x_4 = inf is emitted at step 3, inside the excitation's one block.
+    box = BlackBoxSystem(LinearSystem.time_invariant([[1e100]], [[1.0]]), x0=[1.0])
+    with pytest.raises(EvaluationError, match="non-finite state at step 3;"):
+        excite_and_record(box, k=1, T0=20, seed=0)
+    assert box.steps == 3
+    assert box.recorded_states.shape == (4, 1) and box.recorded_controls.shape == (3, 1)
+    assert np.isfinite(box.recorded_states).all()
+    assert box.recorded_states[-1, 0] > 1e299
+
+
 # ---------------------------------------------------------------------------
 # Excitation
 # ---------------------------------------------------------------------------
@@ -118,6 +232,35 @@ def test_excitation_replay_identical():
         records.append(excite_and_record(box, k=2, T0=30, seed=9))
     assert np.array_equal(records[0].states, records[1].states)
     assert np.array_equal(records[0].controls, records[1].controls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d_u=st.integers(1, 4), k=st.integers(1, 3), T0=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_excitation_matches_per_step_draws(d_u, k, T0, seed):
+    # One draw of all the signs equals a per-step draw of d_u signs, bit for
+    # bit, with the generator left in the same state; so the records match
+    # a per-step excitation loop.  This pins a property of numpy's bounded
+    # integer draws that the excitation relies on.
+    n = exploration_length(k, T0)
+    block_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = block_rng.integers(0, 2, size=(n, d_u))
+    steps = [step_rng.integers(0, 2, size=d_u) for _ in range(n)]
+    assert block.tobytes() == np.array(steps, dtype=block.dtype).reshape(n, d_u).tobytes()
+    assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+    system = LinearSystem.time_invariant(0.5 * np.eye(2), np.arange(2.0 * d_u).reshape(2, d_u))
+    source = PerturbationSource.gaussian(0.3)
+    record = excite_and_record(BlackBoxSystem(system, source, seed=seed), k, T0, seed=seed)
+    box = BlackBoxSystem(system, source, seed=seed)
+    rng = np.random.default_rng(seed)
+    states, controls = [box.read_state()], []
+    for _ in range(n):
+        eta = rng.integers(0, 2, size=d_u).astype(float) * 2.0 - 1.0
+        box.apply_control(eta)
+        controls.append(eta)
+        states.append(box.read_state())
+    assert record.controls.tobytes() == np.array(controls).tobytes()
+    assert record.states.tobytes() == np.array(states).tobytes()
 
 
 def test_excitation_validation():
