@@ -14,10 +14,12 @@ u_t(M))`` where the counterfactual signals are the ones that would have
 occurred had the current parameters been played from the beginning of
 time, truncated to the last ``H_trunc`` steps; both compute gradients
 analytically (the counterfactuals are linear in ``M``, so the loss is
-convex).  Both run one private core, :class:`_DisturbanceFeedback`, whose
-preallocated caches are updated in place and whose step is a fixed number
-of whole-array numpy calls on one Hankel gather of the signal window: no
-Python loop over ``h`` or ``H``.
+convex).  Both run one private core, :class:`_DisturbanceFeedback`, in
+action-history form: one product of a Hankel view of the signal window
+with ``M`` gives the actions ``M`` plays at every lag, one product of the
+cached transition stack with them gives the counterfactual state, and the
+gradient takes one product each way back.  A step is a fixed number of
+whole-array numpy calls, with no Python loop over ``h`` or ``H``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EvaluationError
 from .lds_core import _as_matrix, spectral_radius
@@ -136,7 +139,8 @@ def _ogd_step(state: OGDState, g: np.ndarray) -> tuple[OGDState, float]:
     if not math.isfinite(gg) and not np.isfinite(g).all():
         raise EvaluationError("OGD update rejected: non-finite gradient")
     t_next = state.t + 1
-    y = state.point - state.step_size(t_next) * g
+    y = g * -state.step_size(t_next)
+    y += state.point
     if state.radius is not None:
         norm = math.sqrt(y.dot(y))
         if norm > state.radius:
@@ -234,11 +238,6 @@ def _cost_terms(cost: object, x: np.ndarray, u: np.ndarray) -> tuple:
     )
 
 
-def _fingerprint(M: Optional[np.ndarray]) -> Optional[tuple]:
-    """Cheap content key of a small matrix: its shape and its bytes."""
-    return None if M is None else (M.shape, M.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # Disturbance-feedback core shared by GPC and GRC
 # ---------------------------------------------------------------------------
@@ -247,35 +246,37 @@ def _fingerprint(M: Optional[np.ndarray]) -> Optional[tuple]:
 class _DisturbanceFeedback:
     """Parameters, OGD iterate, caches and per-step work of a learner that
     plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a signal ``s``
-    (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0).
+    (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0), in action-history form.
 
-    ``Ms[i]`` multiplies ``window[i]``, so ``u_{t-m}(M) = sum_i Ms[i]
-    window[m+i]`` for every lag ``m``.  The OGD point ``m`` holds the
-    parameters in ``(d_u, len(Ms), d_s)`` order and ``Ms`` is the
-    ``(len(Ms), d_u, d_s)`` view of it, so that the current feedback
-    ``sum_i Ms[i] window[i]`` is one matrix-vector product.
+    The OGD point holds the parameters in ``(d_u, len(Ms), d_s)`` order,
+    ``Ms`` is the ``(len(Ms), d_u, d_s)`` view of it, and ``M`` is the
+    ``(d_u, len(Ms) * d_s)`` one.  Row ``m`` of the read-only Hankel view
+    ``_Zh`` is the signal window from lag ``m`` on, flattened, so ``U = _Zh
+    M'`` holds the actions ``M`` plays at lags ``0..H``: row 0 is the
+    current feedback and rows ``1..H`` the counterfactual past actions.  The
+    truncated state response to them is ``x(M) = [U | 1] . P`` (GPC's
+    column of ones takes its ``w`` drift; GRC has none), exactly as
+    :func:`counterfactual_state` truncates it.  A loss with derivative
+    ``v`` along ``x(M)`` and ``g_u`` along the current control has the
+    gradient ``[g_u; (P v)_u]' _Zh`` in point order.  The sensitivity
+    matrix of ``x(M)`` to the point is never formed.
 
-    The state response to the controls the parameters would have played is
-    linear in them: ``x_t(M) = Phi_t m + drift`` (``drift`` is GPC's own
-    ``w`` response).  The sensitivity matrix ``Phi_t`` (d_x, p) is one
-    batched product of the transition stack with the Hankel gather of the
-    window, so the counterfactual state is ``Phi_t m`` and the state part of
-    the loss gradient is ``v' Phi_t``.  It truncates at ``H_trunc`` lags
-    exactly as :func:`counterfactual_state` does.  The caches hold no past
-    control until the first transition matrix fixes ``H_trunc``; then they
-    are allocated at that depth and updated in place:
+    The caches hold no past action until the first transition matrix fixes
+    ``H = H_trunc``; then they are allocated at that depth and updated in
+    place:
 
-    * ``_Z`` (``H_trunc + len(Ms)``, d_s): the signal window, newest first.
-    * ``_P`` (d_x, ``H_trunc``, d_u [+ 1]): block ``[:, k, :d_u]`` is the
-      transition product over the last ``k`` steps times ``B_{t-1-k}``; for
-      GPC the extra column ``[:, k, d_u]`` is the same product times
-      ``w_{t-1-k}``, whose sum over ``k`` is the drift.  The stack moves on
-      by one flat matrix product into a spare buffer that is swapped in.
+    * ``_Z`` (``H + len(Ms)``, d_s): the signal window, newest first.
+    * ``_P`` (``(H + 1) * width``, d_x): row block ``k + 1`` holds the
+      transposes of the transition product over the last ``k`` steps times
+      ``B_{t-1-k}`` and, for GPC (``width = d_u + 1``), times ``w_{t-1-k}``.
+      Block 0 is zero: the current control does not move the current state.
+      The stack moves on by one matrix product into a spare buffer that is
+      swapped in.
 
-    ``update`` validates the dynamics matrices, and derives the closed-loop
-    matrix (GPC) or checks stability (GRC), only when their content differs
-    from the last validated ones: the comparison is by shape and bytes, so
-    a matrix mutated in place is validated again.
+    ``update`` validates the dynamics matrices, and derives what the
+    subclass needs of them, only when their content differs from the last
+    validated ones: the comparison is by shape and bytes, so a matrix
+    mutated in place is validated again.
     """
 
     #: Telemetry key of the norm of the signal recorded at each update.
@@ -295,7 +296,7 @@ class _DisturbanceFeedback:
             point=np.zeros(self.d_u * n_M * d_s), radius=float(radius), step_scale=scale,
             schedule=schedule,
         )
-        self.Ms = self._stacked(self.ogd.point)
+        self._Ms, self._M_T = None, self.ogd.point.reshape(self.d_u, -1).T
         if H_trunc is not None and int(H_trunc) < 1:
             raise ConfigurationError(f"H_trunc must be at least 1, got {H_trunc}")
         self.H_trunc: Optional[int] = None if H_trunc is None else int(H_trunc)
@@ -308,13 +309,26 @@ class _DisturbanceFeedback:
         self._allocate(0)
 
     def _stacked(self, flat: np.ndarray) -> np.ndarray:
-        """The ``(len(Ms), d_u, d_s)`` view of a flat vector in point order
-        (the OGD point, or a gradient)."""
+        """The ``(len(Ms), d_u, d_s)`` view of a flat point-order vector."""
         return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
 
-    def _point_order(self) -> np.ndarray:
-        """``Ms`` as ``(d_u, len(Ms) * d_s)``: a view unless ``Ms`` was replaced."""
-        return self.Ms.transpose(1, 0, 2).reshape(self.d_u, -1)
+    @property
+    def Ms(self) -> np.ndarray:
+        """The parameters: a view of the OGD point (made when first read)
+        unless replaced.  It is read at call time, so in-place writes count."""
+        if self._Ms is None:
+            self._Ms = self._stacked(self.ogd.point)
+        return self._Ms
+
+    @Ms.setter
+    def Ms(self, value: np.ndarray) -> None:
+        self._Ms = value
+
+    def _point_order_T(self) -> np.ndarray:
+        """``M'``, ``(len(Ms) * d_s, d_u)``: a view unless ``Ms`` was replaced."""
+        if self._Ms is None:
+            return self._M_T
+        return self._Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
 
     def _start(self, transition: np.ndarray) -> None:
         """Size the caches from the first transition matrix's decay."""
@@ -329,21 +343,21 @@ class _DisturbanceFeedback:
         window = self._Z
         self._Z = np.zeros((H + n_M, d_s))
         self._Z[: len(window)] = window
-        # _hankel[k, i * d_s + s] indexes window[i + 1 + k, s]: the entry Ms[i]
-        # meets at lag k + 1.
-        lag = np.arange(H)[:, None] + 1 + np.arange(n_M)
-        self._hankel = ((d_s * lag)[:, :, None] + np.arange(d_s)).reshape(H, n_M * d_s)
-        width = self.d_u + 1 if self._drifts else self.d_u
-        self._P = np.zeros((self.d_x, H, width))
+        self._Zh = sliding_window_view(self._Z.reshape(-1), n_M * d_s)[::d_s]
+        self._width = self.d_u + 1 if self._drifts else self.d_u
+        self._P = np.zeros(((H + 1) * self._width, self.d_x))
         self._P_spare = np.zeros_like(self._P)
+        self._U = np.ones((H + 1, self._width)) if self._drifts else None  # GPC's [U | 1]
 
     def _validated(self, A_t: object, B_t: object, extra: object) -> tuple:
-        """The subclass's validated dynamics for ``(A_t, B_t, extra)``,
-        recomputed only when their content differs from the last call's."""
+        """The subclass's validated dynamics for ``(A_t, B_t, extra)``, recomputed
+        only when their content (shapes and bytes) differs from the last call's."""
         A_t = np.asarray(A_t, dtype=float)
         B_t = np.asarray(B_t, dtype=float)
-        extra = None if extra is None else np.asarray(extra, dtype=float)
-        key = (_fingerprint(A_t), _fingerprint(B_t), _fingerprint(extra))
+        key = (A_t.shape, A_t.tobytes(), B_t.shape, B_t.tobytes())
+        if extra is not None:
+            extra = np.asarray(extra, dtype=float)
+            key += (extra.shape, extra.tobytes())
         if key != self._dynamics_key:
             self._dynamics = self._validate(A_t, B_t, extra)
             self._dynamics_key = key
@@ -351,62 +365,51 @@ class _DisturbanceFeedback:
 
     def _feedback(self) -> np.ndarray:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
-        return self._point_order().dot(self._Z[: self._n_M].reshape(-1))
+        return self._Zh[0].dot(self._point_order_T())
 
-    def _response(self) -> tuple:
-        """``(z, Phi)``: the truncated state response to the controls the
-        held parameters would have played (plus the drift, for GPC), and
-        the sensitivity matrix ``Phi`` (d_x, p) in point order."""
-        d_u = self.d_u
-        Phi = np.matmul(self._P[:, :, :d_u].transpose(0, 2, 1), self._Z.take(self._hankel))
-        Phi = Phi.reshape(self.d_x, -1)
-        z = Phi.dot(self._point_order().reshape(-1))
+    def _rollout(self) -> tuple:
+        """``(Zh, u, x(M))``: a contiguous copy of ``_Zh`` for both products
+        with it, and the current feedback (for GPC a view of ``_U``)."""
+        Zh = np.ascontiguousarray(self._Zh)
+        U = Zh.dot(self._point_order_T())
         if self._drifts:
-            z += np.add.reduce(self._P[:, :, d_u], axis=1)
-        return z, Phi
+            self._U[:, : self.d_u] = U
+            U = self._U
+        return Zh, U[0, : self.d_u], U.reshape(-1).dot(self._P)
 
-    def _gradient(self, v: np.ndarray, gu: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    def _pullback(self, v: np.ndarray, gu: np.ndarray, Zh: np.ndarray) -> np.ndarray:
         """Flat gradient, in point order, of a loss whose derivative is ``v``
         along the state response and ``gu`` along the current control."""
-        g = v.dot(Phi).reshape(self.d_u, -1)
-        g += gu[:, None] * self._Z[: self._n_M].reshape(-1)
-        return g.reshape(-1)
+        V = self._P.dot(v)
+        V[: self.d_u] = gu
+        return V.reshape(-1, self._width).T.dot(Zh)[: self.d_u].reshape(-1)
 
-    def _learn(self, grad: np.ndarray, row: dict, signal_norm: float) -> None:
-        """Projected OGD step on the flat ``grad``, its invariants, and the
-        telemetry row.
-
-        Raises
-        ------
-        EvaluationError
-            If the new iterate left the ball or moved further than
-            ``eta * ||grad||``.
-        """
-        previous = self.ogd.point
-        self.ogd, grad_norm = _ogd_step(self.ogd, grad)
+    def _learn(self, grad: np.ndarray, t: int, loss: float, signal_norm: float) -> None:
+        """Projected OGD step on the flat ``grad`` and the telemetry row;
+        raises EvaluationError if the new iterate left the ball or moved
+        further than ``eta * ||grad||``."""
+        state = self.ogd
+        self.ogd, grad_norm = _ogd_step(state, grad)
         point = self.ogd.point
         M_norm = math.sqrt(point.dot(point))
-        if self.ogd.radius is not None and M_norm > self.ogd.radius + 1e-9:
-            raise EvaluationError(f"OGD iterate left the ball of radius {self.ogd.radius}")
-        moved = point - previous
-        if math.sqrt(moved.dot(moved)) > self.ogd.step_size(self.ogd.t) * grad_norm + 1e-12:
+        if state.radius is not None and M_norm > state.radius + 1e-9:
+            raise EvaluationError(f"OGD iterate left the ball of radius {state.radius}")
+        moved = point - state.point
+        if math.sqrt(moved.dot(moved)) > state.step_size(state.t + 1) * grad_norm + 1e-12:
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
-        self.Ms = self._stacked(point)
-        row["M_norm"] = M_norm
-        row[self._signal_key] = signal_norm
-        row["grad_norm"] = grad_norm
-        self.telemetry.append(row)
+        self._Ms, self._M_T = None, point.reshape(self.d_u, -1).T
+        self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
+                               self._signal_key: signal_norm, "grad_norm": grad_norm})
 
-    def _advance(self, transition: np.ndarray, B: np.ndarray, drift=None) -> None:
-        """Move the stack one step on: older blocks are multiplied by
-        ``transition`` and the oldest falls out; ``B`` (and, for GPC, the
-        ``drift`` w) become block 0."""
-        P, self._P = self._P, self._P_spare
-        np.matmul(transition, P[:, :-1].reshape(self.d_x, -1),
-                  out=self._P[:, 1:].reshape(self.d_x, -1))
-        self._P[:, 0, : self.d_u] = B
+    def _advance(self, transition_T: np.ndarray, B_T: np.ndarray, drift=None) -> None:
+        """Move the stack one step on: older blocks are multiplied by the
+        transition matrix (given transposed, as ``B_T`` is) and the oldest
+        falls out; ``B`` (and, for GPC, the ``drift`` w) become block 1."""
+        P, self._P, w = self._P, self._P_spare, self._width
+        np.dot(P[w:-w], transition_T, out=self._P[2 * w :])
+        self._P[w : w + self.d_u] = B_T
         if drift is not None:
-            self._P[:, 0, self.d_u] = drift
+            self._P[w + self.d_u] = drift
         self._P_spare = P
 
     def _push(self, signal: np.ndarray) -> None:
@@ -487,31 +490,30 @@ class GPCController(_DisturbanceFeedback):
         super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc)
 
     def gain(self, t: int) -> np.ndarray:
-        return (
-            self._K_fixed
-            if self._K_fixed is not None
-            else _as_matrix(self._K_provider(t), f"K_{t}")
-        )
+        K = self._K_fixed
+        return K if K is not None else _as_matrix(self._K_provider(t), f"K_{t}")
 
     def act(self, t: int, x: object) -> np.ndarray:
         """Emit ``u_t`` from the current parameters and perturbation window."""
         x = np.asarray(x, dtype=float)
         K_t = self.gain(t)
         u = K_t.dot(x) + self._feedback()
-        self._last = (t, x.copy(), u.copy(), K_t)
+        xu = np.concatenate((x, u))
+        self._last = (t, xu, xu[self.d_x :], K_t)
         return u
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, K_t: np.ndarray) -> tuple:
         A_t = _as_matrix(A_t, "A_t")
         B_t = _as_matrix(B_t, "B_t")
-        return A_t, B_t, A_t + B_t @ K_t
+        closed = A_t + B_t @ K_t
+        return closed, np.concatenate((A_t, B_t), axis=1), closed.T.copy(), B_t.T.copy()
 
     def _counterfactual(self) -> tuple:
-        """``(x_t(M), u_t(M), Phi)`` with the sensitivity matrix they used."""
+        """``(x_t(M), u_t(M), Zh)`` at the parameters now held."""
         if self._last is None:
             raise ConfigurationError("call act() before querying counterfactuals")
-        x_cf, Phi = self._response()
-        return x_cf, self._last[3].dot(x_cf) + self._feedback(), Phi
+        Zh, u, x_cf = self._rollout()
+        return x_cf, self._last[3].dot(x_cf) + u, Zh
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
@@ -519,9 +521,9 @@ class GPCController(_DisturbanceFeedback):
         return self._counterfactual()[:2]
 
     def _loss_and_gradient(self, cost_t: object) -> tuple:
-        x_cf, u_cf, Phi = self._counterfactual()
+        x_cf, u_cf, Zh = self._counterfactual()
         loss, gx, gu = _cost_terms(cost_t, x_cf, u_cf)
-        return loss, self._gradient(gx + self._last[3].T.dot(gu), gu, Phi)
+        return loss, self._pullback(gx + self._last[3].T.dot(gu), gu, Zh)
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
@@ -539,9 +541,8 @@ class GPCController(_DisturbanceFeedback):
         """
         if self._last is None or self._last[0] != t:
             raise ConfigurationError("update(t) must follow act(t)")
-        _, x, u, K_t = self._last
-        A_t, B_t, closed = self._validated(A_t, B_t, K_t)
-        w_t = np.asarray(x_next, dtype=float) - A_t.dot(x) - B_t.dot(u)
+        closed, AB, closed_T, B_T = self._validated(A_t, B_t, self._last[3])
+        w_t = np.asarray(x_next, dtype=float) - AB.dot(self._last[1])
         ww = w_t.dot(w_t)
         # w.w is finite exactly when every entry is, unless it overflows.
         if not math.isfinite(ww) and not np.isfinite(w_t).all():
@@ -550,8 +551,8 @@ class GPCController(_DisturbanceFeedback):
             self._start(closed)
 
         loss, grad = self._loss_and_gradient(_resolve_cost(cost, t))
-        self._learn(grad, {"t": t, "loss": loss}, math.sqrt(ww))
-        self._advance(closed, B_t, w_t)
+        self._learn(grad, t, loss, math.sqrt(ww))
+        self._advance(closed_T, B_T, w_t)
         self._push(w_t)
         self._last = None
         return w_t
@@ -641,14 +642,14 @@ class GRCController(_DisturbanceFeedback):
         C_t = self._output(C_t)
         if spectral_radius(A_t) >= 1.0:
             raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
-        return A_t, B_t, C_t
+        return A_t, B_t, C_t, A_t.T.copy(), B_t.T.copy()
 
     def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
-        """``(y_t(M), u_t(M), Phi)`` with the sensitivity matrix they used."""
+        """``(y_t(M), u_t(M), Zh)`` at the parameters now held."""
         if self._last is None:
             raise ConfigurationError("call act() before querying counterfactuals")
-        z, Phi = self._response()
-        return self._last[1] + (z if C is None else C.dot(z)), self._feedback(), Phi
+        Zh, u, z = self._rollout()
+        return self._last[1] + (z if C is None else C.dot(z)), u, Zh
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
@@ -656,13 +657,12 @@ class GRCController(_DisturbanceFeedback):
         return self._counterfactual(self._output(C_t))[:2]
 
     def _loss_and_gradient(self, cost_t: object, C: Optional[np.ndarray]) -> tuple:
-        y_cf, u_cf, Phi = self._counterfactual(C)
+        y_cf, u_cf, Zh = self._counterfactual(C)
         loss, gy, gu = _cost_terms(cost_t, y_cf, u_cf)
-        return loss, self._gradient(gy if C is None else C.T.dot(gy), gu, Phi)
+        return loss, self._pullback(gy if C is None else C.T.dot(gy), gu, Zh)
 
-    def loss_and_gradient(
-        self, cost: object, C_t: Optional[object] = None
-    ) -> tuple[float, np.ndarray]:
+    def loss_and_gradient(self, cost: object,
+                          C_t: Optional[object] = None) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient, shaped like ``Ms``.  Valid between act() and
         update()."""
@@ -676,15 +676,15 @@ class GRCController(_DisturbanceFeedback):
         """Advance nature's-y, take the OGD step on ``l_t``, refresh caches."""
         if self._last is None or self._last[0] != t:
             raise ConfigurationError("update(t) must follow act(t)")
-        A_t, B_t, C = self._validated(A_t, B_t, C_t)
+        A_t, B_t, C, A_T, B_T = self._validated(A_t, B_t, C_t)
         _, ynat, u_played = self._last
         if self.delta_hat is None:
             self._start(A_t)
 
         loss, grad = self._loss_and_gradient(_resolve_cost(cost, t), C)
-        self._learn(grad, {"t": t, "loss": loss}, math.sqrt(ynat.dot(ynat)))
+        self._learn(grad, t, loss, math.sqrt(ynat.dot(ynat)))
         self.tracker.advance(A_t, B_t, u_played)
-        self._advance(A_t, B_t)
+        self._advance(A_T, B_T)
         self._last = None
 
 

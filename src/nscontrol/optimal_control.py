@@ -53,7 +53,8 @@ def _riccati_step(
     K = -np.linalg.lstsq(G, SB.T @ A, rcond=None)[0]
     closed = A + B @ K
     S_next = Q + K.T @ R @ K + closed.T @ S @ closed
-    return K, 0.5 * (S_next + S_next.T)
+    # Halves first: the sum of two finite entries above ~9e307 overflows.
+    return K, 0.5 * S_next + 0.5 * S_next.T
 
 
 @dataclass

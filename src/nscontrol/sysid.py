@@ -66,6 +66,16 @@ SIGMA_MIN_THRESHOLD = 1e-6
 _DRAW_BLOCK = 256
 
 
+def _room(rows: np.ndarray, needed: int) -> np.ndarray:
+    """``rows`` if it has at least ``needed`` rows, else a copy of it in a
+    buffer of ``max(needed, 2 * len(rows))`` rows."""
+    if len(rows) >= needed:
+        return rows
+    grown = np.empty((max(needed, 2 * len(rows)), rows.shape[1]))
+    grown[: len(rows)] = rows
+    return grown
+
+
 class BlackBoxSystem:
     """Opaque stepper around a linear system with its own noise stream.
 
@@ -106,13 +116,15 @@ class BlackBoxSystem:
             )
         if not _all_finite(x):
             raise ConfigurationError("x0 contains non-finite entries")
+        # The histories are buffers that double when full (_states and
+        # _controls together): rows [0, t] of _states, [0, t) of _controls
+        # and [0, _drawn) of _ws are set, where t is the step counter and _ws
+        # runs ahead of it.
         self._t = 0
-        self._states = [x]
-        self._controls: list = []
-        self._ws: list = []
-        # Perturbation rows w_{_w_start}, w_{_w_start + 1}, ... drawn so far.
-        self._w = np.zeros((0, system.d_x))
-        self._w_start = 0
+        self._states = x[None, :]
+        self._controls = np.empty((1, system.d_u))
+        self._ws = np.empty((0, system.d_x))
+        self._drawn = 0
 
     @property
     def d_x(self) -> int:
@@ -129,16 +141,20 @@ class BlackBoxSystem:
 
     def read_state(self) -> np.ndarray:
         """Current state (a copy)."""
-        return self._states[-1].copy()
+        return self._states[self._t].copy()
 
     def apply_control(self, u: object) -> None:
         """Advance one step under control ``u`` and the private noise:
         :meth:`apply_controls` of the one row ``u``."""
-        u = np.array(u, dtype=float)
+        u = np.asarray(u, dtype=float)
         if u.shape != (self.d_u,):
             raise ConfigurationError(
                 f"control has shape {u.shape}, expected ({self.d_u},)"
             )
+        t = self._t
+        if t + 2 > len(self._states):
+            self._grow(t + 2)
+        self._controls[t] = u
         self._advance((u,))
 
     def apply_controls(self, U: object) -> np.ndarray:
@@ -150,57 +166,62 @@ class BlackBoxSystem:
         non-finite state raises :class:`EvaluationError` naming its step;
         the histories then end at the last finite state.
         """
-        U = np.array(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.d_u:
             raise ConfigurationError(
                 f"controls have shape {U.shape}, expected (n, {self.d_u})"
             )
-        n = len(U)
+        start, n = self._t, len(U)
+        self._grow(start + n + 1)
+        self._controls[start : start + n] = U
         self._advance(U)
-        return np.array(self._states[len(self._states) - n :]).reshape(n, self.d_x)
+        return self._states[start + 1 : self._t + 1].copy()
+
+    def _grow(self, rows: int) -> None:
+        """Make room for ``rows`` states and as many controls."""
+        self._states = _room(self._states, rows)
+        self._controls = _room(self._controls, rows)
 
     def _advance(self, U: object) -> None:
-        """The stepping kernel: one step per control of ``U`` (an array or a
-        tuple of rows, which the box owns), taking the perturbation rows in
-        order from the blocks drawn ahead."""
-        matrices = self._system.matrices
-        states, controls, ws = self._states, self._controls, self._ws
-        x, t = states[-1], self._t
-        w_rows, first = self._w, self._w_start
+        """The stepping kernel: one step per control row of ``U`` (an array
+        or a tuple of rows), which the caller has written into the history
+        from the step counter on, taking the perturbation rows in order from
+        the blocks drawn ahead."""
+        matrices, states, t = self._system.matrices, self._states, self._t
+        x, ws, drawn = states[t], self._ws, self._drawn
         # A non-finite state is rejected below; numpy's warnings on the way
         # there are not wanted.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for u in U:
                     A_t, B_t, _ = matrices(t)
-                    if t - first >= len(w_rows):
-                        w_rows, first = self._draw_ahead(t), t
-                    w = w_rows[t - first]
-                    x = A_t.dot(x) + B_t.dot(u) + w
+                    if t >= drawn:
+                        ws, drawn = self._draw_ahead(t)
+                    x = np.add(A_t.dot(x) + B_t.dot(u), ws[t], out=states[t + 1])
                     # x.x is finite exactly when every entry is, unless it
                     # overflows.
                     if not math.isfinite(x.dot(x)) and not _all_finite(x):
                         raise EvaluationError(
                             f"black box emitted a non-finite state at step {t}; aborting"
                         )
-                    states.append(x)
-                    controls.append(u)
-                    ws.append(w)
                     t += 1
             finally:
                 self._t = t
 
-    def _draw_ahead(self, t: int) -> np.ndarray:
-        """Draw and keep the perturbation rows from step ``t`` on,
-        ``_DRAW_BLOCK`` of them; a recorded sequence only up to its length,
-        so that running past its end raises at the step that needs the
-        missing row."""
+    def _draw_ahead(self, t: int) -> tuple:
+        """Draw the perturbation rows from step ``t`` on into the history,
+        ``_DRAW_BLOCK`` of them, and return the history buffer and the
+        number of rows drawn; a recorded sequence only up to its length, so
+        that running past its end raises at the step that needs the missing
+        row."""
         stop = t + _DRAW_BLOCK
         if self._source.kind == "recorded":
             stop = max(min(stop, len(self._source.sequence)), t + 1)
-        self._w = self._source.draw(t, stop, self.d_x, self._rng)
-        self._w_start = t
-        return self._w
+        rows = self._source.draw(t, stop, self.d_x, self._rng)
+        self._ws = _room(self._ws, stop)
+        self._ws[t:stop] = rows
+        self._drawn = stop
+        return self._ws, stop
 
     # -- evaluation-side access (not for the learner) ----------------------
 
@@ -211,21 +232,17 @@ class BlackBoxSystem:
     @property
     def recorded_states(self) -> np.ndarray:
         """All visited states, shape ``(steps + 1, d_x)``."""
-        return np.array(self._states)
+        return self._states[: self._t + 1].copy()
 
     @property
     def recorded_controls(self) -> np.ndarray:
         """All applied controls, shape ``(steps, d_u)``."""
-        if not self._controls:
-            return np.zeros((0, self.d_u))
-        return np.array(self._controls)
+        return self._controls[: self._t].copy()
 
     @property
     def recorded_perturbations(self) -> np.ndarray:
         """All realized disturbances, shape ``(steps, d_x)``."""
-        if not self._ws:
-            return np.zeros((0, self.d_x))
-        return np.array(self._ws)
+        return self._ws[: self._t].copy()
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,17 @@ def test_kalman_new_covariance_check_keeps_its_verdicts():
             kalman_step(state, A, None, C, eye, np.eye(1), y=[0.0])
 
 
+def test_kalman_symmetrisation_keeps_a_finite_covariance_finite():
+    # Sigma' = 1.5e308 I + I is finite, but the sum Sigma' + Sigma'' that a
+    # symmetrisation by (S + S') / 2 forms is not.
+    state = KalmanState(x_hat=np.zeros(2), Sigma=np.eye(2))
+    eye = np.eye(2)
+    new = kalman_step(state, math.sqrt(1.5e308) * eye, None, np.zeros((1, 2)), eye, np.eye(1))
+    assert np.isfinite(new.Sigma).all()
+    assert np.allclose(np.diag(new.Sigma), 1.5e308, rtol=1e-12)
+    assert new.Sigma[0, 1] == new.Sigma[1, 0] == 0.0
+
+
 def test_kalman_steady_state_divergence_raises():
     # Unstable A with no observability: covariance grows without bound.
     try:

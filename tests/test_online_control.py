@@ -17,6 +17,7 @@ from nscontrol import lds_core, online_control
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import config_from_preset, run_experiment
 from nscontrol.lds_core import (
+    CallableCost,
     LinearSystem,
     PerturbationSource,
     QuadraticCost,
@@ -996,6 +997,135 @@ def test_grc_counterfactuals_and_gradient_match_references(
     controller.Ms = rng.normal(size=controller.Ms.shape)
     _, grad = controller.loss_and_gradient(cost, C_at(T))
     _assert_gradient_matches_fd(controller, grad, loss_at)
+
+
+def _callable_twin(cost):
+    """``cost`` as a :class:`CallableCost`, which has no ``terms``, so the
+    learners take the ``value``/``grad_x``/``grad_u`` path."""
+    Q, R = cost.Q, cost.R
+    return CallableCost(lambda z, u: z @ Q @ z + u @ R @ u,
+                        lambda z, u: 2.0 * (Q @ z), lambda z, u: 2.0 * (R @ u))
+
+
+def _assert_twins_agree(quadratic, callable_, cost, twin, *C):
+    """The two learners' counterfactuals, losses and gradients agree to
+    1e-12 (relative to their scale)."""
+    for a, b in zip(quadratic.counterfactuals(*C), callable_.counterfactuals(*C)):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+    (loss_a, grad_a), (loss_b, grad_b) = (quadratic.loss_and_gradient(cost, *C),
+                                          callable_.loss_and_gradient(twin, *C))
+    assert math.isclose(loss_a, loss_b, rel_tol=1e-12, abs_tol=1e-12)
+    assert np.allclose(grad_a, grad_b, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(grad_a).max()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    h=st.integers(1, 4),
+    H_trunc=st.integers(1, 12),
+    T=st.integers(1, 16),
+)
+def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc, T):
+    # Twin of test_gpc_counterfactuals_and_gradient_match_references on the
+    # cost path without terms(): a learner fed the CallableCost twin of the
+    # quadratic cost keeps the quadratic learner's counterfactuals, loss and
+    # gradient, and still matches counterfactual_state and finite differences.
+    rng = np.random.default_rng(seed)
+    A0, A1 = _rescaled(rng.normal(size=(d_x, d_x)), 0.6), 0.1 * rng.normal(size=(d_x, d_x))
+    B0, B1 = rng.normal(size=(d_x, d_u)), 0.2 * rng.normal(size=(d_x, d_u))
+    K0 = 0.1 * rng.normal(size=(d_u, d_x))
+    A_at = lambda t: A0 + np.sin(0.7 * t) * A1
+    B_at = lambda t: B0 + np.cos(0.5 * t) * B1
+    K_at = lambda t: (1.0 + 0.2 * np.sin(t)) * K0
+    L = rng.normal(size=(d_x, d_x))
+    cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_x), R=np.eye(d_u))
+    twin = _callable_twin(cost)
+    learners = [GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05, H_trunc=H_trunc)
+                for _ in range(2)]
+    ws = rng.uniform(-1, 1, size=(T + 1, d_x))
+    A_hist, B_hist, w_hist = [], [], []
+    xs = [np.zeros(d_x), np.zeros(d_x)]
+    for t in range(T + 1):
+        us = [learner.act(t, x) for learner, x in zip(learners, xs)]
+        _assert_twins_agree(*learners, cost, twin)
+        if t >= 1:
+            x_ref = counterfactual_state(list(learners[1].Ms), w_hist, A_hist, B_hist, H_trunc)
+            assert np.allclose(learners[1].counterfactuals()[0], x_ref, atol=1e-10)
+        if t == T:
+            break
+        for i, (learner, c) in enumerate(zip(learners, (cost, twin))):
+            xs[i] = A_at(t) @ xs[i] + B_at(t) @ us[i] + ws[t]
+            learner.update(t, A_at(t), B_at(t), xs[i], c)
+        A_hist.insert(0, A_at(t) + B_at(t) @ K_at(t))
+        B_hist.insert(0, B_at(t))
+        w_hist.insert(0, ws[t])
+
+    def loss_at(flat):
+        saved = learners[1].Ms
+        learners[1].Ms = flat.reshape(saved.shape)
+        x_cf, u_cf = learners[1].counterfactuals()
+        learners[1].Ms = saved
+        return float(twin.value(x_cf, u_cf))
+
+    _assert_gradient_matches_fd(learners[1], learners[1].loss_and_gradient(twin)[1], loss_at)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    d_y=st.integers(1, 3),
+    h=st.integers(1, 4),
+    H_trunc=st.integers(1, 12),
+    T=st.integers(1, 16),
+)
+def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, H_trunc, T):
+    # Twin of test_grc_counterfactuals_and_gradient_match_references on the
+    # cost path without terms(), checked against the quadratic learner, the
+    # zero-history rollout of the last H_trunc controls, and finite
+    # differences.
+    rng = np.random.default_rng(seed)
+    A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
+    B0, C0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x))
+    A_at = lambda t: _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
+    B_at = lambda t: (1.0 + 0.3 * np.cos(0.5 * t)) * B0
+    C_at = lambda t: (1.0 + 0.2 * np.sin(0.3 * t)) * C0
+    L = rng.normal(size=(d_y, d_y))
+    cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_y), R=np.eye(d_u))
+    twin = _callable_twin(cost)
+    learners = [GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05, H_trunc=H_trunc)
+                for _ in range(2)]
+    ws = rng.uniform(-1, 1, size=(T + 1, d_x))
+    ynats: list = []  # of the CallableCost learner, oldest first
+    xs = [np.zeros(d_x), np.zeros(d_x)]
+    for t in range(T + 1):
+        us = [learner.act(t, C_at(t) @ x, C_at(t)) for learner, x in zip(learners, xs)]
+        ynats.append(learners[1]._last[1].copy())
+        _assert_twins_agree(*learners, cost, twin, C_at(t))
+        z = np.zeros(d_x)
+        for s in range(t - min(t, H_trunc), t):
+            u_s = sum(learners[1].Ms[j] @ ynats[s - j] for j in range(min(h, s) + 1))
+            z = A_at(s) @ z + B_at(s) @ u_s
+        assert np.allclose(learners[1].counterfactuals(C_at(t))[0], ynats[t] + C_at(t) @ z,
+                           atol=1e-10)
+        if t == T:
+            break
+        for i, (learner, c) in enumerate(zip(learners, (cost, twin))):
+            learner.update(t, A_at(t), B_at(t), C_at(t), c)
+            xs[i] = A_at(t) @ xs[i] + B_at(t) @ us[i] + ws[t]
+
+    def loss_at(flat):
+        saved = learners[1].Ms
+        learners[1].Ms = flat.reshape(saved.shape)
+        y_cf, u_cf = learners[1].counterfactuals(C_at(T))
+        learners[1].Ms = saved
+        return float(twin.value(y_cf, u_cf))
+
+    grad = learners[1].loss_and_gradient(twin, C_at(T))[1]
+    _assert_gradient_matches_fd(learners[1], grad, loss_at)
 
 
 @pytest.mark.parametrize("kind", ["gpc", "grc"])

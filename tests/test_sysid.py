@@ -8,6 +8,7 @@ regret decay with the horizon, and the model-error sweep.  Block stepping
 and the one-draw excitation are checked bit for bit against per-step loops.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +200,42 @@ def test_nonfinite_state_mid_block_names_its_step():
     assert box.recorded_states.shape == (4, 1) and box.recorded_controls.shape == (3, 1)
     assert np.isfinite(box.recorded_states).all()
     assert box.recorded_states[-1, 0] > 1e299
+
+
+def test_histories_are_compact_and_end_at_a_provider_fault():
+    # 50,000 steps keep their 250,001 numbers in buffers that at most double
+    # them; a history of per-step arrays in lists held about ten times that.
+    system = LinearSystem.time_invariant(0.5 * np.eye(2), np.ones((2, 1)))
+    U = np.random.default_rng(3).choice([-1.0, 1.0], size=(50_000, 1))
+    tracemalloc.start()
+    try:
+        box = BlackBoxSystem(system, PerturbationSource.gaussian(0.1), seed=1)
+        for u in U[:100]:
+            box.apply_control(u)
+        for start in range(100, len(U), 4_000):
+            box.apply_controls(U[start : start + 4_000])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert box.steps == len(U)
+    assert held <= 2 * 8 * (2 * 50_001 + 50_000 + 2 * 50_000)
+    states, ws, _ = _reference_steps(system, PerturbationSource.gaussian(0.1), 1, np.zeros(2), U)
+    assert box.recorded_states.tobytes() == np.array(states).tobytes()
+    assert box.recorded_perturbations.tobytes() == np.array(ws).tobytes()
+    assert box.recorded_controls.tobytes() == U.tobytes()
+
+    # A provider whose matrices turn non-finite at step 7 raises there, and
+    # the histories hold the 7 steps before it.
+    def provider(t):
+        return np.full((2, 2), np.nan if t == 7 else 0.5), np.ones((2, 1))
+
+    box = BlackBoxSystem(LinearSystem.time_varying(provider, 2, 1), seed=1)
+    with pytest.raises(ConfigurationError, match="A_7 contains non-finite entries"):
+        box.apply_controls(np.ones((20, 1)))
+    assert box.steps == 7
+    assert box.recorded_states.shape == (8, 2) and box.recorded_controls.shape == (7, 1)
+    assert box.recorded_perturbations.shape == (7, 2)
+    assert np.array_equal(box.read_state(), box.recorded_states[-1])
 
 
 # ---------------------------------------------------------------------------
