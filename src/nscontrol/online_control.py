@@ -296,7 +296,7 @@ class _DisturbanceFeedback:
             point=np.zeros(self.d_u * n_M * d_s), radius=float(radius), step_scale=scale,
             schedule=schedule,
         )
-        self._Ms, self._M_T = None, self.ogd.point.reshape(self.d_u, -1).T
+        self.Ms = self._stacked(self.ogd.point)
         if H_trunc is not None and int(H_trunc) < 1:
             raise ConfigurationError(f"H_trunc must be at least 1, got {H_trunc}")
         self.H_trunc: Optional[int] = None if H_trunc is None else int(H_trunc)
@@ -312,23 +312,9 @@ class _DisturbanceFeedback:
         """The ``(len(Ms), d_u, d_s)`` view of a flat point-order vector."""
         return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
 
-    @property
-    def Ms(self) -> np.ndarray:
-        """The parameters: a view of the OGD point (made when first read)
-        unless replaced.  It is read at call time, so in-place writes count."""
-        if self._Ms is None:
-            self._Ms = self._stacked(self.ogd.point)
-        return self._Ms
-
-    @Ms.setter
-    def Ms(self, value: np.ndarray) -> None:
-        self._Ms = value
-
     def _point_order_T(self) -> np.ndarray:
-        """``M'``, ``(len(Ms) * d_s, d_u)``: a view unless ``Ms`` was replaced."""
-        if self._Ms is None:
-            return self._M_T
-        return self._Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
+        """``M'``, ``(len(Ms) * d_s, d_u)``: a view of ``Ms`` unless replaced."""
+        return self.Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
 
     def _start(self, transition: np.ndarray) -> None:
         """Size the caches from the first transition matrix's decay."""
@@ -397,7 +383,7 @@ class _DisturbanceFeedback:
         moved = point - state.point
         if math.sqrt(moved.dot(moved)) > state.step_size(state.t + 1) * grad_norm + 1e-12:
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
-        self._Ms, self._M_T = None, point.reshape(self.d_u, -1).T
+        self.Ms = self._stacked(point)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: signal_norm, "grad_norm": grad_norm})
 

@@ -152,8 +152,7 @@ class BlackBoxSystem:
                 f"control has shape {u.shape}, expected ({self.d_u},)"
             )
         t = self._t
-        if t + 2 > len(self._states):
-            self._grow(t + 2)
+        self._grow(t + 2)
         self._controls[t] = u
         self._advance((u,))
 
@@ -178,9 +177,11 @@ class BlackBoxSystem:
         return self._states[start + 1 : self._t + 1].copy()
 
     def _grow(self, rows: int) -> None:
-        """Make room for ``rows`` states and as many controls."""
-        self._states = _room(self._states, rows)
-        self._controls = _room(self._controls, rows)
+        """Make room for ``rows`` states and as many controls (the two
+        buffers share a capacity)."""
+        if rows > len(self._states):
+            self._states = _room(self._states, rows)
+            self._controls = _room(self._controls, rows)
 
     def _advance(self, U: object) -> None:
         """The stepping kernel: one step per control row of ``U`` (an array
