@@ -73,9 +73,6 @@ __all__ = [
 #: relative to 1 + |J|, that ends it.
 COMPARATOR_MAX_ITER = 50
 COMPARATOR_TOL = 1e-10
-#: Relative step of the gradient differences that give the stage Hessian of
-#: a non-quadratic cost.
-_HESSIAN_STEP = 1e-4
 #: Bytes one per-chunk buffer of the comparator passes and closed-loop
 #: rollouts may hold; the chunk length follows from it.
 _CHUNK_BYTES = 128 * 1024
@@ -396,34 +393,9 @@ def _closed_loop(
     return z, u
 
 
-def _stage_terms(
-    cost: object, z: np.ndarray, u: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, half gradient and half Hessian of a stage cost at ``(z, u)``.
-
-    The Hessian comes from forward differences of the gradient in the
-    (d_z + d_u) coordinates, symmetrized; the differences are exact up to
-    rounding when the cost is quadratic in ``(z, u)``.
-    """
-    d_z = z.shape[0]
-
-    def half_grad(v: np.ndarray) -> np.ndarray:
-        z, u = v[:d_z], v[d_z:]
-        return 0.5 * np.concatenate((cost.grad_x(z, u), cost.grad_u(z, u)))
-
-    v = np.concatenate((z, u))
-    g = half_grad(v)
-    H = np.empty((v.size, v.size))
-    for j in range(v.size):
-        probe = v.copy()
-        probe[j] += _HESSIAN_STEP * (1.0 + abs(v[j]))
-        H[:, j] = (half_grad(probe) - g) / (probe[j] - v[j])
-    return cost.value(z, u), g, 0.5 * (H + H.T)
-
-
 def _policy_pass(
     policies: _PolicyClass, cost: object, m: Optional[np.ndarray], label: str
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool]:
     """One forward pass at the flat blocks ``m`` (``None`` for zero), whose
     control sum is ``S_t m = sum_{i<depth} M_i s_{t-lag-i}``.
 
@@ -434,25 +406,21 @@ def _policy_pass(
     half its gradient ``g = sum_t L_t' grad c_t / 2``, half its Hessian ``H
     = sum_t L_t' hess c_t L_t / 2`` (``L_t = d (z_t, u_t) / d m``) and the
     minimum-norm least-squares Newton step of ``H dm = -g`` (``H`` may be
-    singular: a cost blind to some input, or no excitation).  A
-    :class:`QuadraticCost` is ``r' W r``, ``r = (z_t, u_t) - (target, 0)``,
-    ``W = blockdiag(Q, R)``: one product per chunk adds to ``H``, ``g`` and
-    ``J``.  Other costs get stage Hessians from :func:`_stage_terms`.
+    singular: a cost blind to some input, or no excitation).  Each chunk
+    takes its stage values and half gradients from one ``cost.stage`` call
+    and its half stage Hessians from one ``cost.half_hessians`` call.  The
+    last value returned says whether the stage Hessian is constant (one
+    matrix for every row), so that ``J`` is exactly quadratic in ``m``.
     """
     system, K, w_record, signals, depth, lag, x0, observe = policies
     T, d_s = signals.shape
     d_x, d_u = system.d_x, system.d_u
     d_z = system.d_y if observe else d_x
     d_v, p = d_z + d_u, depth * d_u * d_s
-    quadratic = isinstance(cost, QuadraticCost)
-    if quadratic:
-        W = np.block([[cost.Q, np.zeros((d_z, d_u))], [np.zeros((d_u, d_z)), cost.R]])
-        offset = np.zeros(d_v)
-        offset[:d_z] = 0.0 if cost.target is None else cost.target
     windows = _signal_windows(signals, depth, lag)
     x = np.zeros((d_x, p + 1))  # [Phi_t | x_t(0)]
     x[:, p] = 0.0 if x0 is None else x0
-    gram, g, c = np.zeros((p + 1, p + 1)), np.zeros(p), 0.0
+    G, g, c, constant = np.zeros((p, p)), np.zeros(p), 0.0, True
     # A diverging rollout overflows; the finiteness check below turns that
     # into an EvaluationError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -473,46 +441,40 @@ def _policy_pass(
             Y[:, d_z:] = np.matmul(K, X[:-1]) + R[:, :d_u]
             if m is not None:
                 Y[..., p] += np.matmul(Y[..., :p], m)
-            if quadratic:
-                Y[..., p] -= offset
-                HY = np.matmul(W, Y)
-            else:
-                half_grads, H = np.empty((n, d_v)), np.empty((n, d_v, d_v))
-                for k, v in enumerate(Y[..., p]):
-                    value, half_grads[k], H[k] = _stage_terms(cost, v[:d_z], v[d_z:])
-                    c += value
-                g += half_grads.ravel() @ Y[..., :p].reshape(n * d_v, p)
-                HY = np.matmul(H, Y)
-            gram += Y.reshape(n * d_v, p + 1).T @ HY.reshape(n * d_v, p + 1)
+            L, Z, U = Y[..., :p], Y[:, :d_z, p], Y[:, d_z:, p]
+            values, half_grads = cost.stage(Z, U)
+            H = cost.half_hessians(Z, U)
+            constant = H.ndim == 2
+            c += values.sum()
+            g += half_grads.ravel() @ L.reshape(n * d_v, p)
+            G += L.reshape(n * d_v, p).T @ np.matmul(H, L).reshape(n * d_v, p)
 
-    G = gram[:p, :p]
-    if quadratic:
-        g, c = gram[:p, p], float(gram[p, p])
     if not (np.isfinite(c) and np.isfinite(g).all() and np.isfinite(G).all()):
         raise EvaluationError(f"{label} objective became non-finite")
     step, *_ = np.linalg.lstsq(G, -g, rcond=None)
-    return c, g, G, step
+    return float(c), g, G, step, constant
 
 
 def _best_policy(
-    pass_at: Callable, exact: bool, max_iter: int, tol: float, label: str
+    pass_at: Callable, affine: bool, max_iter: int, tol: float, label: str
 ) -> tuple[np.ndarray, float, Optional[str]]:
     """Minimize a counterfactual total cost over flat parameters ``m`` by
     Newton's method from ``m = 0``; ``pass_at(m)`` is one forward pass that
     returns what :func:`_policy_pass` does (``m = None`` for zero).
 
-    With ``exact`` (an affine policy class under a :class:`QuadraticCost`)
-    the objective is exactly ``J(m) = J(0) + 2 g.m + m.H.m``, so one pass
-    and its Newton step give the minimizer and its value.  Otherwise
-    Armijo-damped steps, one pass per trial point, run until the Newton
-    decrement ``-g.dm`` (the decrease the local quadratic model predicts)
-    is at most ``tol * (1 + |J|)`` or ``max_iter`` passes are spent; a trial
-    whose pass is non-finite is a rejected step.  A non-finite first pass
-    raises.  Returns the best point seen, its value, and a message giving
-    the decrement when the budget ran out (else ``None``).
+    When the policy class is ``affine`` in ``m`` and the first pass sees a
+    cost whose stage Hessian is constant, the objective is exactly ``J(m) =
+    J(0) + 2 g.m + m.H.m``, so that pass and its Newton step give the
+    minimizer and its value.  Otherwise Armijo-damped steps, one pass per
+    trial point, run until the Newton decrement ``-g.dm`` (the decrease the
+    local quadratic model predicts) is at most ``tol * (1 + |J|)`` or
+    ``max_iter`` passes are spent; a trial whose pass is non-finite is a
+    rejected step.  A non-finite first pass raises.  Returns the best point
+    seen, its value, and a message giving the decrement when the budget ran
+    out (else ``None``).
     """
-    value, g, H, step = pass_at(None)
-    if exact:
+    value, g, H, step, constant = pass_at(None)
+    if affine and constant:
         return step, value + float(step @ (2.0 * g + H @ step)), None
 
     m = np.zeros(step.size)
@@ -530,7 +492,7 @@ def _best_policy(
         trial = m + scale * step
         passes += 1
         try:
-            trial_value, trial_g, _, trial_step = pass_at(trial)
+            trial_value, trial_g, _, trial_step, _ = pass_at(trial)
         except EvaluationError:
             scale *= 0.5
             continue
@@ -545,12 +507,11 @@ def _best_policy(
 def _best_affine_policy(
     policies: _PolicyClass, cost: object, max_iter: int, tol: float, label: str
 ) -> tuple[np.ndarray, float]:
-    """:func:`_best_policy` over an affine policy class, exact for a
-    :class:`QuadraticCost`, warning when the pass budget runs out.  Returns
-    the blocks, (depth, d_u, d_s), and their value."""
+    """:func:`_best_policy` over an affine policy class, exact for a cost
+    whose stage Hessian is constant, warning when the pass budget runs out.
+    Returns the blocks, (depth, d_u, d_s), and their value."""
     m, value, budget_note = _best_policy(
-        lambda m: _policy_pass(policies, cost, m, label),
-        isinstance(cost, QuadraticCost), max_iter, tol, label,
+        lambda m: _policy_pass(policies, cost, m, label), True, max_iter, tol, label
     )
     if budget_note:
         warnings.warn(budget_note, stacklevel=3)
@@ -559,12 +520,13 @@ def _best_affine_policy(
 
 def _linear_pass(
     system: LinearSystem, cost: object, w_record: np.ndarray, x0: object, K: np.ndarray, label: str
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool]:
     """:func:`_policy_pass` for the linear class at the gain ``K``: ``J(K)``,
-    half its gradient and half its Gauss-Newton Hessian in the gain, and the
-    Gauss-Newton step.  To first order in a change ``M`` of the gain, ``u_t
-    = (K + M) x_t(K + M)`` equals ``K x_t + M x_t(K)``: a one-block, lag-0
-    action class on K's own closed-loop states, applied on top of K."""
+    half its gradient and half its Gauss-Newton Hessian in the gain, the
+    Gauss-Newton step, and whether the stage Hessian is constant.  To first
+    order in a change ``M`` of the gain, ``u_t = (K + M) x_t(K + M)`` equals
+    ``K x_t + M x_t(K)``: a one-block, lag-0 action class on K's own
+    closed-loop states, applied on top of K."""
     with np.errstate(over="ignore", invalid="ignore"):
         states, _ = _closed_loop(system, K, w_record, x0, False)
     policies = _PolicyClass(system, K, w_record, states, 1, 0, x0, False)
@@ -579,10 +541,7 @@ def _policy_rollout_costs(policies: _PolicyClass, cost: object, Ms: np.ndarray) 
     system, K, w_record, signals, _, lag, x0, observe = policies
     v = np.einsum("iab,tib->ta", Ms, _signal_windows(signals, Ms.shape[0], lag))
     z, u = _closed_loop(system, K, w_record, x0, observe, v)
-    if isinstance(cost, QuadraticCost):
-        dz = z if cost.target is None else z - cost.target
-        return ((dz @ cost.Q) * dz).sum(axis=1) + ((u @ cost.R) * u).sum(axis=1)
-    return np.array([cost.value(z_t, u_t) for z_t, u_t in zip(z, u)])
+    return cost.stage(z, u)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +564,12 @@ def best_dac_in_hindsight(
     Minimizes the exact counterfactual total cost of ``u_t = K x_t +
     sum_i M_i w_{t-i}`` over the action blocks; the objective is convex
     because the trajectory is affine in ``M``.  One streamed Newton engine
-    serves every cost: a :class:`QuadraticCost` is minimized exactly by a
-    single forward pass and one least-squares solve; any other convex cost
-    by damped Newton steps from ``M = 0``, at most ``max_iter`` forward
-    passes, stopping once the Newton decrement is at most ``tol * (1 +
-    |J|)``.  A pass works through the run in chunks of steps, so its memory
-    is bounded by one chunk, not by T.  Returns ``(Ms, total_cost)`` with
+    serves every cost: a cost whose stage Hessian is constant is minimized
+    exactly by a single forward pass and one least-squares solve; any other
+    convex cost by damped Newton steps from ``M = 0``, at most ``max_iter``
+    forward passes, stopping once the Newton decrement is at most ``tol *
+    (1 + |J|)``.  A pass works through the run in chunks of steps, so its
+    memory is bounded by one chunk, not by T.  Returns ``(Ms, total_cost)`` with
     ``Ms`` of shape (h, d_u, d_x).
     """
     w_record = _check_record(w_record)
@@ -634,10 +593,10 @@ def best_drc_in_hindsight(
     ynat_{t-i}`` where ``ynat`` is the zero-control observation sequence;
     the cost consumes (observation, control) pairs.  The same streamed
     Newton engine as :func:`best_dac_in_hindsight` minimizes it: exactly in
-    one pass for a :class:`QuadraticCost`, otherwise by damped Newton steps
-    bounded by ``max_iter`` passes and the relative decrement ``tol``, with
-    memory bounded by one chunk of steps.  Returns ``(Ms, total_cost)`` with
-    ``Ms`` of shape (h+1, d_u, d_y).
+    one pass for a cost whose stage Hessian is constant, otherwise by damped
+    Newton steps bounded by ``max_iter`` passes and the relative decrement
+    ``tol``, with memory bounded by one chunk of steps.  Returns ``(Ms,
+    total_cost)`` with ``Ms`` of shape (h+1, d_u, d_y).
     """
     w_record = _check_record(w_record)
     K = np.zeros((system.d_u, system.d_x))
@@ -1051,12 +1010,7 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         x0=config.x0,
     )
     if config.cost_on == "observation":
-        costs = np.array(
-            [
-                cost.value(trajectory.observations[t], trajectory.controls[t])
-                for t in range(T)
-            ]
-        )
+        costs = cost.stage(trajectory.observations, trajectory.controls)[0]
     else:
         costs = trajectory.costs
 

@@ -407,6 +407,17 @@ class QuadraticCost:
 
     ``Q`` and ``R`` must pass :func:`_check_psd`; their symmetric parts are
     stored.  ``target`` is the state target ``x*`` (defaults to the origin).
+
+    The cost interface, shared with :class:`CallableCost`: ``value(x, u)``
+    is the cost at one point, a float.  ``stage(Z, U)`` takes one row
+    ((d_z,) and (d_u,)) or n rows ((n, d_z) and (n, d_u)) and returns the
+    values, shape () or (n,), and half the gradients in ``v = (z, u)``,
+    shape (d_v,) or (n, d_v).  ``half_hessians(Z, U)`` is half the Hessian
+    in ``v``: one (d_v, d_v) matrix per row, or a single one that broadcasts
+    when it is constant, as here: ``W = blockdiag(Q, R)``.  The half
+    gradients ``(Q (z - x*), R u)`` are formed block by block, so each row
+    is bitwise ``Q.dot(z - x*)`` and ``R.dot(u)``; a product with ``W`` is
+    not.
     """
 
     Q: np.ndarray
@@ -414,54 +425,88 @@ class QuadraticCost:
     target: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", _check_psd(self.Q, "Q"))
-        object.__setattr__(self, "R", _check_psd(self.R, "R"))
+        Q, R = _check_psd(self.Q, "Q"), _check_psd(self.R, "R")
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "R", R)
         if self.target is not None:
-            object.__setattr__(self, "target", _as_vector(self.target, self.Q.shape[0], "target"))
+            object.__setattr__(self, "target", _as_vector(self.target, len(Q), "target"))
+        W = np.block([[Q, np.zeros((len(Q), len(R)))], [np.zeros((len(R), len(Q))), R]])
+        object.__setattr__(self, "_W", _read_only(W))
 
     def _dx(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         return x if self.target is None else x - self.target
 
     def value(self, x: np.ndarray, u: np.ndarray) -> float:
         """Evaluate the cost at (x, u)."""
-        dx = self._dx(np.asarray(x, dtype=float))
+        dx = self._dx(x)
         u = np.asarray(u, dtype=float)
         return float(dx.dot(self.Q).dot(dx) + u.dot(self.R).dot(u))
 
-    def grad_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Gradient of the cost with respect to x."""
-        return 2.0 * (self.Q @ self._dx(np.asarray(x, dtype=float)))
+    def stage(self, Z: np.ndarray, U: np.ndarray) -> tuple:
+        dZ, U = self._dx(Z), np.asarray(U, dtype=float)
+        if dZ.ndim == 1:  # the stacked products below, at less call overhead
+            QdZ, RU = self.Q.dot(dZ), self.R.dot(U)
+            values = dZ.dot(QdZ) + U.dot(RU)
+        else:
+            QdZ = np.matmul(self.Q, dZ[..., None])[..., 0]
+            RU = np.matmul(self.R, U[..., None])[..., 0]
+            values = np.vecdot(dZ, QdZ) + np.vecdot(U, RU)
+        return values, np.concatenate((QdZ, RU), axis=-1)
 
-    def grad_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Gradient of the cost with respect to u."""
-        return 2.0 * (self.R @ np.asarray(u, dtype=float))
-
-    def terms(self, x: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(value, grad_x, grad_u)`` at (x, u) in one pass: ``Q dx`` and
-        ``R u`` are formed once and give the value and both gradients."""
-        dx = self._dx(np.asarray(x, dtype=float))
-        u = np.asarray(u, dtype=float)
-        Qdx = self.Q.dot(dx)
-        Ru = self.R.dot(u)
-        return float(dx.dot(Qdx) + u.dot(Ru)), 2.0 * Qdx, 2.0 * Ru
+    def half_hessians(self, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        return self._W
 
 
 @dataclass(frozen=True)
 class CallableCost:
-    """Pluggable convex cost: a value function with its two gradients."""
+    """Pluggable convex cost: a value function ``fn(x, u)`` with its two
+    gradients ``gx(x, u)`` and ``gu(x, u)``, each called on one point.
+
+    It has the interface of :class:`QuadraticCost`.  ``stage`` calls ``fn``,
+    ``gx`` and ``gu`` row by row, and a gradient whose shape is not its
+    argument's raises ConfigurationError.  ``half_hessians`` symmetrizes
+    forward differences of the half gradients, one matrix per row.
+    """
 
     fn: Callable[[np.ndarray, np.ndarray], float]
     gx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gu: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    #: Relative step of the gradient differences in :meth:`half_hessians`.
+    _HESSIAN_STEP = 1e-4
+
     def value(self, x: np.ndarray, u: np.ndarray) -> float:
         return float(self.fn(x, u))
 
-    def grad_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gx(x, u), dtype=float)
+    def _half_grad(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        gz, gu = np.asarray(self.gx(z, u), dtype=float), np.asarray(self.gu(z, u), dtype=float)
+        if gz.shape != z.shape or gu.shape != u.shape:
+            raise ConfigurationError(f"cost gradients have shapes {gz.shape} and {gu.shape}; "
+                                     f"expected {z.shape} and {u.shape}")
+        return 0.5 * np.concatenate((gz, gu))
 
-    def grad_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gu(x, u), dtype=float)
+    def stage(self, Z: np.ndarray, U: np.ndarray) -> tuple:
+        Z, U = np.asarray(Z, dtype=float), np.asarray(U, dtype=float)
+        if Z.ndim == 1:
+            return self.value(Z, U), self._half_grad(Z, U)
+        values, half_grads = np.empty(len(Z)), np.empty((len(Z), Z.shape[1] + U.shape[1]))
+        for k, (z, u) in enumerate(zip(Z, U)):
+            values[k], half_grads[k] = self.value(z, u), self._half_grad(z, u)
+        return values, half_grads
+
+    def half_hessians(self, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        V = np.concatenate((Z, U), axis=-1, dtype=float)
+        d_z, d_v = np.shape(Z)[-1], V.shape[-1]
+        H = np.empty(V.shape + (d_v,))
+        for v, H_k in zip(V.reshape(-1, d_v), H.reshape(-1, d_v, d_v)):
+            g = self._half_grad(v[:d_z], v[d_z:])
+            for j in range(d_v):
+                probe = v.copy()
+                probe[j] += self._HESSIAN_STEP * (1.0 + abs(v[j]))
+                H_k[:, j] = (self._half_grad(probe[:d_z], probe[d_z:]) - g) / (probe[j] - v[j])
+            H_k[...] = 0.5 * (H_k + H_k.T)
+        return H
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +578,9 @@ def simulate(
     perturbations : PerturbationSource
         Its ``T`` rows are drawn in one block before the first step.
     cost : cost object
-        Anything exposing ``value(x, u)``.
+        A :class:`QuadraticCost`, a :class:`CallableCost` or any object with
+        their ``value(x, u)``, the only call made: once per step, on the
+        played pair.
     T : int
         Horizon (number of steps).
     seed : int

@@ -217,25 +217,11 @@ def _default_depth(h: int, delta_hat: float) -> int:
 
 def _resolve_cost(cost: object, t: int) -> object:
     """Costs may be a fixed object or a provider ``t -> cost object``."""
-    if hasattr(cost, "value"):
+    if hasattr(cost, "stage"):
         return cost
     if callable(cost):
         return cost(t)
-    raise ConfigurationError("cost must expose value/grad_x/grad_u or be a provider")
-
-
-def _cost_terms(cost: object, x: np.ndarray, u: np.ndarray) -> tuple:
-    """``(c(x, u), grad_x, grad_u)``: one ``terms`` call for a cost that has
-    it (such as :class:`~nscontrol.lds_core.QuadraticCost`), otherwise the
-    ``value``/``grad_x``/``grad_u`` protocol."""
-    terms = getattr(cost, "terms", None)
-    if terms is not None:
-        return terms(x, u)
-    return (
-        float(cost.value(x, u)),
-        np.asarray(cost.grad_x(x, u), dtype=float),
-        np.asarray(cost.grad_u(x, u), dtype=float),
-    )
+    raise ConfigurationError("cost must expose value/stage/half_hessians or be a provider")
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +494,9 @@ class GPCController(_DisturbanceFeedback):
 
     def _loss_and_gradient(self, cost_t: object) -> tuple:
         x_cf, u_cf, Zh = self._counterfactual()
-        loss, gx, gu = _cost_terms(cost_t, x_cf, u_cf)
+        loss, half_grad = cost_t.stage(x_cf, u_cf)
+        grad = half_grad + half_grad  # twice the half gradient, exactly
+        gx, gu = grad[: self.d_x], grad[self.d_x :]
         return loss, self._pullback(gx + self._last[3].T.dot(gu), gu, Zh)
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
@@ -644,7 +632,9 @@ class GRCController(_DisturbanceFeedback):
 
     def _loss_and_gradient(self, cost_t: object, C: Optional[np.ndarray]) -> tuple:
         y_cf, u_cf, Zh = self._counterfactual(C)
-        loss, gy, gu = _cost_terms(cost_t, y_cf, u_cf)
+        loss, half_grad = cost_t.stage(y_cf, u_cf)
+        grad = half_grad + half_grad  # twice the half gradient, exactly
+        gy, gu = grad[: self.d_y], grad[self.d_y :]
         return loss, self._pullback(gy if C is None else C.T.dot(gy), gu, Zh)
 
     def loss_and_gradient(self, cost: object,

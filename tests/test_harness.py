@@ -227,8 +227,9 @@ def test_ventilator_blueprint():
     assert bp.cost_on == "observation"
     y, u = np.array([1.0]), np.array([0.5])
     assert abs(bp.cost.value(y, u) - 0.5) < 1e-12
-    assert np.allclose(bp.cost.grad_x(y, u), [1.0])
-    assert np.allclose(bp.cost.grad_u(y, u), [0.0])
+    value, half_grad = bp.cost.stage(y, u)
+    assert value == bp.cost.value(y, u)
+    assert np.allclose(2.0 * half_grad, [1.0, 0.0])
 
 
 def test_generate_perturbations_determinism_and_embedding():
@@ -516,9 +517,13 @@ def _lstsq_reference(system, cost, w, x0, shape, make_policy, observe):
 
 
 def _callable(cost):
-    """The same quadratic behind a callable cost, which takes the
-    comparator's damped-Newton path instead of the single exact pass."""
-    return CallableCost(fn=cost.value, gx=cost.grad_x, gu=cost.grad_u)
+    """The same quadratic, built from its ``Q``, ``R`` and target, behind a
+    callable cost, which takes the comparator's damped-Newton path instead
+    of the single exact pass."""
+    Q, R = cost.Q, cost.R
+    target = 0.0 if cost.target is None else cost.target
+    return CallableCost(fn=lambda z, u: (z - target) @ Q @ (z - target) + u @ R @ u,
+                        gx=lambda z, u: 2.0 * (Q @ (z - target)), gu=lambda z, u: 2.0 * (R @ u))
 
 
 def _assert_same_optimum(value, ref, total, zero_total):
@@ -881,7 +886,7 @@ def test_linear_pass_gradient_matches_central_differences(seed, d_x, d_u, T, wit
     system, cost, K, w, x0 = _time_varying_problem(
         seed, d_x, d_u, d_x, T, False, False, with_target, mode
     )
-    value, half_grad, _, _ = harness._linear_pass(system, cost, w, x0, K, "linear")
+    value, half_grad, *_ = harness._linear_pass(system, cost, w, x0, K, "linear")
     total = lambda K: linear_rollout_costs(system, cost, K, w, x0).sum()  # noqa: E731
     assert value == pytest.approx(total(K), rel=1e-12)
     eps = 1e-5

@@ -7,12 +7,13 @@ explicit loops, geometric series) and frozen here.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import component_seed, generate_perturbations
 from nscontrol.lds_core import (
+    CallableCost,
     LinearSystem,
     PerturbationSource,
     QuadraticCost,
@@ -612,5 +613,72 @@ def test_quadratic_cost_validation():
         QuadraticCost(-np.eye(2), np.eye(1))  # negative definite
     cost = QuadraticCost(2 * np.eye(2), np.eye(1), target=[1.0, 0.0])
     assert abs(cost.value([2.0, 0.0], [3.0]) - (2.0 + 9.0)) < 1e-14
-    assert np.allclose(cost.grad_x([2.0, 0.0], [3.0]), [4.0, 0.0])
-    assert np.allclose(cost.grad_u([2.0, 0.0], [3.0]), [6.0])
+    value, half_grad = cost.stage([2.0, 0.0], [3.0])
+    assert abs(value - (2.0 + 9.0)) < 1e-14
+    assert np.allclose(2.0 * half_grad, [4.0, 0.0, 6.0])
+
+
+def _hand_stage(Q, R, x_star, Z, U):
+    """Per-row ``(z - x*)' Q (z - x*) + u' R u`` and ``(Q (z - x*), R u)``."""
+    values, half_grads = [], []
+    for z, u in zip(Z, U):
+        dz = z - x_star
+        values.append(dz @ Q @ dz + u @ R @ u)
+        half_grads.append(np.concatenate((Q @ dz, R @ u)))
+    return np.array(values), np.array(half_grads)
+
+
+def _fd_half_hessians(cost, Z, U, eps=1e-5):
+    """Central differences of ``cost.stage``'s half gradients in ``(z, u)``,
+    one matrix per row."""
+    V, d_z = np.hstack((Z, U)), Z.shape[1]
+    H = np.empty((len(V), V.shape[1], V.shape[1]))
+    for j, bump in enumerate(eps * np.eye(V.shape[1])):
+        up, down = (cost.stage(P[:, :d_z], P[:, d_z:])[1] for P in (V + bump, V - bump))
+        H[:, :, j] = (up - down) / (2.0 * eps)
+    return H
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_z=st.integers(1, 4),
+    d_u=st.integers(1, 3),
+    n=st.integers(1, 6),
+    with_target=st.booleans(),
+)
+@example(seed=5, d_z=3, d_u=2, n=1, with_target=True)
+def test_stage_cost_protocol_matches_hand_references(seed, d_z, d_u, n, with_target):
+    # Both cost classes answer stage() and half_hessians() over n rows: the
+    # values and half gradients match a per-row hand computation, a one-row
+    # call is bitwise row k of the n-row call, and the half Hessians match
+    # finite differences of the half gradients.  Q and R are random PSD
+    # matrices of random rank.
+    rng = np.random.default_rng(seed)
+    LQ = rng.normal(size=(d_z, rng.integers(1, d_z + 1)))
+    LR = rng.normal(size=(d_u, rng.integers(1, d_u + 1)))
+    quadratic = QuadraticCost(LQ @ LQ.T, LR @ LR.T, rng.normal(size=d_z) if with_target else None)
+    Q, R = quadratic.Q, quadratic.R
+    x_star = np.zeros(d_z) if quadratic.target is None else quadratic.target
+    twin = CallableCost(fn=lambda z, u: (z - x_star) @ Q @ (z - x_star) + u @ R @ u,
+                        gx=lambda z, u: 2.0 * (Q @ (z - x_star)), gu=lambda z, u: 2.0 * (R @ u))
+    Z, U = 3.0 * rng.normal(size=(n, d_z)), rng.normal(size=(n, d_u))
+    d_v = d_z + d_u
+    values_ref, half_ref = _hand_stage(Q, R, x_star, Z, U)
+    value_scale = max(1.0, np.abs(values_ref).max())
+    grad_scale = max(1.0, np.abs(half_ref).max())
+    W = np.block([[Q, np.zeros((d_z, d_u))], [np.zeros((d_u, d_z)), R]])
+    for cost in (quadratic, twin):
+        values, half_grads = cost.stage(Z, U)
+        assert values.shape == (n,) and half_grads.shape == (n, d_v)
+        assert np.allclose(values, values_ref, rtol=1e-12, atol=1e-12 * value_scale)
+        assert np.allclose(half_grads, half_ref, rtol=1e-12, atol=1e-12 * grad_scale)
+        H = np.broadcast_to(cost.half_hessians(Z, U), (n, d_v, d_v))
+        assert np.allclose(H, _fd_half_hessians(cost, Z, U), rtol=1e-6, atol=1e-6 * grad_scale)
+        assert np.allclose(H, W, rtol=1e-6, atol=1e-6 * grad_scale)
+        for k in range(n):
+            value_k, half_k = cost.stage(Z[k], U[k])
+            assert value_k == values[k] and np.array_equal(half_k, half_grads[k])
+            assert np.array_equal(cost.half_hessians(Z[k], U[k]), H[k])
+            assert cost.value(Z[k], U[k]) == pytest.approx(value_k, rel=1e-12,
+                                                           abs=1e-12 * value_scale)

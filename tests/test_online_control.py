@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from nscontrol import lds_core, online_control
 from nscontrol.errors import ConfigurationError, EvaluationError
-from nscontrol.harness import config_from_preset, run_experiment
+from nscontrol.harness import best_dac_in_hindsight, config_from_preset, run_experiment
 from nscontrol.lds_core import (
     CallableCost,
     LinearSystem,
@@ -1000,8 +1000,8 @@ def test_grc_counterfactuals_and_gradient_match_references(
 
 
 def _callable_twin(cost):
-    """``cost`` as a :class:`CallableCost`, which has no ``terms``, so the
-    learners take the ``value``/``grad_x``/``grad_u`` path."""
+    """``cost`` as a :class:`CallableCost`, whose ``stage`` calls its value
+    and gradient functions row by row."""
     Q, R = cost.Q, cost.R
     return CallableCost(lambda z, u: z @ Q @ z + u @ R @ u,
                         lambda z, u: 2.0 * (Q @ z), lambda z, u: 2.0 * (R @ u))
@@ -1029,7 +1029,7 @@ def _assert_twins_agree(quadratic, callable_, cost, twin, *C):
 )
 def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc, T):
     # Twin of test_gpc_counterfactuals_and_gradient_match_references on the
-    # cost path without terms(): a learner fed the CallableCost twin of the
+    # callable cost: a learner fed the CallableCost twin of the
     # quadratic cost keeps the quadratic learner's counterfactuals, loss and
     # gradient, and still matches counterfactual_state and finite differences.
     rng = np.random.default_rng(seed)
@@ -1084,7 +1084,7 @@ def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc
 )
 def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, H_trunc, T):
     # Twin of test_grc_counterfactuals_and_gradient_match_references on the
-    # cost path without terms(), checked against the quadratic learner, the
+    # callable cost, checked against the quadratic learner, the
     # zero-history rollout of the last H_trunc controls, and finite
     # differences.
     rng = np.random.default_rng(seed)
@@ -1152,15 +1152,15 @@ def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
 def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch):
     # Per closed-loop step, simulate() alone evaluates the played stage cost
     # with value(), and the learner evaluates its counterfactual loss and
-    # both gradients in one terms() pass; the time-invariant A and B are
-    # validated at the first update only.
+    # gradient in one stage() call and never asks for a Hessian; the
+    # time-invariant A and B are validated at the first update only.
     T = 40
     config = config_from_preset(
         "b747", controller={"kind": "gpc", "h": 8, "radius": 2.0, "step_size": 0.05},
         horizon=T, seed=0, comparator={"kind": "none"},
     )
     A, B, _ = config.system.matrices(0)
-    calls = {"value": 0, "terms": 0, "grad_x": 0, "grad_u": 0}
+    calls = {"value": 0, "stage": 0, "half_hessians": 0}
 
     def counted(name):
         original = getattr(QuadraticCost, name)
@@ -1186,20 +1186,39 @@ def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch
         monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
     run_experiment(config)
     # T steps are played and T - 1 of them are learned from.
-    assert calls == {"value": T, "terms": T - 1, "grad_x": 0, "grad_u": 0}
+    assert calls == {"value": T, "stage": T - 1, "half_hessians": 0}
     assert sum(M is A for M in validated) <= 1
     assert sum(M is B for M in validated) <= 1
 
 
-def test_quadratic_cost_terms_match_value_and_gradients():
-    rng = np.random.default_rng(5)
-    L = rng.normal(size=(3, 3))
-    cost = QuadraticCost(Q=L @ L.T, R=np.diag([1.0, 2.0]), target=rng.normal(size=3))
-    x, u = rng.normal(size=3), rng.normal(size=2)
-    value, gx, gu = cost.terms(x, u)
-    assert math.isclose(value, cost.value(x, u), rel_tol=1e-14)
-    assert np.allclose(gx, cost.grad_x(x, u), rtol=1e-14, atol=0.0)
-    assert np.allclose(gu, cost.grad_u(x, u), rtol=1e-14, atol=0.0)
+@pytest.mark.parametrize("wrong", ["gx", "gu"])
+def test_wrong_shaped_callable_gradients_raise_typed_errors(wrong):
+    # A callable cost whose gradient has the wrong shape for its argument
+    # (here (1,) for a 2-state x, or (2,) for a 1-input u) is a configuration
+    # error in the learner's update, which would otherwise broadcast it into
+    # a wrong step, and in the comparator, which would otherwise fail inside
+    # numpy.
+    gradients = {"gx": lambda x, u: 2.0 * x, "gu": lambda x, u: 2.0 * u}
+    gradients[wrong] = lambda x, u: np.ones(3 - len(u) if wrong == "gu" else 1)
+    cost = CallableCost(fn=lambda x, u: float(x @ x + u @ u), **gradients)
+    A, B = np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([[0.0], [1.0]])
+    K = np.zeros((1, 2))
+    controller = GPCController(2, 1, K, h=2, radius=1.0, step_size=0.1)
+    controller.act(0, np.array([0.3, -0.2]))
+    with pytest.raises(ConfigurationError, match="cost gradients have shapes"):
+        controller.update(0, A, B, np.array([0.1, 0.2]), cost)
+    w = np.random.default_rng(0).normal(size=(20, 2))
+    with pytest.raises(ConfigurationError, match="cost gradients have shapes"):
+        best_dac_in_hindsight(LinearSystem.time_invariant(A, B), cost, K, w, 2)
+
+
+def test_learner_cost_must_be_a_cost_object_or_a_provider():
+    # An object without the cost interface that is not a provider t -> cost
+    # either is a configuration error naming the interface.
+    controller = GPCController(1, 1, np.zeros((1, 1)), h=1, radius=1.0, step_size=0.1)
+    controller.act(0, np.zeros(1))
+    with pytest.raises(ConfigurationError, match="value/stage/half_hessians"):
+        controller.update(0, np.array([[0.5]]), np.eye(1), np.zeros(1), 3.0)
 
 
 def _in_place_problem(calls=None):
