@@ -85,20 +85,28 @@ def _same(M: object, copy: np.ndarray) -> bool:
     return M.shape == copy.shape and M.tobytes() == copy.tobytes()
 
 
-def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
-    """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised Sigma_y)``.
+#: Most entries of one chain's Riccati memo (see :func:`kalman_step`), and
+#: the bytes of arrays its entries may take together.
+_MEMO_CAP = 256
+_MEMO_BYTES = 8 << 20
 
-    Reuses the validated pair carried by ``state`` when both inputs have the
-    shape and bytes of the copies it holds; otherwise checks both with
-    :func:`_check_psd` and keeps private copies of the raw inputs, so an
-    in-place change between calls is seen.
+
+def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
+    """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised Sigma_y,
+    memo)``.
+
+    Reuses the validated pair and the Riccati memo carried by ``state`` when
+    both inputs have the shape and bytes of the copies it holds; otherwise
+    checks both with :func:`_check_psd`, keeps private copies of the raw
+    inputs, so an in-place change between calls is seen, and starts an empty
+    memo.
     """
     noise = getattr(state, "_noise", None)
     if noise is not None and _same(Sigma_x, noise[0]) and _same(Sigma_y, noise[1]):
         return noise
     raw_x = np.array(Sigma_x, dtype=float)
     raw_y = np.array(Sigma_y, dtype=float)
-    return raw_x, raw_y, _check_psd(raw_x, "Sigma_x"), _check_psd(raw_y, "Sigma_y")
+    return raw_x, raw_y, _check_psd(raw_x, "Sigma_x"), _check_psd(raw_y, "Sigma_y"), {}
 
 
 def _finite_vector(v: object, dim: int, name: str) -> np.ndarray:
@@ -142,6 +150,20 @@ def kalman_step(
     change is checked again.  The new covariance ``Sigma'`` gets its
     finiteness and PSD check on every step.
 
+    The covariance update is a pure function of ``(A, C, Sigma_x, Sigma_y,
+    Sigma)``, and in floating point a chain of it soon repeats bitwise (a
+    fixed point or a short cycle).  Next to the validated noise pair, the
+    returned state therefore carries a memo from the shapes and bytes of
+    ``(A, C, Sigma)`` to the ``(L, A - L C, Sigma')`` they gave, which a
+    later step with the same content reuses instead of redoing the Riccati
+    step.  A changed noise pair or a user-built state starts an empty memo;
+    a time-varying or in-place-mutated ``A``, ``C`` or ``Sigma`` misses,
+    since the key is content.  The memo holds at most 256 entries, and
+    fewer for large matrices, so that its arrays stay within about 8 MiB;
+    it drops the oldest first.  Every check above runs on a hit too, and each
+    returned ``Sigma`` is a fresh array, so changing it in place cannot
+    reach the memo.
+
     Raises
     ------
     ConfigurationError
@@ -151,11 +173,19 @@ def kalman_step(
     A = _as_matrix(A, "A")
     C = _as_matrix(C, "C")
     noise = _validated_noise(state, Sigma_x, Sigma_y)
-    # An overflow leaves a non-finite Sigma_next, rejected below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], state.Sigma)
-    L = -K.T
-    x_hat = (A - L @ C) @ state.x_hat
+    memo, Sigma = noise[4], state.Sigma
+    key = (A.shape, C.shape, Sigma.shape, A.tobytes(), C.tobytes(), Sigma.tobytes())
+    hit = memo.get(key)
+    if hit is None:
+        # An overflow leaves a non-finite Sigma_next, rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], Sigma)
+        L = -K.T
+        closed = A - L @ C
+    else:
+        L, closed, Sigma_next = hit
+        Sigma_next = Sigma_next.copy()
+    x_hat = closed @ state.x_hat
     if B is not None and u is not None:
         B = _as_matrix(B, "B")
         x_hat = x_hat + B @ _finite_vector(u, B.shape[1], "u")
@@ -167,6 +197,14 @@ def kalman_step(
         raise ConfigurationError("Sigma contains non-finite entries")
     if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
         raise ConfigurationError("Sigma must be positive semidefinite")
+    if hit is None:
+        # The key's A, C and Sigma, and the stored L, A - L C and Sigma'.
+        size = 2 * A.nbytes + C.nbytes + L.nbytes + 2 * Sigma.nbytes
+        limit = min(_MEMO_CAP, _MEMO_BYTES // size)
+        while memo and len(memo) >= limit:
+            del memo[next(iter(memo))]
+        if limit:
+            memo[key] = (L, closed, Sigma_next.copy())
     out = object.__new__(KalmanState)
     object.__setattr__(out, "x_hat", x_hat)
     object.__setattr__(out, "Sigma", Sigma_next)

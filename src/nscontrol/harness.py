@@ -541,7 +541,7 @@ def _policy_rollout_costs(policies: _PolicyClass, cost: object, Ms: np.ndarray) 
     system, K, w_record, signals, _, lag, x0, observe = policies
     v = np.einsum("iab,tib->ta", Ms, _signal_windows(signals, Ms.shape[0], lag))
     z, u = _closed_loop(system, K, w_record, x0, observe, v)
-    return cost.stage(z, u)[0]
+    return cost.values(z, u)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1010,7 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         x0=config.x0,
     )
     if config.cost_on == "observation":
-        costs = cost.stage(trajectory.observations, trajectory.controls)[0]
+        costs = cost.values(trajectory.observations, trajectory.controls)
     else:
         costs = trajectory.costs
 

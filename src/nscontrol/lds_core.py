@@ -412,12 +412,13 @@ class QuadraticCost:
     is the cost at one point, a float.  ``stage(Z, U)`` takes one row
     ((d_z,) and (d_u,)) or n rows ((n, d_z) and (n, d_u)) and returns the
     values, shape () or (n,), and half the gradients in ``v = (z, u)``,
-    shape (d_v,) or (n, d_v).  ``half_hessians(Z, U)`` is half the Hessian
-    in ``v``: one (d_v, d_v) matrix per row, or a single one that broadcasts
-    when it is constant, as here: ``W = blockdiag(Q, R)``.  The half
-    gradients ``(Q (z - x*), R u)`` are formed block by block, so each row
-    is bitwise ``Q.dot(z - x*)`` and ``R.dot(u)``; a product with ``W`` is
-    not.
+    shape (d_v,) or (n, d_v); ``values(Z, U)`` returns the same values
+    alone, without computing a gradient.  ``half_hessians(Z, U)`` is half
+    the Hessian in ``v``: one (d_v, d_v) matrix per row, or a single one
+    that broadcasts when it is constant, as here: ``W = blockdiag(Q, R)``.
+    The half gradients ``(Q (z - x*), R u)`` are formed block by block, so
+    each row is bitwise ``Q.dot(z - x*)`` and ``R.dot(u)``; a product with
+    ``W`` is not.
     """
 
     Q: np.ndarray
@@ -443,15 +444,21 @@ class QuadraticCost:
         u = np.asarray(u, dtype=float)
         return float(dx.dot(self.Q).dot(dx) + u.dot(self.R).dot(u))
 
-    def stage(self, Z: np.ndarray, U: np.ndarray) -> tuple:
+    def _terms(self, Z: np.ndarray, U: np.ndarray) -> tuple:
+        """``(values, Q (z - x*), R u)`` over one row or n rows."""
         dZ, U = self._dx(Z), np.asarray(U, dtype=float)
         if dZ.ndim == 1:  # the stacked products below, at less call overhead
             QdZ, RU = self.Q.dot(dZ), self.R.dot(U)
-            values = dZ.dot(QdZ) + U.dot(RU)
-        else:
-            QdZ = np.matmul(self.Q, dZ[..., None])[..., 0]
-            RU = np.matmul(self.R, U[..., None])[..., 0]
-            values = np.vecdot(dZ, QdZ) + np.vecdot(U, RU)
+            return dZ.dot(QdZ) + U.dot(RU), QdZ, RU
+        QdZ = np.matmul(self.Q, dZ[..., None])[..., 0]
+        RU = np.matmul(self.R, U[..., None])[..., 0]
+        return np.vecdot(dZ, QdZ) + np.vecdot(U, RU), QdZ, RU
+
+    def values(self, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        return self._terms(Z, U)[0]
+
+    def stage(self, Z: np.ndarray, U: np.ndarray) -> tuple:
+        values, QdZ, RU = self._terms(Z, U)
         return values, np.concatenate((QdZ, RU), axis=-1)
 
     def half_hessians(self, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -464,9 +471,10 @@ class CallableCost:
     gradients ``gx(x, u)`` and ``gu(x, u)``, each called on one point.
 
     It has the interface of :class:`QuadraticCost`.  ``stage`` calls ``fn``,
-    ``gx`` and ``gu`` row by row, and a gradient whose shape is not its
-    argument's raises ConfigurationError.  ``half_hessians`` symmetrizes
-    forward differences of the half gradients, one matrix per row.
+    ``gx`` and ``gu`` row by row, and ``values`` only ``fn``; a gradient
+    whose shape is not its argument's raises ConfigurationError.
+    ``half_hessians`` symmetrizes forward differences of the half gradients,
+    one matrix per row.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], float]
@@ -485,6 +493,12 @@ class CallableCost:
             raise ConfigurationError(f"cost gradients have shapes {gz.shape} and {gu.shape}; "
                                      f"expected {z.shape} and {u.shape}")
         return 0.5 * np.concatenate((gz, gu))
+
+    def values(self, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        Z, U = np.asarray(Z, dtype=float), np.asarray(U, dtype=float)
+        if Z.ndim == 1:
+            return self.value(Z, U)
+        return np.fromiter(map(self.value, Z, U), float, len(Z))
 
     def stage(self, Z: np.ndarray, U: np.ndarray) -> tuple:
         Z, U = np.asarray(Z, dtype=float), np.asarray(U, dtype=float)

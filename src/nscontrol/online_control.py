@@ -221,7 +221,7 @@ def _resolve_cost(cost: object, t: int) -> object:
         return cost
     if callable(cost):
         return cost(t)
-    raise ConfigurationError("cost must expose value/stage/half_hessians or be a provider")
+    raise ConfigurationError("cost must expose value/stage/half_hessians/values or be a provider")
 
 
 # ---------------------------------------------------------------------------

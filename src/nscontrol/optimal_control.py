@@ -177,8 +177,8 @@ def dare_solve(
         If ``max_iter`` iterations do not reach the tolerance, or as soon as
         an iterate or the residual is non-finite (the iteration diverged).
     ConfigurationError
-        If the converged closed loop ``A + BK`` is not stable (the
-        stabilizability precondition fails).
+        If the iteration converges to a fixed point whose closed loop ``A +
+        BK`` is not stable, which is then not the stabilizing solution.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -199,10 +199,11 @@ def dare_solve(
         S = S_next
         if residual <= tol:
             K = _riccati_step(A, B, Q, R, S)[0]
-            if spectral_radius(A + B @ K) >= 1.0:
+            rho = spectral_radius(A + B @ K)
+            if rho >= 1.0:
                 raise ConfigurationError(
-                    "DARE converged but the closed loop is unstable; "
-                    "(A, B) does not appear stabilizable"
+                    "DARE value iteration converged to a fixed point that is not "
+                    f"stabilizing: the closed loop A + BK has spectral radius {rho:.6g}"
                 )
             return DARESolution(S=S, K=K, iterations=iteration, residual=residual)
     raise EvaluationError(

@@ -567,7 +567,7 @@ def identify_then_control(
         )
     A_hat, B_hat = identified.A_hat, identified.B_hat
 
-    explore_costs = cost.stage(record.states[:-1], record.controls)[0]
+    explore_costs = cost.values(record.states[:-1], record.controls)
 
     K_hat = _gain_for_identified(A_hat, B_hat, cost)
     n_exploit = T - n_explore

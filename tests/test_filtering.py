@@ -13,6 +13,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ from nscontrol.filtering import (
 )
 from nscontrol.lds_core import TOL_PSD, _all_finite, _as_matrix
 from nscontrol.optimal_control import _riccati_step, dare_solve
-from nscontrol.serialize import read_json_summary
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -407,6 +407,22 @@ def test_kalman_chain_from_sigma_x_converges_to_steady_state(seed, d_x, d_y, ran
     assert np.abs(state.Sigma - Sig_ss).max() <= 1e-9 * max(1.0, np.abs(Sig_ss).max())
 
 
+def test_kalman_steady_state_names_a_non_stabilizing_fixed_point():
+    # A is stable, so (A', C') is stabilizable, but with Sigma_y = 0 the
+    # value iteration from Sigma_x converges to a fixed point whose loop
+    # A - L C is unstable.  The error names that, not stabilizability.
+    A, _, C, Sx, Sy, _, _, _, _ = _kalman_case(0, 2, 1, 1, 0, False, 0)
+    assert max(abs(np.linalg.eigvals(A))) < 1.0
+    with pytest.raises(ConfigurationError) as raised:
+        kalman_steady_state(A, C, Sx, Sy)
+    message = str(raised.value)
+    assert message.startswith(
+        "DARE value iteration converged to a fixed point that is not stabilizing: "
+        "the closed loop A + BK has spectral radius "
+    )
+    assert "stabilizable" not in message
+
+
 def test_kalman_revalidates_covariances_changed_in_place():
     rng = np.random.default_rng(4)
     A = 0.5 * np.eye(2)
@@ -445,24 +461,143 @@ def test_kalman_state_fields_unchanged_by_chaining():
     assert np.array_equal(state.Sigma, 0.5 * (state.Sigma + state.Sigma.T))
 
 
+def _riccati_calls(monkeypatch):
+    """Count the Riccati steps kalman_step runs: one per memo miss."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _riccati_step(*args)
+
+    monkeypatch.setattr(filtering, "_riccati_step", counted)
+    return calls
+
+
+def _fresh_step(state, *args, **kwargs):
+    """kalman_step from a rebuilt, user-built state: full validation and an
+    empty memo, so it never hits."""
+    rebuilt = KalmanState(x_hat=state.x_hat, Sigma=state.Sigma)
+    assert not hasattr(rebuilt, "_noise")
+    return kalman_step(rebuilt, *args, **kwargs)
+
+
 def test_cli_filter_matches_always_validating_loop(monkeypatch):
-    # The CLI loop chains kalman_step; rebuilding a user-built KalmanState
-    # before every step forces full validation and must not change a bit.
-    def run(tmp):
-        assert cli.main(["filter", "--preset", "b747", "--horizon", "200", "--out", tmp]) == 0
-        return read_json_summary(os.path.join(tmp, "summary.json"))["mse_state"]
+    # The CLI loop chains kalman_step, which validates once and replays
+    # repeated covariances from its memo; rebuilding a user-built
+    # KalmanState before every step forces full validation and a Riccati
+    # step each time, and must not change a byte of the artifacts.
+    def run(preset):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["filter", "--preset", preset, "--horizon", "300", "--out", tmp]
+            assert cli.main(argv) == 0
+            return [Path(tmp, name).read_bytes() for name in ("filter.csv", "summary.json")]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        chained = run(tmp)
+    calls = _riccati_calls(monkeypatch)
+    for preset in ("b747", "scalar-0.9", "pendulum", "double-integrator"):
+        calls.clear()
+        chained = run(preset)
+        misses = len(calls)
+        assert 0 < misses < 150  # the covariance repeats within 150 steps
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "kalman_step", _fresh_step)
+            assert run(preset) == chained
+        assert len(calls) == misses + 300
 
-    def fresh_step(state, *args, **kwargs):
-        rebuilt = KalmanState(x_hat=state.x_hat, Sigma=state.Sigma)
-        assert not hasattr(rebuilt, "_noise")
-        return kalman_step(rebuilt, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "kalman_step", fresh_step)
-    with tempfile.TemporaryDirectory() as tmp:
-        assert run(tmp) == chained
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 4),
+    d_y=st.integers(1, 3),
+    rank_x=st.integers(0, 4),
+    rank_y=st.integers(0, 3),
+    with_input=st.booleans(),
+    steps=st.integers(1, 200),
+)
+@example(seed=303, d_x=2, d_y=2, rank_x=1, rank_y=0, with_input=False, steps=60)
+@example(seed=2, d_x=1, d_y=2, rank_x=0, rank_y=0, with_input=False, steps=60)
+def test_kalman_memo_replays_the_riccati_step_bitwise(
+    seed, d_x, d_y, rank_x, rank_y, with_input, steps
+):
+    # A chained run, which replays repeated covariances from the memo,
+    # matches bit for bit a run that rebuilds the state before every step
+    # and so recomputes every Riccati step.  Ranks below the dimension give
+    # singular noise covariances.
+    A, B, C, Sx, Sy, S0, x0, us, ys = _kalman_case(
+        seed, d_x, d_y, rank_x, rank_y, with_input, steps
+    )
+    chained = fresh = KalmanState(x_hat=x0, Sigma=S0)
+    for t in range(steps):
+        chained = kalman_step(chained, A, B, C, Sx, Sy, u=us[t], y=ys[t])
+        fresh = _fresh_step(fresh, A, B, C, Sx, Sy, u=us[t], y=ys[t])
+        assert np.array_equal(chained.x_hat, fresh.x_hat)
+        assert np.array_equal(chained.Sigma, fresh.Sigma)
+    assert len(chained._noise[4]) <= steps
+
+
+def test_kalman_memo_hits_once_the_covariance_repeats(monkeypatch):
+    # Sigma_y = 0 with an invertible C: the covariance is Sigma_x after
+    # every step, so all but the first few steps are hits.
+    A, _, C, Sx, Sy, S0, x0, _, ys = _kalman_case(303, 2, 2, 1, 0, False, 50)
+    calls = _riccati_calls(monkeypatch)
+    state = KalmanState(x_hat=x0, Sigma=S0)
+    for t in range(50):
+        state = kalman_step(state, A, None, C, Sx, Sy, y=ys[t])
+    assert len(calls) == len(state._noise[4]) <= 3
+
+
+@pytest.mark.parametrize("d, cap", [(1, filtering._MEMO_CAP), (30, 9), (30, 0)])
+def test_kalman_memo_stays_within_its_cap(monkeypatch, d, cap):
+    # A time-varying A never repeats a key: every step misses, and the memo
+    # keeps the newest entries up to its cap, which the byte budget lowers
+    # for large matrices (here set to 9.5 entries of d = 30, or less than 1).
+    calls = _riccati_calls(monkeypatch)
+    if d > 1:
+        entry = 8 * (2 * d * d + d * d + d * d + 2 * d * d)
+        monkeypatch.setattr(filtering, "_MEMO_BYTES", int((cap + 0.5) * entry))
+    C, Sx, Sy = np.eye(d), np.eye(d), np.eye(d)
+    state = KalmanState(x_hat=np.zeros(d), Sigma=np.eye(d))
+    steps = cap + 100
+    for t in range(steps):
+        A = (0.5 + 0.4 * math.sin(t)) * np.eye(d)
+        state = kalman_step(state, A, None, C, Sx, Sy, y=np.ones(d))
+        assert len(state._noise[4]) == min(t + 1, cap)
+    assert len(calls) == steps
+
+
+def test_kalman_memo_misses_after_an_in_place_change(monkeypatch):
+    # The memo keys on content: after A or C changes in place, the next step
+    # from the same state recomputes and matches a never-hitting step.
+    A, _, C, Sx, Sy, S0, x0, _, _ = _kalman_case(5, 3, 2, 3, 2, False, 0)
+    state = KalmanState(x_hat=x0, Sigma=S0)
+    first = kalman_step(state, A, None, C, Sx, Sy)
+    calls = _riccati_calls(monkeypatch)
+    assert np.array_equal(kalman_step(first, A, None, C, Sx, Sy).Sigma,
+                          kalman_step(first, A, None, C, Sx, Sy).Sigma)
+    assert len(calls) == 1
+    for M in (A, C):
+        M[0, 0] *= 0.5
+        chained = kalman_step(first, A, None, C, Sx, Sy, y=np.ones(2))
+        fresh = _fresh_step(first, A, None, C, Sx, Sy, y=np.ones(2))
+        assert np.array_equal(chained.x_hat, fresh.x_hat)
+        assert np.array_equal(chained.Sigma, fresh.Sigma)
+    assert len(calls) == 5
+
+
+def test_kalman_memo_is_not_aliased_by_returned_covariances(monkeypatch):
+    # Each returned Sigma is a fresh array: writing into the one a miss
+    # returned or the one a hit returned leaves later hits unchanged.
+    A, _, C, Sx, Sy, S0, x0, _, _ = _kalman_case(5, 3, 2, 3, 2, False, 0)
+    state = kalman_step(KalmanState(x_hat=x0, Sigma=S0), A, None, C, Sx, Sy)
+    calls = _riccati_calls(monkeypatch)
+    missed = kalman_step(state, A, None, C, Sx, Sy)
+    expected = missed.Sigma.copy()
+    missed.Sigma[:] = 7.0
+    hit = kalman_step(state, A, None, C, Sx, Sy)
+    assert np.array_equal(hit.Sigma, expected)
+    hit.Sigma[:] = 7.0
+    assert np.array_equal(kalman_step(state, A, None, C, Sx, Sy).Sigma, expected)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1120,6 +1120,20 @@ def test_run_experiment_grc_requires_stable_dynamics():
             pass
 
 
+def test_rollout_and_observation_costs_need_no_gradients():
+    # The played observation costs and the zero comparator's rollout costs
+    # only read values: a callable cost without gradient functions gives
+    # the same bytes as the preset's own.
+    config = config_from_preset(
+        "ventilator", controller={"kind": "zero"}, horizon=40, comparator={"kind": "zero"}
+    )
+    report = run_experiment(config)
+    config.cost = CallableCost(fn=config.cost.fn, gx=None, gu=None)
+    values_only = run_experiment(config)
+    assert np.array_equal(values_only.costs, report.costs)
+    assert np.array_equal(values_only.comparator_costs, report.comparator_costs)
+
+
 def test_run_experiment_observation_cost():
     # Ventilator costs live on (pressure deviation, flow) pairs: at t = 0
     # the volume deviation is 0.5, the pressure deviation is (4/3)*0.5, and

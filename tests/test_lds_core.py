@@ -652,8 +652,9 @@ def test_stage_cost_protocol_matches_hand_references(seed, d_z, d_u, n, with_tar
     # Both cost classes answer stage() and half_hessians() over n rows: the
     # values and half gradients match a per-row hand computation, a one-row
     # call is bitwise row k of the n-row call, and the half Hessians match
-    # finite differences of the half gradients.  Q and R are random PSD
-    # matrices of random rank.
+    # finite differences of the half gradients.  values() gives stage()'s
+    # values bitwise without a gradient: a twin with no gradient functions
+    # answers it.  Q and R are random PSD matrices of random rank.
     rng = np.random.default_rng(seed)
     LQ = rng.normal(size=(d_z, rng.integers(1, d_z + 1)))
     LR = rng.normal(size=(d_u, rng.integers(1, d_u + 1)))
@@ -668,9 +669,13 @@ def test_stage_cost_protocol_matches_hand_references(seed, d_z, d_u, n, with_tar
     value_scale = max(1.0, np.abs(values_ref).max())
     grad_scale = max(1.0, np.abs(half_ref).max())
     W = np.block([[Q, np.zeros((d_z, d_u))], [np.zeros((d_u, d_z)), R]])
+    values_only = CallableCost(fn=twin.fn, gx=None, gu=None)
     for cost in (quadratic, twin):
         values, half_grads = cost.stage(Z, U)
         assert values.shape == (n,) and half_grads.shape == (n, d_v)
+        assert np.array_equal(cost.values(Z, U), values)
+        if cost is twin:
+            assert np.array_equal(values_only.values(Z, U), values)
         assert np.allclose(values, values_ref, rtol=1e-12, atol=1e-12 * value_scale)
         assert np.allclose(half_grads, half_ref, rtol=1e-12, atol=1e-12 * grad_scale)
         H = np.broadcast_to(cost.half_hessians(Z, U), (n, d_v, d_v))
@@ -679,6 +684,7 @@ def test_stage_cost_protocol_matches_hand_references(seed, d_z, d_u, n, with_tar
         for k in range(n):
             value_k, half_k = cost.stage(Z[k], U[k])
             assert value_k == values[k] and np.array_equal(half_k, half_grads[k])
+            assert cost.values(Z[k], U[k]) == value_k
             assert np.array_equal(cost.half_hessians(Z[k], U[k]), H[k])
             assert cost.value(Z[k], U[k]) == pytest.approx(value_k, rel=1e-12,
                                                            abs=1e-12 * value_scale)
