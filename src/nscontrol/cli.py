@@ -26,7 +26,6 @@ All subcommands accept ``--config PATH`` (scenario file), ``--seed N``,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Optional
@@ -207,30 +206,33 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     # draws of one row each.
     v = args.obs_noise * rng_obs.standard_normal((T, system.d_y))
 
+    # Neither the states nor the observations depend on the estimate, so
+    # the plant runs first and the loop below only steps the filter.
+    A, _, C = system.stacks(0, T)
+    X, Y = np.empty((T, d_x)), np.empty((T, system.d_y))
     x = np.zeros(d_x) if config.x0 is None else config.x0.copy()
+    for t in range(T):
+        X[t] = x
+        Y[t] = C[t] @ x + v[t]
+        x = A[t] @ x + w[t]
+
     state = KalmanState(x_hat=np.zeros(d_x), Sigma=Sigma_x)
-    rows = []
-    state_sq = obs_sq = 0.0
-    for t, (A_t, _, C_t) in enumerate(zip(*system.stacks(0, T))):
-        y = C_t @ x + v[t]
-        # sqrt(e.e) is np.linalg.norm(e) of a vector, bit for bit.
-        e = state.x_hat - x
-        state_err = math.sqrt(e.dot(e))
-        e = C_t @ state.x_hat - y
-        obs_err = math.sqrt(e.dot(e))
-        rows.append([t + 1, state_err, obs_err, float(state.Sigma.trace())])
-        state_sq += state_err**2
-        obs_sq += obs_err**2
-        state = kalman_step(state, A_t, None, C_t, Sigma_x, Sigma_y, y=y)
-        x = A_t @ x + w[t]
+    X_hat, traces = np.empty((T, d_x)), np.empty(T)
+    for t in range(T):
+        X_hat[t] = state.x_hat
+        traces[t] = state.Sigma.trace()
+        state = kalman_step(state, A[t], None, C[t], Sigma_x, Sigma_y, y=Y[t])
+    state_err = np.linalg.norm(X_hat - X, axis=1)
+    obs_err = np.linalg.norm(np.einsum("tij,tj->ti", C, X_hat) - Y, axis=1)
+    rows = zip(range(1, T + 1), state_err.tolist(), obs_err.tolist(), traces.tolist())
     summary = {
         "name": config.name,
         "horizon": T,
         "seed": config.seed,
         "process_noise": args.process_noise,
         "obs_noise": args.obs_noise,
-        "mse_state": state_sq / T,
-        "mse_obs": obs_sq / T,
+        "mse_state": float(state_err.dot(state_err)) / T,
+        "mse_obs": float(obs_err.dot(obs_err)) / T,
     }
     print(
         f"{config.name}: kalman T={T} seed={config.seed} "
@@ -272,16 +274,19 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     # draws of one row each.
     inputs = rng.integers(0, 2, size=(T, system.d_u)).astype(float) * 2.0 - 1.0
 
+    # The outputs do not depend on the predictions, so the plant runs first
+    # and the loop below only steps the filter.
+    A, B, C = system.stacks(0, T)
+    Y = np.empty((T, system.d_y))
     x = np.zeros(system.d_x) if config.x0 is None else config.x0.copy()
-    rows = []
-    running = 0.0
-    for t, (A_t, B_t, C_t, u) in enumerate(zip(*system.stacks(0, T), inputs)):
-        x = A_t @ x + B_t @ u
-        y = C_t @ x
+    for t in range(T):
+        x = A[t] @ x + B[t] @ inputs[t]
+        Y[t] = C[t] @ x
+    for u, y in zip(inputs, Y):
         online.step(u, y)
-        running += online.losses[-1]
-        rows.append([t + 1, online.losses[-1], running / (t + 1)])
     losses = np.array(online.losses)
+    running = np.cumsum(losses) / np.arange(1, T + 1)
+    rows = zip(range(1, T + 1), losses.tolist(), running.tolist())
     last_quarter = float(losses[3 * T // 4 :].mean()) if T >= 4 else float(losses.mean())
     summary = {
         "name": config.name,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .lds_core import TOL_PSD, _all_finite, _as_matrix, _as_vector, _check_psd
-from .online_control import OGDState, ogd_update
+from .online_control import OGDState, _ogd_step
 from .optimal_control import _riccati_step, dare_solve
 
 __all__ = [
@@ -160,7 +160,14 @@ def kalman_step(
     a time-varying or in-place-mutated ``A``, ``C`` or ``Sigma`` misses,
     since the key is content.  The memo holds at most 256 entries, and
     fewer for large matrices, so that its arrays stay within about 8 MiB;
-    it drops the oldest first.  Every check above runs on a hit too, and each
+    it drops the oldest first.
+
+    A miss runs every check.  A hit skips the ones whose verdict is already
+    known: an entry is stored only after its ``A`` and ``C`` passed the
+    2-D and finiteness checks and its ``Sigma'`` passed the finiteness and
+    PSD checks, and a hit has the same shapes and bytes, so those checks
+    would pass again.  The noise pair is still compared with its validated
+    copies on every step, ``u`` and ``y`` are still checked, and each
     returned ``Sigma`` is a fresh array, so changing it in place cannot
     reach the memo.
 
@@ -170,13 +177,15 @@ def kalman_step(
         If a noise covariance is not symmetric PSD, ``u`` or ``y`` has a
         non-finite entry, or the new covariance is non-finite or not PSD.
     """
-    A = _as_matrix(A, "A")
-    C = _as_matrix(C, "C")
+    A = np.asarray(A, dtype=float)
+    C = np.asarray(C, dtype=float)
     noise = _validated_noise(state, Sigma_x, Sigma_y)
     memo, Sigma = noise[4], state.Sigma
     key = (A.shape, C.shape, Sigma.shape, A.tobytes(), C.tobytes(), Sigma.tobytes())
     hit = memo.get(key)
     if hit is None:
+        _as_matrix(A, "A")
+        _as_matrix(C, "C")
         # An overflow leaves a non-finite Sigma_next, rejected below.
         with np.errstate(over="ignore", invalid="ignore"):
             K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], Sigma)
@@ -191,13 +200,14 @@ def kalman_step(
         x_hat = x_hat + B @ _finite_vector(u, B.shape[1], "u")
     if y is not None:
         x_hat = x_hat + L @ _finite_vector(y, C.shape[0], "y")
-    # Sigma_next is symmetric by construction, so only finiteness and the
-    # PSD property are checked; KalmanState.__post_init__ is bypassed.
-    if not _all_finite(Sigma_next):
-        raise ConfigurationError("Sigma contains non-finite entries")
-    if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
-        raise ConfigurationError("Sigma must be positive semidefinite")
     if hit is None:
+        # Sigma_next is symmetric by construction, so only finiteness and
+        # the PSD property are checked; KalmanState.__post_init__ is
+        # bypassed.
+        if not _all_finite(Sigma_next):
+            raise ConfigurationError("Sigma contains non-finite entries")
+        if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
+            raise ConfigurationError("Sigma must be positive semidefinite")
         # The key's A, C and Sigma, and the stored L, A - L C and Sigma'.
         size = 2 * A.nbytes + C.nbytes + L.nbytes + 2 * Sigma.nbytes
         limit = min(_MEMO_CAP, _MEMO_BYTES // size)
@@ -624,6 +634,31 @@ def _coerce_u_tilde(u_tilde: object, T: int) -> np.ndarray:
     return arr
 
 
+def _predict(
+    vectors: np.ndarray,
+    M0: np.ndarray,
+    M: np.ndarray,
+    u_tilde: np.ndarray,
+    y_prev: np.ndarray,
+    u_last: np.ndarray,
+    features: np.ndarray,
+) -> np.ndarray:
+    """Difference-form prediction on already coerced inputs.
+
+    ``features`` (h + 1, d_u) receives ``u_last`` and the filter outputs
+    ``vectors u_tilde``.  The filter part is one product of ``M``, laid out
+    as a (d_y, h d_u) matrix, with the flat filter outputs.  ``M0 u_last``
+    is added to ``y_prev`` before it: the output may be far larger than its
+    increment, and this keeps its rounding that of ``y_prev + M0 u_last +
+    sum_j M_j (phi_j' u_tilde)`` summed left to right.
+    """
+    features[0] = u_last
+    projections = features[1:]
+    vectors.dot(u_tilde, out=projections)
+    filtered = M.transpose(1, 0, 2).reshape(M.shape[1], -1).dot(projections.reshape(-1))
+    return y_prev + M0.dot(u_last) + filtered
+
+
 def spectral_predict(
     predictor: SpectralPredictor,
     u_tilde: object,
@@ -636,8 +671,10 @@ def spectral_predict(
     u_tilde = _coerce_u_tilde(u_tilde, predictor.basis.T)
     y_prev = np.asarray(y_prev, dtype=float).ravel()
     u_last = u_tilde[0] if u_prev is None else np.asarray(u_prev, dtype=float).ravel()
-    projections = predictor.basis.filter_outputs(u_tilde)  # (h, d_u)
-    return y_prev + predictor.M0 @ u_last + np.einsum("jab,jb->a", predictor.M, projections)
+    features = np.empty((predictor.M.shape[0] + 1, u_tilde.shape[1]))
+    return _predict(
+        predictor.basis.vectors, predictor.M0, predictor.M, u_tilde, y_prev, u_last, features
+    )
 
 
 def _spectral_learn(
@@ -656,22 +693,31 @@ def _spectral_learn(
     difference-form predictor on already coerced inputs.
 
     ``features`` (h + 1, d_u) and ``grad`` (h + 1, d_y, d_u) are scratch:
-    ``features`` receives ``u_last`` and the filter outputs, and ``grad``
-    the gradient, which is ``2 (y_hat - y_true)`` times each feature in the
+    ``features`` receives what :func:`_predict` writes, and ``grad`` the
+    gradient, which is ``2 (y_hat - y_true)`` times each feature in the
     OGD point's ``[M0, M]`` order.  Returns ``(y_hat, y_hat - y_true, ogd)``.
     """
-    features[0] = u_last
-    projections = features[1:]
-    vectors.dot(u_tilde, out=projections)
-    y_hat = y_prev + M0.dot(u_last) + np.einsum("jab,jb->a", M, projections)
+    y_hat = _predict(vectors, M0, M, u_tilde, y_prev, u_last, features)
     error = y_hat - y_true
     np.multiply((2.0 * error)[:, None], features[:, None, :], out=grad)
-    return y_hat, error, ogd_update(ogd, grad)
+    return y_hat, error, _ogd_step(ogd, grad.reshape(-1))[0]
 
 
 def _scratch(predictor: SpectralPredictor) -> tuple:
-    """Empty ``(features, grad)`` buffers for :func:`_spectral_learn`."""
+    """Empty ``(features, grad)`` buffers for :func:`_spectral_learn`.
+
+    Raises
+    ------
+    ConfigurationError
+        If the OGD point does not have one entry per coefficient.
+    """
     h, d_y, d_u = predictor.M.shape
+    size = (h + 1) * d_y * d_u
+    if predictor.ogd.point.shape != (size,):
+        raise ConfigurationError(
+            f"gradient dimension {size} does not match point dimension "
+            f"{predictor.ogd.point.shape[0]}"
+        )
     return np.empty((h + 1, d_u)), np.empty((h + 1, d_y, d_u))
 
 

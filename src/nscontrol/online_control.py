@@ -130,22 +130,23 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
     return _ogd_step(state, g)[0]
 
 
-def _ogd_step(state: OGDState, g: np.ndarray) -> tuple[OGDState, float]:
+def _ogd_step(state: OGDState, g: np.ndarray) -> tuple[OGDState, float, float]:
     """:func:`ogd_update` on a flat float gradient of the point's shape;
-    returns the new state and ``||g||``.  The entries are scanned only when
-    ``||g||`` is not finite."""
+    returns the new state, ``||g||`` and the step size ``eta`` it took.  The
+    entries are scanned only when ``||g||`` is not finite."""
     gg = g.dot(g)
     # g.g is finite exactly when every entry is, unless it overflows.
     if not math.isfinite(gg) and not np.isfinite(g).all():
         raise EvaluationError("OGD update rejected: non-finite gradient")
     t_next = state.t + 1
-    y = g * -state.step_size(t_next)
+    eta = state.step_size(t_next)
+    y = g * -eta
     y += state.point
     if state.radius is not None:
         norm = math.sqrt(y.dot(y))
         if norm > state.radius:
             y *= state.radius / norm
-    return state._successor(y, t_next), math.sqrt(gg)
+    return state._successor(y, t_next), math.sqrt(gg), eta
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +362,13 @@ class _DisturbanceFeedback:
         raises EvaluationError if the new iterate left the ball or moved
         further than ``eta * ||grad||``."""
         state = self.ogd
-        self.ogd, grad_norm = _ogd_step(state, grad)
+        self.ogd, grad_norm, eta = _ogd_step(state, grad)
         point = self.ogd.point
         M_norm = math.sqrt(point.dot(point))
         if state.radius is not None and M_norm > state.radius + 1e-9:
             raise EvaluationError(f"OGD iterate left the ball of radius {state.radius}")
         moved = point - state.point
-        if math.sqrt(moved.dot(moved)) > state.step_size(state.t + 1) * grad_norm + 1e-12:
+        if math.sqrt(moved.dot(moved)) > eta * grad_norm + 1e-12:
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
         self.Ms = self._stacked(point)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,

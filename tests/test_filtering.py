@@ -48,8 +48,10 @@ from nscontrol.filtering import (
     spectral_basis,
     spectral_predict,
 )
-from nscontrol.lds_core import TOL_PSD, _all_finite, _as_matrix
+from nscontrol.harness import component_seed, config_from_preset, generate_perturbations
+from nscontrol.lds_core import TOL_PSD, PerturbationSource, _all_finite, _as_matrix
 from nscontrol.optimal_control import _riccati_step, dare_solve
+from nscontrol.serialize import read_csv, read_json_summary
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -504,6 +506,74 @@ def test_cli_filter_matches_always_validating_loop(monkeypatch):
         assert len(calls) == misses + 300
 
 
+def _reference_filter(config, T, seed):
+    """The ``filter`` command's rows and mean squared errors, from a loop
+    that steps the plant beside the filter and accumulates as it goes."""
+    system = config.system
+    Sx, Sy = 0.1**2 * np.eye(system.d_x), 0.1**2 * np.eye(system.d_y)
+    w = generate_perturbations(PerturbationSource.gaussian(sigma=0.1), T, system.d_x, seed)
+    rng_obs = np.random.default_rng(component_seed(seed, "measurement"))
+    v = 0.1 * rng_obs.standard_normal((T, system.d_y))
+    x = np.zeros(system.d_x) if config.x0 is None else config.x0.copy()
+    state = KalmanState(x_hat=np.zeros(system.d_x), Sigma=Sx)
+    rows, state_sq, obs_sq = [], 0.0, 0.0
+    for t, (A_t, _, C_t) in enumerate(zip(*system.stacks(0, T))):
+        y = C_t @ x + v[t]
+        state_err = math.sqrt(np.sum((state.x_hat - x) ** 2))
+        obs_err = math.sqrt(np.sum((C_t @ state.x_hat - y) ** 2))
+        rows.append([t + 1, state_err, obs_err, float(state.Sigma.trace())])
+        state_sq += state_err**2
+        obs_sq += obs_err**2
+        state = kalman_step(state, A_t, None, C_t, Sx, Sy, y=y)
+        x = A_t @ x + w[t]
+    return rows, {"mse_state": state_sq / T, "mse_obs": obs_sq / T}
+
+
+def _reference_spectral(config, T, seed):
+    """The ``spectral`` command's rows and losses, from a loop that steps
+    the plant beside the filter and accumulates as it goes."""
+    system = config.system
+    predictor = SpectralPredictor.zeros(spectral_basis(T, 20), d_y=system.d_y, d_u=system.d_u)
+    online = OnlineSpectralFilter(predictor, d_u=system.d_u)
+    rng = np.random.default_rng(component_seed(seed, "excitation"))
+    inputs = rng.integers(0, 2, size=(T, system.d_u)).astype(float) * 2.0 - 1.0
+    x = np.zeros(system.d_x) if config.x0 is None else config.x0.copy()
+    rows, running = [], 0.0
+    for t, (A_t, B_t, C_t, u) in enumerate(zip(*system.stacks(0, T), inputs)):
+        x = A_t @ x + B_t @ u
+        online.step(u, C_t @ x)
+        running += online.losses[-1]
+        rows.append([t + 1, online.losses[-1], running / (t + 1)])
+    losses = np.array(online.losses)
+    return rows, {"avg_loss": losses.mean(), "last_quarter_avg_loss": losses[3 * T // 4 :].mean()}
+
+
+@pytest.mark.parametrize("command", ["filter", "spectral"])
+@pytest.mark.parametrize("preset", ["b747", "scalar-0.9", "pendulum", "double-integrator"])
+def test_cli_artifacts_match_a_per_step_reference_loop(command, preset):
+    # The commands simulate the plant before the filter loop and build the
+    # errors, averages and rows from arrays afterwards.  Their artifacts
+    # match the per-step loop up to the order of the sums: each CSV value
+    # within 1e-12 of its column's largest magnitude, each summary value
+    # within 1e-10 relative.
+    T, seed = 300, 3
+    config = config_from_preset(preset, {"kind": "zero"}, horizon=T, seed=seed)
+    reference = {"filter": _reference_filter, "spectral": _reference_spectral}[command]
+    rows, summary = reference(config, T, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--preset", preset, "--horizon", str(T), "--seed", str(seed),
+                "--out", tmp]
+        assert cli.main(argv) == 0
+        _, data = read_csv(os.path.join(tmp, f"{command}.csv"))
+        written = read_json_summary(os.path.join(tmp, "summary.json"))
+    expected = np.array(rows)
+    assert data.shape == expected.shape
+    scale = np.abs(expected).max(axis=0)
+    assert np.all(np.abs(data - expected) <= 1e-12 * scale)
+    for key, value in summary.items():
+        assert abs(written[key] - value) <= 1e-10 * abs(value), key
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -544,6 +614,52 @@ def test_kalman_memo_hits_once_the_covariance_repeats(monkeypatch):
     for t in range(50):
         state = kalman_step(state, A, None, C, Sx, Sy, y=ys[t])
     assert len(calls) == len(state._noise[4]) <= 3
+
+
+def test_kalman_hits_skip_only_the_checks_their_entry_passed(monkeypatch):
+    # On a 2,000-step b747 chain (the filter command's noise, whose
+    # covariance enters a cycle), the PSD check of Sigma' and the checks of
+    # A and C run once per memo miss and never on a hit.  A hit still checks
+    # y and the noise pair.
+    system = config_from_preset("b747", {"kind": "zero"}, horizon=2000).system
+    A, _, C = (M[0] for M in system.stacks(0, 1))
+    Sx, Sy = 0.1**2 * np.eye(system.d_x), 0.1**2 * np.eye(system.d_y)
+    ys = np.random.default_rng(0).normal(size=(2000, system.d_y))
+    state = kalman_step(KalmanState(x_hat=np.zeros(system.d_x), Sigma=Sx), A, None, C, Sx, Sy,
+                        y=ys[0])
+    riccati = _riccati_calls(monkeypatch)
+    eigvalsh, matrices = [], []
+
+    def counted_eigvalsh(M):
+        eigvalsh.append(1)
+        return np.linalg.eigh(M)[0]
+
+    def counted_as_matrix(M, name):
+        matrices.append(name)
+        return _as_matrix(M, name)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(filtering, "_as_matrix", counted_as_matrix)
+    for y in ys[1:]:
+        state = kalman_step(state, A, None, C, Sx, Sy, y=y)
+    misses = len(riccati)
+    assert 0 < misses < 200
+    assert len(eigvalsh) == misses
+    assert matrices == ["A", "C"] * misses
+
+    # The next step hits; with a non-finite y it is rejected all the same.
+    hit = kalman_step(state, A, None, C, Sx, Sy, y=ys[0])
+    assert len(riccati) == misses
+    with pytest.raises(ConfigurationError, match="^y contains non-finite entries$"):
+        kalman_step(state, A, None, C, Sx, Sy, y=np.full(system.d_y, np.nan))
+    # A noise pair changed in place is validated again before the memo is read.
+    Sx[0, 0] = -1.0
+    with pytest.raises(ConfigurationError, match="Sigma_x must be positive semidefinite"):
+        kalman_step(state, A, None, C, Sx, Sy, y=ys[0])
+    Sx[0, 0] = 0.1**2
+    again = kalman_step(state, A, None, C, Sx, Sy, y=ys[0])
+    assert np.array_equal(again.x_hat, hit.x_hat) and np.array_equal(again.Sigma, hit.Sigma)
+    assert len(eigvalsh) == misses + 1  # the check that rejected Sigma_x
 
 
 @pytest.mark.parametrize("d, cap", [(1, filtering._MEMO_CAP), (30, 9), (30, 0)])
@@ -1009,6 +1125,8 @@ def test_spectral_full_basis_matches_raw_linear_fit():
 def test_online_spectral_filter_ring_matches_concatenated_history(d_u):
     # T + 7 steps make the ring buffer wrap; the reference rebuilds the
     # padded history with np.concatenate and calls learn_spectral_step.
+    # spectral_predict, on the predictor before each step, gives the same
+    # bits as both.
     T, h, d_y = 30, 6, 2
     rng = np.random.default_rng(d_u)
     us = rng.uniform(-1.0, 1.0, size=(T + 7, d_u))
@@ -1021,9 +1139,10 @@ def test_online_spectral_filter_ring_matches_concatenated_history(d_u):
     for t in range(T + 7):
         y_hat = filt.step(us[t], ys[t])
         u_tilde = np.concatenate([us[t][None], u_tilde[:-1]], axis=0)
+        predicted = spectral_predict(predictor, u_tilde, y_prev, us[t])
         y_ref, predictor = learn_spectral_step(predictor, u_tilde, y_prev, us[t], ys[t])
         y_prev = ys[t]
-        assert np.array_equal(y_hat, y_ref)
+        assert np.array_equal(y_hat, y_ref) and np.array_equal(predicted, y_ref)
         assert filt.losses[-1] == float(np.sum((y_ref - ys[t]) ** 2))
     assert np.array_equal(filt.predictor.ogd.point, predictor.ogd.point)
 

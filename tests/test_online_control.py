@@ -57,6 +57,20 @@ def test_ogd_projection_onto_ball():
     assert np.allclose(out.point, [0.6, 0.8], atol=1e-15)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=(RuntimeWarning, AssertionError),
+    reason="||y|| = sqrt(y.y) overflows, so the projection scales y by radius / inf "
+    "and lands on the origin instead of the sphere",
+)
+def test_ogd_projects_an_overflowing_step_onto_the_sphere():
+    # A finite step of length 5e200 leaves the ball of radius 2; its
+    # projection lies on the sphere, in the step's direction.
+    state = OGDState(point=np.zeros(2), radius=2.0, step_scale=1.0)
+    out = ogd_update(state, np.array([-3e200, -4e200]))
+    assert np.allclose(out.point, [1.2, 1.6], rtol=1e-12)
+
+
 def test_ogd_single_step_arithmetic():
     # eta_1 = 0.5 / sqrt(1); point - eta * g = [1, 1] - 0.5 * [2, 0] = [0, 1].
     state = OGDState(point=np.array([1.0, 1.0]), radius=None, step_scale=0.5)
@@ -786,7 +800,7 @@ def _escaping_ogd(offset):
         point = np.zeros_like(state.point)
         point[0] = offset
         new = OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
-        return new, math.sqrt(gradient.dot(gradient))
+        return new, math.sqrt(gradient.dot(gradient)), new.step_size(new.t)
 
     return fake
 
