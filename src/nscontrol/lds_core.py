@@ -341,18 +341,7 @@ class PerturbationSource:
             of the wrong width, or a phase or constant vector of the wrong
             dimension.
         """
-        return self._rows(start, stop, dim, (stop - start, dim), rng)
-
-    def sample(self, t: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-        """Emit ``w_t`` of dimension ``dim``: :meth:`draw` of the one row
-        ``t``, shaped (dim,)."""
-        return self._rows(t, t + 1, dim, dim, rng)
-
-    def _rows(self, start: int, stop: int, dim: int, shape: object,
-              rng: np.random.Generator) -> np.ndarray:
-        """Rows ``start..stop-1`` in a fresh array of ``shape``: (n, dim), or
-        ``dim`` itself for the one row of :meth:`sample`."""
-        kind = self.kind
+        kind, shape = self.kind, (stop - start, dim)
         if kind == "zero":
             w = np.zeros(shape)
         elif kind == "iid-gaussian":
@@ -360,15 +349,13 @@ class PerturbationSource:
             w *= self.sigma
         elif kind == "iid-uniform-ball":
             w = np.empty(shape)
-            for row in w.reshape(-1, dim):
+            for row in w:
                 rng.standard_normal(out=row)
                 row /= max(math.sqrt(row.dot(row)), 1e-300)
                 row *= rng.random() ** (1.0 / dim)
         elif kind == "sinusoidal":
             phase = np.zeros(dim) if self.phase is None else _as_vector(self.phase, dim, "phase")
-            # One row takes its time as a scalar: the same values, fewer calls.
-            times = start if shape == dim else np.arange(start, stop)[:, None]
-            w = self.omega * times + phase
+            w = self.omega * np.arange(start, stop)[:, None] + phase
             np.sin(w, w)
             w *= self.amplitude
         elif kind == "recorded":
@@ -382,18 +369,22 @@ class PerturbationSource:
                 raise ConfigurationError(
                     f"recorded w_{start} must be a vector of dimension {dim}, got shape ({width},)"
                 )
-            w = self.sequence[start:stop].reshape(shape).astype(float)
+            w = self.sequence[start:stop].astype(float)
         elif kind == "constant":
-            w = np.empty(shape)
-            w[...] = _as_vector(self.vector, dim, "constant w")
+            w = np.tile(_as_vector(self.vector, dim, "constant w"), (stop - start, 1))
         else:
             raise ConfigurationError(f"unknown perturbation kind {kind!r}")
         if self.clip_to_unit_ball:
-            for row in w.reshape(-1, dim):
+            for row in w:
                 norm = math.sqrt(row.dot(row))
                 if norm > 1.0:
                     row /= norm
         return w
+
+    def sample(self, t: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+        """Emit ``w_t`` of dimension ``dim``: :meth:`draw` of the one row
+        ``t``, shaped (dim,)."""
+        return self.draw(t, t + 1, dim, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ Classes
 * :class:`DRCPolicy` — disturbance-response controller over nature's-y
   signals, for partially observed stable systems.
 
+GLC, DAC and DRC play ``u + sum_i M_i s_{t-i}`` over a window of states,
+perturbations or nature's y, on one core that checks the blocks (one shape,
+DAC's gain included, and the ``gamma`` budget) and sums the window.  There
+are no copy methods: :func:`policy_runner` resets the policy it wraps.
+
 Plus the constructive conversion maps between classes
 (:func:`dac_from_linear`, :func:`glc_from_ldc`, :func:`lift_glc`), the
 nature's-y recursion, an ε-approximation gap meter, and an adapter that
@@ -104,9 +109,6 @@ class LinearPolicy:
     def reset(self) -> None:
         pass
 
-    def clone(self) -> "LinearPolicy":
-        return LinearPolicy(self.K.copy(), self.kappa)
-
 
 class PIDPolicy:
     """Proportional-integral-derivative feedback.
@@ -150,9 +152,6 @@ class PIDPolicy:
         self._integral = None
         self._prev = None
 
-    def clone(self) -> "PIDPolicy":
-        return PIDPolicy(self.alpha.copy(), self.beta.copy(), self.gamma_d.copy())
-
 
 class BangBangPolicy:
     """Extreme control outside a scalar state band.
@@ -185,9 +184,6 @@ class BangBangPolicy:
 
     def reset(self) -> None:
         pass
-
-    def clone(self) -> "BangBangPolicy":
-        return BangBangPolicy(self.x_min, self.x_max, self.u_min, self.u_max)
 
 
 class LDCPolicy:
@@ -251,14 +247,59 @@ class LDCPolicy:
     def reset(self) -> None:
         self._s = np.zeros(self.A_pi.shape[0])
 
-    def clone(self) -> "LDCPolicy":
-        return LDCPolicy(
-            self.A_pi.copy(), self.B_pi.copy(), self.C_pi.copy(), self.D_pi.copy(),
-            allow_unstable=True,
-        )
+
+class _WindowPolicy:
+    """``u + M_a s_0 + M_{a+1} s_1 + ...`` over past signals, newest first.
+
+    ``Ms`` lists ``[M_a, ..., M_h]`` with ``a = first``, all of one shape
+    (``shape`` too, when given).  The window keeps the last ``len(Ms)``
+    signals; a shorter one before that is zero padding."""
+
+    def __init__(
+        self,
+        Ms: Sequence[object],
+        first: int,
+        gamma: Optional[float],
+        shape: Optional[tuple] = None,
+    ):
+        self.Ms = [_as_matrix(M, f"M_{first + i}") for i, M in enumerate(Ms)]
+        name = self.kind.upper()
+        if not self.Ms and first == 0:
+            raise ConfigurationError(f"{name} needs at least M_0")
+        shapes = {M.shape for M in self.Ms} | ({shape} if shape else set())
+        if len(shapes) > 1:
+            raise ConfigurationError(
+                f"all {name} coefficient matrices{' and the gain K' if shape else ''} "
+                f"must share one shape, got {sorted(shapes)}"
+            )
+        total = sum(_spectral_norm(M) for M in self.Ms)
+        if gamma is not None and total > gamma + 1e-12:
+            raise ConfigurationError(
+                f"sum of spectral norms {total:.6g} exceeds the budget gamma = {gamma}"
+            )
+        self.gamma = gamma
+        self.h = first + len(self.Ms) - 1
+        self._window: deque = deque(maxlen=len(self.Ms))  # newest first
+
+    def _sum(self, window: Iterable[object], u: Optional[np.ndarray] = None) -> np.ndarray:
+        """``u + M_a s_0 + M_{a+1} s_1 + ...`` added left to right, in place
+        of ``u`` (zeros when None), up to the shorter of blocks and window."""
+        if u is None:
+            u = np.zeros(self.Ms[0].shape[0])
+        for M, s in zip(self.Ms, window):
+            u += M @ np.asarray(s, dtype=float)
+        return u
+
+    def _play(self, s: np.ndarray) -> np.ndarray:
+        """Push ``s`` as the newest signal and sum the window from zeros."""
+        self._window.appendleft(np.asarray(s, dtype=float))
+        return self._sum(self._window)
+
+    def reset(self) -> None:
+        self._window.clear()
 
 
-class GLCPolicy:
+class GLCPolicy(_WindowPolicy):
     """Generalized linear controller ``u_t = sum_{i=0}^{h} M_i x_{t-i}``.
 
     ``Ms`` lists ``[M_0, ..., M_h]``; states before the first step are
@@ -268,36 +309,13 @@ class GLCPolicy:
     kind = "glc"
 
     def __init__(self, Ms: Sequence[object], gamma: Optional[float] = None):
-        self.Ms = [_as_matrix(M, f"M_{i}") for i, M in enumerate(Ms)]
-        if not self.Ms:
-            raise ConfigurationError("GLC needs at least M_0")
-        shape = self.Ms[0].shape
-        if any(M.shape != shape for M in self.Ms):
-            raise ConfigurationError("all GLC coefficient matrices must share one shape")
-        total = sum(_spectral_norm(M) for M in self.Ms)
-        if gamma is not None and total > gamma + 1e-12:
-            raise ConfigurationError(
-                f"sum of spectral norms {total:.6g} exceeds the budget gamma = {gamma}"
-            )
-        self.gamma = gamma
-        self.h = len(self.Ms) - 1
-        self._history: deque = deque(maxlen=self.h + 1)  # most recent first
+        super().__init__(Ms, 0, gamma)
 
     def act_state(self, x: np.ndarray) -> np.ndarray:
-        self._history.appendleft(np.asarray(x, dtype=float))
-        u = np.zeros(self.Ms[0].shape[0])
-        for i, past in enumerate(self._history):
-            u += self.Ms[i] @ past
-        return u
-
-    def reset(self) -> None:
-        self._history.clear()
-
-    def clone(self) -> "GLCPolicy":
-        return GLCPolicy([M.copy() for M in self.Ms], self.gamma)
+        return self._play(x)
 
 
-class DACPolicy:
+class DACPolicy(_WindowPolicy):
     """Disturbance-action controller.
 
     ``u_t = K_t x_t + sum_{i=1}^{h} M_i w_{t-i} (+ offset)``
@@ -309,7 +327,8 @@ class DACPolicy:
         form.
     Ms : sequence of (d_u, d_x) matrices
         ``[M_1, ..., M_h]`` acting on the most recent ``h`` perturbations
-        (zero-padded before the first step).
+        (zero-padded before the first step).  All share one shape, which a
+        fixed ``K`` and every ``K_t`` must have too.
     offset : array_like, optional
         Constant control offset (disabled when None).
     gamma : float, optional
@@ -327,27 +346,20 @@ class DACPolicy:
     ):
         self._K_provider: Optional[Callable[[int], object]] = K if callable(K) else None
         self._K_fixed: Optional[np.ndarray] = None if callable(K) else _coerce_gain(K, "K")
-        self.Ms = [_as_matrix(M, f"M_{i + 1}") for i, M in enumerate(Ms)]
-        self.h = len(self.Ms)
-        total = sum(_spectral_norm(M) for M in self.Ms)
-        if gamma is not None and total > gamma + 1e-12:
-            raise ConfigurationError(
-                f"sum of spectral norms {total:.6g} exceeds the budget gamma = {gamma}"
-            )
-        self.gamma = gamma
+        super().__init__(Ms, 1, gamma, None if self._K_fixed is None else self._K_fixed.shape)
         self.offset = None if offset is None else np.asarray(offset, dtype=float)
-        self._buffer: deque = deque(maxlen=max(self.h, 1))  # w_{t-1} first
 
     def gain(self, t: int) -> np.ndarray:
-        return (
-            self._K_fixed
-            if self._K_fixed is not None
-            else _coerce_gain(self._K_provider(t), f"K_{t}")
-        )
+        if self._K_fixed is not None:
+            return self._K_fixed
+        K = _coerce_gain(self._K_provider(t), f"K_{t}")
+        if self.Ms and K.shape != self.Ms[0].shape:
+            raise ConfigurationError(f"K_{t} has shape {K.shape}, the blocks {self.Ms[0].shape}")
+        return K
 
     def push_perturbation(self, w: np.ndarray) -> None:
         """Record a newly recovered perturbation (most recent first)."""
-        self._buffer.appendleft(np.asarray(w, dtype=float))
+        self._window.appendleft(np.asarray(w, dtype=float))
 
     def act(
         self,
@@ -358,25 +370,10 @@ class DACPolicy:
         """Control at time t; ``history`` overrides the internal buffer
         (ordered most recent first: ``[w_{t-1}, w_{t-2}, ...]``)."""
         x = np.asarray(x, dtype=float)
-        u = self.gain(t) @ x
-        past = list(self._buffer if history is None else history)[: self.h]
-        for i, w in enumerate(past):
-            u = u + self.Ms[i] @ np.asarray(w, dtype=float)
+        u = self._sum(self._window if history is None else history, self.gain(t) @ x)
         if self.offset is not None:
             u = u + self.offset
         return u
-
-    def reset(self) -> None:
-        self._buffer.clear()
-
-    def clone(self) -> "DACPolicy":
-        K = self._K_provider if self._K_provider is not None else self._K_fixed.copy()
-        return DACPolicy(
-            K,
-            [M.copy() for M in self.Ms],
-            None if self.offset is None else self.offset.copy(),
-            self.gamma,
-        )
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -426,7 +423,7 @@ def natures_y_step(
     return ynat
 
 
-class DRCPolicy:
+class DRCPolicy(_WindowPolicy):
     """Disturbance-response controller for stable, partially observed
     systems: ``u_t = sum_{i=0}^{h} M_i ynat_{t-i}``.
 
@@ -438,29 +435,12 @@ class DRCPolicy:
     kind = "drc"
 
     def __init__(self, Ms: Sequence[object], d_x: int, gamma: Optional[float] = None):
-        self.Ms = [_as_matrix(M, f"M_{i}") for i, M in enumerate(Ms)]
-        if not self.Ms:
-            raise ConfigurationError("DRC needs at least M_0")
-        shape = self.Ms[0].shape
-        if any(M.shape != shape for M in self.Ms):
-            raise ConfigurationError("all DRC coefficient matrices must share one shape")
-        total = sum(_spectral_norm(M) for M in self.Ms)
-        if gamma is not None and total > gamma + 1e-12:
-            raise ConfigurationError(
-                f"sum of spectral norms {total:.6g} exceeds the budget gamma = {gamma}"
-            )
-        self.gamma = gamma
-        self.h = len(self.Ms) - 1
+        super().__init__(Ms, 0, gamma)
         self.tracker = NaturesYTracker(d_x)
-        self._history: deque = deque(maxlen=self.h + 1)  # ynat_t first
 
     def act_ynat(self, ynat: np.ndarray) -> np.ndarray:
         """Control from a freshly computed ynat_t (pushes it into the window)."""
-        self._history.appendleft(np.asarray(ynat, dtype=float))
-        u = np.zeros(self.Ms[0].shape[0])
-        for i, past in enumerate(self._history):
-            u += self.Ms[i] @ past
-        return u
+        return self._play(ynat)
 
     def step(
         self,
@@ -477,10 +457,7 @@ class DRCPolicy:
 
     def reset(self) -> None:
         self.tracker.reset()
-        self._history.clear()
-
-    def clone(self) -> "DRCPolicy":
-        return DRCPolicy([M.copy() for M in self.Ms], self.tracker.z.shape[0], self.gamma)
+        super().reset()
 
 
 Policy = Union[
@@ -507,24 +484,18 @@ def act(policy: Policy, signals: dict, t: int = 0) -> np.ndarray:
         When a signal the policy kind needs is missing.
     """
     kind = getattr(policy, "kind", None)
-    if kind in ("linear", "pid", "bang-bang", "ldc", "glc"):
+    if kind in ("linear", "pid", "bang-bang", "ldc", "glc", "dac"):
         if "state" not in signals:
             raise ConfigurationError(f"{kind} policy needs a 'state' signal")
-        return policy.act_state(np.asarray(signals["state"], dtype=float))
-    if kind == "dac":
-        if "state" not in signals:
-            raise ConfigurationError("DAC policy needs a 'state' signal")
-        history = signals.get("perturbations")
-        return policy.act(np.asarray(signals["state"], dtype=float), t, history=history)
+        x = np.asarray(signals["state"], dtype=float)
+        if kind == "dac":
+            return policy.act(x, t, history=signals.get("perturbations"))
+        return policy.act_state(x)
     if kind == "drc":
         if "ynat" in signals:
             return policy.act_ynat(np.asarray(signals["ynat"], dtype=float))
         if "natures_y" in signals:
-            window = list(signals["natures_y"])[: policy.h + 1]
-            u = np.zeros(policy.Ms[0].shape[0])
-            for i, past in enumerate(window):
-                u += policy.Ms[i] @ np.asarray(past, dtype=float)
-            return u
+            return policy._sum(signals["natures_y"])
         raise ConfigurationError("DRC policy needs an 'ynat' or 'natures_y' signal")
     raise ConfigurationError(f"unknown policy kind {kind!r}")
 
@@ -594,25 +565,16 @@ def lift_glc(system: LinearSystem, glc: GLCPolicy) -> LiftedGLC:
     A, B, _ = system.matrices(0)
     if system._provider is not None:
         raise ConfigurationError("lift_glc requires a time-invariant system")
-    d_x, d_u = system.d_x, system.d_u
-    h = glc.h
-    n = (h + 1) * d_x
+    d_x = system.d_x
+    n = (glc.h + 1) * d_x
 
-    A_tilde = np.zeros((n, n))
+    A_tilde = np.eye(n, k=-d_x)  # identity blocks below the diagonal shift the window
     A_tilde[:d_x, :d_x] = A
-    for block in range(h):
-        A_tilde[(block + 1) * d_x : (block + 2) * d_x, block * d_x : (block + 1) * d_x] = np.eye(
-            d_x
-        )
-    B_tilde = np.zeros((n, d_u))
-    B_tilde[:d_x, :] = B
-    embed = np.zeros((n, d_x))
-    embed[:d_x, :] = np.eye(d_x)
-    K_tilde = np.hstack(glc.Ms)
+    B_tilde = np.vstack([B, np.zeros((n - d_x, system.d_u))])
     return LiftedGLC(
         system=LinearSystem.time_invariant(A_tilde, B_tilde),
-        noise_embedding=embed,
-        K_tilde=K_tilde,
+        noise_embedding=np.eye(n, d_x),
+        K_tilde=np.hstack(glc.Ms),
     )
 
 
@@ -626,8 +588,11 @@ def dac_from_linear(A: object, B: object, K: object, h: int) -> DACPolicy:
     Raises
     ------
     ConfigurationError
-        When ``A + BK`` is not stable (the construction presupposes it).
+        When ``h < 0``, or when ``A + BK`` is not stable (the construction
+        presupposes it).
     """
+    if h < 0:
+        raise ConfigurationError(f"dac_from_linear needs h >= 0, got {h}")
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
     K = _coerce_gain(K, "K")
@@ -653,8 +618,10 @@ def glc_from_ldc(ldc: LDCPolicy, h: int) -> GLCPolicy:
     Raises
     ------
     ConfigurationError
-        When the LDC's internal dynamics are unstable.
+        When ``h < 0``, or when the LDC's internal dynamics are unstable.
     """
+    if h < 0:
+        raise ConfigurationError(f"glc_from_ldc needs h >= 0, got {h}")
     if spectral_radius(ldc.A_pi) >= 1.0:
         raise ConfigurationError("glc_from_ldc requires stable internal dynamics")
     Ms = [ldc.D_pi.copy()]

@@ -8,6 +8,8 @@ constants for the approximation bounds.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nscontrol.errors import ConfigurationError
 from nscontrol.lds_core import (
@@ -130,6 +132,90 @@ def test_budget_gates():
         DACPolicy(np.zeros((2, 2)), [np.eye(2) * 3.0], gamma=1.0)
     with pytest.raises(ConfigurationError):
         DRCPolicy([np.eye(2) * 3.0], d_x=2, gamma=1.0)
+    # DAC blocks of mixed shapes, or blocks that differ from a fixed K.
+    with pytest.raises(ConfigurationError, match="one shape"):
+        DACPolicy(np.ones((1, 2)), [np.ones((1, 2)), np.ones((2, 2))])
+    with pytest.raises(ConfigurationError, match="one shape"):
+        DACPolicy(np.ones((1, 2)), [np.ones((2, 2))])
+    with pytest.raises(ConfigurationError, match="one shape"):
+        DACPolicy(lambda t: np.ones((1, 2)), [np.ones((1, 2)), np.ones((1, 3))])
+    with pytest.raises(ConfigurationError, match="one shape"):
+        GLCPolicy([np.ones((1, 2)), np.ones((2, 2))])
+    with pytest.raises(ConfigurationError, match="one shape"):
+        DRCPolicy([np.ones((1, 2)), np.ones((1, 3))], d_x=2)
+    # A t -> K_t provider is checked against the blocks when it is called.
+    varying = DACPolicy(lambda t: np.ones((2, 2)), [np.ones((1, 2))])
+    with pytest.raises(ConfigurationError, match="K_3"):
+        varying.act([1.0, 1.0], t=3)
+
+
+def _hand_sum(u, Ms, window):
+    """``u + M_0 s_0 + M_1 s_1 + ...``, added left to right; the window is
+    newest first and the sum stops at the shorter of blocks and window."""
+    for i in range(min(len(Ms), len(window))):
+        u = u + Ms[i] @ np.asarray(window[i], dtype=float)
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.integers(0, 5),
+    d_u=st.integers(1, 3),
+    d_s=st.integers(1, 3),
+    steps=st.integers(0, 8),
+    varying=st.booleans(),
+    with_offset=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_policies_play_the_left_to_right_sum(h, d_u, d_s, steps, varying, with_offset, seed):
+    """GLC, DAC and DRC play ``u + sum_i M_i s_i`` over their newest-first
+    window, from zeros (GLC, DRC) or from ``K_t x`` (DAC, then the offset),
+    bit for bit: the internal windows, DAC's ``history=`` override through
+    ``act``, a ``t -> K_t`` provider, and DRC's ``natures_y`` signal."""
+    rng = np.random.default_rng(seed)
+
+    def blocks(n):
+        return [rng.standard_normal((d_u, d_s)) for _ in range(n)]
+
+    def signals(n):
+        return [rng.standard_normal(d_s) for _ in range(n)]
+
+    def override():
+        return [w.tolist() for w in signals(int(rng.integers(0, h + 3)))]
+
+    # GLC: u_t = sum_{i<=h} M_i x_{t-i}.
+    Ms, xs = blocks(h + 1), signals(steps + 1)
+    glc = GLCPolicy(Ms)
+    for t, x in enumerate(xs):
+        assert np.array_equal(glc.act_state(x), _hand_sum(np.zeros(d_u), Ms, xs[t::-1]))
+
+    # DAC: u_t = K_t x_t + sum_{i=1}^{h} M_i w_{t-i} (+ offset).
+    Ms, xs, ws = blocks(h), signals(steps + 1), signals(steps + 1)
+    Ks = [rng.standard_normal((d_u, d_s)) for _ in range(steps + 1)]
+    offset = rng.standard_normal(d_u) if with_offset else None
+    dac = DACPolicy((lambda t: Ks[t]) if varying else Ks[0], Ms, offset=offset)
+
+    def dac_hand(t, x, window):
+        u = _hand_sum((Ks[t] if varying else Ks[0]) @ x, Ms, window)
+        return u if offset is None else u + offset
+
+    for t, x in enumerate(xs):
+        hist = override()
+        assert np.array_equal(
+            act(dac, {"state": x, "perturbations": hist}, t), dac_hand(t, x, hist)
+        )
+        assert np.array_equal(dac.act(x, t), dac_hand(t, x, ws[:t][::-1]))
+        dac.push_perturbation(ws[t])
+
+    # DRC: u_t = sum_{i<=h} M_i ynat_{t-i}; a natures_y history leaves the
+    # window alone.
+    Ms, ys = blocks(h + 1), signals(steps + 1)
+    drc = DRCPolicy(Ms, d_x=2)
+    for t, y in enumerate(ys):
+        hist = override()
+        assert np.array_equal(act(drc, {"natures_y": hist}), _hand_sum(np.zeros(d_u), Ms, hist))
+        u = drc.act_ynat(y) if t % 2 else act(drc, {"ynat": y})
+        assert np.array_equal(u, _hand_sum(np.zeros(d_u), Ms, ys[t::-1]))
 
 
 def test_act_missing_signal_errors():
@@ -277,6 +363,16 @@ def test_dac_from_linear_scalar_formula():
 def test_dac_from_linear_refuses_unstable():
     with pytest.raises(ConfigurationError):
         dac_from_linear([[1.2]], [[0.0]], [[0.0]], h=3)
+
+
+def test_conversion_maps_refuse_a_negative_window():
+    with pytest.raises(ConfigurationError, match="h >= 0"):
+        dac_from_linear([[0.5]], [[1.0]], [[-0.25]], h=-1)
+    with pytest.raises(ConfigurationError, match="h >= 0"):
+        glc_from_ldc(LDCPolicy([[0.5]], [[1.0]], [[2.0]], [[3.0]]), h=-3)
+    # h = 0 is the shortest window: one block each.
+    assert len(dac_from_linear([[0.5]], [[1.0]], [[-0.25]], h=0).Ms) == 1
+    assert len(glc_from_ldc(LDCPolicy([[0.5]], [[1.0]], [[2.0]], [[3.0]]), h=0).Ms) == 1
 
 
 def measured_decay(closed, n=200):
@@ -436,7 +532,7 @@ def test_approximation_gap_monotone_in_h():
         gaps = [
             approximation_gap(
                 LinearPolicy(K),
-                dac.clone(),
+                dac,
                 system,
                 PerturbationSource.uniform_ball(),
                 cost,
