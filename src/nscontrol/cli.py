@@ -178,7 +178,6 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
         f"B_error={extras['B_error']:.3g} avg_regret={report.final_avg_regret:.6g}"
     )
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         write_report_csv(report, os.path.join(config.out_dir, "report.csv"))
         write_json_summary(
             os.path.join(config.out_dir, "summary.json"), report_summary(report)
@@ -188,6 +187,9 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
+    for flag, level in (("--process-noise", args.process_noise), ("--obs-noise", args.obs_noise)):
+        if not level >= 0.0:  # also NaN
+            raise ConfigurationError(f"{flag} must be a number >= 0, got {level}")
     config = _scenario_config(args, default_horizon=200)
     T = config.horizon
     system = config.system
@@ -239,7 +241,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         f"mse_state={summary['mse_state']:.6g} mse_obs={summary['mse_obs']:.6g}"
     )
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         write_csv(
             os.path.join(config.out_dir, "filter.csv"),
             ["t", "state_error", "obs_error", "sigma_trace"],
@@ -302,7 +303,6 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         f"last_quarter={summary['last_quarter_avg_loss']:.6g}"
     )
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         write_csv(
             os.path.join(config.out_dir, "spectral.csv"),
             ["t", "sq_error", "avg_loss"],

@@ -22,6 +22,7 @@ only as a reference.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -32,6 +33,7 @@ from .errors import ConfigurationError, EvaluationError
 from .lds_core import TOL_PSD, _all_finite, _as_matrix, _as_vector, _check_psd
 from .online_control import OGDState, _ogd_step
 from .optimal_control import _riccati_step, dare_solve
+from .serialize import _atomic_write_text
 
 __all__ = [
     "KalmanState",
@@ -332,6 +334,19 @@ def _window(history: Sequence[object], count: int, dim: int) -> np.ndarray:
     return out
 
 
+def _linear_prediction(predictor: LinearPredictor, u_history: Sequence[object],
+                       y_history: Sequence[object]) -> tuple:
+    """``(y_hat, ys, us)``: the prediction and the zero-padded windows it reads."""
+    ys = _window(y_history, predictor.h, predictor.M1.shape[2])
+    us = _window(u_history, predictor.k, predictor.M2.shape[2] if predictor.k else 0)
+    y_hat = np.zeros(predictor.M1.shape[1])
+    if predictor.h:
+        y_hat += np.einsum("iab,ib->a", predictor.M1, ys)
+    if predictor.k:
+        y_hat += np.einsum("iab,ib->a", predictor.M2, us)
+    return y_hat, ys, us
+
+
 def predict_linear(
     predictor: LinearPredictor,
     u_history: Sequence[object],
@@ -339,15 +354,7 @@ def predict_linear(
 ) -> np.ndarray:
     """Prediction from the most-recent-first histories (zero-padded):
     ``y_history[0]`` is ``y_{t-1}`` and ``u_history[0]`` is ``u_{t-1}``."""
-    d_y = predictor.M1.shape[1]
-    ys = _window(y_history, predictor.h, predictor.M1.shape[2])
-    us = _window(u_history, predictor.k, predictor.M2.shape[2] if predictor.k else 0)
-    y_hat = np.zeros(d_y)
-    if predictor.h:
-        y_hat += np.einsum("iab,ib->a", predictor.M1, ys)
-    if predictor.k:
-        y_hat += np.einsum("iab,ib->a", predictor.M2, us)
-    return y_hat
+    return _linear_prediction(predictor, u_history, y_history)[0]
 
 
 def learn_linear_step(
@@ -359,13 +366,7 @@ def learn_linear_step(
     """Predict, incur the squared error against ``y_true``, and take one
     projected OGD step.  Returns the prediction and the updated predictor."""
     y_true = np.asarray(y_true, dtype=float).ravel()
-    ys = _window(y_history, predictor.h, predictor.M1.shape[2])
-    us = _window(u_history, predictor.k, predictor.M2.shape[2] if predictor.k else 0)
-    y_hat = np.zeros(predictor.M1.shape[1])
-    if predictor.h:
-        y_hat += np.einsum("iab,ib->a", predictor.M1, ys)
-    if predictor.k:
-        y_hat += np.einsum("iab,ib->a", predictor.M2, us)
+    y_hat, ys, us = _linear_prediction(predictor, u_history, y_history)
     residual = 2.0 * (y_hat - y_true)
     if not np.all(np.isfinite(residual)):
         raise EvaluationError("linear predictor produced a non-finite residual")
@@ -476,11 +477,6 @@ class SpectralBasis:
     eigenvalues: np.ndarray  # (h,)
     vectors: np.ndarray  # (h, T)
 
-    def filter_outputs(self, u_tilde: np.ndarray) -> np.ndarray:
-        """Project a padded input history onto the basis: returns the
-        (h, d_u) array of ``phi_j' u_tilde``."""
-        return self.vectors @ u_tilde
-
 
 def _fix_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     nonzero = np.nonzero(np.abs(v) > tol)[0]
@@ -553,23 +549,29 @@ def spectral_basis(T: int, h: int) -> SpectralBasis:
 def save_basis(basis: SpectralBasis, path: str) -> None:
     """Write a basis as plain text: header ``T h``, one line of
     eigenvalues, then one line per eigenvector, all at 17 significant
-    digits (lossless for double precision)."""
-    with open(path, "w") as fh:
-        fh.write(f"{basis.T} {basis.h}\n")
-        np.savetxt(fh, basis.eigenvalues[None], fmt="%.17g", delimiter=" ")
-        np.savetxt(fh, basis.vectors, fmt="%.17g", delimiter=" ")
+    digits (lossless for double precision).  The file is replaced
+    atomically, so an interrupted write leaves no truncated basis behind."""
+    text = io.StringIO()
+    text.write(f"{basis.T} {basis.h}\n")
+    np.savetxt(text, basis.eigenvalues[None], fmt="%.17g", delimiter=" ")
+    np.savetxt(text, basis.vectors, fmt="%.17g", delimiter=" ")
+    _atomic_write_text(path, text.getvalue())
 
 
 def load_basis(path: str) -> SpectralBasis:
-    """Inverse of :func:`save_basis`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        T, h = int(header[0]), int(header[1])
-        eigenvalues = np.array([float(v) for v in fh.readline().split()])
-        vectors = np.array(
-            [[float(v) for v in fh.readline().split()] for _ in range(h)]
-        )
-    if eigenvalues.shape != (h,) or vectors.shape != (h, T):
+    """Inverse of :func:`save_basis`; raises ConfigurationError if the file
+    is not a whole basis (malformed, non-finite, or cut short)."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    try:
+        T, h = (int(v) for v in lines[0].split())
+        eigenvalues = np.array([float(v) for v in lines[1].split()])
+        vectors = np.array([[float(v) for v in line.split()] for line in lines[2 : 2 + h]])
+    except (ValueError, IndexError) as exc:  # ValueError also for a ragged row
+        raise ConfigurationError(f"basis file {path!r} is malformed: {exc}") from exc
+    if (len(lines) != h + 3 or lines[-1] or eigenvalues.shape != (h,)
+            or vectors.shape != (h, T)
+            or not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all())):
         raise ConfigurationError(f"basis file {path!r} is malformed")
     return SpectralBasis(T=T, h=h, eigenvalues=eigenvalues, vectors=vectors)
 
@@ -577,7 +579,6 @@ def load_basis(path: str) -> SpectralBasis:
 def cached_basis(T: int, h: int, cache_dir: str) -> SpectralBasis:
     """Load the (T, h) basis from the cache directory, building and saving
     it on first use."""
-    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"spectral_basis_T{int(T)}_h{int(h)}.txt")
     if os.path.exists(path):
         return load_basis(path)

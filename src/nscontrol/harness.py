@@ -673,12 +673,11 @@ def dac_rollout_costs(
     Ms: object,
     w_record: object,
     x0: Optional[object] = None,
-    cost_on: str = "state",
 ) -> np.ndarray:
     """Exact per-step counterfactual costs of a fixed action policy."""
     w_record, Ms = np.asarray(w_record, dtype=float), np.asarray(Ms, dtype=float)
     K = _coerce_K(K, system.d_u, system.d_x)
-    policies = _PolicyClass(system, K, w_record, w_record, len(Ms), 1, x0, cost_on == "observation")
+    policies = _PolicyClass(system, K, w_record, w_record, len(Ms), 1, x0, False)
     return _policy_rollout_costs(policies, cost, Ms)
 
 
@@ -1035,11 +1034,12 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
             system, cost, w_record, config.x0, seed=config.seed, **comp_spec
         )
         comparator_costs = linear_rollout_costs(system, cost, K_star, w_record, config.x0)
+    elif comp_kind == "zero" and config.cost_on == "observation":
+        zero = np.zeros((1, system.d_u, system.d_y))
+        comparator_costs = drc_rollout_costs(system, cost, zero, w_record, config.x0)
     elif comp_kind == "zero":
         zero = np.zeros((system.d_u, system.d_x))
-        comparator_costs = dac_rollout_costs(
-            system, cost, zero, zero[None], w_record, config.x0, cost_on=config.cost_on
-        )
+        comparator_costs = linear_rollout_costs(system, cost, zero, w_record, config.x0)
     else:  # "none"
         comparator_costs = np.zeros(T)
 
@@ -1055,7 +1055,6 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         wall_clock=time.perf_counter() - start_time,
     )
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         write_report_csv(report, os.path.join(config.out_dir, "report.csv"))
         write_json_summary(
             os.path.join(config.out_dir, "summary.json"), report_summary(report)

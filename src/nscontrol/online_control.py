@@ -9,17 +9,18 @@ descent (OGD) and the two controllers built on it.
   observed *stable* systems: ``u_t = sum_i M_i^t ynat_{t-i}`` over
   nature's-y signals, no stabilizing gain needed.
 
-Both construct the per-step loss ``l_t(M) = c_t(state-or-observation(M),
-u_t(M))`` where the counterfactual signals are the ones that would have
-occurred had the current parameters been played from the beginning of
-time, truncated to the last ``H_trunc`` steps; both compute gradients
-analytically (the counterfactuals are linear in ``M``, so the loss is
-convex).  Both run one private core, :class:`_DisturbanceFeedback`, in
-action-history form: one product of a Hankel view of the signal window
-with ``M`` gives the actions ``M`` plays at every lag, one product of the
-cached transition stack with them gives the counterfactual state, and the
-gradient takes one product each way back.  A step is a fixed number of
-whole-array numpy calls, with no Python loop over ``h`` or ``H``.
+One private core, :class:`_DisturbanceFeedback`, runs the learner step of
+both: the counterfactual pair, the loss ``l_t(M) = c_t(z_t(M), u_t(M))``
+and its analytic gradient (the counterfactuals are linear in ``M``, so the
+loss is convex), and the OGD step.  The counterfactuals are what playing
+the current parameters from the beginning of time would have given,
+truncated to the last ``H_trunc`` steps.  The classes differ only in the
+signal (``w`` or ``ynat``) and in the output map from the counterfactual
+state: GPC's pair is ``(x(M), u(M) + K_t x(M))``, GRC's ``(ynat_t + C_t
+x(M), u(M))``.  In action-history form, one product of a Hankel view of
+the signal window with ``M`` gives the actions ``M`` plays at every lag,
+one product of the transition stack with them gives ``x(M)``, and the
+gradient takes one product each way back: no Python loop over ``h`` or ``H``.
 """
 
 from __future__ import annotations
@@ -231,9 +232,10 @@ def _resolve_cost(cost: object, t: int) -> object:
 
 
 class _DisturbanceFeedback:
-    """Parameters, OGD iterate, caches and per-step work of a learner that
-    plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a signal ``s``
-    (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0), in action-history form.
+    """Parameters, OGD iterate, caches and the whole learner step of a
+    learner that plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a
+    signal ``s`` (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0), in action-history
+    form.  ``act`` records ``_last = (t, offset, u_t, K, ...)``.
 
     The OGD point holds the parameters in ``(d_u, len(Ms), d_s)`` order,
     ``Ms`` is the ``(len(Ms), d_u, d_s)`` view of it, and ``M`` is the
@@ -243,10 +245,11 @@ class _DisturbanceFeedback:
     current feedback and rows ``1..H`` the counterfactual past actions.  The
     truncated state response to them is ``x(M) = [U | 1] . P`` (GPC's
     column of ones takes its ``w`` drift; GRC has none), exactly as
-    :func:`counterfactual_state` truncates it.  A loss with derivative
-    ``v`` along ``x(M)`` and ``g_u`` along the current control has the
-    gradient ``[g_u; (P v)_u]' _Zh`` in point order.  The sensitivity
-    matrix of ``x(M)`` to the point is never formed.
+    :func:`counterfactual_state` truncates it.  The cost sees ``z = offset +
+    C x(M)`` and ``u = u(M) + K x(M)`` (``C`` given at query and update time,
+    None for the identity); with its gradient ``(g_z, g_u)`` the loss has
+    the gradient ``[g_u; (P v)_u]' _Zh`` in point order, ``v = C' g_z + K'
+    g_u``.  The sensitivity matrix of ``x(M)`` to the point is never formed.
 
     The caches hold no past action until the first transition matrix fixes
     ``H = H_trunc``; then they are allocated at that depth and updated in
@@ -323,8 +326,8 @@ class _DisturbanceFeedback:
         self._U = np.ones((H + 1, self._width)) if self._drifts else None  # GPC's [U | 1]
 
     def _validated(self, A_t: object, B_t: object, extra: object) -> tuple:
-        """The subclass's validated dynamics for ``(A_t, B_t, extra)``, recomputed
-        only when their content (shapes and bytes) differs from the last call's."""
+        """The subclass's ``(C, transition, transition', B', ...)``, derived only
+        when the shapes or bytes of ``(A_t, B_t, extra)`` differ from the last call's."""
         A_t = np.asarray(A_t, dtype=float)
         B_t = np.asarray(B_t, dtype=float)
         key = (A_t.shape, A_t.tobytes(), B_t.shape, B_t.tobytes())
@@ -332,35 +335,70 @@ class _DisturbanceFeedback:
             extra = np.asarray(extra, dtype=float)
             key += (extra.shape, extra.tobytes())
         if key != self._dynamics_key:
-            self._dynamics = self._validate(A_t, B_t, extra)
+            self._dynamics = self._validate(_as_matrix(A_t, "A_t"), _as_matrix(B_t, "B_t"), extra)
             self._dynamics_key = key
         return self._dynamics
+
+    def _acted(self) -> tuple:
+        """``_last``, which ``act`` records and ``update`` clears."""
+        if self._last is None:
+            raise ConfigurationError("call act() before querying counterfactuals")
+        return self._last
+
+    def _turn(self, t: int) -> tuple:
+        """``_last`` if ``act(t)`` was the last call."""
+        if self._last is None or self._last[0] != t:
+            raise ConfigurationError("update(t) must follow act(t)")
+        return self._last
 
     def _feedback(self) -> np.ndarray:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
         return self._Zh[0].dot(self._point_order_T())
 
-    def _rollout(self) -> tuple:
-        """``(Zh, u, x(M))``: a contiguous copy of ``_Zh`` for both products
-        with it, and the current feedback (for GPC a view of ``_U``)."""
+    def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
+        """``(z_t(M), u_t(M), Zh)`` at the parameters now held, with ``Zh`` a
+        contiguous copy of ``_Zh`` for both products with it."""
+        _, offset, _, K = self._acted()[:4]
         Zh = np.ascontiguousarray(self._Zh)
         U = Zh.dot(self._point_order_T())
         if self._drifts:
             self._U[:, : self.d_u] = U
             U = self._U
-        return Zh, U[0, : self.d_u], U.reshape(-1).dot(self._P)
+        x = U.reshape(-1).dot(self._P)
+        z = x if C is None else C.dot(x)
+        u = U[0, : self.d_u]
+        return (z if offset is None else offset + z), (u if K is None else K.dot(x) + u), Zh
 
-    def _pullback(self, v: np.ndarray, gu: np.ndarray, Zh: np.ndarray) -> np.ndarray:
-        """Flat gradient, in point order, of a loss whose derivative is ``v``
-        along the state response and ``gu`` along the current control."""
-        V = self._P.dot(v)
+    def _loss_and_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
+        """Counterfactual loss and its flat gradient in point order, pulled
+        back through the output map."""
+        z, u, Zh = self._counterfactual(C)
+        t, _, _, K = self._last[:4]
+        loss, half_grad = _resolve_cost(cost, t).stage(z, u)
+        grad = half_grad + half_grad  # twice the half gradient, exactly
+        gz, gu = grad[: len(z)], grad[len(z) :]
+        v = gz if C is None else C.T.dot(gz)
+        V = self._P.dot(v if K is None else v + K.T.dot(gu))
         V[: self.d_u] = gu
-        return V.reshape(-1, self._width).T.dot(Zh)[: self.d_u].reshape(-1)
+        return loss, V.reshape(-1, self._width).T.dot(Zh)[: self.d_u].reshape(-1)
 
-    def _learn(self, grad: np.ndarray, t: int, loss: float, signal_norm: float) -> None:
-        """Projected OGD step on the flat ``grad`` and the telemetry row;
-        raises EvaluationError if the new iterate left the ball or moved
-        further than ``eta * ||grad||``."""
+    def _stacked_loss_and_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
+        """``loss_and_gradient``: the gradient shaped like ``Ms``."""
+        loss, grad = self._loss_and_gradient(cost, C)
+        return loss, self._stacked(grad)
+
+    def _step(self, t: int, cost: object, dynamics: tuple, signal_norm: float,
+              drift: Optional[np.ndarray] = None) -> None:
+        """One learner step at ``t`` on the :meth:`_validated` ``dynamics``:
+        the projected OGD step on the counterfactual loss, the telemetry row,
+        and the stack moved one step on (older blocks times the transition
+        matrix, the oldest dropped, ``B`` and, for GPC, the ``drift`` w as
+        block 1).  Raises EvaluationError if the new iterate left the ball
+        or moved further than ``eta * ||g||``."""
+        C, transition, transition_T, B_T = dynamics[:4]
+        if self.delta_hat is None:
+            self._start(transition)
+        loss, grad = self._loss_and_gradient(cost, C)
         state = self.ogd
         self.ogd, grad_norm, eta = _ogd_step(state, grad)
         point = self.ogd.point
@@ -373,17 +411,13 @@ class _DisturbanceFeedback:
         self.Ms = self._stacked(point)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: signal_norm, "grad_norm": grad_norm})
-
-    def _advance(self, transition_T: np.ndarray, B_T: np.ndarray, drift=None) -> None:
-        """Move the stack one step on: older blocks are multiplied by the
-        transition matrix (given transposed, as ``B_T`` is) and the oldest
-        falls out; ``B`` (and, for GPC, the ``drift`` w) become block 1."""
         P, self._P, w = self._P, self._P_spare, self._width
         np.dot(P[w:-w], transition_T, out=self._P[2 * w :])
         self._P[w : w + self.d_u] = B_T
         if drift is not None:
             self._P[w + self.d_u] = drift
         self._P_spare = P
+        self._last = None
 
     def _push(self, signal: np.ndarray) -> None:
         """Shift the signal window one row and put ``signal`` first."""
@@ -404,9 +438,7 @@ class GPCController(_DisturbanceFeedback):
     build the counterfactual loss ``l_t(M) = c_t(x_t(M), u_t(M))``, and
     take one projected OGD step on it.
 
-    Runs on the core shared with :class:`GRCController`: the ``w`` window
-    and the ``H_trunc``-deep closed-loop products applied to ``B`` and ``w``
-    are allocated at the first update and updated in place.
+    Runs on the learner step shared with :class:`GRCController`.
 
     A controller spec (dict, config file or CLI flags) sets the learner
     options ``h``, ``radius``, ``step_size``, ``schedule`` and ``H_trunc``;
@@ -472,64 +504,38 @@ class GPCController(_DisturbanceFeedback):
         K_t = self.gain(t)
         u = K_t.dot(x) + self._feedback()
         xu = np.concatenate((x, u))
-        self._last = (t, xu, xu[self.d_x :], K_t)
+        self._last = (t, None, xu[self.d_x :], K_t, xu)
         return u
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, K_t: np.ndarray) -> tuple:
-        A_t = _as_matrix(A_t, "A_t")
-        B_t = _as_matrix(B_t, "B_t")
         closed = A_t + B_t @ K_t
-        return closed, np.concatenate((A_t, B_t), axis=1), closed.T.copy(), B_t.T.copy()
-
-    def _counterfactual(self) -> tuple:
-        """``(x_t(M), u_t(M), Zh)`` at the parameters now held."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        Zh, u, x_cf = self._rollout()
-        return x_cf, self._last[3].dot(x_cf) + u, Zh
+        return None, closed, closed.T.copy(), B_t.T.copy(), np.concatenate((A_t, B_t), axis=1)
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
         parameters now held (cache-based fast path)."""
-        return self._counterfactual()[:2]
-
-    def _loss_and_gradient(self, cost_t: object) -> tuple:
-        x_cf, u_cf, Zh = self._counterfactual()
-        loss, half_grad = cost_t.stage(x_cf, u_cf)
-        grad = half_grad + half_grad  # twice the half gradient, exactly
-        gx, gu = grad[: self.d_x], grad[self.d_x :]
-        return loss, self._pullback(gx + self._last[3].T.dot(gu), gu, Zh)
+        return self._counterfactual(None)[:2]
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient, shaped like ``Ms``.  Valid between act() and
         update()."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        loss, grad = self._loss_and_gradient(_resolve_cost(cost, self._last[0]))
-        return loss, self._stacked(grad)
+        return self._stacked_loss_and_gradient(cost, None)
 
     def update(self, t: int, A_t: object, B_t: object, x_next: object, cost: object) -> np.ndarray:
         """Recover ``w_t``, take the OGD step on ``l_t``, advance caches.
 
         Returns the recovered perturbation ``w_t``.
         """
-        if self._last is None or self._last[0] != t:
-            raise ConfigurationError("update(t) must follow act(t)")
-        closed, AB, closed_T, B_T = self._validated(A_t, B_t, self._last[3])
-        w_t = np.asarray(x_next, dtype=float) - AB.dot(self._last[1])
+        K_t, xu = self._turn(t)[3:]
+        dynamics = self._validated(A_t, B_t, K_t)
+        w_t = np.asarray(x_next, dtype=float) - dynamics[4].dot(xu)
         ww = w_t.dot(w_t)
         # w.w is finite exactly when every entry is, unless it overflows.
         if not math.isfinite(ww) and not np.isfinite(w_t).all():
             raise EvaluationError(f"recovered perturbation is non-finite at t={t}; aborting run")
-        if self.delta_hat is None:
-            self._start(closed)
-
-        loss, grad = self._loss_and_gradient(_resolve_cost(cost, t))
-        self._learn(grad, t, loss, math.sqrt(ww))
-        self._advance(closed_T, B_T, w_t)
+        self._step(t, cost, dynamics, math.sqrt(ww), w_t)
         self._push(w_t)
-        self._last = None
         return w_t
 
 
@@ -566,11 +572,10 @@ class GRCController(_DisturbanceFeedback):
     through the cached Markov operators ``F_i``, and take one projected
     OGD step on ``l_t(M) = c_t(y_t(M), u_t(M))``.
 
-    Runs on the core shared with :class:`GPCController`: the ``ynat``
-    window and the ``H_trunc``-deep stack of ``F_i`` are allocated at the
-    first update and updated in place.  ``A_t`` must have spectral radius
-    below 1, checked whenever ``(A_t, B_t, C_t)`` differ from the last
-    dynamics validated.  ``C_t = None`` means the state is observed.
+    Runs on the learner step shared with :class:`GPCController`.  ``A_t``
+    must have spectral radius below 1, checked whenever ``(A_t, B_t, C_t)``
+    differ from the last dynamics validated.  ``C_t = None`` means the
+    state is observed.
 
     The cost is evaluated on (observation, control) pairs.  ``d_y`` is the
     observation dimension; ``h`` (the window holds ``h + 1`` matrices,
@@ -608,61 +613,33 @@ class GRCController(_DisturbanceFeedback):
         ynat = self.tracker.observe(np.asarray(y, dtype=float), C_t)
         self._push(ynat)
         u = self._feedback()
-        self._last = (t, ynat, u)
+        self._last = (t, ynat, u, None)
         return u.copy()
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[np.ndarray]) -> tuple:
-        A_t = _as_matrix(A_t, "A_t")
-        B_t = _as_matrix(B_t, "B_t")
         C_t = self._output(C_t)
         if spectral_radius(A_t) >= 1.0:
             raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
-        return A_t, B_t, C_t, A_t.T.copy(), B_t.T.copy()
-
-    def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
-        """``(y_t(M), u_t(M), Zh)`` at the parameters now held."""
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        Zh, u, z = self._rollout()
-        return self._last[1] + (z if C is None else C.dot(z)), u, Zh
+        return C_t, A_t, A_t.T.copy(), B_t.T.copy(), B_t
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
         valid between act() and update()."""
         return self._counterfactual(self._output(C_t))[:2]
 
-    def _loss_and_gradient(self, cost_t: object, C: Optional[np.ndarray]) -> tuple:
-        y_cf, u_cf, Zh = self._counterfactual(C)
-        loss, half_grad = cost_t.stage(y_cf, u_cf)
-        grad = half_grad + half_grad  # twice the half gradient, exactly
-        gy, gu = grad[: self.d_y], grad[self.d_y :]
-        return loss, self._pullback(gy if C is None else C.T.dot(gy), gu, Zh)
-
     def loss_and_gradient(self, cost: object,
                           C_t: Optional[object] = None) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient, shaped like ``Ms``.  Valid between act() and
         update()."""
-        C = self._output(C_t)
-        if self._last is None:
-            raise ConfigurationError("call act() before querying counterfactuals")
-        loss, grad = self._loss_and_gradient(_resolve_cost(cost, self._last[0]), C)
-        return loss, self._stacked(grad)
+        return self._stacked_loss_and_gradient(cost, self._output(C_t))
 
     def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
-        """Advance nature's-y, take the OGD step on ``l_t``, refresh caches."""
-        if self._last is None or self._last[0] != t:
-            raise ConfigurationError("update(t) must follow act(t)")
-        A_t, B_t, C, A_T, B_T = self._validated(A_t, B_t, C_t)
-        _, ynat, u_played = self._last
-        if self.delta_hat is None:
-            self._start(A_t)
-
-        loss, grad = self._loss_and_gradient(_resolve_cost(cost, t), C)
-        self._learn(grad, t, loss, math.sqrt(ynat.dot(ynat)))
-        self.tracker.advance(A_t, B_t, u_played)
-        self._advance(A_T, B_T)
-        self._last = None
+        """Take the OGD step on ``l_t``, refresh caches, advance nature's y."""
+        ynat, u_played = self._turn(t)[1:3]
+        dynamics = self._validated(A_t, B_t, C_t)
+        self._step(t, cost, dynamics, math.sqrt(ynat.dot(ynat)))
+        self.tracker.advance(dynamics[1], dynamics[4], u_played)
 
 
 def grc_runner(

@@ -40,6 +40,7 @@ from .lds_core import (
     LinearSystem,
     PerturbationSource,
     _as_matrix,
+    _as_vector,
     simulate,
     spectral_radius,
 )
@@ -330,7 +331,8 @@ class DACPolicy(_WindowPolicy):
         (zero-padded before the first step).  All share one shape, which a
         fixed ``K`` and every ``K_t`` must have too.
     offset : array_like, optional
-        Constant control offset (disabled when None).
+        Constant control offset (disabled when None), a vector with one
+        entry per row of the blocks (or of a fixed ``K``).
     gamma : float, optional
         Budget on the sum of spectral norms of the ``M_i``.
     """
@@ -347,6 +349,9 @@ class DACPolicy(_WindowPolicy):
         self._K_provider: Optional[Callable[[int], object]] = K if callable(K) else None
         self._K_fixed: Optional[np.ndarray] = None if callable(K) else _coerce_gain(K, "K")
         super().__init__(Ms, 1, gamma, None if self._K_fixed is None else self._K_fixed.shape)
+        rows = self.Ms[0] if self.Ms else self._K_fixed
+        if offset is not None and rows is not None:
+            offset = _as_vector(offset, rows.shape[0], "offset")
         self.offset = None if offset is None else np.asarray(offset, dtype=float)
 
     def gain(self, t: int) -> np.ndarray:

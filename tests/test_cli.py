@@ -307,12 +307,28 @@ def test_spectral_subcommand_caches_basis():
         # Second run hits the cache and succeeds identically.
         code2, _, _ = run_cli(argv)
         assert code2 == 0
+        # A truncated cache (as a killed writer could leave) is a
+        # configuration error, not a numpy traceback.
+        with open(basis_path, "rb") as fh:
+            whole = fh.read()
+        for cut in (whole[:3000], whole[:-1]):
+            with open(basis_path, "wb") as fh:
+                fh.write(cut)
+            code3, _, err = run_cli(argv)
+            assert code3 == 2
+            assert "malformed" in err
 
 
 def test_configuration_error_exit_code():
     code, _, err = run_cli(["simulate", "--preset", "no-such-scenario"])
     assert code == 2
     assert "configuration error" in err
+
+    # Noise levels are standard deviations: a negative one is refused.
+    for flag, level in (("--process-noise", "-1"), ("--obs-noise", "-0.5"), ("--obs-noise", "nan")):
+        code, out, err = run_cli(["filter", "--preset", "b747", "--horizon", "20", flag, level])
+        assert code == 2
+        assert flag in err and "mse" not in out
 
     # Observation costs cannot feed the identification pipeline.
     code, _, err = run_cli(["sysid", "--preset", "ventilator", "--horizon", "300"])

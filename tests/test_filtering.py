@@ -924,6 +924,17 @@ def test_basis_save_load_roundtrip():
         again = cached_basis(25, 7, tmp)
         assert np.array_equal(built.vectors, again.vectors)
         assert np.array_equal(built.vectors, basis.vectors)
+        # A file that is not a whole basis is a configuration error.
+        with open(path, "rb") as fh:
+            whole = fh.read()
+        lines = whole.split(b"\n")
+        for bad in (b"", whole[:-1], whole[: len(whole) // 2], b"25\n" + whole,
+                    whole.replace(lines[3], lines[3] + b" 1", 1),
+                    whole.replace(lines[1].split()[0], b"nan", 1)):
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with pytest.raises(ConfigurationError, match="malformed"):
+                load_basis(path)
 
 
 @pytest.mark.parametrize("T, h", [(2, 1), (2, 2), (25, 7)])

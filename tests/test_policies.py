@@ -143,6 +143,12 @@ def test_budget_gates():
         GLCPolicy([np.ones((1, 2)), np.ones((2, 2))])
     with pytest.raises(ConfigurationError, match="one shape"):
         DRCPolicy([np.ones((1, 2)), np.ones((1, 3))], d_x=2)
+    # An offset that is not a vector with one entry per control.
+    for offset in ([1.0, 2.0], [], [[1.0]]):
+        with pytest.raises(ConfigurationError, match="offset"):
+            DACPolicy([[1.0]], [[[2.0]]], offset=offset)
+    with pytest.raises(ConfigurationError, match="offset"):
+        DACPolicy(np.ones((1, 2)), [], offset=[1.0, 2.0])
     # A t -> K_t provider is checked against the blocks when it is called.
     varying = DACPolicy(lambda t: np.ones((2, 2)), [np.ones((1, 2))])
     with pytest.raises(ConfigurationError, match="K_3"):
