@@ -43,15 +43,14 @@ from .filtering import (
 )
 from .harness import (
     ScenarioConfig,
+    _write_report,
     component_seed,
     config_from_preset,
     generate_perturbations,
     learner_options,
     load_config,
-    report_summary,
     run_experiment,
     scenario_presets,
-    write_report_csv,
 )
 from .lds_core import PerturbationSource
 from .serialize import write_csv, write_json_summary
@@ -178,10 +177,19 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
         f"B_error={extras['B_error']:.3g} avg_regret={report.final_avg_regret:.6g}"
     )
     if config.out_dir:
-        write_report_csv(report, os.path.join(config.out_dir, "report.csv"))
-        write_json_summary(
-            os.path.join(config.out_dir, "summary.json"), report_summary(report)
-        )
+        _write_report(report, config.out_dir)
+        print(f"artifacts written to {config.out_dir}")
+    return 0
+
+
+def _finish(config: ScenarioConfig, line: str, csv_name: str, columns: list, rows: object,
+            summary: dict) -> int:
+    """Print a command's result ``line``; with ``--out``, write ``rows`` to
+    ``csv_name`` and ``summary`` to ``summary.json`` there."""
+    print(line)
+    if config.out_dir:
+        write_csv(os.path.join(config.out_dir, csv_name), columns, rows)
+        write_json_summary(os.path.join(config.out_dir, "summary.json"), summary)
         print(f"artifacts written to {config.out_dir}")
     return 0
 
@@ -236,19 +244,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         "mse_state": float(state_err.dot(state_err)) / T,
         "mse_obs": float(obs_err.dot(obs_err)) / T,
     }
-    print(
-        f"{config.name}: kalman T={T} seed={config.seed} "
-        f"mse_state={summary['mse_state']:.6g} mse_obs={summary['mse_obs']:.6g}"
-    )
-    if config.out_dir:
-        write_csv(
-            os.path.join(config.out_dir, "filter.csv"),
-            ["t", "state_error", "obs_error", "sigma_trace"],
-            rows,
-        )
-        write_json_summary(os.path.join(config.out_dir, "summary.json"), summary)
-        print(f"artifacts written to {config.out_dir}")
-    return 0
+    line = (f"{config.name}: kalman T={T} seed={config.seed} "
+            f"mse_state={summary['mse_state']:.6g} mse_obs={summary['mse_obs']:.6g}")
+    return _finish(config, line, "filter.csv", ["t", "state_error", "obs_error", "sigma_trace"],
+                   rows, summary)
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
@@ -297,20 +296,10 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         "avg_loss": float(losses.mean()),
         "last_quarter_avg_loss": last_quarter,
     }
-    print(
-        f"{config.name}: spectral T={T} filters={h} seed={config.seed} "
-        f"avg_loss={summary['avg_loss']:.6g} "
-        f"last_quarter={summary['last_quarter_avg_loss']:.6g}"
-    )
-    if config.out_dir:
-        write_csv(
-            os.path.join(config.out_dir, "spectral.csv"),
-            ["t", "sq_error", "avg_loss"],
-            rows,
-        )
-        write_json_summary(os.path.join(config.out_dir, "summary.json"), summary)
-        print(f"artifacts written to {config.out_dir}")
-    return 0
+    line = (f"{config.name}: spectral T={T} filters={h} seed={config.seed} "
+            f"avg_loss={summary['avg_loss']:.6g} "
+            f"last_quarter={summary['last_quarter_avg_loss']:.6g}")
+    return _finish(config, line, "spectral.csv", ["t", "sq_error", "avg_loss"], rows, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,6 +23,7 @@ only as a reference.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -389,6 +390,19 @@ def learn_linear_step(
 # ---------------------------------------------------------------------------
 
 
+def _whole(value: object, minimum: int, name: str) -> int:
+    """``value`` as an int, if it is a whole number (``2000.0`` is) of at
+    least ``minimum``; otherwise a configuration error, also for NaN and
+    infinity."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (number.is_integer() and number >= minimum):
+        raise ConfigurationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(number)
+
+
 def _z_edge(j: np.ndarray) -> np.ndarray:
     """First row and column of ``Z_T`` past the corner: ``Z[0][j]`` for
     ``j >= 1``."""
@@ -407,9 +421,7 @@ def build_Z(T: int) -> np.ndarray:
 
     This is the dense reference; :func:`spectral_basis` never forms it.
     """
-    T = int(T)
-    if T < 2:
-        raise ConfigurationError("build_Z requires T >= 2")
+    T = _whole(T, 2, "build_Z's T")
     Z = np.empty((T, T))
     Z[0, 0] = 1.0
     j = np.arange(1, T, dtype=float)
@@ -451,15 +463,14 @@ def _z_operator(T: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def hankel_W(T: int) -> np.ndarray:
     """Hankel matrix ``W[i][j] = 1/(i + j + 1)`` (zero-based)."""
-    T = int(T)
-    if T < 1:
-        raise ConfigurationError("hankel_W requires T >= 1")
+    T = _whole(T, 1, "hankel_W's T")
     idx = np.arange(T, dtype=float)
     return 1.0 / (np.add.outer(idx, idx) + 1.0)
 
 
 def mu_vector(alpha: float, T: int) -> np.ndarray:
     """Decay profile ``mu_a = [1, (a-1), (a-1)a, ..., (a-1)a^{T-2}]``."""
+    T = _whole(T, 1, "mu_vector's T")
     mu = np.empty(T)
     mu[0] = 1.0
     mu[1:] = (alpha - 1.0) * alpha ** np.arange(T - 1, dtype=float)
@@ -512,15 +523,14 @@ def spectral_basis(T: int, h: int) -> SpectralBasis:
     Raises
     ------
     ConfigurationError
-        If ``h > T``, ``T < 2`` or ``h < 1``.
+        If ``T`` or ``h`` is not a whole number, or if ``h > T``, ``T < 2``
+        or ``h < 1``.
     EvaluationError
         If the iteration does not converge within its iteration cap.
     """
-    T, h = int(T), int(h)
+    T, h = _whole(T, 2, "spectral_basis's T"), _whole(h, 1, "spectral_basis's h")
     if h > T:
         raise ConfigurationError("spectral basis size h cannot exceed the horizon T")
-    if T < 2 or h < 1:
-        raise ConfigurationError("spectral_basis requires T >= 2 and h >= 1")
     apply_Z = _z_operator(T)
     p = min(T, h + _OVERSAMPLE)
     start = np.random.default_rng(_START_SEED).standard_normal((T, p))
@@ -596,12 +606,31 @@ class SpectralPredictor:
     coefficient matrix per basis filter.  Learning is projected OGD on the
     squared error (Euclidean ball of radius ``kappa`` on the stacked
     coefficients); the previous prediction is treated as a constant.
+
+    The OGD point is the one copy of the coefficients: ``M0`` and ``M`` are
+    held as views of it.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``M0`` is not a matrix, ``M`` is not ``(basis.h, *M0.shape)``,
+        or ``ogd.point`` is not ``[M0, M]`` flattened.
     """
 
     basis: SpectralBasis
     M0: np.ndarray  # (d_y, d_u)
     M: np.ndarray  # (h, d_y, d_u)
     ogd: OGDState
+
+    def __post_init__(self):
+        M0, M, point = np.asarray(self.M0, float), np.asarray(self.M, float), self.ogd.point
+        if M0.ndim != 2 or M.shape != (self.basis.h, *M0.shape):
+            raise ConfigurationError(f"M0 has shape {M0.shape} and M {M.shape}; M0 must be a "
+                                     f"matrix and M (basis.h, *M0.shape), basis.h = {self.basis.h}")
+        if not np.array_equal(point, np.concatenate((M0.ravel(), M.ravel())), equal_nan=True):
+            raise ConfigurationError("the OGD point is not [M0, M] flattened")
+        object.__setattr__(self, "M0", point[: M0.size].reshape(M0.shape))
+        object.__setattr__(self, "M", point[M0.size :].reshape(M.shape))
 
     @classmethod
     def zeros(
@@ -705,20 +734,8 @@ def _spectral_learn(
 
 
 def _scratch(predictor: SpectralPredictor) -> tuple:
-    """Empty ``(features, grad)`` buffers for :func:`_spectral_learn`.
-
-    Raises
-    ------
-    ConfigurationError
-        If the OGD point does not have one entry per coefficient.
-    """
+    """Empty ``(features, grad)`` buffers for :func:`_spectral_learn`."""
     h, d_y, d_u = predictor.M.shape
-    size = (h + 1) * d_y * d_u
-    if predictor.ogd.point.shape != (size,):
-        raise ConfigurationError(
-            f"gradient dimension {size} does not match point dimension "
-            f"{predictor.ogd.point.shape[0]}"
-        )
     return np.empty((h + 1, d_u)), np.empty((h + 1, d_y, d_u))
 
 
@@ -768,6 +785,10 @@ class OnlineSpectralFilter:
 
     def __init__(self, predictor: SpectralPredictor, d_u: int):
         self.d_u = int(d_u)
+        if self.d_u != predictor.M0.shape[1]:
+            raise ConfigurationError(
+                f"d_u = {self.d_u}, but the predictor takes {predictor.M0.shape[1]} inputs"
+            )
         self._basis = predictor.basis
         self._M0, self._M, self._ogd = predictor.M0, predictor.M, predictor.ogd
         self._features, self._grad = _scratch(predictor)

@@ -717,7 +717,16 @@ def linear_rollout_costs(
 
 @dataclass
 class RegretReport:
-    """Per-step account of a learner run against an offline comparator."""
+    """Per-step account of a learner run against an offline comparator.
+
+    ``costs`` and ``comparator_costs`` are the per-step costs of the run and
+    of the comparator on the same perturbations, and ``state_norms`` holds
+    ``||x_t||`` per step, ``t = 0 .. T-1``.  ``gamma`` is the run's state
+    bound ``max_t ||x_t||`` over all ``T + 1`` states, the final one
+    included, and ``wall_clock`` the seconds from the start of the run to
+    the report, comparator included.  :func:`report_summary` adds
+    ``extras`` to the summary.
+    """
 
     controller: str
     comparator: str
@@ -782,6 +791,23 @@ def write_report_csv(report: RegretReport, path: str) -> None:
         for t in range(report.horizon)
     ]
     write_csv(path, CSV_COLUMNS, rows)
+
+
+def _regret_report(controller: str, comparator: str, costs: np.ndarray,
+                   comparator_costs: np.ndarray, states: np.ndarray, seed: int,
+                   start_time: float, extras: Optional[dict] = None) -> RegretReport:
+    """The report of a run of ``T = len(costs)`` steps through the ``T + 1``
+    ``states``, timed from ``start_time``."""
+    norms = np.linalg.norm(states, axis=1)
+    return RegretReport(controller, comparator, costs, comparator_costs, norms[:-1],
+                        horizon=len(costs), seed=int(seed), gamma=float(norms.max()),
+                        wall_clock=time.perf_counter() - start_time, extras=extras or {})
+
+
+def _write_report(report: RegretReport, out_dir: str) -> None:
+    """Write ``report.csv`` and ``summary.json`` into ``out_dir``."""
+    write_report_csv(report, os.path.join(out_dir, "report.csv"))
+    write_json_summary(os.path.join(out_dir, "summary.json"), report_summary(report))
 
 
 def report_summary(report: RegretReport) -> dict:
@@ -1043,22 +1069,10 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
     else:  # "none"
         comparator_costs = np.zeros(T)
 
-    report = RegretReport(
-        controller=label,
-        comparator=comp_kind,
-        costs=costs,
-        comparator_costs=comparator_costs,
-        state_norms=np.linalg.norm(trajectory.states[:-1], axis=1),
-        horizon=T,
-        seed=config.seed,
-        gamma=trajectory.gamma,
-        wall_clock=time.perf_counter() - start_time,
-    )
+    report = _regret_report(label, comp_kind, costs, comparator_costs, trajectory.states,
+                            config.seed, start_time)
     if config.out_dir:
-        write_report_csv(report, os.path.join(config.out_dir, "report.csv"))
-        write_json_summary(
-            os.path.join(config.out_dir, "summary.json"), report_summary(report)
-        )
+        _write_report(report, config.out_dir)
     return report
 
 

@@ -217,6 +217,13 @@ def _default_depth(h: int, delta_hat: float) -> int:
     return 2 * h + int(math.ceil(math.log(1.0 / EPS_TRUNC) / delta_hat))
 
 
+def _shaped(M: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``M``, if it has ``shape``."""
+    if M.shape != shape:
+        raise ConfigurationError(f"{name} has shape {M.shape}, expected {shape}")
+    return M
+
+
 def _resolve_cost(cost: object, t: int) -> object:
     """Costs may be a fixed object or a provider ``t -> cost object``."""
     if hasattr(cost, "stage"):
@@ -263,10 +270,10 @@ class _DisturbanceFeedback:
       The stack moves on by one matrix product into a spare buffer that is
       swapped in.
 
-    ``update`` validates the dynamics matrices, and derives what the
-    subclass needs of them, only when their content differs from the last
-    validated ones: the comparison is by shape and bytes, so a matrix
-    mutated in place is validated again.
+    ``update`` validates the dynamics matrices, their shapes included, and
+    derives what the subclass needs of them, only when their content differs
+    from the last validated ones: the comparison is by shape and bytes, so a
+    matrix mutated in place is validated again.
     """
 
     #: Telemetry key of the norm of the signal recorded at each update.
@@ -335,7 +342,9 @@ class _DisturbanceFeedback:
             extra = np.asarray(extra, dtype=float)
             key += (extra.shape, extra.tobytes())
         if key != self._dynamics_key:
-            self._dynamics = self._validate(_as_matrix(A_t, "A_t"), _as_matrix(B_t, "B_t"), extra)
+            A_t = _shaped(_as_matrix(A_t, "A_t"), (self.d_x, self.d_x), "A_t")
+            B_t = _shaped(_as_matrix(B_t, "B_t"), (self.d_x, self.d_u), "B_t")
+            self._dynamics = self._validate(A_t, B_t, extra)
             self._dynamics_key = key
         return self._dynamics
 
@@ -455,7 +464,9 @@ class GPCController(_DisturbanceFeedback):
     d_x, d_u : int
         State and control dimensions.
     K : array_like or callable
-        Stabilizing gain (``u = Kx`` convention) or provider ``t -> K_t``.
+        Stabilizing gain (``u = Kx`` convention) or provider ``t -> K_t``,
+        of shape (d_u, d_x): a fixed gain is checked here, a provided one
+        by :meth:`gain` when ``act`` reads it.
     h : int
         Number of learned disturbance-action matrices.
     radius : float
@@ -491,12 +502,15 @@ class GPCController(_DisturbanceFeedback):
         if self.h < 1:
             raise ConfigurationError("GPC needs a window h >= 1")
         self._K_provider = K if callable(K) else None
-        self._K_fixed = None if callable(K) else _as_matrix(K, "K")
+        self._K_fixed = None
+        if not callable(K):
+            self._K_fixed = _shaped(_as_matrix(K, "K"), (self.d_u, self.d_x), "K")
         super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc)
 
     def gain(self, t: int) -> np.ndarray:
-        K = self._K_fixed
-        return K if K is not None else _as_matrix(self._K_provider(t), f"K_{t}")
+        if self._K_fixed is not None:
+            return self._K_fixed
+        return _shaped(_as_matrix(self._K_provider(t), f"K_{t}"), (self.d_u, self.d_x), f"K_{t}")
 
     def act(self, t: int, x: object) -> np.ndarray:
         """Emit ``u_t`` from the current parameters and perturbation window."""
@@ -604,9 +618,15 @@ class GRCController(_DisturbanceFeedback):
         super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc)
         self.tracker = NaturesYTracker(self.d_x)
 
-    @staticmethod
-    def _output(C_t: Optional[object]) -> Optional[np.ndarray]:
-        return None if C_t is None else _as_matrix(C_t, "C_t")
+    def _output(self, C_t: Optional[object]) -> Optional[np.ndarray]:
+        """``C_t`` checked to be (d_y, d_x); None (the state observed) needs
+        ``d_y = d_x``."""
+        if C_t is None and self.d_y != self.d_x:
+            raise ConfigurationError(f"C_t = None observes the state, but d_y = {self.d_y} "
+                                     f"and d_x = {self.d_x}")
+        if C_t is None:
+            return None
+        return _shaped(_as_matrix(C_t, "C_t"), (self.d_y, self.d_x), "C_t")
 
     def act(self, t: int, y: object, C_t: Optional[object] = None) -> np.ndarray:
         """Compute ``ynat_t`` from the observation and emit ``u_t``."""

@@ -360,6 +360,8 @@ class DACPolicy(_WindowPolicy):
         K = _coerce_gain(self._K_provider(t), f"K_{t}")
         if self.Ms and K.shape != self.Ms[0].shape:
             raise ConfigurationError(f"K_{t} has shape {K.shape}, the blocks {self.Ms[0].shape}")
+        if self.offset is not None and self.offset.shape != K.shape[:1]:
+            raise ConfigurationError(f"K_{t} has {K.shape[0]} rows, the offset {self.offset.shape}")
         return K
 
     def push_perturbation(self, w: np.ndarray) -> None:

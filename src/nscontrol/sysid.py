@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError
 from .harness import (
     RegretReport,
+    _regret_report,
     best_dac_in_hindsight,
     component_seed,
     dac_rollout_costs,
@@ -41,7 +42,7 @@ from .lds_core import (
     _all_finite,
     spectral_radius,
 )
-from .online_control import DEFAULT_H, GPCController
+from .online_control import DEFAULT_H, GPCController, gpc_runner
 from .optimal_control import dare_solve
 
 __all__ = [
@@ -489,7 +490,10 @@ def control_with_model(
     perturbations through ``(A_model, B_model)``, so any model error is
     treated as extra disturbance.  Returns the per-step costs actually
     incurred.  ``K`` defaults to the model's quadratic gain (zero for a
-    stable model without one).  ``learner`` holds the
+    stable model without one).  The controller runs through
+    :func:`~nscontrol.online_control.gpc_runner` on the model, so it learns
+    from step ``s`` when it acts at ``s + 1``: the last step's update, which
+    no later action would read, is not taken.  ``learner`` holds the
     :class:`~nscontrol.online_control.GPCController` options ``h``,
     ``radius``, ``step_size``, ``schedule`` and ``H_trunc``, forwarded as
     given (the horizon is ``n_steps``); the controller holds their
@@ -500,15 +504,14 @@ def control_with_model(
     if K is None:
         K = _gain_for_identified(A_model, B_model, cost)
     controller = GPCController(box.d_x, box.d_u, K, horizon=int(n_steps), **learner)
+    policy = gpc_runner(controller, LinearSystem.time_invariant(A_model, B_model), cost)
     out = np.zeros(int(n_steps))
     x = box.read_state()
     for s in range(int(n_steps)):
-        u = controller.act(s, x)
+        u = policy(s, x, x)
         out[s] = cost.value(x, u)
         box.apply_control(u)
-        x_next = box.read_state()
-        controller.update(s, A_model, B_model, x_next, cost)
-        x = x_next
+        x = box.read_state()
     return out
 
 
@@ -581,7 +584,6 @@ def identify_then_control(
     comparator_costs = dac_rollout_costs(truth, cost, K_hat, Ms, w_record, states[0])
 
     costs = np.concatenate([explore_costs, exploit_costs])
-    gamma = float(np.max(np.linalg.norm(w_record, axis=1))) if len(w_record) else 0.0
     extras = {
         "T0": int(T0),
         "k": int(k),
@@ -590,15 +592,5 @@ def identify_then_control(
         "exploitation_cost": float(exploit_costs.sum()),
     }
     extras.update(identification_summary(estimates, identified, truth))
-    return RegretReport(
-        controller="identify-then-control",
-        comparator="best-dac",
-        costs=costs,
-        comparator_costs=comparator_costs,
-        state_norms=np.linalg.norm(states[:T], axis=1),
-        horizon=T,
-        seed=int(seed),
-        gamma=gamma,
-        wall_clock=time.perf_counter() - start_time,
-        extras=extras,
-    )
+    return _regret_report("identify-then-control", "best-dac", costs, comparator_costs,
+                          states, seed, start_time, extras)

@@ -1058,7 +1058,8 @@ def test_spectral_gradient_matches_finite_differences():
     gradM = (predictor.M - updated.M) / eta
 
     def loss(M0v, Mv):
-        p = SpectralPredictor(basis=basis, M0=M0v, M=Mv, ogd=ogd)
+        point = np.concatenate([M0v.ravel(), Mv.ravel()])
+        p = SpectralPredictor(basis=basis, M0=M0v, M=Mv, ogd=OGDState(point=point))
         y_hat = spectral_predict(p, u_tilde, y_prev)
         return float(np.sum((y_hat - y_true) ** 2))
 
@@ -1163,3 +1164,65 @@ def test_online_spectral_filter_rejects_wrong_input_size():
     filt = OnlineSpectralFilter(SpectralPredictor.zeros(basis, d_y=1, d_u=2), d_u=2)
     with pytest.raises(ConfigurationError, match="u_prev must have 2 entries"):
         filt.step(np.ones(1), np.zeros(1))
+
+
+_BAD_SIZES = [
+    (spectral_basis, (2.5, 1)),
+    (spectral_basis, (10, math.nan)),
+    (spectral_basis, (math.inf, 2)),
+    (spectral_basis, (10, 0)),
+    (spectral_basis, (1, 1)),
+    (build_Z, (3.5,)),
+    (build_Z, (math.nan,)),
+    (build_Z, (1,)),
+    (hankel_W, (1.5,)),
+    (hankel_W, (-math.inf,)),
+    (hankel_W, (0,)),
+    (mu_vector, (0.5, 0)),
+    (mu_vector, (0.5, 2.25)),
+    (mu_vector, (0.5, math.nan)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", _BAD_SIZES, ids=[f"{fn.__name__}{args}" for fn, args in _BAD_SIZES]
+)
+def test_spectral_sizes_must_be_whole_numbers_at_their_minimum(fn, args):
+    # A fraction used to be truncated (spectral_basis(2.5, 1) gave a T = 2
+    # basis, hankel_W(1.5) a 1 x 1 matrix), and NaN or a size of 0 ended in
+    # a raw TypeError, ValueError or IndexError.
+    with pytest.raises(ConfigurationError, match="must be a whole number"):
+        fn(*args)
+
+
+def test_spectral_sizes_accept_whole_floats():
+    assert spectral_basis(20.0, 4.0).vectors.shape == (4, 20)
+    assert np.array_equal(build_Z(5.0), build_Z(5))
+    assert np.array_equal(hankel_W(4.0), hankel_W(4))
+    assert np.array_equal(mu_vector(0.5, 6.0), mu_vector(0.5, 6))
+
+
+def test_spectral_predictor_keeps_one_copy_of_its_coefficients():
+    from nscontrol.online_control import OGDState
+
+    basis = spectral_basis(20, 3)
+    # A zero point under M = 1 used to predict from M and then step from the
+    # zero point, dropping M without a word.
+    with pytest.raises(ConfigurationError, match=r"not \[M0, M\] flattened"):
+        SpectralPredictor(basis, np.zeros((1, 1)), np.ones((3, 1, 1)), OGDState(np.zeros(4)))
+    with pytest.raises(ConfigurationError, match=r"not \[M0, M\] flattened"):
+        SpectralPredictor(basis, np.zeros((1, 1)), np.zeros((3, 1, 1)), OGDState(np.zeros(5)))
+    with pytest.raises(ConfigurationError, match=r"M \(2, 1, 1\)"):
+        SpectralPredictor(basis, np.zeros((1, 1)), np.zeros((2, 1, 1)), OGDState(np.zeros(3)))
+    with pytest.raises(ConfigurationError, match="M0 must be a matrix"):
+        SpectralPredictor(basis, np.zeros(1), np.zeros((3, 1)), OGDState(np.zeros(4)))
+    point = np.arange(8.0)
+    predictor = SpectralPredictor(basis, point[:2].reshape(1, 2), point[2:].reshape(3, 1, 2),
+                                  OGDState(point))
+    assert np.shares_memory(predictor.M0, predictor.ogd.point)
+    assert np.shares_memory(predictor.M, predictor.ogd.point)
+    _, stepped = learn_spectral_step(predictor, np.ones((20, 2)), [0.0], None, [1.0])
+    assert np.array_equal(np.concatenate([stepped.M0.ravel(), stepped.M.ravel()]),
+                          stepped.ogd.point)
+    with pytest.raises(ConfigurationError, match="d_u = 1, but the predictor takes 2 inputs"):
+        OnlineSpectralFilter(predictor, d_u=1)

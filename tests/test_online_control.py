@@ -1340,3 +1340,37 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
     assert np.allclose(u_cf, learned, rtol=1e-14, atol=0.0)
     u_cf[...] = np.nan
     assert np.isfinite(controller._last[2]).all()
+
+
+def test_learners_reject_dynamics_of_the_wrong_shape():
+    # Each call below ended in a raw numpy ValueError before the learners
+    # checked the shapes of the dynamics they are handed.
+    cost = QuadraticCost(Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(ConfigurationError, match=r"K has shape \(3, 3\)"):
+        GPCController(2, 1, np.ones((3, 3))).act(0, np.zeros(2))
+    gpc = GPCController(2, 1, np.zeros((1, 2)))
+    gpc.act(0, np.ones(2))
+    gpc.update(0, 0.5 * np.eye(2), np.ones((2, 1)), np.ones(2), cost)
+    gpc.act(1, np.ones(2))
+    with pytest.raises(ConfigurationError, match=r"A_t has shape \(3, 3\), expected \(2, 2\)"):
+        gpc.update(1, 0.5 * np.eye(3), np.ones((2, 1)), np.ones(2), cost)
+    with pytest.raises(ConfigurationError, match=r"B_t has shape \(2, 2\), expected \(2, 1\)"):
+        gpc.update(1, 0.5 * np.eye(2), np.ones((2, 2)), np.ones(2), cost)
+    # A provided K_t of the wrong shape used to play a 2-vector for d_u = 1.
+    with pytest.raises(ConfigurationError, match=r"K_0 has shape \(2, 2\), expected \(1, 2\)"):
+        GPCController(2, 1, lambda t: np.zeros((2, 2))).act(0, np.ones(2))
+
+    grc = GRCController(3, 1, 2)
+    C = np.ones((2, 3))
+    grc.act(0, np.ones(2), C)
+    for wrong in (np.ones((2, 5)), np.ones((3, 3))):
+        with pytest.raises(ConfigurationError, match=r"C_t has shape"):
+            grc.counterfactuals(wrong)
+        with pytest.raises(ConfigurationError, match=r"C_t has shape"):
+            grc.loss_and_gradient(QuadraticCost(Q=np.eye(2), R=np.eye(1)), wrong)
+    with pytest.raises(ConfigurationError, match=r"C_t = None observes the state"):
+        grc.counterfactuals(None)
+    with pytest.raises(ConfigurationError, match=r"C_t has shape \(3, 3\), expected \(2, 3\)"):
+        grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), np.ones((3, 3)),
+                   QuadraticCost(Q=np.eye(2), R=np.eye(1)))
+    grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), C, QuadraticCost(Q=np.eye(2), R=np.eye(1)))

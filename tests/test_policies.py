@@ -628,3 +628,13 @@ def test_policy_runner_drc_on_partial_observation():
         assert np.max(np.abs(u - traj.controls[t])) < 1e-10
         tracker.advance(A, B, u)
         x = A @ x + B @ u + traj.perturbations[t]
+
+
+def test_dac_provider_gain_rows_must_match_the_offset():
+    # With a provider and no blocks, only K_t tells the number of controls:
+    # a 2-entry offset under a one-row K_t used to give a 2-vector control.
+    policy = DACPolicy(lambda t: np.ones((1, 2)), [], offset=[1.0, 2.0])
+    with pytest.raises(ConfigurationError, match="offset"):
+        policy.act([1.0, 1.0])
+    fitting = DACPolicy(lambda t: np.ones((2, 2)), [], offset=[1.0, 2.0])
+    assert np.array_equal(fitting.act([1.0, 1.0]), [3.0, 4.0])
