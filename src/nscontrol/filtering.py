@@ -23,7 +23,6 @@ only as a reference.
 from __future__ import annotations
 
 import io
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -31,7 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import TOL_PSD, _all_finite, _as_matrix, _as_vector, _check_psd
+from .lds_core import (
+    TOL_PSD, _all_finite, _as_matrix, _as_vector, _check_psd, _finite_vector, _whole,
+)
 from .online_control import OGDState, _ogd_step
 from .optimal_control import _riccati_step, dare_solve
 from .serialize import _atomic_write_text
@@ -75,11 +76,9 @@ class KalmanState:
     Sigma: np.ndarray
 
     def __post_init__(self):
-        x_hat = np.asarray(self.x_hat, dtype=float).ravel()
-        if not _all_finite(x_hat):
-            raise ConfigurationError("x_hat contains non-finite entries")
-        object.__setattr__(self, "x_hat", x_hat)
-        object.__setattr__(self, "Sigma", _check_psd(self.Sigma, "Sigma"))
+        Sigma = _check_psd(self.Sigma, "Sigma")
+        object.__setattr__(self, "x_hat", _finite_vector(np.ravel(self.x_hat), len(Sigma), "x_hat"))
+        object.__setattr__(self, "Sigma", Sigma)
 
 
 def _same(M: object, copy: np.ndarray) -> bool:
@@ -109,15 +108,8 @@ def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tu
         return noise
     raw_x = np.array(Sigma_x, dtype=float)
     raw_y = np.array(Sigma_y, dtype=float)
-    return raw_x, raw_y, _check_psd(raw_x, "Sigma_x"), _check_psd(raw_y, "Sigma_y"), {}
-
-
-def _finite_vector(v: object, dim: int, name: str) -> np.ndarray:
-    """:func:`_as_vector`, rejecting non-finite entries."""
-    v = _as_vector(v, dim, name)
-    if not _all_finite(v):
-        raise ConfigurationError(f"{name} contains non-finite entries")
-    return v
+    Sigma_x = _check_psd(raw_x, "Sigma_x", state.Sigma.shape)
+    return raw_x, raw_y, Sigma_x, _check_psd(raw_y, "Sigma_y"), {}
 
 
 def kalman_step(
@@ -167,7 +159,7 @@ def kalman_step(
 
     A miss runs every check.  A hit skips the ones whose verdict is already
     known: an entry is stored only after its ``A`` and ``C`` passed the
-    2-D and finiteness checks and its ``Sigma'`` passed the finiteness and
+    shape and finiteness checks and its ``Sigma'`` passed the finiteness and
     PSD checks, and a hit has the same shapes and bytes, so those checks
     would pass again.  The noise pair is still compared with its validated
     copies on every step, ``u`` and ``y`` are still checked, and each
@@ -177,8 +169,9 @@ def kalman_step(
     Raises
     ------
     ConfigurationError
-        If a noise covariance is not symmetric PSD, ``u`` or ``y`` has a
-        non-finite entry, or the new covariance is non-finite or not PSD.
+        If a matrix or vector does not fit the state's dimension, a noise
+        covariance is not symmetric PSD, ``u`` or ``y`` has a non-finite
+        entry, or the new covariance is non-finite or not PSD.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -187,8 +180,8 @@ def kalman_step(
     key = (A.shape, C.shape, Sigma.shape, A.tobytes(), C.tobytes(), Sigma.tobytes())
     hit = memo.get(key)
     if hit is None:
-        _as_matrix(A, "A")
-        _as_matrix(C, "C")
+        _as_matrix(A, "A", Sigma.shape)
+        _as_matrix(C, "C", (len(noise[3]), len(A)))
         # An overflow leaves a non-finite Sigma_next, rejected below.
         with np.errstate(over="ignore", invalid="ignore"):
             K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], Sigma)
@@ -199,7 +192,7 @@ def kalman_step(
         Sigma_next = Sigma_next.copy()
     x_hat = closed @ state.x_hat
     if B is not None and u is not None:
-        B = _as_matrix(B, "B")
+        B = _as_matrix(B, "B", (len(x_hat), None))
         x_hat = x_hat + B @ _finite_vector(u, B.shape[1], "u")
     if y is not None:
         x_hat = x_hat + L @ _finite_vector(y, C.shape[0], "y")
@@ -246,13 +239,15 @@ def kalman_steady_state(
     EvaluationError
         If the iteration does not converge within ``max_iter``, or diverges.
     ConfigurationError
-        If a noise covariance is not symmetric PSD, or the iteration
-        converges but the filter loop ``A - L C`` is not stable.
+        If a matrix has the wrong shape, a noise covariance is not symmetric
+        PSD, or the iteration converges but the filter loop ``A - L C`` is
+        not stable.
     """
-    A = _as_matrix(A, "A")
-    C = _as_matrix(C, "C")
+    A = _as_matrix(A, "A", "square")
+    C = _as_matrix(C, "C", (None, len(A)))
     sol = dare_solve(
-        A.T, C.T, _check_psd(Sigma_x, "Sigma_x"), _check_psd(Sigma_y, "Sigma_y"), tol, max_iter
+        A.T, C.T, _check_psd(Sigma_x, "Sigma_x", A.shape),
+        _check_psd(Sigma_y, "Sigma_y", (len(C), len(C))), tol, max_iter,
     )
     return sol.S, -sol.K.T
 
@@ -326,20 +321,20 @@ class LinearPredictor:
         return self.M2.shape[0]
 
 
-def _window(history: Sequence[object], count: int, dim: int) -> np.ndarray:
-    """Stack the ``count`` most recent vectors (most recent first),
-    zero-padding when the history is shorter."""
+def _window(history: Sequence[object], count: int, dim: int, name: str) -> np.ndarray:
+    """Stack the ``count`` most recent vectors (most recent first), each a
+    finite ``dim`` vector, zero-padding when the history is shorter."""
     out = np.zeros((count, dim))
     for i in range(min(count, len(history))):
-        out[i] = np.asarray(history[i], dtype=float)
+        out[i] = _finite_vector(history[i], dim, f"{name}[{i}]")
     return out
 
 
 def _linear_prediction(predictor: LinearPredictor, u_history: Sequence[object],
                        y_history: Sequence[object]) -> tuple:
     """``(y_hat, ys, us)``: the prediction and the zero-padded windows it reads."""
-    ys = _window(y_history, predictor.h, predictor.M1.shape[2])
-    us = _window(u_history, predictor.k, predictor.M2.shape[2] if predictor.k else 0)
+    ys = _window(y_history, predictor.h, predictor.M1.shape[2], "y_history")
+    us = _window(u_history, predictor.k, predictor.M2.shape[2] if predictor.k else 0, "u_history")
     y_hat = np.zeros(predictor.M1.shape[1])
     if predictor.h:
         y_hat += np.einsum("iab,ib->a", predictor.M1, ys)
@@ -366,7 +361,7 @@ def learn_linear_step(
 ) -> tuple[np.ndarray, LinearPredictor]:
     """Predict, incur the squared error against ``y_true``, and take one
     projected OGD step.  Returns the prediction and the updated predictor."""
-    y_true = np.asarray(y_true, dtype=float).ravel()
+    y_true = _finite_vector(y_true, predictor.M1.shape[1], "y_true")
     y_hat, ys, us = _linear_prediction(predictor, u_history, y_history)
     residual = 2.0 * (y_hat - y_true)
     if not np.all(np.isfinite(residual)):
@@ -388,19 +383,6 @@ def learn_linear_step(
 # ---------------------------------------------------------------------------
 # Spectral filtering
 # ---------------------------------------------------------------------------
-
-
-def _whole(value: object, minimum: int, name: str) -> int:
-    """``value`` as an int, if it is a whole number (``2000.0`` is) of at
-    least ``minimum``; otherwise a configuration error, also for NaN and
-    infinity."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not (number.is_integer() and number >= minimum):
-        raise ConfigurationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return int(number)
 
 
 def _z_edge(j: np.ndarray) -> np.ndarray:
@@ -642,6 +624,7 @@ class SpectralPredictor:
         step_scale: float = 0.1,
         schedule: str = "sqrt",
     ) -> "SpectralPredictor":
+        d_y, d_u = _whole(d_y, 1, "d_y"), _whole(d_u, 1, "d_u")
         M0 = np.zeros((d_y, d_u))
         M = np.zeros((basis.h, d_y, d_u))
         ogd = OGDState(
@@ -653,15 +636,17 @@ class SpectralPredictor:
         return cls(basis=basis, M0=M0, M=M, ogd=ogd)
 
 
-def _coerce_u_tilde(u_tilde: object, T: int) -> np.ndarray:
-    arr = np.asarray(u_tilde, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape[0] != T:
-        raise ConfigurationError(
-            f"padded input history must have length {T}, got {arr.shape[0]}"
-        )
-    return arr
+def _spectral_inputs(predictor: SpectralPredictor, u_tilde: object, y_prev: object,
+                     u_prev: Optional[object]) -> tuple:
+    """``(u_tilde, y_prev, u_last)`` checked against the predictor: ``u_tilde``
+    (T, d_u), a vector when d_u = 1, and finite d_y and d_u vectors;
+    ``u_last`` is ``u_prev``, or ``u_tilde[0]`` when it is None."""
+    d_y, d_u = predictor.M0.shape
+    u_tilde = np.asarray(u_tilde, dtype=float)
+    u_tilde = u_tilde[:, None] if u_tilde.ndim == 1 else u_tilde
+    u_tilde = _as_matrix(u_tilde, "u_tilde", (predictor.basis.T, d_u))
+    u_last = u_tilde[0] if u_prev is None else _finite_vector(u_prev, d_u, "u_prev")
+    return u_tilde, _finite_vector(y_prev, d_y, "y_prev"), u_last
 
 
 def _predict(
@@ -698,9 +683,7 @@ def spectral_predict(
     """Evaluate the difference-form prediction; ``u_tilde`` is the
     reversed, zero-padded length-T input history (``u_tilde[0]`` is
     ``u_{t-1}``) and ``y_prev`` the previous prediction."""
-    u_tilde = _coerce_u_tilde(u_tilde, predictor.basis.T)
-    y_prev = np.asarray(y_prev, dtype=float).ravel()
-    u_last = u_tilde[0] if u_prev is None else np.asarray(u_prev, dtype=float).ravel()
+    u_tilde, y_prev, u_last = _spectral_inputs(predictor, u_tilde, y_prev, u_prev)
     features = np.empty((predictor.M.shape[0] + 1, u_tilde.shape[1]))
     return _predict(
         predictor.basis.vectors, predictor.M0, predictor.M, u_tilde, y_prev, u_last, features
@@ -750,10 +733,8 @@ def learn_spectral_step(
     projected OGD step on the coefficients (the previous prediction is not
     differentiated through).  Returns the prediction and the updated
     predictor."""
-    u_tilde = _coerce_u_tilde(u_tilde, predictor.basis.T)
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    u_last = u_tilde[0] if u_prev is None else np.asarray(u_prev, dtype=float).ravel()
-    y_prev = np.asarray(y_prev, dtype=float).ravel()
+    u_tilde, y_prev, u_last = _spectral_inputs(predictor, u_tilde, y_prev, u_prev)
+    y_true = _finite_vector(y_true, len(y_prev), "y_true")
     features, grad = _scratch(predictor)
     y_hat, _, ogd = _spectral_learn(
         predictor.basis.vectors, predictor.M0, predictor.M, predictor.ogd, u_tilde, y_prev,
@@ -784,7 +765,7 @@ class OnlineSpectralFilter:
     """
 
     def __init__(self, predictor: SpectralPredictor, d_u: int):
-        self.d_u = int(d_u)
+        self.d_u = _whole(d_u, 1, "d_u")
         if self.d_u != predictor.M0.shape[1]:
             raise ConfigurationError(
                 f"d_u = {self.d_u}, but the predictor takes {predictor.M0.shape[1]} inputs"
@@ -805,15 +786,11 @@ class OnlineSpectralFilter:
     def step(self, u_prev: object, y_true: object) -> np.ndarray:
         """Predict ``y_t`` from the inputs up to ``u_{t-1}`` and the
         previous observation, then learn from the realized ``y_t``."""
-        u_prev = np.asarray(u_prev, dtype=float).ravel()
-        if u_prev.shape != (self.d_u,):
-            raise ConfigurationError(
-                f"u_prev must have {self.d_u} entries, got {u_prev.size}"
-            )
+        u_prev = _as_vector(u_prev, self.d_u, "u_prev")
+        y_true = _as_vector(y_true, len(self._y_prev), "y_true")
         T = self._buf.shape[0] // 2
         pos = self._pos = (self._pos - 1) % T
         self._buf[pos] = self._buf[pos + T] = u_prev
-        y_true = np.asarray(y_true, dtype=float).ravel()
         y_hat, error, self._ogd = _spectral_learn(
             self._basis.vectors, self._M0, self._M, self._ogd, self._buf[pos : pos + T],
             self._y_prev, u_prev, y_true, self._features, self._grad,

@@ -41,6 +41,9 @@ from .lds_core import (
     LinearSystem,
     PerturbationSource,
     QuadraticCost,
+    _as_matrix,
+    _finite_vector,
+    _whole,
     linearize,
     simulate,
     spectral_radius,
@@ -286,35 +289,17 @@ def generate_perturbations(
     and are mapped through it; the stream is seeded independently of any
     other component via the ``"perturbation"`` tag.
     """
+    T, d_x = _whole(T, 0, "horizon T"), _whole(d_x, 1, "d_x")
     rng = np.random.default_rng(component_seed(seed, "perturbation"))
-    d_raw = d_x if embedding is None else embedding.shape[1]
-    w = source.draw(0, int(T), d_raw, rng)
     if embedding is not None:
-        if embedding.shape[0] != d_x:
-            raise ConfigurationError(
-                f"noise embedding has {embedding.shape[0]} rows, state dimension is {d_x}"
-            )
-        w = w @ embedding.T
-    return w
+        embedding = _as_matrix(embedding, "noise embedding", (d_x, None))
+    w = source.draw(0, T, d_x if embedding is None else embedding.shape[1], rng)
+    return w if embedding is None else w @ embedding.T
 
 
 # ---------------------------------------------------------------------------
 # Counterfactual policy passes
 # ---------------------------------------------------------------------------
-
-
-def _coerce_K(K: object, d_u: int, d_x: int) -> np.ndarray:
-    K = np.asarray(K, dtype=float)
-    if K.shape != (d_u, d_x):
-        raise ConfigurationError(f"gain must be ({d_u}, {d_x}), got {K.shape}")
-    return K
-
-
-def _check_record(w_record: object) -> np.ndarray:
-    w_record = np.asarray(w_record, dtype=float)
-    if w_record.ndim != 2 or w_record.shape[0] == 0:
-        raise ConfigurationError("w_record must be a nonempty (T, d_x) array")
-    return w_record
 
 
 class _PolicyClass(NamedTuple):
@@ -414,6 +399,8 @@ def _policy_pass(
     """
     system, K, w_record, signals, depth, lag, x0, observe = policies
     T, d_s = signals.shape
+    if T == 0:
+        raise ConfigurationError(f"{label} needs a record of at least one step")
     d_x, d_u = system.d_x, system.d_u
     d_z = system.d_y if observe else d_x
     d_v, p = d_z + d_u, depth * d_u * d_s
@@ -572,9 +559,10 @@ def best_dac_in_hindsight(
     memory is bounded by one chunk, not by T.  Returns ``(Ms, total_cost)`` with
     ``Ms`` of shape (h, d_u, d_x).
     """
-    w_record = _check_record(w_record)
-    K = _coerce_K(K, system.d_u, system.d_x)
-    policies = _PolicyClass(system, K, w_record, w_record, int(h), 1, x0, False)
+    w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
+    x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
+    K = _as_matrix(K, "K", (system.d_u, system.d_x))
+    policies = _PolicyClass(system, K, w_record, w_record, _whole(h, 0, "h"), 1, x0, False)
     return _best_affine_policy(policies, cost, max_iter, tol, "action-policy comparator")
 
 
@@ -598,11 +586,12 @@ def best_drc_in_hindsight(
     ``tol``, with memory bounded by one chunk of steps.  Returns ``(Ms,
     total_cost)`` with ``Ms`` of shape (h+1, d_u, d_y).
     """
-    w_record = _check_record(w_record)
+    w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
+    x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
     K = np.zeros((system.d_u, system.d_x))
     with np.errstate(over="ignore", invalid="ignore"):
         ynat, _ = _closed_loop(system, K, w_record, x0, True)
-    policies = _PolicyClass(system, K, w_record, ynat, int(h) + 1, 0, x0, True)
+    policies = _PolicyClass(system, K, w_record, ynat, _whole(h, 0, "h") + 1, 0, x0, True)
     return _best_affine_policy(policies, cost, max_iter, tol, "response-policy comparator")
 
 
@@ -628,7 +617,8 @@ def best_linear_in_hindsight(
     start whose first pass is non-finite has diverged and is dropped.  A
     warning reports the decrement if the winning start spent its budget.
     """
-    w_record = _check_record(w_record)
+    w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
+    x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
     label = "linear-policy comparator"
 
     if starts is None:
@@ -646,7 +636,7 @@ def best_linear_in_hindsight(
 
     best = None
     for start in starts:
-        K0 = _coerce_K(start, system.d_u, system.d_x)
+        K0 = _as_matrix(start, "start", (system.d_u, system.d_x))
 
         def pass_at(m: Optional[np.ndarray]) -> tuple:
             K = K0 if m is None else K0 + m.reshape(K0.shape)
@@ -675,8 +665,11 @@ def dac_rollout_costs(
     x0: Optional[object] = None,
 ) -> np.ndarray:
     """Exact per-step counterfactual costs of a fixed action policy."""
-    w_record, Ms = np.asarray(w_record, dtype=float), np.asarray(Ms, dtype=float)
-    K = _coerce_K(K, system.d_u, system.d_x)
+    w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
+    x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
+    shape = (system.d_u, system.d_x)
+    K = _as_matrix(K, "K", shape)
+    Ms = np.array([_as_matrix(M, f"M_{i}", shape) for i, M in enumerate(Ms, 1)]).reshape(-1, *shape)
     policies = _PolicyClass(system, K, w_record, w_record, len(Ms), 1, x0, False)
     return _policy_rollout_costs(policies, cost, Ms)
 
@@ -690,7 +683,10 @@ def drc_rollout_costs(
 ) -> np.ndarray:
     """Exact per-step counterfactual costs of a fixed response policy
     (cost on observation/control pairs)."""
-    w_record, Ms = np.asarray(w_record, dtype=float), np.asarray(Ms, dtype=float)
+    w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
+    x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
+    shape = (system.d_u, system.d_y)
+    Ms = np.array([_as_matrix(M, f"M_{i}", shape) for i, M in enumerate(Ms)]).reshape(-1, *shape)
     K = np.zeros((system.d_u, system.d_x))
     ynat, _ = _closed_loop(system, K, w_record, x0, True)
     policies = _PolicyClass(system, K, w_record, ynat, len(Ms), 0, x0, True)
@@ -851,18 +847,16 @@ class ScenarioConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be at least 1")
+        self.horizon = _whole(self.horizon, 1, "horizon")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigurationError("seed must fit in 64 bits")
         if self.cost_on not in ("state", "observation"):
             raise ConfigurationError("cost_on must be 'state' or 'observation'")
         if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float)
-            if self.x0.shape != (self.system.d_x,):
-                raise ConfigurationError(
-                    f"x0 has shape {self.x0.shape}, state dimension is {self.system.d_x}"
-                )
+            self.x0 = _finite_vector(self.x0, self.system.d_x, "x0")
+        if self.noise_embedding is not None:
+            self.noise_embedding = _as_matrix(self.noise_embedding, "noise embedding",
+                                              (self.system.d_x, None))
 
 
 def _preset(name: str) -> ScenarioBlueprint:
@@ -893,7 +887,7 @@ def config_from_preset(
     bp = _preset(preset)
     if perturbation is not None:
         bp = replace(bp, perturbation=perturbation)
-    return _config_from_blueprint(bp, controller=dict(controller), horizon=int(horizon),
+    return _config_from_blueprint(bp, controller=dict(controller), horizon=horizon,
                                   seed=int(seed), comparator=dict(comparator or {}),
                                   out_dir=out_dir)
 
@@ -920,7 +914,7 @@ def _resolve_gain(spec_K: object, config: ScenarioConfig) -> np.ndarray:
         return _default_gain(config)
     if isinstance(spec_K, str) and spec_K == "zero":
         return np.zeros((config.system.d_u, config.system.d_x))
-    return _coerce_K(spec_K, config.system.d_u, config.system.d_x)
+    return _as_matrix(spec_K, "K", (config.system.d_u, config.system.d_x))
 
 
 #: Keyword options of both learners that a controller spec may set.

@@ -52,13 +52,25 @@ TOL_PSD = 1e-9
 FD_STEP = 1e-5
 
 
-def _as_matrix(M: object, name: str) -> np.ndarray:
-    """Coerce to a 2-D float array, rejecting non-finite entries."""
+def _as_matrix(M: object, name: str, shape: object = None) -> np.ndarray:
+    """Coerce to a 2-D float array with finite entries.
+
+    ``shape``, when given, is the ``(rows, columns)`` the matrix must have,
+    None standing for any length: ``(d_x, None)`` takes d_x rows and any
+    number of columns.  ``shape="square"`` asks for as many columns as rows.
+    A matrix that is not 2-D, has a non-finite entry, or has another shape
+    raises :class:`ConfigurationError`, the last as ``"{name} has shape
+    {got}, expected {want}"``.
+    """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {A.shape}")
     if not _all_finite(A):
         raise ConfigurationError(f"{name} contains non-finite entries")
+    if shape is not None:
+        shape = (A.shape[0],) * 2 if shape == "square" else shape
+        if any(n is not None and n != got for n, got in zip(shape, A.shape)):
+            raise ConfigurationError(f"{name} has shape {A.shape}, expected {shape}")
     return A
 
 
@@ -77,13 +89,11 @@ def _read_only(M: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return M
 
 
-def _check_psd(M: object, name: str) -> np.ndarray:
-    """Coerce with :func:`_as_matrix`, require a square matrix symmetric to
-    ``TOL_PSD * max(1, max |M_ij|)`` with no eigenvalue below ``-TOL_PSD``,
-    and return its symmetric part."""
-    M = _as_matrix(M, name)
-    if M.shape[0] != M.shape[1]:
-        raise ConfigurationError(f"{name} must be square")
+def _check_psd(M: object, name: str, shape: object = "square") -> np.ndarray:
+    """Coerce with :func:`_as_matrix` to ``shape`` (square by default),
+    require symmetry to ``TOL_PSD * max(1, max |M_ij|)`` and no eigenvalue
+    below ``-TOL_PSD``, and return the symmetric part."""
+    M = _as_matrix(M, name, shape)
     if np.max(np.abs(M - M.T)) > TOL_PSD * max(1.0, np.max(np.abs(M))):
         raise ConfigurationError(f"{name} must be symmetric")
     M = 0.5 * (M + M.T)
@@ -92,15 +102,39 @@ def _check_psd(M: object, name: str) -> np.ndarray:
     return M
 
 
-def _as_vector(v: object, dim: int, name: str) -> np.ndarray:
-    """Coerce to a 1-D float array of the given dimension (a float64 vector
-    of that dimension is returned as it is, without a copy)."""
+def _as_vector(v: object, dim: Optional[int], name: str) -> np.ndarray:
+    """Coerce to a float vector of ``dim`` entries, None standing for any
+    number; a scalar counts as one entry.  Any other shape raises
+    :class:`ConfigurationError` as ``"{name} has shape {got}, expected
+    ({dim},)"``.  A float64 vector of ``dim`` entries is returned as it is,
+    without a copy or a scan of its entries."""
     if type(v) is np.ndarray and v.shape == (dim,) and v.dtype == np.float64:
         return v
     x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim != 1 or x.shape[0] != dim:
-        raise ConfigurationError(f"{name} must be a vector of dimension {dim}, got shape {x.shape}")
+    if x.ndim != 1 or dim is not None and len(x) != dim:
+        raise ConfigurationError(f"{name} has shape {x.shape}, expected {(dim,)}")
     return x
+
+
+def _finite_vector(v: object, dim: int, name: str) -> np.ndarray:
+    """:func:`_as_vector`, also rejecting a non-finite entry."""
+    v = _as_vector(v, dim, name)
+    if not _all_finite(v):
+        raise ConfigurationError(f"{name} contains non-finite entries")
+    return v
+
+
+def _whole(value: object, minimum: int, name: str) -> int:
+    """``value`` as an int, if it is a whole number (``2000.0`` is) of at
+    least ``minimum``; otherwise a configuration error, also for NaN and
+    infinity."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (number.is_integer() and number >= minimum):
+        raise ConfigurationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(number)
 
 
 class LinearSystem:
@@ -128,16 +162,14 @@ class LinearSystem:
         C: Optional[np.ndarray] = None,
         provider: Optional[Callable[[int], tuple]] = None,
     ):
-        self.d_x = int(d_x)
-        self.d_u = int(d_u)
-        self.d_y = int(d_y)
+        self.d_x = _whole(d_x, 1, "d_x")
+        self.d_u = _whole(d_u, 1, "d_u")
+        self.d_y = _whole(d_y, 1, "d_y")
         self._A = A
         self._B = B
         self._C = C
         self._provider = provider
         self._held: tuple = (None, None)  # (t, matrices(t)) of a provider
-        if min(self.d_x, self.d_u, self.d_y) < 1:
-            raise ConfigurationError("system dimensions must be positive")
 
     # -- constructors -------------------------------------------------
 
@@ -151,16 +183,10 @@ class LinearSystem:
         """Build a fixed-matrix system from ``A`` (d_x×d_x), ``B`` (d_x×d_u),
         and optional ``C`` (d_y×d_x).  The system keeps read-only copies, so
         later writes into the arrays passed in do not reach it."""
-        A = _as_matrix(A, "A")
-        B = _as_matrix(B, "B")
+        A = _as_matrix(A, "A", "square")
         d_x = A.shape[0]
-        if A.shape != (d_x, d_x):
-            raise ConfigurationError(f"A must be square, got {A.shape}")
-        if B.shape[0] != d_x:
-            raise ConfigurationError(f"B must have {d_x} rows, got {B.shape}")
-        C = None if C is None else _as_matrix(C, "C")
-        if C is not None and C.shape[1] != d_x:
-            raise ConfigurationError(f"C must have {d_x} columns, got {C.shape}")
+        B = _as_matrix(B, "B", (d_x, None))
+        C = None if C is None else _as_matrix(C, "C", (None, d_x))
         d_y = d_x if C is None else C.shape[0]
         return cls(d_x, B.shape[1], d_y, *map(_read_only, (A, B, C)))
 
@@ -190,18 +216,10 @@ class LinearSystem:
         if self._held[0] == t:
             return self._held[1]
         out = self._provider(int(t))
-        A = _as_matrix(out[0], f"A_{t}")
-        B = _as_matrix(out[1], f"B_{t}")
-        C = _as_matrix(out[2], f"C_{t}") if len(out) > 2 and out[2] is not None else None
-        if A.shape != (self.d_x, self.d_x) or B.shape != (self.d_x, self.d_u):
-            raise ConfigurationError(
-                f"provider returned shapes A{A.shape}, B{B.shape} at t={t}; "
-                f"expected A({self.d_x},{self.d_x}), B({self.d_x},{self.d_u})"
-            )
-        if C is not None and C.shape != (self.d_y, self.d_x):
-            raise ConfigurationError(
-                f"provider returned C{C.shape} at t={t}; expected ({self.d_y},{self.d_x})"
-            )
+        A = _as_matrix(out[0], f"A_{t}", (self.d_x, self.d_x))
+        B = _as_matrix(out[1], f"B_{t}", (self.d_x, self.d_u))
+        C = out[2] if len(out) > 2 else None
+        C = None if C is None else _as_matrix(C, f"C_{t}", (self.d_y, self.d_x))
         self._held = (t, tuple(map(_read_only, (A, B, C))))
         return self._held[1]
 
@@ -232,16 +250,16 @@ def step(system: LinearSystem, x: object, u: object, w: object, t: int = 0) -> n
     numpy.ndarray
         The next state, shape (d_x,).
     """
-    x = _as_vector(x, system.d_x, "x")
-    u = _as_vector(u, system.d_u, "u")
-    w = _as_vector(w, system.d_x, "w")
+    x = _finite_vector(x, system.d_x, "x")
+    u = _finite_vector(u, system.d_u, "u")
+    w = _finite_vector(w, system.d_x, "w")
     A, B, _ = system.matrices(t)
     return A @ x + B @ u + w
 
 
 def observe(system: LinearSystem, x: object, t: int = 0) -> np.ndarray:
     """Return the observation ``C_t x`` (the state itself when C is absent)."""
-    x = _as_vector(x, system.d_x, "x")
+    x = _finite_vector(x, system.d_x, "x")
     _, _, C = system.matrices(t)
     if C is None:
         return x.copy()
@@ -298,7 +316,7 @@ class PerturbationSource:
         """Deterministic ``w_t[i] = amplitude * sin(omega * t + phase[i])``.
 
         ``phase`` defaults to zeros (all coordinates in phase)."""
-        ph = None if phase is None else np.asarray(phase, dtype=float)
+        ph = None if phase is None else _finite_vector(phase, None, "phase")
         return cls(
             kind="sinusoidal",
             amplitude=float(amplitude),
@@ -310,9 +328,7 @@ class PerturbationSource:
     @classmethod
     def recorded(cls, sequence: object, clip_to_unit_ball: bool = False) -> "PerturbationSource":
         """Replay a stored (T, d_x) array of perturbations."""
-        seq = np.asarray(sequence, dtype=float)
-        if seq.ndim != 2:
-            raise ConfigurationError("recorded sequence must be a (T, d_x) array")
+        seq = _as_matrix(sequence, "recorded sequence")
         return cls(kind="recorded", sequence=seq, clip_to_unit_ball=clip_to_unit_ball)
 
     @classmethod
@@ -320,7 +336,7 @@ class PerturbationSource:
         """The same vector at every step."""
         return cls(
             kind="constant",
-            vector=np.asarray(vector, dtype=float),
+            vector=_finite_vector(vector, None, "constant w"),
             clip_to_unit_ball=clip_to_unit_ball,
         )
 
@@ -421,7 +437,7 @@ class QuadraticCost:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         if self.target is not None:
-            object.__setattr__(self, "target", _as_vector(self.target, len(Q), "target"))
+            object.__setattr__(self, "target", _finite_vector(self.target, len(Q), "target"))
         W = np.block([[Q, np.zeros((len(Q), len(R)))], [np.zeros((len(R), len(Q))), R]])
         object.__setattr__(self, "_W", _read_only(W))
 
@@ -603,15 +619,15 @@ def simulate(
         If the controller emits a non-finite control, or the cost is
         non-finite at some step.
     ConfigurationError
-        On a negative horizon, a control of the wrong dimension, or a
+        On a horizon that is not a whole number >= 0, an ``x0`` that is not
+        a finite d_x vector, a control of the wrong dimension, or a
         perturbation source that cannot emit ``T`` rows of dimension d_x
         (raised before the first step).
     """
-    if T < 0:
-        raise ConfigurationError("horizon T must be nonnegative")
+    T = _whole(T, 0, "horizon T")
     rng = np.random.default_rng(seed)
     d_x, d_u = system.d_x, system.d_u
-    x = np.zeros(d_x) if x0 is None else _as_vector(x0, d_x, "x0")
+    x = np.zeros(d_x) if x0 is None else _finite_vector(x0, d_x, "x0")
 
     states = np.zeros((T + 1, d_x))
     controls = np.zeros((T, d_u))
@@ -646,9 +662,7 @@ def simulate(
 def spectral_radius(M: object) -> float:
     """Largest eigenvalue modulus of a square matrix (complex eigenvalues
     included)."""
-    A = _as_matrix(M, "M")
-    if A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"spectral_radius needs a square matrix, got {A.shape}")
+    A = _as_matrix(M, "M", "square")
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
@@ -663,9 +677,7 @@ def lyapunov_certificate(
     fails to converge within ``max_terms``.  A returned ``P`` satisfies
     ``P ⪰ I`` and ``P − A'PA ≻ 0`` up to truncation error ~``tol``.
     """
-    A = _as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise ConfigurationError("A must be square")
+    A = _as_matrix(A, "A", "square")
     if spectral_radius(A) >= 1.0:
         return None
     d = A.shape[0]
@@ -689,10 +701,9 @@ def controllability(A: object, B: object, r: int) -> tuple[np.ndarray, int, floa
     ``kappa = ||K_r^+||`` (infinite when K_r = 0) quantifies strong
     controllability.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    if r < 1:
-        raise ConfigurationError("horizon r must be at least 1")
+    A = _as_matrix(A, "A", "square")
+    B = _as_matrix(B, "B", (len(A), None))
+    r = _whole(r, 1, "horizon r")
     blocks = []
     current = B
     for _ in range(r):
@@ -711,8 +722,8 @@ def controllability(A: object, B: object, r: int) -> tuple[np.ndarray, int, floa
 
 def observability_rank(A: object, C: object) -> int:
     """Rank of the stacked observability matrix ``[C; CA; ...; CA^{d_x-1}]``."""
-    A = _as_matrix(A, "A")
-    C = _as_matrix(C, "C")
+    A = _as_matrix(A, "A", "square")
+    C = _as_matrix(C, "C", (None, len(A)))
     d = A.shape[0]
     blocks = []
     current = C
@@ -742,8 +753,8 @@ def linearize(
     EvaluationError
         If ``f`` produces NaN or infinity at any probe point.
     """
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    u_bar = np.atleast_1d(np.asarray(u_bar, dtype=float))
+    x_bar = _finite_vector(x_bar, None, "x_bar")
+    u_bar = _finite_vector(u_bar, None, "u_bar")
 
     def evaluate(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = np.atleast_1d(np.asarray(f(x, u), dtype=float))

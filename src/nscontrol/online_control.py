@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import _as_matrix, spectral_radius
+from .lds_core import _as_matrix, _finite_vector, _whole, spectral_radius
 from .policies import NaturesYTracker
 
 __all__ = [
@@ -75,7 +75,8 @@ class OGDState:
     ------
     ConfigurationError
         On an unknown schedule, a ``radius`` that is not None and not a
-        finite number >= 0, or a ``step_scale`` that is not finite and >= 0.
+        finite number >= 0, a ``step_scale`` that is not finite and >= 0, or
+        a ``point`` with a non-finite entry.
     """
 
     point: np.ndarray
@@ -95,7 +96,7 @@ class OGDState:
             raise ConfigurationError(
                 f"OGD step_scale must be a finite number >= 0, got {self.step_scale}"
             )
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float).ravel())
+        object.__setattr__(self, "point", _finite_vector(np.ravel(self.point), None, "point"))
 
     def step_size(self, t: int) -> float:
         """Step size used at (1-based) iteration t."""
@@ -176,27 +177,27 @@ def counterfactual_state(
     This is the plain recursion-from-zero reference; the controllers keep
     incrementally cached product stacks that must agree with it.
     """
-    Ms = [_as_matrix(M, f"M_{j + 1}") for j, M in enumerate(Ms)]
     if A_closed_history:
-        d_x = _as_matrix(A_closed_history[0], "A~").shape[0]
+        d_x = len(_as_matrix(A_closed_history[0], "A~", "square"))
     elif w_history:
-        d_x = np.asarray(w_history[0]).shape[0]
+        d_x = len(_finite_vector(w_history[0], None, "w"))
     else:
         raise ConfigurationError("counterfactual_state needs at least one history entry")
-    depth = min(int(H_trunc), len(A_closed_history))
+    depth = min(_whole(H_trunc, 0, "H_trunc"), len(A_closed_history))
     if depth <= 0:
         return np.zeros(d_x)
+    w_history = [_finite_vector(w, d_x, "w") for w in w_history]
+    d_u = _as_matrix(B_history[0], "B", (d_x, None)).shape[1]
+    Ms = [_as_matrix(M, f"M_{j + 1}", (d_u, d_x)) for j, M in enumerate(Ms)]
 
     def w_at(m: int) -> np.ndarray:
-        if 0 <= m < len(w_history):
-            return np.asarray(w_history[m], dtype=float)
-        return np.zeros(d_x)
+        return w_history[m] if m < len(w_history) else np.zeros(d_x)
 
     z = np.zeros(d_x)
     # March forward from t-depth to t-1; m is the most-recent-first index.
     for m in range(depth - 1, -1, -1):
-        A_m = _as_matrix(A_closed_history[m], "A~")
-        B_m = _as_matrix(B_history[m], "B")
+        A_m = _as_matrix(A_closed_history[m], "A~", (d_x, d_x))
+        B_m = _as_matrix(B_history[m], "B", (d_x, d_u))
         drive = np.zeros(B_m.shape[1])
         for j, M in enumerate(Ms, start=1):
             drive = drive + M @ w_at(m + j)
@@ -215,13 +216,6 @@ def _measure_decay(closed: np.ndarray, n: int = 50) -> float:
 
 def _default_depth(h: int, delta_hat: float) -> int:
     return 2 * h + int(math.ceil(math.log(1.0 / EPS_TRUNC) / delta_hat))
-
-
-def _shaped(M: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """``M``, if it has ``shape``."""
-    if M.shape != shape:
-        raise ConfigurationError(f"{name} has shape {M.shape}, expected {shape}")
-    return M
 
 
 def _resolve_cost(cost: object, t: int) -> object:
@@ -294,9 +288,7 @@ class _DisturbanceFeedback:
             schedule=schedule,
         )
         self.Ms = self._stacked(self.ogd.point)
-        if H_trunc is not None and int(H_trunc) < 1:
-            raise ConfigurationError(f"H_trunc must be at least 1, got {H_trunc}")
-        self.H_trunc: Optional[int] = None if H_trunc is None else int(H_trunc)
+        self.H_trunc: Optional[int] = None if H_trunc is None else _whole(H_trunc, 1, "H_trunc")
         self.delta_hat: Optional[float] = None
         self.telemetry: list = []
         self._last: Optional[tuple] = None
@@ -342,8 +334,8 @@ class _DisturbanceFeedback:
             extra = np.asarray(extra, dtype=float)
             key += (extra.shape, extra.tobytes())
         if key != self._dynamics_key:
-            A_t = _shaped(_as_matrix(A_t, "A_t"), (self.d_x, self.d_x), "A_t")
-            B_t = _shaped(_as_matrix(B_t, "B_t"), (self.d_x, self.d_u), "B_t")
+            A_t = _as_matrix(A_t, "A_t", (self.d_x, self.d_x))
+            B_t = _as_matrix(B_t, "B_t", (self.d_x, self.d_u))
             self._dynamics = self._validate(A_t, B_t, extra)
             self._dynamics_key = key
         return self._dynamics
@@ -498,19 +490,18 @@ class GPCController(_DisturbanceFeedback):
         horizon: Optional[int] = None,
         H_trunc: Optional[int] = None,
     ):
-        self.d_x, self.d_u, self.h = int(d_x), int(d_u), int(h)
-        if self.h < 1:
-            raise ConfigurationError("GPC needs a window h >= 1")
+        self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")
+        self.h = _whole(h, 1, "GPC's window h")
         self._K_provider = K if callable(K) else None
         self._K_fixed = None
         if not callable(K):
-            self._K_fixed = _shaped(_as_matrix(K, "K"), (self.d_u, self.d_x), "K")
+            self._K_fixed = _as_matrix(K, "K", (self.d_u, self.d_x))
         super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc)
 
     def gain(self, t: int) -> np.ndarray:
         if self._K_fixed is not None:
             return self._K_fixed
-        return _shaped(_as_matrix(self._K_provider(t), f"K_{t}"), (self.d_u, self.d_x), f"K_{t}")
+        return _as_matrix(self._K_provider(t), f"K_{t}", (self.d_u, self.d_x))
 
     def act(self, t: int, x: object) -> np.ndarray:
         """Emit ``u_t`` from the current parameters and perturbation window."""
@@ -614,7 +605,9 @@ class GRCController(_DisturbanceFeedback):
         horizon: Optional[int] = None,
         H_trunc: Optional[int] = None,
     ):
-        self.d_x, self.d_u, self.d_y, self.h = int(d_x), int(d_u), int(d_y), int(h)
+        self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")
+        self.d_y = _whole(d_y, 1, "d_y")
+        self.h = _whole(h, 0, "GRC's window h")
         super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc)
         self.tracker = NaturesYTracker(self.d_x)
 
@@ -626,7 +619,7 @@ class GRCController(_DisturbanceFeedback):
                                      f"and d_x = {self.d_x}")
         if C_t is None:
             return None
-        return _shaped(_as_matrix(C_t, "C_t"), (self.d_y, self.d_x), "C_t")
+        return _as_matrix(C_t, "C_t", (self.d_y, self.d_x))
 
     def act(self, t: int, y: object, C_t: Optional[object] = None) -> np.ndarray:
         """Compute ``ynat_t`` from the observation and emit ``u_t``."""

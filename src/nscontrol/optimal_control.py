@@ -18,18 +18,19 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import _all_finite, _as_matrix, _check_psd, spectral_radius
+from .lds_core import _all_finite, _as_matrix, _check_psd, _whole, spectral_radius
 
 __all__ = ["LQRSolution", "DARESolution", "lqr_finite", "dare_solve"]
 
 MatrixOrProvider = Union[object, Callable[[int], object]]
 
 
-def _provider(M: MatrixOrProvider, name: str) -> Callable[[int], np.ndarray]:
-    """Wrap a constant matrix (or pass through a callable) as ``t -> M_t``."""
+def _provider(M: MatrixOrProvider, name: str, shape: object = None) -> Callable[[int], np.ndarray]:
+    """Wrap a constant matrix (or pass through a callable) as ``t -> M_t``,
+    each checked by :func:`_as_matrix` against ``shape``."""
     if callable(M):
-        return lambda t: _as_matrix(M(t), f"{name}_{t}")
-    fixed = _as_matrix(M, name)
+        return lambda t: _as_matrix(M(t), f"{name}_{t}", shape)
+    fixed = _as_matrix(M, name, shape)
     return lambda t: fixed
 
 
@@ -131,15 +132,13 @@ def lqr_finite(
     EvaluationError
         If a value matrix becomes non-finite.
     """
-    if T < 1:
-        raise ConfigurationError("horizon T must be at least 1")
-    A_of = _provider(A, "A")
-    B_of = _provider(B, "B")
-    Q_of = _provider(Q, "Q")
-    R_of = _provider(R, "R")
-
-    d_x = A_of(0).shape[0]
+    T = _whole(T, 1, "horizon T")
+    d_x = len(_provider(A, "A", "square")(0))
+    A_of = _provider(A, "A", (d_x, d_x))
+    B_of = _provider(B, "B", (d_x, None))
     d_u = B_of(0).shape[1]
+    Q_of = _provider(Q, "Q", (d_x, d_x))
+    R_of = _provider(R, "R", (d_u, d_u))
     _check_psd(R_of(T - 1), "R")
 
     S = np.zeros((T, d_x, d_x))
@@ -180,10 +179,10 @@ def dare_solve(
         If the iteration converges to a fixed point whose closed loop ``A +
         BK`` is not stable, which is then not the stabilizing solution.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    Q = _check_psd(Q, "Q")
-    R = _check_psd(R, "R")
+    A = _as_matrix(A, "A", "square")
+    B = _as_matrix(B, "B", (len(A), None))
+    Q = _check_psd(Q, "Q", A.shape)
+    R = _check_psd(R, "R", (B.shape[1], B.shape[1]))
 
     S = Q
     residual = np.inf

@@ -41,6 +41,8 @@ from .lds_core import (
     PerturbationSource,
     _as_matrix,
     _as_vector,
+    _finite_vector,
+    _whole,
     simulate,
     spectral_radius,
 )
@@ -105,7 +107,7 @@ class LinearPolicy:
         self.kappa = kappa
 
     def act_state(self, x: np.ndarray) -> np.ndarray:
-        return self.K @ x
+        return self.K @ _as_vector(x, self.K.shape[1], "x")
 
     def reset(self) -> None:
         pass
@@ -116,7 +118,8 @@ class PIDPolicy:
 
     ``u_t = alpha x_t + beta * sum_{tau<=t} x_tau + gamma_d (x_t - x_{t-1})``
 
-    Gains may be scalars (acting coordinatewise) or (d_u, d_x) matrices.
+    Gains may be scalars (acting coordinatewise) or (d_u, d_x) matrices of
+    one shape, square when a scalar gain is given too.
     The integral is an unwindowed running sum that includes the current
     state; the previous state is zero before the first step.
     """
@@ -124,9 +127,16 @@ class PIDPolicy:
     kind = "pid"
 
     def __init__(self, alpha: object, beta: object, gamma_d: object):
-        self.alpha = _coerce_gain(alpha, "alpha")
-        self.beta = _coerce_gain(beta, "beta")
-        self.gamma_d = _coerce_gain(gamma_d, "gamma_d")
+        gains = {"alpha": alpha, "beta": beta, "gamma_d": gamma_d}
+        gains = {name: _coerce_gain(G, name) for name, G in gains.items()}
+        # The matrix gains share one shape, a square one next to a scalar
+        # gain, which acts coordinatewise.
+        wide = [G.shape for G in gains.values() if G.shape != (1, 1)]
+        shape = wide[0] if len(wide) == 3 else (wide[0][1],) * 2 if wide else None
+        for name, G in gains.items():
+            if G.shape != (1, 1):
+                _as_matrix(G, name, shape)
+        self.alpha, self.beta, self.gamma_d = gains.values()
         self._integral: Optional[np.ndarray] = None
         self._prev: Optional[np.ndarray] = None
 
@@ -206,23 +216,12 @@ class LDCPolicy:
         D_pi: Optional[object] = None,
         allow_unstable: bool = False,
     ):
-        self.A_pi = _as_matrix(A_pi, "A_pi")
-        self.B_pi = _as_matrix(B_pi, "B_pi")
-        self.C_pi = _as_matrix(C_pi, "C_pi")
+        self.A_pi = _as_matrix(A_pi, "A_pi", "square")
         d_s = self.A_pi.shape[0]
-        if self.A_pi.shape != (d_s, d_s):
-            raise ConfigurationError("A_pi must be square")
-        if self.B_pi.shape[0] != d_s:
-            raise ConfigurationError("B_pi must have as many rows as A_pi")
-        if self.C_pi.shape[1] != d_s:
-            raise ConfigurationError("C_pi must have as many columns as A_pi has rows")
+        self.B_pi = _as_matrix(B_pi, "B_pi", (d_s, None))
+        self.C_pi = _as_matrix(C_pi, "C_pi", (None, d_s))
         d_u, d_x = self.C_pi.shape[0], self.B_pi.shape[1]
-        if D_pi is None:
-            self.D_pi = np.zeros((d_u, d_x))
-        else:
-            self.D_pi = _as_matrix(D_pi, "D_pi")
-            if self.D_pi.shape != (d_u, d_x):
-                raise ConfigurationError(f"D_pi must have shape ({d_u}, {d_x})")
+        self.D_pi = np.zeros((d_u, d_x)) if D_pi is None else _as_matrix(D_pi, "D_pi", (d_u, d_x))
         if not allow_unstable and spectral_radius(self.A_pi) >= 1.0:
             raise ConfigurationError(
                 "LDC internal dynamics are unstable (spectral radius >= 1); "
@@ -313,7 +312,7 @@ class GLCPolicy(_WindowPolicy):
         super().__init__(Ms, 0, gamma)
 
     def act_state(self, x: np.ndarray) -> np.ndarray:
-        return self._play(x)
+        return self._play(_as_vector(x, self.Ms[0].shape[1], "x"))
 
 
 class DACPolicy(_WindowPolicy):
@@ -350,9 +349,9 @@ class DACPolicy(_WindowPolicy):
         self._K_fixed: Optional[np.ndarray] = None if callable(K) else _coerce_gain(K, "K")
         super().__init__(Ms, 1, gamma, None if self._K_fixed is None else self._K_fixed.shape)
         rows = self.Ms[0] if self.Ms else self._K_fixed
-        if offset is not None and rows is not None:
-            offset = _as_vector(offset, rows.shape[0], "offset")
-        self.offset = None if offset is None else np.asarray(offset, dtype=float)
+        if offset is not None:
+            offset = _finite_vector(offset, None if rows is None else len(rows), "offset")
+        self.offset = offset
 
     def gain(self, t: int) -> np.ndarray:
         if self._K_fixed is not None:
@@ -400,8 +399,9 @@ class NaturesYTracker:
     """
 
     def __init__(self, d_x: int):
-        self.z = np.zeros(int(d_x))
-        self._Bu = np.empty(int(d_x))  # scratch for B_t u_t
+        d_x = _whole(d_x, 1, "d_x")
+        self.z = np.zeros(d_x)
+        self._Bu = np.empty(d_x)  # scratch for B_t u_t
 
     def observe(self, y: np.ndarray, C: Optional[np.ndarray]) -> np.ndarray:
         """ynat at the current step (does not advance the recursion)."""
@@ -424,7 +424,14 @@ def natures_y_step(
     y_t: np.ndarray,
 ) -> np.ndarray:
     """One atomic nature's-y update: returns ``ynat_t = y_t - C_t z_t`` and
-    advances ``z_{t+1} = A_t z_t + B_t u_t``."""
+    advances ``z_{t+1} = A_t z_t + B_t u_t``.  The matrices and vectors
+    must be finite and fit the tracker's d_x."""
+    d_x = len(tracker.z)
+    A_t = _as_matrix(A_t, "A_t", (d_x, d_x))
+    B_t = _as_matrix(B_t, "B_t", (d_x, None))
+    C_t = None if C_t is None else _as_matrix(C_t, "C_t", (None, d_x))
+    u_t = _finite_vector(u_t, B_t.shape[1], "u_t")
+    y_t = _finite_vector(y_t, d_x if C_t is None else len(C_t), "y_t")
     ynat = tracker.observe(y_t, C_t)
     tracker.advance(A_t, B_t, u_t)
     return ynat
@@ -595,14 +602,13 @@ def dac_from_linear(A: object, B: object, K: object, h: int) -> DACPolicy:
     Raises
     ------
     ConfigurationError
-        When ``h < 0``, or when ``A + BK`` is not stable (the construction
-        presupposes it).
+        When ``h`` is not a whole number >= 0, a matrix has the wrong shape,
+        or ``A + BK`` is not stable (the construction presupposes it).
     """
-    if h < 0:
-        raise ConfigurationError(f"dac_from_linear needs h >= 0, got {h}")
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    K = _coerce_gain(K, "K")
+    h = _whole(h, 0, "dac_from_linear's window h")
+    A = _as_matrix(A, "A", "square")
+    B = _as_matrix(B, "B", (len(A), None))
+    K = _as_matrix(_coerce_gain(K, "K"), "K", (B.shape[1], len(A)))
     closed = A + B @ K
     if spectral_radius(closed) >= 1.0:
         raise ConfigurationError(
@@ -625,10 +631,10 @@ def glc_from_ldc(ldc: LDCPolicy, h: int) -> GLCPolicy:
     Raises
     ------
     ConfigurationError
-        When ``h < 0``, or when the LDC's internal dynamics are unstable.
+        When ``h`` is not a whole number >= 0, or when the LDC's internal
+        dynamics are unstable.
     """
-    if h < 0:
-        raise ConfigurationError(f"glc_from_ldc needs h >= 0, got {h}")
+    h = _whole(h, 0, "glc_from_ldc's window h")
     if spectral_radius(ldc.A_pi) >= 1.0:
         raise ConfigurationError("glc_from_ldc requires stable internal dynamics")
     Ms = [ldc.D_pi.copy()]
@@ -659,8 +665,7 @@ def approximation_gap(
     The perturbation source is sampled once, recorded, and replayed for
     both policies; the result is ``(1/T) * sum_t |c_t(a) - c_t(b)|``.
     """
-    if T < 1:
-        raise ConfigurationError(f"approximation_gap needs a horizon T >= 1, got {T}")
+    T = _whole(T, 1, "approximation_gap's horizon T")
     rng = np.random.default_rng(seed)
     replay = PerturbationSource.recorded(perturbations.draw(0, T, system.d_x, rng))
     traj_a = simulate(system, policy_runner(policy_a, system), replay, costs, T, seed=seed)

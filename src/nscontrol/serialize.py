@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .lds_core import _as_matrix
 
 __all__ = [
     "format_float",
@@ -52,9 +53,9 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def save_matrix(M: object, path: str) -> None:
-    """Write a matrix as text: a ``rows cols`` header line, then one
-    space-separated row per line at full precision."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """Write a finite matrix (a vector as one row) as text: a ``rows cols``
+    header line, then one space-separated row per line at full precision."""
+    M = _as_matrix(np.atleast_2d(np.asarray(M, dtype=float)), "M")
     lines = [f"{M.shape[0]} {M.shape[1]}"]
     for row in M:
         lines.append(" ".join(format_float(v) for v in row))

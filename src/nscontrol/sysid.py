@@ -40,6 +40,8 @@ from .lds_core import (
     PerturbationSource,
     QuadraticCost,
     _all_finite,
+    _finite_vector,
+    _whole,
     spectral_radius,
 )
 from .online_control import DEFAULT_H, GPCController, gpc_runner
@@ -110,13 +112,7 @@ class BlackBoxSystem:
         self._system = system
         self._source = PerturbationSource.zero() if perturbation is None else perturbation
         self._rng = np.random.default_rng(component_seed(int(seed), "blackbox"))
-        x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float).copy()
-        if x.shape != (system.d_x,):
-            raise ConfigurationError(
-                f"x0 has shape {x.shape}, state dimension is {system.d_x}"
-            )
-        if not _all_finite(x):
-            raise ConfigurationError("x0 contains non-finite entries")
+        x = np.zeros(system.d_x) if x0 is None else _finite_vector(x0, system.d_x, "x0").copy()
         # The histories are buffers that double when full (_states and
         # _controls together): rows [0, t] of _states, [0, t) of _controls
         # and [0, _drawn) of _ws are set, where t is the step counter and _ws
@@ -336,11 +332,7 @@ def excite_and_record(
     -------
     ExcitationRecord
     """
-    k, T0 = int(k), int(T0)
-    if k < 1:
-        raise ConfigurationError("the controllability index k must be >= 1")
-    if T0 < 1:
-        raise ConfigurationError("T0 must be at least 1")
+    k, T0 = _whole(k, 1, "the controllability index k"), _whole(T0, 1, "T0")
     rng = np.random.default_rng(seed)
     n = exploration_length(k, T0)
     # One draw of all n rows takes the same signs from the stream as n
@@ -363,7 +355,7 @@ def estimate_moments(record: ExcitationRecord, k: int, T0: int) -> MomentEstimat
     which is unbiased because controls at different steps are independent
     with identity second moment and independent of the disturbances.
     """
-    k, T0 = int(k), int(T0)
+    k, T0 = _whole(k, 0, "k"), _whole(T0, 1, "T0")
     n = exploration_length(k, T0)
     if record.controls.shape[0] != n:
         raise ConfigurationError(
@@ -503,11 +495,12 @@ def control_with_model(
     B_model = np.asarray(B_model, dtype=float)
     if K is None:
         K = _gain_for_identified(A_model, B_model, cost)
-    controller = GPCController(box.d_x, box.d_u, K, horizon=int(n_steps), **learner)
+    n_steps = _whole(n_steps, 0, "n_steps")
+    controller = GPCController(box.d_x, box.d_u, K, horizon=n_steps, **learner)
     policy = gpc_runner(controller, LinearSystem.time_invariant(A_model, B_model), cost)
-    out = np.zeros(int(n_steps))
+    out = np.zeros(n_steps)
     x = box.read_state()
-    for s in range(int(n_steps)):
+    for s in range(n_steps):
         u = policy(s, x, x)
         out[s] = cost.value(x, u)
         box.apply_control(u)
@@ -550,7 +543,7 @@ def identify_then_control(
         control a bogus model.
     """
     start_time = time.perf_counter()
-    T = int(T)
+    T, k = _whole(T, 1, "horizon T"), _whole(k, 1, "the controllability index k")
     T0 = _ceil_two_thirds_power(T)
     n_explore = exploration_length(k, T0)
     if n_explore >= T:

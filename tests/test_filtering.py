@@ -634,9 +634,9 @@ def test_kalman_hits_skip_only_the_checks_their_entry_passed(monkeypatch):
         eigvalsh.append(1)
         return np.linalg.eigh(M)[0]
 
-    def counted_as_matrix(M, name):
+    def counted_as_matrix(M, name, shape=None):
         matrices.append(name)
-        return _as_matrix(M, name)
+        return _as_matrix(M, name, shape)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(filtering, "_as_matrix", counted_as_matrix)
@@ -1162,7 +1162,7 @@ def test_online_spectral_filter_ring_matches_concatenated_history(d_u):
 def test_online_spectral_filter_rejects_wrong_input_size():
     basis = spectral_basis(10, 3)
     filt = OnlineSpectralFilter(SpectralPredictor.zeros(basis, d_y=1, d_u=2), d_u=2)
-    with pytest.raises(ConfigurationError, match="u_prev must have 2 entries"):
+    with pytest.raises(ConfigurationError, match=r"u_prev has shape \(1,\), expected \(2,\)"):
         filt.step(np.ones(1), np.zeros(1))
 
 

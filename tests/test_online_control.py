@@ -1188,9 +1188,9 @@ def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch
     validated = []
 
     def counting(original):
-        def as_matrix(M, name):
+        def as_matrix(M, name, shape=None):
             validated.append(M)
-            return original(M, name)
+            return original(M, name, shape)
 
         return as_matrix
 
@@ -1299,8 +1299,8 @@ def test_closed_loop_calls_the_provider_once_per_step(kind, monkeypatch):
     for module in (lds_core, online_control):
         original = module._as_matrix
         monkeypatch.setattr(module, "_as_matrix",
-                            lambda M, name, original=original: validated.append(name)
-                            or original(M, name))
+                            lambda M, name, shape=None, original=original:
+                            validated.append(name) or original(M, name, shape))
     simulate(system, _closed_loop_runner(kind, system, cost),
              PerturbationSource.gaussian(0.5), cost, T, seed=3)
     assert calls == list(range(T))

@@ -372,9 +372,9 @@ def test_dac_from_linear_refuses_unstable():
 
 
 def test_conversion_maps_refuse_a_negative_window():
-    with pytest.raises(ConfigurationError, match="h >= 0"):
+    with pytest.raises(ConfigurationError, match="h must be a whole number >= 0"):
         dac_from_linear([[0.5]], [[1.0]], [[-0.25]], h=-1)
-    with pytest.raises(ConfigurationError, match="h >= 0"):
+    with pytest.raises(ConfigurationError, match="h must be a whole number >= 0"):
         glc_from_ldc(LDCPolicy([[0.5]], [[1.0]], [[2.0]], [[3.0]]), h=-3)
     # h = 0 is the shortest window: one block each.
     assert len(dac_from_linear([[0.5]], [[1.0]], [[-0.25]], h=0).Ms) == 1
@@ -511,7 +511,7 @@ def test_approximation_gap_identical_policies():
         T=50,
     )
     assert gap == 0.0
-    with pytest.raises(ConfigurationError, match="T >= 1"):
+    with pytest.raises(ConfigurationError, match="T must be a whole number >= 1"):
         approximation_gap(LinearPolicy([[-0.5]]), LinearPolicy([[-0.5]]), system,
                           PerturbationSource.gaussian(0.5), cost, T=0)
 
