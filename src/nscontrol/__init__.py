@@ -16,6 +16,7 @@ from .filtering import (
     build_Z,
     cached_basis,
     hankel_W,
+    kalman_filter,
     kalman_steady_state,
     kalman_step,
     learn_linear_step,

@@ -33,16 +33,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .filtering import (
+from .filtering import (  # noqa: F401 - perfbench/tracing.py wraps kalman_step here
     KalmanState,
     OnlineSpectralFilter,
     SpectralPredictor,
     cached_basis,
+    kalman_filter,
     kalman_step,
     spectral_basis,
 )
 from .harness import (
     ScenarioConfig,
+    _affine_recursion,
     _write_report,
     component_seed,
     config_from_preset,
@@ -217,7 +219,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     v = args.obs_noise * rng_obs.standard_normal((T, system.d_y))
 
     # Neither the states nor the observations depend on the estimate, so
-    # the plant runs first and the loop below only steps the filter.
+    # the plant runs first and kalman_filter then filters the whole record,
+    # replaying the covariance cycle once it repeats.
     A, _, C = system.stacks(0, T)
     X, Y = np.empty((T, d_x)), np.empty((T, system.d_y))
     x = np.zeros(d_x) if config.x0 is None else config.x0.copy()
@@ -227,11 +230,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         x = A[t] @ x + w[t]
 
     state = KalmanState(x_hat=np.zeros(d_x), Sigma=Sigma_x)
-    X_hat, traces = np.empty((T, d_x)), np.empty(T)
-    for t in range(T):
-        X_hat[t] = state.x_hat
-        traces[t] = state.Sigma.trace()
-        state = kalman_step(state, A[t], None, C[t], Sigma_x, Sigma_y, y=Y[t])
+    X_hat, Sigmas, _ = kalman_filter(state, A, C, Sigma_x, Sigma_y, Y)
+    traces = np.trace(Sigmas, axis1=1, axis2=2)
     state_err = np.linalg.norm(X_hat - X, axis=1)
     obs_err = np.linalg.norm(np.einsum("tij,tj->ti", C, X_hat) - Y, axis=1)
     rows = zip(range(1, T + 1), state_err.tolist(), obs_err.tolist(), traces.tolist())
@@ -255,6 +255,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     T = config.horizon
     system = config.system
     h = args.filters
+    # With --out the basis is cached there, exactly, as base64 float64 rows:
+    # a rerun into the same directory reads it back instead of building it.
     if config.out_dir:
         basis = cached_basis(T, h, config.out_dir)
     else:
@@ -275,15 +277,12 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     inputs = rng.integers(0, 2, size=(T, system.d_u)).astype(float) * 2.0 - 1.0
 
     # The outputs do not depend on the predictions, so the plant runs first
-    # and the loop below only steps the filter.
+    # and run() then learns on the whole record, its filter outputs from one
+    # FFT convolution.
     A, B, C = system.stacks(0, T)
-    Y = np.empty((T, system.d_y))
-    x = np.zeros(system.d_x) if config.x0 is None else config.x0.copy()
-    for t in range(T):
-        x = A[t] @ x + B[t] @ inputs[t]
-        Y[t] = C[t] @ x
-    for u, y in zip(inputs, Y):
-        online.step(u, y)
+    x0 = np.zeros(system.d_x) if config.x0 is None else config.x0
+    X = _affine_recursion(A, B, x0, inputs)
+    online.run(inputs, np.einsum("tij,tj->ti", C, X[1:]))
     losses = np.array(online.losses)
     running = np.cumsum(losses) / np.arange(1, T + 1)
     rows = zip(range(1, T + 1), losses.tolist(), running.tolist())
@@ -295,6 +294,10 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         "filters": h,
         "avg_loss": float(losses.mean()),
         "last_quarter_avg_loss": last_quarter,
+        # How fast the basis eigenvalues decay: the filtering error bound
+        # goes with the tail lambda_h / lambda_1.
+        "basis_lambda_1": float(basis.eigenvalues[0]),
+        "basis_tail_ratio": float(basis.eigenvalues[-1] / basis.eigenvalues[0]),
     }
     line = (f"{config.name}: spectral T={T} filters={h} seed={config.seed} "
             f"avg_loss={summary['avg_loss']:.6g} "

@@ -3,7 +3,8 @@
 Three predictor families:
 
 * Kalman filtering — the recursive minimum-mean-square state estimator for
-  known Gaussian systems (:func:`kalman_step`, :func:`kalman_steady_state`);
+  known Gaussian systems (:func:`kalman_step`, :func:`kalman_filter`,
+  :func:`kalman_steady_state`);
 * learned linear predictors — regressions on windows of past observations
   and controls, trained by projected online gradient descent
   (:class:`LinearPredictor`, :func:`learn_linear_step`);
@@ -22,7 +23,7 @@ only as a reference.
 
 from __future__ import annotations
 
-import io
+import base64
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -40,6 +41,7 @@ from .serialize import _atomic_write_text
 __all__ = [
     "KalmanState",
     "kalman_step",
+    "kalman_filter",
     "kalman_steady_state",
     "LinearPredictor",
     "predict_linear",
@@ -182,11 +184,14 @@ def kalman_step(
     if hit is None:
         _as_matrix(A, "A", Sigma.shape)
         _as_matrix(C, "C", (len(noise[3]), len(A)))
-        # An overflow leaves a non-finite Sigma_next, rejected below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], Sigma)
-        L = -K.T
-        closed = A - L @ C
+        L, closed, Sigma_next = _kalman_gains(A, C, noise, Sigma)
+        # The key's A, C and Sigma, and the stored L, A - L C and Sigma'.
+        size = 2 * A.nbytes + C.nbytes + L.nbytes + 2 * Sigma.nbytes
+        limit = min(_MEMO_CAP, _MEMO_BYTES // size)
+        while memo and len(memo) >= limit:
+            del memo[next(iter(memo))]
+        if limit:
+            memo[key] = (L, closed, Sigma_next.copy())
     else:
         L, closed, Sigma_next = hit
         Sigma_next = Sigma_next.copy()
@@ -196,26 +201,127 @@ def kalman_step(
         x_hat = x_hat + B @ _finite_vector(u, B.shape[1], "u")
     if y is not None:
         x_hat = x_hat + L @ _finite_vector(y, C.shape[0], "y")
-    if hit is None:
-        # Sigma_next is symmetric by construction, so only finiteness and
-        # the PSD property are checked; KalmanState.__post_init__ is
-        # bypassed.
-        if not _all_finite(Sigma_next):
-            raise ConfigurationError("Sigma contains non-finite entries")
-        if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
-            raise ConfigurationError("Sigma must be positive semidefinite")
-        # The key's A, C and Sigma, and the stored L, A - L C and Sigma'.
-        size = 2 * A.nbytes + C.nbytes + L.nbytes + 2 * Sigma.nbytes
-        limit = min(_MEMO_CAP, _MEMO_BYTES // size)
-        while memo and len(memo) >= limit:
-            del memo[next(iter(memo))]
-        if limit:
-            memo[key] = (L, closed, Sigma_next.copy())
+    return _chained(x_hat, Sigma_next, noise)
+
+
+def _kalman_gains(A: np.ndarray, C: np.ndarray, noise: tuple, Sigma: np.ndarray) -> tuple:
+    """``(L, A - L C, Sigma')`` of the Riccati step from ``Sigma``, after
+    checking that ``Sigma'`` is finite and PSD.  ``Sigma'`` is symmetric by
+    construction, so its symmetry is not checked."""
+    # An overflow leaves a non-finite Sigma_next, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], Sigma)
+    if not _all_finite(Sigma_next):
+        raise ConfigurationError("Sigma contains non-finite entries")
+    if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
+        raise ConfigurationError("Sigma must be positive semidefinite")
+    L = -K.T
+    return L, A - L @ C, Sigma_next
+
+
+def _chained(x_hat: np.ndarray, Sigma: np.ndarray, noise: tuple) -> KalmanState:
+    """A state carrying the validated noise pair and its memo, built without
+    :meth:`KalmanState.__post_init__`, whose checks its parts have passed."""
     out = object.__new__(KalmanState)
     object.__setattr__(out, "x_hat", x_hat)
-    object.__setattr__(out, "Sigma", Sigma_next)
+    object.__setattr__(out, "Sigma", Sigma)
     object.__setattr__(out, "_noise", noise)
     return out
+
+
+def _per_step(M: object, name: str, T: int, shape: tuple) -> tuple:
+    """``(stack, fixed)``: ``M``, one matrix of ``shape`` (None for any
+    length) or a stack of ``T`` of them, as a finite (T, rows, cols) array,
+    and whether every step's matrix has the same bytes."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 2:
+        M = np.broadcast_to(M, (T,) + M.shape)
+    if M.ndim != 3 or M.shape[0] != T or any(
+            n is not None and n != got for n, got in zip(shape, M.shape[1:])):
+        raise ConfigurationError(
+            f"{name} has shape {M.shape}, expected {shape} or a stack of {T} of them")
+    if not _all_finite(M):
+        raise ConfigurationError(f"{name} contains non-finite entries")
+    return M, T == 0 or not (M != M[0]).any()
+
+
+def kalman_filter(
+    state: KalmanState,
+    A: object,
+    C: object,
+    Sigma_x: object,
+    Sigma_y: object,
+    Y: object,
+    B: Optional[object] = None,
+    U: Optional[object] = None,
+) -> tuple[np.ndarray, np.ndarray, KalmanState]:
+    """:func:`kalman_step` chained over a whole record, bit for bit.
+
+    ``Y`` holds the observations ``y_0, ..., y_{T-1}`` as rows, and ``U``
+    the inputs, used with ``B`` as in :func:`kalman_step`.  ``A``, ``B`` and
+    ``C`` are each one matrix for every step or a stack of ``T``, one per
+    step.  Returns ``(X_hat, Sigmas, final)``: ``X_hat[t]`` and
+    ``Sigmas[t]`` are the estimate of ``x_t`` from ``y_0, ..., y_{t-1}``
+    and its covariance, which step ``t`` starts from, and ``final`` is the
+    state after the last step, which chains into further calls.
+
+    The inputs are checked once for the whole record.  Under a fixed ``(A,
+    C)`` the covariance update is a pure function of ``Sigma``, so once
+    ``Sigmas[t]`` has the bytes of an earlier ``Sigmas[s]`` the covariances
+    repeat with period ``t - s`` from then on: the run replays the ``(L, A -
+    L C)`` it stored for steps ``s, ..., t - 1``, whose covariances passed
+    their checks, instead of redoing the Riccati step.  A time-varying
+    ``A`` or ``C`` never replays.  Until the cycle is found, every step
+    stores its gains next to the histories, so memory is O(T d_x (d_x +
+    d_y)).
+
+    Raises
+    ------
+    ConfigurationError
+        If a matrix or record does not fit the state's dimension or has a
+        non-finite entry, a noise covariance is not symmetric PSD, or a new
+        covariance is non-finite or not PSD.
+    """
+    noise = _validated_noise(state, Sigma_x, Sigma_y)
+    d_x, d_y = len(state.Sigma), len(noise[3])
+    Y = _as_matrix(Y, "Y", (None, d_y))
+    T = len(Y)
+    A, fixed_A = _per_step(A, "A", T, (d_x, d_x))
+    C, fixed_C = _per_step(C, "C", T, (d_y, d_x))
+    if B is not None and U is not None:
+        B = _per_step(B, "B", T, (d_x, None))[0]
+        U = _as_matrix(U, "U", (T, B.shape[2]))
+    else:
+        B = None
+    fixed = fixed_A and fixed_C
+    X_hat, Sigmas = np.empty((T, d_x)), np.empty((T, d_x, d_x))
+    x, Sigma = state.x_hat, state.Sigma
+    gains, seen, start = [], {}, None
+    for t in range(T):
+        X_hat[t] = x
+        if start is not None:
+            L, closed = gains[start + (t - start) % period]
+        else:
+            Sigmas[t] = Sigma
+            if fixed:
+                start = seen.setdefault(Sigma.tobytes(), t)
+                if start < t:
+                    period, found = t - start, t
+                    L, closed = gains[start]
+                else:
+                    start = None
+            if start is None:
+                L, closed, Sigma = _kalman_gains(A[t], C[t], noise, Sigma)
+                if fixed:
+                    gains.append((L, closed))
+        x = closed @ x
+        if B is not None:
+            x = x + B[t] @ U[t]
+        x = x + L @ Y[t]
+    if start is not None:
+        Sigmas[found:] = Sigmas[start + (np.arange(found, T) - start) % period]
+        Sigma = Sigmas[start + (T - start) % period]
+    return X_hat, Sigmas, _chained(x, Sigma.copy(), noise)
 
 
 def kalman_steady_state(
@@ -283,6 +389,12 @@ class LinearPredictor:
 
     The feasible set bounds the sum of Frobenius norms of all coefficient
     blocks by ``kappa``; learning is projected OGD on the squared error.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``M1`` is not an (h, d_y, d_y) stack, ``M2`` not a (k, d_y, d_u)
+        one of the same d_y, or either has a non-finite entry.
     """
 
     M1: np.ndarray  # (h, d_y, d_y)
@@ -292,8 +404,16 @@ class LinearPredictor:
     t: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "M1", np.asarray(self.M1, dtype=float))
-        object.__setattr__(self, "M2", np.asarray(self.M2, dtype=float))
+        M1, M2 = np.asarray(self.M1, dtype=float), np.asarray(self.M2, dtype=float)
+        if M1.ndim != 3 or M1.shape[1] != M1.shape[2]:
+            raise ConfigurationError(f"M1 has shape {M1.shape}, expected (h, d_y, d_y)")
+        if M2.ndim != 3 or M2.shape[1] != M1.shape[1]:
+            raise ConfigurationError(f"M2 has shape {M2.shape}, expected (k, {M1.shape[1]}, d_u)")
+        for name, M in (("M1", M1), ("M2", M2)):
+            if not _all_finite(M):
+                raise ConfigurationError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "M1", M1)
+        object.__setattr__(self, "M2", M2)
 
     @classmethod
     def zeros(
@@ -414,6 +534,13 @@ def build_Z(T: int) -> np.ndarray:
     return Z
 
 
+def _fft_length(n: int) -> int:
+    """The smallest power of two >= ``n`` (n >= 1): a length at which
+    linear convolutions or correlations that fit in ``n`` entries do not
+    wrap around."""
+    return 1 << (n - 1).bit_length()
+
+
 def _z_operator(T: int) -> Callable[[np.ndarray], np.ndarray]:
     """``V -> Z_T V`` for a (T, p) block, without forming ``Z_T``.
 
@@ -426,7 +553,7 @@ def _z_operator(T: int) -> Callable[[np.ndarray], np.ndarray]:
     """
     n = T - 1
     edge = _z_edge(np.arange(1, T, dtype=float))
-    length = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1
+    length = _fft_length(2 * n - 1)
     kernel = np.fft.rfft(_z_hankel(np.arange(2, 2 * n + 1, dtype=float)), n=length)
 
     def apply(V: np.ndarray) -> np.ndarray:
@@ -538,32 +665,58 @@ def spectral_basis(T: int, h: int) -> SpectralBasis:
     return SpectralBasis(T=T, h=h, eigenvalues=eigenvalues, vectors=vectors)
 
 
+#: Format tag on the header line of a basis file written by :func:`save_basis`.
+_BASIS_FORMAT = b"float64-le-base64"
+
+
 def save_basis(basis: SpectralBasis, path: str) -> None:
-    """Write a basis as plain text: header ``T h``, one line of
-    eigenvalues, then one line per eigenvector, all at 17 significant
-    digits (lossless for double precision).  The file is replaced
-    atomically, so an interrupted write leaves no truncated basis behind."""
-    text = io.StringIO()
-    text.write(f"{basis.T} {basis.h}\n")
-    np.savetxt(text, basis.eigenvalues[None], fmt="%.17g", delimiter=" ")
-    np.savetxt(text, basis.vectors, fmt="%.17g", delimiter=" ")
-    _atomic_write_text(path, text.getvalue())
+    """Write a basis as ASCII lines: a header ``T h float64-le-base64``,
+    then the eigenvalues and each eigenvector, one row per line, as the
+    base64 of their little-endian float64 bytes, so the round trip is exact.
+    The file is replaced atomically, so an interrupted write leaves no
+    truncated basis behind."""
+    rows = [basis.eigenvalues, *basis.vectors]
+    lines = [b"%d %d %s" % (basis.T, basis.h, _BASIS_FORMAT)]
+    lines += [base64.b64encode(np.asarray(row, dtype="<f8").tobytes()) for row in rows]
+    _atomic_write_text(path, b"\n".join(lines).decode("ascii") + "\n")
+
+
+def _decimal_row(line: bytes, size: int) -> np.ndarray:
+    """A row of the decimal format that :func:`save_basis` wrote before its
+    binary one: ``size`` numbers at 17 significant digits."""
+    row = np.array([float(v) for v in line.split()])
+    if row.shape != (size,):
+        raise ValueError(f"a row has {row.size} numbers, expected {size}")
+    return row
+
+
+def _binary_row(line: bytes, size: int) -> np.ndarray:
+    """A row of :func:`save_basis`'s format: the base64 of ``size``
+    little-endian float64 values."""
+    raw = base64.b64decode(line, validate=True)
+    if len(raw) != 8 * size:
+        raise ValueError(f"a row has {len(raw)} bytes, expected {8 * size}")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
 def load_basis(path: str) -> SpectralBasis:
-    """Inverse of :func:`save_basis`; raises ConfigurationError if the file
-    is not a whole basis (malformed, non-finite, or cut short)."""
+    """Inverse of :func:`save_basis`.  A file in the decimal format it wrote
+    before (header ``T h``, then rows of numbers at 17 significant digits)
+    is read too, bit for bit.  Raises ConfigurationError if the file is not
+    a whole basis (malformed, ragged, non-finite, or cut short)."""
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
     try:
-        T, h = (int(v) for v in lines[0].split())
-        eigenvalues = np.array([float(v) for v in lines[1].split()])
-        vectors = np.array([[float(v) for v in line.split()] for line in lines[2 : 2 + h]])
-    except (ValueError, IndexError) as exc:  # ValueError also for a ragged row
+        T, h, *tag = lines[0].split()
+        T, h = int(T), int(h)
+        if tag not in ([], [_BASIS_FORMAT]) or len(lines) != h + 3 or lines[-1]:
+            raise ValueError("not a header line and h + 1 rows, each ending in a newline")
+        read_row = _binary_row if tag else _decimal_row
+        eigenvalues = read_row(lines[1], h)
+        vectors = np.stack([read_row(line, T) for line in lines[2:-1]]) if h > 0 else None
+    except ValueError as exc:  # binascii.Error is one too
         raise ConfigurationError(f"basis file {path!r} is malformed: {exc}") from exc
-    if (len(lines) != h + 3 or lines[-1] or eigenvalues.shape != (h,)
-            or vectors.shape != (h, T)
-            or not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all())):
+    if vectors is None or not (_all_finite(eigenvalues) and _all_finite(vectors)):
         raise ConfigurationError(f"basis file {path!r} is malformed")
     return SpectralBasis(T=T, h=h, eigenvalues=eigenvalues, vectors=vectors)
 
@@ -649,29 +802,27 @@ def _spectral_inputs(predictor: SpectralPredictor, u_tilde: object, y_prev: obje
     return u_tilde, _finite_vector(y_prev, d_y, "y_prev"), u_last
 
 
-def _predict(
-    vectors: np.ndarray,
-    M0: np.ndarray,
-    M: np.ndarray,
-    u_tilde: np.ndarray,
-    y_prev: np.ndarray,
-    u_last: np.ndarray,
-    features: np.ndarray,
-) -> np.ndarray:
-    """Difference-form prediction on already coerced inputs.
+def _features(vectors: np.ndarray, u_tilde: np.ndarray, u_last: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """``out`` (h + 1, d_u) filled with ``u_last`` and the filter outputs
+    ``vectors u_tilde``: the features of the difference-form prediction."""
+    out[0] = u_last
+    vectors.dot(u_tilde, out=out[1:])
+    return out
 
-    ``features`` (h + 1, d_u) receives ``u_last`` and the filter outputs
-    ``vectors u_tilde``.  The filter part is one product of ``M``, laid out
-    as a (d_y, h d_u) matrix, with the flat filter outputs.  ``M0 u_last``
-    is added to ``y_prev`` before it: the output may be far larger than its
-    increment, and this keeps its rounding that of ``y_prev + M0 u_last +
-    sum_j M_j (phi_j' u_tilde)`` summed left to right.
+
+def _predict(M0: np.ndarray, M: np.ndarray, y_prev: np.ndarray,
+             features: np.ndarray) -> np.ndarray:
+    """Difference-form prediction from :func:`_features`.
+
+    The filter part is one product of ``M``, laid out as a (d_y, h d_u)
+    matrix, with the flat filter outputs.  ``M0 u_last`` is added to
+    ``y_prev`` before it: the output may be far larger than its increment,
+    and this keeps its rounding that of ``y_prev + M0 u_last + sum_j M_j
+    (phi_j' u_tilde)`` summed left to right.
     """
-    features[0] = u_last
-    projections = features[1:]
-    vectors.dot(u_tilde, out=projections)
-    filtered = M.transpose(1, 0, 2).reshape(M.shape[1], -1).dot(projections.reshape(-1))
-    return y_prev + M0.dot(u_last) + filtered
+    filtered = M.transpose(1, 0, 2).reshape(M.shape[1], -1).dot(features[1:].reshape(-1))
+    return y_prev + M0.dot(features[0]) + filtered
 
 
 def spectral_predict(
@@ -685,19 +836,15 @@ def spectral_predict(
     ``u_{t-1}``) and ``y_prev`` the previous prediction."""
     u_tilde, y_prev, u_last = _spectral_inputs(predictor, u_tilde, y_prev, u_prev)
     features = np.empty((predictor.M.shape[0] + 1, u_tilde.shape[1]))
-    return _predict(
-        predictor.basis.vectors, predictor.M0, predictor.M, u_tilde, y_prev, u_last, features
-    )
+    features = _features(predictor.basis.vectors, u_tilde, u_last, features)
+    return _predict(predictor.M0, predictor.M, y_prev, features)
 
 
 def _spectral_learn(
-    vectors: np.ndarray,
     M0: np.ndarray,
     M: np.ndarray,
     ogd: OGDState,
-    u_tilde: np.ndarray,
     y_prev: np.ndarray,
-    u_last: np.ndarray,
     y_true: np.ndarray,
     features: np.ndarray,
     grad: np.ndarray,
@@ -705,12 +852,12 @@ def _spectral_learn(
     """Prediction, squared-error gradient and projected OGD step of the
     difference-form predictor on already coerced inputs.
 
-    ``features`` (h + 1, d_u) and ``grad`` (h + 1, d_y, d_u) are scratch:
-    ``features`` receives what :func:`_predict` writes, and ``grad`` the
-    gradient, which is ``2 (y_hat - y_true)`` times each feature in the
-    OGD point's ``[M0, M]`` order.  Returns ``(y_hat, y_hat - y_true, ogd)``.
+    ``features`` (h + 1, d_u) is what :func:`_features` gives, and ``grad``
+    (h + 1, d_y, d_u) scratch that receives the gradient, which is ``2
+    (y_hat - y_true)`` times each feature in the OGD point's ``[M0, M]``
+    order.  Returns ``(y_hat, y_hat - y_true, ogd)``.
     """
-    y_hat = _predict(vectors, M0, M, u_tilde, y_prev, u_last, features)
+    y_hat = _predict(M0, M, y_prev, features)
     error = y_hat - y_true
     np.multiply((2.0 * error)[:, None], features[:, None, :], out=grad)
     return y_hat, error, _ogd_step(ogd, grad.reshape(-1))[0]
@@ -736,9 +883,9 @@ def learn_spectral_step(
     u_tilde, y_prev, u_last = _spectral_inputs(predictor, u_tilde, y_prev, u_prev)
     y_true = _finite_vector(y_true, len(y_prev), "y_true")
     features, grad = _scratch(predictor)
+    features = _features(predictor.basis.vectors, u_tilde, u_last, features)
     y_hat, _, ogd = _spectral_learn(
-        predictor.basis.vectors, predictor.M0, predictor.M, predictor.ogd, u_tilde, y_prev,
-        u_last, y_true, features, grad,
+        predictor.M0, predictor.M, predictor.ogd, y_prev, y_true, features, grad
     )
     W = ogd.point.reshape(grad.shape)
     return y_hat, SpectralPredictor(basis=predictor.basis, M0=W[0], M=W[1:], ogd=ogd)
@@ -753,7 +900,7 @@ class OnlineSpectralFilter:
     protocol); feeding the predictor's own previous output instead would
     integrate its errors into an uncorrectable drift.  Call :meth:`step`
     once per round with the input just played and the observation it
-    produced.
+    produced, or :meth:`run` once on a whole record.
 
     The history lives in a ring buffer of ``2T`` rows: each input is written
     at ``pos`` and ``pos + T`` while ``pos`` moves down modulo ``T``, so the
@@ -791,9 +938,55 @@ class OnlineSpectralFilter:
         T = self._buf.shape[0] // 2
         pos = self._pos = (self._pos - 1) % T
         self._buf[pos] = self._buf[pos + T] = u_prev
+        _features(self._basis.vectors, self._buf[pos : pos + T], u_prev, self._features)
+        return self._learn(self._features, y_true)
+
+    def run(self, U: object, Y: object) -> np.ndarray:
+        """:meth:`step` on each row of the inputs ``U`` (n, d_u) and the
+        observations ``Y`` (n, d_y) in turn; returns the (n, d_y)
+        predictions.
+
+        The filter outputs ``phi_j' u_tilde_t`` do not depend on the learned
+        coefficients, so all n of them come from one causal convolution of
+        the held history and ``U`` with the ``h`` filters, by real FFTs,
+        before the loop, which then steps only the prediction, the gradient
+        and the OGD step.  They match :meth:`step`'s to rounding: the sums
+        are taken in another order.  Memory is O((n + T) h d_u).
+
+        Raises
+        ------
+        ConfigurationError
+            If ``U`` or ``Y`` is not a finite matrix of the filter's widths,
+            or they have different numbers of rows.
+        """
+        U = _as_matrix(U, "U", (None, self.d_u))
+        Y = _as_matrix(Y, "Y", (len(U), len(self._y_prev)))
+        n, T = len(U), self._buf.shape[0] // 2
+        vectors = self._basis.vectors
+        # The T inputs held before U, oldest first (zeros where none is held),
+        # then U; output t reads T + t, T + t - 1, ..., t + 1 of them.
+        inputs = np.concatenate((self._buf[self._pos : self._pos + T][::-1], U))
+        length = _fft_length(n + T)
+        spectrum = np.fft.rfft(vectors, n=length, axis=1)[:, :, None]
+        spectrum = spectrum * np.fft.rfft(inputs, n=length, axis=0)
+        outputs = np.fft.irfft(spectrum, n=length, axis=1)[:, T : T + n]
+        features = np.empty((n, len(vectors) + 1, self.d_u))
+        features[:, 0] = U
+        features[:, 1:] = outputs.transpose(1, 0, 2)
+        predictions = np.empty_like(Y)
+        for t in range(n):
+            predictions[t] = self._learn(features[t], Y[t])
+        # The ring buffer as n calls of step would leave it.
+        kept = np.arange(max(n - T, 0), n)
+        rows = (self._pos - 1 - kept) % T
+        self._buf[rows] = self._buf[rows + T] = U[kept]
+        self._pos = (self._pos - n) % T
+        return predictions
+
+    def _learn(self, features: np.ndarray, y_true: np.ndarray) -> np.ndarray:
+        """Predict from ``features``, learn from ``y_true`` and record the loss."""
         y_hat, error, self._ogd = _spectral_learn(
-            self._basis.vectors, self._M0, self._M, self._ogd, self._buf[pos : pos + T],
-            self._y_prev, u_prev, y_true, self._features, self._grad,
+            self._M0, self._M, self._ogd, self._y_prev, y_true, features, self._grad
         )
         W = self._ogd.point.reshape(self._grad.shape)
         self._M0, self._M = W[0], W[1:]

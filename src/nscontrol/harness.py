@@ -443,16 +443,18 @@ def _policy_pass(
 
 
 def _best_policy(
-    pass_at: Callable, affine: bool, max_iter: int, tol: float, label: str
+    pass_at: Callable, value_at: Optional[Callable], max_iter: int, tol: float, label: str
 ) -> tuple[np.ndarray, float, Optional[str]]:
     """Minimize a counterfactual total cost over flat parameters ``m`` by
     Newton's method from ``m = 0``; ``pass_at(m)`` is one forward pass that
     returns what :func:`_policy_pass` does (``m = None`` for zero).
 
-    When the policy class is ``affine`` in ``m`` and the first pass sees a
-    cost whose stage Hessian is constant, the objective is exactly ``J(m) =
-    J(0) + 2 g.m + m.H.m``, so that pass and its Newton step give the
-    minimizer and its value.  Otherwise Armijo-damped steps, one pass per
+    When the policy class is affine in ``m`` (``value_at`` given) and the
+    first pass sees a cost whose stage Hessian is constant, the objective is
+    exactly ``J(m) = J(0) + 2 g.m + m.H.m``, so that pass and its Newton
+    step give the minimizer; its value is ``value_at(m)``, a direct
+    evaluation, since the quadratic form cancels large terms when ``H`` is
+    ill-conditioned and the blocks are large.  Otherwise Armijo-damped steps, one pass per
     trial point, run until the Newton decrement ``-g.dm`` (the decrease the
     local quadratic model predicts) is at most ``tol * (1 + |J|)`` or
     ``max_iter`` passes are spent; a trial whose pass is non-finite is a
@@ -461,8 +463,8 @@ def _best_policy(
     out (else ``None``).
     """
     value, g, H, step, constant = pass_at(None)
-    if affine and constant:
-        return step, value + float(step @ (2.0 * g + H @ step)), None
+    if value_at is not None and constant:
+        return step, value_at(step), None
 
     m = np.zeros(step.size)
     best_m, best_value = m, value
@@ -497,12 +499,15 @@ def _best_affine_policy(
     """:func:`_best_policy` over an affine policy class, exact for a cost
     whose stage Hessian is constant, warning when the pass budget runs out.
     Returns the blocks, (depth, d_u, d_s), and their value."""
+    shape = (policies.depth, policies.system.d_u, policies.signals.shape[1])
     m, value, budget_note = _best_policy(
-        lambda m: _policy_pass(policies, cost, m, label), True, max_iter, tol, label
+        lambda m: _policy_pass(policies, cost, m, label),
+        lambda m: float(_policy_rollout_costs(policies, cost, m.reshape(shape)).sum()),
+        max_iter, tol, label,
     )
     if budget_note:
         warnings.warn(budget_note, stacklevel=3)
-    return m.reshape(policies.depth, policies.system.d_u, policies.signals.shape[1]), value
+    return m.reshape(shape), value
 
 
 def _linear_pass(
@@ -552,7 +557,8 @@ def best_dac_in_hindsight(
     sum_i M_i w_{t-i}`` over the action blocks; the objective is convex
     because the trajectory is affine in ``M``.  One streamed Newton engine
     serves every cost: a cost whose stage Hessian is constant is minimized
-    exactly by a single forward pass and one least-squares solve; any other
+    exactly by a single forward pass and one least-squares solve, and its
+    minimum read off one plain rollout at the solution; any other
     convex cost by damped Newton steps from ``M = 0``, at most ``max_iter``
     forward passes, stopping once the Newton decrement is at most ``tol *
     (1 + |J|)``.  A pass works through the run in chunks of steps, so its
@@ -643,7 +649,7 @@ def best_linear_in_hindsight(
             return _linear_pass(system, cost, w_record, x0, K, label)
 
         try:
-            m, value, budget_note = _best_policy(pass_at, False, max_iter, tol, label)
+            m, value, budget_note = _best_policy(pass_at, None, max_iter, tol, label)
         except EvaluationError:
             continue
         if best is None or value < best[1]:
@@ -778,15 +784,9 @@ CSV_COLUMNS = ["t", "cost", "cum_cost", "cum_comparator_cost", "avg_regret", "st
 
 def write_report_csv(report: RegretReport, path: str) -> None:
     """Emit the per-step CSV (17-significant-digit numbers)."""
-    cum = report.cum_cost
-    cum_comp = report.cum_comparator_cost
-    avg = report.avg_regret
-    rows = [
-        (t + 1, float(report.costs[t]), float(cum[t]), float(cum_comp[t]),
-         float(avg[t]), float(report.state_norms[t]))
-        for t in range(report.horizon)
-    ]
-    write_csv(path, CSV_COLUMNS, rows)
+    columns = (report.costs, report.cum_cost, report.cum_comparator_cost, report.avg_regret,
+               report.state_norms)
+    write_csv(path, CSV_COLUMNS, zip(range(1, report.horizon + 1), *(c.tolist() for c in columns)))
 
 
 def _regret_report(controller: str, comparator: str, costs: np.ndarray,

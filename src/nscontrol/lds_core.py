@@ -353,10 +353,13 @@ class PerturbationSource:
         Raises
         ------
         ConfigurationError
-            On an unknown kind, a recorded sequence shorter than ``stop`` or
-            of the wrong width, or a phase or constant vector of the wrong
-            dimension.
+            On an unknown kind, a ``start``, ``stop`` or ``dim`` that is not
+            a whole number (``start >= 0``, ``stop >= start``, ``dim >=
+            1``), a recorded sequence shorter than ``stop`` or of the wrong
+            width, or a phase or constant vector of the wrong dimension.
         """
+        start = _whole(start, 0, "start")
+        stop, dim = _whole(stop, start, "stop"), _whole(dim, 1, "dim")
         kind, shape = self.kind, (stop - start, dim)
         if kind == "zero":
             w = np.zeros(shape)
@@ -541,7 +544,13 @@ class Trajectory:
     observations, and per-step costs.
 
     ``states`` has shape (T+1, d_x) — it includes the final state — while
-    the other arrays have T rows.
+    the other arrays have T rows.  Only these lengths are checked: a
+    diverged run's last states may be non-finite.
+
+    Raises
+    ------
+    ConfigurationError
+        If the lengths do not fit the T rows of ``controls``.
     """
 
     states: np.ndarray
@@ -549,6 +558,14 @@ class Trajectory:
     perturbations: np.ndarray
     observations: np.ndarray
     costs: np.ndarray
+
+    def __post_init__(self):
+        T = len(self.controls)
+        for name in ("states", "perturbations", "observations", "costs"):
+            rows, want = len(getattr(self, name)), T + (name == "states")
+            if rows != want:
+                raise ConfigurationError(
+                    f"Trajectory {name} has {rows} rows, expected {want} for {T} controls")
 
     @property
     def horizon(self) -> int:

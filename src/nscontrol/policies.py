@@ -137,6 +137,7 @@ class PIDPolicy:
             if G.shape != (1, 1):
                 _as_matrix(G, name, shape)
         self.alpha, self.beta, self.gamma_d = gains.values()
+        self._dim = shape[1] if shape else None  # any, when every gain is a scalar
         self._integral: Optional[np.ndarray] = None
         self._prev: Optional[np.ndarray] = None
 
@@ -146,7 +147,7 @@ class PIDPolicy:
         return G @ v
 
     def act_state(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _as_vector(x, self._dim if self._integral is None else len(self._integral), "x")
         if self._integral is None:
             self._integral = np.zeros_like(x)
             self._prev = np.zeros_like(x)
@@ -454,7 +455,7 @@ class DRCPolicy(_WindowPolicy):
 
     def act_ynat(self, ynat: np.ndarray) -> np.ndarray:
         """Control from a freshly computed ynat_t (pushes it into the window)."""
-        return self._play(ynat)
+        return self._play(_as_vector(ynat, self.Ms[0].shape[1], "ynat"))
 
     def step(
         self,

@@ -89,20 +89,24 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 
     Floats are rendered at 17 significant digits; everything else via
     ``str``.  No quoting is performed (column names and values must be
-    comma-free).
+    comma-free).  Each row is rendered by one %-format, made once for each
+    sequence of value types met.
     """
     lines = [",".join(header)]
     width = len(header)
+    formats: dict = {}
     for row in rows:
-        if len(row) != width:
+        types = tuple(map(type, row))
+        if len(types) != width:
             raise ConfigurationError(
-                f"CSV row has {len(row)} fields, header has {width}"
+                f"CSV row has {len(types)} fields, header has {width}"
             )
-        rendered = [
-            format_float(v) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row
-        ]
-        lines.append(",".join(rendered))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                FLOAT_FMT if issubclass(t, (float, np.floating)) else "%s" for t in types
+            )
+        lines.append(fmt % tuple(row))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from nscontrol import harness
 from nscontrol.cli import main
+from nscontrol.filtering import spectral_basis
 from nscontrol.serialize import read_csv, read_json_summary, save_matrix
 from nscontrol.sysid import BlackBoxSystem, identify_then_control
 
@@ -317,6 +318,22 @@ def test_spectral_subcommand_caches_basis():
             code3, _, err = run_cli(argv)
             assert code3 == 2
             assert "malformed" in err
+
+
+def test_spectral_summary_reports_the_basis_decay():
+    # basis_lambda_1 and basis_tail_ratio = lambda_h / lambda_1 are those of
+    # spectral_basis itself, on the first run, which builds and caches the
+    # basis, and on the second, which loads it.
+    basis = spectral_basis(120, 20)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["spectral", "--preset", "scalar-0.9", "--horizon", "120", "--out", tmp]
+        for _ in range(2):
+            code, _, _ = run_cli(argv)
+            assert code == 0
+            summary = read_json_summary(os.path.join(tmp, "summary.json"))
+            assert summary["basis_lambda_1"] == basis.eigenvalues[0]
+            assert summary["basis_tail_ratio"] == basis.eigenvalues[-1] / basis.eigenvalues[0]
+            assert 0.0 <= summary["basis_tail_ratio"] < 1e-6
 
 
 def test_configuration_error_exit_code():

@@ -45,6 +45,7 @@ from nscontrol import (
     QuadraticCost,
     ScenarioConfig,
     SpectralPredictor,
+    Trajectory,
     approximation_gap,
     best_dac_in_hindsight,
     best_drc_in_hindsight,
@@ -65,6 +66,7 @@ from nscontrol import (
     glc_from_ldc,
     hankel_W,
     identify_then_control,
+    kalman_filter,
     kalman_steady_state,
     kalman_step,
     learn_linear_step,
@@ -126,7 +128,6 @@ EXEMPT = {
     "RegretReport": "result record of run_experiment",
     "ScenarioBlueprint": "entries of scenario_presets, checked as a ScenarioConfig",
     "SpectralBasis": "result record of spectral_basis and load_basis",
-    "Trajectory": "result record of simulate",
 }
 
 # One small plant, d_x = 2, d_u = 1, d_y = 1, and what the cases share.
@@ -187,10 +188,21 @@ CASES = {
                                         {"vector": (np.ones(2), "2d")}),
     "PerturbationSource.sinusoidal": Case(PerturbationSource.sinusoidal,
                                           {"phase": (np.zeros(2), "2d")}),
+    "PerturbationSource.draw": Case(
+        lambda **kw: PerturbationSource.gaussian().draw(rng=np.random.default_rng(0), **kw), {},
+        {"start": (0, 0), "stop": (3, 0), "dim": (2, 1)}),
     "QuadraticCost": Case(QuadraticCost, {"Q": (np.eye(2), "col"), "R": (np.eye(1), "col"),
                                           "target": (np.ones(2), "col")}),
     "step": Case(lambda **kw: step(SYSTEM, **kw), _cols(x=np.ones(2), u=np.ones(1), w=np.ones(2))),
     "observe": Case(lambda **kw: observe(OBSERVED, **kw), _cols(x=np.ones(2))),
+    # Only the lengths are checked: a diverged run's last states may be
+    # non-finite.
+    "Trajectory": Case(
+        lambda **kw: Trajectory(**kw).horizon,
+        {"states": (np.ones((3, 2)), "row"), "controls": (np.ones((2, 1)), "row"),
+         "perturbations": (np.ones((2, 2)), "row"), "observations": (np.ones((2, 2)), "row"),
+         "costs": (np.ones(2), "row")},
+        carries=("states", "controls", "perturbations", "observations", "costs")),
     "simulate": Case(
         lambda **kw: simulate(SYSTEM, lambda t, x, y: K @ x, PerturbationSource.zero(), COST, **kw),
         _cols(x0=np.ones(2)), {"T": (4, 0)}),
@@ -219,10 +231,17 @@ CASES = {
         lambda **kw: kalman_step(KalmanState(np.zeros(2), np.eye(2)), **kw),
         {"A": (A, "col"), "B": (B, "row"), "C": (C, "col"), "Sigma_x": (np.eye(2), "grow"),
          "Sigma_y": (np.eye(1), "grow"), "u": (np.ones(1), "col"), "y": (np.ones(1), "col")}),
+    "kalman_filter": Case(
+        lambda **kw: kalman_filter(KalmanState(np.zeros(2), np.eye(2)), **kw),
+        {"A": (A, "col"), "C": (C, "col"), "Sigma_x": (np.eye(2), "grow"),
+         "Sigma_y": (np.eye(1), "grow"), "Y": (np.ones((3, 1)), "col"), "B": (B, "row"),
+         "U": (np.ones((3, 1)), "col")}),
     "kalman_steady_state": Case(
         kalman_steady_state, {"A": (A, "col"), "C": (C, "col"), "Sigma_x": (np.eye(2), "grow"),
                               "Sigma_y": (np.eye(1), "grow")}),
-    "LinearPredictor": Case(LinearPredictor, _cols(M1=np.zeros((2, 1, 1)), M2=np.zeros((1, 1, 1)))),
+    # M2's last axis, d_u, may have any length: its misshape drops the axes.
+    "LinearPredictor": Case(LinearPredictor, {"M1": (np.zeros((2, 1, 1)), "col"),
+                                              "M2": (np.zeros((1, 1, 1)), "flat")}),
     "predict_linear": Case(
         lambda **kw: predict_linear(LINEAR, **kw),
         _cols(u_history=[np.ones(1)] * 2, y_history=[np.ones(1)] * 2)),
@@ -248,6 +267,9 @@ CASES = {
     "OnlineSpectralFilter.step": Case(
         lambda **kw: OnlineSpectralFilter(_predictor(), 1).step(**kw),
         _cols(u_prev=np.ones(1), y_true=np.ones(1))),
+    "OnlineSpectralFilter.run": Case(
+        lambda **kw: OnlineSpectralFilter(_predictor(), 1).run(**kw),
+        _cols(U=np.ones((3, 1)), Y=np.ones((3, 1)))),
     "ScenarioConfig": Case(
         lambda **kw: ScenarioConfig("contract", SYSTEM, COST, PerturbationSource.zero(),
                                     {"kind": "zero"}, **kw),
@@ -287,6 +309,8 @@ CASES = {
     "LinearPolicy.act_state": Case(lambda **kw: LinearPolicy(K).act_state(**kw),
                                    _cols(x=np.ones(2)), carries=("x",), shape=(1,)),
     "PIDPolicy": Case(PIDPolicy, _cols(alpha=K, beta=K, gamma_d=K)),
+    "PIDPolicy.act_state": Case(lambda **kw: PIDPolicy(K, K, K).act_state(**kw),
+                                _cols(x=np.ones(2)), carries=("x",), shape=(1,)),
     "LDCPolicy": Case(
         LDCPolicy, {"A_pi": (0.5 * np.eye(2), "col"), "B_pi": (np.ones((2, 2)), "row"),
                     "C_pi": (np.ones((1, 2)), "col"), "D_pi": (K, "col")}),
@@ -295,6 +319,8 @@ CASES = {
                                 carries=("x",), shape=(1,)),
     "DACPolicy": Case(DACPolicy, _cols(K=K, Ms=[K, K], offset=np.ones(1))),
     "DRCPolicy": Case(DRCPolicy, _cols(Ms=[np.ones((1, 1))] * 2), {"d_x": (2, 1)}),
+    "DRCPolicy.act_ynat": Case(lambda **kw: DRCPolicy([np.ones((1, 1))] * 2, 2).act_ynat(**kw),
+                               _cols(ynat=np.ones(1)), carries=("ynat",), shape=(1,)),
     "NaturesYTracker": Case(NaturesYTracker, {}, {"d_x": (2, 1)}),
     "natures_y_step": Case(
         lambda **kw: natures_y_step(NaturesYTracker(2), **kw),
@@ -327,10 +353,7 @@ CASES = {
 COST_Y = QuadraticCost(Q=np.eye(1), R=np.eye(1))
 
 #: Cases that need more than a shape, finiteness or size check, by id prefix.
-XFAIL = {
-    "LinearPredictor-M": "the coefficient stacks are 3-D, (h, d_y, d_y) and (k, d_y, d_u); "
-                         "the matrix and vector checks do not apply and nothing checks them",
-}
+XFAIL: dict = {}
 
 
 def _misshaped(value: np.ndarray, how: str) -> np.ndarray:

@@ -7,9 +7,11 @@ against finite differences, and Kalman against both the transposed-DARE
 duality and an offline least-squares comparator.
 """
 
+import base64
 import dataclasses
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -37,6 +39,7 @@ from nscontrol.filtering import (
     build_Z,
     cached_basis,
     hankel_W,
+    kalman_filter,
     kalman_steady_state,
     kalman_step,
     learn_linear_step,
@@ -483,11 +486,22 @@ def _fresh_step(state, *args, **kwargs):
     return kalman_step(rebuilt, *args, **kwargs)
 
 
+def _validating_filter(state, A, C, Sigma_x, Sigma_y, Y, B=None, U=None):
+    """kalman_filter as a per-step loop of kalman_step from a rebuilt state
+    each time: full validation and a Riccati step on every step."""
+    X_hat, Sigmas = [], []
+    for t, y in enumerate(Y):
+        X_hat.append(state.x_hat)
+        Sigmas.append(state.Sigma)
+        state = _fresh_step(state, A[t], None, C[t], Sigma_x, Sigma_y, y=y)
+    return np.array(X_hat), np.array(Sigmas), state
+
+
 def test_cli_filter_matches_always_validating_loop(monkeypatch):
-    # The CLI loop chains kalman_step, which validates once and replays
-    # repeated covariances from its memo; rebuilding a user-built
-    # KalmanState before every step forces full validation and a Riccati
-    # step each time, and must not change a byte of the artifacts.
+    # The CLI runs kalman_filter, which validates once and replays the
+    # covariance cycle once it repeats; a per-step loop that rebuilds a
+    # user-built KalmanState before every step forces full validation and a
+    # Riccati step each time, and must not change a byte of the artifacts.
     def run(preset):
         with tempfile.TemporaryDirectory() as tmp:
             argv = ["filter", "--preset", preset, "--horizon", "300", "--out", tmp]
@@ -498,12 +512,12 @@ def test_cli_filter_matches_always_validating_loop(monkeypatch):
     for preset in ("b747", "scalar-0.9", "pendulum", "double-integrator"):
         calls.clear()
         chained = run(preset)
-        misses = len(calls)
-        assert 0 < misses < 150  # the covariance repeats within 150 steps
+        assert 0 < len(calls) < 150  # the covariance repeats within 150 steps
+        calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "kalman_step", _fresh_step)
+            patch.setattr(cli, "kalman_filter", _validating_filter)
             assert run(preset) == chained
-        assert len(calls) == misses + 300
+        assert len(calls) == 300
 
 
 def _reference_filter(config, T, seed):
@@ -548,15 +562,32 @@ def _reference_spectral(config, T, seed):
     return rows, {"avg_loss": losses.mean(), "last_quarter_avg_loss": losses[3 * T // 4 :].mean()}
 
 
+_PRESETS = ["b747", "scalar-0.9", "pendulum", "double-integrator"]
+
+
 @pytest.mark.parametrize("command", ["filter", "spectral"])
-@pytest.mark.parametrize("preset", ["b747", "scalar-0.9", "pendulum", "double-integrator"])
+@pytest.mark.parametrize("preset", _PRESETS)
 def test_cli_artifacts_match_a_per_step_reference_loop(command, preset):
     # The commands simulate the plant before the filter loop and build the
     # errors, averages and rows from arrays afterwards.  Their artifacts
     # match the per-step loop up to the order of the sums: each CSV value
     # within 1e-12 of its column's largest magnitude, each summary value
     # within 1e-10 relative.
-    T, seed = 300, 3
+    _check_cli_against_reference(command, preset, 300, 3)
+
+
+@pytest.mark.parametrize("preset", _PRESETS)
+@pytest.mark.parametrize("T, seed", [(300, 0), (2000, 0), (2000, 3)])
+def test_cli_spectral_run_matches_the_per_step_loop(preset, T, seed):
+    # The spectral command's filter outputs come from one FFT convolution
+    # (OnlineSpectralFilter.run), the loop's from a product per step; the
+    # bounds above hold at the benchmark's horizon too.  On double-integrator
+    # y reaches about 4,900, so one rounding flip of a prediction moves
+    # sq_error by about 1e-12 of its largest value there.
+    _check_cli_against_reference("spectral", preset, T, seed)
+
+
+def _check_cli_against_reference(command, preset, T, seed):
     config = config_from_preset(preset, {"kind": "zero"}, horizon=T, seed=seed)
     reference = {"filter": _reference_filter, "spectral": _reference_spectral}[command]
     rows, summary = reference(config, T, seed)
@@ -698,6 +729,95 @@ def test_kalman_memo_misses_after_an_in_place_change(monkeypatch):
         assert np.array_equal(chained.x_hat, fresh.x_hat)
         assert np.array_equal(chained.Sigma, fresh.Sigma)
     assert len(calls) == 5
+
+
+def _chained_filter(state, A, C, Sx, Sy, ys, B, us):
+    """The histories and final state of kalman_step chained over a record;
+    ``A`` and ``C`` are matrices or per-step stacks."""
+    X_hat, Sigmas = np.empty((len(ys), len(state.x_hat))), np.empty((len(ys),) + state.Sigma.shape)
+    for t, y in enumerate(ys):
+        X_hat[t], Sigmas[t] = state.x_hat, state.Sigma
+        A_t, C_t = (M if M.ndim == 2 else M[t] for M in (A, C))
+        state = kalman_step(state, A_t, B, C_t, Sx, Sy, u=us[t], y=y)
+    return X_hat, Sigmas, state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 4),
+    d_y=st.integers(1, 3),
+    rank_x=st.integers(0, 4),
+    rank_y=st.integers(0, 3),
+    with_input=st.booleans(),
+    steps=st.integers(0, 150),
+    radius=st.sampled_from([0.95, 1.2]),
+    varying=st.booleans(),
+)
+@example(seed=303, d_x=2, d_y=2, rank_x=1, rank_y=0, with_input=False, steps=60, radius=0.95,
+         varying=False)
+@example(seed=2, d_x=1, d_y=2, rank_x=0, rank_y=0, with_input=True, steps=3, radius=1.2,
+         varying=False)
+def test_kalman_filter_matches_chained_steps_bitwise(
+    seed, d_x, d_y, rank_x, rank_y, with_input, steps, radius, varying
+):
+    # Stable and unstable A, singular noise covariances (ranks below the
+    # dimension), inputs through B, per-step stacks of a time-varying A and
+    # C, and records shorter than any cycle: kalman_filter gives the bits of
+    # kalman_step chained over the record, or raises the same error.
+    A, B, C, Sx, Sy, S0, x0, us, ys = _kalman_case(
+        seed, d_x, d_y, rank_x, rank_y, with_input, steps
+    )
+    A = A * (radius / 0.95)
+    if varying:
+        scale = 1.0 + 0.05 * np.sin(np.arange(steps))[:, None, None]
+        A, C = A * scale, C * scale
+    U = np.array(us) if with_input else None
+    try:
+        expected = _chained_filter(KalmanState(x0, S0), A, C, Sx, Sy, ys, B, us)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(exc))}$"):
+            kalman_filter(KalmanState(x0, S0), A, C, Sx, Sy, ys, B, U)
+        return
+    X_hat, Sigmas, final = kalman_filter(KalmanState(x0, S0), A, C, Sx, Sy, ys, B, U)
+    assert np.array_equal(X_hat, expected[0]) and np.array_equal(Sigmas, expected[1])
+    assert np.array_equal(final.x_hat, expected[2].x_hat)
+    assert np.array_equal(final.Sigma, expected[2].Sigma)
+
+
+def test_kalman_filter_replays_the_covariance_cycle(monkeypatch):
+    # The filter command's b747 chain (noise 0.1) repeats at t = 52: 23 steps
+    # from t = 29 on.  kalman_filter then runs 52 Riccati steps for 2,000,
+    # one per step on a record shorter than the cycle or under a time-varying
+    # A, and leaves kalman_step's memo alone.  Its final state chains: two
+    # halves give the bits of one run, and a step from it those of a
+    # validating step.
+    system = config_from_preset("b747", {"kind": "zero"}, horizon=2000).system
+    A, _, C = (M[0] for M in system.stacks(0, 1))
+    Sx, Sy = 0.1**2 * np.eye(system.d_x), 0.1**2 * np.eye(system.d_y)
+    ys = np.random.default_rng(0).normal(size=(2000, system.d_y))
+    start = KalmanState(x_hat=np.zeros(system.d_x), Sigma=Sx)
+    calls = _riccati_calls(monkeypatch)
+    X_hat, Sigmas, final = kalman_filter(start, A, C, Sx, Sy, ys)
+    assert len(calls) == 52
+    assert np.array_equal(Sigmas[29:1977], Sigmas[52:2000])
+    assert not np.array_equal(Sigmas[28], Sigmas[51])
+    assert final._noise[4] == {}
+
+    first = kalman_filter(start, A, C, Sx, Sy, ys[:1000])
+    second = kalman_filter(first[2], A, C, Sx, Sy, ys[1000:])
+    assert np.array_equal(np.concatenate((first[0], second[0])), X_hat)
+    assert np.array_equal(np.concatenate((first[1], second[1])), Sigmas)
+    assert np.array_equal(second[2].x_hat, final.x_hat)
+    assert np.array_equal(second[2].Sigma, final.Sigma)
+    chained, fresh = (step(final, A, None, C, Sx, Sy, y=ys[0]) for step in (kalman_step, _fresh_step))
+    assert np.array_equal(chained.x_hat, fresh.x_hat)
+    assert np.array_equal(chained.Sigma, fresh.Sigma)
+
+    for A_run, T in ((A, 20), (A * (1.0 + 1e-3 * np.sin(np.arange(100)))[:, None, None], 100)):
+        calls.clear()
+        kalman_filter(start, A_run, C, Sx, Sy, ys[:T])
+        assert len(calls) == T
 
 
 def test_kalman_memo_is_not_aliased_by_returned_covariances(monkeypatch):
@@ -937,11 +1057,17 @@ def test_basis_save_load_roundtrip():
                 load_basis(path)
 
 
+def _b64_row(row) -> str:
+    return base64.b64encode(np.asarray(row, dtype="<f8").tobytes()).decode()
+
+
 @pytest.mark.parametrize("T, h", [(2, 1), (2, 2), (25, 7)])
 def test_save_basis_bytes_match_join_format(T, h):
+    # A header with the format tag, then one line per row, eigenvalues first:
+    # the base64 of the row's little-endian float64 bytes.
     basis = spectral_basis(T, h)
-    lines = [f"{T} {h}", " ".join("%.17g" % v for v in basis.eigenvalues)]
-    lines += [" ".join("%.17g" % v for v in row) for row in basis.vectors]
+    lines = [f"{T} {h} float64-le-base64", _b64_row(basis.eigenvalues)]
+    lines += [_b64_row(row) for row in basis.vectors]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "basis.txt")
         save_basis(basis, path)
@@ -950,6 +1076,45 @@ def test_save_basis_bytes_match_join_format(T, h):
         loaded = load_basis(path)
     assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
     assert np.array_equal(loaded.vectors, basis.vectors)
+
+
+def test_load_basis_reads_the_decimal_format_bitwise(tmp_path):
+    # The format save_basis wrote before: header "T h", then rows of numbers
+    # at 17 significant digits.  cached_basis reads such a file too.
+    basis = spectral_basis(25, 7)
+    lines = ["25 7", " ".join("%.17g" % v for v in basis.eigenvalues)]
+    lines += [" ".join("%.17g" % v for v in row) for row in basis.vectors]
+    path = tmp_path / "spectral_basis_T25_h7.txt"
+    path.write_text("\n".join(lines) + "\n")
+    for loaded in (load_basis(str(path)), cached_basis(25, 7, str(tmp_path))):
+        assert (loaded.T, loaded.h) == (25, 7)
+        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
+        assert np.array_equal(loaded.vectors, basis.vectors)
+    path.write_text("\n".join(lines).replace(lines[2], lines[2] + " 1") + "\n")
+    with pytest.raises(ConfigurationError, match="malformed"):
+        load_basis(str(path))
+
+
+def test_load_basis_rejects_malformed_binary_files(tmp_path):
+    path = str(tmp_path / "basis.txt")
+    save_basis(spectral_basis(25, 7), path)
+    whole = Path(path).read_bytes()
+    lines = whole.split(b"\n")
+    bad = {
+        "truncated": whole[: len(whole) // 2],
+        "without its last newline": whole[:-1],
+        "a row short": b"\n".join(lines[:-2]) + b"\n",
+        "ragged": whole.replace(lines[3], _b64_row(np.ones(24)).encode()),
+        "not base64": whole.replace(lines[3], lines[3][:-4] + b"*@#!"),
+        "a NaN entry": whole.replace(lines[3], _b64_row(np.full(25, np.nan)).encode()),
+        "an infinite eigenvalue": whole.replace(lines[1], _b64_row(np.full(7, np.inf)).encode()),
+        "an unknown tag": whole.replace(b"float64-le-base64", b"float32-le-base64"),
+    }
+    for case, data in bad.items():
+        Path(path).write_bytes(data)
+        with pytest.raises(ConfigurationError, match="malformed"):
+            load_basis(path)
+            pytest.fail(case)
 
 
 @pytest.mark.parametrize("T", [2, 3, 17, 500, 2000])
@@ -1157,6 +1322,42 @@ def test_online_spectral_filter_ring_matches_concatenated_history(d_u):
         assert np.array_equal(y_hat, y_ref) and np.array_equal(predicted, y_ref)
         assert filt.losses[-1] == float(np.sum((y_ref - ys[t]) ** 2))
     assert np.array_equal(filt.predictor.ogd.point, predictor.ogd.point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_u=st.integers(1, 3),
+    d_y=st.integers(1, 3),
+    h=st.integers(1, 8),
+    T=st.integers(2, 24),
+    before=st.integers(0, 40),
+    n=st.integers(0, 60),
+)
+def test_online_spectral_run_matches_repeated_steps(seed, d_u, d_y, h, T, before, n):
+    # run, after `before` step calls that may wrap the ring buffer, against
+    # step on each row: the filter outputs come from one FFT convolution
+    # instead of a product per step, so predictions, losses and coefficients
+    # agree to 1e-12 of their largest magnitude.  A step after either reads
+    # the ring buffer run left behind.
+    basis = spectral_basis(T, min(h, T))
+    rng = np.random.default_rng(seed)
+    us = rng.uniform(-1.0, 1.0, size=(before + n + 1, d_u))
+    ys = rng.normal(size=(before + n + 1, d_y))
+    stepped, ran = (OnlineSpectralFilter(SpectralPredictor.zeros(basis, d_y=d_y, d_u=d_u), d_u)
+                    for _ in range(2))
+    for u, y in zip(us[:before], ys[:before]):
+        stepped.step(u, y)
+        ran.step(u, y)
+    expected = np.array([stepped.step(u, y) for u, y in zip(us[before:-1], ys[before:-1])])
+    got = ran.run(us[before:-1], ys[before:-1])
+    assert got.shape == (n, d_y)
+    pairs = [(got, expected.reshape(n, d_y)), (ran.losses, stepped.losses),
+             (ran.predictor.ogd.point, stepped.predictor.ogd.point),
+             (ran.step(us[-1], ys[-1]), stepped.step(us[-1], ys[-1]))]
+    for a, b in pairs:
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
 
 
 def test_online_spectral_filter_rejects_wrong_input_size():

@@ -509,10 +509,16 @@ def _lstsq_reference(system, cost, w, x0, shape, make_policy, observe):
     # Row block t holds sqrt(W) (v_t(m) - offset) = a_t + E_t m.
     a = ((v0.reshape(T, n) - offset) @ sqrt_W.T).ravel()
     E = np.stack([(c.reshape(T, n) @ sqrt_W.T).ravel() for c in columns], axis=1)
-    # Singular values below rounding level are dropped, as by numpy's
-    # default cutoff: the blocks may be redundant (ynat confined to a
-    # subspace, a cost blind to some input).
-    m, *_ = scipy.linalg.lstsq(E, -a, cond=np.finfo(float).eps * max(E.shape))
+    # Singular values below rounding level are dropped: the blocks may be
+    # redundant (ynat confined to a subspace, a cost blind to some input).
+    # Each column is a difference of rollouts of the size of v0, so it
+    # carries rounding of order eps |v0| even where the columns themselves
+    # are small; numpy's default cutoff, relative to the largest singular
+    # value alone, would keep that noise and solve for blocks of ~1e15.
+    v0_scale = np.abs((v0.reshape(T, n) @ sqrt_W.T)).max()
+    largest = np.linalg.norm(E, 2)
+    cond = np.finfo(float).eps * max(E.shape) * max(1.0, v0_scale / largest)
+    m, *_ = scipy.linalg.lstsq(E, -a, cond=cond)
     return float(np.sum((a + E @ m) ** 2))
 
 
@@ -587,6 +593,14 @@ def test_best_dac_exact_solve_matches_iterative(
 # stops on an absolute gradient norm of 1e-8 ends 3.4e-6 relative above
 # the optimum.
 @example(seed=300, d_x=1, d_u=1, d_y=1, h=1, T=5, with_target=True, singular_R=True)
+# Half Hessian of condition 9e9, blocks of norm ~2e3: the quadratic form
+# J(0) + 2 g.m + m.H.m cancels terms of ~5e9 and misses the optimum by
+# 1.5e-9 relative, while a rollout at the blocks gives it to 1e-13.
+@example(seed=60170, d_x=2, d_u=2, d_y=2, h=0, T=32, with_target=False, singular_R=False)
+# ynat confined to a line (d_x = 1 < d_y = 2) and of norm ~1 while the
+# columns of the reference's map are ~1e-2: their rounding leaves a
+# singular value 3.35e-15 relative, just above numpy's default cutoff.
+@example(seed=7162940, d_x=1, d_u=1, d_y=2, h=1, T=5, with_target=False, singular_R=True)
 def test_best_drc_exact_solve_matches_iterative(
     seed, d_x, d_u, d_y, h, T, with_target, singular_R
 ):
@@ -1048,6 +1062,22 @@ def test_report_csv_byte_identical():
         with open(p2, "rb") as fh:
             b2 = fh.read()
     assert b1 == b2
+
+
+def test_report_csv_bytes_match_a_per_row_writer(tmp_path):
+    # write_report_csv renders whole rows from .tolist() columns; the bytes
+    # are those of a row-by-row writer that reads each value as float(...)
+    # and formats it with %.17g.  Large, tiny and negative values included.
+    report = make_report(T=40, seed=2)
+    report.costs[:3] = [1e300, 5e-324, 0.1]
+    report.state_norms[3] = 123456789.0
+    lines = [",".join(CSV_COLUMNS)]
+    for t in range(report.horizon):
+        values = (report.costs[t], report.cum_cost[t], report.cum_comparator_cost[t],
+                  report.avg_regret[t], report.state_norms[t])
+        lines.append(",".join([str(t + 1)] + ["%.17g" % float(v) for v in values]))
+    write_report_csv(report, str(tmp_path / "report.csv"))
+    assert (tmp_path / "report.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_report_summary_includes_extras():
