@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .lds_core import (
-    TOL_PSD, _all_finite, _as_matrix, _as_vector, _check_psd, _finite_vector, _whole,
+    TOL_PSD, _all_finite, _as_matrix, _check_psd, _finite_vector, _whole,
 )
 from .online_control import OGDState, _ogd_step
 from .optimal_control import _riccati_step, dare_solve
@@ -932,9 +932,16 @@ class OnlineSpectralFilter:
 
     def step(self, u_prev: object, y_true: object) -> np.ndarray:
         """Predict ``y_t`` from the inputs up to ``u_{t-1}`` and the
-        previous observation, then learn from the realized ``y_t``."""
-        u_prev = _as_vector(u_prev, self.d_u, "u_prev")
-        y_true = _as_vector(y_true, len(self._y_prev), "y_true")
+        previous observation, then learn from the realized ``y_t``.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``u_prev`` or ``y_true`` is not a finite vector of the
+            filter's width; the filter is then left as it was.
+        """
+        u_prev = _finite_vector(u_prev, self.d_u, "u_prev")
+        y_true = _finite_vector(y_true, len(self._y_prev), "y_true")
         T = self._buf.shape[0] // 2
         pos = self._pos = (self._pos - 1) % T
         self._buf[pos] = self._buf[pos + T] = u_prev

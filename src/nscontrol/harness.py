@@ -955,14 +955,13 @@ def learner_options(controller: dict) -> dict:
     return _check_options(spec, _LEARNER_OPTIONS, "sysid")
 
 
-def _build_controller(
-    config: ScenarioConfig,
-) -> tuple[Callable[[int, np.ndarray, np.ndarray], np.ndarray], str, Optional[np.ndarray]]:
+def _build_controller(config: ScenarioConfig) -> tuple:
     """Translate a controller spec dict into a simulate() callback.
 
     The learners' options go to their constructors as given, so their
     defaults live in :class:`GPCController` and :class:`GRCController`
-    alone.  Returns ``(callback, label, stabilizing_gain_or_None)``.
+    alone.  Returns ``(callback, label, stabilizing_gain_or_None,
+    learner_or_None)``.
     """
     spec = dict(config.controller)
     kind = spec.pop("kind", None)
@@ -973,16 +972,32 @@ def _build_controller(
     _check_options(spec, _CONTROLLER_OPTIONS[kind], kind)
     system, cost = config.system, config.cost
     if kind == "zero":
-        return (lambda t, x, y: np.zeros(system.d_u)), "zero", None
+        return (lambda t, x, y: np.zeros(system.d_u)), "zero", None, None
     if kind == "grc":
         controller = GRCController(system.d_x, system.d_u, system.d_y, horizon=config.horizon,
                                    **spec)
-        return grc_runner(controller, system, cost), "grc", None
+        return grc_runner(controller, system, cost), "grc", None, controller
     K = _resolve_gain(spec.pop("K", None), config)
     if kind == "gpc":
         controller = GPCController(system.d_x, system.d_u, K, horizon=config.horizon, **spec)
-        return gpc_runner(controller, system, cost), "gpc", K
-    return (lambda t, x, y: K @ x), kind, K
+        return gpc_runner(controller, system, cost), "gpc", K, controller
+    return (lambda t, x, y: K @ x), kind, K, None
+
+
+def _learner_diagnostics(learner: object) -> dict:
+    """The summary fields of a GPC or GRC learner after its run: the cache
+    depth ``H_trunc`` and the decay rate ``delta_hat`` it was sized from
+    (None before the first update), the number of OGD steps the projection
+    onto the ball scaled, and the step size of the last one (None if no
+    step was taken)."""
+    ogd = learner.ogd
+    return {
+        "H_trunc": learner.H_trunc,
+        "delta_hat": learner.delta_hat,
+        "ogd_steps": ogd.t,
+        "ogd_projected_steps": learner.projected_steps,
+        "ogd_last_step_size": ogd.step_size(ogd.t) if ogd.t else None,
+    }
 
 
 def run_experiment(config: ScenarioConfig) -> RegretReport:
@@ -999,7 +1014,7 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
     w_record = generate_perturbations(
         config.perturbation, T, system.d_x, config.seed, config.noise_embedding
     )
-    callback, label, K_learner = _build_controller(config)
+    callback, label, K_learner, learner = _build_controller(config)
 
     comp_spec = dict(config.comparator)
     comp_kind = comp_spec.pop("kind", None)
@@ -1063,8 +1078,9 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
     else:  # "none"
         comparator_costs = np.zeros(T)
 
+    extras = None if learner is None else _learner_diagnostics(learner)
     report = _regret_report(label, comp_kind, costs, comparator_costs, trajectory.states,
-                            config.seed, start_time)
+                            config.seed, start_time, extras)
     if config.out_dir:
         _write_report(report, config.out_dir)
     return report

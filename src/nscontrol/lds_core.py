@@ -419,11 +419,14 @@ class QuadraticCost:
     stored.  ``target`` is the state target ``x*`` (defaults to the origin).
 
     The cost interface, shared with :class:`CallableCost`: ``value(x, u)``
-    is the cost at one point, a float.  ``stage(Z, U)`` takes one row
-    ((d_z,) and (d_u,)) or n rows ((n, d_z) and (n, d_u)) and returns the
-    values, shape () or (n,), and half the gradients in ``v = (z, u)``,
-    shape (d_v,) or (n, d_v); ``values(Z, U)`` returns the same values
-    alone, without computing a gradient.  ``half_hessians(Z, U)`` is half
+    is the cost at one point, a float; the closed loops do not call it, but
+    price their played pairs with one ``values`` call after the loop
+    (:func:`simulate`, :func:`~nscontrol.sysid.control_with_model`); the
+    two sum in another order, so they agree to rounding.  ``stage(Z, U)``
+    takes one row ((d_z,) and (d_u,)) or n rows ((n, d_z) and (n, d_u)) and
+    returns the values, shape () or (n,), and half the gradients in ``v =
+    (z, u)``, shape (d_v,) or (n, d_v); ``values(Z, U)`` returns the same
+    values alone, without computing a gradient.  ``half_hessians(Z, U)`` is half
     the Hessian in ``v``: one (d_v, d_v) matrix per row, or a single one
     that broadcasts when it is constant, as here: ``W = blockdiag(Q, R)``.
     The half gradients ``(Q (z - x*), R u)`` are formed block by block, so
@@ -481,7 +484,8 @@ class CallableCost:
     gradients ``gx(x, u)`` and ``gu(x, u)``, each called on one point.
 
     It has the interface of :class:`QuadraticCost`.  ``stage`` calls ``fn``,
-    ``gx`` and ``gu`` row by row, and ``values`` only ``fn``; a gradient
+    ``gx`` and ``gu`` row by row, and ``values`` only ``fn`` (so a closed
+    loop calls ``fn`` once per played pair, after the loop); a gradient
     whose shape is not its argument's raises ConfigurationError.
     ``half_hessians`` symmetrizes forward differences of the half gradients,
     one matrix per row.
@@ -617,8 +621,8 @@ def simulate(
         Its ``T`` rows are drawn in one block before the first step.
     cost : cost object
         A :class:`QuadraticCost`, a :class:`CallableCost` or any object with
-        their ``value(x, u)``, the only call made: once per step, on the
-        played pair.
+        their ``values(X, U)``, the only call made: once, after the loop, on
+        the played pairs.
     T : int
         Horizon (number of steps).
     seed : int
@@ -633,8 +637,11 @@ def simulate(
     Raises
     ------
     EvaluationError
-        If the controller emits a non-finite control, or the cost is
-        non-finite at some step.
+        If the controller emits a non-finite control, a state is non-finite,
+        or the cost is non-finite at some step.  The loop stops at the first
+        non-finite control or state, and never hands a non-finite state to
+        the controller; a played cost that was non-finite before that step
+        is named first, as the earlier failure.
     ConfigurationError
         On a horizon that is not a whole number >= 0, an ``x0`` that is not
         a finite d_x vector, a control of the wrong dimension, or a
@@ -650,25 +657,40 @@ def simulate(
     controls = np.zeros((T, d_u))
     noises = perturbations.draw(0, T, d_x, rng)
     observations = np.zeros((T, system.d_y))
-    costs = np.zeros(T)
 
     states[0] = x
-    for t in range(T):
-        A, B, C = system.matrices(t)
-        y = x.copy() if C is None else C.dot(x)
-        observations[t] = y
-        u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
-        # u.u is finite exactly when every entry is, unless it overflows.
-        if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
-            raise EvaluationError(f"controller emitted a non-finite control at t={t}: {u}")
-        c = cost.value(x, u)
-        if not math.isfinite(c):
-            raise EvaluationError(f"cost is non-finite at t={t}")
-        x = A.dot(x) + B.dot(u) + noises[t]
-        states[t + 1] = x
-        controls[t] = u
-        costs[t] = c
-    return Trajectory(states, controls, noises, observations, costs)
+    played = 0
+    try:
+        for t in range(T):
+            A, B, C = system.matrices(t)
+            y = x.copy() if C is None else C.dot(x)
+            observations[t] = y
+            u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
+            # u.u is finite exactly when every entry is, unless it overflows.
+            if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
+                raise EvaluationError(f"controller emitted a non-finite control at t={t}: {u}")
+            controls[t] = u
+            played = t + 1
+            x = np.dot(A, x, out=states[t + 1])
+            x += B.dot(u)
+            x += noises[t]
+            if not math.isfinite(x.dot(x)) and not _all_finite(x):  # likewise
+                raise EvaluationError(f"state is non-finite at t={t + 1}")
+    except EvaluationError:
+        _played_costs(cost, states[:played], controls[:played])
+        raise
+    return Trajectory(states, controls, noises, observations,
+                      _played_costs(cost, states[:-1], controls))
+
+
+def _played_costs(cost: object, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``cost.values(X, U)``; raises EvaluationError naming the first
+    non-finite one, so numpy's overflow warnings on the way are not wanted."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = np.asarray(cost.values(X, U), dtype=float)
+    if not _all_finite(costs):
+        raise EvaluationError(f"cost is non-finite at t={int(np.argmin(np.isfinite(costs)))}")
+    return costs
 
 
 # ---------------------------------------------------------------------------

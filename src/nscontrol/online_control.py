@@ -132,23 +132,32 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
     return _ogd_step(state, g)[0]
 
 
-def _ogd_step(state: OGDState, g: np.ndarray) -> tuple[OGDState, float, float]:
-    """:func:`ogd_update` on a flat float gradient of the point's shape;
-    returns the new state, ``||g||`` and the step size ``eta`` it took.  The
-    entries are scanned only when ``||g||`` is not finite."""
-    gg = g.dot(g)
+def _ogd_step(state: OGDState, g: np.ndarray, factor: float = 1.0) -> tuple:
+    """:func:`ogd_update` on the gradient ``factor * g``, for a flat float
+    ``g`` of the point's shape and a power of two ``factor``, which the step
+    size takes up exactly: the new point is bitwise the one the gradient
+    itself gives.  Returns the new state, ``||factor * g||``, the step size
+    ``eta`` it took, and the norm of the new point, or None when the
+    projection scaled the point (or there is no ball).  The entries are
+    scanned only when ``||factor * g||`` is not finite."""
+    gg = g.dot(g) * (factor * factor)
+    if gg < 2.0**-900 and factor != 1.0:
+        # Near the subnormals g.g has lost bits that the scaled sum keeps.
+        gg = (g * factor).dot(g * factor)
     # g.g is finite exactly when every entry is, unless it overflows.
-    if not math.isfinite(gg) and not np.isfinite(g).all():
+    if not math.isfinite(gg) and not np.isfinite(g * factor).all():
         raise EvaluationError("OGD update rejected: non-finite gradient")
     t_next = state.t + 1
     eta = state.step_size(t_next)
-    y = g * -eta
+    y = g * (-factor * eta)
     y += state.point
+    norm = None
     if state.radius is not None:
         norm = math.sqrt(y.dot(y))
         if norm > state.radius:
             y *= state.radius / norm
-    return state._successor(y, t_next), math.sqrt(gg), eta
+            norm = None
+    return state._successor(y, t_next), math.sqrt(gg), eta, norm
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,9 @@ class _DisturbanceFeedback:
 
     The OGD point holds the parameters in ``(d_u, len(Ms), d_s)`` order,
     ``Ms`` is the ``(len(Ms), d_u, d_s)`` view of it, and ``M`` is the
-    ``(d_u, len(Ms) * d_s)`` one.  Row ``m`` of the read-only Hankel view
+    ``(d_u, len(Ms) * d_s)`` one.  ``M'`` is the view ``M.T``, taken once
+    per OGD step, or from ``Ms`` whenever ``Ms`` is reassigned, so a
+    reassigned ``Ms`` is played too.  Row ``m`` of the Hankel matrix
     ``_Zh`` is the signal window from lag ``m`` on, flattened, so ``U = _Zh
     M'`` holds the actions ``M`` plays at lags ``0..H``: row 0 is the
     current feedback and rows ``1..H`` the counterfactual past actions.  The
@@ -251,12 +262,16 @@ class _DisturbanceFeedback:
     None for the identity); with its gradient ``(g_z, g_u)`` the loss has
     the gradient ``[g_u; (P v)_u]' _Zh`` in point order, ``v = C' g_z + K'
     g_u``.  The sensitivity matrix of ``x(M)`` to the point is never formed.
+    The step carries the cost's half gradient through these products and
+    takes the factor 2 in the OGD step size, which is exact.
 
     The caches hold no past action until the first transition matrix fixes
     ``H = H_trunc``; then they are allocated at that depth and updated in
     place:
 
-    * ``_Z`` (``H + len(Ms)``, d_s): the signal window, newest first.
+    * ``_Zh`` (``H + 1``, ``len(Ms) * d_s``): the Hankel matrix of the
+      signal window, newest first, shifted one row down in place on each
+      push.
     * ``_P`` (``(H + 1) * width``, d_x): row block ``k + 1`` holds the
       transposes of the transition product over the last ``k`` steps times
       ``B_{t-1-k}`` and, for GPC (``width = d_u + 1``), times ``w_{t-1-k}``.
@@ -290,20 +305,29 @@ class _DisturbanceFeedback:
         self.Ms = self._stacked(self.ogd.point)
         self.H_trunc: Optional[int] = None if H_trunc is None else _whole(H_trunc, 1, "H_trunc")
         self.delta_hat: Optional[float] = None
+        self.projected_steps = 0
         self.telemetry: list = []
         self._last: Optional[tuple] = None
         self._dynamics_key: Optional[tuple] = None
         self._dynamics: Optional[tuple] = None
-        self._Z = np.zeros((0, d_s))
+        self._Zh = np.zeros((0, n_M * d_s))
         self._allocate(0)
+
+    @property
+    def Ms(self) -> np.ndarray:
+        """The held parameters, ``(len(Ms), d_u, d_s)``."""
+        if self._Ms is None:
+            self._Ms = self._stacked(self.ogd.point)
+        return self._Ms
+
+    @Ms.setter
+    def Ms(self, Ms: np.ndarray) -> None:
+        self._Ms = Ms
+        self._Mt = Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
 
     def _stacked(self, flat: np.ndarray) -> np.ndarray:
         """The ``(len(Ms), d_u, d_s)`` view of a flat point-order vector."""
         return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
-
-    def _point_order_T(self) -> np.ndarray:
-        """``M'``, ``(len(Ms) * d_s, d_u)``: a view of ``Ms`` unless replaced."""
-        return self.Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
 
     def _start(self, transition: np.ndarray) -> None:
         """Size the caches from the first transition matrix's decay."""
@@ -315,10 +339,10 @@ class _DisturbanceFeedback:
     def _allocate(self, H: int) -> None:
         """Allocate the caches at depth ``H``, keeping the window's entries."""
         n_M, d_s = self._n_M, self._d_s
-        window = self._Z
-        self._Z = np.zeros((H + n_M, d_s))
-        self._Z[: len(window)] = window
-        self._Zh = sliding_window_view(self._Z.reshape(-1), n_M * d_s)[::d_s]
+        held = self._Zh[:1].reshape(-1)  # the window pushed before the sizing, if any
+        window = np.zeros((H + n_M) * d_s)
+        window[: len(held)] = held
+        self._Zh = sliding_window_view(window, n_M * d_s)[::d_s].copy()
         self._width = self.d_u + 1 if self._drifts else self.d_u
         self._P = np.zeros(((H + 1) * self._width, self.d_x))
         self._P_spare = np.zeros_like(self._P)
@@ -354,39 +378,37 @@ class _DisturbanceFeedback:
 
     def _feedback(self) -> np.ndarray:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
-        return self._Zh[0].dot(self._point_order_T())
+        return self._Zh[0].dot(self._Mt)
 
     def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
-        """``(z_t(M), u_t(M), Zh)`` at the parameters now held, with ``Zh`` a
-        contiguous copy of ``_Zh`` for both products with it."""
+        """``(z_t(M), u_t(M))`` at the parameters now held."""
         _, offset, _, K = self._acted()[:4]
-        Zh = np.ascontiguousarray(self._Zh)
-        U = Zh.dot(self._point_order_T())
+        U = self._Zh.dot(self._Mt)
         if self._drifts:
             self._U[:, : self.d_u] = U
             U = self._U
         x = U.reshape(-1).dot(self._P)
         z = x if C is None else C.dot(x)
         u = U[0, : self.d_u]
-        return (z if offset is None else offset + z), (u if K is None else K.dot(x) + u), Zh
+        return (z if offset is None else offset + z), (u if K is None else K.dot(x) + u)
 
-    def _loss_and_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
-        """Counterfactual loss and its flat gradient in point order, pulled
-        back through the output map."""
-        z, u, Zh = self._counterfactual(C)
+    def _loss_and_half_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
+        """Counterfactual loss and half its flat gradient in point order,
+        pulled back through the output map."""
+        z, u = self._counterfactual(C)
         t, _, _, K = self._last[:4]
         loss, half_grad = _resolve_cost(cost, t).stage(z, u)
-        grad = half_grad + half_grad  # twice the half gradient, exactly
-        gz, gu = grad[: len(z)], grad[len(z) :]
+        gz, gu = half_grad[: len(z)], half_grad[len(z) :]
         v = gz if C is None else C.T.dot(gz)
         V = self._P.dot(v if K is None else v + K.T.dot(gu))
         V[: self.d_u] = gu
-        return loss, V.reshape(-1, self._width).T.dot(Zh)[: self.d_u].reshape(-1)
+        return loss, V.reshape(-1, self._width).T.dot(self._Zh)[: self.d_u].reshape(-1)
 
     def _stacked_loss_and_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
-        """``loss_and_gradient``: the gradient shaped like ``Ms``."""
-        loss, grad = self._loss_and_gradient(cost, C)
-        return loss, self._stacked(grad)
+        """``loss_and_gradient``: the gradient shaped like ``Ms``, twice the
+        half gradient (exactly)."""
+        loss, half_grad = self._loss_and_half_gradient(cost, C)
+        return loss, self._stacked(half_grad + half_grad)
 
     def _step(self, t: int, cost: object, dynamics: tuple, signal_norm: float,
               drift: Optional[np.ndarray] = None) -> None:
@@ -399,17 +421,19 @@ class _DisturbanceFeedback:
         C, transition, transition_T, B_T = dynamics[:4]
         if self.delta_hat is None:
             self._start(transition)
-        loss, grad = self._loss_and_gradient(cost, C)
+        loss, half_grad = self._loss_and_half_gradient(cost, C)
         state = self.ogd
-        self.ogd, grad_norm, eta = _ogd_step(state, grad)
+        self.ogd, grad_norm, eta, M_norm = _ogd_step(state, half_grad, 2.0)
         point = self.ogd.point
-        M_norm = math.sqrt(point.dot(point))
+        if M_norm is None:  # the projection scaled the point
+            self.projected_steps += 1
+            M_norm = math.sqrt(point.dot(point))
         if state.radius is not None and M_norm > state.radius + 1e-9:
             raise EvaluationError(f"OGD iterate left the ball of radius {state.radius}")
         moved = point - state.point
         if math.sqrt(moved.dot(moved)) > eta * grad_norm + 1e-12:
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
-        self.Ms = self._stacked(point)
+        self._Ms, self._Mt = None, point.reshape(self.d_u, -1).T  # Ms when read
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: signal_norm, "grad_norm": grad_norm})
         P, self._P, w = self._P, self._P_spare, self._width
@@ -422,8 +446,10 @@ class _DisturbanceFeedback:
 
     def _push(self, signal: np.ndarray) -> None:
         """Shift the signal window one row and put ``signal`` first."""
-        self._Z[1:] = self._Z[:-1]
-        self._Z[0] = signal
+        Zh, d_s = self._Zh, self._d_s
+        Zh[1:] = Zh[:-1]
+        Zh[0, d_s:] = Zh[0, :-d_s]
+        Zh[0, :d_s] = signal
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +472,8 @@ class GPCController(_DisturbanceFeedback):
     their defaults live here alone.  Each update appends a telemetry dict
     to ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
     loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
-    and ``grad_norm``.  The played cost ``c_t(x_t, u_t)`` is not repeated
+    and ``grad_norm``, and ``self.projected_steps`` counts the steps whose
+    projection onto the ball scaled the point.  The played cost ``c_t(x_t, u_t)`` is not repeated
     there: it is ``Trajectory.costs[t]`` under
     :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the array that
     :func:`~nscontrol.sysid.control_with_model` returns.
@@ -519,7 +546,7 @@ class GPCController(_DisturbanceFeedback):
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
         parameters now held (cache-based fast path)."""
-        return self._counterfactual(None)[:2]
+        return self._counterfactual(None)
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
@@ -589,6 +616,7 @@ class GRCController(_DisturbanceFeedback):
     the same defaults.  Each update appends a telemetry dict to
     ``self.telemetry`` with the keys ``t``, ``loss``, ``M_norm``,
     ``ynat_norm`` and ``grad_norm``; the played cost is not among them.
+    ``self.projected_steps`` counts projected steps as for GPC.
     """
 
     _signal_key = "ynat_norm"
@@ -638,7 +666,7 @@ class GRCController(_DisturbanceFeedback):
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
         valid between act() and update()."""
-        return self._counterfactual(self._output(C_t))[:2]
+        return self._counterfactual(self._output(C_t))
 
     def loss_and_gradient(self, cost: object,
                           C_t: Optional[object] = None) -> tuple[float, np.ndarray]:

@@ -481,7 +481,8 @@ def control_with_model(
     The controller acts on the box's real states but recovers
     perturbations through ``(A_model, B_model)``, so any model error is
     treated as extra disturbance.  Returns the per-step costs actually
-    incurred.  ``K`` defaults to the model's quadratic gain (zero for a
+    incurred, from one ``cost.values`` call on the box's record of the
+    states and controls after the loop.  ``K`` defaults to the model's quadratic gain (zero for a
     stable model without one).  The controller runs through
     :func:`~nscontrol.online_control.gpc_runner` on the model, so it learns
     from step ``s`` when it acts at ``s + 1``: the last step's update, which
@@ -498,14 +499,12 @@ def control_with_model(
     n_steps = _whole(n_steps, 0, "n_steps")
     controller = GPCController(box.d_x, box.d_u, K, horizon=n_steps, **learner)
     policy = gpc_runner(controller, LinearSystem.time_invariant(A_model, B_model), cost)
-    out = np.zeros(n_steps)
+    start = box.steps
     x = box.read_state()
     for s in range(n_steps):
-        u = policy(s, x, x)
-        out[s] = cost.value(x, u)
-        box.apply_control(u)
+        box.apply_control(policy(s, x, x))
         x = box.read_state()
-    return out
+    return cost.values(box.recorded_states[start:-1], box.recorded_controls[start:])
 
 
 def identify_then_control(

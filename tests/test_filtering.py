@@ -1367,6 +1367,24 @@ def test_online_spectral_filter_rejects_wrong_input_size():
         filt.step(np.ones(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (1.0, math.inf)], ids=["u_prev", "y_true"])
+def test_online_spectral_filter_step_rejects_a_non_finite_input_untouched(bad):
+    # A NaN u_prev used to enter the ring buffer before anything checked
+    # it, so every later valid step failed with a non-finite gradient.
+    basis = spectral_basis(10, 3)
+    filt, fresh = (OnlineSpectralFilter(SpectralPredictor.zeros(basis, d_y=1, d_u=1), d_u=1)
+                   for _ in range(2))
+    filt.step([1.0], [0.5])
+    fresh.step([1.0], [0.5])
+    name = "u_prev" if math.isnan(bad[0]) else "y_true"
+    with pytest.raises(ConfigurationError, match=f"^{name} contains non-finite entries$"):
+        filt.step([bad[0]], [bad[1]])
+    for u, y in [(0.3, -0.2), (-1.0, 0.7), (0.5, 0.1)]:
+        assert np.array_equal(filt.step([u], [y]), fresh.step([u], [y]))
+    assert filt.losses == fresh.losses
+    assert np.array_equal(filt.predictor.ogd.point, fresh.predictor.ogd.point)
+
+
 _BAD_SIZES = [
     (spectral_basis, (2.5, 1)),
     (spectral_basis, (10, math.nan)),

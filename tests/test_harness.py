@@ -8,6 +8,7 @@ read off plain policy rollouts, scipy minimization of rollout totals, and
 stationarity probes at the returned optimum.
 """
 
+import math
 import os
 import tempfile
 import warnings
@@ -1137,6 +1138,39 @@ def test_run_experiment_gpc_deterministic_artifacts():
         with open(os.path.join(d2, "report.csv"), "rb") as fh:
             b2 = fh.read()
         assert b1 == b2
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_run_experiment_reports_learner_diagnostics(kind, tmp_path):
+    # scalar-0.9 (x0 = 1) under w = 0.1, GPC with K = 0: both learners size
+    # their caches from 0.9, so delta_hat = 1 - 0.9 and H_trunc = 2h +
+    # ceil(log(1e6) / 0.1) = 4 + 139.  GPC steps at t = 0..T-2 (the last
+    # update is not taken), GRC at t = 0..T-1.  The first gradients are
+    # zero until a past signal reaches the loss: two for GPC, whose actions
+    # read w from lag 1 on, one for GRC.  Under radius 0 every later step
+    # leaves the ball and is projected; under radius 1e6 none is.
+    T = 40
+    steps, silent = (T - 1, 2) if kind == "gpc" else (T, 1)
+    for radius, projected in ((1e6, 0), (0.0, steps - silent)):
+        spec = {"kind": kind, "h": 2, "radius": radius, "step_size": 0.001}
+        if kind == "gpc":
+            spec["K"] = [[0.0]]
+        out = tmp_path / f"r{radius}"
+        report = run_experiment(config_from_preset(
+            "scalar-0.9", controller=spec, horizon=T, comparator={"kind": "none"},
+            out_dir=str(out), perturbation=PerturbationSource.constant([0.1])))
+        summary = read_json_summary(str(out / "summary.json"))
+        for key, value in report.extras.items():
+            assert summary[key] == value
+        assert report.extras["H_trunc"] == 143
+        assert abs(report.extras["delta_hat"] - 0.1) < 1e-12
+        assert report.extras["ogd_steps"] == steps
+        assert report.extras["ogd_projected_steps"] == projected
+        assert report.extras["ogd_last_step_size"] == 0.001 / math.sqrt(steps)
+    # The fixed policies have no learner to report on.
+    report = run_experiment(config_from_preset("scalar-0.9", controller={"kind": "lqr"},
+                                               horizon=T, comparator={"kind": "none"}))
+    assert report.extras == {}
 
 
 def test_run_experiment_grc_requires_stable_dynamics():

@@ -5,6 +5,8 @@ Expected values are produced by independent oracles (hand arithmetic,
 explicit loops, geometric series) and frozen here.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -577,6 +579,87 @@ def test_simulate_draws_before_the_first_step():
         simulate(sys1, controller, PerturbationSource.recorded(np.ones((6, 2))),
                  QuadraticCost(np.eye(1), np.eye(1)), T=6)
     assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(1, 4),
+    d_u=st.integers(1, 3),
+    T=st.integers(0, 40),
+    kind=st.sampled_from(["quadratic", "target", "callable"]),
+)
+@example(seed=0, d_x=4, d_u=2, T=40, kind="target")
+def test_simulate_costs_match_the_pointwise_value(seed, d_x, d_u, T, kind):
+    # simulate prices the played pairs in one values() call after the loop;
+    # each cost must be the pointwise value(x_t, u_t), to rounding (the
+    # batched sums run in another order).
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d_x, d_x))
+    A *= rng.uniform(0.1, 0.95) / max(spectral_radius(A), 1e-12)
+    B, K = rng.normal(size=(d_x, d_u)), 0.1 * rng.normal(size=(d_u, d_x))
+    LQ, LR = rng.normal(size=(d_x, d_x)), rng.normal(size=(d_u, d_u))
+    target = rng.normal(size=d_x) if kind == "target" else None
+    cost = QuadraticCost(LQ @ LQ.T, LR @ LR.T, target)
+    if kind == "callable":
+        cost = CallableCost(fn=lambda x, u: float(np.sum(x**4) + u @ u), gx=None, gu=None)
+
+    def controller(t, x, y):
+        return K @ x + np.sin(t + np.arange(d_u))
+
+    traj = simulate(LinearSystem.time_invariant(A, B), controller, PerturbationSource.gaussian(0.5),
+                    cost, T, seed=seed, x0=rng.normal(size=d_x))
+    expected = np.array([cost.value(x, u) for x, u in zip(traj.states[:-1], traj.controls)])
+    assert traj.costs.shape == (T,)
+    assert np.abs(traj.costs - expected).max(initial=0.0) <= (
+        1e-12 * np.abs(expected).max(initial=0.0))
+
+
+def _diverging_run(cost, controller):
+    """simulate ``x' = 1e100 x + u`` from x_0 = 1 under a zero control that
+    ``controller(t, x)`` may replace; returns the states the controller saw
+    and the EvaluationError raised."""
+    seen = []
+
+    def callback(t, x, y):
+        seen.append(x)
+        return controller(t, x)
+
+    # numpy's overflow notices on the way are not what is tested.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(EvaluationError) as raised:
+            simulate(LinearSystem.time_invariant([[1e100]], [[1.0]]), callback,
+                     PerturbationSource.zero(), cost, T=10, x0=[1.0])
+    return seen, str(raised.value)
+
+
+def _gives_up_past_1e250(t, x):
+    if abs(x[0]) > 1e250:
+        raise EvaluationError("controller gave up")
+    return np.zeros(1)
+
+
+@pytest.mark.parametrize(
+    "cost, controller, message, steps",
+    [
+        # x_2 = 1e200, so x^2 + u^2 is first non-finite at t=2; x_4 overflows.
+        (QuadraticCost(np.eye(1), np.eye(1)), lambda t, x: np.zeros(1),
+         "cost is non-finite at t=2", 4),
+        # A controller that fails later does not hide the earlier cost.
+        (QuadraticCost(np.eye(1), np.eye(1)), _gives_up_past_1e250,
+         "cost is non-finite at t=2", 4),
+        # A bounded cost stays finite: the state that left the floats is named.
+        (CallableCost(fn=lambda x, u: float(np.tanh(x @ x)), gx=None, gu=None),
+         lambda t, x: np.zeros(1), "state is non-finite at t=4", 4),
+    ],
+    ids=["quadratic", "controller-fails-later", "bounded-cost"],
+)
+def test_simulate_stops_a_diverging_plant_before_a_non_finite_state(cost, controller, message,
+                                                                    steps):
+    seen, raised = _diverging_run(cost, controller)
+    assert raised == message
+    assert len(seen) == steps and all(np.isfinite(x).all() for x in seen)
 
 
 def test_simulate_nan_controller_aborts():

@@ -796,11 +796,11 @@ def _escaping_ogd(offset):
     """Stand-in for the learners' OGD step whose iterate lands ``offset``
     away from the ball's centre, whatever the gradient."""
 
-    def fake(state, gradient):
+    def fake(state, gradient, factor=1.0):
         point = np.zeros_like(state.point)
         point[0] = offset
         new = OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
-        return new, math.sqrt(gradient.dot(gradient)), new.step_size(new.t)
+        return new, factor * math.sqrt(gradient.dot(gradient)), new.step_size(new.t), offset
 
     return fake
 
@@ -1164,17 +1164,18 @@ def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
 
 
 def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch):
-    # Per closed-loop step, simulate() alone evaluates the played stage cost
-    # with value(), and the learner evaluates its counterfactual loss and
-    # gradient in one stage() call and never asks for a Hessian; the
-    # time-invariant A and B are validated at the first update only.
+    # simulate() prices the T played pairs in one values() call after the
+    # loop and never calls value(); per closed-loop step the learner
+    # evaluates its counterfactual loss and gradient in one stage() call and
+    # never asks for a Hessian; the time-invariant A and B are validated at
+    # the first update only.
     T = 40
     config = config_from_preset(
         "b747", controller={"kind": "gpc", "h": 8, "radius": 2.0, "step_size": 0.05},
         horizon=T, seed=0, comparator={"kind": "none"},
     )
     A, B, _ = config.system.matrices(0)
-    calls = {"value": 0, "stage": 0, "half_hessians": 0}
+    calls = {"value": 0, "values": 0, "stage": 0, "half_hessians": 0}
 
     def counted(name):
         original = getattr(QuadraticCost, name)
@@ -1200,7 +1201,7 @@ def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch
         monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
     run_experiment(config)
     # T steps are played and T - 1 of them are learned from.
-    assert calls == {"value": T, "stage": T - 1, "half_hessians": 0}
+    assert calls == {"value": 0, "values": 1, "stage": T - 1, "half_hessians": 0}
     assert sum(M is A for M in validated) <= 1
     assert sum(M is B for M in validated) <= 1
 
@@ -1330,7 +1331,7 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
         update(t)
     act(4)
     # Entries of the signal window the learned part multiplies, newest first.
-    window = controller._Z[: len(controller.Ms)].copy()
+    window = controller._Zh[0].reshape(len(controller.Ms), -1).copy()
     controller.Ms[...] = np.arange(1.0, len(controller.Ms) + 1).reshape(controller.Ms.shape)
     _, u_cf = query()
     learned = sum(M @ s for M, s in zip(controller.Ms, window))

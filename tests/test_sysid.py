@@ -572,3 +572,20 @@ def test_injected_model_error_sweep():
     assert inc[0.05] > inc[0.01]
     slope = np.log(inc[0.05] / inc[0.001]) / np.log(0.05 / 0.001)
     assert 0.5 <= slope <= 2.0
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 300])
+def test_control_with_model_returns_the_pointwise_costs_it_incurred(n_steps):
+    # The costs are priced in one values() call on the box's record after
+    # the loop; each must be the pointwise value(x_s, u_s) of the pair
+    # played at step s of this phase, to rounding.
+    system = LinearSystem.time_invariant([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.3]])
+    cost = QuadraticCost(Q=np.diag([1.0, 2.0]), R=np.eye(1), target=[0.5, -0.25])
+    box = BlackBoxSystem(system, PerturbationSource.gaussian(0.3), seed=2)
+    box.apply_controls(np.ones((5, 1)))  # the phase starts mid-record
+    costs = control_with_model(box, [[0.62, 0.1], [0.0, 0.5]], [[1.0], [0.3]], n_steps, cost,
+                               h=3, radius=2.0, step_size=0.1)
+    states, controls = box.recorded_states[5:], box.recorded_controls[5:]
+    assert len(states) == n_steps + 1 and costs.shape == (n_steps,)
+    expected = np.array([cost.value(x, u) for x, u in zip(states[:-1], controls)])
+    assert np.abs(costs - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
