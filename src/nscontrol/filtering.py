@@ -89,21 +89,14 @@ def _same(M: object, copy: np.ndarray) -> bool:
     return M.shape == copy.shape and M.tobytes() == copy.tobytes()
 
 
-#: Most entries of one chain's Riccati memo (see :func:`kalman_step`), and
-#: the bytes of arrays its entries may take together.
-_MEMO_CAP = 256
-_MEMO_BYTES = 8 << 20
-
-
 def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
-    """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised Sigma_y,
-    memo)``.
+    """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised
+    Sigma_y)``.
 
-    Reuses the validated pair and the Riccati memo carried by ``state`` when
-    both inputs have the shape and bytes of the copies it holds; otherwise
-    checks both with :func:`_check_psd`, keeps private copies of the raw
-    inputs, so an in-place change between calls is seen, and starts an empty
-    memo.
+    Reuses the validated pair carried by ``state`` when both inputs have the
+    shape and bytes of the copies it holds; otherwise checks both with
+    :func:`_check_psd` and keeps private copies of the raw inputs, so an
+    in-place change between calls is seen.
     """
     noise = getattr(state, "_noise", None)
     if noise is not None and _same(Sigma_x, noise[0]) and _same(Sigma_y, noise[1]):
@@ -111,7 +104,7 @@ def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tu
     raw_x = np.array(Sigma_x, dtype=float)
     raw_y = np.array(Sigma_y, dtype=float)
     Sigma_x = _check_psd(raw_x, "Sigma_x", state.Sigma.shape)
-    return raw_x, raw_y, Sigma_x, _check_psd(raw_y, "Sigma_y"), {}
+    return raw_x, raw_y, Sigma_x, _check_psd(raw_y, "Sigma_y")
 
 
 def kalman_step(
@@ -144,29 +137,10 @@ def kalman_step(
     incoming state was stepped with: the returned state carries private
     copies of the validated pair, so a chain of calls with unchanged
     covariances checks them once, while a user-built state or an in-place
-    change is checked again.  The new covariance ``Sigma'`` gets its
-    finiteness and PSD check on every step.
-
-    The covariance update is a pure function of ``(A, C, Sigma_x, Sigma_y,
-    Sigma)``, and in floating point a chain of it soon repeats bitwise (a
-    fixed point or a short cycle).  Next to the validated noise pair, the
-    returned state therefore carries a memo from the shapes and bytes of
-    ``(A, C, Sigma)`` to the ``(L, A - L C, Sigma')`` they gave, which a
-    later step with the same content reuses instead of redoing the Riccati
-    step.  A changed noise pair or a user-built state starts an empty memo;
-    a time-varying or in-place-mutated ``A``, ``C`` or ``Sigma`` misses,
-    since the key is content.  The memo holds at most 256 entries, and
-    fewer for large matrices, so that its arrays stay within about 8 MiB;
-    it drops the oldest first.
-
-    A miss runs every check.  A hit skips the ones whose verdict is already
-    known: an entry is stored only after its ``A`` and ``C`` passed the
-    shape and finiteness checks and its ``Sigma'`` passed the finiteness and
-    PSD checks, and a hit has the same shapes and bytes, so those checks
-    would pass again.  The noise pair is still compared with its validated
-    copies on every step, ``u`` and ``y`` are still checked, and each
-    returned ``Sigma`` is a fresh array, so changing it in place cannot
-    reach the memo.
+    change is checked again.  ``A`` and ``C`` are checked, and the new
+    covariance ``Sigma'`` gets its finiteness and PSD check, on every step.
+    A chain of calls gives the bits of :func:`kalman_filter` over the same
+    record, which replays the covariance cycle a fixed ``(A, C)`` enters.
 
     Raises
     ------
@@ -175,26 +149,10 @@ def kalman_step(
         covariance is not symmetric PSD, ``u`` or ``y`` has a non-finite
         entry, or the new covariance is non-finite or not PSD.
     """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
     noise = _validated_noise(state, Sigma_x, Sigma_y)
-    memo, Sigma = noise[4], state.Sigma
-    key = (A.shape, C.shape, Sigma.shape, A.tobytes(), C.tobytes(), Sigma.tobytes())
-    hit = memo.get(key)
-    if hit is None:
-        _as_matrix(A, "A", Sigma.shape)
-        _as_matrix(C, "C", (len(noise[3]), len(A)))
-        L, closed, Sigma_next = _kalman_gains(A, C, noise, Sigma)
-        # The key's A, C and Sigma, and the stored L, A - L C and Sigma'.
-        size = 2 * A.nbytes + C.nbytes + L.nbytes + 2 * Sigma.nbytes
-        limit = min(_MEMO_CAP, _MEMO_BYTES // size)
-        while memo and len(memo) >= limit:
-            del memo[next(iter(memo))]
-        if limit:
-            memo[key] = (L, closed, Sigma_next.copy())
-    else:
-        L, closed, Sigma_next = hit
-        Sigma_next = Sigma_next.copy()
+    A = _as_matrix(A, "A", state.Sigma.shape)
+    C = _as_matrix(C, "C", (len(noise[3]), len(A)))
+    L, closed, Sigma_next = _kalman_gains(A, C, noise, state.Sigma)
     x_hat = closed @ state.x_hat
     if B is not None and u is not None:
         B = _as_matrix(B, "B", (len(x_hat), None))
@@ -220,7 +178,7 @@ def _kalman_gains(A: np.ndarray, C: np.ndarray, noise: tuple, Sigma: np.ndarray)
 
 
 def _chained(x_hat: np.ndarray, Sigma: np.ndarray, noise: tuple) -> KalmanState:
-    """A state carrying the validated noise pair and its memo, built without
+    """A state carrying the validated noise pair, built without
     :meth:`KalmanState.__post_init__`, whose checks its parts have passed."""
     out = object.__new__(KalmanState)
     object.__setattr__(out, "x_hat", x_hat)

@@ -918,7 +918,7 @@ def _resolve_gain(spec_K: object, config: ScenarioConfig) -> np.ndarray:
 
 
 #: Keyword options of both learners that a controller spec may set.
-_LEARNER_OPTIONS = {"h", "radius", "step_size", "schedule", "H_trunc"}
+_LEARNER_OPTIONS = {"h", "radius", "step_size", "schedule"}
 #: Options each controller kind accepts besides ``kind``: the learners'
 #: options and GPC's gain ``K``; for the fixed policies their gain ``K`` and
 #: ``h``, the comparator's default depth.
@@ -985,15 +985,11 @@ def _build_controller(config: ScenarioConfig) -> tuple:
 
 
 def _learner_diagnostics(learner: object) -> dict:
-    """The summary fields of a GPC or GRC learner after its run: the cache
-    depth ``H_trunc`` and the decay rate ``delta_hat`` it was sized from
-    (None before the first update), the number of OGD steps the projection
-    onto the ball scaled, and the step size of the last one (None if no
-    step was taken)."""
+    """The summary fields of a GPC or GRC learner after its run: the number
+    of OGD steps, of those the projection onto the ball scaled, and the step
+    size of the last one (None if no step was taken)."""
     ogd = learner.ogd
     return {
-        "H_trunc": learner.H_trunc,
-        "delta_hat": learner.delta_hat,
         "ogd_steps": ogd.t,
         "ogd_projected_steps": learner.projected_steps,
         "ogd_last_step_size": ogd.step_size(ogd.t) if ogd.t else None,
@@ -1230,10 +1226,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             "spec's 'starts' list)"
         )
     # configparser lowercases keys and returns strings.
-    if "h_trunc" in controller:
-        controller["H_trunc"] = controller.pop("h_trunc")
     for spec, numbers in (
-        (controller, {"h": int, "H_trunc": int, "radius": float, "step_size": float}),
+        (controller, {"h": int, "radius": float, "step_size": float}),
         (comparator, {"h": int, "max_iter": int, "tol": float}),
     ):
         for key, kind in numbers.items():

@@ -12,25 +12,23 @@ descent (OGD) and the two controllers built on it.
 One private core, :class:`_DisturbanceFeedback`, runs the learner step of
 both: the counterfactual pair, the loss ``l_t(M) = c_t(z_t(M), u_t(M))``
 and its analytic gradient (the counterfactuals are linear in ``M``, so the
-loss is convex), and the OGD step.  The counterfactuals are what playing
-the current parameters from the beginning of time would have given,
-truncated to the last ``H_trunc`` steps.  The classes differ only in the
-signal (``w`` or ``ynat``) and in the output map from the counterfactual
-state: GPC's pair is ``(x(M), u(M) + K_t x(M))``, GRC's ``(ynat_t + C_t
-x(M), u(M))``.  In action-history form, one product of a Hankel view of
-the signal window with ``M`` gives the actions ``M`` plays at every lag,
-one product of the transition stack with them gives ``x(M)``, and the
-gradient takes one product each way back: no Python loop over ``h`` or ``H``.
+loss is convex), and the OGD step.  The counterfactuals are exactly what
+playing the current parameters from the beginning of time would have given:
+the counterfactual state is affine in the flat parameters ``m``, ``x_t(M) =
+J_t m + c_t``, and the learner steps ``[J_t | c_t]`` by the same sensitivity
+recursion as the hindsight comparators (``harness._policy_pass``).  The
+classes differ only in the signal (``w`` or ``ynat``) and in the output map
+from the counterfactual state: GPC's pair is ``(x(M), u(M) + K_t x(M))``,
+GRC's ``(ynat_t + C_t x(M), u(M))``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EvaluationError
 from .lds_core import _as_matrix, _finite_vector, _whole, spectral_radius
@@ -46,15 +44,9 @@ __all__ = [
     "grc_runner",
 ]
 
-#: Truncation tolerance entering the default cache-depth formula.
-EPS_TRUNC = 1e-6
-
 #: Default window length ``h`` of both learners, and the depth a hindsight
 #: comparator falls back to when neither it nor the controller names one.
 DEFAULT_H = 5
-
-#: Floor on the measured decay rate (guards the depth formula's ceiling).
-DELTA_MIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +175,9 @@ def counterfactual_state(
     exact (equal to the untruncated sum) when ``H_trunc`` is at least the
     current time index.
 
-    This is the plain recursion-from-zero reference; the controllers keep
-    incrementally cached product stacks that must agree with it.
+    This is the plain recursion-from-zero reference; the controllers step
+    the exact counterfactual by a sensitivity recursion that must agree
+    with it whenever ``H_trunc`` covers the whole history.
     """
     if A_closed_history:
         d_x = len(_as_matrix(A_closed_history[0], "A~", "square"))
@@ -214,19 +207,6 @@ def counterfactual_state(
     return z
 
 
-def _measure_decay(closed: np.ndarray, n: int = 50) -> float:
-    """Decay rate of ``||closed^n||`` used to size the truncation depth."""
-    norm = float(np.linalg.norm(np.linalg.matrix_power(closed, n), 2))
-    if norm <= 0.0:
-        return 0.999
-    rate = 1.0 - norm ** (1.0 / n)
-    return float(min(max(rate, DELTA_MIN), 0.999))
-
-
-def _default_depth(h: int, delta_hat: float) -> int:
-    return 2 * h + int(math.ceil(math.log(1.0 / EPS_TRUNC) / delta_hat))
-
-
 def _resolve_cost(cost: object, t: int) -> object:
     """Costs may be a fixed object or a provider ``t -> cost object``."""
     if hasattr(cost, "stage"):
@@ -241,43 +221,65 @@ def _resolve_cost(cost: object, t: int) -> object:
 # ---------------------------------------------------------------------------
 
 
+class _Stack(NamedTuple):
+    """A learner's stack ``Y = [J | c; S | 0; 0 | 1]`` (GRC: ``[J; S]``) and
+    views of it."""
+
+    Y: np.ndarray
+    #: ``[J | c; S | 0]``, which maps ``[m; 1]`` to ``[x(M); u(M)]``.
+    JS: np.ndarray
+    #: ``[J | c]``, which each step writes.
+    Jc: np.ndarray
+    #: The nonzero blocks of ``S``, one row per control entry.
+    S_blocks: np.ndarray
+
+
 class _DisturbanceFeedback:
-    """Parameters, OGD iterate, caches and the whole learner step of a
+    """Parameters, OGD iterate, sensitivity and the whole learner step of a
     learner that plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a
-    signal ``s`` (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0), in action-history
-    form.  ``act`` records ``_last = (t, offset, u_t, K, ...)``.
+    signal ``s`` (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0).  ``act`` records
+    ``_last = (t, offset, u_t, K, ...)``.
 
-    The OGD point holds the parameters in ``(d_u, len(Ms), d_s)`` order,
-    ``Ms`` is the ``(len(Ms), d_u, d_s)`` view of it, and ``M`` is the
-    ``(d_u, len(Ms) * d_s)`` one.  ``M'`` is the view ``M.T``, taken once
-    per OGD step, or from ``Ms`` whenever ``Ms`` is reassigned, so a
-    reassigned ``Ms`` is played too.  Row ``m`` of the Hankel matrix
-    ``_Zh`` is the signal window from lag ``m`` on, flattened, so ``U = _Zh
-    M'`` holds the actions ``M`` plays at lags ``0..H``: row 0 is the
-    current feedback and rows ``1..H`` the counterfactual past actions.  The
-    truncated state response to them is ``x(M) = [U | 1] . P`` (GPC's
-    column of ones takes its ``w`` drift; GRC has none), exactly as
-    :func:`counterfactual_state` truncates it.  The cost sees ``z = offset +
-    C x(M)`` and ``u = u(M) + K x(M)`` (``C`` given at query and update time,
-    None for the identity); with its gradient ``(g_z, g_u)`` the loss has
-    the gradient ``[g_u; (P v)_u]' _Zh`` in point order, ``v = C' g_z + K'
-    g_u``.  The sensitivity matrix of ``x(M)`` to the point is never formed.
-    The step carries the cost's half gradient through these products and
-    takes the factor 2 in the OGD step size, which is exact.
+    The OGD point ``m`` holds the parameters in ``(d_u, len(Ms), d_s)``
+    order, the order of the comparators' blocks; ``Ms`` is the ``(len(Ms),
+    d_u, d_s)`` view of it, and ``M`` is the ``(d_u, len(Ms) * d_s)`` one.
+    ``M'`` is the view ``M.T``, taken once per OGD step, or from ``Ms``
+    whenever ``Ms`` is reassigned, so a reassigned ``Ms`` is played too.
+    ``_window`` is the newest signal window ``s_t = (s_{t-lag}, ...,
+    s_{t-lag-len(Ms)+1})``, flattened, so the learned action is ``u_t(M) = M
+    s_t = S_t m`` with ``S_t = kron(I, s_t')``.
 
-    The caches hold no past action until the first transition matrix fixes
-    ``H = H_trunc``; then they are allocated at that depth and updated in
-    place:
+    The counterfactual state is affine in ``m``, ``x_t(M) = J_t m + c_t``,
+    with ``J_0 = 0``, ``c_0 = 0`` and, after the step at ``t``::
 
-    * ``_Zh`` (``H + 1``, ``len(Ms) * d_s``): the Hankel matrix of the
-      signal window, newest first, shifted one row down in place on each
-      push.
-    * ``_P`` (``(H + 1) * width``, d_x): row block ``k + 1`` holds the
-      transposes of the transition product over the last ``k`` steps times
-      ``B_{t-1-k}`` and, for GPC (``width = d_u + 1``), times ``w_{t-1-k}``.
-      Block 0 is zero: the current control does not move the current state.
-      The stack moves on by one matrix product into a spare buffer that is
-      swapped in.
+        [J_{t+1} | c_{t+1}] = F_t [J_t | c_t] + [B_t S_t | w_t]
+
+    GPC has ``F_t = A_t + B_t K_t`` and the drift column ``c``, which
+    carries the perturbations; GRC has ``F_t = A_t`` and no drift column
+    (``c = 0``).  This is the state :func:`counterfactual_state` gives with
+    ``H_trunc >= t``, stepped as ``harness._policy_pass`` steps its
+    ``[Phi_t | x_t(0)]``: the learner holds the stack ``Y_t = [J_t | c_t;
+    S_t | 0; 0 | 1]`` (GRC: ``[J_t; S_t]``), so that one product ``Y_t [m;
+    1] = [x_t(M); u_t(M); 1]`` gives the counterfactual pair and one
+    product ``[F_t | B_t | w_t] Y_t`` gives ``[J_{t+1} | c_{t+1}]``.  The
+    cost sees ``z = offset + C x(M)`` and ``u = u(M) + K x(M)`` (``C`` given
+    at query and update time, None for the identity); with its half
+    gradient ``(g_z, g_u)`` the loss has the half gradient ``[v; g_u]'
+    [J_t; S_t]`` in point order, ``v = C' g_z + K' g_u``, and the OGD step
+    takes the factor 2 in its step size, which is exact.
+
+    ``Y`` and a spare of it are allocated once, ``(d_x + d_u + 1, p + 1)``
+    for GPC and ``(d_x + d_u, p)`` for GRC, ``p = d_u len(Ms) d_s``: each
+    step writes ``[J_{t+1} | c_{t+1}]`` into the spare with ``np.dot(...,
+    out=...)`` and swaps the two, and each new window writes ``S_t``'s
+    nonzero blocks through a strided view.  A step costs about ``d_x^2 p``
+    flops on any horizon and any plant.  A Markov stack truncated at depth
+    ``H`` costs about ``H w d_x^2``, with ``w = d_u + 1`` for GPC and
+    ``d_u`` for GRC, so the recursion is the cheaper one whenever
+    ``len(Ms) d_s d_u < H w``: ``p`` = 64 against 108 for GPC ``h = 8`` on
+    b747 (``H`` = 36), and 7 against 151 for GRC ``h = 6`` on scalar-0.9
+    (``H`` = 151).  A wide system with a long window and a fast-decaying
+    loop could favour the stack, which is exact only up to its depth.
 
     ``update`` validates the dynamics matrices, their shapes included, and
     derives what the subclass needs of them, only when their content differs
@@ -290,7 +292,7 @@ class _DisturbanceFeedback:
     #: Whether the signal itself drives the state (GPC's ``w``).
     _drifts = False
 
-    def __init__(self, d_s, n_M, radius, step_size, schedule, horizon, H_trunc):
+    def __init__(self, d_s, n_M, radius, step_size, schedule, horizon):
         # Subclasses set d_x, d_u and h first.
         self._n_M, self._d_s = n_M, d_s
         scale = float(step_size) if step_size is not None else float(radius)
@@ -303,15 +305,29 @@ class _DisturbanceFeedback:
             schedule=schedule,
         )
         self.Ms = self._stacked(self.ogd.point)
-        self.H_trunc: Optional[int] = None if H_trunc is None else _whole(H_trunc, 1, "H_trunc")
-        self.delta_hat: Optional[float] = None
         self.projected_steps = 0
         self.telemetry: list = []
         self._last: Optional[tuple] = None
         self._dynamics_key: Optional[tuple] = None
         self._dynamics: Optional[tuple] = None
-        self._Zh = np.zeros((0, n_M * d_s))
-        self._allocate(0)
+        self._window = np.zeros(n_M * d_s)
+        self._p = p = self.ogd.point.size
+        self._m = np.zeros(p + 1 if self._drifts else p)  # [m; 1] or m
+        self._m[p:] = 1.0
+        self._m_blocks = self._m[:p].reshape(self.d_u, -1)  # M, a view
+        shape = (self.d_x + self.d_u + 1, p + 1) if self._drifts else (self.d_x + self.d_u, p)
+        self._stack, self._spare = (self._new_stack(shape) for _ in range(2))
+
+    def _new_stack(self, shape: tuple) -> _Stack:
+        """A stack of zeros but its constant entry, and its views."""
+        Y, d_x, n = np.zeros(shape), self.d_x, len(self._window)
+        if self._drifts:
+            Y[-1, -1] = 1.0
+        # Row a of S holds the window in columns a n .. (a + 1) n - 1.
+        blocks = np.lib.stride_tricks.as_strided(
+            Y[d_x:], shape=(self.d_u, n), strides=(Y.strides[0] + n * Y.itemsize, Y.itemsize),
+            writeable=True)
+        return _Stack(Y, Y[: d_x + self.d_u], Y[:d_x], blocks)
 
     @property
     def Ms(self) -> np.ndarray:
@@ -329,28 +345,9 @@ class _DisturbanceFeedback:
         """The ``(len(Ms), d_u, d_s)`` view of a flat point-order vector."""
         return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
 
-    def _start(self, transition: np.ndarray) -> None:
-        """Size the caches from the first transition matrix's decay."""
-        self.delta_hat = _measure_decay(transition)
-        if self.H_trunc is None:
-            self.H_trunc = _default_depth(self.h, self.delta_hat)
-        self._allocate(self.H_trunc)
-
-    def _allocate(self, H: int) -> None:
-        """Allocate the caches at depth ``H``, keeping the window's entries."""
-        n_M, d_s = self._n_M, self._d_s
-        held = self._Zh[:1].reshape(-1)  # the window pushed before the sizing, if any
-        window = np.zeros((H + n_M) * d_s)
-        window[: len(held)] = held
-        self._Zh = sliding_window_view(window, n_M * d_s)[::d_s].copy()
-        self._width = self.d_u + 1 if self._drifts else self.d_u
-        self._P = np.zeros(((H + 1) * self._width, self.d_x))
-        self._P_spare = np.zeros_like(self._P)
-        self._U = np.ones((H + 1, self._width)) if self._drifts else None  # GPC's [U | 1]
-
     def _validated(self, A_t: object, B_t: object, extra: object) -> tuple:
-        """The subclass's ``(C, transition, transition', B', ...)``, derived only
-        when the shapes or bytes of ``(A_t, B_t, extra)`` differ from the last call's."""
+        """The subclass's ``(C, [F_t | B_t (| w_t)], ...)``, derived only when
+        the shapes or bytes of ``(A_t, B_t, extra)`` differ from the last call's."""
         A_t = np.asarray(A_t, dtype=float)
         B_t = np.asarray(B_t, dtype=float)
         key = (A_t.shape, A_t.tobytes(), B_t.shape, B_t.tobytes())
@@ -378,18 +375,15 @@ class _DisturbanceFeedback:
 
     def _feedback(self) -> np.ndarray:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
-        return self._Zh[0].dot(self._Mt)
+        return self._window.dot(self._Mt)
 
     def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
         """``(z_t(M), u_t(M))`` at the parameters now held."""
         _, offset, _, K = self._acted()[:4]
-        U = self._Zh.dot(self._Mt)
-        if self._drifts:
-            self._U[:, : self.d_u] = U
-            U = self._U
-        x = U.reshape(-1).dot(self._P)
+        self._m_blocks[...] = self._Mt.T
+        xu = self._stack.JS.dot(self._m)
+        x, u = xu[: self.d_x], xu[self.d_x :]
         z = x if C is None else C.dot(x)
-        u = U[0, : self.d_u]
         return (z if offset is None else offset + z), (u if K is None else K.dot(x) + u)
 
     def _loss_and_half_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
@@ -400,9 +394,9 @@ class _DisturbanceFeedback:
         loss, half_grad = _resolve_cost(cost, t).stage(z, u)
         gz, gu = half_grad[: len(z)], half_grad[len(z) :]
         v = gz if C is None else C.T.dot(gz)
-        V = self._P.dot(v if K is None else v + K.T.dot(gu))
-        V[: self.d_u] = gu
-        return loss, V.reshape(-1, self._width).T.dot(self._Zh)[: self.d_u].reshape(-1)
+        if K is not None:
+            v = v + K.T.dot(gu)
+        return loss, np.concatenate((v, gu)).dot(self._stack.JS)[: self._p]
 
     def _stacked_loss_and_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
         """``loss_and_gradient``: the gradient shaped like ``Ms``, twice the
@@ -414,13 +408,11 @@ class _DisturbanceFeedback:
               drift: Optional[np.ndarray] = None) -> None:
         """One learner step at ``t`` on the :meth:`_validated` ``dynamics``:
         the projected OGD step on the counterfactual loss, the telemetry row,
-        and the stack moved one step on (older blocks times the transition
-        matrix, the oldest dropped, ``B`` and, for GPC, the ``drift`` w as
-        block 1).  Raises EvaluationError if the new iterate left the ball
-        or moved further than ``eta * ||g||``."""
-        C, transition, transition_T, B_T = dynamics[:4]
-        if self.delta_hat is None:
-            self._start(transition)
+        and ``[J | c]`` moved one step on, with the window ``s_t`` and, for
+        GPC, the ``drift`` w, which goes into the last column of the cached
+        ``[F_t | B_t | w_t]``.  Raises EvaluationError if the new iterate left
+        the ball or moved further than ``eta * ||g||``."""
+        C, FE = dynamics[:2]
         loss, half_grad = self._loss_and_half_gradient(cost, C)
         state = self.ogd
         self.ogd, grad_norm, eta, M_norm = _ogd_step(state, half_grad, 2.0)
@@ -428,28 +420,30 @@ class _DisturbanceFeedback:
         if M_norm is None:  # the projection scaled the point
             self.projected_steps += 1
             M_norm = math.sqrt(point.dot(point))
-        if state.radius is not None and M_norm > state.radius + 1e-9:
+        # Both checks allow for rounding, which scales with the points: the
+        # new one is at most r long and the old one ||new|| + eta ||g||.
+        if state.radius is not None and M_norm > state.radius * (1.0 + 1e-12) + 1e-9:
             raise EvaluationError(f"OGD iterate left the ball of radius {state.radius}")
         moved = point - state.point
-        if math.sqrt(moved.dot(moved)) > eta * grad_norm + 1e-12:
+        step = eta * grad_norm
+        if math.sqrt(moved.dot(moved)) > step + 1e-12 * (1.0 + M_norm + step):
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
         self._Ms, self._Mt = None, point.reshape(self.d_u, -1).T  # Ms when read
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: signal_norm, "grad_norm": grad_norm})
-        P, self._P, w = self._P, self._P_spare, self._width
-        np.dot(P[w:-w], transition_T, out=self._P[2 * w :])
-        self._P[w : w + self.d_u] = B_T
         if drift is not None:
-            self._P[w + self.d_u] = drift
-        self._P_spare = P
+            FE[:, -1] = drift
+        np.dot(FE, self._stack.Y, out=self._spare.Jc)
+        self._stack, self._spare = self._spare, self._stack
         self._last = None
 
     def _push(self, signal: np.ndarray) -> None:
-        """Shift the signal window one row and put ``signal`` first."""
-        Zh, d_s = self._Zh, self._d_s
-        Zh[1:] = Zh[:-1]
-        Zh[0, d_s:] = Zh[0, :-d_s]
-        Zh[0, :d_s] = signal
+        """Shift the signal window by one signal, put ``signal`` first, and
+        write the window into the stack's ``S``."""
+        window, d_s = self._window, self._d_s
+        window[d_s:] = window[:-d_s]
+        window[:d_s] = signal
+        self._stack.S_blocks[...] = window
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +462,16 @@ class GPCController(_DisturbanceFeedback):
     Runs on the learner step shared with :class:`GRCController`.
 
     A controller spec (dict, config file or CLI flags) sets the learner
-    options ``h``, ``radius``, ``step_size``, ``schedule`` and ``H_trunc``;
-    their defaults live here alone.  Each update appends a telemetry dict
-    to ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
+    options ``h``, ``radius``, ``step_size`` and ``schedule``; their
+    defaults live here alone.  The counterfactual ``x_t(M)`` is exact on
+    any horizon: it is stepped as ``J_t m + c_t`` (see
+    :class:`_DisturbanceFeedback`) in about ``d_x^2 p`` flops a step, ``p =
+    h d_x d_u``.  Each update appends a telemetry dict to
+    ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
     loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
     and ``grad_norm``, and ``self.projected_steps`` counts the steps whose
-    projection onto the ball scaled the point.  The played cost ``c_t(x_t, u_t)`` is not repeated
-    there: it is ``Trajectory.costs[t]`` under
+    projection onto the ball scaled the point.  The played cost ``c_t(x_t,
+    u_t)`` is not repeated there: it is ``Trajectory.costs[t]`` under
     :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the array that
     :func:`~nscontrol.sysid.control_with_model` returns.
 
@@ -496,10 +493,6 @@ class GPCController(_DisturbanceFeedback):
     schedule : {"sqrt", "constant"}
     horizon : int, optional
         Required for the constant schedule (sets ``eta = c/sqrt(T)``).
-    H_trunc : int, optional
-        Cache depth for the counterfactual sums; by default
-        ``2h + ceil(log(1/EPS_TRUNC)/delta_hat)`` with the decay rate
-        measured from powers of the first closed-loop matrix.
     """
 
     _signal_key = "w_norm"
@@ -515,7 +508,6 @@ class GPCController(_DisturbanceFeedback):
         step_size: Optional[float] = None,
         schedule: str = "sqrt",
         horizon: Optional[int] = None,
-        H_trunc: Optional[int] = None,
     ):
         self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")
         self.h = _whole(h, 1, "GPC's window h")
@@ -523,7 +515,7 @@ class GPCController(_DisturbanceFeedback):
         self._K_fixed = None
         if not callable(K):
             self._K_fixed = _as_matrix(K, "K", (self.d_u, self.d_x))
-        super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon, H_trunc)
+        super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon)
 
     def gain(self, t: int) -> np.ndarray:
         if self._K_fixed is not None:
@@ -540,12 +532,12 @@ class GPCController(_DisturbanceFeedback):
         return u
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, K_t: np.ndarray) -> tuple:
-        closed = A_t + B_t @ K_t
-        return None, closed, closed.T.copy(), B_t.T.copy(), np.concatenate((A_t, B_t), axis=1)
+        FBw = np.concatenate((A_t + B_t @ K_t, B_t, np.zeros((self.d_x, 1))), axis=1)
+        return None, FBw, np.concatenate((A_t, B_t), axis=1)  # w_t goes into FBw per step
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
-        parameters now held (cache-based fast path)."""
+        parameters now held."""
         return self._counterfactual(None)
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
@@ -555,13 +547,13 @@ class GPCController(_DisturbanceFeedback):
         return self._stacked_loss_and_gradient(cost, None)
 
     def update(self, t: int, A_t: object, B_t: object, x_next: object, cost: object) -> np.ndarray:
-        """Recover ``w_t``, take the OGD step on ``l_t``, advance caches.
+        """Recover ``w_t``, take the OGD step on ``l_t``, advance ``[J | c]``.
 
         Returns the recovered perturbation ``w_t``.
         """
         K_t, xu = self._turn(t)[3:]
         dynamics = self._validated(A_t, B_t, K_t)
-        w_t = np.asarray(x_next, dtype=float) - dynamics[4].dot(xu)
+        w_t = np.asarray(x_next, dtype=float) - dynamics[2].dot(xu)
         ww = w_t.dot(w_t)
         # w.w is finite exactly when every entry is, unless it overflows.
         if not math.isfinite(ww) and not np.isfinite(w_t).all():
@@ -599,10 +591,11 @@ class GRCController(_DisturbanceFeedback):
     """Gradient response controller for stable, partially observed systems.
 
     Per step ``t``: compute nature's y ``ynat_t = y_t - C_t z_t``, play
-    ``u_t = sum_{i=0}^{h} M_i^t ynat_{t-i}``, reconstruct the
-    counterfactual observation ``y_t(M) = ynat_t + C_t sum_i F_i u_{t-i}(M)``
-    through the cached Markov operators ``F_i``, and take one projected
-    OGD step on ``l_t(M) = c_t(y_t(M), u_t(M))``.
+    ``u_t = sum_{i=0}^{h} M_i^t ynat_{t-i}``, form the counterfactual
+    observation ``y_t(M) = ynat_t + C_t x_t(M)``, where ``x_t(M) = J_t m``
+    is the exact response to the actions ``M`` would have played from the
+    start, and take one projected OGD step on ``l_t(M) = c_t(y_t(M),
+    u_t(M))``.
 
     Runs on the learner step shared with :class:`GPCController`.  ``A_t``
     must have spectral radius below 1, checked whenever ``(A_t, B_t, C_t)``
@@ -611,9 +604,9 @@ class GRCController(_DisturbanceFeedback):
 
     The cost is evaluated on (observation, control) pairs.  ``d_y`` is the
     observation dimension; ``h`` (the window holds ``h + 1`` matrices,
-    lags 0 to ``h``), ``radius``, ``step_size``, ``schedule``, ``horizon``
-    and ``H_trunc`` are the learner options of :class:`GPCController`, with
-    the same defaults.  Each update appends a telemetry dict to
+    lags 0 to ``h``), ``radius``, ``step_size``, ``schedule`` and
+    ``horizon`` are the learner options of :class:`GPCController`, with the
+    same defaults.  Each update appends a telemetry dict to
     ``self.telemetry`` with the keys ``t``, ``loss``, ``M_norm``,
     ``ynat_norm`` and ``grad_norm``; the played cost is not among them.
     ``self.projected_steps`` counts projected steps as for GPC.
@@ -631,12 +624,11 @@ class GRCController(_DisturbanceFeedback):
         step_size: Optional[float] = None,
         schedule: str = "sqrt",
         horizon: Optional[int] = None,
-        H_trunc: Optional[int] = None,
     ):
         self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")
         self.d_y = _whole(d_y, 1, "d_y")
         self.h = _whole(h, 0, "GRC's window h")
-        super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon, H_trunc)
+        super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon)
         self.tracker = NaturesYTracker(self.d_x)
 
     def _output(self, C_t: Optional[object]) -> Optional[np.ndarray]:
@@ -661,7 +653,10 @@ class GRCController(_DisturbanceFeedback):
         C_t = self._output(C_t)
         if spectral_radius(A_t) >= 1.0:
             raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
-        return C_t, A_t, A_t.T.copy(), B_t.T.copy(), B_t
+        AB = np.concatenate((A_t, B_t), axis=1)
+        # A and B as views of the private copy AB: the cache outlives the
+        # caller's arrays.
+        return C_t, AB, AB[:, : self.d_x], AB[:, self.d_x :]
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
@@ -676,11 +671,11 @@ class GRCController(_DisturbanceFeedback):
         return self._stacked_loss_and_gradient(cost, self._output(C_t))
 
     def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
-        """Take the OGD step on ``l_t``, refresh caches, advance nature's y."""
+        """Take the OGD step on ``l_t``, advance ``J`` and nature's y."""
         ynat, u_played = self._turn(t)[1:3]
         dynamics = self._validated(A_t, B_t, C_t)
         self._step(t, cost, dynamics, math.sqrt(ynat.dot(ynat)))
-        self.tracker.advance(dynamics[1], dynamics[4], u_played)
+        self.tracker.advance(*dynamics[2:], u_played)
 
 
 def grc_runner(

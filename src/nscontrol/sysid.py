@@ -488,7 +488,7 @@ def control_with_model(
     from step ``s`` when it acts at ``s + 1``: the last step's update, which
     no later action would read, is not taken.  ``learner`` holds the
     :class:`~nscontrol.online_control.GPCController` options ``h``,
-    ``radius``, ``step_size``, ``schedule`` and ``H_trunc``, forwarded as
+    ``radius``, ``step_size`` and ``schedule``, forwarded as
     given (the horizon is ``n_steps``); the controller holds their
     defaults.
     """
@@ -528,7 +528,7 @@ def identify_then_control(
     diagnostics.
 
     ``learner`` holds the :class:`~nscontrol.online_control.GPCController`
-    options ``h``, ``radius``, ``step_size``, ``schedule`` and ``H_trunc``,
+    options ``h``, ``radius``, ``step_size`` and ``schedule``,
     forwarded to :func:`control_with_model` as given; the comparator's
     depth is the learner's ``h``.
 

@@ -221,6 +221,12 @@ def test_config_file_rejects_unknown_sections_and_keys():
         code, _, err = _regret_from_config(base.replace("kind = zero", f"kind = {kind}\nbogus = 1"))
         assert code == 2
         assert f"configuration error: unknown {kind} options: ['bogus']" in err
+    # The learners dropped their truncation depth, and a file that sets one
+    # is an error naming it.
+    for kind in ("gpc", "grc"):
+        code, _, err = _regret_from_config(base.replace("kind = zero", f"kind = {kind}\nh_trunc = 20"))
+        assert code == 2
+        assert f"configuration error: unknown {kind} options: ['h_trunc']" in err
 
 
 def test_sysid_subcommand():

@@ -214,10 +214,9 @@ CASES = {
                       {"x_bar": (np.ones(2), "2d"), "u_bar": (np.ones(1), "2d")}),
     "GPCController": Case(
         GPCController, _cols(K=K),
-        {"d_x": (2, 1), "d_u": (1, 1), "h": (3, 1), "H_trunc": (5, 1)}),
+        {"d_x": (2, 1), "d_u": (1, 1), "h": (3, 1)}),
     "GRCController": Case(GRCController, {},
-                          {"d_x": (2, 1), "d_u": (1, 1), "d_y": (1, 1), "h": (3, 0),
-                           "H_trunc": (5, 1)}),
+                          {"d_x": (2, 1), "d_u": (1, 1), "d_y": (1, 1), "h": (3, 0)}),
     "OGDState": Case(OGDState, {"point": (np.zeros(3), None)}),
     "counterfactual_state": Case(
         counterfactual_state,

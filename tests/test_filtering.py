@@ -467,7 +467,7 @@ def test_kalman_state_fields_unchanged_by_chaining():
 
 
 def _riccati_calls(monkeypatch):
-    """Count the Riccati steps kalman_step runs: one per memo miss."""
+    """Count the Riccati steps run."""
     calls = []
 
     def counted(*args):
@@ -479,8 +479,8 @@ def _riccati_calls(monkeypatch):
 
 
 def _fresh_step(state, *args, **kwargs):
-    """kalman_step from a rebuilt, user-built state: full validation and an
-    empty memo, so it never hits."""
+    """kalman_step from a rebuilt, user-built state, which validates its
+    noise pair again."""
     rebuilt = KalmanState(x_hat=state.x_hat, Sigma=state.Sigma)
     assert not hasattr(rebuilt, "_noise")
     return kalman_step(rebuilt, *args, **kwargs)
@@ -605,57 +605,14 @@ def _check_cli_against_reference(command, preset, T, seed):
         assert abs(written[key] - value) <= 1e-10 * abs(value), key
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    d_x=st.integers(1, 4),
-    d_y=st.integers(1, 3),
-    rank_x=st.integers(0, 4),
-    rank_y=st.integers(0, 3),
-    with_input=st.booleans(),
-    steps=st.integers(1, 200),
-)
-@example(seed=303, d_x=2, d_y=2, rank_x=1, rank_y=0, with_input=False, steps=60)
-@example(seed=2, d_x=1, d_y=2, rank_x=0, rank_y=0, with_input=False, steps=60)
-def test_kalman_memo_replays_the_riccati_step_bitwise(
-    seed, d_x, d_y, rank_x, rank_y, with_input, steps
-):
-    # A chained run, which replays repeated covariances from the memo,
-    # matches bit for bit a run that rebuilds the state before every step
-    # and so recomputes every Riccati step.  Ranks below the dimension give
-    # singular noise covariances.
-    A, B, C, Sx, Sy, S0, x0, us, ys = _kalman_case(
-        seed, d_x, d_y, rank_x, rank_y, with_input, steps
-    )
-    chained = fresh = KalmanState(x_hat=x0, Sigma=S0)
-    for t in range(steps):
-        chained = kalman_step(chained, A, B, C, Sx, Sy, u=us[t], y=ys[t])
-        fresh = _fresh_step(fresh, A, B, C, Sx, Sy, u=us[t], y=ys[t])
-        assert np.array_equal(chained.x_hat, fresh.x_hat)
-        assert np.array_equal(chained.Sigma, fresh.Sigma)
-    assert len(chained._noise[4]) <= steps
-
-
-def test_kalman_memo_hits_once_the_covariance_repeats(monkeypatch):
-    # Sigma_y = 0 with an invertible C: the covariance is Sigma_x after
-    # every step, so all but the first few steps are hits.
-    A, _, C, Sx, Sy, S0, x0, _, ys = _kalman_case(303, 2, 2, 1, 0, False, 50)
-    calls = _riccati_calls(monkeypatch)
-    state = KalmanState(x_hat=x0, Sigma=S0)
-    for t in range(50):
-        state = kalman_step(state, A, None, C, Sx, Sy, y=ys[t])
-    assert len(calls) == len(state._noise[4]) <= 3
-
-
-def test_kalman_hits_skip_only_the_checks_their_entry_passed(monkeypatch):
-    # On a 2,000-step b747 chain (the filter command's noise, whose
-    # covariance enters a cycle), the PSD check of Sigma' and the checks of
-    # A and C run once per memo miss and never on a hit.  A hit still checks
-    # y and the noise pair.
-    system = config_from_preset("b747", {"kind": "zero"}, horizon=2000).system
+def test_kalman_step_runs_every_check_on_every_step(monkeypatch):
+    # On a 200-step b747 chain (the filter command's noise, whose covariance
+    # enters a cycle at t = 29), every chained step runs the Riccati step,
+    # the PSD check of Sigma' and the checks of A and C, and checks y.
+    system = config_from_preset("b747", {"kind": "zero"}, horizon=200).system
     A, _, C = (M[0] for M in system.stacks(0, 1))
     Sx, Sy = 0.1**2 * np.eye(system.d_x), 0.1**2 * np.eye(system.d_y)
-    ys = np.random.default_rng(0).normal(size=(2000, system.d_y))
+    ys = np.random.default_rng(0).normal(size=(200, system.d_y))
     state = kalman_step(KalmanState(x_hat=np.zeros(system.d_x), Sigma=Sx), A, None, C, Sx, Sy,
                         y=ys[0])
     riccati = _riccati_calls(monkeypatch)
@@ -673,62 +630,10 @@ def test_kalman_hits_skip_only_the_checks_their_entry_passed(monkeypatch):
     monkeypatch.setattr(filtering, "_as_matrix", counted_as_matrix)
     for y in ys[1:]:
         state = kalman_step(state, A, None, C, Sx, Sy, y=y)
-    misses = len(riccati)
-    assert 0 < misses < 200
-    assert len(eigvalsh) == misses
-    assert matrices == ["A", "C"] * misses
-
-    # The next step hits; with a non-finite y it is rejected all the same.
-    hit = kalman_step(state, A, None, C, Sx, Sy, y=ys[0])
-    assert len(riccati) == misses
+    assert len(riccati) == len(eigvalsh) == 199
+    assert matrices == ["A", "C"] * 199
     with pytest.raises(ConfigurationError, match="^y contains non-finite entries$"):
         kalman_step(state, A, None, C, Sx, Sy, y=np.full(system.d_y, np.nan))
-    # A noise pair changed in place is validated again before the memo is read.
-    Sx[0, 0] = -1.0
-    with pytest.raises(ConfigurationError, match="Sigma_x must be positive semidefinite"):
-        kalman_step(state, A, None, C, Sx, Sy, y=ys[0])
-    Sx[0, 0] = 0.1**2
-    again = kalman_step(state, A, None, C, Sx, Sy, y=ys[0])
-    assert np.array_equal(again.x_hat, hit.x_hat) and np.array_equal(again.Sigma, hit.Sigma)
-    assert len(eigvalsh) == misses + 1  # the check that rejected Sigma_x
-
-
-@pytest.mark.parametrize("d, cap", [(1, filtering._MEMO_CAP), (30, 9), (30, 0)])
-def test_kalman_memo_stays_within_its_cap(monkeypatch, d, cap):
-    # A time-varying A never repeats a key: every step misses, and the memo
-    # keeps the newest entries up to its cap, which the byte budget lowers
-    # for large matrices (here set to 9.5 entries of d = 30, or less than 1).
-    calls = _riccati_calls(monkeypatch)
-    if d > 1:
-        entry = 8 * (2 * d * d + d * d + d * d + 2 * d * d)
-        monkeypatch.setattr(filtering, "_MEMO_BYTES", int((cap + 0.5) * entry))
-    C, Sx, Sy = np.eye(d), np.eye(d), np.eye(d)
-    state = KalmanState(x_hat=np.zeros(d), Sigma=np.eye(d))
-    steps = cap + 100
-    for t in range(steps):
-        A = (0.5 + 0.4 * math.sin(t)) * np.eye(d)
-        state = kalman_step(state, A, None, C, Sx, Sy, y=np.ones(d))
-        assert len(state._noise[4]) == min(t + 1, cap)
-    assert len(calls) == steps
-
-
-def test_kalman_memo_misses_after_an_in_place_change(monkeypatch):
-    # The memo keys on content: after A or C changes in place, the next step
-    # from the same state recomputes and matches a never-hitting step.
-    A, _, C, Sx, Sy, S0, x0, _, _ = _kalman_case(5, 3, 2, 3, 2, False, 0)
-    state = KalmanState(x_hat=x0, Sigma=S0)
-    first = kalman_step(state, A, None, C, Sx, Sy)
-    calls = _riccati_calls(monkeypatch)
-    assert np.array_equal(kalman_step(first, A, None, C, Sx, Sy).Sigma,
-                          kalman_step(first, A, None, C, Sx, Sy).Sigma)
-    assert len(calls) == 1
-    for M in (A, C):
-        M[0, 0] *= 0.5
-        chained = kalman_step(first, A, None, C, Sx, Sy, y=np.ones(2))
-        fresh = _fresh_step(first, A, None, C, Sx, Sy, y=np.ones(2))
-        assert np.array_equal(chained.x_hat, fresh.x_hat)
-        assert np.array_equal(chained.Sigma, fresh.Sigma)
-    assert len(calls) == 5
 
 
 def _chained_filter(state, A, C, Sx, Sy, ys, B, us):
@@ -789,9 +694,8 @@ def test_kalman_filter_replays_the_covariance_cycle(monkeypatch):
     # The filter command's b747 chain (noise 0.1) repeats at t = 52: 23 steps
     # from t = 29 on.  kalman_filter then runs 52 Riccati steps for 2,000,
     # one per step on a record shorter than the cycle or under a time-varying
-    # A, and leaves kalman_step's memo alone.  Its final state chains: two
-    # halves give the bits of one run, and a step from it those of a
-    # validating step.
+    # A.  Its final state chains: two halves give the bits of one run, and a
+    # step from it those of a validating step.
     system = config_from_preset("b747", {"kind": "zero"}, horizon=2000).system
     A, _, C = (M[0] for M in system.stacks(0, 1))
     Sx, Sy = 0.1**2 * np.eye(system.d_x), 0.1**2 * np.eye(system.d_y)
@@ -802,7 +706,6 @@ def test_kalman_filter_replays_the_covariance_cycle(monkeypatch):
     assert len(calls) == 52
     assert np.array_equal(Sigmas[29:1977], Sigmas[52:2000])
     assert not np.array_equal(Sigmas[28], Sigmas[51])
-    assert final._noise[4] == {}
 
     first = kalman_filter(start, A, C, Sx, Sy, ys[:1000])
     second = kalman_filter(first[2], A, C, Sx, Sy, ys[1000:])
@@ -818,22 +721,6 @@ def test_kalman_filter_replays_the_covariance_cycle(monkeypatch):
         calls.clear()
         kalman_filter(start, A_run, C, Sx, Sy, ys[:T])
         assert len(calls) == T
-
-
-def test_kalman_memo_is_not_aliased_by_returned_covariances(monkeypatch):
-    # Each returned Sigma is a fresh array: writing into the one a miss
-    # returned or the one a hit returned leaves later hits unchanged.
-    A, _, C, Sx, Sy, S0, x0, _, _ = _kalman_case(5, 3, 2, 3, 2, False, 0)
-    state = kalman_step(KalmanState(x_hat=x0, Sigma=S0), A, None, C, Sx, Sy)
-    calls = _riccati_calls(monkeypatch)
-    missed = kalman_step(state, A, None, C, Sx, Sy)
-    expected = missed.Sigma.copy()
-    missed.Sigma[:] = 7.0
-    hit = kalman_step(state, A, None, C, Sx, Sy)
-    assert np.array_equal(hit.Sigma, expected)
-    hit.Sigma[:] = 7.0
-    assert np.array_equal(kalman_step(state, A, None, C, Sx, Sy).Sigma, expected)
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,7 @@ def test_gpc_cached_counterfactual_matches_reference():
         A, B, _ = system.matrices(t)
         u = controller.act(t, x)
         if t >= 1:
-            x_ref = counterfactual_state(
-                list(controller.Ms), w_hist, A_hist, B_hist, controller.H_trunc
-            )
+            x_ref = counterfactual_state(list(controller.Ms), w_hist, A_hist, B_hist, t)
             x_cf, u_cf = controller.counterfactuals()
             assert np.allclose(x_cf, x_ref, atol=1e-10)
             u_ref = K @ x_ref
@@ -519,21 +517,54 @@ def test_gpc_constant_schedule_requires_horizon():
         pass
 
 
-def test_gpc_truncation_depth_override_and_measured_decay():
-    A = np.array([[0.5]])
-    B = np.array([[1.0]])
+def test_gpc_counterfactual_losses_stay_exact_on_a_time_varying_plant():
+    # A plant that decays fast at t = 0 (A_0 = 0.1) and slowly after (A_t =
+    # 0.99): a counterfactual truncated at a depth sized from A_0 alone (24
+    # steps) misses most of the response, its losses totalling 15,391
+    # against the exact 113,651.  The telemetry loss at every fifth step and
+    # the last is the cost of the exact counterfactual_state at the
+    # parameters the learner then held.
+    T = 600
+    system = LinearSystem.time_varying(
+        lambda t: (np.array([[0.1 if t == 0 else 0.99]]), np.eye(1), None), 1, 1)
     cost = QuadraticCost(np.eye(1), np.eye(1))
-    controller = GPCController(1, 1, np.zeros((1, 1)), h=3, H_trunc=17)
-    controller.act(0, np.zeros(1))
-    controller.update(0, A, B, np.array([0.3]), cost)
-    assert controller.H_trunc == 17
-    auto = GPCController(1, 1, np.zeros((1, 1)), h=3)
-    auto.act(0, np.zeros(1))
-    auto.update(0, A, B, np.array([0.3]), cost)
-    # Closed loop is 0.5, so the measured decay is 0.5 and the default depth
-    # is 2h + ceil(log(1e6) / 0.5) = 6 + 28.
-    assert abs(auto.delta_hat - 0.5) < 1e-12
-    assert auto.H_trunc == 6 + math.ceil(math.log(1e6) / 0.5)
+    controller = GPCController(1, 1, np.zeros((1, 1)), h=4, radius=2.0, step_size=0.05)
+    runner, held = gpc_runner(controller, system, cost), []
+
+    def callback(t, x, y):
+        u = runner(t, x, y)
+        held.append(controller.Ms.copy())  # what act(t) played and update(t) scores
+        return u
+
+    ws = simulate(system, callback, PerturbationSource.gaussian(1.0), cost, T,
+                  seed=0).perturbations
+    losses = [row["loss"] for row in controller.telemetry]
+    assert len(losses) == T - 1
+    A_hist = [np.array([[0.99]])] * (T - 2) + [np.array([[0.1]])]
+    assert losses[0] == 0.0  # nothing has been played at t = 0
+    for t in [*range(1, T - 1, 5), T - 2]:
+        w_hist = list(ws[:t][::-1])
+        x_ref = counterfactual_state(list(held[t]), w_hist, A_hist[T - 1 - t:], [np.eye(1)] * t, t)
+        u_ref = sum(M @ w for M, w in zip(held[t], w_hist))
+        assert math.isclose(losses[t], float(cost.value(x_ref, np.ravel(u_ref))), rel_tol=1e-12)
+    assert math.isclose(sum(losses), 113651.466309737, rel_tol=1e-9)
+
+
+def test_ogd_step_checks_scale_their_slack_with_the_iterate():
+    # With radius 1e6 the iterate reaches ||M|| = 5.1e5 by step 37, where
+    # the rounding of point - old point exceeds eta * ||g|| by 1.6e-16
+    # relative; an absolute slack of 1e-12 turned that into "OGD iterate
+    # moved further than eta * ||g||".  With radius 1e8 and steps that
+    # project every point onto the sphere, the rounding of the projected
+    # norm exceeded an absolute 1e-9 ("OGD iterate left the ball").
+    config = config_from_preset("scalar-0.9", {"kind": "zero"}, horizon=60)
+    for radius, step_size in ((1e6, 0.05), (1e8, 1e8)):
+        controller = GPCController(1, 1, [[0.0]], h=2, radius=radius, step_size=step_size)
+        simulate(config.system, gpc_runner(controller, config.system, config.cost),
+                 PerturbationSource.constant([1.0]), config.cost, 60, x0=np.ones(1))
+        assert len(controller.telemetry) == 59
+    assert controller.projected_steps == 57
+    assert controller.telemetry[-1]["M_norm"] == pytest.approx(1e8, rel=1e-12)
 
 
 def test_gpc_runner_matches_manual_loop():
@@ -693,8 +724,7 @@ def test_grc_cached_counterfactual_matches_direct_formula():
                 return total
 
             y_direct = ynats[0].copy()
-            depth = min(t, controller.H_trunc or t)
-            for i in range(1, depth + 1):
+            for i in range(1, t + 1):
                 prod = np.eye(3)
                 for _ in range(i - 1):
                     prod = A @ prod
@@ -842,14 +872,14 @@ def _rescaled(A, rho):
     return A * (rho / max(float(np.max(np.abs(np.linalg.eigvals(A)))), 1e-12))
 
 
-def _fd_gradient(controller, loss_at):
+def _fd_gradient(controller, loss_at, step=FD_STEP):
     flat = controller.Ms.ravel().copy()
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         up, dn = flat.copy(), flat.copy()
-        up[i] += FD_STEP
-        dn[i] -= FD_STEP
-        fd[i] = (loss_at(up) - loss_at(dn)) / (2.0 * FD_STEP)
+        up[i] += step
+        dn[i] -= step
+        fd[i] = (loss_at(up) - loss_at(dn)) / (2.0 * step)
     return fd
 
 
@@ -880,19 +910,57 @@ def _handed(mode, *content_at):
     return in_place
 
 
+def _plant_matrix(rng, d, non_normal):
+    """A random square matrix, or a non-normal one: a triangular matrix
+    whose off-diagonal part dwarfs its eigenvalues (transient growth)."""
+    if not non_normal:
+        return rng.normal(size=(d, d))
+    return np.diag(rng.uniform(-1.0, 1.0, size=d)) + 4.0 * np.triu(rng.normal(size=(d, d)), 1)
+
+
+def _assert_exact(got, want, magnitude):
+    """``got`` equals ``want`` to 1e-12 relative to ``magnitude``, the
+    largest sum of absolute terms behind an entry: the scale of the rounding
+    of a sum whose terms may cancel."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    bound = 1e-12 * float(np.max(magnitude, initial=0.0))
+    assert np.max(np.abs(got - want), initial=0.0) <= bound, (got, want)
+
+
+def _quadratic_magnitude(cost, z, u):
+    """The sum of absolute terms of the quadratic cost at the magnitudes
+    ``z`` and ``u``."""
+    return z @ np.abs(cost.Q) @ z + u @ np.abs(cost.R) @ u
+
+
+def _assert_gradient_exact(controller, grad, loss_at, magnitude):
+    """``grad`` equals the central differences of the loss at a unit step,
+    which are exact for a loss quadratic in ``Ms`` up to the rounding of the
+    loss values, at most ``magnitude`` (the loss's absolute terms at ``|Ms|
+    + 1``)."""
+    _assert_exact(grad.ravel(), _fd_gradient(controller, loss_at, step=1.0), magnitude)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     d_x=st.integers(1, 3),
     d_u=st.integers(1, 3),
     h=st.integers(1, 4),
-    H_trunc=st.integers(1, 12),
-    T=st.integers(1, 16),
+    T=st.integers(1, 24),
     mode=st.sampled_from(PROVIDER_MODES),
+    non_normal=st.booleans(),
 )
-def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_trunc, T, mode):
+def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, T, mode,
+                                                           non_normal):
+    # On random stable plants, time-varying unless fresh-equal, normal or
+    # not, the learner's counterfactual pair and loss at every step equal
+    # those of the exact counterfactual_state (H_trunc = t) to 1e-12
+    # relative, and its gradient equals exact central differences, at the
+    # learned parameters and at random ones.
     rng = np.random.default_rng(seed)
-    A0, A1 = _rescaled(rng.normal(size=(d_x, d_x)), 0.6), 0.1 * rng.normal(size=(d_x, d_x))
+    A0 = _rescaled(_plant_matrix(rng, d_x, non_normal), 0.6)
+    A1 = 0.1 * rng.normal(size=(d_x, d_x))
     B0, B1 = rng.normal(size=(d_x, d_u)), 0.2 * rng.normal(size=(d_x, d_u))
     K0 = 0.1 * rng.normal(size=(d_u, d_x))
     if mode == "fresh-equal":
@@ -904,23 +972,45 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_
     handed = _handed(mode, A_at, B_at)
     L = rng.normal(size=(d_x, d_x))
     cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_x), R=np.eye(d_u))
-    controller = GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05,
-                               H_trunc=H_trunc)
+    controller = GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05)
     ws = rng.uniform(-1, 1, size=(T + 1, d_x))
     A_hist: list = []
     B_hist: list = []
     w_hist: list = []
     x = np.zeros(d_x)
+
+    def reference(Ms, t):
+        """``(x_t(M), u_t(M))`` from the exact counterfactual_state."""
+        x_ref = counterfactual_state(list(Ms), w_hist, A_hist, B_hist, t)
+        u_ref = K_at(t) @ x_ref
+        for j in range(1, min(h, t) + 1):
+            u_ref = u_ref + Ms[j - 1] @ ws[t - j]
+        return x_ref, u_ref
+
+    def magnitudes(Ms, t):
+        """The reference on absolute values: the magnitudes of the terms of
+        x_t(M), u_t(M) and the loss."""
+        x_abs = counterfactual_state([np.abs(M) for M in Ms], [np.abs(w) for w in w_hist],
+                                     [np.abs(A) for A in A_hist], [np.abs(B) for B in B_hist], t)
+        u_abs = np.abs(K_at(t)) @ x_abs
+        for j in range(1, min(h, t) + 1):
+            u_abs = u_abs + np.abs(Ms[j - 1]) @ np.abs(ws[t - j])
+        return x_abs, u_abs, _quadratic_magnitude(cost, x_abs, u_abs)
+
+    def check(t):
+        """The learner's pair and loss at step t against the reference."""
+        x_ref, u_ref = reference(controller.Ms, t)
+        x_abs, u_abs, loss_abs = magnitudes(controller.Ms, t)
+        x_cf, u_cf = controller.counterfactuals()
+        _assert_exact(x_cf, x_ref, x_abs)
+        _assert_exact(u_cf, u_ref, u_abs)
+        loss, _ = controller.loss_and_gradient(cost)
+        _assert_exact(loss, cost.value(x_ref, u_ref), loss_abs)
+
     for t in range(T + 1):
         u = controller.act(t, x)
         if t >= 1:
-            x_ref = counterfactual_state(list(controller.Ms), w_hist, A_hist, B_hist, H_trunc)
-            u_ref = K_at(t) @ x_ref
-            for j in range(1, min(h, t) + 1):
-                u_ref = u_ref + controller.Ms[j - 1] @ ws[t - j]
-            x_cf, u_cf = controller.counterfactuals()
-            assert np.allclose(x_cf, x_ref, atol=1e-10)
-            assert np.allclose(u_cf, u_ref, atol=1e-10)
+            check(t)
         if t == T:
             break
         x_next = A_at(t) @ x + B_at(t) @ u + ws[t]
@@ -929,6 +1019,7 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_
         B_hist.insert(0, B_at(t))
         w_hist.insert(0, ws[t])
         x = x_next
+    assert [row["t"] for row in controller.telemetry] == list(range(T))
 
     def loss_at(flat):
         saved = controller.Ms
@@ -937,11 +1028,12 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_
         controller.Ms = saved
         return float(cost.value(x_cf, u_cf))
 
-    _, grad = controller.loss_and_gradient(cost)
-    _assert_gradient_matches_fd(controller, grad, loss_at)
-    controller.Ms = rng.normal(size=controller.Ms.shape)
-    _, grad = controller.loss_and_gradient(cost)
-    _assert_gradient_matches_fd(controller, grad, loss_at)
+    for _ in range(2):  # the learned parameters, then random ones
+        check(T)
+        _, grad = controller.loss_and_gradient(cost)
+        magnitude = magnitudes(np.abs(controller.Ms) + 1.0, T)[2]
+        _assert_gradient_exact(controller, grad, loss_at, magnitude)
+        controller.Ms = rng.normal(size=controller.Ms.shape)
 
 
 @settings(max_examples=40, deadline=None)
@@ -951,15 +1043,18 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, H_
     d_u=st.integers(1, 3),
     d_y=st.integers(1, 3),
     h=st.integers(1, 4),
-    H_trunc=st.integers(1, 12),
-    T=st.integers(1, 16),
+    T=st.integers(1, 24),
     mode=st.sampled_from(PROVIDER_MODES),
+    non_normal=st.booleans(),
 )
 def test_grc_counterfactuals_and_gradient_match_references(
-    seed, d_x, d_u, d_y, h, H_trunc, T, mode
+    seed, d_x, d_u, d_y, h, T, mode, non_normal
 ):
+    # GRC's twin of the GPC test: the counterfactual observation is ynat_t
+    # plus C_t times the zero-history rollout of every control M would have
+    # played, to 1e-12 relative, on stable plants normal or not.
     rng = np.random.default_rng(seed)
-    A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
+    A0, A1 = _plant_matrix(rng, d_x, non_normal), 0.3 * rng.normal(size=(d_x, d_x))
     B0, C0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x))
     if mode == "fresh-equal":
         A_fixed = _rescaled(A0, 0.8)
@@ -971,29 +1066,40 @@ def test_grc_counterfactuals_and_gradient_match_references(
     handed = _handed(mode, A_at, B_at, C_at)
     L = rng.normal(size=(d_y, d_y))
     cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_y), R=np.eye(d_u))
-    controller = GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05,
-                               H_trunc=H_trunc)
+    controller = GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05)
     ws = rng.uniform(-1, 1, size=(T + 1, d_x))
     ynats: list = []  # oldest first
     x = np.zeros(d_x)
+
+    def check(t):
+        """The learner's pair and loss at step t against the reference."""
+        y_ref, u_ref = rollout(controller.Ms, t, lambda M: M)
+        y_abs, u_abs = rollout(controller.Ms, t, np.abs)
+        y_cf, u_cf = controller.counterfactuals(C_at(t))
+        _assert_exact(y_cf, y_ref, y_abs)
+        _assert_exact(u_cf, u_ref, u_abs)
+        loss, _ = controller.loss_and_gradient(cost, C_at(t))
+        _assert_exact(loss, cost.value(y_ref, u_ref), _quadratic_magnitude(cost, y_abs, u_abs))
+
+    def rollout(Ms, t, f):
+        """``(y_t(M), u_t(M))``: ynat_t plus C_t times the zero-history
+        rollout of every control M would have played; with ``f = np.abs``
+        on absolute values, the magnitudes of their terms."""
+
+        def u_of_M(s):
+            return sum((f(Ms[j]) @ f(ynats[s - j]) for j in range(min(h, s) + 1)),
+                       np.zeros(d_u))
+
+        z = np.zeros(d_x)
+        for s in range(t):
+            z = f(A_at(s)) @ z + f(B_at(s)) @ u_of_M(s)
+        return f(ynats[t]) + f(C_at(t)) @ z, u_of_M(t)
+
     for t in range(T + 1):
         A_t, B_t, C_t = handed(t)
         u = controller.act(t, C_at(t) @ x, C_t)
         ynats.append(controller._last[1].copy())
-
-        def u_of_M(s):
-            total = np.zeros(d_u)
-            for j in range(min(h, s) + 1):
-                total = total + controller.Ms[j] @ ynats[s - j]
-            return total
-
-        # Zero-history rollout of the last min(t, H_trunc) controls.
-        z = np.zeros(d_x)
-        for s in range(t - min(t, H_trunc), t):
-            z = A_at(s) @ z + B_at(s) @ u_of_M(s)
-        y_cf, u_cf = controller.counterfactuals(C_at(t))
-        assert np.allclose(y_cf, ynats[t] + C_at(t) @ z, atol=1e-10)
-        assert np.allclose(u_cf, u_of_M(t), atol=1e-10)
+        check(t)
         if t == T:
             break
         controller.update(t, A_t, B_t, C_t, cost)
@@ -1006,11 +1112,12 @@ def test_grc_counterfactuals_and_gradient_match_references(
         controller.Ms = saved
         return float(cost.value(y_cf, u_cf))
 
-    _, grad = controller.loss_and_gradient(cost, C_at(T))
-    _assert_gradient_matches_fd(controller, grad, loss_at)
-    controller.Ms = rng.normal(size=controller.Ms.shape)
-    _, grad = controller.loss_and_gradient(cost, C_at(T))
-    _assert_gradient_matches_fd(controller, grad, loss_at)
+    for _ in range(2):  # the learned parameters, then random ones
+        check(T)
+        _, grad = controller.loss_and_gradient(cost, C_at(T))
+        y_abs, u_abs = rollout(np.abs(controller.Ms) + 1.0, T, np.abs)
+        _assert_gradient_exact(controller, grad, loss_at, _quadratic_magnitude(cost, y_abs, u_abs))
+        controller.Ms = rng.normal(size=controller.Ms.shape)
 
 
 def _callable_twin(cost):
@@ -1038,10 +1145,9 @@ def _assert_twins_agree(quadratic, callable_, cost, twin, *C):
     d_x=st.integers(1, 3),
     d_u=st.integers(1, 3),
     h=st.integers(1, 4),
-    H_trunc=st.integers(1, 12),
     T=st.integers(1, 16),
 )
-def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc, T):
+def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, T):
     # Twin of test_gpc_counterfactuals_and_gradient_match_references on the
     # callable cost: a learner fed the CallableCost twin of the
     # quadratic cost keeps the quadratic learner's counterfactuals, loss and
@@ -1056,7 +1162,7 @@ def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc
     L = rng.normal(size=(d_x, d_x))
     cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_x), R=np.eye(d_u))
     twin = _callable_twin(cost)
-    learners = [GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05, H_trunc=H_trunc)
+    learners = [GPCController(d_x, d_u, K_at, h=h, radius=2.0, step_size=0.05)
                 for _ in range(2)]
     ws = rng.uniform(-1, 1, size=(T + 1, d_x))
     A_hist, B_hist, w_hist = [], [], []
@@ -1065,7 +1171,7 @@ def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc
         us = [learner.act(t, x) for learner, x in zip(learners, xs)]
         _assert_twins_agree(*learners, cost, twin)
         if t >= 1:
-            x_ref = counterfactual_state(list(learners[1].Ms), w_hist, A_hist, B_hist, H_trunc)
+            x_ref = counterfactual_state(list(learners[1].Ms), w_hist, A_hist, B_hist, t)
             assert np.allclose(learners[1].counterfactuals()[0], x_ref, atol=1e-10)
         if t == T:
             break
@@ -1093,14 +1199,12 @@ def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, H_trunc
     d_u=st.integers(1, 3),
     d_y=st.integers(1, 3),
     h=st.integers(1, 4),
-    H_trunc=st.integers(1, 12),
     T=st.integers(1, 16),
 )
-def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, H_trunc, T):
+def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, T):
     # Twin of test_grc_counterfactuals_and_gradient_match_references on the
     # callable cost, checked against the quadratic learner, the
-    # zero-history rollout of the last H_trunc controls, and finite
-    # differences.
+    # zero-history rollout of every past control, and finite differences.
     rng = np.random.default_rng(seed)
     A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
     B0, C0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x))
@@ -1110,7 +1214,7 @@ def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, H_
     L = rng.normal(size=(d_y, d_y))
     cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_y), R=np.eye(d_u))
     twin = _callable_twin(cost)
-    learners = [GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05, H_trunc=H_trunc)
+    learners = [GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05)
                 for _ in range(2)]
     ws = rng.uniform(-1, 1, size=(T + 1, d_x))
     ynats: list = []  # of the CallableCost learner, oldest first
@@ -1120,7 +1224,7 @@ def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, H_
         ynats.append(learners[1]._last[1].copy())
         _assert_twins_agree(*learners, cost, twin, C_at(t))
         z = np.zeros(d_x)
-        for s in range(t - min(t, H_trunc), t):
+        for s in range(t):
             u_s = sum(learners[1].Ms[j] @ ynats[s - j] for j in range(min(h, s) + 1))
             z = A_at(s) @ z + B_at(s) @ u_s
         assert np.allclose(learners[1].counterfactuals(C_at(t))[0], ynats[t] + C_at(t) @ z,
@@ -1263,11 +1367,10 @@ def _closed_loop_runner(kind, system, cost):
     d_x, d_u = system.d_x, system.d_u
     if kind == "gpc":
         controller = GPCController(d_x, d_u, np.zeros((d_u, d_x)), h=3, radius=2.0,
-                                   step_size=0.1, H_trunc=6)
+                                   step_size=0.1)
         return gpc_runner(controller, system, cost)
     if kind == "grc":
-        controller = GRCController(d_x, d_u, system.d_y, h=3, radius=2.0, step_size=0.1,
-                                   H_trunc=6)
+        controller = GRCController(d_x, d_u, system.d_y, h=3, radius=2.0, step_size=0.1)
         return grc_runner(controller, system, cost)
     Ms = [0.2 * np.full((d_u, d_x), (-1.0) ** i) for i in range(3)]
     policy = DACPolicy(np.zeros((d_u, d_x)), Ms) if kind == "dac" else DRCPolicy(Ms, d_x)
@@ -1331,7 +1434,7 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
         update(t)
     act(4)
     # Entries of the signal window the learned part multiplies, newest first.
-    window = controller._Zh[0].reshape(len(controller.Ms), -1).copy()
+    window = controller._window.reshape(len(controller.Ms), -1).copy()
     controller.Ms[...] = np.arange(1.0, len(controller.Ms) + 1).reshape(controller.Ms.shape)
     _, u_cf = query()
     learned = sum(M @ s for M, s in zip(controller.Ms, window))
