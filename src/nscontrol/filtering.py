@@ -83,28 +83,10 @@ class KalmanState:
         object.__setattr__(self, "Sigma", Sigma)
 
 
-def _same(M: object, copy: np.ndarray) -> bool:
-    """Whether ``M``, as a float array, has the shape and bytes of ``copy``."""
-    M = np.asarray(M, dtype=float)
-    return M.shape == copy.shape and M.tobytes() == copy.tobytes()
-
-
 def _validated_noise(state: KalmanState, Sigma_x: object, Sigma_y: object) -> tuple:
-    """``(raw Sigma_x, raw Sigma_y, symmetrised Sigma_x, symmetrised
-    Sigma_y)``.
-
-    Reuses the validated pair carried by ``state`` when both inputs have the
-    shape and bytes of the copies it holds; otherwise checks both with
-    :func:`_check_psd` and keeps private copies of the raw inputs, so an
-    in-place change between calls is seen.
-    """
-    noise = getattr(state, "_noise", None)
-    if noise is not None and _same(Sigma_x, noise[0]) and _same(Sigma_y, noise[1]):
-        return noise
-    raw_x = np.array(Sigma_x, dtype=float)
-    raw_y = np.array(Sigma_y, dtype=float)
-    Sigma_x = _check_psd(raw_x, "Sigma_x", state.Sigma.shape)
-    return raw_x, raw_y, Sigma_x, _check_psd(raw_y, "Sigma_y")
+    """The symmetrised ``(Sigma_x, Sigma_y)``, checked with
+    :func:`_check_psd`, ``Sigma_x`` against the state's dimension."""
+    return _check_psd(Sigma_x, "Sigma_x", state.Sigma.shape), _check_psd(Sigma_y, "Sigma_y")
 
 
 def kalman_step(
@@ -132,15 +114,11 @@ def kalman_step(
     with singular or zero noise covariances, and a rounding-level singular
     value of the innovation covariance is never inverted.
 
-    ``Sigma_x`` and ``Sigma_y`` must be symmetric PSD.  They are validated
-    on first use and whenever their content differs from the pair the
-    incoming state was stepped with: the returned state carries private
-    copies of the validated pair, so a chain of calls with unchanged
-    covariances checks them once, while a user-built state or an in-place
-    change is checked again.  ``A`` and ``C`` are checked, and the new
-    covariance ``Sigma'`` gets its finiteness and PSD check, on every step.
-    A chain of calls gives the bits of :func:`kalman_filter` over the same
-    record, which replays the covariance cycle a fixed ``(A, C)`` enters.
+    ``Sigma_x`` and ``Sigma_y`` must be symmetric PSD.  Every call checks
+    them, ``A`` and ``C``, and gives the new covariance ``Sigma'`` its
+    finiteness and PSD check.  A chain of calls gives the bits of
+    :func:`kalman_filter` over the same record, which checks its inputs
+    once and replays the covariance cycle a fixed ``(A, C)`` enters.
 
     Raises
     ------
@@ -151,7 +129,7 @@ def kalman_step(
     """
     noise = _validated_noise(state, Sigma_x, Sigma_y)
     A = _as_matrix(A, "A", state.Sigma.shape)
-    C = _as_matrix(C, "C", (len(noise[3]), len(A)))
+    C = _as_matrix(C, "C", (len(noise[1]), len(A)))
     L, closed, Sigma_next = _kalman_gains(A, C, noise, state.Sigma)
     x_hat = closed @ state.x_hat
     if B is not None and u is not None:
@@ -159,7 +137,7 @@ def kalman_step(
         x_hat = x_hat + B @ _finite_vector(u, B.shape[1], "u")
     if y is not None:
         x_hat = x_hat + L @ _finite_vector(y, C.shape[0], "y")
-    return _chained(x_hat, Sigma_next, noise)
+    return _checked_state(x_hat, Sigma_next)
 
 
 def _kalman_gains(A: np.ndarray, C: np.ndarray, noise: tuple, Sigma: np.ndarray) -> tuple:
@@ -168,7 +146,7 @@ def _kalman_gains(A: np.ndarray, C: np.ndarray, noise: tuple, Sigma: np.ndarray)
     construction, so its symmetry is not checked."""
     # An overflow leaves a non-finite Sigma_next, rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
-        K, Sigma_next = _riccati_step(A.T, C.T, noise[2], noise[3], Sigma)
+        K, Sigma_next = _riccati_step(A.T, C.T, noise[0], noise[1], Sigma)
     if not _all_finite(Sigma_next):
         raise ConfigurationError("Sigma contains non-finite entries")
     if float(np.linalg.eigvalsh(Sigma_next).min()) < -TOL_PSD:
@@ -177,13 +155,12 @@ def _kalman_gains(A: np.ndarray, C: np.ndarray, noise: tuple, Sigma: np.ndarray)
     return L, A - L @ C, Sigma_next
 
 
-def _chained(x_hat: np.ndarray, Sigma: np.ndarray, noise: tuple) -> KalmanState:
-    """A state carrying the validated noise pair, built without
-    :meth:`KalmanState.__post_init__`, whose checks its parts have passed."""
+def _checked_state(x_hat: np.ndarray, Sigma: np.ndarray) -> KalmanState:
+    """A state built without :meth:`KalmanState.__post_init__`, whose checks
+    its parts have passed."""
     out = object.__new__(KalmanState)
     object.__setattr__(out, "x_hat", x_hat)
     object.__setattr__(out, "Sigma", Sigma)
-    object.__setattr__(out, "_noise", noise)
     return out
 
 
@@ -241,7 +218,7 @@ def kalman_filter(
         covariance is non-finite or not PSD.
     """
     noise = _validated_noise(state, Sigma_x, Sigma_y)
-    d_x, d_y = len(state.Sigma), len(noise[3])
+    d_x, d_y = len(state.Sigma), len(noise[1])
     Y = _as_matrix(Y, "Y", (None, d_y))
     T = len(Y)
     A, fixed_A = _per_step(A, "A", T, (d_x, d_x))
@@ -279,7 +256,7 @@ def kalman_filter(
     if start is not None:
         Sigmas[found:] = Sigmas[start + (np.arange(found, T) - start) % period]
         Sigma = Sigmas[start + (T - start) % period]
-    return X_hat, Sigmas, _chained(x, Sigma.copy(), noise)
+    return X_hat, Sigmas, _checked_state(x, Sigma.copy())
 
 
 def kalman_steady_state(
@@ -769,18 +746,13 @@ def _features(vectors: np.ndarray, u_tilde: np.ndarray, u_last: np.ndarray,
     return out
 
 
-def _predict(M0: np.ndarray, M: np.ndarray, y_prev: np.ndarray,
-             features: np.ndarray) -> np.ndarray:
-    """Difference-form prediction from :func:`_features`.
-
+def _increment(M0: np.ndarray, M: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """The difference form's increment ``M0 u_last + sum_j M_j (phi_j'
+    u_tilde)`` from :func:`_features`; the prediction is ``y_prev`` plus it.
     The filter part is one product of ``M``, laid out as a (d_y, h d_u)
-    matrix, with the flat filter outputs.  ``M0 u_last`` is added to
-    ``y_prev`` before it: the output may be far larger than its increment,
-    and this keeps its rounding that of ``y_prev + M0 u_last + sum_j M_j
-    (phi_j' u_tilde)`` summed left to right.
-    """
+    matrix, with the flat filter outputs."""
     filtered = M.transpose(1, 0, 2).reshape(M.shape[1], -1).dot(features[1:].reshape(-1))
-    return y_prev + M0.dot(features[0]) + filtered
+    return M0.dot(features[0]) + filtered
 
 
 def spectral_predict(
@@ -795,7 +767,7 @@ def spectral_predict(
     u_tilde, y_prev, u_last = _spectral_inputs(predictor, u_tilde, y_prev, u_prev)
     features = np.empty((predictor.M.shape[0] + 1, u_tilde.shape[1]))
     features = _features(predictor.basis.vectors, u_tilde, u_last, features)
-    return _predict(predictor.M0, predictor.M, y_prev, features)
+    return y_prev + _increment(predictor.M0, predictor.M, features)
 
 
 def _spectral_learn(
@@ -811,14 +783,17 @@ def _spectral_learn(
     difference-form predictor on already coerced inputs.
 
     ``features`` (h + 1, d_u) is what :func:`_features` gives, and ``grad``
-    (h + 1, d_y, d_u) scratch that receives the gradient, which is ``2
-    (y_hat - y_true)`` times each feature in the OGD point's ``[M0, M]``
-    order.  Returns ``(y_hat, y_hat - y_true, ogd)``.
+    (h + 1, d_y, d_u) scratch that receives the gradient, which is twice
+    the error times each feature in the OGD point's ``[M0, M]`` order.
+    Returns ``(y_hat, error, ogd)``, with ``y_hat = y_prev + increment``
+    and the error ``increment - (y_true - y_prev)``: taken from the
+    increment, the error carries the rounding of the increment and of the
+    observed change, not that of ``y``, which may be far larger.
     """
-    y_hat = _predict(M0, M, y_prev, features)
-    error = y_hat - y_true
+    increment = _increment(M0, M, features)
+    error = increment - (y_true - y_prev)
     np.multiply((2.0 * error)[:, None], features[:, None, :], out=grad)
-    return y_hat, error, _ogd_step(ogd, grad.reshape(-1))[0]
+    return y_prev + increment, error, _ogd_step(ogd, grad.reshape(-1))[0]
 
 
 def _scratch(predictor: SpectralPredictor) -> tuple:

@@ -17,9 +17,11 @@ playing the current parameters from the beginning of time would have given:
 the counterfactual state is affine in the flat parameters ``m``, ``x_t(M) =
 J_t m + c_t``, and the learner steps ``[J_t | c_t]`` by the same sensitivity
 recursion as the hindsight comparators (``harness._policy_pass``).  The
-classes differ only in the signal (``w`` or ``ynat``) and in the output map
-from the counterfactual state: GPC's pair is ``(x(M), u(M) + K_t x(M))``,
-GRC's ``(ynat_t + C_t x(M), u(M))``.
+classes differ only in the signal (``w`` or ``ynat``), in the last column of
+the stack (GPC's drift ``c_t``, GRC's zero-control state ``z_t``, from which
+it reads nature's y), and in the output map from the counterfactual state:
+GPC's pair is ``(x(M), u(M) + K_t x(M))``, GRC's ``(ynat_t + C_t x(M),
+u(M))``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import _as_matrix, _finite_vector, _whole, spectral_radius
-from .policies import NaturesYTracker
+from .lds_core import _as_matrix, _as_vector, _finite_vector, _whole, spectral_radius
 
 __all__ = [
     "OGDState",
@@ -222,13 +223,14 @@ def _resolve_cost(cost: object, t: int) -> object:
 
 
 class _Stack(NamedTuple):
-    """A learner's stack ``Y = [J | c; S | 0; 0 | 1]`` (GRC: ``[J; S]``) and
-    views of it."""
+    """A learner's stack ``Y = [J | c; S | 0; 0 | 1]`` (GRC: ``[J | z; S |
+    u]``) and views of it."""
 
     Y: np.ndarray
-    #: ``[J | c; S | 0]``, which maps ``[m; 1]`` to ``[x(M); u(M)]``.
+    #: ``[J | c; S | 0]``, which maps ``[m; 1]`` to ``[x(M); u(M)]`` (GRC:
+    #: ``[J | z; S | u]``, which maps ``[m; 0]`` to them).
     JS: np.ndarray
-    #: ``[J | c]``, which each step writes.
+    #: ``[J | c]`` (GRC: ``[J | z]``), which each step writes.
     Jc: np.ndarray
     #: The nonzero blocks of ``S``, one row per control entry.
     S_blocks: np.ndarray
@@ -255,31 +257,42 @@ class _DisturbanceFeedback:
         [J_{t+1} | c_{t+1}] = F_t [J_t | c_t] + [B_t S_t | w_t]
 
     GPC has ``F_t = A_t + B_t K_t`` and the drift column ``c``, which
-    carries the perturbations; GRC has ``F_t = A_t`` and no drift column
-    (``c = 0``).  This is the state :func:`counterfactual_state` gives with
-    ``H_trunc >= t``, stepped as ``harness._policy_pass`` steps its
-    ``[Phi_t | x_t(0)]``: the learner holds the stack ``Y_t = [J_t | c_t;
-    S_t | 0; 0 | 1]`` (GRC: ``[J_t; S_t]``), so that one product ``Y_t [m;
-    1] = [x_t(M); u_t(M); 1]`` gives the counterfactual pair and one
-    product ``[F_t | B_t | w_t] Y_t`` gives ``[J_{t+1} | c_{t+1}]``.  The
-    cost sees ``z = offset + C x(M)`` and ``u = u(M) + K x(M)`` (``C`` given
-    at query and update time, None for the identity); with its half
+    carries the perturbations.  This is the state
+    :func:`counterfactual_state` gives with ``H_trunc >= t``, stepped as
+    ``harness._policy_pass`` steps its ``[Phi_t | x_t(0)]``: the learner
+    holds the stack ``Y_t = [J_t | c_t; S_t | 0; 0 | 1]``, so that one
+    product ``Y_t [m; 1] = [x_t(M); u_t(M); 1]`` gives the counterfactual
+    pair and one product ``[F_t | B_t | w_t] Y_t`` gives ``[J_{t+1} |
+    c_{t+1}]``.
+
+    GRC has ``F_t = A_t`` and no drift (``c = 0``).  Its last column holds
+    instead the state ``z_t`` that the controls played would have produced
+    without the perturbations, ``z_0 = 0``, beside the control ``u_t``
+    played at ``t``: ``Y_t = [J_t | z_t; S_t | u_t]``.  Nature's y is then
+    ``ynat_t = y_t - C_t z_t``, ``Y_t [m; 0]`` gives the counterfactual pair,
+    and the one product ``[A_t | B_t] Y_t = [J_{t+1} | z_{t+1}]`` steps
+    both recursions, since ``z_{t+1} = A_t z_t + B_t u_t`` shares ``A_t``
+    with ``J``.
+
+    The cost sees ``z = offset + C x(M)`` and ``u = u(M) + K x(M)`` (``C``
+    given at query and update time, None for the identity); with its half
     gradient ``(g_z, g_u)`` the loss has the half gradient ``[v; g_u]'
     [J_t; S_t]`` in point order, ``v = C' g_z + K' g_u``, and the OGD step
     takes the factor 2 in its step size, which is exact.
 
     ``Y`` and a spare of it are allocated once, ``(d_x + d_u + 1, p + 1)``
-    for GPC and ``(d_x + d_u, p)`` for GRC, ``p = d_u len(Ms) d_s``: each
-    step writes ``[J_{t+1} | c_{t+1}]`` into the spare with ``np.dot(...,
-    out=...)`` and swaps the two, and each new window writes ``S_t``'s
-    nonzero blocks through a strided view.  A step costs about ``d_x^2 p``
-    flops on any horizon and any plant.  A Markov stack truncated at depth
-    ``H`` costs about ``H w d_x^2``, with ``w = d_u + 1`` for GPC and
-    ``d_u`` for GRC, so the recursion is the cheaper one whenever
-    ``len(Ms) d_s d_u < H w``: ``p`` = 64 against 108 for GPC ``h = 8`` on
-    b747 (``H`` = 36), and 7 against 151 for GRC ``h = 6`` on scalar-0.9
-    (``H`` = 151).  A wide system with a long window and a fast-decaying
-    loop could favour the stack, which is exact only up to its depth.
+    for GPC and ``(d_x + d_u, p + 1)`` for GRC, ``p = d_u len(Ms) d_s``:
+    each step writes ``[J_{t+1} | c_{t+1}]`` (GRC: ``[J_{t+1} | z_{t+1}]``)
+    into the spare with ``np.dot(..., out=...)`` and swaps the two, and each
+    new window writes ``S_t``'s nonzero blocks through a strided view.  A
+    step costs about ``d_x^2 p`` flops on any horizon and any plant.  A
+    Markov stack truncated at depth ``H`` costs about ``H w d_x^2``, with
+    ``w = d_u + 1`` for GPC and ``d_u`` for GRC, so the recursion is the
+    cheaper one whenever ``len(Ms) d_s d_u < H w``: ``p`` = 64 against 108
+    for GPC ``h = 8`` on b747 (``H`` = 36), and 7 against 151 for GRC ``h =
+    6`` on scalar-0.9 (``H`` = 151).  A wide system with a long window and a
+    fast-decaying loop could favour the stack, which is exact only up to its
+    depth.
 
     ``update`` validates the dynamics matrices, their shapes included, and
     derives what the subclass needs of them, only when their content differs
@@ -312,10 +325,10 @@ class _DisturbanceFeedback:
         self._dynamics: Optional[tuple] = None
         self._window = np.zeros(n_M * d_s)
         self._p = p = self.ogd.point.size
-        self._m = np.zeros(p + 1 if self._drifts else p)  # [m; 1] or m
-        self._m[p:] = 1.0
+        self._m = np.zeros(p + 1)  # [m; 1], or GRC's [m; 0]
+        self._m[p] = float(self._drifts)
         self._m_blocks = self._m[:p].reshape(self.d_u, -1)  # M, a view
-        shape = (self.d_x + self.d_u + 1, p + 1) if self._drifts else (self.d_x + self.d_u, p)
+        shape = (self.d_x + self.d_u + int(self._drifts), p + 1)
         self._stack, self._spare = (self._new_stack(shape) for _ in range(2))
 
     def _new_stack(self, shape: tuple) -> _Stack:
@@ -408,10 +421,10 @@ class _DisturbanceFeedback:
               drift: Optional[np.ndarray] = None) -> None:
         """One learner step at ``t`` on the :meth:`_validated` ``dynamics``:
         the projected OGD step on the counterfactual loss, the telemetry row,
-        and ``[J | c]`` moved one step on, with the window ``s_t`` and, for
-        GPC, the ``drift`` w, which goes into the last column of the cached
-        ``[F_t | B_t | w_t]``.  Raises EvaluationError if the new iterate left
-        the ball or moved further than ``eta * ||g||``."""
+        and ``[J | c]`` (GRC: ``[J | z]``) moved one step on, with the window
+        ``s_t`` and, for GPC, the ``drift`` w, which goes into the last column
+        of the cached ``[F_t | B_t | w_t]``.  Raises EvaluationError if the
+        new iterate left the ball or moved further than ``eta * ||g||``."""
         C, FE = dynamics[:2]
         loss, half_grad = self._loss_and_half_gradient(cost, C)
         state = self.ogd
@@ -524,7 +537,7 @@ class GPCController(_DisturbanceFeedback):
 
     def act(self, t: int, x: object) -> np.ndarray:
         """Emit ``u_t`` from the current parameters and perturbation window."""
-        x = np.asarray(x, dtype=float)
+        x = _as_vector(x, self.d_x, "x")
         K_t = self.gain(t)
         u = K_t.dot(x) + self._feedback()
         xu = np.concatenate((x, u))
@@ -553,7 +566,7 @@ class GPCController(_DisturbanceFeedback):
         """
         K_t, xu = self._turn(t)[3:]
         dynamics = self._validated(A_t, B_t, K_t)
-        w_t = np.asarray(x_next, dtype=float) - dynamics[2].dot(xu)
+        w_t = _as_vector(x_next, self.d_x, "x_next") - dynamics[2].dot(xu)
         ww = w_t.dot(w_t)
         # w.w is finite exactly when every entry is, unless it overflows.
         if not math.isfinite(ww) and not np.isfinite(w_t).all():
@@ -595,7 +608,10 @@ class GRCController(_DisturbanceFeedback):
     observation ``y_t(M) = ynat_t + C_t x_t(M)``, where ``x_t(M) = J_t m``
     is the exact response to the actions ``M`` would have played from the
     start, and take one projected OGD step on ``l_t(M) = c_t(y_t(M),
-    u_t(M))``.
+    u_t(M))``.  ``z_t`` is the response to the controls actually played,
+    ``z_{t+1} = A_t z_t + B_t u_t``: the last column of the learner's stack
+    ``[J_t | z_t; S_t | u_t]``, stepped by the same product as ``J`` (see
+    :class:`_DisturbanceFeedback`).
 
     Runs on the learner step shared with :class:`GPCController`.  ``A_t``
     must have spectral radius below 1, checked whenever ``(A_t, B_t, C_t)``
@@ -629,7 +645,6 @@ class GRCController(_DisturbanceFeedback):
         self.d_y = _whole(d_y, 1, "d_y")
         self.h = _whole(h, 0, "GRC's window h")
         super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon)
-        self.tracker = NaturesYTracker(self.d_x)
 
     def _output(self, C_t: Optional[object]) -> Optional[np.ndarray]:
         """``C_t`` checked to be (d_y, d_x); None (the state observed) needs
@@ -643,20 +658,21 @@ class GRCController(_DisturbanceFeedback):
 
     def act(self, t: int, y: object, C_t: Optional[object] = None) -> np.ndarray:
         """Compute ``ynat_t`` from the observation and emit ``u_t``."""
-        ynat = self.tracker.observe(np.asarray(y, dtype=float), C_t)
+        C_t = self._output(C_t)
+        Y = self._stack.Y
+        z = Y[: self.d_x, -1]
+        ynat = _as_vector(y, self.d_y, "y") - (z if C_t is None else C_t.dot(z))
         self._push(ynat)
         u = self._feedback()
+        Y[self.d_x :, -1] = u
         self._last = (t, ynat, u, None)
-        return u.copy()
+        return u
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[np.ndarray]) -> tuple:
         C_t = self._output(C_t)
         if spectral_radius(A_t) >= 1.0:
             raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
-        AB = np.concatenate((A_t, B_t), axis=1)
-        # A and B as views of the private copy AB: the cache outlives the
-        # caller's arrays.
-        return C_t, AB, AB[:, : self.d_x], AB[:, self.d_x :]
+        return C_t, np.concatenate((A_t, B_t), axis=1)
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
@@ -671,11 +687,9 @@ class GRCController(_DisturbanceFeedback):
         return self._stacked_loss_and_gradient(cost, self._output(C_t))
 
     def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
-        """Take the OGD step on ``l_t``, advance ``J`` and nature's y."""
-        ynat, u_played = self._turn(t)[1:3]
-        dynamics = self._validated(A_t, B_t, C_t)
-        self._step(t, cost, dynamics, math.sqrt(ynat.dot(ynat)))
-        self.tracker.advance(*dynamics[2:], u_played)
+        """Take the OGD step on ``l_t``, advance ``J`` and ``z``."""
+        ynat = self._turn(t)[1]
+        self._step(t, cost, self._validated(A_t, B_t, C_t), math.sqrt(ynat.dot(ynat)))
 
 
 def grc_runner(

@@ -151,6 +151,21 @@ def _box(**kw) -> BlackBoxSystem:
     return BlackBoxSystem(SYSTEM, PerturbationSource.gaussian(0.1), seed=1, **kw)
 
 
+def _grc_holding_ones() -> GRCController:
+    """A GRC learner whose held blocks are ones, like the policies' cases: an
+    inf signal times a zero block would warn."""
+    controller = GRCController(2, 1, 1)
+    controller.Ms = np.ones_like(controller.Ms)
+    return controller
+
+
+def _acted(controller, *signals):
+    """``controller`` after a valid ``act(0, *signals)``, ready for
+    ``update(0, ...)``."""
+    controller.act(0, *signals)
+    return controller
+
+
 class Case(NamedTuple):
     """``call(**arrays, **sizes)``.
 
@@ -215,8 +230,18 @@ CASES = {
     "GPCController": Case(
         GPCController, _cols(K=K),
         {"d_x": (2, 1), "d_u": (1, 1), "h": (3, 1)}),
+    "GPCController.act": Case(lambda **kw: GPCController(2, 1, K).act(0, **kw),
+                              _cols(x=np.ones(2)), carries=("x",), shape=(1,)),
+    "GPCController.update": Case(
+        lambda **kw: _acted(GPCController(2, 1, K), np.ones(2)).update(0, cost=COST, **kw),
+        {"A_t": (A, "col"), "B_t": (B, "row"), "x_next": (np.ones(2), "col")}),
     "GRCController": Case(GRCController, {},
                           {"d_x": (2, 1), "d_u": (1, 1), "d_y": (1, 1), "h": (3, 0)}),
+    "GRCController.act": Case(lambda **kw: _grc_holding_ones().act(0, **kw),
+                              _cols(y=np.ones(1), C_t=C), carries=("y",), shape=(1,)),
+    "GRCController.update": Case(
+        lambda **kw: _acted(GRCController(2, 1, 1), np.ones(1), C).update(0, cost=COST_Y, **kw),
+        {"A_t": (A, "col"), "B_t": (B, "row"), "C_t": (C, "col")}),
     "OGDState": Case(OGDState, {"point": (np.zeros(3), None)}),
     "counterfactual_state": Case(
         counterfactual_state,

@@ -1120,6 +1120,64 @@ def test_grc_counterfactuals_and_gradient_match_references(
         controller.Ms = rng.normal(size=controller.Ms.shape)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_x=st.integers(2, 4),
+    d_u=st.integers(1, 3),
+    d_y=st.integers(1, 3),
+    h=st.integers(0, 3),
+    T=st.integers(3, 40),
+    non_normal=st.booleans(),
+)
+def test_grc_natures_y_matches_a_zero_control_rollout(seed, d_x, d_u, d_y, h, T, non_normal):
+    # Under grc_runner on random stable, time-varying plants, normal or not,
+    # seen through fewer outputs than states and started away from zero,
+    # each ynat_t the learner reads off its stack equals C_t x0_t, where x0 is
+    # the zero-control rollout of the recorded perturbations from x0, to 1e-12
+    # relative to the sum of absolute terms; each played u_t is sum_i M_i
+    # ynat_{t-i} of the blocks held at t.  The first gradient is zero (J_0 =
+    # 0 and u_0 = 0), so the blocks are nonzero from t = 2 on.
+    d_y = min(d_y, d_x - 1)
+    rng = np.random.default_rng(seed)
+    A0, A1 = _plant_matrix(rng, d_x, non_normal), 0.3 * rng.normal(size=(d_x, d_x))
+    B0, C0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x))
+    system = LinearSystem.time_varying(
+        lambda t: (_rescaled(A0 + np.sin(0.7 * t) * A1, 0.8), (1.0 + 0.3 * np.cos(0.5 * t)) * B0,
+                   (1.0 + 0.2 * np.sin(0.3 * t)) * C0),
+        d_x, d_u, d_y)
+    cost = QuadraticCost(Q=np.eye(d_y), R=0.1 * np.eye(d_u))
+    controller = GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.5)
+    played = []  # (ynat_t, the blocks held at t, u_t)
+    act = controller.act
+
+    def recording_act(t, y, C_t=None):
+        Ms = controller.Ms.copy()
+        u = act(t, y, C_t)
+        played.append((controller._last[1].copy(), Ms, u.copy()))
+        return u
+
+    controller.act = recording_act
+    x0 = rng.uniform(-1, 1, size=d_x)
+    traj = simulate(system, grc_runner(controller, system, cost), PerturbationSource.gaussian(0.5),
+                    QuadraticCost(Q=np.eye(d_x), R=np.eye(d_u)), T, seed=seed % 1000, x0=x0)
+    x_nat, x_abs, z_abs = x0, np.abs(x0), np.zeros(d_x)
+    for t, (ynat, Ms, u) in enumerate(played):
+        A_t, B_t, C_t = system.matrices(t)
+        # y_t = C_t x_t and ynat_t = y_t - C_t z_t, where x_t = x0_t + z_t.
+        _assert_exact(ynat, C_t @ x_nat, np.abs(C_t) @ (x_abs + 2.0 * z_abs))
+        learned = sum((Ms[i] @ played[t - i][0] for i in range(min(h, t) + 1)), np.zeros(d_u))
+        _assert_exact(u, learned, sum(np.abs(Ms[i]) @ np.abs(played[t - i][0])
+                                      for i in range(min(h, t) + 1)))
+        assert np.array_equal(u, traj.controls[t])
+        w_t = traj.perturbations[t]
+        x_nat = A_t @ x_nat + w_t
+        x_abs = np.abs(A_t) @ x_abs + np.abs(w_t)
+        z_abs = np.abs(A_t) @ z_abs + np.abs(B_t) @ np.abs(u)
+    assert len(played) == T
+    assert np.abs(played[-1][1]).max() > 0.0
+
+
 def _callable_twin(cost):
     """``cost`` as a :class:`CallableCost`, whose ``stage`` calls its value
     and gradient functions row by row."""
@@ -1478,3 +1536,8 @@ def test_learners_reject_dynamics_of_the_wrong_shape():
         grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), np.ones((3, 3)),
                    QuadraticCost(Q=np.eye(2), R=np.eye(1)))
     grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), C, QuadraticCost(Q=np.eye(2), R=np.eye(1)))
+    # act() checks C_t too (tests/test_contracts.py walks the signals' lengths
+    # and C_t's shape); a 2-vector observation of a d_y = 1 learner without
+    # C_t raised a numpy error at its window.
+    with pytest.raises(ConfigurationError, match=r"C_t = None observes the state"):
+        GRCController(2, 1, 1).act(0, [1.0, 2.0])
