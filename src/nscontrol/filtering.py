@@ -200,15 +200,16 @@ def kalman_filter(
     and its covariance, which step ``t`` starts from, and ``final`` is the
     state after the last step, which chains into further calls.
 
-    The inputs are checked once for the whole record.  Under a fixed ``(A,
-    C)`` the covariance update is a pure function of ``Sigma``, so once
-    ``Sigmas[t]`` has the bytes of an earlier ``Sigmas[s]`` the covariances
-    repeat with period ``t - s`` from then on: the run replays the ``(L, A -
-    L C)`` it stored for steps ``s, ..., t - 1``, whose covariances passed
-    their checks, instead of redoing the Riccati step.  A time-varying
-    ``A`` or ``C`` never replays.  Until the cycle is found, every step
-    stores its gains next to the histories, so memory is O(T d_x (d_x +
-    d_y)).
+    The inputs are checked once for the whole record.  The run computes
+    the covariances and gains first, then the estimates from those gains.
+    Under a fixed ``(A, C)`` the covariance update is a pure function of
+    ``Sigma``, so once ``Sigmas[t]`` has the bytes of an earlier
+    ``Sigmas[s]`` the covariances repeat with period ``t - s`` from then
+    on: the first phase stops there, and later steps reuse the ``(L, A - L
+    C)`` of steps ``s, ..., t - 1``, whose covariances passed their checks,
+    instead of redoing the Riccati step.  A time-varying ``A`` or ``C``
+    never replays.  Every computed step stores its gains next to the
+    histories, so memory is O(T d_x (d_x + d_y)).
 
     Raises
     ------
@@ -228,35 +229,30 @@ def kalman_filter(
         U = _as_matrix(U, "U", (T, B.shape[2]))
     else:
         B = None
-    fixed = fixed_A and fixed_C
-    X_hat, Sigmas = np.empty((T, d_x)), np.empty((T, d_x, d_x))
-    x, Sigma = state.x_hat, state.Sigma
-    gains, seen, start = [], {}, None
+    # Covariances and gains; index[t] is the computed step that step t replays.
+    Sigmas = np.empty((T + 1, d_x, d_x))
+    Sigmas[0] = state.Sigma
+    gains, seen, index = [], {}, np.arange(T + 1)
     for t in range(T):
+        if fixed_A and fixed_C:
+            start = seen.setdefault(Sigmas[t].tobytes(), t)
+            if start < t:
+                index[t:] = start + (index[t:] - start) % (t - start)
+                Sigmas[t:] = Sigmas[index[t:]]
+                break
+        L, closed, Sigmas[t + 1] = _kalman_gains(A[t], C[t], noise, Sigmas[t])
+        gains.append((L, closed))
+    # Estimates from those gains.
+    X_hat = np.empty((T, d_x))
+    x = state.x_hat
+    for t, i in enumerate(index[:T].tolist()):
         X_hat[t] = x
-        if start is not None:
-            L, closed = gains[start + (t - start) % period]
-        else:
-            Sigmas[t] = Sigma
-            if fixed:
-                start = seen.setdefault(Sigma.tobytes(), t)
-                if start < t:
-                    period, found = t - start, t
-                    L, closed = gains[start]
-                else:
-                    start = None
-            if start is None:
-                L, closed, Sigma = _kalman_gains(A[t], C[t], noise, Sigma)
-                if fixed:
-                    gains.append((L, closed))
+        L, closed = gains[i]
         x = closed @ x
         if B is not None:
             x = x + B[t] @ U[t]
         x = x + L @ Y[t]
-    if start is not None:
-        Sigmas[found:] = Sigmas[start + (np.arange(found, T) - start) % period]
-        Sigma = Sigmas[start + (T - start) % period]
-    return X_hat, Sigmas, _checked_state(x, Sigma.copy())
+    return X_hat, Sigmas[:T], _checked_state(x, Sigmas[T].copy())
 
 
 def kalman_steady_state(
@@ -389,12 +385,8 @@ def _linear_prediction(predictor: LinearPredictor, u_history: Sequence[object],
                        y_history: Sequence[object]) -> tuple:
     """``(y_hat, ys, us)``: the prediction and the zero-padded windows it reads."""
     ys = _window(y_history, predictor.h, predictor.M1.shape[2], "y_history")
-    us = _window(u_history, predictor.k, predictor.M2.shape[2] if predictor.k else 0, "u_history")
-    y_hat = np.zeros(predictor.M1.shape[1])
-    if predictor.h:
-        y_hat += np.einsum("iab,ib->a", predictor.M1, ys)
-    if predictor.k:
-        y_hat += np.einsum("iab,ib->a", predictor.M2, us)
+    us = _window(u_history, predictor.k, predictor.M2.shape[2], "u_history")
+    y_hat = np.einsum("iab,ib->a", predictor.M1, ys) + np.einsum("iab,ib->a", predictor.M2, us)
     return y_hat, ys, us
 
 
@@ -426,9 +418,7 @@ def learn_linear_step(
     M1 = predictor.M1 - eta * np.einsum("a,ib->iab", residual, ys)
     M2 = predictor.M2 - eta * np.einsum("a,ib->iab", residual, us)
     # Joint projection: sum of Frobenius norms over all blocks <= kappa.
-    norms1 = np.linalg.norm(M1.reshape(predictor.h, -1), axis=1) if predictor.h else np.zeros(0)
-    norms2 = np.linalg.norm(M2.reshape(predictor.k, -1), axis=1) if predictor.k else np.zeros(0)
-    norms = np.concatenate([norms1, norms2])
+    norms = np.concatenate([np.linalg.norm(M, axis=(1, 2)) for M in (M1, M2)])
     scales = _group_ball_scales(norms, predictor.kappa)
     M1 = M1 * scales[: predictor.h, None, None]
     M2 = M2 * scales[predictor.h :, None, None]
@@ -616,15 +606,6 @@ def save_basis(basis: SpectralBasis, path: str) -> None:
     _atomic_write_text(path, b"\n".join(lines).decode("ascii") + "\n")
 
 
-def _decimal_row(line: bytes, size: int) -> np.ndarray:
-    """A row of the decimal format that :func:`save_basis` wrote before its
-    binary one: ``size`` numbers at 17 significant digits."""
-    row = np.array([float(v) for v in line.split()])
-    if row.shape != (size,):
-        raise ValueError(f"a row has {row.size} numbers, expected {size}")
-    return row
-
-
 def _binary_row(line: bytes, size: int) -> np.ndarray:
     """A row of :func:`save_basis`'s format: the base64 of ``size``
     little-endian float64 values."""
@@ -635,20 +616,20 @@ def _binary_row(line: bytes, size: int) -> np.ndarray:
 
 
 def load_basis(path: str) -> SpectralBasis:
-    """Inverse of :func:`save_basis`.  A file in the decimal format it wrote
-    before (header ``T h``, then rows of numbers at 17 significant digits)
-    is read too, bit for bit.  Raises ConfigurationError if the file is not
-    a whole basis (malformed, ragged, non-finite, or cut short)."""
+    """Inverse of :func:`save_basis`.  Raises ConfigurationError if the file
+    is not a whole basis in its format (no format tag, malformed, ragged,
+    non-finite, or cut short)."""
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
     try:
         T, h, *tag = lines[0].split()
         T, h = int(T), int(h)
-        if tag not in ([], [_BASIS_FORMAT]) or len(lines) != h + 3 or lines[-1]:
+        if tag != [_BASIS_FORMAT]:
+            raise ValueError(f"the header does not end in the format tag {_BASIS_FORMAT.decode()}")
+        if len(lines) != h + 3 or lines[-1]:
             raise ValueError("not a header line and h + 1 rows, each ending in a newline")
-        read_row = _binary_row if tag else _decimal_row
-        eigenvalues = read_row(lines[1], h)
-        vectors = np.stack([read_row(line, T) for line in lines[2:-1]]) if h > 0 else None
+        eigenvalues = _binary_row(lines[1], h)
+        vectors = np.stack([_binary_row(line, T) for line in lines[2:-1]]) if h > 0 else None
     except ValueError as exc:  # binascii.Error is one too
         raise ConfigurationError(f"basis file {path!r} is malformed: {exc}") from exc
     if vectors is None or not (_all_finite(eigenvalues) and _all_finite(vectors)):
@@ -710,18 +691,19 @@ class SpectralPredictor:
         d_u: int,
         kappa: float = 10.0,
         step_scale: float = 0.1,
-        schedule: str = "sqrt",
     ) -> "SpectralPredictor":
+        """The zero predictor on ``basis``, learning with step
+        ``step_scale / sqrt(t)`` in the ball of radius ``kappa``."""
         d_y, d_u = _whole(d_y, 1, "d_y"), _whole(d_u, 1, "d_u")
-        M0 = np.zeros((d_y, d_u))
-        M = np.zeros((basis.h, d_y, d_u))
-        ogd = OGDState(
-            point=np.concatenate([M0.ravel(), M.ravel()]),
-            radius=kappa,
-            step_scale=step_scale,
-            schedule=schedule,
-        )
-        return cls(basis=basis, M0=M0, M=M, ogd=ogd)
+        ogd = OGDState(np.zeros((basis.h + 1) * d_y * d_u), radius=kappa, step_scale=step_scale)
+        return _predictor(basis, ogd, (basis.h + 1, d_y, d_u))
+
+
+def _predictor(basis: SpectralBasis, ogd: OGDState, shape: tuple) -> SpectralPredictor:
+    """The predictor whose coefficients are the OGD point, read as the (h +
+    1, d_y, d_u) stack ``shape`` of ``W = [M0, M]``."""
+    W = ogd.point.reshape(shape)
+    return SpectralPredictor(basis=basis, M0=W[0], M=W[1:], ogd=ogd)
 
 
 def _spectral_inputs(predictor: SpectralPredictor, u_tilde: object, y_prev: object,
@@ -746,13 +728,13 @@ def _features(vectors: np.ndarray, u_tilde: np.ndarray, u_last: np.ndarray,
     return out
 
 
-def _increment(M0: np.ndarray, M: np.ndarray, features: np.ndarray) -> np.ndarray:
+def _increment(W: np.ndarray, features: np.ndarray) -> np.ndarray:
     """The difference form's increment ``M0 u_last + sum_j M_j (phi_j'
-    u_tilde)`` from :func:`_features`; the prediction is ``y_prev`` plus it.
-    The filter part is one product of ``M``, laid out as a (d_y, h d_u)
-    matrix, with the flat filter outputs."""
-    filtered = M.transpose(1, 0, 2).reshape(M.shape[1], -1).dot(features[1:].reshape(-1))
-    return M0.dot(features[0]) + filtered
+    u_tilde)`` from the coefficients ``W = [M0, M]`` (h + 1, d_y, d_u) and
+    :func:`_features`; the prediction is ``y_prev`` plus it.  It is one
+    product of ``W``, laid out as a (d_y, (h + 1) d_u) matrix, with the
+    flat features."""
+    return W.transpose(1, 0, 2).reshape(W.shape[1], -1).dot(features.reshape(-1))
 
 
 def spectral_predict(
@@ -767,12 +749,11 @@ def spectral_predict(
     u_tilde, y_prev, u_last = _spectral_inputs(predictor, u_tilde, y_prev, u_prev)
     features = np.empty((predictor.M.shape[0] + 1, u_tilde.shape[1]))
     features = _features(predictor.basis.vectors, u_tilde, u_last, features)
-    return y_prev + _increment(predictor.M0, predictor.M, features)
+    W = predictor.ogd.point.reshape(len(features), *predictor.M0.shape)
+    return y_prev + _increment(W, features)
 
 
 def _spectral_learn(
-    M0: np.ndarray,
-    M: np.ndarray,
     ogd: OGDState,
     y_prev: np.ndarray,
     y_true: np.ndarray,
@@ -784,13 +765,14 @@ def _spectral_learn(
 
     ``features`` (h + 1, d_u) is what :func:`_features` gives, and ``grad``
     (h + 1, d_y, d_u) scratch that receives the gradient, which is twice
-    the error times each feature in the OGD point's ``[M0, M]`` order.
+    the error times each feature; the OGD point, read in that shape, is the
+    coefficient stack ``W = [M0, M]``.
     Returns ``(y_hat, error, ogd)``, with ``y_hat = y_prev + increment``
     and the error ``increment - (y_true - y_prev)``: taken from the
     increment, the error carries the rounding of the increment and of the
     observed change, not that of ``y``, which may be far larger.
     """
-    increment = _increment(M0, M, features)
+    increment = _increment(ogd.point.reshape(grad.shape), features)
     error = increment - (y_true - y_prev)
     np.multiply((2.0 * error)[:, None], features[:, None, :], out=grad)
     return y_prev + increment, error, _ogd_step(ogd, grad.reshape(-1))[0]
@@ -817,11 +799,8 @@ def learn_spectral_step(
     y_true = _finite_vector(y_true, len(y_prev), "y_true")
     features, grad = _scratch(predictor)
     features = _features(predictor.basis.vectors, u_tilde, u_last, features)
-    y_hat, _, ogd = _spectral_learn(
-        predictor.M0, predictor.M, predictor.ogd, y_prev, y_true, features, grad
-    )
-    W = ogd.point.reshape(grad.shape)
-    return y_hat, SpectralPredictor(basis=predictor.basis, M0=W[0], M=W[1:], ogd=ogd)
+    y_hat, _, ogd = _spectral_learn(predictor.ogd, y_prev, y_true, features, grad)
+    return y_hat, _predictor(predictor.basis, ogd, grad.shape)
 
 
 class OnlineSpectralFilter:
@@ -839,7 +818,7 @@ class OnlineSpectralFilter:
     at ``pos`` and ``pos + T`` while ``pos`` moves down modulo ``T``, so the
     reversed, zero-padded history is always the contiguous view
     ``buf[pos:pos + T]`` and a step copies one row instead of ``T``.  The
-    coefficients are views of the OGD point and the features and gradient
+    coefficients are read from the OGD point and the features and gradient
     are written into preallocated scratch, so a step makes a fixed set of
     numpy calls with the same arithmetic as :func:`learn_spectral_step`.
     """
@@ -850,8 +829,7 @@ class OnlineSpectralFilter:
             raise ConfigurationError(
                 f"d_u = {self.d_u}, but the predictor takes {predictor.M0.shape[1]} inputs"
             )
-        self._basis = predictor.basis
-        self._M0, self._M, self._ogd = predictor.M0, predictor.M, predictor.ogd
+        self._basis, self._ogd = predictor.basis, predictor.ogd
         self._features, self._grad = _scratch(predictor)
         self._buf = np.zeros((2 * predictor.basis.T, self.d_u))
         self._pos = 0
@@ -861,7 +839,7 @@ class OnlineSpectralFilter:
     @property
     def predictor(self) -> SpectralPredictor:
         """The predictor as it stands after the last step."""
-        return SpectralPredictor(basis=self._basis, M0=self._M0, M=self._M, ogd=self._ogd)
+        return _predictor(self._basis, self._ogd, self._grad.shape)
 
     def step(self, u_prev: object, y_true: object) -> np.ndarray:
         """Predict ``y_t`` from the inputs up to ``u_{t-1}`` and the
@@ -926,10 +904,8 @@ class OnlineSpectralFilter:
     def _learn(self, features: np.ndarray, y_true: np.ndarray) -> np.ndarray:
         """Predict from ``features``, learn from ``y_true`` and record the loss."""
         y_hat, error, self._ogd = _spectral_learn(
-            self._M0, self._M, self._ogd, self._y_prev, y_true, features, self._grad
+            self._ogd, self._y_prev, y_true, features, self._grad
         )
-        W = self._ogd.point.reshape(self._grad.shape)
-        self._M0, self._M = W[0], W[1:]
         self._y_prev = y_true
         self.losses.append(float(np.add.reduce(error * error)))
         return y_hat

@@ -710,25 +710,26 @@ def lyapunov_certificate(
     tol: float = 1e-12,
     max_terms: int = 100_000,
 ) -> Optional[np.ndarray]:
-    """Certificate of stability: ``P = sum_t (A^t)' A^t`` when ρ(A) < 1.
+    """Certificate of stability: ``P = sum_t (A^t)' A^t`` when ρ(A) < 1,
+    summed by Smith doubling: if ``P`` sums ``n`` terms, ``P + (A^n)' P
+    A^n`` sums ``2n``, and ``A^n`` is squared each round.
 
-    Returns ``None`` when the spectral radius is at least 1 or the series
-    fails to converge within ``max_terms``.  A returned ``P`` satisfies
-    ``P ⪰ I`` and ``P − A'PA ≻ 0`` up to truncation error ~``tol``.
+    Returns ``None`` when the spectral radius is at least 1 or the added
+    block's norm is not below ``tol`` by ``n > max_terms`` terms.  A
+    returned ``P`` satisfies ``P ⪰ I`` and ``P − A'PA ≻ 0`` up to
+    truncation error ~``tol``.
     """
     A = _as_matrix(A, "A", "square")
     if spectral_radius(A) >= 1.0:
         return None
-    d = A.shape[0]
-    P = np.eye(d)
-    power = np.eye(d)
-    for _ in range(max_terms):
-        power = power @ A
-        term = power.T @ power
-        norm = np.linalg.norm(term)
-        if norm < tol:
+    P, power, n = np.eye(len(A)), A, 1
+    while n <= max_terms:
+        block = power.T @ P @ power
+        if np.linalg.norm(block) < tol:
             return P
-        P = P + term
+        P = P + 0.5 * (block + block.T)  # the product rounds off symmetry
+        power = power @ power
+        n *= 2
     return None
 
 
@@ -760,20 +761,11 @@ def controllability(A: object, B: object, r: int) -> tuple[np.ndarray, int, floa
 
 
 def observability_rank(A: object, C: object) -> int:
-    """Rank of the stacked observability matrix ``[C; CA; ...; CA^{d_x-1}]``."""
+    """Rank of the stacked observability matrix ``[C; CA; ...; CA^{d_x-1}]``,
+    the :func:`controllability` rank of ``(A', C')``."""
     A = _as_matrix(A, "A", "square")
     C = _as_matrix(C, "C", (None, len(A)))
-    d = A.shape[0]
-    blocks = []
-    current = C
-    for _ in range(d):
-        blocks.append(current)
-        current = current @ A
-    O = np.vstack(blocks)
-    sigma = np.linalg.svd(O, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > RANK_TOL * sigma[0]))
+    return controllability(A.T, C.T, len(A))[1]
 
 
 def linearize(

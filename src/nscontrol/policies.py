@@ -383,14 +383,6 @@ class DACPolicy(_WindowPolicy):
         return u
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _floats(a: object) -> np.ndarray:
-    """``a`` as a float array; a float64 ndarray passes through unconverted."""
-    return a if type(a) is np.ndarray and a.dtype is _FLOAT64 else np.asarray(a, dtype=float)
-
-
 class NaturesYTracker:
     """Running computation of nature's y: the observation the system would
     have produced with all controls forced to zero.
@@ -402,15 +394,14 @@ class NaturesYTracker:
     def __init__(self, d_x: int):
         d_x = _whole(d_x, 1, "d_x")
         self.z = np.zeros(d_x)
-        self._Bu = np.empty(d_x)  # scratch for B_t u_t
 
     def observe(self, y: np.ndarray, C: Optional[np.ndarray]) -> np.ndarray:
         """ynat at the current step (does not advance the recursion)."""
-        return _floats(y) - (self.z if C is None else _floats(C).dot(self.z))
+        return np.asarray(y, float) - (self.z if C is None else np.asarray(C, float).dot(self.z))
 
     def advance(self, A: np.ndarray, B: np.ndarray, u: np.ndarray) -> None:
         """Advance ``z`` with the control actually played."""
-        self.z = _floats(A).dot(self.z) + _floats(B).dot(_floats(u), out=self._Bu)
+        self.z = np.asarray(A, float).dot(self.z) + np.asarray(B, float).dot(np.asarray(u, float))
 
     def reset(self) -> None:
         self.z = np.zeros_like(self.z)

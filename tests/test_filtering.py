@@ -739,6 +739,28 @@ def test_linear_predictor_zero_coefficients():
     assert updated.t == 1
 
 
+def test_linear_predictor_without_output_lags_matches_a_hand_step():
+    # h = 0: the prediction reads the inputs alone, y_hat = M2_0 u_{t-1} +
+    # M2_1 u_{t-2}, and the step moves each block against 2 (y_hat - y) u'.
+    M2 = np.array([[[1.0], [2.0]], [[0.5], [-1.0]]])
+    predictor = LinearPredictor(M1=np.zeros((0, 2, 2)), M2=M2, kappa=100.0, step_scale=0.25)
+    u_history, y_history, y_true = [[2.0], [4.0]], [], np.array([3.0, 1.0])
+    y_hat = np.array([1.0 * 2.0 + 0.5 * 4.0, 2.0 * 2.0 - 1.0 * 4.0])
+    assert np.array_equal(predict_linear(predictor, u_history, y_history), y_hat)
+    got, stepped = learn_linear_step(predictor, u_history, y_history, y_true)
+    assert np.array_equal(got, y_hat)
+    residual = 2.0 * (y_hat - y_true)  # (2, -2)
+    expected = M2 - 0.25 * np.stack([np.outer(residual, [2.0]), np.outer(residual, [4.0])])
+    assert np.array_equal(stepped.M2, expected)
+    assert stepped.M1.shape == (0, 2, 2) and stepped.t == 1
+    # One block over the budget is scaled back onto it.
+    one = LinearPredictor(M1=np.zeros((0, 1, 1)), M2=np.array([[[3.0]]]), kappa=1.0,
+                          step_scale=1.0)
+    _, stepped = learn_linear_step(one, [[1.0]], [], [0.0])
+    assert stepped.M2.shape == (1, 1, 1)
+    assert abs(stepped.M2[0, 0, 0] + 1.0) <= 1e-15  # 3 - 2 * 3 = -3, then |.| <= 1
+
+
 def test_linear_predictor_gradient_matches_finite_differences():
     # The applied OGD step reveals the analytic gradient (no projection for
     # large kappa); compare against central differences of the squared loss.
@@ -950,7 +972,7 @@ def _b64_row(row) -> str:
     return base64.b64encode(np.asarray(row, dtype="<f8").tobytes()).decode()
 
 
-@pytest.mark.parametrize("T, h", [(2, 1), (2, 2), (25, 7)])
+@pytest.mark.parametrize("T, h", [(2, 1), (2, 2), (25, 7), (2000, 20)])
 def test_save_basis_bytes_match_join_format(T, h):
     # A header with the format tag, then one line per row, eigenvalues first:
     # the base64 of the row's little-endian float64 bytes.
@@ -967,21 +989,17 @@ def test_save_basis_bytes_match_join_format(T, h):
     assert np.array_equal(loaded.vectors, basis.vectors)
 
 
-def test_load_basis_reads_the_decimal_format_bitwise(tmp_path):
-    # The format save_basis wrote before: header "T h", then rows of numbers
-    # at 17 significant digits.  cached_basis reads such a file too.
+def test_load_basis_rejects_an_untagged_file(tmp_path):
+    # A header without the format tag, as in the 17-digit decimal files
+    # save_basis once wrote, is not read, by load_basis or the cache.
     basis = spectral_basis(25, 7)
     lines = ["25 7", " ".join("%.17g" % v for v in basis.eigenvalues)]
     lines += [" ".join("%.17g" % v for v in row) for row in basis.vectors]
     path = tmp_path / "spectral_basis_T25_h7.txt"
     path.write_text("\n".join(lines) + "\n")
-    for loaded in (load_basis(str(path)), cached_basis(25, 7, str(tmp_path))):
-        assert (loaded.T, loaded.h) == (25, 7)
-        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
-        assert np.array_equal(loaded.vectors, basis.vectors)
-    path.write_text("\n".join(lines).replace(lines[2], lines[2] + " 1") + "\n")
-    with pytest.raises(ConfigurationError, match="malformed"):
-        load_basis(str(path))
+    for load in (lambda: load_basis(str(path)), lambda: cached_basis(25, 7, str(tmp_path))):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(str(path))) + ".*format tag"):
+            load()
 
 
 def test_load_basis_rejects_malformed_binary_files(tmp_path):
@@ -1092,6 +1110,42 @@ def test_spectral_predictor_zero_inputs_zero_prediction():
     for t in range(10):
         y_hat = filt.step(np.zeros(1), np.zeros(1))
         assert np.array_equal(y_hat, np.zeros(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_y=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    h=st.integers(1, 6),
+    extra=st.integers(0, 20),
+    last=st.booleans(),
+)
+def test_spectral_predict_increment_matches_a_plain_loop(seed, d_y, d_u, h, extra, last):
+    # From y_prev = 0 the prediction is the increment M0 u_last + sum_j M_j
+    # (phi_j . u_tilde), with u_last = u_tilde[0] unless u_prev is given.
+    from nscontrol.online_control import OGDState
+
+    T = max(h, 2) + extra
+    basis = spectral_basis(T, h)
+    rng = np.random.default_rng(seed)
+    M0, M = rng.normal(size=(d_y, d_u)), rng.normal(size=(h, d_y, d_u))
+    point = np.concatenate([M0.ravel(), M.ravel()])
+    predictor = SpectralPredictor(basis=basis, M0=M0, M=M, ogd=OGDState(point=point))
+    u_tilde = rng.normal(size=(T, d_u))
+    u_prev = rng.normal(size=d_u) if last else None
+    got = spectral_predict(predictor, u_tilde, np.zeros(d_y), u_prev)
+    u_last = u_tilde[0] if u_prev is None else u_prev
+    expected = M0 @ u_last
+    for j in range(h):
+        filtered = np.array([sum(basis.vectors[j, s] * u_tilde[s, a] for s in range(T))
+                             for a in range(d_u)])
+        expected = expected + M[j] @ filtered
+    # The sum of the absolute values of every product in the sum.
+    scale = np.abs(M0) @ np.abs(u_last)
+    scale += np.einsum("jab,js,sb->a", np.abs(M), np.abs(basis.vectors), np.abs(u_tilde))
+    assert got.shape == (d_y,)
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
 
 
 def test_spectral_gradient_matches_finite_differences():

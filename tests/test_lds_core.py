@@ -5,10 +5,12 @@ Expected values are produced by independent oracles (hand arithmetic,
 explicit loops, geometric series) and frozen here.
 """
 
+import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -292,6 +294,44 @@ def test_lyapunov_iff_spectral_radius():
         assert np.linalg.eigvalsh(P - np.eye(4)).min() > -1e-9
         assert np.linalg.eigvalsh(P - A.T @ P @ A).min() > 1e-3
         assert lyapunov_certificate(unstable) is None
+
+
+def _lyapunov_series(A, tol=1e-12):
+    # sum_t (A^t)' A^t term by term, until a term's norm falls below tol.
+    P, power = np.eye(len(A)), np.eye(len(A))
+    while True:
+        power = power @ A
+        term = power.T @ power
+        if np.linalg.norm(term) < tol:
+            return P
+        P = P + term
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([0.999, 0.5, -0.3, 0.9]),
+    np.array([[0.999, 1.0, 0.0], [0.0, 0.99, 1.0], [0.0, 0.0, 0.9]]),
+], ids=["rho-0.999", "non-normal"])
+def test_lyapunov_certificate_doubles_to_the_series(A):
+    # Near the unit circle the series needs thousands of terms; the doubling
+    # gives the Stein solution P = I + A'PA in a few squarings, 10x faster.
+    # The series stops about tol / (1 - rho^2) short of it.
+    start = time.perf_counter()
+    reference = _lyapunov_series(A)
+    series_s = time.perf_counter() - start
+    doubling_s = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        P = lyapunov_certificate(A)
+        doubling_s = min(doubling_s, time.perf_counter() - start)
+    exact = scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(len(A)))
+    assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.abs(P - reference).max() <= 1e-11 * np.abs(reference).max()
+    assert np.array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P - np.eye(len(A))).min() > -1e-9
+    assert np.linalg.eigvalsh(P - A.T @ P @ A).min() > 0.5
+    assert 10.0 * doubling_s <= series_s
+    # 2^10 terms do not reach tol at rho = 0.999.
+    assert lyapunov_certificate(A, max_terms=1000) is None
 
 
 # ---------------------------------------------------------------------------
