@@ -43,6 +43,7 @@ from .lds_core import (
     QuadraticCost,
     _as_matrix,
     _finite_vector,
+    _played_costs,
     _whole,
     linearize,
     simulate,
@@ -443,28 +444,28 @@ def _policy_pass(
 
 
 def _best_policy(
-    pass_at: Callable, value_at: Optional[Callable], max_iter: int, tol: float, label: str
-) -> tuple[np.ndarray, float, Optional[str]]:
+    pass_at: Callable, affine: bool, max_iter: int, tol: float, label: str
+) -> tuple[np.ndarray, Optional[float], Optional[str]]:
     """Minimize a counterfactual total cost over flat parameters ``m`` by
     Newton's method from ``m = 0``; ``pass_at(m)`` is one forward pass that
     returns what :func:`_policy_pass` does (``m = None`` for zero).
 
-    When the policy class is affine in ``m`` (``value_at`` given) and the
-    first pass sees a cost whose stage Hessian is constant, the objective is
-    exactly ``J(m) = J(0) + 2 g.m + m.H.m``, so that pass and its Newton
-    step give the minimizer; its value is ``value_at(m)``, a direct
-    evaluation, since the quadratic form cancels large terms when ``H`` is
-    ill-conditioned and the blocks are large.  Otherwise Armijo-damped steps, one pass per
-    trial point, run until the Newton decrement ``-g.dm`` (the decrease the
-    local quadratic model predicts) is at most ``tol * (1 + |J|)`` or
-    ``max_iter`` passes are spent; a trial whose pass is non-finite is a
-    rejected step.  A non-finite first pass raises.  Returns the best point
-    seen, its value, and a message giving the decrement when the budget ran
-    out (else ``None``).
+    When the policy class is ``affine`` in ``m`` and the first pass sees a
+    cost whose stage Hessian is constant, the objective is exactly ``J(m) =
+    J(0) + 2 g.m + m.H.m``, so that pass's Newton step is the minimizer; it
+    is returned with no value, which the caller reads off a rollout (the
+    quadratic form cancels large terms when ``H`` is ill-conditioned).
+    Otherwise Armijo-damped steps, one pass per trial point, run until the
+    Newton decrement ``-g.dm`` (the decrease the local quadratic model
+    predicts) is at most ``tol * (1 + |J|)`` or ``max_iter`` passes are
+    spent; a trial whose pass is non-finite is a rejected step.  A
+    non-finite first pass raises.  Returns the best point seen, its pass
+    value (``None`` for the exact step), and a message giving the decrement
+    when the budget ran out (else ``None``).
     """
     value, g, H, step, constant = pass_at(None)
-    if value_at is not None and constant:
-        return step, value_at(step), None
+    if affine and constant:
+        return step, None, None
 
     m = np.zeros(step.size)
     best_m, best_value = m, value
@@ -495,19 +496,17 @@ def _best_policy(
 
 def _best_affine_policy(
     policies: _PolicyClass, cost: object, max_iter: int, tol: float, label: str
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_best_policy` over an affine policy class, exact for a cost
     whose stage Hessian is constant, warning when the pass budget runs out.
-    Returns the blocks, (depth, d_u, d_s), and their value."""
-    shape = (policies.depth, policies.system.d_u, policies.signals.shape[1])
-    m, value, budget_note = _best_policy(
-        lambda m: _policy_pass(policies, cost, m, label),
-        lambda m: float(_policy_rollout_costs(policies, cost, m.reshape(shape)).sum()),
-        max_iter, tol, label,
+    Returns the blocks, (depth, d_u, d_s), and the costs of their rollout."""
+    m, _, budget_note = _best_policy(
+        lambda m: _policy_pass(policies, cost, m, label), True, max_iter, tol, label
     )
     if budget_note:
         warnings.warn(budget_note, stacklevel=3)
-    return m.reshape(shape), value
+    Ms = m.reshape(policies.depth, policies.system.d_u, policies.signals.shape[1])
+    return Ms, _policy_rollout_costs(policies, cost, Ms)
 
 
 def _linear_pass(
@@ -529,11 +528,22 @@ def _policy_rollout_costs(policies: _PolicyClass, cost: object, Ms: np.ndarray) 
     """Per-step costs of the policy with blocks ``Ms``: a plain closed-loop
     simulation, not the sensitivity recursion of :func:`_policy_pass`, so it
     can check the comparators.  One einsum over the signal windows gives
-    every control sum ``v_t`` for :func:`_closed_loop`."""
+    every control sum ``v_t`` for :func:`_closed_loop`.  A diverging
+    rollout raises EvaluationError naming its first non-finite cost."""
     system, K, w_record, signals, _, lag, x0, observe = policies
-    v = np.einsum("iab,tib->ta", Ms, _signal_windows(signals, Ms.shape[0], lag))
-    z, u = _closed_loop(system, K, w_record, x0, observe, v)
-    return cost.values(z, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.einsum("iab,tib->ta", Ms, _signal_windows(signals, Ms.shape[0], lag))
+        z, u = _closed_loop(system, K, w_record, x0, observe, v)
+    return _played_costs(cost, z, u, "the comparator rollout's cost")
+
+
+def _response_class(system: LinearSystem, w_record: np.ndarray, depth: int,
+                    x0: Optional[np.ndarray]) -> _PolicyClass:
+    """The ``depth``-block response class: signal ``ynat``, lag 0, K = 0."""
+    K = np.zeros((system.d_u, system.d_x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ynat, _ = _closed_loop(system, K, w_record, x0, True)
+    return _PolicyClass(system, K, w_record, ynat, depth, 0, x0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +560,20 @@ def best_dac_in_hindsight(
     x0: Optional[object] = None,
     max_iter: int = COMPARATOR_MAX_ITER,
     tol: float = COMPARATOR_TOL,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best fixed disturbance-action policy on a recorded run.
 
     Minimizes the exact counterfactual total cost of ``u_t = K x_t +
     sum_i M_i w_{t-i}`` over the action blocks; the objective is convex
     because the trajectory is affine in ``M``.  One streamed Newton engine
     serves every cost: a cost whose stage Hessian is constant is minimized
-    exactly by a single forward pass and one least-squares solve, and its
-    minimum read off one plain rollout at the solution; any other
+    exactly by a single forward pass and one least-squares solve; any other
     convex cost by damped Newton steps from ``M = 0``, at most ``max_iter``
     forward passes, stopping once the Newton decrement is at most ``tol *
     (1 + |J|)``.  A pass works through the run in chunks of steps, so its
-    memory is bounded by one chunk, not by T.  Returns ``(Ms, total_cost)`` with
-    ``Ms`` of shape (h, d_u, d_x).
+    memory is bounded by one chunk, not by T.  Returns ``(Ms, costs)``:
+    ``Ms`` of shape (h, d_u, d_x), and the (T,) per-step costs of their one
+    plain rollout (:func:`dac_rollout_costs`), which sum to the total.
     """
     w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
     x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
@@ -580,7 +590,7 @@ def best_drc_in_hindsight(
     x0: Optional[object] = None,
     max_iter: int = COMPARATOR_MAX_ITER,
     tol: float = COMPARATOR_TOL,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best fixed disturbance-response policy on a recorded run.
 
     Minimizes the counterfactual total cost of ``u_t = sum_{i=0..h} M_i
@@ -590,14 +600,12 @@ def best_drc_in_hindsight(
     one pass for a cost whose stage Hessian is constant, otherwise by damped
     Newton steps bounded by ``max_iter`` passes and the relative decrement
     ``tol``, with memory bounded by one chunk of steps.  Returns ``(Ms,
-    total_cost)`` with ``Ms`` of shape (h+1, d_u, d_y).
+    costs)``: ``Ms`` of shape (h+1, d_u, d_y), and the (T,) per-step costs
+    of their one plain rollout (:func:`drc_rollout_costs`).
     """
     w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
     x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
-    K = np.zeros((system.d_u, system.d_x))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ynat, _ = _closed_loop(system, K, w_record, x0, True)
-    policies = _PolicyClass(system, K, w_record, ynat, _whole(h, 0, "h") + 1, 0, x0, True)
+    policies = _response_class(system, w_record, _whole(h, 0, "h") + 1, x0)
     return _best_affine_policy(policies, cost, max_iter, tol, "response-policy comparator")
 
 
@@ -610,7 +618,7 @@ def best_linear_in_hindsight(
     max_iter: int = COMPARATOR_MAX_ITER,
     tol: float = COMPARATOR_TOL,
     seed: int = 0,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best fixed linear gain on a recorded run (multi-start local search).
 
     The objective is not convex in the gain, so this is a heuristic: damped
@@ -622,6 +630,8 @@ def best_linear_in_hindsight(
     ``tol * (1 + |J|)``, the same meaning as for the other comparators; a
     start whose first pass is non-finite has diverged and is dropped.  A
     warning reports the decrement if the winning start spent its budget.
+    Returns ``(K, costs)``: the gain and the (T,) per-step costs of its one
+    plain rollout (:func:`linear_rollout_costs`).
     """
     w_record = _as_matrix(w_record, "w_record", (None, system.d_x))
     x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
@@ -649,17 +659,18 @@ def best_linear_in_hindsight(
             return _linear_pass(system, cost, w_record, x0, K, label)
 
         try:
-            m, value, budget_note = _best_policy(pass_at, None, max_iter, tol, label)
+            m, value, budget_note = _best_policy(pass_at, False, max_iter, tol, label)
         except EvaluationError:
             continue
         if best is None or value < best[1]:
             best = (K0 + m.reshape(K0.shape), value, budget_note)
     if best is None:
         raise EvaluationError("every local search start diverged")
-    K_star, value, budget_note = best
+    K_star, _, budget_note = best
     if budget_note:
         warnings.warn(budget_note, stacklevel=2)
-    return K_star, value
+    policies = _PolicyClass(system, K_star, w_record, w_record, 1, 1, x0, False)
+    return K_star, _policy_rollout_costs(policies, cost, np.zeros((1, system.d_u, system.d_x)))
 
 
 def dac_rollout_costs(
@@ -693,10 +704,7 @@ def drc_rollout_costs(
     x0 = None if x0 is None else _finite_vector(x0, system.d_x, "x0")
     shape = (system.d_u, system.d_y)
     Ms = np.array([_as_matrix(M, f"M_{i}", shape) for i, M in enumerate(Ms)]).reshape(-1, *shape)
-    K = np.zeros((system.d_u, system.d_x))
-    ynat, _ = _closed_loop(system, K, w_record, x0, True)
-    policies = _PolicyClass(system, K, w_record, ynat, len(Ms), 0, x0, True)
-    return _policy_rollout_costs(policies, cost, Ms)
+    return _policy_rollout_costs(_response_class(system, w_record, len(Ms), x0), cost, Ms)
 
 
 def linear_rollout_costs(
@@ -892,26 +900,30 @@ def config_from_preset(
                                   out_dir=out_dir)
 
 
-def _default_gain(config: ScenarioConfig) -> np.ndarray:
-    """Stabilizing gain for learners: the infinite-horizon quadratic gain
-    when solvable, otherwise zero (valid for stable systems)."""
-    A0, B0, _ = config.system.matrices(0)
-    if isinstance(config.cost, QuadraticCost):
+def _stabilizing_gain(A: np.ndarray, B: np.ndarray, cost: object) -> Optional[np.ndarray]:
+    """The infinite-horizon quadratic gain of ``(A, B)`` when solvable, else
+    zero when ``A`` is stable, else ``None``."""
+    if isinstance(cost, QuadraticCost):
         try:
-            return dare_solve(A0, B0, config.cost.Q, config.cost.R).K
+            return dare_solve(A, B, cost.Q, cost.R).K
         except (ConfigurationError, EvaluationError):
             pass
-    if spectral_radius(A0) < 1.0 + 1e-12:
-        return np.zeros((config.system.d_u, config.system.d_x))
-    raise ConfigurationError(
-        "no stabilizing gain available: the quadratic gain is unsolvable and "
-        "the system is unstable; pass controller K explicitly"
-    )
+    if spectral_radius(A) < 1.0 + 1e-12:
+        return np.zeros((B.shape[1], A.shape[0]))
+    return None
 
 
 def _resolve_gain(spec_K: object, config: ScenarioConfig) -> np.ndarray:
+    """The gain a spec names: for None or ``"lqr"`` the stabilizing gain of
+    step 0 (:func:`_stabilizing_gain`), for ``"zero"`` zero, else a matrix."""
     if spec_K is None or spec_K == "lqr":
-        return _default_gain(config)
+        K = _stabilizing_gain(*config.system.matrices(0)[:2], config.cost)
+        if K is None:
+            raise ConfigurationError(
+                "no stabilizing gain available: the quadratic gain is unsolvable and "
+                "the system is unstable; pass controller K explicitly"
+            )
+        return K
     if isinstance(spec_K, str) and spec_K == "zero":
         return np.zeros((config.system.d_u, config.system.d_x))
     return _as_matrix(spec_K, "K", (config.system.d_u, config.system.d_x))
@@ -1045,26 +1057,20 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         costs = trajectory.costs
 
     if comp_kind == "best-dac":
-        K_comp = comp_spec.pop("K", None)
-        K_comp = K_learner if K_comp is None else _resolve_gain(K_comp, config)
-        if K_comp is None:
-            K_comp = _default_gain(config)
-        Ms, _ = best_dac_in_hindsight(
+        K_spec = comp_spec.pop("K", None)
+        from_learner = K_spec is None and K_learner is not None
+        K_comp = K_learner if from_learner else _resolve_gain(K_spec, config)
+        _, comparator_costs = best_dac_in_hindsight(
             system, cost, K_comp, w_record, comp_h, config.x0, **comp_spec
         )
-        comparator_costs = dac_rollout_costs(
-            system, cost, K_comp, Ms, w_record, config.x0
-        )
     elif comp_kind == "best-drc":
-        Ms, _ = best_drc_in_hindsight(
+        _, comparator_costs = best_drc_in_hindsight(
             system, cost, w_record, comp_h, config.x0, **comp_spec
         )
-        comparator_costs = drc_rollout_costs(system, cost, Ms, w_record, config.x0)
     elif comp_kind == "best-linear":
-        K_star, _ = best_linear_in_hindsight(
+        _, comparator_costs = best_linear_in_hindsight(
             system, cost, w_record, config.x0, seed=config.seed, **comp_spec
         )
-        comparator_costs = linear_rollout_costs(system, cost, K_star, w_record, config.x0)
     elif comp_kind == "zero" and config.cost_on == "observation":
         zero = np.zeros((1, system.d_u, system.d_y))
         comparator_costs = drc_rollout_costs(system, cost, zero, w_record, config.x0)

@@ -683,13 +683,13 @@ def simulate(
                       _played_costs(cost, states[:-1], controls))
 
 
-def _played_costs(cost: object, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _played_costs(cost: object, X: np.ndarray, U: np.ndarray, what: str = "cost") -> np.ndarray:
     """``cost.values(X, U)``; raises EvaluationError naming the first
-    non-finite one, so numpy's overflow warnings on the way are not wanted."""
+    non-finite ``what``, so numpy's overflow warnings on the way are not wanted."""
     with np.errstate(over="ignore", invalid="ignore"):
         costs = np.asarray(cost.values(X, U), dtype=float)
     if not _all_finite(costs):
-        raise EvaluationError(f"cost is non-finite at t={int(np.argmin(np.isfinite(costs)))}")
+        raise EvaluationError(f"{what} is non-finite at t={int(np.argmin(np.isfinite(costs)))}")
     return costs
 
 

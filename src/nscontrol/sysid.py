@@ -31,21 +31,20 @@ from .errors import ConfigurationError, EvaluationError
 from .harness import (
     RegretReport,
     _regret_report,
+    _stabilizing_gain,
     best_dac_in_hindsight,
     component_seed,
-    dac_rollout_costs,
+    dac_rollout_costs,  # noqa: F401 - perfbench/tracing.py wraps it here
 )
 from .lds_core import (
     LinearSystem,
     PerturbationSource,
-    QuadraticCost,
     _all_finite,
     _finite_vector,
     _whole,
-    spectral_radius,
 )
 from .online_control import DEFAULT_H, GPCController, gpc_runner
-from .optimal_control import dare_solve
+from .optimal_control import dare_solve  # noqa: F401 - perfbench/tracing.py wraps it here
 
 __all__ = [
     "BlackBoxSystem",
@@ -451,20 +450,15 @@ def _ceil_two_thirds_power(T: int) -> int:
 def _gain_for_identified(
     A_hat: np.ndarray, B_hat: np.ndarray, cost: object
 ) -> np.ndarray:
-    """Stabilizing gain for the identified pair: the infinite-horizon
-    quadratic gain when solvable, zero when the identified dynamics are
-    already stable."""
-    if isinstance(cost, QuadraticCost):
-        try:
-            return dare_solve(A_hat, B_hat, cost.Q, cost.R).K
-        except (ConfigurationError, EvaluationError):
-            pass
-    if spectral_radius(A_hat) < 1.0 + 1e-12:
-        return np.zeros((B_hat.shape[1], A_hat.shape[0]))
-    raise EvaluationError(
-        "identified dynamics are unstable and the quadratic gain is "
-        "unsolvable; cannot run the exploitation phase"
-    )
+    """Stabilizing gain for the identified pair
+    (:func:`~nscontrol.harness._stabilizing_gain`)."""
+    K = _stabilizing_gain(A_hat, B_hat, cost)
+    if K is None:
+        raise EvaluationError(
+            "identified dynamics are unstable and the quadratic gain is "
+            "unsolvable; cannot run the exploitation phase"
+        )
+    return K
 
 
 def control_with_model(
@@ -572,8 +566,7 @@ def identify_then_control(
     w_record = box.recorded_perturbations
     states = box.recorded_states
     h = int(learner.get("h", DEFAULT_H))
-    Ms, _ = best_dac_in_hindsight(truth, cost, K_hat, w_record, h=h, x0=states[0])
-    comparator_costs = dac_rollout_costs(truth, cost, K_hat, Ms, w_record, states[0])
+    _, comparator_costs = best_dac_in_hindsight(truth, cost, K_hat, w_record, h=h, x0=states[0])
 
     costs = np.concatenate([explore_costs, exploit_costs])
     extras = {

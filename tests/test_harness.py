@@ -370,7 +370,8 @@ def test_best_dac_matches_quadratic_oracle_scalar():
     m_star = -b / (2 * a)
     j_star = j_zero - b * b / (4 * a)
 
-    Ms, value = best_dac_in_hindsight(system, cost, K, w, h=1)
+    Ms, costs = best_dac_in_hindsight(system, cost, K, w, h=1)
+    value = costs.sum()
     assert Ms.shape == (1, 1, 1)
     assert abs(value - j_star) < 2e-3
     assert abs(float(Ms[0, 0, 0]) - m_star) < 2e-3
@@ -384,7 +385,8 @@ def test_best_dac_zero_noise_yields_zero_blocks():
     A, B, _ = bp.system.matrices(0)
     K = dare_solve(A, B, bp.cost.Q, bp.cost.R).K
     w = np.zeros((60, 2))
-    Ms, value = best_dac_in_hindsight(bp.system, bp.cost, K, w, h=3, x0=bp.x0)
+    Ms, costs = best_dac_in_hindsight(bp.system, bp.cost, K, w, h=3, x0=bp.x0)
+    value = costs.sum()
     assert np.linalg.norm(Ms) <= 1e-8
     ref = linear_rollout_costs(bp.system, bp.cost, K, w, bp.x0).sum()
     assert abs(value - ref) < 1e-10
@@ -396,7 +398,8 @@ def test_best_dac_stationary_at_optimum():
     cost = QuadraticCost(Q=np.eye(2), R=np.eye(1))
     w = 0.5 * rng.standard_normal((80, 2))
     K = np.zeros((1, 2))
-    Ms, value = best_dac_in_hindsight(system, cost, K, w, h=2)
+    Ms, costs = best_dac_in_hindsight(system, cost, K, w, h=2)
+    value = costs.sum()
     total = dac_rollout_costs(system, cost, K, Ms, w).sum()
     assert abs(total - value) < 1e-8 * (1 + abs(value))
     for _ in range(8):
@@ -412,9 +415,9 @@ def test_best_dac_contains_best_linear():
     system = LinearSystem.time_invariant([[0.9]], [[1.0]])
     cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
     w = generate_perturbations(PerturbationSource.sinusoidal(1.0, 1.0), 150, 1, seed=0)
-    K_star, j_lin = best_linear_in_hindsight(system, cost, w)
-    _, j_dac = best_dac_in_hindsight(system, cost, K_star, w, h=3)
-    assert j_dac <= j_lin + 1e-6
+    K_star, lin_costs = best_linear_in_hindsight(system, cost, w)
+    _, dac_costs = best_dac_in_hindsight(system, cost, K_star, w, h=3)
+    assert dac_costs.sum() <= lin_costs.sum() + 1e-6
 
 
 def test_best_drc_consistency_and_stationarity():
@@ -422,7 +425,8 @@ def test_best_drc_consistency_and_stationarity():
     system = LinearSystem.time_invariant([[0.5]], [[1.0]], [[2.0]])
     cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
     w = generate_perturbations(PerturbationSource.sinusoidal(1.0, 0.7), 100, 1, seed=2)
-    Ms, value = best_drc_in_hindsight(system, cost, w, h=3)
+    Ms, costs = best_drc_in_hindsight(system, cost, w, h=3)
+    value = costs.sum()
     assert Ms.shape == (4, 1, 1)
     total = drc_rollout_costs(system, cost, Ms, w).sum()
     assert abs(total - value) < 1e-8 * (1 + abs(value))
@@ -439,7 +443,8 @@ def test_best_drc_zero_noise_is_zero():
     system = LinearSystem.time_invariant([[0.5]], [[1.0]])
     cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
     w = np.zeros((40, 1))
-    Ms, value = best_drc_in_hindsight(system, cost, w, h=2)
+    Ms, costs = best_drc_in_hindsight(system, cost, w, h=2)
+    value = costs.sum()
     assert np.linalg.norm(Ms) <= 1e-8
     assert abs(value) < 1e-12
 
@@ -564,7 +569,8 @@ def test_best_dac_exact_solve_matches_iterative(
     system, cost, K, w, x0 = _random_comparator_problem(
         seed, d_x, d_u, d_x, T, False, with_target, singular_R
     )
-    Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
+    Ms, costs = best_dac_in_hindsight(system, cost, K, w, h, x0)
+    value = costs.sum()
     assert Ms.shape == (h, d_u, d_x)
     ref = _lstsq_reference(
         system, cost, w, x0, Ms.shape, lambda M: DACPolicy(K, list(M)), observe=False
@@ -574,7 +580,8 @@ def test_best_dac_exact_solve_matches_iterative(
     _assert_same_optimum(value, ref, total, zero_total)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Ms_cb, value_cb = best_dac_in_hindsight(system, _callable(cost), K, w, h, x0)
+        Ms_cb, costs_cb = best_dac_in_hindsight(system, _callable(cost), K, w, h, x0)
+        value_cb = costs_cb.sum()
     total_cb = dac_rollout_costs(system, cost, K, Ms_cb, w, x0).sum()
     _assert_same_optimum(value_cb, ref, total_cb, zero_total)
 
@@ -608,7 +615,8 @@ def test_best_drc_exact_solve_matches_iterative(
     system, cost, _, w, x0 = _random_comparator_problem(
         seed, d_x, d_u, d_y, T, True, with_target, singular_R
     )
-    Ms, value = best_drc_in_hindsight(system, cost, w, h, x0)
+    Ms, costs = best_drc_in_hindsight(system, cost, w, h, x0)
+    value = costs.sum()
     assert Ms.shape == (h + 1, d_u, d_y)
     ref = _lstsq_reference(
         system, cost, w, x0, Ms.shape, lambda M: DRCPolicy(list(M), d_x), observe=True
@@ -618,7 +626,8 @@ def test_best_drc_exact_solve_matches_iterative(
     _assert_same_optimum(value, ref, total, zero_total)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Ms_cb, value_cb = best_drc_in_hindsight(system, _callable(cost), w, h, x0)
+        Ms_cb, costs_cb = best_drc_in_hindsight(system, _callable(cost), w, h, x0)
+        value_cb = costs_cb.sum()
     total_cb = drc_rollout_costs(system, cost, Ms_cb, w, x0).sum()
     _assert_same_optimum(value_cb, ref, total_cb, zero_total)
 
@@ -716,19 +725,20 @@ def test_chunked_comparators_on_time_varying_providers(
         harness, "_chunks", _counting_chunks(counts)
     ):
         if observe:
-            Ms, value = best_drc_in_hindsight(system, cost, w, h, x0)
+            Ms, comp_costs = best_drc_in_hindsight(system, cost, w, h, x0)
             make_policy = lambda M: DRCPolicy(list(M), d_x)  # noqa: E731
             rollout = lambda M: drc_rollout_costs(system, cost, M, w, x0)  # noqa: E731
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                Ms_cb, value_cb = best_drc_in_hindsight(system, _callable(cost), w, h, x0)
+                Ms_cb, costs_cb = best_drc_in_hindsight(system, _callable(cost), w, h, x0)
         else:
-            Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
+            Ms, comp_costs = best_dac_in_hindsight(system, cost, K, w, h, x0)
             make_policy = lambda M: DACPolicy(K, list(M))  # noqa: E731
             rollout = lambda M: dac_rollout_costs(system, cost, K, M, w, x0)  # noqa: E731
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                Ms_cb, value_cb = best_dac_in_hindsight(system, _callable(cost), K, w, h, x0)
+                Ms_cb, costs_cb = best_dac_in_hindsight(system, _callable(cost), K, w, h, x0)
+        value, value_cb = comp_costs.sum(), costs_cb.sum()
         costs, total_cb = rollout(Ms), rollout(Ms_cb).sum()
         zero_total = rollout(np.zeros_like(Ms)).sum()
     assert min(counts) >= 3
@@ -766,7 +776,8 @@ def test_dac_comparator_crosses_chunks_at_the_default_budget():
     w = generate_perturbations(bp.perturbation, 150, 4, 3, bp.noise_embedding)
     counts = []
     with mock.patch.object(harness, "_chunks", _counting_chunks(counts)):
-        Ms, value = best_dac_in_hindsight(bp.system, bp.cost, K, w, 8)
+        Ms, costs = best_dac_in_hindsight(bp.system, bp.cost, K, w, 8)
+        value = costs.sum()
     assert counts[0] >= 3
     ref = _lstsq_reference(
         bp.system, bp.cost, w, None, Ms.shape, lambda M: DACPolicy(K, list(M)), observe=False
@@ -796,7 +807,8 @@ def test_best_dac_non_quadratic_cost_matches_scipy():
     h = 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Ms, value = best_dac_in_hindsight(system, cost, K, w, h, x0)
+        Ms, costs = best_dac_in_hindsight(system, cost, K, w, h, x0)
+        value = costs.sum()
 
     def total(m):
         return dac_rollout_costs(system, cost, K, m.reshape(h, 1, 2), w, x0).sum()
@@ -811,7 +823,8 @@ def test_best_dac_non_quadratic_cost_matches_scipy():
 def test_comparator_warns_when_newton_budget_runs_out():
     system, cost, K, w, x0 = _log_cosh_problem()
     with pytest.warns(UserWarning, match="action-policy comparator stopped after 1 Newton"):
-        Ms, value = best_dac_in_hindsight(system, cost, K, w, 2, x0, max_iter=1)
+        Ms, costs = best_dac_in_hindsight(system, cost, K, w, 2, x0, max_iter=1)
+        value = costs.sum()
     assert np.all(Ms == 0.0)
     assert value == pytest.approx(dac_rollout_costs(system, cost, K, Ms, w, x0).sum())
 
@@ -823,7 +836,8 @@ def test_ventilator_comparator_long_horizon():
     w = generate_perturbations(bp.perturbation, 1000, 1, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Ms, value = best_drc_in_hindsight(bp.system, bp.cost, w, 3, bp.x0)
+        Ms, costs = best_drc_in_hindsight(bp.system, bp.cost, w, 3, bp.x0)
+        value = costs.sum()
     total = drc_rollout_costs(bp.system, bp.cost, Ms, w, bp.x0).sum()
     assert total <= 2142.774398593744 * (1.0 + 1e-12)
     assert value == pytest.approx(total, rel=1e-12)
@@ -846,7 +860,8 @@ def test_best_linear_matches_grid_scalar():
     system = LinearSystem.time_invariant([[0.9]], [[1.0]])
     cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
     w = generate_perturbations(PerturbationSource.sinusoidal(1.0, 1.0), 100, 1, seed=4)
-    K_star, value = best_linear_in_hindsight(system, cost, w)
+    K_star, costs = best_linear_in_hindsight(system, cost, w)
+    value = costs.sum()
 
     grid = np.arange(-2.0, 0.0, 2e-3)
     grid_values = [
@@ -871,7 +886,7 @@ def test_best_linear_on_an_in_place_provider():
         )
         for mode in ("fresh", "in-place")
     ]
-    assert results[1][1] == results[0][1]
+    assert np.array_equal(results[1][1], results[0][1])
     assert np.array_equal(results[1][0], results[0][0])
 
 
@@ -879,7 +894,8 @@ def test_best_linear_zero_when_control_has_no_effect():
     system = LinearSystem.time_invariant([[0.5]], [[0.0]])
     cost = QuadraticCost(Q=np.eye(1), R=np.eye(1))
     w = generate_perturbations(PerturbationSource.gaussian(1.0), 60, 1, seed=6)
-    K_star, value = best_linear_in_hindsight(system, cost, w)
+    K_star, costs = best_linear_in_hindsight(system, cost, w)
+    value = costs.sum()
     assert np.linalg.norm(K_star) <= 1e-6
     ref = linear_rollout_costs(system, cost, [[0.0]], w).sum()
     assert abs(value - ref) < 1e-10
@@ -941,7 +957,8 @@ def _check_best_linear_is_stationary(seed, d_x, d_u, with_target, mode):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K_star, value = best_linear_in_hindsight(system, cost, w, x0, max_iter=200)
+        K_star, costs = best_linear_in_hindsight(system, cost, w, x0, max_iter=200)
+        value = costs.sum()
     total = linear_rollout_costs(system, cost, K_star, w, x0).sum()
     assert value == pytest.approx(total, rel=1e-12)
     rng = np.random.default_rng(seed)
@@ -961,7 +978,8 @@ def test_best_linear_b747_long_horizon_without_warnings():
     A, B, _ = bp.system.matrices(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K_star, value = best_linear_in_hindsight(bp.system, bp.cost, w)
+        K_star, costs = best_linear_in_hindsight(bp.system, bp.cost, w)
+        value = costs.sum()
         total = linear_rollout_costs(bp.system, bp.cost, K_star, w).sum()
         dare_total = linear_rollout_costs(
             bp.system, bp.cost, dare_solve(A, B, bp.cost.Q, bp.cost.R).K, w
@@ -986,6 +1004,62 @@ def test_comparator_input_validation():
     except ConfigurationError:
         pass
 
+
+
+@pytest.mark.parametrize("kind", ["dac", "drc", "linear"])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("mode", ["time-invariant", "fresh", "in-place"])
+def test_comparator_costs_are_one_rollout_of_its_answer(kind, exact, mode):
+    # A quadratic cost takes the exact path, its callable twin the Newton
+    # path; the providers make the system time-varying.  Either way the
+    # costs returned are those of the public rollout of the answer, bit for bit.
+    observe = kind == "drc"
+    if mode == "time-invariant":
+        problem = _random_comparator_problem(5, 2, 1, 2, 60, observe, True, False)
+    else:
+        problem = _time_varying_problem(5, 2, 1, 2, 60, observe, observe, True, mode)
+    system, cost, K, w, x0 = problem
+    cost = cost if exact else _callable(cost)
+    if kind == "dac":
+        Ms, costs = best_dac_in_hindsight(system, cost, K, w, 2, x0)
+        expected = dac_rollout_costs(system, cost, K, Ms, w, x0)
+    elif kind == "drc":
+        Ms, costs = best_drc_in_hindsight(system, cost, w, 2, x0)
+        expected = drc_rollout_costs(system, cost, Ms, w, x0)
+    else:
+        K_star, costs = best_linear_in_hindsight(system, cost, w, x0, max_iter=200)
+        expected = linear_rollout_costs(system, cost, K_star, w, x0)
+    assert costs.shape == (60,)
+    assert np.array_equal(costs, expected)
+
+
+@pytest.mark.parametrize("controller, comparator, closed_loops", [
+    ("lqr", "best-dac", 1),
+    ("grc", "best-drc", 2),
+])
+def test_report_rolls_a_fitted_comparator_out_once(controller, comparator, closed_loops):
+    # The exact comparator prices its answer with one rollout and the report
+    # takes those costs; best-drc's one natural-observation sweep serves
+    # both its pass and that rollout.
+    config = config_from_preset("scalar-0.9", {"kind": controller}, 300,
+                                comparator={"kind": comparator})
+    with mock.patch.object(harness, "_policy_rollout_costs",
+                           wraps=harness._policy_rollout_costs) as rollouts, \
+            mock.patch.object(harness, "_closed_loop", wraps=harness._closed_loop) as sweeps:
+        run_experiment(config)
+    assert rollouts.call_count == 1
+    assert sweeps.call_count == closed_loops
+
+
+def test_diverging_comparator_rollout_is_a_typed_error():
+    # LQR holds the pendulum upright, but the zero comparator's rollout
+    # falls, and its cost leaves the floats at step 2453.
+    config = config_from_preset("pendulum", {"kind": "lqr"}, 5000, comparator={"kind": "zero"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError,
+                           match="comparator rollout's cost is non-finite at t=2453"):
+            run_experiment(config)
 
 # ---------------------------------------------------------------------------
 # Regret reports and artifacts

@@ -10,12 +10,14 @@ and the one-draw excitation are checked bit for bit against per-step loops.
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nscontrol import harness
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import component_seed
 from nscontrol.lds_core import LinearSystem, PerturbationSource, QuadraticCost
@@ -488,6 +490,16 @@ def test_pipeline_replay_is_bit_for_bit():
     # Zero noise and k = d_x: recovery is numerically exact, so the
     # residual vanishes.
     assert identified.residual < 1e-10
+
+
+def test_pipeline_rolls_its_comparator_out_once():
+    # The comparator's own rollout gives the report its costs.
+    system = LinearSystem.time_invariant([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.3]])
+    cost = QuadraticCost(Q=np.eye(2), R=np.eye(1))
+    with mock.patch.object(harness, "_policy_rollout_costs",
+                           wraps=harness._policy_rollout_costs) as rollouts:
+        identify_then_control(BlackBoxSystem(system, seed=4), 400, cost, k=2, h=4, seed=4)
+    assert rollouts.call_count == 1
 
 
 def test_pipeline_average_regret_decreases_with_budget():
