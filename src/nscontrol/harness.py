@@ -998,13 +998,16 @@ def _build_controller(config: ScenarioConfig) -> tuple:
 
 def _learner_diagnostics(learner: object) -> dict:
     """The summary fields of a GPC or GRC learner after its run: the number
-    of OGD steps, of those the projection onto the ball scaled, and the step
-    size of the last one (None if no step was taken)."""
+    of OGD steps, of those the projection onto the ball scaled, the step
+    size of the last one, the sum of the squared gradient norms and the
+    largest gradient norm (the last two None if no step was taken)."""
     ogd = learner.ogd
     return {
         "ogd_steps": ogd.t,
         "ogd_projected_steps": learner.projected_steps,
         "ogd_last_step_size": ogd.step_size(ogd.t) if ogd.t else None,
+        "ogd_grad_norm_sq_sum": float(learner.grad_norm_sq_sum) if ogd.t else None,
+        "ogd_grad_norm_max": float(learner.grad_norm_max) if ogd.t else None,
     }
 
 

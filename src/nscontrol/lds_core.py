@@ -432,6 +432,12 @@ class QuadraticCost:
     The half gradients ``(Q (z - x*), R u)`` are formed block by block, so
     each row is bitwise ``Q.dot(z - x*)`` and ``R.dot(u)``; a product with
     ``W`` is not.
+
+    The online learners (:mod:`~nscontrol.online_control`) call none of
+    these methods: they price their one counterfactual pair ``v`` a step
+    from the read-only ``_W`` and ``target`` themselves, half gradient ``W
+    (v - v*)`` and value ``(v - v*) . W (v - v*)`` with ``v* = (x*, 0)``,
+    which is cheaper than a ``stage`` call and agrees with it to rounding.
     """
 
     Q: np.ndarray

@@ -33,7 +33,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .lds_core import _as_matrix, _as_vector, _finite_vector, _whole, spectral_radius
+from .lds_core import (
+    QuadraticCost, _as_matrix, _as_vector, _finite_vector, _whole, spectral_radius,
+)
 
 __all__ = [
     "OGDState",
@@ -48,6 +50,8 @@ __all__ = [
 #: Default window length ``h`` of both learners, and the depth a hindsight
 #: comparator falls back to when neither it nor the controller names one.
 DEFAULT_H = 5
+
+_FLOAT = np.dtype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +133,10 @@ def _ogd_step(state: OGDState, g: np.ndarray, factor: float = 1.0) -> tuple:
     """:func:`ogd_update` on the gradient ``factor * g``, for a flat float
     ``g`` of the point's shape and a power of two ``factor``, which the step
     size takes up exactly: the new point is bitwise the one the gradient
-    itself gives.  Returns the new state, ``||factor * g||``, the step size
+    itself gives.  Returns the new state, ``||factor * g||^2``, the step size
     ``eta`` it took, and the norm of the new point, or None when the
     projection scaled the point (or there is no ball).  The entries are
-    scanned only when ``||factor * g||`` is not finite."""
+    scanned only when ``||factor * g||^2`` is not finite."""
     gg = g.dot(g) * (factor * factor)
     if gg < 2.0**-900 and factor != 1.0:
         # Near the subnormals g.g has lost bits that the scaled sum keeps.
@@ -150,7 +154,7 @@ def _ogd_step(state: OGDState, g: np.ndarray, factor: float = 1.0) -> tuple:
         if norm > state.radius:
             y *= state.radius / norm
             norm = None
-    return state._successor(y, t_next), math.sqrt(gg), eta, norm
+    return state._successor(y, t_next), gg, eta, norm
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +244,8 @@ class _DisturbanceFeedback:
     """Parameters, OGD iterate, sensitivity and the whole learner step of a
     learner that plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a
     signal ``s`` (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0).  ``act`` records
-    ``_last = (t, offset, u_t, K, ...)``.
+    ``_last = (t, offset, ...)``, the rest the subclass's own (GPC: ``K_t``
+    and ``[x_t; u_t]``; GRC: ``ynat_t . ynat_t``).
 
     The OGD point ``m`` holds the parameters in ``(d_u, len(Ms), d_s)``
     order, the order of the comparators' blocks; ``Ms`` is the ``(len(Ms),
@@ -262,42 +267,54 @@ class _DisturbanceFeedback:
     ``harness._policy_pass`` steps its ``[Phi_t | x_t(0)]``: the learner
     holds the stack ``Y_t = [J_t | c_t; S_t | 0; 0 | 1]``, so that one
     product ``Y_t [m; 1] = [x_t(M); u_t(M); 1]`` gives the counterfactual
-    pair and one product ``[F_t | B_t | w_t] Y_t`` gives ``[J_{t+1} |
-    c_{t+1}]``.
+    state and action and one product ``[F_t | B_t | w_t] Y_t`` gives
+    ``[J_{t+1} | c_{t+1}]``.
 
     GRC has ``F_t = A_t`` and no drift (``c = 0``).  Its last column holds
     instead the state ``z_t`` that the controls played would have produced
     without the perturbations, ``z_0 = 0``, beside the control ``u_t``
     played at ``t``: ``Y_t = [J_t | z_t; S_t | u_t]``.  Nature's y is then
-    ``ynat_t = y_t - C_t z_t``, ``Y_t [m; 0]`` gives the counterfactual pair,
-    and the one product ``[A_t | B_t] Y_t = [J_{t+1} | z_{t+1}]`` steps
-    both recursions, since ``z_{t+1} = A_t z_t + B_t u_t`` shares ``A_t``
-    with ``J``.
+    ``ynat_t = y_t - C_t z_t``, ``Y_t [m; 0]`` gives the counterfactual state
+    and action, and the one product ``[A_t | B_t] Y_t = [J_{t+1} |
+    z_{t+1}]`` steps both recursions, since ``z_{t+1} = A_t z_t + B_t u_t``
+    shares ``A_t`` with ``J``.
 
-    The cost sees ``z = offset + C x(M)`` and ``u = u(M) + K x(M)`` (``C``
-    given at query and update time, None for the identity); with its half
-    gradient ``(g_z, g_u)`` the loss has the half gradient ``[v; g_u]'
-    [J_t; S_t]`` in point order, ``v = C' g_z + K' g_u``, and the OGD step
-    takes the factor 2 in its step size, which is exact.
+    The cost sees the pair ``r = P [x(M); u(M)]``, plus GRC's offset
+    ``ynat_t`` in its first ``d_y`` entries, through one output map ``P``
+    per dynamics: ``[[I, 0], [K_t, I]]`` for GPC, whose pair is ``(x(M),
+    u(M) + K_t x(M))``, and ``[[C_t, 0], [0, I]]`` for GRC (``C_t = None``:
+    the identity).  With the cost's half gradient ``h`` at ``r``, the loss
+    has the half gradient ``(h P) [J_t; S_t]`` in point order, and the OGD
+    step takes the factor 2 in its step size, which is exact.  A
+    :class:`~nscontrol.lds_core.QuadraticCost` is priced from its constant
+    half Hessian ``W = blockdiag(Q, R)``: ``h = W (r - v*)`` and the loss
+    ``(r - v*) . h``, ``v* = (x*, 0)``; any other cost by one ``stage``
+    call.
 
     ``Y`` and a spare of it are allocated once, ``(d_x + d_u + 1, p + 1)``
     for GPC and ``(d_x + d_u, p + 1)`` for GRC, ``p = d_u len(Ms) d_s``:
     each step writes ``[J_{t+1} | c_{t+1}]`` (GRC: ``[J_{t+1} | z_{t+1}]``)
     into the spare with ``np.dot(..., out=...)`` and swaps the two, and each
     new window writes ``S_t``'s nonzero blocks through a strided view.  A
-    step costs about ``d_x^2 p`` flops on any horizon and any plant.  A
-    Markov stack truncated at depth ``H`` costs about ``H w d_x^2``, with
-    ``w = d_u + 1`` for GPC and ``d_u`` for GRC, so the recursion is the
-    cheaper one whenever ``len(Ms) d_s d_u < H w``: ``p`` = 64 against 108
-    for GPC ``h = 8`` on b747 (``H`` = 36), and 7 against 151 for GRC ``h =
-    6`` on scalar-0.9 (``H`` = 151).  A wide system with a long window and a
-    fast-decaying loop could favour the stack, which is exact only up to its
-    depth.
+    step costs about ``d_x^2 p`` flops on any horizon and any plant, plus a
+    fixed cost of about 30 numpy calls on vectors and small matrices, ``act``
+    and ``update`` together: six products price the loss and its gradient
+    (``[J; S] [m; 1]``, ``P``, ``W``, the loss, ``h P`` and ``(h P) [J;
+    S]``), about ten make the OGD step and its checks, and the rest the
+    control, the recovered signal, the content check of the dynamics, the
+    stack step and the new window.  A Markov stack truncated at depth ``H``
+    costs about ``H w d_x^2``, with ``w = d_u + 1`` for GPC and ``d_u`` for
+    GRC, so the recursion is the cheaper one whenever ``len(Ms) d_s d_u < H
+    w``: ``p`` = 64 against 108 for GPC ``h = 8`` on b747 (``H`` = 36), and
+    7 against 151 for GRC ``h = 6`` on scalar-0.9 (``H`` = 151).  A wide
+    system with a long window and a fast-decaying loop could favour the
+    stack, which is exact only up to its depth.
 
     ``update`` validates the dynamics matrices, their shapes included, and
-    derives what the subclass needs of them, only when their content differs
-    from the last validated ones: the comparison is by shape and bytes, so a
-    matrix mutated in place is validated again.
+    derives ``P`` and what else the subclass needs of them, only when their
+    content differs from the last validated ones: the comparison is by shape
+    and bytes, read in place from float64 arrays, so a matrix mutated in
+    place is validated again.
     """
 
     #: Telemetry key of the norm of the signal recorded at each update.
@@ -319,6 +336,8 @@ class _DisturbanceFeedback:
         )
         self.Ms = self._stacked(self.ogd.point)
         self.projected_steps = 0
+        #: Sum of ``||g_t||^2`` and largest ``||g_t||`` over the OGD steps.
+        self.grad_norm_sq_sum, self.grad_norm_max = 0.0, 0.0
         self.telemetry: list = []
         self._last: Optional[tuple] = None
         self._dynamics_key: Optional[tuple] = None
@@ -359,14 +378,9 @@ class _DisturbanceFeedback:
         return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
 
     def _validated(self, A_t: object, B_t: object, extra: object) -> tuple:
-        """The subclass's ``(C, [F_t | B_t (| w_t)], ...)``, derived only when
+        """The subclass's ``(P, [F_t | B_t (| w_t)], ...)``, derived only when
         the shapes or bytes of ``(A_t, B_t, extra)`` differ from the last call's."""
-        A_t = np.asarray(A_t, dtype=float)
-        B_t = np.asarray(B_t, dtype=float)
-        key = (A_t.shape, A_t.tobytes(), B_t.shape, B_t.tobytes())
-        if extra is not None:
-            extra = np.asarray(extra, dtype=float)
-            key += (extra.shape, extra.tobytes())
+        key = (*_content(A_t), *_content(B_t), *_content(extra))
         if key != self._dynamics_key:
             A_t = _as_matrix(A_t, "A_t", (self.d_x, self.d_x))
             B_t = _as_matrix(B_t, "B_t", (self.d_x, self.d_u))
@@ -390,31 +404,39 @@ class _DisturbanceFeedback:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
         return self._window.dot(self._Mt)
 
-    def _counterfactual(self, C: Optional[np.ndarray]) -> tuple:
-        """``(z_t(M), u_t(M))`` at the parameters now held."""
-        _, offset, _, K = self._acted()[:4]
+    def _counterfactual(self, P: np.ndarray) -> np.ndarray:
+        """The pair ``r = (z_t(M), u_t(M))`` at the parameters now held, as
+        one vector."""
+        offset = self._acted()[1]
         self._m_blocks[...] = self._Mt.T
-        xu = self._stack.JS.dot(self._m)
-        x, u = xu[: self.d_x], xu[self.d_x :]
-        z = x if C is None else C.dot(x)
-        return (z if offset is None else offset + z), (u if K is None else K.dot(x) + u)
+        r = P.dot(self._stack.JS.dot(self._m))
+        if offset is not None:
+            r[: self._d_s] += offset
+        return r
 
-    def _loss_and_half_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
+    def _pair(self, P: np.ndarray) -> tuple:
+        """``counterfactuals()``: the pair as two vectors."""
+        r = self._counterfactual(P)
+        return r[: self._d_s], r[self._d_s :]
+
+    def _loss_and_half_gradient(self, cost: object, P: np.ndarray) -> tuple:
         """Counterfactual loss and half its flat gradient in point order,
-        pulled back through the output map."""
-        z, u = self._counterfactual(C)
-        t, _, _, K = self._last[:4]
-        loss, half_grad = _resolve_cost(cost, t).stage(z, u)
-        gz, gu = half_grad[: len(z)], half_grad[len(z) :]
-        v = gz if C is None else C.T.dot(gz)
-        if K is not None:
-            v = v + K.T.dot(gu)
-        return loss, np.concatenate((v, gu)).dot(self._stack.JS)[: self._p]
+        pulled back through the output map ``P``."""
+        r = self._counterfactual(P)
+        cost = _resolve_cost(cost, self._last[0])
+        if isinstance(cost, QuadraticCost):  # a constant half Hessian
+            if cost.target is not None:
+                r[: self._d_s] -= cost.target
+            half_grad = cost._W.dot(r)
+            loss = r.dot(half_grad)
+        else:
+            loss, half_grad = cost.stage(r[: self._d_s], r[self._d_s :])
+        return loss, half_grad.dot(P).dot(self._stack.JS)[: self._p]
 
-    def _stacked_loss_and_gradient(self, cost: object, C: Optional[np.ndarray]) -> tuple:
+    def _stacked_loss_and_gradient(self, cost: object, P: np.ndarray) -> tuple:
         """``loss_and_gradient``: the gradient shaped like ``Ms``, twice the
         half gradient (exactly)."""
-        loss, half_grad = self._loss_and_half_gradient(cost, C)
+        loss, half_grad = self._loss_and_half_gradient(cost, P)
         return loss, self._stacked(half_grad + half_grad)
 
     def _step(self, t: int, cost: object, dynamics: tuple, signal_norm: float,
@@ -425,10 +447,11 @@ class _DisturbanceFeedback:
         ``s_t`` and, for GPC, the ``drift`` w, which goes into the last column
         of the cached ``[F_t | B_t | w_t]``.  Raises EvaluationError if the
         new iterate left the ball or moved further than ``eta * ||g||``."""
-        C, FE = dynamics[:2]
-        loss, half_grad = self._loss_and_half_gradient(cost, C)
+        P, FE = dynamics[:2]
+        loss, half_grad = self._loss_and_half_gradient(cost, P)
         state = self.ogd
-        self.ogd, grad_norm, eta, M_norm = _ogd_step(state, half_grad, 2.0)
+        self.ogd, gg, eta, M_norm = _ogd_step(state, half_grad, 2.0)
+        grad_norm = math.sqrt(gg)
         point = self.ogd.point
         if M_norm is None:  # the projection scaled the point
             self.projected_steps += 1
@@ -442,6 +465,8 @@ class _DisturbanceFeedback:
         if math.sqrt(moved.dot(moved)) > step + 1e-12 * (1.0 + M_norm + step):
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
         self._Ms, self._Mt = None, point.reshape(self.d_u, -1).T  # Ms when read
+        self.grad_norm_sq_sum += gg
+        self.grad_norm_max = max(self.grad_norm_max, grad_norm)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: signal_norm, "grad_norm": grad_norm})
         if drift is not None:
@@ -457,6 +482,16 @@ class _DisturbanceFeedback:
         window[d_s:] = window[:-d_s]
         window[:d_s] = signal
         self._stack.S_blocks[...] = window
+
+
+def _content(M: object) -> tuple:
+    """``(shape, bytes)`` of ``M`` as a float array, read in place when it is
+    a float64 ndarray already; ``()`` for None."""
+    if M is None:
+        return ()
+    if type(M) is not np.ndarray or M.dtype is not _FLOAT:
+        M = np.asarray(M, dtype=float)
+    return M.shape, M.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +514,21 @@ class GPCController(_DisturbanceFeedback):
     defaults live here alone.  The counterfactual ``x_t(M)`` is exact on
     any horizon: it is stepped as ``J_t m + c_t`` (see
     :class:`_DisturbanceFeedback`) in about ``d_x^2 p`` flops a step, ``p =
-    h d_x d_u``.  Each update appends a telemetry dict to
-    ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
-    loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
-    and ``grad_norm``, and ``self.projected_steps`` counts the steps whose
-    projection onto the ball scaled the point.  The played cost ``c_t(x_t,
-    u_t)`` is not repeated there: it is ``Trajectory.costs[t]`` under
-    :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the array that
-    :func:`~nscontrol.sysid.control_with_model` returns.
+    h d_x d_u``, plus a fixed cost of about 30 small numpy calls for ``act``
+    and ``update`` together.  The cost sees ``(x(M), u(M) + K_t x(M)) = P
+    [x(M); u(M)]`` through the output map ``P = [[I, 0], [K_t, I]]``, built
+    with ``[F_t | B_t | w_t]`` whenever the content of ``(A_t, B_t, K_t)``
+    changes, and a :class:`~nscontrol.lds_core.QuadraticCost` is priced
+    from its own half Hessian, with no ``stage`` call.  Each update appends
+    a telemetry dict to ``self.telemetry`` with the keys ``t``, ``loss``
+    (the counterfactual loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the
+    step), ``w_norm`` and ``grad_norm``; ``self.projected_steps`` counts
+    the steps whose projection onto the ball scaled the point, and
+    ``self.grad_norm_sq_sum`` and ``self.grad_norm_max`` hold the sum of
+    the squared gradient norms and the largest one.  The played cost
+    ``c_t(x_t, u_t)`` is not repeated there: it is ``Trajectory.costs[t]``
+    under :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the
+    array that :func:`~nscontrol.sysid.control_with_model` returns.
 
     Parameters
     ----------
@@ -540,31 +582,37 @@ class GPCController(_DisturbanceFeedback):
         x = _as_vector(x, self.d_x, "x")
         K_t = self.gain(t)
         u = K_t.dot(x) + self._feedback()
-        xu = np.concatenate((x, u))
-        self._last = (t, None, xu[self.d_x :], K_t, xu)
+        self._last = (t, None, K_t, np.concatenate((x, u)))
         return u
+
+    def _output_map(self, K_t: np.ndarray) -> np.ndarray:
+        """``P = [[I, 0], [K_t, I]]``: ``(x(M), u(M))`` to the pair ``(x(M),
+        u(M) + K_t x(M))`` the cost sees."""
+        return np.block([[np.eye(self.d_x), np.zeros((self.d_x, self.d_u))],
+                         [K_t, np.eye(self.d_u)]])
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, K_t: np.ndarray) -> tuple:
         FBw = np.concatenate((A_t + B_t @ K_t, B_t, np.zeros((self.d_x, 1))), axis=1)
-        return None, FBw, np.concatenate((A_t, B_t), axis=1)  # w_t goes into FBw per step
+        # w_t goes into FBw per step.
+        return self._output_map(K_t), FBw, np.concatenate((A_t, B_t), axis=1)
 
     def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
         parameters now held."""
-        return self._counterfactual(None)
+        return self._pair(self._output_map(self._acted()[2]))
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient, shaped like ``Ms``.  Valid between act() and
         update()."""
-        return self._stacked_loss_and_gradient(cost, None)
+        return self._stacked_loss_and_gradient(cost, self._output_map(self._acted()[2]))
 
     def update(self, t: int, A_t: object, B_t: object, x_next: object, cost: object) -> np.ndarray:
         """Recover ``w_t``, take the OGD step on ``l_t``, advance ``[J | c]``.
 
         Returns the recovered perturbation ``w_t``.
         """
-        K_t, xu = self._turn(t)[3:]
+        K_t, xu = self._turn(t)[2:]
         dynamics = self._validated(A_t, B_t, K_t)
         w_t = _as_vector(x_next, self.d_x, "x_next") - dynamics[2].dot(xu)
         ww = w_t.dot(w_t)
@@ -625,7 +673,10 @@ class GRCController(_DisturbanceFeedback):
     same defaults.  Each update appends a telemetry dict to
     ``self.telemetry`` with the keys ``t``, ``loss``, ``M_norm``,
     ``ynat_norm`` and ``grad_norm``; the played cost is not among them.
-    ``self.projected_steps`` counts projected steps as for GPC.
+    ``self.projected_steps``, ``self.grad_norm_sq_sum`` and
+    ``self.grad_norm_max`` are kept as for GPC.  A non-finite ``y`` gives
+    a non-finite control, NaN where a zero block meets an inf entry,
+    without an invalid-value warning.
     """
 
     _signal_key = "ynat_norm"
@@ -663,33 +714,47 @@ class GRCController(_DisturbanceFeedback):
         z = Y[: self.d_x, -1]
         ynat = _as_vector(y, self.d_y, "y") - (z if C_t is None else C_t.dot(z))
         self._push(ynat)
-        u = self._feedback()
+        ynat_sq = ynat.dot(ynat)
+        if math.isfinite(ynat_sq):
+            u = self._feedback()
+        else:  # a zero block times an inf entry gives the NaN control, unwarned
+            with np.errstate(invalid="ignore"):
+                u = self._feedback()
         Y[self.d_x :, -1] = u
-        self._last = (t, ynat, u, None)
+        self._last = (t, ynat, ynat_sq)
         return u
 
-    def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[np.ndarray]) -> tuple:
+    def _output_map(self, C_t: Optional[object]) -> np.ndarray:
+        """``P = [[C_t, 0], [0, I]]`` for ``C_t`` checked by :meth:`_output`
+        (None: the identity): ``(x(M), u(M))`` to the pair ``(C_t x(M),
+        u(M))``, which the offset ``ynat_t`` makes the cost's."""
         C_t = self._output(C_t)
+        C_t = np.eye(self.d_x) if C_t is None else C_t
+        return np.block([[C_t, np.zeros((self.d_y, self.d_u))],
+                         [np.zeros((self.d_u, self.d_x)), np.eye(self.d_u)]])
+
+    def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[object]) -> tuple:
+        P = self._output_map(C_t)
         if spectral_radius(A_t) >= 1.0:
             raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
-        return C_t, np.concatenate((A_t, B_t), axis=1)
+        return P, np.concatenate((A_t, B_t), axis=1)
 
     def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
         valid between act() and update()."""
-        return self._counterfactual(self._output(C_t))
+        return self._pair(self._output_map(C_t))
 
     def loss_and_gradient(self, cost: object,
                           C_t: Optional[object] = None) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient, shaped like ``Ms``.  Valid between act() and
         update()."""
-        return self._stacked_loss_and_gradient(cost, self._output(C_t))
+        return self._stacked_loss_and_gradient(cost, self._output_map(C_t))
 
     def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
         """Take the OGD step on ``l_t``, advance ``J`` and ``z``."""
-        ynat = self._turn(t)[1]
-        self._step(t, cost, self._validated(A_t, B_t, C_t), math.sqrt(ynat.dot(ynat)))
+        ynat_sq = self._turn(t)[2]
+        self._step(t, cost, self._validated(A_t, B_t, C_t), math.sqrt(ynat_sq))
 
 
 def grc_runner(

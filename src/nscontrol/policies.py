@@ -292,9 +292,12 @@ class _WindowPolicy:
         return u
 
     def _play(self, s: np.ndarray) -> np.ndarray:
-        """Push ``s`` as the newest signal and sum the window from zeros."""
+        """Push ``s`` as the newest signal and sum the window from zeros.  A
+        non-finite signal is carried to the control: a zero block times an
+        inf entry gives NaN there, without an invalid-value warning."""
         self._window.appendleft(np.asarray(s, dtype=float))
-        return self._sum(self._window)
+        with np.errstate(invalid="ignore"):
+            return self._sum(self._window)
 
     def reset(self) -> None:
         self._window.clear()

@@ -151,14 +151,6 @@ def _box(**kw) -> BlackBoxSystem:
     return BlackBoxSystem(SYSTEM, PerturbationSource.gaussian(0.1), seed=1, **kw)
 
 
-def _grc_holding_ones() -> GRCController:
-    """A GRC learner whose held blocks are ones, like the policies' cases: an
-    inf signal times a zero block would warn."""
-    controller = GRCController(2, 1, 1)
-    controller.Ms = np.ones_like(controller.Ms)
-    return controller
-
-
 def _acted(controller, *signals):
     """``controller`` after a valid ``act(0, *signals)``, ready for
     ``update(0, ...)``."""
@@ -237,7 +229,8 @@ CASES = {
         {"A_t": (A, "col"), "B_t": (B, "row"), "x_next": (np.ones(2), "col")}),
     "GRCController": Case(GRCController, {},
                           {"d_x": (2, 1), "d_u": (1, 1), "d_y": (1, 1), "h": (3, 0)}),
-    "GRCController.act": Case(lambda **kw: _grc_holding_ones().act(0, **kw),
+    # A fresh learner holds zero blocks, which an inf signal meets.
+    "GRCController.act": Case(lambda **kw: GRCController(2, 1, 1).act(0, **kw),
                               _cols(y=np.ones(1), C_t=C), carries=("y",), shape=(1,)),
     "GRCController.update": Case(
         lambda **kw: _acted(GRCController(2, 1, 1), np.ones(1), C).update(0, cost=COST_Y, **kw),
@@ -345,6 +338,9 @@ CASES = {
     "DRCPolicy": Case(DRCPolicy, _cols(Ms=[np.ones((1, 1))] * 2), {"d_x": (2, 1)}),
     "DRCPolicy.act_ynat": Case(lambda **kw: DRCPolicy([np.ones((1, 1))] * 2, 2).act_ynat(**kw),
                                _cols(ynat=np.ones(1)), carries=("ynat",), shape=(1,)),
+    "DRCPolicy.act_ynat_zero_blocks": Case(
+        lambda **kw: DRCPolicy([np.zeros((1, 1))] * 2, 2).act_ynat(**kw),
+        _cols(ynat=np.ones(1)), carries=("ynat",), shape=(1,)),
     "NaturesYTracker": Case(NaturesYTracker, {}, {"d_x": (2, 1)}),
     "natures_y_step": Case(
         lambda **kw: natures_y_step(NaturesYTracker(2), **kw),

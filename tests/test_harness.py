@@ -1214,6 +1214,26 @@ def test_run_experiment_gpc_deterministic_artifacts():
         assert b1 == b2
 
 
+def _radius_zero_gradient_norms(kind, steps):
+    """The gradient norms of the learners of the test below at radius 0, by
+    hand.  Their blocks stay 0, so the pair is the drift and no control,
+    and the gradient is twice the drift times the sensitivity of the state
+    to each block, which grows as 0.9 J + s once the block's lag reaches a
+    signal.  GPC (K = 0, blocks at lags 1 and 2): the drift is c_t = sum of
+    0.9^k w = 1 - 0.9^t under w = 0.1, and the signal is w = 0.1.  GRC
+    (blocks at lags 0 to 2): with no control x_t = 1 for every t, so nature's
+    y, the drift and the signal are all 1."""
+    lags = (1, 2) if kind == "gpc" else (0, 1, 2)
+    signal = 0.1 if kind == "gpc" else 1.0
+    drift, J, norms = 0.0 if kind == "gpc" else 1.0, [0.0] * len(lags), []
+    for t in range(steps):
+        norms.append(math.sqrt(sum((2.0 * drift * j) ** 2 for j in J)))
+        J = [0.9 * j + (signal if t >= lag else 0.0) for j, lag in zip(J, lags)]
+        if kind == "gpc":
+            drift = 0.9 * drift + 0.1
+    return norms
+
+
 @pytest.mark.parametrize("kind", ["gpc", "grc"])
 def test_run_experiment_reports_learner_diagnostics(kind, tmp_path):
     # scalar-0.9 (x0 = 1) under w = 0.1, GPC with K = 0.  GPC steps at t =
@@ -1223,6 +1243,7 @@ def test_run_experiment_reports_learner_diagnostics(kind, tmp_path):
     # later step leaves the ball and is projected; under radius 1e6 none is.
     T = 40
     steps, silent = (T - 1, 2) if kind == "gpc" else (T, 1)
+    norms = _radius_zero_gradient_norms(kind, steps)
     for radius, projected in ((1e6, 0), (0.0, steps - silent)):
         spec = {"kind": kind, "h": 2, "radius": radius, "step_size": 0.001}
         if kind == "gpc":
@@ -1234,10 +1255,18 @@ def test_run_experiment_reports_learner_diagnostics(kind, tmp_path):
         summary = read_json_summary(str(out / "summary.json"))
         for key, value in report.extras.items():
             assert summary[key] == value
-        assert sorted(report.extras) == ["ogd_last_step_size", "ogd_projected_steps", "ogd_steps"]
+        assert sorted(report.extras) == ["ogd_grad_norm_max", "ogd_grad_norm_sq_sum",
+                                         "ogd_last_step_size", "ogd_projected_steps",
+                                         "ogd_steps"]
         assert report.extras["ogd_steps"] == steps
         assert report.extras["ogd_projected_steps"] == projected
         assert report.extras["ogd_last_step_size"] == 0.001 / math.sqrt(steps)
+        grad_sq, grad_max = (report.extras[key] for key in ("ogd_grad_norm_sq_sum",
+                                                             "ogd_grad_norm_max"))
+        if radius == 0.0:
+            assert grad_sq == pytest.approx(sum(n * n for n in norms), rel=1e-12)
+            assert grad_max == pytest.approx(max(norms), rel=1e-12)
+        assert 0.0 < grad_max * grad_max <= grad_sq
     # The fixed policies have no learner to report on.
     report = run_experiment(config_from_preset("scalar-0.9", controller={"kind": "lqr"},
                                                horizon=T, comparator={"kind": "none"}))

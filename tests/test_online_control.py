@@ -830,7 +830,7 @@ def _escaping_ogd(offset):
         point = np.zeros_like(state.point)
         point[0] = offset
         new = OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
-        return new, factor * math.sqrt(gradient.dot(gradient)), new.step_size(new.t), offset
+        return new, factor * factor * gradient.dot(gradient), new.step_size(new.t), offset
 
     return fake
 
@@ -1180,10 +1180,17 @@ def test_grc_natures_y_matches_a_zero_control_rollout(seed, d_x, d_u, d_y, h, T,
 
 def _callable_twin(cost):
     """``cost`` as a :class:`CallableCost`, whose ``stage`` calls its value
-    and gradient functions row by row."""
-    Q, R = cost.Q, cost.R
-    return CallableCost(lambda z, u: z @ Q @ z + u @ R @ u,
-                        lambda z, u: 2.0 * (Q @ z), lambda z, u: 2.0 * (R @ u))
+    and gradient functions row by row.  They price ``d = (z - x*, u)`` with
+    the cost's half Hessian ``W``, as the learners price a QuadraticCost:
+    the two paths then round alike.  A rounding difference between them
+    would grow in the closed loop far beyond 1e-12 where ``eta`` times the
+    loss's Hessian exceeds 2, as it does on these plants."""
+    W, d_z = cost.half_hessians(None, None), len(cost.Q)
+    target = np.zeros(d_z) if cost.target is None else cost.target
+    offset = lambda z, u: np.concatenate((z - target, u))
+    return CallableCost(lambda z, u: offset(z, u).dot(W.dot(offset(z, u))),
+                        lambda z, u: 2.0 * W.dot(offset(z, u))[:d_z],
+                        lambda z, u: 2.0 * W.dot(offset(z, u))[d_z:])
 
 
 def _assert_twins_agree(quadratic, callable_, cost, twin, *C):
@@ -1304,6 +1311,162 @@ def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, T)
     _assert_gradient_matches_fd(learners[1], grad, loss_at)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gpc", "grc"]),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    d_y=st.integers(1, 3),
+    h=st.integers(1, 4),
+    T=st.integers(2, 30),
+    with_target=st.booleans(),
+    with_C=st.booleans(),
+    provided_K=st.booleans(),
+)
+def test_quadratic_cost_path_matches_the_stage_path_in_closed_loop(
+        seed, kind, d_x, d_u, d_y, h, T, with_target, with_C, provided_K):
+    # The learners price a QuadraticCost from its half Hessian W, and any
+    # other cost by stage().  Run in closed loop on a random time-varying
+    # plant against the CallableCost twin of the same cost, with a target or
+    # without, GPC under a fixed or a provided gain, GRC observing through
+    # C_t or the state (C_t = None), the two learners' telemetry losses and
+    # gradient norms and their final points agree to 1e-12 relative.
+    rng = np.random.default_rng(seed)
+    d_y = d_y if kind == "grc" and with_C else d_x
+    A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
+    B0, B1 = rng.normal(size=(d_x, d_u)), 0.2 * rng.normal(size=(d_x, d_u))
+    C0, K0 = rng.normal(size=(d_y, d_x)), 0.1 * rng.normal(size=(d_u, d_x))
+    with_C = kind == "grc" and with_C
+
+    def matrices(t):
+        A_t = _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
+        C_t = (1.0 + 0.2 * np.sin(0.3 * t)) * C0 if with_C else None
+        return A_t, B0 + np.cos(0.5 * t) * B1, C_t
+
+    system = LinearSystem.time_varying(matrices, d_x, d_u, d_y)
+    L = rng.normal(size=(d_y, d_y))
+    cost = QuadraticCost(Q=L @ L.T + 0.1 * np.eye(d_y), R=np.eye(d_u),
+                         target=rng.normal(size=d_y) if with_target else None)
+    twin = _callable_twin(cost)
+    ws = PerturbationSource.recorded(rng.uniform(-1, 1, size=(T, d_x)))
+    # The learners take their costs from the runners; simulate prices the
+    # played states, which GRC's observation cost does not fit.
+    silent = CallableCost(fn=lambda x, u: 0.0, gx=None, gu=None)
+    learners = []
+    for c in (cost, twin):
+        if kind == "gpc":
+            K = (lambda t: (1.0 + 0.2 * np.sin(t)) * K0) if provided_K else K0
+            learner = GPCController(d_x, d_u, K, h=h, radius=2.0, step_size=0.05)
+            runner = gpc_runner(learner, system, c)
+        else:
+            learner = GRCController(d_x, d_u, d_y, h=h, radius=2.0, step_size=0.05)
+            runner = grc_runner(learner, system, c)
+        simulate(system, runner, ws, silent, T, x0=np.ones(d_x))
+        learners.append(learner)
+    quadratic, callable_ = learners
+    assert len(quadratic.telemetry) == len(callable_.telemetry) > 0
+    for key in ("loss", "grad_norm"):
+        got = np.array([row[key] for row in quadratic.telemetry])
+        want = np.array([row[key] for row in callable_.telemetry])
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+    point = callable_.ogd.point
+    assert np.allclose(quadratic.ogd.point, point, rtol=1e-12,
+                       atol=1e-12 * max(1.0, np.abs(point).max()))
+    assert quadratic.grad_norm_sq_sum == pytest.approx(callable_.grad_norm_sq_sum, rel=1e-12)
+
+
+def _content_learner(kind):
+    """A learner of d_x = d_u = 2 (GRC: d_y = 1), its act, and the valid
+    dynamics ``(A, B, K)`` (GRC: ``(A, B, C)``), each entry exact in float32."""
+    A = np.array([[0.5, 0.25], [0.0, 0.375]])
+    B = np.array([[1.0, 0.0], [0.5, 1.0]])
+    if kind == "gpc":
+        K = np.array([[-0.25, 0.0], [0.0, -0.125]])
+        controller = GPCController(2, 2, K, h=2, radius=1.0, step_size=0.1)
+        return controller, (lambda t: controller.act(t, np.array([0.5, -0.25]))), (A, B, K)
+    C = np.array([[1.0, 0.5]])
+    controller = GRCController(2, 2, 1, h=2, radius=1.0, step_size=0.1)
+    return controller, (lambda t: controller.act(t, np.array([0.5]), C)), (A, B, C)
+
+
+def _content_update(controller, t, A, B, third, cost):
+    if isinstance(controller, GPCController):
+        return controller.update(t, A, B, np.array([0.25, 0.5]), cost)
+    return controller.update(t, A, B, third, cost)
+
+
+@pytest.mark.parametrize("kind, which", [("gpc", 0), ("gpc", 1), ("grc", 0), ("grc", 1),
+                                         ("grc", 2)])
+def test_dynamics_of_the_same_bytes_under_a_new_shape_are_rejected(kind, which):
+    # The validated dynamics are cached by shape and bytes: a matrix handed
+    # again with the same bytes under another shape is validated again, and
+    # is a configuration error.
+    controller, act, dynamics = _content_learner(kind)
+    cost = QuadraticCost(np.eye(2 if kind == "gpc" else 1), np.eye(2))
+    act(0)
+    _content_update(controller, 0, *dynamics[:2], dynamics[2], cost)
+    bad = list(dynamics)
+    bad[which] = bad[which].reshape(bad[which].shape[::-1] if which == 2 else (4, 1))
+    act(1)
+    with pytest.raises(ConfigurationError, match="shape"):
+        _content_update(controller, 1, *bad[:2], bad[2], cost)
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+@pytest.mark.parametrize("form", ["float32", "list"])
+def test_float32_and_list_dynamics_are_checked_by_content(kind, form):
+    # Dynamics handed as float32 arrays or nested lists step the learner as
+    # their float64 values do, bit for bit, and an in-place change to them
+    # is seen: here a NaN written into the A handed the step before.
+    convert = (lambda M: M.astype(np.float32)) if form == "float32" else (lambda M: M.tolist())
+    runs = []
+    for handed in (lambda M: M, convert):
+        controller, act, dynamics = _content_learner(kind)
+        cost = QuadraticCost(np.eye(2 if kind == "gpc" else 1), np.eye(2))
+        dynamics = [handed(M) for M in dynamics]
+        for t in range(6):
+            act(t)
+            _content_update(controller, t, *dynamics[:2], dynamics[2], cost)
+        runs.append((controller, act, dynamics, cost))
+        assert controller.ogd.t == 6
+    (reference, *_), (controller, act, dynamics, cost) = runs
+    assert controller.telemetry == reference.telemetry
+    assert np.array_equal(controller.ogd.point, reference.ogd.point)
+    A = dynamics[0]
+    if form == "float32":
+        A[0, 0] = np.nan
+    else:
+        A[0][0] = math.nan
+    act(6)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        _content_update(controller, 6, A, dynamics[1], dynamics[2], cost)
+
+
+@pytest.mark.parametrize("mode", ["fresh", "in-place"])
+def test_a_provided_gain_that_changes_rebuilds_the_output_map(mode):
+    # The output map P = [[I, 0], [K_t, I]] is cached with the dynamics and
+    # rebuilt when the gain's content changes, also when the provider writes
+    # each gain into one array: the loss each step takes is the one that
+    # loss_and_gradient() prices at the gain just played, which builds its
+    # map afresh.
+    gains = [np.array([[-0.25, 0.0]]), np.array([[0.0, -0.5]]), np.array([[0.125, 0.25]])]
+    K_at = _handed(mode, lambda t: gains[t % 3])
+    A, B = np.array([[0.5, 0.25], [0.0, 0.375]]), np.array([[0.0], [1.0]])
+    cost = QuadraticCost(np.eye(2), np.eye(1))
+    controller = GPCController(2, 1, lambda t: K_at(t)[0], h=2, radius=5.0, step_size=0.1)
+    x = np.array([1.0, -0.5])
+    for t in range(9):
+        u = controller.act(t, x)
+        loss, grad = controller.loss_and_gradient(cost)
+        x = A @ x + B @ u + np.array([0.1, -0.2])
+        controller.update(t, A, B, x, cost)
+        assert controller.telemetry[-1]["loss"] == loss
+        assert controller.telemetry[-1]["grad_norm"] == pytest.approx(np.linalg.norm(grad),
+                                                                     rel=1e-14)
+        assert np.array_equal(controller._dynamics[0][2:, :2], gains[t % 3])
+
+
 @pytest.mark.parametrize("kind", ["gpc", "grc"])
 def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
     # The validated dynamics are cached by content, so a matrix the caller
@@ -1327,10 +1490,10 @@ def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
 
 def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch):
     # simulate() prices the T played pairs in one values() call after the
-    # loop and never calls value(); per closed-loop step the learner
-    # evaluates its counterfactual loss and gradient in one stage() call and
-    # never asks for a Hessian; the time-invariant A and B are validated at
-    # the first update only.
+    # loop and never calls value(); the learner prices its counterfactual
+    # loss and gradient from the quadratic cost's own constant half Hessian,
+    # so it calls none of the cost's methods; the time-invariant A and B are
+    # validated at the first update only.
     T = 40
     config = config_from_preset(
         "b747", controller={"kind": "gpc", "h": 8, "radius": 2.0, "step_size": 0.05},
@@ -1363,7 +1526,7 @@ def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch
         monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
     run_experiment(config)
     # T steps are played and T - 1 of them are learned from.
-    assert calls == {"value": 0, "values": 1, "stage": T - 1, "half_hessians": 0}
+    assert calls == {"value": 0, "values": 1, "stage": 0, "half_hessians": 0}
     assert sum(M is A for M in validated) <= 1
     assert sum(M is B for M in validated) <= 1
 
@@ -1498,10 +1661,12 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
     learned = sum(M @ s for M, s in zip(controller.Ms, window))
     if kind == "gpc":
         x_cf, _ = query()
-        learned = learned + controller._last[3] @ x_cf
+        learned = learned + controller.gain(4) @ x_cf
     assert np.allclose(u_cf, learned, rtol=1e-14, atol=0.0)
+    # The pair returned is a fresh array: nothing the learner holds changes.
     u_cf[...] = np.nan
-    assert np.isfinite(controller._last[2]).all()
+    assert np.isfinite(controller._stack.Y).all()
+    assert all(np.isfinite(v).all() for v in controller._last[1:] if v is not None)
 
 
 def test_learners_reject_dynamics_of_the_wrong_shape():
