@@ -9,19 +9,21 @@ descent (OGD) and the two controllers built on it.
   observed *stable* systems: ``u_t = sum_i M_i^t ynat_{t-i}`` over
   nature's-y signals, no stabilizing gain needed.
 
-One private core, :class:`_DisturbanceFeedback`, runs the learner step of
-both: the counterfactual pair, the loss ``l_t(M) = c_t(z_t(M), u_t(M))``
-and its analytic gradient (the counterfactuals are linear in ``M``, so the
-loss is convex), and the OGD step.  The counterfactuals are exactly what
-playing the current parameters from the beginning of time would have given:
-the counterfactual state is affine in the flat parameters ``m``, ``x_t(M) =
-J_t m + c_t``, and the learner steps ``[J_t | c_t]`` by the same sensitivity
-recursion as the hindsight comparators (``harness._policy_pass``).  The
-classes differ only in the signal (``w`` or ``ynat``), in the last column of
-the stack (GPC's drift ``c_t``, GRC's zero-control state ``z_t``, from which
-it reads nature's y), and in the output map from the counterfactual state:
-GPC's pair is ``(x(M), u(M) + K_t x(M))``, GRC's ``(ynat_t + C_t x(M),
-u(M))``.
+One private core, :class:`_DisturbanceFeedback`, holds the protocol and
+the learner step of both.  ``act(t, ...)`` reads the newest signal (GPC
+recovers ``w_{t-1}`` from ``x_t``, GRC computes ``ynat_t`` from ``y_t``)
+and plays; ``update(t, A_t, B_t, cost)`` takes the OGD step on the
+counterfactual loss ``l_t(M)`` and steps the learner's stack ``Y_t = [J_t
+| z_t; S_t | u~_t]``, ``u~_t`` the learned part of the control played.
+The counterfactual pair is the played pair plus one correction, ``r_t(M) =
+r_t + P_t Y_t [m; -1]``, exactly what playing the current parameters from
+the beginning of time would have given: the sensitivity ``J_t`` is stepped
+by the same recursion as the hindsight comparators (``harness._policy_pass``).
+The pair is linear in ``m``, so the loss is convex and its gradient
+analytic.  The classes differ only in the signal, in the played pair
+(GPC's ``(x_t, u_t)``, GRC's ``(y_t, u_t)``), in the start ``z_0`` (GPC's
+``x_0``, GRC's 0) and in the output map ``P_t`` (GPC's ``[[I, 0], [K_t,
+I]]``, GRC's ``[[C_t, 0], [0, I]]``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .lds_core import (
-    QuadraticCost, _as_matrix, _as_vector, _finite_vector, _whole, spectral_radius,
+    QuadraticCost, _all_finite, _as_matrix, _as_vector, _finite_vector, _whole,
+    spectral_radius,
 )
 
 __all__ = [
@@ -227,25 +230,30 @@ def _resolve_cost(cost: object, t: int) -> object:
 
 
 class _Stack(NamedTuple):
-    """A learner's stack ``Y = [J | c; S | 0; 0 | 1]`` (GRC: ``[J | z; S |
-    u]``) and views of it."""
+    """A learner's stack ``Y = [J | z; S | u~]`` and views of it."""
 
     Y: np.ndarray
-    #: ``[J | c; S | 0]``, which maps ``[m; 1]`` to ``[x(M); u(M)]`` (GRC:
-    #: ``[J | z; S | u]``, which maps ``[m; 0]`` to them).
-    JS: np.ndarray
-    #: ``[J | c]`` (GRC: ``[J | z]``), which each step writes.
-    Jc: np.ndarray
+    #: ``[J | z]``, which each step writes.
+    Jz: np.ndarray
     #: The nonzero blocks of ``S``, one row per control entry.
     S_blocks: np.ndarray
 
 
 class _DisturbanceFeedback:
     """Parameters, OGD iterate, sensitivity and the whole learner step of a
-    learner that plays ``u_t(M) = gain part + sum_i M_i s_{t-lag-i}`` over a
-    signal ``s`` (GPC: ``w``, lag 1; GRC: ``ynat``, lag 0).  ``act`` records
-    ``_last = (t, offset, ...)``, the rest the subclass's own (GPC: ``K_t``
-    and ``[x_t; u_t]``; GRC: ``ynat_t . ynat_t``).
+    learner that plays ``u_t = gain part + u~_t`` with the learned part
+    ``u~_t = sum_i M_i s_{t-lag-i}`` over a signal ``s`` (GPC: ``w``, lag 1;
+    GRC: ``ynat``, lag 0).
+
+    Both learners keep one protocol.  ``act(t, ...)`` reads the newest
+    signal, pushes it into the window, plays ``u_t`` and records ``_last =
+    (t, r_t, |s|^2, E_t, key of E_t)``: the played pair ``r_t``, the squared
+    norm of the signal it pushed (0 when it pushed none), and the matrix
+    ``E_t`` the output map is built from, GPC's gain ``K_t`` or GRC's
+    ``C_t``.  ``update(t, A_t, B_t, cost)`` then takes the OGD step on the
+    counterfactual loss at ``t`` and moves the stack one step on, so ``T``
+    steps take ``T`` OGD steps.  A second ``act`` before that ``update``
+    raises ConfigurationError, so no signal is pushed twice.
 
     The OGD point ``m`` holds the parameters in ``(d_u, len(Ms), d_s)``
     order, the order of the comparators' blocks; ``Ms`` is the ``(len(Ms),
@@ -256,71 +264,55 @@ class _DisturbanceFeedback:
     s_{t-lag-len(Ms)+1})``, flattened, so the learned action is ``u_t(M) = M
     s_t = S_t m`` with ``S_t = kron(I, s_t')``.
 
-    The counterfactual state is affine in ``m``, ``x_t(M) = J_t m + c_t``,
-    with ``J_0 = 0``, ``c_0 = 0`` and, after the step at ``t``::
+    The counterfactual state is affine in ``m``, ``x_t(M) = J_t m + c_t``:
+    ``J_0 = 0`` and ``J_{t+1} = F_t J_t + B_t S_t``, with ``F_t = A_t + B_t
+    K_t`` for GPC and ``F_t = A_t`` for GRC, the recursion that
+    ``harness._policy_pass`` steps.  Beside ``J`` the learner steps ``z_{t+1}
+    = F_t z_t + B_t u~_t``, the response to the learned controls it played,
+    so it holds one stack ``Y_t = [J_t | z_t; S_t | u~_t]`` and one product
+    ``[F_t | B_t] Y_t = [J_{t+1} | z_{t+1}]`` steps both.  GPC starts at
+    ``z_0 = x_0``, so that ``x_t - z_t`` is the response ``c_t`` to the
+    perturbations alone: the counterfactual starts at rest, as
+    :func:`counterfactual_state` does.  GRC starts at ``z_0 = 0``, and
+    nature's y is ``ynat_t = y_t - C_t z_t``.  Either way the counterfactual
+    pair is the played pair plus one correction::
 
-        [J_{t+1} | c_{t+1}] = F_t [J_t | c_t] + [B_t S_t | w_t]
+        r_t(M) = r_t + P_t Y_t [m; -1]
 
-    GPC has ``F_t = A_t + B_t K_t`` and the drift column ``c``, which
-    carries the perturbations.  This is the state
-    :func:`counterfactual_state` gives with ``H_trunc >= t``, stepped as
-    ``harness._policy_pass`` steps its ``[Phi_t | x_t(0)]``: the learner
-    holds the stack ``Y_t = [J_t | c_t; S_t | 0; 0 | 1]``, so that one
-    product ``Y_t [m; 1] = [x_t(M); u_t(M); 1]`` gives the counterfactual
-    state and action and one product ``[F_t | B_t | w_t] Y_t`` gives
-    ``[J_{t+1} | c_{t+1}]``.
-
-    GRC has ``F_t = A_t`` and no drift (``c = 0``).  Its last column holds
-    instead the state ``z_t`` that the controls played would have produced
-    without the perturbations, ``z_0 = 0``, beside the control ``u_t``
-    played at ``t``: ``Y_t = [J_t | z_t; S_t | u_t]``.  Nature's y is then
-    ``ynat_t = y_t - C_t z_t``, ``Y_t [m; 0]`` gives the counterfactual state
-    and action, and the one product ``[A_t | B_t] Y_t = [J_{t+1} |
-    z_{t+1}]`` steps both recursions, since ``z_{t+1} = A_t z_t + B_t u_t``
-    shares ``A_t`` with ``J``.
-
-    The cost sees the pair ``r = P [x(M); u(M)]``, plus GRC's offset
-    ``ynat_t`` in its first ``d_y`` entries, through one output map ``P``
-    per dynamics: ``[[I, 0], [K_t, I]]`` for GPC, whose pair is ``(x(M),
-    u(M) + K_t x(M))``, and ``[[C_t, 0], [0, I]]`` for GRC (``C_t = None``:
-    the identity).  With the cost's half gradient ``h`` at ``r``, the loss
-    has the half gradient ``(h P) [J_t; S_t]`` in point order, and the OGD
-    step takes the factor 2 in its step size, which is exact.  A
+    through the output map ``P_t``: ``[[I, 0], [K_t, I]]`` for GPC, whose
+    pairs are ``(x_t, u_t)`` and ``(x_t(M), u_t(M) + K_t x_t(M))``, and
+    ``[[C_t, 0], [0, I]]`` for GRC, whose pairs are ``(y_t, u_t)`` and
+    ``(y_t(M), u_t(M))`` (``C_t = None``: the identity).  With the cost's
+    half gradient ``h`` at ``r``, the loss has the half gradient ``(h P)
+    Y_t`` in point order, less its last entry, and the OGD step takes the
+    factor 2 in its step size, which is exact.  A
     :class:`~nscontrol.lds_core.QuadraticCost` is priced from its constant
     half Hessian ``W = blockdiag(Q, R)``: ``h = W (r - v*)`` and the loss
     ``(r - v*) . h``, ``v* = (x*, 0)``; any other cost by one ``stage``
     call.
 
-    ``Y`` and a spare of it are allocated once, ``(d_x + d_u + 1, p + 1)``
-    for GPC and ``(d_x + d_u, p + 1)`` for GRC, ``p = d_u len(Ms) d_s``:
-    each step writes ``[J_{t+1} | c_{t+1}]`` (GRC: ``[J_{t+1} | z_{t+1}]``)
-    into the spare with ``np.dot(..., out=...)`` and swaps the two, and each
-    new window writes ``S_t``'s nonzero blocks through a strided view.  A
-    step costs about ``d_x^2 p`` flops on any horizon and any plant, plus a
-    fixed cost of about 30 numpy calls on vectors and small matrices, ``act``
-    and ``update`` together: six products price the loss and its gradient
-    (``[J; S] [m; 1]``, ``P``, ``W``, the loss, ``h P`` and ``(h P) [J;
-    S]``), about ten make the OGD step and its checks, and the rest the
-    control, the recovered signal, the content check of the dynamics, the
-    stack step and the new window.  A Markov stack truncated at depth ``H``
-    costs about ``H w d_x^2``, with ``w = d_u + 1`` for GPC and ``d_u`` for
-    GRC, so the recursion is the cheaper one whenever ``len(Ms) d_s d_u < H
-    w``: ``p`` = 64 against 108 for GPC ``h = 8`` on b747 (``H`` = 36), and
-    7 against 151 for GRC ``h = 6`` on scalar-0.9 (``H`` = 151).  A wide
-    system with a long window and a fast-decaying loop could favour the
-    stack, which is exact only up to its depth.
+    ``Y`` and a spare of it are allocated once, ``(d_x + d_u, p + 1)`` with
+    ``p = d_u len(Ms) d_s``, and so is the played pair: ``act`` writes
+    ``r_t`` into that buffer, ``u~_t`` into the last column of ``Y`` and
+    the new window into ``S_t``'s nonzero blocks through a strided view,
+    and ``update`` writes ``[J_{t+1} | z_{t+1}]`` into the spare with
+    ``np.dot(..., out=...)`` and swaps the two.  A step costs about ``d_x^2 p`` flops on any horizon and
+    any plant, plus a fixed cost of 15 (GRC) to 18 (GPC) numpy calls on
+    vectors and small matrices, ``act`` and ``update`` together: six price
+    the loss and its gradient (``Y [m; -1]``, ``P``, ``W``, the loss, ``h
+    P`` and ``(h P) Y``), five make the OGD step and its checks, and the
+    rest the control, the signal and its norm, the content check of the
+    dynamics and the stack step.
 
     ``update`` validates the dynamics matrices, their shapes included, and
     derives ``P`` and what else the subclass needs of them, only when their
-    content differs from the last validated ones: the comparison is by shape
-    and bytes, read in place from float64 arrays, so a matrix mutated in
-    place is validated again.
+    content, or that of ``E_t``, differs from the last validated ones: the
+    comparison is by shape and bytes, read in place from float64 arrays, so
+    a matrix mutated in place is validated again.
     """
 
-    #: Telemetry key of the norm of the signal recorded at each update.
+    #: Telemetry key of the norm of the signal that ``act`` pushed.
     _signal_key = ""
-    #: Whether the signal itself drives the state (GPC's ``w``).
-    _drifts = False
 
     def __init__(self, d_s, n_M, radius, step_size, schedule, horizon):
         # Subclasses set d_x, d_u and h first.
@@ -343,23 +335,22 @@ class _DisturbanceFeedback:
         self._dynamics_key: Optional[tuple] = None
         self._dynamics: Optional[tuple] = None
         self._window = np.zeros(n_M * d_s)
+        self._played = np.zeros(d_s + self.d_u)  # the pair r_t that act writes
         self._p = p = self.ogd.point.size
-        self._m = np.zeros(p + 1)  # [m; 1], or GRC's [m; 0]
-        self._m[p] = float(self._drifts)
+        self._m = np.zeros(p + 1)  # [m; -1]
+        self._m[p] = -1.0
         self._m_blocks = self._m[:p].reshape(self.d_u, -1)  # M, a view
-        shape = (self.d_x + self.d_u + int(self._drifts), p + 1)
+        shape = (self.d_x + self.d_u, p + 1)
         self._stack, self._spare = (self._new_stack(shape) for _ in range(2))
 
     def _new_stack(self, shape: tuple) -> _Stack:
-        """A stack of zeros but its constant entry, and its views."""
+        """A stack of zeros and its views."""
         Y, d_x, n = np.zeros(shape), self.d_x, len(self._window)
-        if self._drifts:
-            Y[-1, -1] = 1.0
         # Row a of S holds the window in columns a n .. (a + 1) n - 1.
         blocks = np.lib.stride_tricks.as_strided(
             Y[d_x:], shape=(self.d_u, n), strides=(Y.strides[0] + n * Y.itemsize, Y.itemsize),
             writeable=True)
-        return _Stack(Y, Y[: d_x + self.d_u], Y[:d_x], blocks)
+        return _Stack(Y, Y[:d_x], blocks)
 
     @property
     def Ms(self) -> np.ndarray:
@@ -377,14 +368,15 @@ class _DisturbanceFeedback:
         """The ``(len(Ms), d_u, d_s)`` view of a flat point-order vector."""
         return flat.reshape(self.d_u, self._n_M, self._d_s).transpose(1, 0, 2)
 
-    def _validated(self, A_t: object, B_t: object, extra: object) -> tuple:
-        """The subclass's ``(P, [F_t | B_t (| w_t)], ...)``, derived only when
-        the shapes or bytes of ``(A_t, B_t, extra)`` differ from the last call's."""
-        key = (*_content(A_t), *_content(B_t), *_content(extra))
+    def _validated(self, A_t: object, B_t: object, E_t: object, E_key: tuple) -> tuple:
+        """The subclass's ``(P, [F_t | B_t], ...)``, derived only when the
+        shapes or bytes of ``(A_t, B_t)``, or the key ``E_key`` that ``act``
+        took of ``E_t``, differ from the last call's."""
+        key = (*_content(A_t), *_content(B_t), *E_key)
         if key != self._dynamics_key:
             A_t = _as_matrix(A_t, "A_t", (self.d_x, self.d_x))
             B_t = _as_matrix(B_t, "B_t", (self.d_x, self.d_u))
-            self._dynamics = self._validate(A_t, B_t, extra)
+            self._dynamics = self._validate(A_t, B_t, E_t)
             self._dynamics_key = key
         return self._dynamics
 
@@ -394,30 +386,30 @@ class _DisturbanceFeedback:
             raise ConfigurationError("call act() before querying counterfactuals")
         return self._last
 
-    def _turn(self, t: int) -> tuple:
-        """``_last`` if ``act(t)`` was the last call."""
-        if self._last is None or self._last[0] != t:
-            raise ConfigurationError("update(t) must follow act(t)")
-        return self._last
+    def _check_turn(self) -> None:
+        """Raise unless every ``act`` so far was followed by its ``update``."""
+        if self._last is not None:
+            t = self._last[0]
+            raise ConfigurationError(f"act({t}) must be followed by update({t}) before act again")
 
     def _feedback(self) -> np.ndarray:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
         return self._window.dot(self._Mt)
 
-    def _counterfactual(self, P: np.ndarray) -> np.ndarray:
-        """The pair ``r = (z_t(M), u_t(M))`` at the parameters now held, as
-        one vector."""
-        offset = self._acted()[1]
-        self._m_blocks[...] = self._Mt.T
-        r = P.dot(self._stack.JS.dot(self._m))
-        if offset is not None:
-            r[: self._d_s] += offset
-        return r
+    def _push(self, signal: np.ndarray) -> None:
+        """Shift the signal window by one signal, put ``signal`` first, and
+        write the window into the stack's ``S``."""
+        window, d_s = self._window, self._d_s
+        window[d_s:] = window[:-d_s]
+        window[:d_s] = signal
+        self._stack.S_blocks[...] = window
 
-    def _pair(self, P: np.ndarray) -> tuple:
-        """``counterfactuals()``: the pair as two vectors."""
-        r = self._counterfactual(P)
-        return r[: self._d_s], r[self._d_s :]
+    def _counterfactual(self, P: np.ndarray) -> np.ndarray:
+        """The pair ``r_t(M) = r_t + P Y_t [m; -1]`` at the parameters now
+        held, as one vector."""
+        played = self._acted()[1]
+        self._m_blocks[...] = self._Mt.T
+        return played + P.dot(self._stack.Y.dot(self._m))
 
     def _loss_and_half_gradient(self, cost: object, P: np.ndarray) -> tuple:
         """Counterfactual loss and half its flat gradient in point order,
@@ -431,23 +423,32 @@ class _DisturbanceFeedback:
             loss = r.dot(half_grad)
         else:
             loss, half_grad = cost.stage(r[: self._d_s], r[self._d_s :])
-        return loss, half_grad.dot(P).dot(self._stack.JS)[: self._p]
+        return loss, half_grad.dot(P).dot(self._stack.Y)[: self._p]
 
-    def _stacked_loss_and_gradient(self, cost: object, P: np.ndarray) -> tuple:
-        """``loss_and_gradient``: the gradient shaped like ``Ms``, twice the
-        half gradient (exactly)."""
-        loss, half_grad = self._loss_and_half_gradient(cost, P)
+    def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The counterfactual pair at the parameters now held: ``(x_t(M),
+        u_t(M) + K_t x_t(M))`` for GPC, ``(y_t(M), u_t(M))`` for GRC.  Valid
+        between act(t) and update(t)."""
+        r = self._counterfactual(self._output_map(self._acted()[3]))
+        return r[: self._d_s], r[self._d_s :]
+
+    def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
+        """Counterfactual loss ``l_t(M)`` at the held parameters and its
+        analytic gradient, shaped like ``Ms``.  Valid between act(t) and
+        update(t)."""
+        loss, half_grad = self._loss_and_half_gradient(cost, self._output_map(self._acted()[3]))
         return loss, self._stacked(half_grad + half_grad)
 
-    def _step(self, t: int, cost: object, dynamics: tuple, signal_norm: float,
-              drift: Optional[np.ndarray] = None) -> None:
-        """One learner step at ``t`` on the :meth:`_validated` ``dynamics``:
-        the projected OGD step on the counterfactual loss, the telemetry row,
-        and ``[J | c]`` (GRC: ``[J | z]``) moved one step on, with the window
-        ``s_t`` and, for GPC, the ``drift`` w, which goes into the last column
-        of the cached ``[F_t | B_t | w_t]``.  Raises EvaluationError if the
-        new iterate left the ball or moved further than ``eta * ||g||``."""
-        P, FE = dynamics[:2]
+    def update(self, t: int, A_t: object, B_t: object, cost: object) -> None:
+        """Take the projected OGD step on the counterfactual loss ``l_t``,
+        append the telemetry row, and move ``[J | z]`` one step on with the
+        dynamics ``(A_t, B_t)``.  Raises ConfigurationError unless ``act(t)``
+        was the last call, and EvaluationError if the new iterate left the
+        ball or moved further than ``eta * ||g||``."""
+        if self._last is None or self._last[0] != t:
+            raise ConfigurationError("update(t) must follow act(t)")
+        _, _, signal_sq, E_t, E_key = self._last
+        P, FB = self._validated(A_t, B_t, E_t, E_key)[:2]
         loss, half_grad = self._loss_and_half_gradient(cost, P)
         state = self.ogd
         self.ogd, gg, eta, M_norm = _ogd_step(state, half_grad, 2.0)
@@ -468,20 +469,10 @@ class _DisturbanceFeedback:
         self.grad_norm_sq_sum += gg
         self.grad_norm_max = max(self.grad_norm_max, grad_norm)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
-                               self._signal_key: signal_norm, "grad_norm": grad_norm})
-        if drift is not None:
-            FE[:, -1] = drift
-        np.dot(FE, self._stack.Y, out=self._spare.Jc)
+                               self._signal_key: math.sqrt(signal_sq), "grad_norm": grad_norm})
+        np.dot(FB, self._stack.Y, out=self._spare.Jz)
         self._stack, self._spare = self._spare, self._stack
         self._last = None
-
-    def _push(self, signal: np.ndarray) -> None:
-        """Shift the signal window by one signal, put ``signal`` first, and
-        write the window into the stack's ``S``."""
-        window, d_s = self._window, self._d_s
-        window[d_s:] = window[:-d_s]
-        window[:d_s] = signal
-        self._stack.S_blocks[...] = window
 
 
 def _content(M: object) -> tuple:
@@ -502,33 +493,34 @@ def _content(M: object) -> tuple:
 class GPCController(_DisturbanceFeedback):
     """Gradient perturbation controller.
 
-    Per step ``t``: play ``u_t = K_t x_t + sum_{i=1}^{h} M_i^t w_{t-i}``,
-    observe ``x_{t+1}``, recover ``w_t = x_{t+1} - A_t x_t - B_t u_t``,
-    build the counterfactual loss ``l_t(M) = c_t(x_t(M), u_t(M))``, and
-    take one projected OGD step on it.
-
-    Runs on the learner step shared with :class:`GRCController`.
+    Per step ``t``: ``act(t, x_t)`` recovers ``w_{t-1} = x_t - A_{t-1}
+    x_{t-1} - B_{t-1} u_{t-1}``, through the dynamics of the last update,
+    and plays ``u_t = K_t x_t + sum_{i=1}^{h} M_i^t w_{t-i}``; then
+    ``update(t, A_t, B_t, cost)`` takes one projected OGD step on the
+    counterfactual loss ``l_t(M) = c_t(x_t(M), u_t(M) + K_t x_t(M))``.
+    Runs on the learner step shared with :class:`GRCController` (see
+    :class:`_DisturbanceFeedback`).
 
     A controller spec (dict, config file or CLI flags) sets the learner
     options ``h``, ``radius``, ``step_size`` and ``schedule``; their
     defaults live here alone.  The counterfactual ``x_t(M)`` is exact on
-    any horizon: it is stepped as ``J_t m + c_t`` (see
-    :class:`_DisturbanceFeedback`) in about ``d_x^2 p`` flops a step, ``p =
-    h d_x d_u``, plus a fixed cost of about 30 small numpy calls for ``act``
-    and ``update`` together.  The cost sees ``(x(M), u(M) + K_t x(M)) = P
-    [x(M); u(M)]`` through the output map ``P = [[I, 0], [K_t, I]]``, built
-    with ``[F_t | B_t | w_t]`` whenever the content of ``(A_t, B_t, K_t)``
-    changes, and a :class:`~nscontrol.lds_core.QuadraticCost` is priced
-    from its own half Hessian, with no ``stage`` call.  Each update appends
-    a telemetry dict to ``self.telemetry`` with the keys ``t``, ``loss``
-    (the counterfactual loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the
-    step), ``w_norm`` and ``grad_norm``; ``self.projected_steps`` counts
-    the steps whose projection onto the ball scaled the point, and
+    any horizon: it is ``x_t`` plus the correction ``J_t m - z_t``, in about
+    ``d_x^2 p`` flops a step, ``p = h d_x d_u``.  The output map ``P =
+    [[I, 0], [K_t, I]]`` and ``[F_t | B_t]`` are built whenever the content
+    of ``(A_t, B_t, K_t)`` changes.  Each update appends a telemetry dict to
+    ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
+    loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
+    (``||w_{t-1}||``, the perturbation ``act`` pushed, 0 at the first step)
+    and ``grad_norm``; ``self.projected_steps`` counts the steps whose
+    projection onto the ball scaled the point, and
     ``self.grad_norm_sq_sum`` and ``self.grad_norm_max`` hold the sum of
     the squared gradient norms and the largest one.  The played cost
     ``c_t(x_t, u_t)`` is not repeated there: it is ``Trajectory.costs[t]``
     under :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the
-    array that :func:`~nscontrol.sysid.control_with_model` returns.
+    array that :func:`~nscontrol.sysid.control_with_model` returns.  A
+    recovered perturbation that is not finite raises EvaluationError; a
+    non-finite first state gives a non-finite control, NaN where a zero
+    gain entry meets an inf entry, without an invalid-value warning.
 
     Parameters
     ----------
@@ -551,7 +543,6 @@ class GPCController(_DisturbanceFeedback):
     """
 
     _signal_key = "w_norm"
-    _drifts = True
 
     def __init__(
         self,
@@ -578,50 +569,45 @@ class GPCController(_DisturbanceFeedback):
         return _as_matrix(self._K_provider(t), f"K_{t}", (self.d_u, self.d_x))
 
     def act(self, t: int, x: object) -> np.ndarray:
-        """Emit ``u_t`` from the current parameters and perturbation window."""
+        """Recover ``w_{t-1}`` from the state ``x_t``, push it into the window
+        and play ``u_t``; at the first step, start ``z_0 = x_0``."""
+        self._check_turn()
         x = _as_vector(x, self.d_x, "x")
         K_t = self.gain(t)
-        u = K_t.dot(x) + self._feedback()
-        self._last = (t, None, K_t, np.concatenate((x, u)))
+        K_key = _content(K_t)
+        Y, xu = self._stack.Y, self._played
+        if self._dynamics is None:  # no update yet, so no w to recover
+            Y[: self.d_x, -1] = x
+            ww, finite = 0.0, _all_finite(x)
+        else:
+            w = x - self._dynamics[2].dot(xu)
+            ww = w.dot(w)
+            # w.w is finite exactly when every entry is, unless it overflows.
+            if not math.isfinite(ww) and not np.isfinite(w).all():
+                raise EvaluationError(
+                    f"recovered perturbation is non-finite at t={t - 1}; aborting run")
+            self._push(w)
+            finite = True
+        learned = self._feedback()
+        if finite:
+            u = K_t.dot(x) + learned
+        else:  # a zero gain entry times an inf entry gives the NaN control, unwarned
+            with np.errstate(invalid="ignore"):
+                u = K_t.dot(x) + learned
+        Y[self.d_x :, -1] = learned
+        xu[: self.d_x], xu[self.d_x :] = x, u
+        self._last = (t, xu, ww, K_t, K_key)
         return u
 
     def _output_map(self, K_t: np.ndarray) -> np.ndarray:
-        """``P = [[I, 0], [K_t, I]]``: ``(x(M), u(M))`` to the pair ``(x(M),
-        u(M) + K_t x(M))`` the cost sees."""
+        """``P = [[I, 0], [K_t, I]]``: ``(x(M), u~(M))`` to the pair ``(x(M),
+        u~(M) + K_t x(M))`` the cost sees."""
         return np.block([[np.eye(self.d_x), np.zeros((self.d_x, self.d_u))],
                          [K_t, np.eye(self.d_u)]])
 
     def _validate(self, A_t: np.ndarray, B_t: np.ndarray, K_t: np.ndarray) -> tuple:
-        FBw = np.concatenate((A_t + B_t @ K_t, B_t, np.zeros((self.d_x, 1))), axis=1)
-        # w_t goes into FBw per step.
-        return self._output_map(K_t), FBw, np.concatenate((A_t, B_t), axis=1)
-
-    def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current-step counterfactual pair ``(x_t(M), u_t(M))`` for the
-        parameters now held."""
-        return self._pair(self._output_map(self._acted()[2]))
-
-    def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
-        """Counterfactual loss ``l_t(M)`` at the held parameters and its
-        analytic gradient, shaped like ``Ms``.  Valid between act() and
-        update()."""
-        return self._stacked_loss_and_gradient(cost, self._output_map(self._acted()[2]))
-
-    def update(self, t: int, A_t: object, B_t: object, x_next: object, cost: object) -> np.ndarray:
-        """Recover ``w_t``, take the OGD step on ``l_t``, advance ``[J | c]``.
-
-        Returns the recovered perturbation ``w_t``.
-        """
-        K_t, xu = self._turn(t)[2:]
-        dynamics = self._validated(A_t, B_t, K_t)
-        w_t = _as_vector(x_next, self.d_x, "x_next") - dynamics[2].dot(xu)
-        ww = w_t.dot(w_t)
-        # w.w is finite exactly when every entry is, unless it overflows.
-        if not math.isfinite(ww) and not np.isfinite(w_t).all():
-            raise EvaluationError(f"recovered perturbation is non-finite at t={t}; aborting run")
-        self._step(t, cost, dynamics, math.sqrt(ww), w_t)
-        self._push(w_t)
-        return w_t
+        return (self._output_map(K_t), np.concatenate((A_t + B_t @ K_t, B_t), axis=1),
+                np.concatenate((A_t, B_t), axis=1))
 
 
 def gpc_runner(
@@ -629,16 +615,15 @@ def gpc_runner(
 ) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
     """Adapter: run a GPC controller inside :func:`nscontrol.lds_core.simulate`.
 
-    The update for step ``t-1`` happens at the start of the call for step
-    ``t`` (when ``x_t`` has become observable).
+    Each call acts on the state ``x_t`` and then updates with the step's
+    ``(A_t, B_t)``, which the next call's act recovers ``w_t`` through.
     """
-    acted_on: list = []  # (A_t, B_t) of the last step acted on
 
     def callback(t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if t > 0 and controller._last is not None:
-            controller.update(t - 1, *acted_on, x, cost)
-        acted_on[:] = system.matrices(t)[:2]
-        return controller.act(t, x)
+        A_t, B_t = system.matrices(t)[:2]
+        u = controller.act(t, x)
+        controller.update(t, A_t, B_t, cost)
+        return u
 
     return callback
 
@@ -651,20 +636,21 @@ def gpc_runner(
 class GRCController(_DisturbanceFeedback):
     """Gradient response controller for stable, partially observed systems.
 
-    Per step ``t``: compute nature's y ``ynat_t = y_t - C_t z_t``, play
-    ``u_t = sum_{i=0}^{h} M_i^t ynat_{t-i}``, form the counterfactual
-    observation ``y_t(M) = ynat_t + C_t x_t(M)``, where ``x_t(M) = J_t m``
-    is the exact response to the actions ``M`` would have played from the
-    start, and take one projected OGD step on ``l_t(M) = c_t(y_t(M),
-    u_t(M))``.  ``z_t`` is the response to the controls actually played,
-    ``z_{t+1} = A_t z_t + B_t u_t``: the last column of the learner's stack
-    ``[J_t | z_t; S_t | u_t]``, stepped by the same product as ``J`` (see
-    :class:`_DisturbanceFeedback`).
+    Per step ``t``: ``act(t, y_t, C_t)`` computes nature's y ``ynat_t = y_t
+    - C_t z_t`` and plays ``u_t = sum_{i=0}^{h} M_i^t ynat_{t-i}``; then
+    ``update(t, A_t, B_t, cost)`` takes one projected OGD step on ``l_t(M)
+    = c_t(y_t(M), u_t(M))``, where ``y_t(M) = ynat_t + C_t J_t m`` is the
+    observation the actions ``M`` would have given from the start.  ``z_t``
+    is the response to the controls actually played, ``z_{t+1} = A_t z_t +
+    B_t u_t``: the last column of the learner's stack ``[J_t | z_t; S_t |
+    u_t]``, stepped by the same product as ``J``.  Runs on the learner step
+    shared with :class:`GPCController` (see :class:`_DisturbanceFeedback`).
 
-    Runs on the learner step shared with :class:`GPCController`.  ``A_t``
-    must have spectral radius below 1, checked whenever ``(A_t, B_t, C_t)``
-    differ from the last dynamics validated.  ``C_t = None`` means the
-    state is observed.
+    ``A_t`` must have spectral radius below 1, checked whenever ``(A_t, B_t,
+    C_t)`` differ from the last dynamics validated.  ``C_t = None`` means
+    the state is observed; ``act`` checks ``C_t`` whenever its content
+    changes, and ``update`` builds the output map from the ``C_t`` that
+    ``act`` was given.
 
     The cost is evaluated on (observation, control) pairs.  ``d_y`` is the
     observation dimension; ``h`` (the window holds ``h + 1`` matrices,
@@ -696,6 +682,8 @@ class GRCController(_DisturbanceFeedback):
         self.d_y = _whole(d_y, 1, "d_y")
         self.h = _whole(h, 0, "GRC's window h")
         super().__init__(self.d_y, self.h + 1, radius, step_size, schedule, horizon)
+        self._C_key: Optional[tuple] = None  # key and checked C_t of the last act
+        self._C: Optional[np.ndarray] = None
 
     def _output(self, C_t: Optional[object]) -> Optional[np.ndarray]:
         """``C_t`` checked to be (d_y, d_x); None (the state observed) needs
@@ -708,11 +696,17 @@ class GRCController(_DisturbanceFeedback):
         return _as_matrix(C_t, "C_t", (self.d_y, self.d_x))
 
     def act(self, t: int, y: object, C_t: Optional[object] = None) -> np.ndarray:
-        """Compute ``ynat_t`` from the observation and emit ``u_t``."""
-        C_t = self._output(C_t)
+        """Compute ``ynat_t`` from the observation, push it into the window
+        and play ``u_t``."""
+        self._check_turn()
+        C_key = _content(C_t)
+        if C_key != self._C_key:
+            self._C, self._C_key = self._output(C_t), C_key
+        C_t = self._C
         Y = self._stack.Y
         z = Y[: self.d_x, -1]
-        ynat = _as_vector(y, self.d_y, "y") - (z if C_t is None else C_t.dot(z))
+        y = _as_vector(y, self.d_y, "y")
+        ynat = y - (z if C_t is None else C_t.dot(z))
         self._push(ynat)
         ynat_sq = ynat.dot(ynat)
         if math.isfinite(ynat_sq):
@@ -721,40 +715,22 @@ class GRCController(_DisturbanceFeedback):
             with np.errstate(invalid="ignore"):
                 u = self._feedback()
         Y[self.d_x :, -1] = u
-        self._last = (t, ynat, ynat_sq)
+        yu = self._played
+        yu[: self.d_y], yu[self.d_y :] = y, u
+        self._last = (t, yu, ynat_sq, C_t, C_key)
         return u
 
-    def _output_map(self, C_t: Optional[object]) -> np.ndarray:
-        """``P = [[C_t, 0], [0, I]]`` for ``C_t`` checked by :meth:`_output`
-        (None: the identity): ``(x(M), u(M))`` to the pair ``(C_t x(M),
-        u(M))``, which the offset ``ynat_t`` makes the cost's."""
-        C_t = self._output(C_t)
+    def _output_map(self, C_t: Optional[np.ndarray]) -> np.ndarray:
+        """``P = [[C_t, 0], [0, I]]`` (``C_t`` None: the identity): ``(x(M),
+        u(M))`` to ``(C_t x(M), u(M))``."""
         C_t = np.eye(self.d_x) if C_t is None else C_t
         return np.block([[C_t, np.zeros((self.d_y, self.d_u))],
                          [np.zeros((self.d_u, self.d_x)), np.eye(self.d_u)]])
 
-    def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[object]) -> tuple:
-        P = self._output_map(C_t)
+    def _validate(self, A_t: np.ndarray, B_t: np.ndarray, C_t: Optional[np.ndarray]) -> tuple:
         if spectral_radius(A_t) >= 1.0:
             raise ConfigurationError("GRC requires a stable system: spectral radius of A_t is >= 1")
-        return P, np.concatenate((A_t, B_t), axis=1)
-
-    def counterfactuals(self, C_t: Optional[object] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Counterfactual pair ``(y_t(M), u_t(M))`` for the held parameters,
-        valid between act() and update()."""
-        return self._pair(self._output_map(C_t))
-
-    def loss_and_gradient(self, cost: object,
-                          C_t: Optional[object] = None) -> tuple[float, np.ndarray]:
-        """Counterfactual loss ``l_t(M)`` at the held parameters and its
-        analytic gradient, shaped like ``Ms``.  Valid between act() and
-        update()."""
-        return self._stacked_loss_and_gradient(cost, self._output_map(C_t))
-
-    def update(self, t: int, A_t: object, B_t: object, C_t: Optional[object], cost: object) -> None:
-        """Take the OGD step on ``l_t``, advance ``J`` and ``z``."""
-        ynat_sq = self._turn(t)[2]
-        self._step(t, cost, self._validated(A_t, B_t, C_t), math.sqrt(ynat_sq))
+        return self._output_map(C_t), np.concatenate((A_t, B_t), axis=1)
 
 
 def grc_runner(
@@ -762,15 +738,15 @@ def grc_runner(
 ) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
     """Adapter: run a GRC controller inside :func:`nscontrol.lds_core.simulate`.
 
-    ``cost`` here is evaluated on (observation, control) pairs; act and
-    update both happen inside the same callback since no future state is
-    needed.
+    ``cost`` here is evaluated on (observation, control) pairs.  Each call
+    acts on the observation ``y_t`` and then updates with the step's
+    ``(A_t, B_t)``, as :func:`gpc_runner` does.
     """
 
     def callback(t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         A_t, B_t, C_t = system.matrices(t)
         u = controller.act(t, y, C_t)
-        controller.update(t, A_t, B_t, C_t, cost)
+        controller.update(t, A_t, B_t, cost)
         return u
 
     return callback

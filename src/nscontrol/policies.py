@@ -39,6 +39,7 @@ from .errors import ConfigurationError
 from .lds_core import (
     LinearSystem,
     PerturbationSource,
+    _all_finite,
     _as_matrix,
     _as_vector,
     _finite_vector,
@@ -380,7 +381,12 @@ class DACPolicy(_WindowPolicy):
         """Control at time t; ``history`` overrides the internal buffer
         (ordered most recent first: ``[w_{t-1}, w_{t-2}, ...]``)."""
         x = np.asarray(x, dtype=float)
-        u = self._sum(self._window if history is None else history, self.gain(t) @ x)
+        window = self._window if history is None else history
+        if _all_finite(x):
+            u = self._sum(window, self.gain(t) @ x)
+        else:  # a zero gain entry times an inf entry gives the NaN control, unwarned
+            with np.errstate(invalid="ignore"):
+                u = self._sum(window, self.gain(t) @ x)
         if self.offset is not None:
             u = u + self.offset
         return u

@@ -478,9 +478,9 @@ def control_with_model(
     incurred, from one ``cost.values`` call on the box's record of the
     states and controls after the loop.  ``K`` defaults to the model's quadratic gain (zero for a
     stable model without one).  The controller runs through
-    :func:`~nscontrol.online_control.gpc_runner` on the model, so it learns
-    from step ``s`` when it acts at ``s + 1``: the last step's update, which
-    no later action would read, is not taken.  ``learner`` holds the
+    :func:`~nscontrol.online_control.gpc_runner` on the model: each step
+    acts on the real state, recovering the last perturbation through the
+    model, and then takes its update.  ``learner`` holds the
     :class:`~nscontrol.online_control.GPCController` options ``h``,
     ``radius``, ``step_size`` and ``schedule``, forwarded as
     given (the horizon is ``n_steps``); the controller holds their

@@ -370,9 +370,8 @@ def test_criterion_08_online_controller_gradients_and_convexity():
         x = np.zeros(2)
         for t in range(15):
             u = controller.act(t, x)
-            x_next = A @ x + B @ u + rng.uniform(-1.0, 1.0, size=2)
-            controller.update(t, A, B, x_next, cost)
-            x = x_next
+            controller.update(t, A, B, cost)
+            x = A @ x + B @ u + rng.uniform(-1.0, 1.0, size=2)
         controller.act(15, x)
         _, grad = controller.loss_and_gradient(cost)
 
@@ -408,15 +407,15 @@ def test_criterion_08_online_controller_gradients_and_convexity():
         for t in range(12):
             y = C @ x
             u = controller.act(t, y, C)
-            controller.update(t, A, B, C, cost)
+            controller.update(t, A, B, cost)
             x = A @ x + B @ u + rng.uniform(-1.0, 1.0, size=2)
         controller.act(12, C @ x, C)
-        _, grad = controller.loss_and_gradient(cost, C)
+        _, grad = controller.loss_and_gradient(cost)
 
         def grc_loss_at(flat):
             saved = controller.Ms
             controller.Ms = flat.reshape(controller.Ms.shape)
-            y_cf, u_cf = controller.counterfactuals(C)
+            y_cf, u_cf = controller.counterfactuals()
             controller.Ms = saved
             return float(cost.value(y_cf, u_cf))
 

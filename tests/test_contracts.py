@@ -152,10 +152,18 @@ def _box(**kw) -> BlackBoxSystem:
 
 
 def _acted(controller, *signals):
-    """``controller`` after a valid ``act(0, *signals)``, ready for
-    ``update(0, ...)``."""
+    """``controller`` after ``act(0, *signals)``, ready for ``update(0,
+    ...)``."""
     controller.act(0, *signals)
     return controller
+
+
+def _gpc_step(x_next, **dynamics):
+    """A GPC step: ``update(0, **dynamics)`` after a valid ``act(0)``, then
+    ``act(1, x_next)``."""
+    controller = _acted(GPCController(2, 1, K), np.ones(2))
+    controller.update(0, cost=COST, **dynamics)
+    return controller.act(1, x_next)
 
 
 class Case(NamedTuple):
@@ -224,16 +232,23 @@ CASES = {
         {"d_x": (2, 1), "d_u": (1, 1), "h": (3, 1)}),
     "GPCController.act": Case(lambda **kw: GPCController(2, 1, K).act(0, **kw),
                               _cols(x=np.ones(2)), carries=("x",), shape=(1,)),
-    "GPCController.update": Case(
-        lambda **kw: _acted(GPCController(2, 1, K), np.ones(2)).update(0, cost=COST, **kw),
-        {"A_t": (A, "col"), "B_t": (B, "row"), "x_next": (np.ones(2), "col")}),
+    # A zero gain entry meets an inf state entry.
+    "GPCController.act_zero_gain": Case(
+        lambda **kw: GPCController(2, 1, np.zeros((1, 2))).act(0, **kw),
+        _cols(x=np.ones(2)), carries=("x",), shape=(1,)),
+    # update(0), then the act(1) that reads the state x_next it led to and
+    # recovers w_0 through update(0)'s dynamics.
+    "GPCController.update": Case(_gpc_step, {"A_t": (A, "col"), "B_t": (B, "row"),
+                                             "x_next": (np.ones(2), "col")}),
     "GRCController": Case(GRCController, {},
                           {"d_x": (2, 1), "d_u": (1, 1), "d_y": (1, 1), "h": (3, 0)}),
     # A fresh learner holds zero blocks, which an inf signal meets.
     "GRCController.act": Case(lambda **kw: GRCController(2, 1, 1).act(0, **kw),
                               _cols(y=np.ones(1), C_t=C), carries=("y",), shape=(1,)),
+    # update(0) builds its output map from the C_t that act(0) was given.
     "GRCController.update": Case(
-        lambda **kw: _acted(GRCController(2, 1, 1), np.ones(1), C).update(0, cost=COST_Y, **kw),
+        lambda C_t, **kw: _acted(GRCController(2, 1, 1), np.ones(1), C_t).update(
+            0, cost=COST_Y, **kw),
         {"A_t": (A, "col"), "B_t": (B, "row"), "C_t": (C, "col")}),
     "OGDState": Case(OGDState, {"point": (np.zeros(3), None)}),
     "counterfactual_state": Case(
@@ -335,6 +350,11 @@ CASES = {
     "GLCPolicy.act_state": Case(lambda **kw: GLCPolicy([K, K]).act_state(**kw), _cols(x=np.ones(2)),
                                 carries=("x",), shape=(1,)),
     "DACPolicy": Case(DACPolicy, _cols(K=K, Ms=[K, K], offset=np.ones(1))),
+    # A zero gain entry meets an inf state entry; act() takes the state's
+    # length from the gain, so only the non-finite entries are walked.
+    "DACPolicy.act_zero_gain": Case(
+        lambda **kw: DACPolicy(np.zeros((1, 2)), [np.ones((1, 2))]).act(t=0, **kw),
+        {"x": (np.ones(2), None)}, carries=("x",), shape=(1,)),
     "DRCPolicy": Case(DRCPolicy, _cols(Ms=[np.ones((1, 1))] * 2), {"d_x": (2, 1)}),
     "DRCPolicy.act_ynat": Case(lambda **kw: DRCPolicy([np.ones((1, 1))] * 2, 2).act_ynat(**kw),
                                _cols(ynat=np.ones(1)), carries=("ynat",), shape=(1,)),

@@ -1236,13 +1236,13 @@ def _radius_zero_gradient_norms(kind, steps):
 
 @pytest.mark.parametrize("kind", ["gpc", "grc"])
 def test_run_experiment_reports_learner_diagnostics(kind, tmp_path):
-    # scalar-0.9 (x0 = 1) under w = 0.1, GPC with K = 0.  GPC steps at t =
-    # 0..T-2 (the last update is not taken), GRC at t = 0..T-1.  The first
+    # scalar-0.9 (x0 = 1) under w = 0.1, GPC with K = 0.  Both learners
+    # step at t = 0..T-1, each act followed by its update.  The first
     # gradients are zero until a past signal reaches the loss: two for GPC,
     # whose actions read w from lag 1 on, one for GRC.  Under radius 0 every
     # later step leaves the ball and is projected; under radius 1e6 none is.
     T = 40
-    steps, silent = (T - 1, 2) if kind == "gpc" else (T, 1)
+    steps, silent = T, (2 if kind == "gpc" else 1)
     norms = _radius_zero_gradient_norms(kind, steps)
     for radius, projected in ((1e6, 0), (0.0, steps - silent)):
         spec = {"kind": kind, "h": 2, "radius": radius, "step_size": 0.001}

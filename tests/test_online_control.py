@@ -296,7 +296,7 @@ def _drive_gpc(controller, system, cost, noise, T, collect=None):
         if collect is not None:
             collect(t, x, u)
         x_next = A @ x + B @ u + noise(t)
-        controller.update(t, A, B, x_next, cost)
+        controller.update(t, A, B, cost)
         x = x_next
     return total
 
@@ -323,6 +323,12 @@ def test_gpc_cached_counterfactual_matches_reference():
     for t in range(60):
         A, B, _ = system.matrices(t)
         u = controller.act(t, x)
+        # act(t) recovered w_{t-1}: the control it played sums the blocks
+        # over the perturbations drawn.
+        u_played = K @ x
+        for j in range(1, min(h, t) + 1):
+            u_played = u_played + controller.Ms[j - 1] @ ws[t - j]
+        assert np.allclose(u, u_played, atol=1e-12)
         if t >= 1:
             x_ref = counterfactual_state(list(controller.Ms), w_hist, A_hist, B_hist, t)
             x_cf, u_cf = controller.counterfactuals()
@@ -333,8 +339,10 @@ def test_gpc_cached_counterfactual_matches_reference():
                     u_ref = u_ref + controller.Ms[j - 1] @ ws[t - j]
             assert np.allclose(u_cf, u_ref, atol=1e-10)
         x_next = A @ x + B @ u + ws[t]
-        w_rec = controller.update(t, A, B, x_next, cost)
-        assert np.allclose(w_rec, ws[t], atol=1e-12)
+        controller.update(t, A, B, cost)
+        # Row t holds the norm of the w_{t-1} that act(t) pushed, 0 at t = 0.
+        w_norm = np.linalg.norm(ws[t - 1]) if t else 0.0
+        assert math.isclose(controller.telemetry[t]["w_norm"], w_norm, rel_tol=1e-12, abs_tol=1e-12)
         A_hist.insert(0, A + B @ K)
         B_hist.insert(0, B)
         w_hist.insert(0, ws[t])
@@ -342,8 +350,9 @@ def test_gpc_cached_counterfactual_matches_reference():
 
 
 def test_gpc_recovered_perturbation_replays():
-    # The recovered w_t closes the dynamics: A x + B u + w equals the
-    # observed next state to machine precision, and the run is deterministic.
+    # The w_{t-1} that act(t) recovers, the newest entry of its window,
+    # closes the dynamics: A x + B u + w equals the observed state to machine
+    # precision, and the run is deterministic.
     rng = np.random.default_rng(5)
     A = np.array([[0.6, 0.1], [0.0, 0.5]])
     B = np.array([[0.0], [1.0]])
@@ -355,13 +364,15 @@ def test_gpc_recovered_perturbation_replays():
         controller = GPCController(2, 1, np.zeros((1, 2)), h=3, radius=2.0, step_size=0.1)
         x = np.zeros(2)
         residual = 0.0
-        for t in range(40):
+        x_prev = u_prev = None
+        for t in range(41):
             u = controller.act(t, x)
-            x_next = A @ x + B @ u + ws[t]
-            w = controller.update(t, A, B, x_next, cost)
-            replay = A @ x + B @ u + w
-            residual = max(residual, float(np.max(np.abs(replay - x_next))))
-            x = x_next
+            if t >= 1:
+                replay = A @ x_prev + B @ u_prev + controller._window[:2]
+                residual = max(residual, float(np.max(np.abs(replay - x))))
+            controller.update(t, A, B, cost)
+            if t < 40:
+                x_prev, u_prev, x = x, u, A @ x + B @ u + ws[t]
         return controller.Ms.copy(), residual
 
     Ms1, res1 = run()
@@ -489,21 +500,19 @@ def test_gpc_projection_and_slowness_hold_under_large_noise():
 
 
 def test_gpc_nonfinite_state_aborts():
+    # A non-finite state makes the perturbation that act() recovers from it
+    # non-finite, which aborts the run.
     controller = GPCController(1, 1, np.zeros((1, 1)), h=2)
     controller.act(0, np.zeros(1))
-    try:
-        controller.update(
-            0, np.eye(1), np.eye(1), np.array([np.nan]), QuadraticCost(np.eye(1), np.eye(1))
-        )
-        assert False, "expected EvaluationError"
-    except EvaluationError:
-        pass
+    controller.update(0, np.eye(1), np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
+    with pytest.raises(EvaluationError, match="recovered perturbation is non-finite at t=0"):
+        controller.act(1, np.array([np.nan]))
 
 
 def test_gpc_update_requires_act():
     controller = GPCController(1, 1, np.zeros((1, 1)), h=2)
     try:
-        controller.update(0, np.eye(1), np.eye(1), np.zeros(1), QuadraticCost(np.eye(1), np.eye(1)))
+        controller.update(0, np.eye(1), np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
         assert False, "expected ConfigurationError"
     except ConfigurationError:
         pass
@@ -532,22 +541,23 @@ def test_gpc_counterfactual_losses_stay_exact_on_a_time_varying_plant():
     runner, held = gpc_runner(controller, system, cost), []
 
     def callback(t, x, y):
-        u = runner(t, x, y)
-        held.append(controller.Ms.copy())  # what act(t) played and update(t) scores
-        return u
+        held.append(controller.Ms.copy())  # what act(t) plays and update(t) scores
+        return runner(t, x, y)
 
     ws = simulate(system, callback, PerturbationSource.gaussian(1.0), cost, T,
                   seed=0).perturbations
     losses = [row["loss"] for row in controller.telemetry]
-    assert len(losses) == T - 1
+    assert len(losses) == T
     A_hist = [np.array([[0.99]])] * (T - 2) + [np.array([[0.1]])]
     assert losses[0] == 0.0  # nothing has been played at t = 0
-    for t in [*range(1, T - 1, 5), T - 2]:
+    for t in [*range(1, T - 1, 5), T - 2, T - 1]:
         w_hist = list(ws[:t][::-1])
         x_ref = counterfactual_state(list(held[t]), w_hist, A_hist[T - 1 - t:], [np.eye(1)] * t, t)
         u_ref = sum(M @ w for M, w in zip(held[t], w_hist))
         assert math.isclose(losses[t], float(cost.value(x_ref, np.ravel(u_ref))), rel_tol=1e-12)
-    assert math.isclose(sum(losses), 113651.466309737, rel_tol=1e-9)
+    # The total of the first T - 1 losses, which the learner took before it
+    # also learned from the last step.
+    assert math.isclose(sum(losses[:-1]), 113651.466309737, rel_tol=1e-9)
 
 
 def test_ogd_step_checks_scale_their_slack_with_the_iterate():
@@ -562,8 +572,9 @@ def test_ogd_step_checks_scale_their_slack_with_the_iterate():
         controller = GPCController(1, 1, [[0.0]], h=2, radius=radius, step_size=step_size)
         simulate(config.system, gpc_runner(controller, config.system, config.cost),
                  PerturbationSource.constant([1.0]), config.cost, 60, x0=np.ones(1))
-        assert len(controller.telemetry) == 59
-    assert controller.projected_steps == 57
+        assert len(controller.telemetry) == 60
+    # Every step projects but the first two, whose gradients are zero.
+    assert controller.projected_steps == 58
     assert controller.telemetry[-1]["M_norm"] == pytest.approx(1e8, rel=1e-12)
 
 
@@ -586,11 +597,8 @@ def test_gpc_runner_matches_manual_loop():
     for t in range(60):
         u = c2.act(t, x)
         controls.append(u)
-        x_next = A @ x + B @ u + ws[t]
-        if t < 59:
-            # The runner performs update(t) lazily at the start of step t+1.
-            c2.update(t, A, B, x_next, cost)
-        x = x_next
+        c2.update(t, A, B, cost)
+        x = A @ x + B @ u + ws[t]
     assert np.allclose(traj.controls, np.array(controls), atol=1e-12)
 
 
@@ -616,9 +624,9 @@ def _drive_grc(controller, A, B, C, cost, noise, T):
     for t in range(T):
         y = C @ x
         u = controller.act(t, y, C)
-        ynats.insert(0, controller._last[1].copy() if controller._last else None)
+        ynats.insert(0, controller._window[: controller.d_y].copy())
         pairs.append((y, u))
-        controller.update(t, A, B, C, cost)
+        controller.update(t, A, B, cost)
         x = A @ x + B @ u + noise(t)
     return ynats, pairs
 
@@ -635,11 +643,11 @@ def test_grc_zero_parameters_reproduce_observation():
         y = C @ x
         u = controller.act(t, y, C)
         assert np.array_equal(u, np.zeros(2))
-        y_cf, _ = controller.counterfactuals(C)
-        ynat = controller._last[1]
+        y_cf, _ = controller.counterfactuals()
+        ynat = controller._window[:2]
         assert np.allclose(ynat, y, atol=1e-12)
         assert np.allclose(y_cf, y, atol=1e-12)
-        controller.update(t, A, B, C, cost)
+        controller.update(t, A, B, cost)
         x = A @ x + B @ u + rng.uniform(-1, 1, size=3)
 
 
@@ -653,12 +661,12 @@ def test_grc_gradient_matches_finite_differences():
 
     x_probe = rng.uniform(-1, 1, size=3)
     controller.act(12, C @ x_probe, C)
-    _, grad = controller.loss_and_gradient(cost, C)
+    _, grad = controller.loss_and_gradient(cost)
 
     def loss_at(flat):
         saved = controller.Ms
         controller.Ms = flat.reshape(controller.Ms.shape)
-        y_cf, u_cf = controller.counterfactuals(C)
+        y_cf, u_cf = controller.counterfactuals()
         controller.Ms = saved
         return float(cost.value(y_cf, u_cf))
 
@@ -684,7 +692,7 @@ def test_grc_loss_is_midpoint_convex_100_pairs():
     def loss_at(Ms):
         saved = controller.Ms
         controller.Ms = Ms
-        y_cf, u_cf = controller.counterfactuals(C)
+        y_cf, u_cf = controller.counterfactuals()
         controller.Ms = saved
         return float(cost.value(y_cf, u_cf))
 
@@ -710,7 +718,7 @@ def test_grc_cached_counterfactual_matches_direct_formula():
     for t in range(30):
         y = C @ x
         u = controller.act(t, y, C)
-        ynats.insert(0, controller._last[1].copy())
+        ynats.insert(0, controller._window[:2].copy())
 
         if t >= 1:
 
@@ -729,13 +737,13 @@ def test_grc_cached_counterfactual_matches_direct_formula():
                 for _ in range(i - 1):
                     prod = A @ prod
                 y_direct = y_direct + C @ (prod @ (B @ u_of_M(i)))
-            y_cf, u_cf = controller.counterfactuals(C)
+            y_cf, u_cf = controller.counterfactuals()
             assert np.allclose(y_cf, y_direct, atol=1e-10)
             u_direct = u_of_M(0)
             assert np.allclose(u_cf, u_direct, atol=1e-12)
             assert np.allclose(u_cf, u, atol=1e-12)
 
-        controller.update(t, A, B, C, cost)
+        controller.update(t, A, B, cost)
         x = A @ x + B @ u + rng.uniform(-1, 1, size=3)
 
 
@@ -743,7 +751,7 @@ def test_grc_rejects_unstable_system():
     controller = GRCController(1, 1, 1, h=1)
     controller.act(0, np.array([0.5]), np.eye(1))
     try:
-        controller.update(0, np.array([[1.05]]), np.eye(1), np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
+        controller.update(0, np.array([[1.05]]), np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
         assert False, "expected ConfigurationError"
     except ConfigurationError:
         pass
@@ -787,7 +795,7 @@ def test_grc_runner_matches_manual_loop():
         y = C @ x
         u = c2.act(t, y, C)
         controls.append(u)
-        c2.update(t, A, B, C, cost)
+        c2.update(t, A, B, cost)
         x = A @ x + B @ u + ws[t]
     assert np.allclose(traj.controls, np.array(controls), atol=1e-12)
 
@@ -800,10 +808,10 @@ def test_grc_unstable_time_varying_system_raises_at_the_unstable_step():
     controller = GRCController(1, 1, 1, h=2, radius=2.0, step_size=0.1)
     for t in range(k):
         controller.act(t, np.array([0.3]), np.eye(1))
-        controller.update(t, np.array([[0.5 + 0.05 * t]]), np.eye(1), np.eye(1), cost)
+        controller.update(t, np.array([[0.5 + 0.05 * t]]), np.eye(1), cost)
     controller.act(k, np.array([0.3]), np.eye(1))
     with pytest.raises(ConfigurationError):
-        controller.update(k, np.array([[1.05]]), np.eye(1), np.eye(1), cost)
+        controller.update(k, np.array([[1.05]]), np.eye(1), cost)
 
 
 def test_grc_checks_stability_once_for_a_time_invariant_system(monkeypatch):
@@ -838,15 +846,15 @@ def _escaping_ogd(offset):
 def _one_gpc_update(noise):
     controller = GPCController(1, 1, np.zeros((1, 1)), h=2, radius=1.0, step_size=0.1)
     controller.act(0, np.zeros(1))
-    controller.update(0, np.eye(1) * 0.5, np.eye(1), np.array([noise]),
-                      QuadraticCost(np.eye(1), np.eye(1)))
+    controller.update(0, np.eye(1) * 0.5, np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
+    controller.act(1, np.array([noise]))
+    controller.update(1, np.eye(1) * 0.5, np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
 
 
 def _one_grc_update(noise):
     controller = GRCController(1, 1, 1, h=2, radius=1.0, step_size=0.1)
     controller.act(0, np.array([noise]), np.eye(1))
-    controller.update(0, np.eye(1) * 0.5, np.eye(1), np.eye(1),
-                      QuadraticCost(np.eye(1), np.eye(1)))
+    controller.update(0, np.eye(1) * 0.5, np.eye(1), QuadraticCost(np.eye(1), np.eye(1)))
 
 
 @pytest.mark.parametrize("one_update", [_one_gpc_update, _one_grc_update])
@@ -1013,12 +1021,11 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, T,
             check(t)
         if t == T:
             break
-        x_next = A_at(t) @ x + B_at(t) @ u + ws[t]
-        controller.update(t, *handed(t), x_next, cost)
+        controller.update(t, *handed(t), cost)
         A_hist.insert(0, A_at(t) + B_at(t) @ K_at(t))
         B_hist.insert(0, B_at(t))
         w_hist.insert(0, ws[t])
-        x = x_next
+        x = A_at(t) @ x + B_at(t) @ u + ws[t]
     assert [row["t"] for row in controller.telemetry] == list(range(T))
 
     def loss_at(flat):
@@ -1075,10 +1082,10 @@ def test_grc_counterfactuals_and_gradient_match_references(
         """The learner's pair and loss at step t against the reference."""
         y_ref, u_ref = rollout(controller.Ms, t, lambda M: M)
         y_abs, u_abs = rollout(controller.Ms, t, np.abs)
-        y_cf, u_cf = controller.counterfactuals(C_at(t))
+        y_cf, u_cf = controller.counterfactuals()
         _assert_exact(y_cf, y_ref, y_abs)
         _assert_exact(u_cf, u_ref, u_abs)
-        loss, _ = controller.loss_and_gradient(cost, C_at(t))
+        loss, _ = controller.loss_and_gradient(cost)
         _assert_exact(loss, cost.value(y_ref, u_ref), _quadratic_magnitude(cost, y_abs, u_abs))
 
     def rollout(Ms, t, f):
@@ -1098,23 +1105,23 @@ def test_grc_counterfactuals_and_gradient_match_references(
     for t in range(T + 1):
         A_t, B_t, C_t = handed(t)
         u = controller.act(t, C_at(t) @ x, C_t)
-        ynats.append(controller._last[1].copy())
+        ynats.append(controller._window[:d_y].copy())
         check(t)
         if t == T:
             break
-        controller.update(t, A_t, B_t, C_t, cost)
+        controller.update(t, A_t, B_t, cost)
         x = A_at(t) @ x + B_at(t) @ u + ws[t]
 
     def loss_at(flat):
         saved = controller.Ms
         controller.Ms = flat.reshape(saved.shape)
-        y_cf, u_cf = controller.counterfactuals(C_at(T))
+        y_cf, u_cf = controller.counterfactuals()
         controller.Ms = saved
         return float(cost.value(y_cf, u_cf))
 
     for _ in range(2):  # the learned parameters, then random ones
         check(T)
-        _, grad = controller.loss_and_gradient(cost, C_at(T))
+        _, grad = controller.loss_and_gradient(cost)
         y_abs, u_abs = rollout(np.abs(controller.Ms) + 1.0, T, np.abs)
         _assert_gradient_exact(controller, grad, loss_at, _quadratic_magnitude(cost, y_abs, u_abs))
         controller.Ms = rng.normal(size=controller.Ms.shape)
@@ -1154,7 +1161,7 @@ def test_grc_natures_y_matches_a_zero_control_rollout(seed, d_x, d_u, d_y, h, T,
     def recording_act(t, y, C_t=None):
         Ms = controller.Ms.copy()
         u = act(t, y, C_t)
-        played.append((controller._last[1].copy(), Ms, u.copy()))
+        played.append((controller._window[:d_y].copy(), Ms, u.copy()))
         return u
 
     controller.act = recording_act
@@ -1193,13 +1200,13 @@ def _callable_twin(cost):
                         lambda z, u: 2.0 * W.dot(offset(z, u))[d_z:])
 
 
-def _assert_twins_agree(quadratic, callable_, cost, twin, *C):
+def _assert_twins_agree(quadratic, callable_, cost, twin):
     """The two learners' counterfactuals, losses and gradients agree to
     1e-12 (relative to their scale)."""
-    for a, b in zip(quadratic.counterfactuals(*C), callable_.counterfactuals(*C)):
+    for a, b in zip(quadratic.counterfactuals(), callable_.counterfactuals()):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-    (loss_a, grad_a), (loss_b, grad_b) = (quadratic.loss_and_gradient(cost, *C),
-                                          callable_.loss_and_gradient(twin, *C))
+    (loss_a, grad_a), (loss_b, grad_b) = (quadratic.loss_and_gradient(cost),
+                                          callable_.loss_and_gradient(twin))
     assert math.isclose(loss_a, loss_b, rel_tol=1e-12, abs_tol=1e-12)
     assert np.allclose(grad_a, grad_b, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(grad_a).max()))
 
@@ -1242,7 +1249,7 @@ def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, T):
             break
         for i, (learner, c) in enumerate(zip(learners, (cost, twin))):
             xs[i] = A_at(t) @ xs[i] + B_at(t) @ us[i] + ws[t]
-            learner.update(t, A_at(t), B_at(t), xs[i], c)
+            learner.update(t, A_at(t), B_at(t), c)
         A_hist.insert(0, A_at(t) + B_at(t) @ K_at(t))
         B_hist.insert(0, B_at(t))
         w_hist.insert(0, ws[t])
@@ -1286,29 +1293,118 @@ def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, T)
     xs = [np.zeros(d_x), np.zeros(d_x)]
     for t in range(T + 1):
         us = [learner.act(t, C_at(t) @ x, C_at(t)) for learner, x in zip(learners, xs)]
-        ynats.append(learners[1]._last[1].copy())
-        _assert_twins_agree(*learners, cost, twin, C_at(t))
+        ynats.append(learners[1]._window[:d_y].copy())
+        _assert_twins_agree(*learners, cost, twin)
         z = np.zeros(d_x)
         for s in range(t):
             u_s = sum(learners[1].Ms[j] @ ynats[s - j] for j in range(min(h, s) + 1))
             z = A_at(s) @ z + B_at(s) @ u_s
-        assert np.allclose(learners[1].counterfactuals(C_at(t))[0], ynats[t] + C_at(t) @ z,
+        assert np.allclose(learners[1].counterfactuals()[0], ynats[t] + C_at(t) @ z,
                            atol=1e-10)
         if t == T:
             break
         for i, (learner, c) in enumerate(zip(learners, (cost, twin))):
-            learner.update(t, A_at(t), B_at(t), C_at(t), c)
+            learner.update(t, A_at(t), B_at(t), c)
             xs[i] = A_at(t) @ xs[i] + B_at(t) @ us[i] + ws[t]
 
     def loss_at(flat):
         saved = learners[1].Ms
         learners[1].Ms = flat.reshape(saved.shape)
-        y_cf, u_cf = learners[1].counterfactuals(C_at(T))
+        y_cf, u_cf = learners[1].counterfactuals()
         learners[1].Ms = saved
         return float(twin.value(y_cf, u_cf))
 
-    grad = learners[1].loss_and_gradient(twin, C_at(T))[1]
+    grad = learners[1].loss_and_gradient(twin)[1]
     _assert_gradient_matches_fd(learners[1], grad, loss_at)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gpc", "grc"]),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    d_y=st.integers(1, 3),
+    h=st.integers(1, 4),
+    T=st.integers(1, 30),
+    with_C=st.booleans(),
+)
+def test_counterfactual_pair_at_frozen_parameters_is_the_played_pair(
+        seed, kind, d_x, d_u, d_y, h, T, with_C):
+    # The rule r_t(M) = r_t + P_t Y_t [m; -1].  With the blocks frozen (step
+    # size 0) at random values from the first step, and the state started at
+    # 0, playing them from the beginning of time is what was played: on
+    # random stable time-varying plants, GPC under a provided gain and GRC
+    # observing through C_t or the state, counterfactuals() returns the
+    # played pair, (x_t, u_t) for GPC and (y_t, u_t) for GRC, to 1e-12
+    # relative to the largest entry played so far.
+    rng = np.random.default_rng(seed)
+    with_C = kind == "grc" and with_C
+    d_y = d_y if with_C else d_x
+    A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
+    B0, C0, K0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_y, d_x)), rng.normal(size=(d_u, d_x))
+    A_at = lambda t: _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
+    B_at = lambda t: (1.0 + 0.3 * np.cos(0.5 * t)) * B0
+    C_at = lambda t: (1.0 + 0.2 * np.sin(0.3 * t)) * C0 if with_C else None
+    cost = QuadraticCost(np.eye(d_y), np.eye(d_u))
+    if kind == "gpc":
+        learner = GPCController(d_x, d_u, lambda t: 0.1 * np.cos(t) * K0, h=h, radius=1e3,
+                                step_size=0.0)
+    else:
+        learner = GRCController(d_x, d_u, d_y, h=h, radius=1e3, step_size=0.0)
+    Ms = rng.normal(size=learner.Ms.shape)
+    learner.ogd = OGDState(Ms.transpose(1, 0, 2).ravel(), radius=1e3, step_scale=0.0)
+    learner.Ms = Ms
+    x, scale = np.zeros(d_x), 1.0
+    for t in range(T):
+        if kind == "gpc":
+            played = (x, learner.act(t, x))
+        else:
+            y = x if C_at(t) is None else C_at(t) @ x
+            played = (y, learner.act(t, y, C_at(t)))
+        scale = max(scale, *(float(np.abs(v).max()) for v in played))
+        for got, want in zip(learner.counterfactuals(), played):
+            _assert_exact(got, want, scale)
+        learner.update(t, A_at(t), B_at(t), cost)
+        x = A_at(t) @ x + B_at(t) @ played[1] + rng.uniform(-1, 1, size=d_x)
+    assert np.array_equal(learner.Ms, Ms)
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_a_second_act_before_update_raises_and_pushes_nothing(kind):
+    # act(t) pushes the newest signal into the window.  A second act()
+    # before update(t) is a configuration error that leaves the window, the
+    # stack and the recorded step as they were: the run then goes on bit for
+    # bit as a run without the extra calls.
+    A, B = np.array([[0.5, 0.25], [0.0, 0.375]]), np.array([[0.0], [1.0]])
+    cost = QuadraticCost(np.eye(2), np.eye(1))
+
+    def learner():
+        if kind == "gpc":
+            controller = GPCController(2, 1, np.array([[-0.25, 0.0]]), h=2, radius=5.0,
+                                       step_size=0.1)
+            return controller, lambda t: controller.act(t, np.array([1.0, -0.5 * t]))
+        controller = GRCController(2, 1, 2, h=2, radius=5.0, step_size=0.1)
+        return controller, lambda t: controller.act(t, np.array([1.0, -0.5 * t]), np.eye(2))
+
+    runs = []
+    for repeat in (False, True):
+        controller, act = learner()
+        for t in range(6):
+            act(t)
+            if repeat and t >= 3:
+                held = (controller._window.copy(), controller._stack.Y.copy(), controller._last)
+                for again in (t, t + 1):
+                    with pytest.raises(ConfigurationError,
+                                       match=rf"act\({t}\) must be followed by update\({t}\)"):
+                        act(again)
+                assert np.array_equal(controller._window, held[0])
+                assert np.array_equal(controller._stack.Y, held[1])
+                assert controller._last is held[2]
+            controller.update(t, A, B, cost)
+        runs.append(controller)
+    assert runs[1].telemetry == runs[0].telemetry
+    assert np.array_equal(runs[1].ogd.point, runs[0].ogd.point)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1377,23 +1473,25 @@ def test_quadratic_cost_path_matches_the_stage_path_in_closed_loop(
 
 
 def _content_learner(kind):
-    """A learner of d_x = d_u = 2 (GRC: d_y = 1), its act, and the valid
-    dynamics ``(A, B, K)`` (GRC: ``(A, B, C)``), each entry exact in float32."""
+    """A learner of d_x = d_u = 2 (GRC: d_y = 1) and the valid dynamics
+    ``(A, B, K)`` (GRC: ``(A, B, C)``), each entry exact in float32."""
     A = np.array([[0.5, 0.25], [0.0, 0.375]])
     B = np.array([[1.0, 0.0], [0.5, 1.0]])
     if kind == "gpc":
         K = np.array([[-0.25, 0.0], [0.0, -0.125]])
-        controller = GPCController(2, 2, K, h=2, radius=1.0, step_size=0.1)
-        return controller, (lambda t: controller.act(t, np.array([0.5, -0.25]))), (A, B, K)
+        return GPCController(2, 2, K, h=2, radius=1.0, step_size=0.1), (A, B, K)
     C = np.array([[1.0, 0.5]])
-    controller = GRCController(2, 2, 1, h=2, radius=1.0, step_size=0.1)
-    return controller, (lambda t: controller.act(t, np.array([0.5]), C)), (A, B, C)
+    return GRCController(2, 2, 1, h=2, radius=1.0, step_size=0.1), (A, B, C)
 
 
-def _content_update(controller, t, A, B, third, cost):
+def _content_step(controller, t, A, B, third, cost):
+    """``act(t)`` and ``update(t)`` with the dynamics ``(A, B)``; ``third``
+    is GRC's ``C_t`` (GPC's gain is fixed)."""
     if isinstance(controller, GPCController):
-        return controller.update(t, A, B, np.array([0.25, 0.5]), cost)
-    return controller.update(t, A, B, third, cost)
+        controller.act(t, np.array([0.5, -0.25]))
+    else:
+        controller.act(t, np.array([0.5]), third)
+    controller.update(t, A, B, cost)
 
 
 @pytest.mark.parametrize("kind, which", [("gpc", 0), ("gpc", 1), ("grc", 0), ("grc", 1),
@@ -1402,15 +1500,13 @@ def test_dynamics_of_the_same_bytes_under_a_new_shape_are_rejected(kind, which):
     # The validated dynamics are cached by shape and bytes: a matrix handed
     # again with the same bytes under another shape is validated again, and
     # is a configuration error.
-    controller, act, dynamics = _content_learner(kind)
+    controller, dynamics = _content_learner(kind)
     cost = QuadraticCost(np.eye(2 if kind == "gpc" else 1), np.eye(2))
-    act(0)
-    _content_update(controller, 0, *dynamics[:2], dynamics[2], cost)
+    _content_step(controller, 0, *dynamics, cost)
     bad = list(dynamics)
     bad[which] = bad[which].reshape(bad[which].shape[::-1] if which == 2 else (4, 1))
-    act(1)
     with pytest.raises(ConfigurationError, match="shape"):
-        _content_update(controller, 1, *bad[:2], bad[2], cost)
+        _content_step(controller, 1, *bad, cost)
 
 
 @pytest.mark.parametrize("kind", ["gpc", "grc"])
@@ -1422,15 +1518,14 @@ def test_float32_and_list_dynamics_are_checked_by_content(kind, form):
     convert = (lambda M: M.astype(np.float32)) if form == "float32" else (lambda M: M.tolist())
     runs = []
     for handed in (lambda M: M, convert):
-        controller, act, dynamics = _content_learner(kind)
+        controller, dynamics = _content_learner(kind)
         cost = QuadraticCost(np.eye(2 if kind == "gpc" else 1), np.eye(2))
         dynamics = [handed(M) for M in dynamics]
         for t in range(6):
-            act(t)
-            _content_update(controller, t, *dynamics[:2], dynamics[2], cost)
-        runs.append((controller, act, dynamics, cost))
+            _content_step(controller, t, *dynamics, cost)
+        runs.append((controller, dynamics, cost))
         assert controller.ogd.t == 6
-    (reference, *_), (controller, act, dynamics, cost) = runs
+    (reference, *_), (controller, dynamics, cost) = runs
     assert controller.telemetry == reference.telemetry
     assert np.array_equal(controller.ogd.point, reference.ogd.point)
     A = dynamics[0]
@@ -1438,9 +1533,8 @@ def test_float32_and_list_dynamics_are_checked_by_content(kind, form):
         A[0, 0] = np.nan
     else:
         A[0][0] = math.nan
-    act(6)
     with pytest.raises(ConfigurationError, match="non-finite"):
-        _content_update(controller, 6, A, dynamics[1], dynamics[2], cost)
+        _content_step(controller, 6, A, *dynamics[1:], cost)
 
 
 @pytest.mark.parametrize("mode", ["fresh", "in-place"])
@@ -1460,7 +1554,7 @@ def test_a_provided_gain_that_changes_rebuilds_the_output_map(mode):
         u = controller.act(t, x)
         loss, grad = controller.loss_and_gradient(cost)
         x = A @ x + B @ u + np.array([0.1, -0.2])
-        controller.update(t, A, B, x, cost)
+        controller.update(t, A, B, cost)
         assert controller.telemetry[-1]["loss"] == loss
         assert controller.telemetry[-1]["grad_norm"] == pytest.approx(np.linalg.norm(grad),
                                                                      rel=1e-14)
@@ -1476,11 +1570,11 @@ def test_in_place_mutation_to_nonfinite_dynamics_raises(kind):
     if kind == "gpc":
         controller = GPCController(1, 1, np.zeros((1, 1)), h=2, radius=1.0, step_size=0.1)
         step = lambda t: (controller.act(t, np.array([0.1])),
-                          controller.update(t, A, B, np.array([0.2]), cost))
+                          controller.update(t, A, B, cost))
     else:
         controller = GRCController(1, 1, 1, h=2, radius=1.0, step_size=0.1)
         step = lambda t: (controller.act(t, np.array([0.1]), C),
-                          controller.update(t, A, B, C, cost))
+                          controller.update(t, A, B, cost))
     for t in range(3):
         step(t)
     A[0, 0] = np.nan
@@ -1525,7 +1619,7 @@ def test_gpc_step_cost_evaluations_and_fixed_dynamics_validated_once(monkeypatch
     for module in (lds_core, online_control):
         monkeypatch.setattr(module, "_as_matrix", counting(module._as_matrix))
     run_experiment(config)
-    # T steps are played and T - 1 of them are learned from.
+    # T steps are played and learned from.
     assert calls == {"value": 0, "values": 1, "stage": 0, "half_hessians": 0}
     assert sum(M is A for M in validated) <= 1
     assert sum(M is B for M in validated) <= 1
@@ -1546,7 +1640,7 @@ def test_wrong_shaped_callable_gradients_raise_typed_errors(wrong):
     controller = GPCController(2, 1, K, h=2, radius=1.0, step_size=0.1)
     controller.act(0, np.array([0.3, -0.2]))
     with pytest.raises(ConfigurationError, match="cost gradients have shapes"):
-        controller.update(0, A, B, np.array([0.1, 0.2]), cost)
+        controller.update(0, A, B, cost)
     w = np.random.default_rng(0).normal(size=(20, 2))
     with pytest.raises(ConfigurationError, match="cost gradients have shapes"):
         best_dac_in_hindsight(LinearSystem.time_invariant(A, B), cost, K, w, 2)
@@ -1558,7 +1652,7 @@ def test_learner_cost_must_be_a_cost_object_or_a_provider():
     controller = GPCController(1, 1, np.zeros((1, 1)), h=1, radius=1.0, step_size=0.1)
     controller.act(0, np.zeros(1))
     with pytest.raises(ConfigurationError, match="value/stage/half_hessians"):
-        controller.update(0, np.array([[0.5]]), np.eye(1), np.zeros(1), 3.0)
+        controller.update(0, np.array([[0.5]]), np.eye(1), 3.0)
 
 
 def _in_place_problem(calls=None):
@@ -1643,16 +1737,13 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
     if kind == "gpc":
         controller = GPCController(1, 1, np.zeros((1, 1)), h=2, radius=5.0, step_size=0.1)
         act = lambda t: controller.act(t, np.array([0.1 * t]))
-        update = lambda t: controller.update(t, A, B, np.array([0.3]), cost)
-        query = controller.counterfactuals
     else:
         controller = GRCController(1, 1, 1, h=2, radius=5.0, step_size=0.1)
         act = lambda t: controller.act(t, np.array([0.1 * t]), C)
-        update = lambda t: controller.update(t, A, B, C, cost)
-        query = lambda: controller.counterfactuals(C)
+    query = controller.counterfactuals
     for t in range(4):
         act(t)
-        update(t)
+        controller.update(t, A, B, cost)
     act(4)
     # Entries of the signal window the learned part multiplies, newest first.
     window = controller._window.reshape(len(controller.Ms), -1).copy()
@@ -1666,7 +1757,7 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
     # The pair returned is a fresh array: nothing the learner holds changes.
     u_cf[...] = np.nan
     assert np.isfinite(controller._stack.Y).all()
-    assert all(np.isfinite(v).all() for v in controller._last[1:] if v is not None)
+    assert np.isfinite(controller._last[1]).all() and np.isfinite(controller._last[3]).all()
 
 
 def test_learners_reject_dynamics_of_the_wrong_shape():
@@ -1677,30 +1768,29 @@ def test_learners_reject_dynamics_of_the_wrong_shape():
         GPCController(2, 1, np.ones((3, 3))).act(0, np.zeros(2))
     gpc = GPCController(2, 1, np.zeros((1, 2)))
     gpc.act(0, np.ones(2))
-    gpc.update(0, 0.5 * np.eye(2), np.ones((2, 1)), np.ones(2), cost)
+    gpc.update(0, 0.5 * np.eye(2), np.ones((2, 1)), cost)
     gpc.act(1, np.ones(2))
     with pytest.raises(ConfigurationError, match=r"A_t has shape \(3, 3\), expected \(2, 2\)"):
-        gpc.update(1, 0.5 * np.eye(3), np.ones((2, 1)), np.ones(2), cost)
+        gpc.update(1, 0.5 * np.eye(3), np.ones((2, 1)), cost)
     with pytest.raises(ConfigurationError, match=r"B_t has shape \(2, 2\), expected \(2, 1\)"):
-        gpc.update(1, 0.5 * np.eye(2), np.ones((2, 2)), np.ones(2), cost)
+        gpc.update(1, 0.5 * np.eye(2), np.ones((2, 2)), cost)
     # A provided K_t of the wrong shape used to play a 2-vector for d_u = 1.
     with pytest.raises(ConfigurationError, match=r"K_0 has shape \(2, 2\), expected \(1, 2\)"):
         GPCController(2, 1, lambda t: np.zeros((2, 2))).act(0, np.ones(2))
 
+    # GRC checks C_t in act(), and a rejected act() leaves the learner as it
+    # was: the next act() with a valid C_t plays.
     grc = GRCController(3, 1, 2)
-    C = np.ones((2, 3))
-    grc.act(0, np.ones(2), C)
+    cost = QuadraticCost(Q=np.eye(2), R=np.eye(1))
     for wrong in (np.ones((2, 5)), np.ones((3, 3))):
         with pytest.raises(ConfigurationError, match=r"C_t has shape"):
-            grc.counterfactuals(wrong)
-        with pytest.raises(ConfigurationError, match=r"C_t has shape"):
-            grc.loss_and_gradient(QuadraticCost(Q=np.eye(2), R=np.eye(1)), wrong)
+            grc.act(0, np.ones(2), wrong)
     with pytest.raises(ConfigurationError, match=r"C_t = None observes the state"):
-        grc.counterfactuals(None)
-    with pytest.raises(ConfigurationError, match=r"C_t has shape \(3, 3\), expected \(2, 3\)"):
-        grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), np.ones((3, 3)),
-                   QuadraticCost(Q=np.eye(2), R=np.eye(1)))
-    grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), C, QuadraticCost(Q=np.eye(2), R=np.eye(1)))
+        grc.act(0, np.ones(2), None)
+    grc.act(0, np.ones(2), np.ones((2, 3)))
+    with pytest.raises(ConfigurationError, match=r"B_t has shape \(3, 2\), expected \(3, 1\)"):
+        grc.update(0, 0.5 * np.eye(3), np.ones((3, 2)), cost)
+    grc.update(0, 0.5 * np.eye(3), np.ones((3, 1)), cost)
     # act() checks C_t too (tests/test_contracts.py walks the signals' lengths
     # and C_t's shape); a 2-vector observation of a d_y = 1 learner without
     # C_t raised a numpy error at its window.
