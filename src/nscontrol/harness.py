@@ -1006,7 +1006,7 @@ def _learner_diagnostics(learner: object) -> dict:
         "ogd_steps": ogd.t,
         "ogd_projected_steps": learner.projected_steps,
         "ogd_last_step_size": ogd.step_size(ogd.t) if ogd.t else None,
-        "ogd_grad_norm_sq_sum": float(learner.grad_norm_sq_sum) if ogd.t else None,
+        "ogd_grad_norm_sq_sum": float(ogd.grad_norm_sq_sum) if ogd.t else None,
         "ogd_grad_norm_max": float(learner.grad_norm_max) if ogd.t else None,
     }
 

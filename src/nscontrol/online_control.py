@@ -62,21 +62,32 @@ _FLOAT = np.dtype(float)
 # ---------------------------------------------------------------------------
 
 
+#: The OGD step schedules (see :class:`OGDState`).
+_SCHEDULES = ("sqrt", "constant", "adagrad")
+
+
 @dataclass(frozen=True)
 class OGDState:
     """Iterate of projected online gradient descent.
 
     ``point`` is the flat parameter vector; the feasible set is the
-    Euclidean ball of the given ``radius`` (None = unconstrained).  With
-    ``schedule="sqrt"`` the step is ``step_scale / sqrt(t)``; with
-    ``"constant"`` it is ``step_scale`` every round.
+    Euclidean ball of the given ``radius`` (None = unconstrained).  The step
+    at (1-based) iteration ``t`` is ``step_scale / sqrt(t)`` under
+    ``schedule="sqrt"`` and ``step_scale`` under ``"constant"``.  Under
+    ``"adagrad"`` (AdaGrad-norm) it is ``step_scale / sqrt(sum_{s<=t}
+    ||g_s||^2)``, the sum taken up to and including the step's own
+    gradient, so no bound on the gradients is needed; while that sum is 0
+    the step is 0, which moves no point since every gradient so far was 0.
+    ``grad_norm_sq_sum`` is that sum over the ``t`` steps taken, kept under
+    every schedule (inf once it overflows, which makes the AdaGrad step 0).
 
     Raises
     ------
     ConfigurationError
         On an unknown schedule, a ``radius`` that is not None and not a
-        finite number >= 0, a ``step_scale`` that is not finite and >= 0, or
-        a ``point`` with a non-finite entry.
+        finite number >= 0, a ``step_scale`` that is not finite and >= 0, a
+        ``grad_norm_sq_sum`` that is not >= 0, or a ``point`` with a
+        non-finite entry.
     """
 
     point: np.ndarray
@@ -84,9 +95,10 @@ class OGDState:
     step_scale: float = 0.1
     schedule: str = "sqrt"
     t: int = 0
+    grad_norm_sq_sum: float = 0.0
 
     def __post_init__(self):
-        if self.schedule not in ("sqrt", "constant"):
+        if self.schedule not in _SCHEDULES:
             raise ConfigurationError(f"unknown OGD schedule {self.schedule!r}")
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise ConfigurationError(
@@ -96,25 +108,55 @@ class OGDState:
             raise ConfigurationError(
                 f"OGD step_scale must be a finite number >= 0, got {self.step_scale}"
             )
+        if not self.grad_norm_sq_sum >= 0.0:
+            raise ConfigurationError(
+                f"OGD grad_norm_sq_sum must be >= 0, got {self.grad_norm_sq_sum}"
+            )
         object.__setattr__(self, "point", _finite_vector(np.ravel(self.point), None, "point"))
 
     def step_size(self, t: int) -> float:
-        """Step size used at (1-based) iteration t."""
-        if self.schedule == "sqrt":
-            return self.step_scale / math.sqrt(t)
-        return self.step_scale
+        """Step size used at (1-based) iteration t.  Under ``"adagrad"`` it
+        is the one of the iteration whose gradient sum is
+        ``grad_norm_sq_sum``: on a state that an update returned, the step
+        that update took."""
+        return _eta(self.schedule, self.step_scale, t, self.grad_norm_sq_sum)
 
-    def _successor(self, point: np.ndarray, t: int) -> "OGDState":
-        """This state with a new flat float ``point`` and counter ``t``.  The
-        other fields passed ``__post_init__`` already, so it is skipped."""
+    def _successor(self, point: np.ndarray, t: int, grad_norm_sq_sum: float) -> "OGDState":
+        """This state with a new flat float ``point``, counter ``t`` and
+        gradient sum.  The other fields passed ``__post_init__`` already, so
+        it is skipped."""
         new = object.__new__(OGDState)
-        new.__dict__.update(self.__dict__, point=point, t=t)
+        new.__dict__.update(self.__dict__, point=point, t=t, grad_norm_sq_sum=grad_norm_sq_sum)
         return new
+
+
+def _eta(schedule: str, scale: float, t: int, grad_norm_sq_sum: float) -> float:
+    """The step size of :class:`OGDState` at iteration ``t`` whose gradient
+    sum, its own gradient's included, is ``grad_norm_sq_sum``."""
+    if schedule == "sqrt":
+        return scale / math.sqrt(t)
+    if schedule == "constant":
+        return scale
+    return scale / math.sqrt(grad_norm_sq_sum) if grad_norm_sq_sum > 0.0 else 0.0
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    """``||v||`` of ``v`` scaled by its largest entry first, so finite
+    entries whose ``v.v`` overflows still give their finite norm (inf for
+    an inf entry)."""
+    scale = float(np.abs(v).max())
+    if not math.isfinite(scale):
+        return scale
+    v = v / scale
+    return scale * math.sqrt(v.dot(v))
 
 
 def ogd_update(state: OGDState, gradient: object) -> OGDState:
     """One projected-gradient step: move against the gradient, project
     back onto the ball, and advance the iteration counter.
+
+    A finite gradient whose squared norm overflows is stepped with its
+    rescaled norm, without a RuntimeWarning.
 
     Raises
     ------
@@ -129,35 +171,45 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
             f"gradient dimension {g.shape[0]} does not match point dimension "
             f"{state.point.shape[0]}"
         )
-    return _ogd_step(state, g)[0]
+    with np.errstate(over="ignore"):  # _ogd_step handles the overflow
+        return _ogd_step(state, g)[0]
 
 
 def _ogd_step(state: OGDState, g: np.ndarray, factor: float = 1.0) -> tuple:
     """:func:`ogd_update` on the gradient ``factor * g``, for a flat float
     ``g`` of the point's shape and a power of two ``factor``, which the step
     size takes up exactly: the new point is bitwise the one the gradient
-    itself gives.  Returns the new state, ``||factor * g||^2``, the step size
+    itself gives.  Returns the new state, ``||factor * g||``, the step size
     ``eta`` it took, and the norm of the new point, or None when the
     projection scaled the point (or there is no ball).  The entries are
-    scanned only when ``||factor * g||^2`` is not finite."""
+    scanned, and a norm rescaled so that it does not overflow, only when a
+    squared norm is not finite; numpy warns of the overflow unless the
+    caller turned that warning off."""
     gg = g.dot(g) * (factor * factor)
     if gg < 2.0**-900 and factor != 1.0:
         # Near the subnormals g.g has lost bits that the scaled sum keeps.
         gg = (g * factor).dot(g * factor)
-    # g.g is finite exactly when every entry is, unless it overflows.
-    if not math.isfinite(gg) and not np.isfinite(g * factor).all():
-        raise EvaluationError("OGD update rejected: non-finite gradient")
+    grad_norm = math.sqrt(gg)
+    if not math.isfinite(gg):
+        # g.g is finite exactly when every entry is, unless it overflows.
+        g_full = g * factor
+        if not np.isfinite(g_full).all():
+            raise EvaluationError("OGD update rejected: non-finite gradient")
+        grad_norm = _scaled_norm(g_full)
     t_next = state.t + 1
-    eta = state.step_size(t_next)
+    grad_norm_sq_sum = state.grad_norm_sq_sum + gg
+    eta = _eta(state.schedule, state.step_scale, t_next, grad_norm_sq_sum)
     y = g * (-factor * eta)
     y += state.point
     norm = None
     if state.radius is not None:
         norm = math.sqrt(y.dot(y))
         if norm > state.radius:
+            if norm == math.inf:
+                norm = _scaled_norm(y)
             y *= state.radius / norm
             norm = None
-    return state._successor(y, t_next), gg, eta, norm
+    return state._successor(y, t_next, grad_norm_sq_sum), grad_norm, eta, norm
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +369,8 @@ class _DisturbanceFeedback:
     def __init__(self, d_s, n_M, radius, step_size, schedule, horizon):
         # Subclasses set d_x, d_u and h first.
         self._n_M, self._d_s = n_M, d_s
+        if schedule is None:
+            schedule = "adagrad" if step_size is None else "sqrt"
         scale = float(step_size) if step_size is not None else float(radius)
         if schedule == "constant":
             if horizon is None:
@@ -328,8 +382,9 @@ class _DisturbanceFeedback:
         )
         self.Ms = self._stacked(self.ogd.point)
         self.projected_steps = 0
-        #: Sum of ``||g_t||^2`` and largest ``||g_t||`` over the OGD steps.
-        self.grad_norm_sq_sum, self.grad_norm_max = 0.0, 0.0
+        #: Largest ``||g_t||`` over the OGD steps (their sum of squares is
+        #: ``ogd.grad_norm_sq_sum``).
+        self.grad_norm_max = 0.0
         self.telemetry: list = []
         self._last: Optional[tuple] = None
         self._dynamics_key: Optional[tuple] = None
@@ -451,8 +506,7 @@ class _DisturbanceFeedback:
         P, FB = self._validated(A_t, B_t, E_t, E_key)[:2]
         loss, half_grad = self._loss_and_half_gradient(cost, P)
         state = self.ogd
-        self.ogd, gg, eta, M_norm = _ogd_step(state, half_grad, 2.0)
-        grad_norm = math.sqrt(gg)
+        self.ogd, grad_norm, eta, M_norm = _ogd_step(state, half_grad, 2.0)
         point = self.ogd.point
         if M_norm is None:  # the projection scaled the point
             self.projected_steps += 1
@@ -466,7 +520,6 @@ class _DisturbanceFeedback:
         if math.sqrt(moved.dot(moved)) > step + 1e-12 * (1.0 + M_norm + step):
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
         self._Ms, self._Mt = None, point.reshape(self.d_u, -1).T  # Ms when read
-        self.grad_norm_sq_sum += gg
         self.grad_norm_max = max(self.grad_norm_max, grad_norm)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: math.sqrt(signal_sq), "grad_norm": grad_norm})
@@ -512,9 +565,9 @@ class GPCController(_DisturbanceFeedback):
     loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
     (``||w_{t-1}||``, the perturbation ``act`` pushed, 0 at the first step)
     and ``grad_norm``; ``self.projected_steps`` counts the steps whose
-    projection onto the ball scaled the point, and
-    ``self.grad_norm_sq_sum`` and ``self.grad_norm_max`` hold the sum of
-    the squared gradient norms and the largest one.  The played cost
+    projection onto the ball scaled the point, ``self.grad_norm_max``
+    holds the largest gradient norm, and ``self.ogd.grad_norm_sq_sum`` the
+    sum of the squared ones.  The played cost
     ``c_t(x_t, u_t)`` is not repeated there: it is ``Trajectory.costs[t]``
     under :func:`~nscontrol.lds_core.simulate`, and entry ``t`` of the
     array that :func:`~nscontrol.sysid.control_with_model` returns.  A
@@ -535,9 +588,16 @@ class GPCController(_DisturbanceFeedback):
     radius : float
         Frobenius-ball projection radius on the stacked parameters.
     step_size : float, optional
-        Scale ``c`` of the step schedule (``c/sqrt(t)`` or, with the
-        constant schedule, ``c/sqrt(T)``).  Defaults to ``radius``.
-    schedule : {"sqrt", "constant"}
+        Scale ``c`` of the step schedule: ``c/sqrt(t)`` under ``"sqrt"``,
+        ``c/sqrt(T)`` under ``"constant"`` and ``c/sqrt(sum_{s<=t}
+        ||g_s||^2)`` under ``"adagrad"``.  When it is not given, ``c`` is
+        ``radius``.
+    schedule : {None, "adagrad", "sqrt", "constant"}
+        The default None is AdaGrad-norm (``"adagrad"``) when no
+        ``step_size`` is given, which scales the step to the gradients so
+        that none is too large for the plant, and ``"sqrt"`` when one is.
+        An explicit schedule is taken as named, ``"sqrt"`` with no
+        ``step_size`` included (``radius/sqrt(t)``).
     horizon : int, optional
         Required for the constant schedule (sets ``eta = c/sqrt(T)``).
     """
@@ -552,7 +612,7 @@ class GPCController(_DisturbanceFeedback):
         h: int = DEFAULT_H,
         radius: float = 10.0,
         step_size: Optional[float] = None,
-        schedule: str = "sqrt",
+        schedule: Optional[str] = None,
         horizon: Optional[int] = None,
     ):
         self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")
@@ -656,11 +716,12 @@ class GRCController(_DisturbanceFeedback):
     observation dimension; ``h`` (the window holds ``h + 1`` matrices,
     lags 0 to ``h``), ``radius``, ``step_size``, ``schedule`` and
     ``horizon`` are the learner options of :class:`GPCController`, with the
-    same defaults.  Each update appends a telemetry dict to
+    same defaults and the same default-step rule: AdaGrad-norm without a
+    ``step_size``, ``"sqrt"`` with one.  Each update appends a telemetry dict to
     ``self.telemetry`` with the keys ``t``, ``loss``, ``M_norm``,
     ``ynat_norm`` and ``grad_norm``; the played cost is not among them.
-    ``self.projected_steps``, ``self.grad_norm_sq_sum`` and
-    ``self.grad_norm_max`` are kept as for GPC.  A non-finite ``y`` gives
+    ``self.projected_steps``, ``self.grad_norm_max`` and
+    ``self.ogd.grad_norm_sq_sum`` are kept as for GPC.  A non-finite ``y`` gives
     a non-finite control, NaN where a zero block meets an inf entry,
     without an invalid-value warning.
     """
@@ -675,7 +736,7 @@ class GRCController(_DisturbanceFeedback):
         h: int = DEFAULT_H,
         radius: float = 10.0,
         step_size: Optional[float] = None,
-        schedule: str = "sqrt",
+        schedule: Optional[str] = None,
         horizon: Optional[int] = None,
     ):
         self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")

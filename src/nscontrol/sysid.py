@@ -67,6 +67,11 @@ SIGMA_MIN_THRESHOLD = 1e-6
 #: Perturbation rows a black box draws at a time, ahead of its step counter.
 _DRAW_BLOCK = 256
 
+#: :func:`control_with_model` raises EvaluationError once a state's norm
+#: exceeds this many times the largest state norm before it started (the
+#: exploration phase's, under :func:`identify_then_control`).
+STATE_GROWTH_LIMIT = 1e3
+
 
 def _room(rows: np.ndarray, needed: int) -> np.ndarray:
     """``rows`` if it has at least ``needed`` rows, else a copy of it in a
@@ -121,6 +126,7 @@ class BlackBoxSystem:
         self._controls = np.empty((1, system.d_u))
         self._ws = np.empty((0, system.d_x))
         self._drawn = 0
+        self._bound_sq = math.inf
 
     @property
     def d_x(self) -> int:
@@ -134,6 +140,14 @@ class BlackBoxSystem:
     def steps(self) -> int:
         """Number of controls applied so far."""
         return self._t
+
+    def _bound_states(self, bound: float) -> None:
+        """From the next step on, a state whose norm exceeds ``bound`` (a
+        number >= 0) raises EvaluationError at the step that reaches it, and
+        the histories end at the state before (inf: no bound, the default).
+        The check reuses the squared norm that each step's finiteness check
+        takes."""
+        self._bound_sq = bound * bound
 
     def read_state(self) -> np.ndarray:
         """Current state (a copy)."""
@@ -185,7 +199,7 @@ class BlackBoxSystem:
         from the step counter on, taking the perturbation rows in order from
         the blocks drawn ahead."""
         matrices, states, t = self._system.matrices, self._states, self._t
-        x, ws, drawn = states[t], self._ws, self._drawn
+        x, ws, drawn, bound_sq = states[t], self._ws, self._drawn, self._bound_sq
         # A non-finite state is rejected below; numpy's warnings on the way
         # there are not wanted.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -195,12 +209,19 @@ class BlackBoxSystem:
                     if t >= drawn:
                         ws, drawn = self._draw_ahead(t)
                     x = np.add(A_t.dot(x) + B_t.dot(u), ws[t], out=states[t + 1])
-                    # x.x is finite exactly when every entry is, unless it
-                    # overflows.
-                    if not math.isfinite(x.dot(x)) and not _all_finite(x):
-                        raise EvaluationError(
-                            f"black box emitted a non-finite state at step {t}; aborting"
-                        )
+                    xx = x.dot(x)
+                    if not xx < bound_sq:
+                        # x.x is finite exactly when every entry is, unless
+                        # it overflows.
+                        if not _all_finite(x):
+                            raise EvaluationError(
+                                f"black box emitted a non-finite state at step {t}; aborting"
+                            )
+                        if xx > bound_sq:
+                            raise EvaluationError(
+                                f"black box state norm {math.sqrt(xx):.3g} at step {t} exceeds "
+                                f"the state bound {math.sqrt(bound_sq):.3g}; aborting"
+                            )
                     t += 1
             finally:
                 self._t = t
@@ -447,6 +468,11 @@ def _ceil_two_thirds_power(T: int) -> int:
     return m
 
 
+def _largest_norm(states: np.ndarray) -> float:
+    """The largest Euclidean norm of the rows of ``states``."""
+    return float(np.linalg.norm(states, axis=1).max())
+
+
 def _gain_for_identified(
     A_hat: np.ndarray, B_hat: np.ndarray, cost: object
 ) -> np.ndarray:
@@ -476,7 +502,12 @@ def control_with_model(
     perturbations through ``(A_model, B_model)``, so any model error is
     treated as extra disturbance.  Returns the per-step costs actually
     incurred, from one ``cost.values`` call on the box's record of the
-    states and controls after the loop.  ``K`` defaults to the model's quadratic gain (zero for a
+    states and controls after the loop.  When the box has taken steps
+    before, a state whose norm exceeds ``STATE_GROWTH_LIMIT`` times the
+    largest state norm so far raises EvaluationError, at the box's step
+    that reaches it, so a model whose gain does not stabilize the plant
+    ends the run long before its numbers overflow.
+    ``K`` defaults to the model's quadratic gain (zero for a
     stable model without one).  The controller runs through
     :func:`~nscontrol.online_control.gpc_runner` on the model: each step
     acts on the real state, recovering the last perturbation through the
@@ -494,10 +525,15 @@ def control_with_model(
     controller = GPCController(box.d_x, box.d_u, K, horizon=n_steps, **learner)
     policy = gpc_runner(controller, LinearSystem.time_invariant(A_model, B_model), cost)
     start = box.steps
-    x = box.read_state()
-    for s in range(n_steps):
-        box.apply_control(policy(s, x, x))
+    if start:
+        box._bound_states(STATE_GROWTH_LIMIT * _largest_norm(box.recorded_states))
+    try:
         x = box.read_state()
+        for s in range(n_steps):
+            box.apply_control(policy(s, x, x))
+            x = box.read_state()
+    finally:
+        box._bound_states(math.inf)
     return cost.values(box.recorded_states[start:-1], box.recorded_controls[start:])
 
 
@@ -518,8 +554,10 @@ def identify_then_control(
     through the identified model, so model error rides along as extra
     disturbance.  The report's comparator is the best fixed
     disturbance-action policy in hindsight on the *true* system, and its
-    extras record the exploration/exploitation split and identification
-    diagnostics.
+    extras record the exploration/exploitation split, identification
+    diagnostics and the state guard of :func:`control_with_model`:
+    ``state_ratio_bound`` (``STATE_GROWTH_LIMIT``) and ``max_state_ratio``,
+    the largest exploitation state norm over the largest exploration one.
 
     ``learner`` holds the :class:`~nscontrol.online_control.GPCController`
     options ``h``, ``radius``, ``step_size`` and ``schedule``,
@@ -533,7 +571,8 @@ def identify_then_control(
     EvaluationError
         If the excitation block matrix is numerically rank-deficient
         (below ``SIGMA_MIN_THRESHOLD``) — the pipeline aborts rather than
-        control a bogus model.
+        control a bogus model — or the exploitation phase's state grows
+        past the guard of :func:`control_with_model`.
     """
     start_time = time.perf_counter()
     T, k = _whole(T, 1, "horizon T"), _whole(k, 1, "the controllability index k")
@@ -569,12 +608,16 @@ def identify_then_control(
     _, comparator_costs = best_dac_in_hindsight(truth, cost, K_hat, w_record, h=h, x0=states[0])
 
     costs = np.concatenate([explore_costs, exploit_costs])
+    explore_peak = _largest_norm(states[: n_explore + 1])
+    exploit_peak = _largest_norm(states[n_explore + 1 :])
     extras = {
         "T0": int(T0),
         "k": int(k),
         "n_explore": int(n_explore),
         "exploration_cost": float(explore_costs.sum()),
         "exploitation_cost": float(exploit_costs.sum()),
+        "state_ratio_bound": STATE_GROWTH_LIMIT,
+        "max_state_ratio": exploit_peak / explore_peak,
     }
     extras.update(identification_summary(estimates, identified, truth))
     return _regret_report("identify-then-control", "best-dac", costs, comparator_costs,

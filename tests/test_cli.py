@@ -278,6 +278,45 @@ def test_sysid_subcommand():
             assert by_cli == fh.read() != gh.read()
 
 
+def test_readme_sysid_line_stays_bounded_under_the_default_step():
+    # The README's identification example at its default learner options
+    # (radius 10, AdaGrad-norm): a finite per-step regret, with the state
+    # guard's fields in the summary.
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, _ = run_cli(["sysid", "--preset", "scalar-0.9", "--horizon", "4000",
+                                "--seed", "0", "--out", tmp])
+        assert code == 0
+        summary = read_json_summary(os.path.join(tmp, "summary.json"))
+    assert summary["final_avg_regret"] <= 1e3
+    assert f"avg_regret={summary['final_avg_regret']:.6g}" in out
+    assert summary["state_ratio_bound"] == 1e3
+    assert 0.0 < summary["max_state_ratio"] <= 1e3
+
+
+def test_sysid_with_a_large_sqrt_step_stays_bounded_or_exits_3():
+    # A hand-set step the plant cannot take, from a config file (no flag
+    # sets the schedule): each seed ends bounded or as a numerical failure
+    # from the state guard, never as a diverged regret.
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(4):
+            path = os.path.join(tmp, f"sqrt{seed}.cfg")
+            with open(path, "w") as fh:
+                fh.write("[system]\npreset = scalar-0.9\n\n[controller]\nschedule = sqrt\n"
+                         f"step_size = 10\n\n[run]\nhorizon = 4000\nseed = {seed}\n")
+            code, out, err = run_cli(["sysid", "--config", path])
+            assert code in (0, 3), (seed, code, err)
+            if code == 3:
+                assert "exceeds the state bound" in err
+            else:
+                assert float(out.split("avg_regret=")[1].split()[0]) <= 1e3
+
+
+def test_sysid_exits_3_when_the_model_gain_does_not_stabilize_the_plant():
+    code, _, err = run_cli(["sysid", "--preset", "double-integrator"])
+    assert code == 3
+    assert "exceeds the state bound" in err
+
+
 def test_filter_subcommand():
     with tempfile.TemporaryDirectory() as tmp:
         code, out, _ = run_cli(

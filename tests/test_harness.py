@@ -1273,6 +1273,28 @@ def test_run_experiment_reports_learner_diagnostics(kind, tmp_path):
     assert report.extras == {}
 
 
+def test_default_step_by_hand_on_scalar():
+    # scalar-0.9 (x0 = 1, Q = R = 1) under w = 0.5, GPC at its defaults
+    # (radius 10, AdaGrad-norm at scale 10) and the quadratic gain K = -0.9
+    # P / (1 + P), P = (0.81 + sqrt(0.81^2 + 4)) / 2 the scalar Riccati
+    # root.  At t = 0 no w is known, so the gradient is 0 and so is eta.  At
+    # t = 1, with w_0 = 0.5 in the window and M = 0, the counterfactual
+    # state is the drift 0.5, the cost's half gradient is (0.5, 0.5 K), and
+    # pulled back through P = [[1, 0], [K, 1]] and the sensitivity of u to
+    # M, w_0 = 0.5, the gradient is 2 * 0.5 K * 0.5 = 0.5 K.  So the sum is
+    # (0.5 K)^2 and the last step eta = 10 / (0.5 |K|) = 20 / |K|.
+    P = (0.81 + math.sqrt(0.81**2 + 4.0)) / 2.0
+    K = -0.9 * P / (1.0 + P)
+    report = run_experiment(config_from_preset(
+        "scalar-0.9", controller={"kind": "gpc"}, horizon=2, comparator={"kind": "none"},
+        perturbation=PerturbationSource.constant([0.5])))
+    extras = report.extras
+    assert extras["ogd_steps"] == 2
+    assert extras["ogd_last_step_size"] == pytest.approx(20.0 / abs(K), rel=1e-10)
+    assert extras["ogd_grad_norm_sq_sum"] == pytest.approx((0.5 * K) ** 2, rel=1e-10)
+    assert extras["ogd_grad_norm_max"] == pytest.approx(0.5 * abs(K), rel=1e-10)
+
+
 def test_run_experiment_grc_requires_stable_dynamics():
     for preset in ("double-integrator", "ventilator"):
         try:

@@ -57,12 +57,6 @@ def test_ogd_projection_onto_ball():
     assert np.allclose(out.point, [0.6, 0.8], atol=1e-15)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(RuntimeWarning, AssertionError),
-    reason="||y|| = sqrt(y.y) overflows, so the projection scales y by radius / inf "
-    "and lands on the origin instead of the sphere",
-)
 def test_ogd_projects_an_overflowing_step_onto_the_sphere():
     # A finite step of length 5e200 leaves the ball of radius 2; its
     # projection lies on the sphere, in the step's direction.
@@ -84,6 +78,90 @@ def test_ogd_constant_schedule():
     out = ogd_update(out, np.array([1.0]))
     # Two constant steps of 0.25 against gradient 1.
     assert np.allclose(out.point, [-0.5], atol=1e-15)
+
+
+def test_ogd_adagrad_schedule_by_hand():
+    # AdaGrad-norm: eta_t = c / sqrt(sum_{s<=t} ||g_s||^2), the sum taking
+    # in the step's own gradient.  A zero first gradient takes eta = 0 and
+    # moves nothing; g = (3, 4) then takes eta = 1/5, so the step has length
+    # c = 1; g = (0, 12) makes the sum 169, eta = 1/13.
+    state = OGDState(point=np.zeros(2), radius=None, step_scale=1.0, schedule="adagrad")
+    out = ogd_update(state, np.zeros(2))
+    assert np.array_equal(out.point, np.zeros(2))
+    assert (out.t, out.grad_norm_sq_sum, out.step_size(out.t)) == (1, 0.0, 0.0)
+    out = ogd_update(out, np.array([3.0, 4.0]))
+    assert out.grad_norm_sq_sum == 25.0 and out.step_size(out.t) == 0.2
+    assert np.allclose(out.point, [-0.6, -0.8], rtol=1e-15)
+    out = ogd_update(out, np.array([0.0, 12.0]))
+    assert out.grad_norm_sq_sum == 169.0 and out.step_size(out.t) == 1.0 / 13.0
+    assert np.allclose(out.point, [-0.6, -0.8 - 12.0 / 13.0], rtol=1e-15)
+    # The sum is kept under every schedule; the sqrt step ignores it.
+    out = ogd_update(OGDState(point=np.zeros(2), step_scale=0.5), np.array([3.0, 4.0]))
+    assert out.grad_norm_sq_sum == 25.0 and out.step_size(out.t) == 0.5
+
+
+def _ball_minimum(H, b, radius):
+    """A minimizer of ``x.H x / 2 + b.x`` over ``||x|| <= radius`` for a
+    symmetric positive semidefinite ``H``: the unconstrained one when it
+    lies in the ball, else ``-(H + mu I)^-1 b`` with ``mu`` bisected to the
+    sphere; scaled into the ball, so it is feasible whatever the rounding."""
+    lam, V = np.linalg.eigh(H)
+    beta = V.T @ b
+
+    def at(mu):
+        denominator = lam + mu
+        safe = np.where(denominator > 1e-12 * max(lam.max(), 1.0), denominator, np.inf)
+        return -V @ (beta / safe)
+
+    x = at(0.0)
+    if np.linalg.norm(x) > radius:
+        lo, hi = 0.0, 1.0
+        while np.linalg.norm(at(hi)) > radius:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.linalg.norm(at(mid)) > radius else (lo, mid)
+        x = at(hi)
+    return x * min(1.0, radius / max(np.linalg.norm(x), 1e-300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    T=st.integers(1, 300),
+    scale=st.floats(1e-3, 1e3),
+    radius=st.floats(0.1, 10.0),
+)
+def test_ogd_adagrad_regret_bound_on_convex_quadratics(seed, d, T, scale, radius):
+    # The companion of acceptance criterion 12 for the learners' default
+    # step.  Projected OGD with nonincreasing steps has regret at most
+    # D^2 / (2 eta_T) + sum_t eta_t ||g_t||^2 / 2 against any point of a
+    # ball of diameter D; under AdaGrad-norm with scale c, sum_t ||g_t||^2 /
+    # sqrt(S_t) <= 2 sqrt(S_T) (S_t the running sum), so the regret is at
+    # most (D^2 / (2 c) + c) sqrt(S_T), and 1.5 D sqrt(S_T) at c = D / 2,
+    # the radius: with no bound on the gradients, which here span six
+    # orders of magnitude.  Steps on zero gradients take eta = 0 and add
+    # nothing to either side.
+    rng = np.random.default_rng(seed)
+    state = OGDState(point=np.zeros(d), radius=radius, step_scale=radius, schedule="adagrad")
+    H_sum, b_sum, c_sum, played = np.zeros((d, d)), np.zeros(d), 0.0, 0.0
+    for _ in range(T):
+        A = rng.standard_normal((d, d)) * scale
+        H = A @ A.T
+        c = rng.uniform(-3.0 * radius, 3.0 * radius, size=d)
+        # f(x) = (x - c).H (x - c) / 2 = x.H x / 2 - (H c).x + c.H c / 2
+        x = state.point
+        played += 0.5 * (x - c) @ H @ (x - c)
+        H_sum += H
+        b_sum -= H @ c
+        c_sum += 0.5 * c @ H @ c
+        state = ogd_update(state, H @ (x - c))
+    best = _ball_minimum(H_sum, b_sum, radius)
+    best_total = 0.5 * best @ H_sum @ best + b_sum @ best + c_sum
+    bound = 1.5 * (2.0 * radius) * math.sqrt(state.grad_norm_sq_sum)
+    slack = 1e-9 * (abs(played) + abs(best_total) + bound)
+    assert played - best_total <= bound + slack
 
 
 def test_ogd_converges_to_quadratic_minimum():
@@ -135,6 +213,8 @@ def test_ogd_invalid_schedule():
         {"step_scale": -0.5},
         {"step_scale": float("nan")},
         {"step_scale": float("inf")},
+        {"grad_norm_sq_sum": -1.0},
+        {"grad_norm_sq_sum": float("nan")},
     ],
 )
 def test_ogd_rejects_invalid_radius_and_step_scale(fields):
@@ -518,6 +598,53 @@ def test_gpc_update_requires_act():
         pass
 
 
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_learners_default_step_rule(kind):
+    # Without a step size the default schedule is AdaGrad-norm with scale
+    # radius; with one it is the sqrt schedule; an explicit schedule is
+    # taken as named, the sqrt one without a step size at scale radius.
+    def ogd(**options):
+        if kind == "gpc":
+            return GPCController(1, 1, np.zeros((1, 1)), h=2, radius=3.0, **options).ogd
+        return GRCController(1, 1, 1, h=2, radius=3.0, **options).ogd
+
+    cases = [
+        ({}, ("adagrad", 3.0)),
+        ({"step_size": 0.5}, ("sqrt", 0.5)),
+        ({"schedule": "sqrt"}, ("sqrt", 3.0)),
+        ({"schedule": "adagrad", "step_size": 0.5}, ("adagrad", 0.5)),
+        ({"schedule": "constant", "horizon": 16}, ("constant", 0.75)),
+    ]
+    for options, expected in cases:
+        state = ogd(**options)
+        assert (state.schedule, state.step_scale) == expected, options
+
+
+def _learner_run(preset, controller, T=300):
+    """The per-step cost bytes and the summary extras of a learner run."""
+    report = run_experiment(config_from_preset(preset, controller=controller, horizon=T,
+                                               comparator={"kind": "none"}))
+    return report.costs.tobytes(), report.extras
+
+
+@pytest.mark.parametrize("preset, kind", [("scalar-0.9", "gpc"), ("scalar-0.9", "grc"),
+                                          ("b747", "gpc")])
+def test_named_sqrt_schedule_without_step_size_keeps_the_former_default(preset, kind):
+    # The default step was radius / sqrt(t) before AdaGrad-norm became the
+    # default; a run that names the sqrt schedule, with no step size, keeps
+    # it bit for bit: the same run with the step size set to the radius,
+    # which goes through the sqrt schedule as before.
+    named = _learner_run(preset, {"kind": kind, "schedule": "sqrt"})
+    explicit = _learner_run(preset, {"kind": kind, "schedule": "sqrt", "step_size": 10.0})
+    assert named == explicit
+    assert named[1]["ogd_last_step_size"] == 10.0 / math.sqrt(300)
+    # The default now differs: the AdaGrad step.
+    default = _learner_run(preset, {"kind": kind})
+    assert default[0] != named[0]
+    extras = default[1]
+    assert extras["ogd_last_step_size"] == 10.0 / math.sqrt(extras["ogd_grad_norm_sq_sum"])
+
+
 def test_gpc_constant_schedule_requires_horizon():
     try:
         GPCController(1, 1, np.zeros((1, 1)), h=2, schedule="constant")
@@ -838,7 +965,7 @@ def _escaping_ogd(offset):
         point = np.zeros_like(state.point)
         point[0] = offset
         new = OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
-        return new, factor * factor * gradient.dot(gradient), new.step_size(new.t), offset
+        return new, factor * math.sqrt(gradient.dot(gradient)), new.step_size(new.t), offset
 
     return fake
 
@@ -1469,7 +1596,8 @@ def test_quadratic_cost_path_matches_the_stage_path_in_closed_loop(
     point = callable_.ogd.point
     assert np.allclose(quadratic.ogd.point, point, rtol=1e-12,
                        atol=1e-12 * max(1.0, np.abs(point).max()))
-    assert quadratic.grad_norm_sq_sum == pytest.approx(callable_.grad_norm_sq_sum, rel=1e-12)
+    assert quadratic.ogd.grad_norm_sq_sum == pytest.approx(callable_.ogd.grad_norm_sq_sum,
+                                                           rel=1e-12)
 
 
 def _content_learner(kind):

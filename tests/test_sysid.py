@@ -22,6 +22,7 @@ from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import component_seed
 from nscontrol.lds_core import LinearSystem, PerturbationSource, QuadraticCost
 from nscontrol.sysid import (
+    STATE_GROWTH_LIMIT,
     BlackBoxSystem,
     ExcitationRecord,
     MomentEstimates,
@@ -93,6 +94,20 @@ def test_blackbox_nonfinite_state_aborts():
         assert False, "expected EvaluationError"
     except EvaluationError:
         pass
+
+
+def test_blackbox_state_bound_ends_the_record_before_the_state_past_it():
+    # x' = 2 x from x0 = 1: the states are 2, 4, 8, 16; under the bound 10
+    # the step to 16 raises, and the record ends at 8.  Lifting the bound
+    # lets the box go on from there.
+    box = BlackBoxSystem(LinearSystem.time_invariant([[2.0]], [[1.0]]), x0=[1.0])
+    box._bound_states(10.0)
+    with pytest.raises(EvaluationError, match="norm 16 at step 3 exceeds the state bound 10"):
+        box.apply_controls(np.zeros((5, 1)))
+    assert box.recorded_states.ravel().tolist() == [1.0, 2.0, 4.0, 8.0]
+    box._bound_states(float("inf"))
+    box.apply_control([0.0])
+    assert box.read_state().tolist() == [16.0]
 
 
 def test_blackbox_rejects_nonfinite_x0():
@@ -601,3 +616,51 @@ def test_control_with_model_returns_the_pointwise_costs_it_incurred(n_steps):
     assert len(states) == n_steps + 1 and costs.shape == (n_steps,)
     expected = np.array([cost.value(x, u) for x, u in zip(states[:-1], controls)])
     assert np.abs(costs - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
+
+
+def _sysid_run(preset, T, seed, **learner):
+    """identify_then_control on a preset's plant, as the CLI runs it."""
+    config = harness.config_from_preset(preset, {}, T, seed=seed)
+    box = BlackBoxSystem(config.system, config.perturbation, seed=seed, x0=config.x0)
+    return identify_then_control(box, T, config.cost, k=config.system.d_x, seed=seed, **learner)
+
+
+def test_pipeline_reports_its_state_guard():
+    # The bound and the largest exploitation state norm over the largest
+    # exploration one, from the box's record.
+    config = harness.config_from_preset("scalar-0.9", {}, 1000, seed=1)
+    box = BlackBoxSystem(config.system, config.perturbation, seed=1, x0=config.x0)
+    report = identify_then_control(box, 1000, config.cost, k=1, seed=1, radius=2.0)
+    norms = np.abs(box.recorded_states[:, 0])
+    n_explore = report.extras["n_explore"]
+    assert report.extras["state_ratio_bound"] == STATE_GROWTH_LIMIT == 1e3
+    ratio = norms[n_explore + 1 :].max() / norms[: n_explore + 1].max()
+    assert report.extras["max_state_ratio"] == pytest.approx(ratio, rel=1e-12)
+    assert 0.0 < ratio < STATE_GROWTH_LIMIT
+
+
+def test_pipeline_guard_stops_a_model_gain_that_does_not_stabilize_the_plant():
+    # The double integrator's identified gain does not stabilize the true
+    # plant, even with the learner held at M = 0: the state grows past 1e3
+    # times the exploration phase's largest one, long before any number
+    # overflows, and the run raises instead of reporting its regret.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationError, match="exceeds the state bound"):
+            _sysid_run("double-integrator", 2000, 0, radius=0.0, step_size=0.0)
+
+
+@pytest.mark.parametrize("preset", ["scalar-0.9", "double-integrator"])
+@pytest.mark.parametrize("radius", [2.0, 10.0])
+def test_default_step_sweep_stays_bounded_or_raises(preset, radius):
+    # Under the default step, every seed gives a per-step regret of at most
+    # 1e3 (scalar-0.9 stage costs are O(1)) or a typed numerical failure,
+    # and no RuntimeWarning.  T is the CLI's sysid default.
+    for seed in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                report = _sysid_run(preset, 2000, seed, radius=radius)
+            except EvaluationError:
+                continue
+        assert report.final_avg_regret <= 1e3, (seed, report.final_avg_regret)
