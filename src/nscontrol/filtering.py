@@ -34,7 +34,7 @@ from .errors import ConfigurationError, EvaluationError
 from .lds_core import (
     TOL_PSD, _all_finite, _as_matrix, _check_psd, _finite_vector, _whole,
 )
-from .online_control import OGDState, _ogd_step
+from .online_control import OGDState, _ogd_kernel, _ogd_step
 from .optimal_control import _riccati_step, dare_solve
 from .serialize import _atomic_write_text
 
@@ -754,28 +754,28 @@ def spectral_predict(
 
 
 def _spectral_learn(
-    ogd: OGDState,
+    point: np.ndarray,
     y_prev: np.ndarray,
     y_true: np.ndarray,
     features: np.ndarray,
     grad: np.ndarray,
 ) -> tuple:
-    """Prediction, squared-error gradient and projected OGD step of the
-    difference-form predictor on already coerced inputs.
+    """Prediction and squared-error gradient of the difference-form
+    predictor on already coerced inputs, for the OGD step the caller takes.
 
     ``features`` (h + 1, d_u) is what :func:`_features` gives, and ``grad``
     (h + 1, d_y, d_u) scratch that receives the gradient, which is twice
     the error times each feature; the OGD point, read in that shape, is the
     coefficient stack ``W = [M0, M]``.
-    Returns ``(y_hat, error, ogd)``, with ``y_hat = y_prev + increment``
-    and the error ``increment - (y_true - y_prev)``: taken from the
-    increment, the error carries the rounding of the increment and of the
-    observed change, not that of ``y``, which may be far larger.
+    Returns ``(y_hat, error)``, with ``y_hat = y_prev + increment`` and the
+    error ``increment - (y_true - y_prev)``: taken from the increment, the
+    error carries the rounding of the increment and of the observed change,
+    not that of ``y``, which may be far larger.
     """
-    increment = _increment(ogd.point.reshape(grad.shape), features)
+    increment = _increment(point.reshape(grad.shape), features)
     error = increment - (y_true - y_prev)
     np.multiply((2.0 * error)[:, None], features[:, None, :], out=grad)
-    return y_prev + increment, error, _ogd_step(ogd, grad.reshape(-1))[0]
+    return y_prev + increment, error
 
 
 def _scratch(predictor: SpectralPredictor) -> tuple:
@@ -799,7 +799,8 @@ def learn_spectral_step(
     y_true = _finite_vector(y_true, len(y_prev), "y_true")
     features, grad = _scratch(predictor)
     features = _features(predictor.basis.vectors, u_tilde, u_last, features)
-    y_hat, _, ogd = _spectral_learn(predictor.ogd, y_prev, y_true, features, grad)
+    y_hat, _ = _spectral_learn(predictor.ogd.point, y_prev, y_true, features, grad)
+    ogd = _ogd_step(predictor.ogd, grad.reshape(-1))[0]
     return y_hat, _predictor(predictor.basis, ogd, grad.shape)
 
 
@@ -818,9 +819,13 @@ class OnlineSpectralFilter:
     at ``pos`` and ``pos + T`` while ``pos`` moves down modulo ``T``, so the
     reversed, zero-padded history is always the contiguous view
     ``buf[pos:pos + T]`` and a step copies one row instead of ``T``.  The
-    coefficients are read from the OGD point and the features and gradient
-    are written into preallocated scratch, so a step makes a fixed set of
-    numpy calls with the same arithmetic as :func:`learn_spectral_step`.
+    coefficients are read from the OGD point, the features and gradient are
+    written into preallocated scratch, and the OGD step writes the new
+    point into a spare buffer, which then swaps with the point, so a step
+    makes a fixed set of numpy calls with the same arithmetic as
+    :func:`learn_spectral_step`.  The filter starts from a copy of the
+    predictor's point and builds an ``OGDState`` only when
+    :attr:`predictor` is read.
     """
 
     def __init__(self, predictor: SpectralPredictor, d_u: int):
@@ -830,7 +835,10 @@ class OnlineSpectralFilter:
                 f"d_u = {self.d_u}, but the predictor takes {predictor.M0.shape[1]} inputs"
             )
         self._basis, self._ogd = predictor.basis, predictor.ogd
+        self._t, self._grad_sum = predictor.ogd.t, predictor.ogd.grad_norm_sq_sum
+        self._point, self._spare = predictor.ogd.point.copy(), np.empty(predictor.ogd.point.shape)
         self._features, self._grad = _scratch(predictor)
+        self._grad_flat = self._grad.reshape(-1)
         self._buf = np.zeros((2 * predictor.basis.T, self.d_u))
         self._pos = 0
         self._y_prev = np.zeros(predictor.M0.shape[0])
@@ -838,8 +846,10 @@ class OnlineSpectralFilter:
 
     @property
     def predictor(self) -> SpectralPredictor:
-        """The predictor as it stands after the last step."""
-        return _predictor(self._basis, self._ogd, self._grad.shape)
+        """The predictor as it stands after the last step: a snapshot, whose
+        ``M0``, ``M`` and ``ogd.point`` share a copy of the filter's point."""
+        ogd = self._ogd._successor(self._point.copy(), self._t, self._grad_sum)
+        return _predictor(self._basis, ogd, self._grad.shape)
 
     def step(self, u_prev: object, y_true: object) -> np.ndarray:
         """Predict ``y_t`` from the inputs up to ``u_{t-1}`` and the
@@ -903,9 +913,12 @@ class OnlineSpectralFilter:
 
     def _learn(self, features: np.ndarray, y_true: np.ndarray) -> np.ndarray:
         """Predict from ``features``, learn from ``y_true`` and record the loss."""
-        y_hat, error, self._ogd = _spectral_learn(
-            self._ogd, self._y_prev, y_true, features, self._grad
-        )
+        y_hat, error = _spectral_learn(self._point, self._y_prev, y_true, features, self._grad)
+        ogd = self._ogd
+        self._t, self._grad_sum = _ogd_kernel(
+            self._point, self._grad_flat, 1.0, self._spare, self._t, self._grad_sum,
+            ogd.schedule, ogd.step_scale, ogd.radius)[:2]
+        self._point, self._spare = self._spare, self._point
         self._y_prev = y_true
         self.losses.append(float(np.add.reduce(error * error)))
         return y_hat

@@ -621,8 +621,11 @@ def simulate(
     system : LinearSystem
         Each step's matrices are fetched once; a callback's fetch of step t reuses it.
     controller : callable
-        ``controller(t, x_t, y_t) -> u_t``.  Stateful controllers recover
-        perturbations themselves from consecutive states.
+        ``controller(t, x_t, y_t) -> u_t``, called once per step on copies
+        of the state and observation.  When the system has no ``C_t``,
+        ``y_t`` is ``x_t`` and one copy is passed as both.  Stateful
+        controllers recover perturbations themselves from consecutive
+        states.
     perturbations : PerturbationSource
         Its ``T`` rows are drawn in one block before the first step.
     cost : cost object
@@ -669,9 +672,12 @@ def simulate(
     try:
         for t in range(T):
             A, B, C = system.matrices(t)
-            y = x.copy() if C is None else C.dot(x)
+            if C is None:  # y_t is x_t: one copy, handed over as both
+                y = x_c = x.copy()
+            else:
+                y, x_c = C.dot(x), x.copy()
             observations[t] = y
-            u = _as_vector(controller(t, x.copy(), y), d_u, f"u_{t}")
+            u = _as_vector(controller(t, x_c, y), d_u, f"u_{t}")
             # u.u is finite exactly when every entry is, unless it overflows.
             if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
                 raise EvaluationError(f"controller emitted a non-finite control at t={t}: {u}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .lds_core import (
-    QuadraticCost, _all_finite, _as_matrix, _as_vector, _finite_vector, _whole,
+    QuadraticCost, _all_finite, _as_matrix, _as_vector, _finite_vector, _read_only, _whole,
     spectral_radius,
 )
 
@@ -80,6 +80,10 @@ class OGDState:
     the step is 0, which moves no point since every gradient so far was 0.
     ``grad_norm_sq_sum`` is that sum over the ``t`` steps taken, kept under
     every schedule (inf once it overflows, which makes the AdaGrad step 0).
+    :func:`ogd_update`, the online learners and the spectral filter all
+    step through one kernel, ``_ogd_kernel``; the learners and the filter
+    step their own buffers in place and build an ``OGDState`` only when
+    it is asked for.
 
     Raises
     ------
@@ -156,7 +160,9 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
     back onto the ball, and advance the iteration counter.
 
     A finite gradient whose squared norm overflows is stepped with its
-    rescaled norm, without a RuntimeWarning.
+    rescaled norm, without a RuntimeWarning.  The step is the one kernel,
+    ``_ogd_kernel``, that the online learners and the spectral filter step
+    their iterates with in place; here it writes into a fresh point.
 
     Raises
     ------
@@ -176,15 +182,33 @@ def ogd_update(state: OGDState, gradient: object) -> OGDState:
 
 
 def _ogd_step(state: OGDState, g: np.ndarray, factor: float = 1.0) -> tuple:
-    """:func:`ogd_update` on the gradient ``factor * g``, for a flat float
-    ``g`` of the point's shape and a power of two ``factor``, which the step
-    size takes up exactly: the new point is bitwise the one the gradient
-    itself gives.  Returns the new state, ``||factor * g||``, the step size
-    ``eta`` it took, and the norm of the new point, or None when the
-    projection scaled the point (or there is no ball).  The entries are
-    scanned, and a norm rescaled so that it does not overflow, only when a
-    squared norm is not finite; numpy warns of the overflow unless the
-    caller turned that warning off."""
+    """:func:`_ogd_kernel` from ``state`` into a fresh point.  Returns the
+    new state, ``||factor * g||``, the step size ``eta`` and the norm of the
+    new point, or None."""
+    y = np.empty(state.point.shape)
+    t, grad_norm_sq_sum, grad_norm, eta, norm = _ogd_kernel(
+        state.point, g, factor, y, state.t, state.grad_norm_sq_sum, state.schedule,
+        state.step_scale, state.radius)
+    return state._successor(y, t, grad_norm_sq_sum), grad_norm, eta, norm
+
+
+def _ogd_kernel(point: np.ndarray, g: np.ndarray, factor: float, out: np.ndarray, t: int,
+                grad_norm_sq_sum: float, schedule: str, step_scale: float,
+                radius: Optional[float]) -> tuple:
+    """The projected OGD step of :class:`OGDState` at ``(point, t,
+    grad_norm_sq_sum)`` on the gradient ``factor * g``, written into
+    ``out``, a flat float buffer that is not ``point``.  ``g`` is flat and
+    float, of the point's shape, and ``factor`` a power of two, which the
+    step size takes up exactly: the new point is bitwise the one the
+    gradient itself gives.
+
+    Returns ``(t + 1, the new gradient sum, ||factor * g||, eta, norm)``,
+    ``norm`` being that of the new point, or None when the projection
+    scaled it (or there is no ball).  The entries are scanned, and a norm
+    rescaled so that it does not overflow, only when a squared norm is not
+    finite; numpy warns of the overflow unless the caller turned that
+    warning off.  A non-finite gradient raises EvaluationError before
+    ``out`` is written."""
     gg = g.dot(g) * (factor * factor)
     if gg < 2.0**-900 and factor != 1.0:
         # Near the subnormals g.g has lost bits that the scaled sum keeps.
@@ -196,20 +220,20 @@ def _ogd_step(state: OGDState, g: np.ndarray, factor: float = 1.0) -> tuple:
         if not np.isfinite(g_full).all():
             raise EvaluationError("OGD update rejected: non-finite gradient")
         grad_norm = _scaled_norm(g_full)
-    t_next = state.t + 1
-    grad_norm_sq_sum = state.grad_norm_sq_sum + gg
-    eta = _eta(state.schedule, state.step_scale, t_next, grad_norm_sq_sum)
-    y = g * (-factor * eta)
-    y += state.point
+    t += 1
+    grad_norm_sq_sum = grad_norm_sq_sum + gg
+    eta = _eta(schedule, step_scale, t, grad_norm_sq_sum)
+    np.multiply(g, -factor * eta, out=out)
+    out += point
     norm = None
-    if state.radius is not None:
-        norm = math.sqrt(y.dot(y))
-        if norm > state.radius:
+    if radius is not None:
+        norm = math.sqrt(out.dot(out))
+        if norm > radius:
             if norm == math.inf:
-                norm = _scaled_norm(y)
-            y *= state.radius / norm
+                norm = _scaled_norm(out)
+            out *= radius / norm
             norm = None
-    return state._successor(y, t_next, grad_norm_sq_sum), grad_norm, eta, norm
+    return t, grad_norm_sq_sum, grad_norm, eta, norm
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +334,9 @@ class _DisturbanceFeedback:
     The OGD point ``m`` holds the parameters in ``(d_u, len(Ms), d_s)``
     order, the order of the comparators' blocks; ``Ms`` is the ``(len(Ms),
     d_u, d_s)`` view of it, and ``M`` is the ``(d_u, len(Ms) * d_s)`` one.
-    ``M'`` is the view ``M.T``, taken once per OGD step, or from ``Ms``
-    whenever ``Ms`` is reassigned, so a reassigned ``Ms`` is played too.
+    ``M'`` is the view ``M.T``, or one taken from ``Ms`` whenever ``Ms``
+    is reassigned, so a reassigned ``Ms`` is played too, until the next
+    OGD step.
     ``_window`` is the newest signal window ``s_t = (s_{t-lag}, ...,
     s_{t-lag-len(Ms)+1})``, flattened, so the learned action is ``u_t(M) = M
     s_t = S_t m`` with ``S_t = kron(I, s_t')``.
@@ -348,19 +373,38 @@ class _DisturbanceFeedback:
     ``r_t`` into that buffer, ``u~_t`` into the last column of ``Y`` and
     the new window into ``S_t``'s nonzero blocks through a strided view,
     and ``update`` writes ``[J_{t+1} | z_{t+1}]`` into the spare with
-    ``np.dot(..., out=...)`` and swaps the two.  A step costs about ``d_x^2 p`` flops on any horizon and
-    any plant, plus a fixed cost of 15 (GRC) to 18 (GPC) numpy calls on
-    vectors and small matrices, ``act`` and ``update`` together: six price
+    ``np.dot(..., out=...)`` and swaps the two.
+
+    The OGD iterate lives in two ``[m; -1]`` buffers of ``p + 1`` entries,
+    allocated once with their ``M'`` views, beside the step counter and
+    the gradient sum.  ``update`` writes the new point into the spare
+    through ``_ogd_kernel``, the step :func:`ogd_update` wraps, runs both
+    checks and swaps the two; the counterfactual reads ``[m; -1]`` in
+    place (a reassigned ``Ms`` is copied into a scratch one first).
+    ``ogd`` builds a frozen :class:`OGDState` with a copy of the point on
+    read, and assigning one restarts the iterate from it.  ``Ms`` is a view
+    of the current point, which in-place writes reach; a buffer that such
+    a view was read of is replaced instead of overwritten, so an ``Ms``
+    already read keeps its values.
+
+    A step costs about ``d_x^2 p`` flops on any horizon and any plant,
+    plus a fixed count of numpy calls on vectors and small matrices.
+    ``sys.setprofile`` over ``act`` and ``update`` together, which reports
+    array methods but not ufuncs, operators or ``np.dot``, counts 15 of
+    them for GPC and 13 for GRC (``C_t`` None) on a steady step: six price
     the loss and its gradient (``Y [m; -1]``, ``P``, ``W``, the loss, ``h
-    P`` and ``(h P) Y``), five make the OGD step and its checks, and the
-    rest the control, the signal and its norm, the content check of the
-    dynamics and the stack step.
+    P`` and ``(h P) Y``), three are the OGD step's norms and its check
+    (``||g||``, ``||m||`` and the distance moved), two key the dynamics
+    (the bytes of ``A_t`` and ``B_t``), and the rest are ``act``'s: GPC's
+    recovered ``w``, its norm, the learned part and ``K_t x_t``, GRC's norm
+    of ``ynat`` and the learned part.
 
     ``update`` validates the dynamics matrices, their shapes included, and
     derives ``P`` and what else the subclass needs of them, only when their
     content, or that of ``E_t``, differs from the last validated ones: the
     comparison is by shape and bytes, read in place from float64 arrays, so
-    a matrix mutated in place is validated again.
+    a matrix mutated in place is validated again.  GPC's fixed gain is its
+    own read-only copy, keyed once.
     """
 
     #: Telemetry key of the norm of the signal that ``act`` pushed.
@@ -376,11 +420,10 @@ class _DisturbanceFeedback:
             if horizon is None:
                 raise ConfigurationError("constant schedule needs the horizon T")
             scale = scale / math.sqrt(horizon)
-        self.ogd = OGDState(
-            point=np.zeros(self.d_u * n_M * d_s), radius=float(radius), step_scale=scale,
-            schedule=schedule,
-        )
-        self.Ms = self._stacked(self.ogd.point)
+        self._p = p = self.d_u * n_M * d_s
+        self._next, self._next_shown = self._new_iterate(), False
+        self.ogd = OGDState(point=np.zeros(p), radius=float(radius), step_scale=scale,
+                            schedule=schedule)
         self.projected_steps = 0
         #: Largest ``||g_t||`` over the OGD steps (their sum of squares is
         #: ``ogd.grad_norm_sq_sum``).
@@ -391,12 +434,18 @@ class _DisturbanceFeedback:
         self._dynamics: Optional[tuple] = None
         self._window = np.zeros(n_M * d_s)
         self._played = np.zeros(d_s + self.d_u)  # the pair r_t that act writes
-        self._p = p = self.ogd.point.size
-        self._m = np.zeros(p + 1)  # [m; -1]
-        self._m[p] = -1.0
-        self._m_blocks = self._m[:p].reshape(self.d_u, -1)  # M, a view
+        self._m_scratch = np.zeros(p + 1)  # [m; -1] of a reassigned Ms
+        self._m_scratch[p] = -1.0
+        self._m_blocks = self._m_scratch[:p].reshape(self.d_u, -1)  # M, a view
         shape = (self.d_x + self.d_u, p + 1)
         self._stack, self._spare = (self._new_stack(shape) for _ in range(2))
+
+    def _new_iterate(self) -> tuple:
+        """A ``[m; -1]`` buffer, its point ``m`` and its ``M'`` view."""
+        m = np.empty(self._p + 1)
+        m[self._p] = -1.0
+        point = m[: self._p]
+        return m, point, point.reshape(self.d_u, -1).T
 
     def _new_stack(self, shape: tuple) -> _Stack:
         """A stack of zeros and its views."""
@@ -408,15 +457,38 @@ class _DisturbanceFeedback:
         return _Stack(Y, Y[:d_x], blocks)
 
     @property
+    def ogd(self) -> OGDState:
+        """A snapshot of the OGD iterate, built on read: a copy of the point
+        and the counter and gradient sum of the steps taken so far."""
+        return self._ogd._successor(self._iterate[1].copy(), self._ogd_t, self._ogd_sum)
+
+    @ogd.setter
+    def ogd(self, state: OGDState) -> None:
+        """Restart the OGD iterate from ``state``: its point is played next."""
+        if state.point.shape != (self._p,):
+            raise ConfigurationError(
+                f"the OGD point has {state.point.size} entries, the learner {self._p}")
+        self._ogd, self._ogd_t, self._ogd_sum = state, state.t, state.grad_norm_sq_sum
+        self._iterate, self._shown = self._new_iterate(), False
+        self._iterate[1][...] = state.point
+        self._play_iterate()
+
+    def _play_iterate(self) -> None:
+        """Play the OGD point: ``Ms`` and ``M'`` are views of it again."""
+        self._Ms, self._m_played = None, self._iterate[0]
+        self._Mt = self._iterate[2]
+
+    @property
     def Ms(self) -> np.ndarray:
-        """The held parameters, ``(len(Ms), d_u, d_s)``."""
+        """The held parameters, ``(len(Ms), d_u, d_s)``: a view of the OGD
+        point unless ``Ms`` was reassigned."""
         if self._Ms is None:
-            self._Ms = self._stacked(self.ogd.point)
+            self._Ms, self._shown = self._stacked(self._iterate[1]), True
         return self._Ms
 
     @Ms.setter
     def Ms(self, Ms: np.ndarray) -> None:
-        self._Ms = Ms
+        self._Ms, self._m_played = Ms, None
         self._Mt = Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
 
     def _stacked(self, flat: np.ndarray) -> np.ndarray:
@@ -427,7 +499,11 @@ class _DisturbanceFeedback:
         """The subclass's ``(P, [F_t | B_t], ...)``, derived only when the
         shapes or bytes of ``(A_t, B_t)``, or the key ``E_key`` that ``act``
         took of ``E_t``, differ from the last call's."""
-        key = (*_content(A_t), *_content(B_t), *E_key)
+        if (type(A_t) is np.ndarray and A_t.dtype is _FLOAT
+                and type(B_t) is np.ndarray and B_t.dtype is _FLOAT):
+            key = (A_t.shape, A_t.tobytes(), B_t.shape, B_t.tobytes(), *E_key)
+        else:
+            key = (*_content(A_t), *_content(B_t), *E_key)
         if key != self._dynamics_key:
             A_t = _as_matrix(A_t, "A_t", (self.d_x, self.d_x))
             B_t = _as_matrix(B_t, "B_t", (self.d_x, self.d_u))
@@ -459,18 +535,21 @@ class _DisturbanceFeedback:
         window[:d_s] = signal
         self._stack.S_blocks[...] = window
 
-    def _counterfactual(self, P: np.ndarray) -> np.ndarray:
+    def _counterfactual(self, P: np.ndarray, played: np.ndarray) -> np.ndarray:
         """The pair ``r_t(M) = r_t + P Y_t [m; -1]`` at the parameters now
-        held, as one vector."""
-        played = self._acted()[1]
-        self._m_blocks[...] = self._Mt.T
-        return played + P.dot(self._stack.Y.dot(self._m))
+        held, as one vector, from the played pair ``r_t``."""
+        m = self._m_played
+        if m is None:  # Ms was reassigned
+            m = self._m_scratch
+            self._m_blocks[...] = self._Mt.T
+        return played + P.dot(self._stack.Y.dot(m))
 
-    def _loss_and_half_gradient(self, cost: object, P: np.ndarray) -> tuple:
+    def _loss_and_half_gradient(self, cost: object, P: np.ndarray, last: tuple) -> tuple:
         """Counterfactual loss and half its flat gradient in point order,
-        pulled back through the output map ``P``."""
-        r = self._counterfactual(P)
-        cost = _resolve_cost(cost, self._last[0])
+        pulled back through the output map ``P``, at the step ``last`` that
+        ``act`` recorded."""
+        r = self._counterfactual(P, last[1])
+        cost = _resolve_cost(cost, last[0])
         if isinstance(cost, QuadraticCost):  # a constant half Hessian
             if cost.target is not None:
                 r[: self._d_s] -= cost.target
@@ -484,14 +563,16 @@ class _DisturbanceFeedback:
         """The counterfactual pair at the parameters now held: ``(x_t(M),
         u_t(M) + K_t x_t(M))`` for GPC, ``(y_t(M), u_t(M))`` for GRC.  Valid
         between act(t) and update(t)."""
-        r = self._counterfactual(self._output_map(self._acted()[3]))
+        last = self._acted()
+        r = self._counterfactual(self._output_map(last[3]), last[1])
         return r[: self._d_s], r[self._d_s :]
 
     def loss_and_gradient(self, cost: object) -> tuple[float, np.ndarray]:
         """Counterfactual loss ``l_t(M)`` at the held parameters and its
         analytic gradient, shaped like ``Ms``.  Valid between act(t) and
         update(t)."""
-        loss, half_grad = self._loss_and_half_gradient(cost, self._output_map(self._acted()[3]))
+        last = self._acted()
+        loss, half_grad = self._loss_and_half_gradient(cost, self._output_map(last[3]), last)
         return loss, self._stacked(half_grad + half_grad)
 
     def update(self, t: int, A_t: object, B_t: object, cost: object) -> None:
@@ -500,14 +581,18 @@ class _DisturbanceFeedback:
         dynamics ``(A_t, B_t)``.  Raises ConfigurationError unless ``act(t)``
         was the last call, and EvaluationError if the new iterate left the
         ball or moved further than ``eta * ||g||``."""
-        if self._last is None or self._last[0] != t:
+        last = self._last
+        if last is None or last[0] != t:
             raise ConfigurationError("update(t) must follow act(t)")
-        _, _, signal_sq, E_t, E_key = self._last
+        _, _, signal_sq, E_t, E_key = last
         P, FB = self._validated(A_t, B_t, E_t, E_key)[:2]
-        loss, half_grad = self._loss_and_half_gradient(cost, P)
-        state = self.ogd
-        self.ogd, grad_norm, eta, M_norm = _ogd_step(state, half_grad, 2.0)
-        point = self.ogd.point
+        loss, half_grad = self._loss_and_half_gradient(cost, P, last)
+        if self._next_shown:  # the caller holds a view of the spare point
+            self._next, self._next_shown = self._new_iterate(), False
+        state, old, point = self._ogd, self._iterate[1], self._next[1]
+        t_ogd, grad_sum, grad_norm, eta, M_norm = _ogd_kernel(
+            old, half_grad, 2.0, point, self._ogd_t, self._ogd_sum, state.schedule,
+            state.step_scale, state.radius)
         if M_norm is None:  # the projection scaled the point
             self.projected_steps += 1
             M_norm = math.sqrt(point.dot(point))
@@ -515,11 +600,14 @@ class _DisturbanceFeedback:
         # new one is at most r long and the old one ||new|| + eta ||g||.
         if state.radius is not None and M_norm > state.radius * (1.0 + 1e-12) + 1e-9:
             raise EvaluationError(f"OGD iterate left the ball of radius {state.radius}")
-        moved = point - state.point
+        moved = point - old
         step = eta * grad_norm
         if math.sqrt(moved.dot(moved)) > step + 1e-12 * (1.0 + M_norm + step):
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
-        self._Ms, self._Mt = None, point.reshape(self.d_u, -1).T  # Ms when read
+        self._ogd_t, self._ogd_sum = t_ogd, grad_sum
+        self._iterate, self._next = self._next, self._iterate
+        self._shown, self._next_shown = False, self._shown
+        self._play_iterate()
         self.grad_norm_max = max(self.grad_norm_max, grad_norm)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: math.sqrt(signal_sq), "grad_norm": grad_norm})
@@ -582,7 +670,10 @@ class GPCController(_DisturbanceFeedback):
     K : array_like or callable
         Stabilizing gain (``u = Kx`` convention) or provider ``t -> K_t``,
         of shape (d_u, d_x): a fixed gain is checked here, a provided one
-        by :meth:`gain` when ``act`` reads it.
+        by :meth:`gain` when ``act`` reads it.  The learner keeps a
+        read-only copy of a fixed gain, so a later write into the array
+        passed changes nothing it plays; a gain that varies goes through a
+        provider.
     h : int
         Number of learned disturbance-action matrices.
     radius : float
@@ -618,9 +709,10 @@ class GPCController(_DisturbanceFeedback):
         self.d_x, self.d_u = _whole(d_x, 1, "d_x"), _whole(d_u, 1, "d_u")
         self.h = _whole(h, 1, "GPC's window h")
         self._K_provider = K if callable(K) else None
-        self._K_fixed = None
+        self._K_fixed = self._K_key = None
         if not callable(K):
-            self._K_fixed = _as_matrix(K, "K", (self.d_u, self.d_x))
+            self._K_fixed = _read_only(_as_matrix(K, "K", (self.d_u, self.d_x)))
+            self._K_key = _content(self._K_fixed)
         super().__init__(self.d_x, self.h, radius, step_size, schedule, horizon)
 
     def gain(self, t: int) -> np.ndarray:
@@ -633,8 +725,10 @@ class GPCController(_DisturbanceFeedback):
         and play ``u_t``; at the first step, start ``z_0 = x_0``."""
         self._check_turn()
         x = _as_vector(x, self.d_x, "x")
-        K_t = self.gain(t)
-        K_key = _content(K_t)
+        K_t, K_key = self._K_fixed, self._K_key
+        if K_t is None:
+            K_t = self.gain(t)
+            K_key = _content(K_t)
         Y, xu = self._stack.Y, self._played
         if self._dynamics is None:  # no update yet, so no w to recover
             Y[: self.d_x, -1] = x

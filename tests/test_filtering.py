@@ -1391,3 +1391,30 @@ def test_spectral_predictor_keeps_one_copy_of_its_coefficients():
                           stepped.ogd.point)
     with pytest.raises(ConfigurationError, match="d_u = 1, but the predictor takes 2 inputs"):
         OnlineSpectralFilter(predictor, d_u=1)
+
+
+def test_online_spectral_filter_steps_its_own_copy_and_hands_out_snapshots():
+    # The filter steps a copy of its predictor's point in two buffers it
+    # reuses: the predictor it was built from, and every predictor read
+    # from it, keep their coefficients through later steps, and each
+    # snapshot's M0 and M are views of its own OGD point.
+    from nscontrol.online_control import OGDState
+
+    basis = spectral_basis(12, 3)
+    point = np.linspace(-0.5, 0.5, 8)
+    given_predictor = SpectralPredictor(basis, point[:2].reshape(1, 2),
+                                        point[2:].reshape(3, 1, 2), OGDState(point))
+    filt = OnlineSpectralFilter(given_predictor, d_u=2)
+    rng = np.random.default_rng(3)
+    snapshots = []
+    for _ in range(5):
+        filt.step(rng.uniform(-1.0, 1.0, size=2), rng.normal(size=1))
+        snapshot = filt.predictor
+        assert np.shares_memory(snapshot.M0, snapshot.ogd.point)
+        assert np.shares_memory(snapshot.M, snapshot.ogd.point)
+        snapshots.append((snapshot, snapshot.ogd.point.copy()))
+    assert np.array_equal(given_predictor.ogd.point, np.linspace(-0.5, 0.5, 8))
+    assert [s.ogd.t for s, _ in snapshots] == [1, 2, 3, 4, 5]
+    for snapshot, kept in snapshots:
+        assert np.array_equal(snapshot.ogd.point, kept)
+    assert not np.array_equal(snapshots[0][1], snapshots[-1][1])

@@ -958,14 +958,15 @@ def test_grc_checks_stability_once_for_a_time_invariant_system(monkeypatch):
 
 
 def _escaping_ogd(offset):
-    """Stand-in for the learners' OGD step whose iterate lands ``offset``
-    away from the ball's centre, whatever the gradient."""
+    """Stand-in for the OGD kernel the learners step with, whose iterate
+    lands ``offset`` away from the ball's centre, whatever the gradient."""
 
-    def fake(state, gradient, factor=1.0):
-        point = np.zeros_like(state.point)
-        point[0] = offset
-        new = OGDState(point, state.radius, state.step_scale, state.schedule, state.t + 1)
-        return new, factor * math.sqrt(gradient.dot(gradient)), new.step_size(new.t), offset
+    def fake(point, gradient, factor, out, t, grad_norm_sq_sum, schedule, step_scale, radius):
+        out[...] = 0.0
+        out[0] = offset
+        state = OGDState(out, radius, step_scale, schedule, t + 1)
+        return (t + 1, grad_norm_sq_sum, factor * math.sqrt(gradient.dot(gradient)),
+                state.step_size(t + 1), offset)
 
     return fake
 
@@ -989,10 +990,10 @@ def test_ogd_invariants_raise_typed_errors(monkeypatch, one_update):
     # A step that leaves the ball, or moves although the gradient is zero,
     # is rejected with EvaluationError (the checks are not asserts, so they
     # also run under python -O).
-    monkeypatch.setattr(online_control, "_ogd_step", _escaping_ogd(2.0))
+    monkeypatch.setattr(online_control, "_ogd_kernel", _escaping_ogd(2.0))
     with pytest.raises(EvaluationError, match="left the ball"):
         one_update(0.7)
-    monkeypatch.setattr(online_control, "_ogd_step", _escaping_ogd(0.5))
+    monkeypatch.setattr(online_control, "_ogd_kernel", _escaping_ogd(0.5))
     with pytest.raises(EvaluationError, match="moved further"):
         one_update(0.0)
 
@@ -1924,3 +1925,133 @@ def test_learners_reject_dynamics_of_the_wrong_shape():
     # C_t raised a numpy error at its window.
     with pytest.raises(ConfigurationError, match=r"C_t = None observes the state"):
         GRCController(2, 1, 1).act(0, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# The learners' in-place OGD step
+# ---------------------------------------------------------------------------
+
+
+def _time_varying_learner(kind, rng, d_x, d_u, d_y, h, radius, step_size, schedule, T):
+    """A learner on a random stable time-varying plant, and ``act(t, x)``
+    and ``(A_t, B_t)`` for it: GPC under a provided gain, GRC observing
+    through ``C_t`` when ``d_y`` is given, else the state."""
+    A0, A1 = rng.normal(size=(d_x, d_x)), 0.3 * rng.normal(size=(d_x, d_x))
+    B0, K0 = rng.normal(size=(d_x, d_u)), rng.normal(size=(d_u, d_x))
+    C0 = None if d_y is None else rng.normal(size=(d_y, d_x))
+    A_at = lambda t: _rescaled(A0 + np.sin(0.7 * t) * A1, 0.8)
+    B_at = lambda t: (1.0 + 0.3 * np.cos(0.5 * t)) * B0
+    C_at = lambda t: None if C0 is None else (1.0 + 0.2 * np.sin(0.3 * t)) * C0
+    options = dict(h=h, radius=radius, step_size=step_size, schedule=schedule, horizon=T)
+    if kind == "gpc":
+        learner = GPCController(d_x, d_u, lambda t: 0.1 * np.cos(t) * K0, **options)
+        act = lambda t, x: learner.act(t, x)
+    else:
+        learner = GRCController(d_x, d_u, d_x if d_y is None else d_y, **options)
+        act = lambda t, x: learner.act(t, x if C0 is None else C_at(t) @ x, C_at(t))
+    return learner, act, lambda t: (A_at(t), B_at(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gpc", "grc"]),
+    schedule=st.sampled_from(["sqrt", "constant", "adagrad"]),
+    radius=st.sampled_from([1e-3, 1e3]),
+    d_x=st.integers(1, 3),
+    d_u=st.integers(1, 3),
+    d_y=st.one_of(st.none(), st.integers(1, 3)),
+    h=st.integers(1, 3),
+)
+def test_learner_iterate_is_bitwise_the_public_ogd_step(
+        seed, kind, schedule, radius, d_x, d_u, d_y, h):
+    # The learners step their iterate in place through the kernel that
+    # ogd_update wraps.  After every update the iterate, its counter and its
+    # gradient sum are bit for bit those of ogd_update on the gradient
+    # loss_and_gradient gives, from the same state: the learner's factor 2
+    # on the half gradient is exact.  The small radius projects the steps.
+    T, rng = 25, np.random.default_rng(seed)
+    d_y = None if kind == "gpc" else d_y
+    learner, act, dynamics = _time_varying_learner(kind, rng, d_x, d_u, d_y, h, radius, 1.0,
+                                                   schedule, T)
+    cost = QuadraticCost(np.eye(d_x if d_y is None else d_y), np.eye(d_u))
+    reference, x = learner.ogd, np.zeros(d_x)
+    for t in range(T):
+        u = act(t, x)
+        gradient = learner.loss_and_gradient(cost)[1]
+        reference = ogd_update(reference, gradient.transpose(1, 0, 2))
+        learner.update(t, *dynamics(t), cost)
+        state = learner.ogd
+        assert state.point.tobytes() == reference.point.tobytes()
+        assert (state.t, state.grad_norm_sq_sum) == (reference.t, reference.grad_norm_sq_sum)
+        assert learner.Ms.tobytes() == reference.point.reshape(
+            d_u, len(learner.Ms), -1).transpose(1, 0, 2).tobytes()
+        x = dynamics(t)[0] @ x + dynamics(t)[1] @ u + rng.uniform(-1.0, 1.0, size=d_x)
+    assert learner.projected_steps > 0 or radius > 1.0
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_learner_snapshots_and_views_keep_their_contract(kind):
+    # The learner steps its iterate in two buffers that it reuses, so what
+    # it has handed out must stay as it was handed out.
+    rng = np.random.default_rng(7)
+    learner, act, dynamics = _time_varying_learner(kind, rng, 2, 1, None, 2, 5.0, 0.5, None, 40)
+    cost, x = QuadraticCost(np.eye(2), np.eye(1)), np.zeros(2)
+
+    def step(t):
+        nonlocal x
+        u = act(t, x)
+        learner.update(t, *dynamics(t), cost)
+        x = dynamics(t)[0] @ x + dynamics(t)[1] @ u + rng.uniform(-1.0, 1.0, size=2)
+
+    for t in range(3):
+        step(t)
+    # An ogd and an Ms read now keep their values through three more
+    # updates, enough for a reused buffer to show.
+    ogd, Ms = learner.ogd, learner.Ms
+    kept = ogd.point.copy(), Ms.copy()
+    for t in range(3, 6):
+        step(t)
+        assert not np.array_equal(learner.Ms, kept[1])
+    assert np.array_equal(ogd.point, kept[0]) and np.array_equal(Ms, kept[1])
+    assert ogd.t == 3 and learner.ogd.t == 6
+    # An in-place write into the current Ms reaches counterfactuals(), as
+    # assigning those values does.
+    act(6, x)
+    learner.Ms[...] = 0.25
+    written = learner.counterfactuals()
+    learner.Ms = np.full(learner.Ms.shape, 0.25)
+    assert all(np.array_equal(a, b) for a, b in zip(written, learner.counterfactuals()))
+    learner.update(6, *dynamics(6), cost)
+    # Assigning an OGDState restarts the learner from it: it is played next,
+    # and the next step is ogd_update's from it.
+    restart = OGDState(np.linspace(-1.0, 1.0, learner.ogd.point.size), radius=5.0,
+                       step_scale=0.5, t=2, grad_norm_sq_sum=3.0)
+    learner.ogd = restart
+    assert np.array_equal(learner.Ms.transpose(1, 0, 2).ravel(), restart.point)
+    act(7, x)
+    gradient = learner.loss_and_gradient(cost)[1]
+    learner.update(7, *dynamics(7), cost)
+    expected = ogd_update(restart, gradient.transpose(1, 0, 2))
+    assert learner.ogd.point.tobytes() == expected.point.tobytes()
+    assert (learner.ogd.t, learner.ogd.grad_norm_sq_sum) == (3, expected.grad_norm_sq_sum)
+    with pytest.raises(ConfigurationError, match=r"the OGD point has 3 entries, the learner \d+"):
+        learner.ogd = OGDState(np.zeros(3))
+
+
+def test_gpc_plays_its_own_copy_of_a_fixed_gain():
+    # GPC keeps a read-only copy of a fixed K: a write into the caller's K
+    # after construction changes no control the learner plays.
+    K = np.array([[-0.2, -0.5]])
+    config = config_from_preset("double-integrator", {"kind": "zero"}, horizon=100)
+    controls = []
+    for write in (False, True):
+        gain = K.copy()
+        learner = GPCController(2, 1, gain, h=3, radius=2.0, step_size=0.05)
+        if write:
+            gain[...] = 7.0
+        trajectory = simulate(config.system, gpc_runner(learner, config.system, config.cost),
+                              PerturbationSource.gaussian(0.1), config.cost, 100, seed=1)
+        controls.append(trajectory.controls.tobytes())
+        assert not learner.gain(0).flags.writeable
+    assert controls[0] == controls[1]
