@@ -219,15 +219,13 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     v = args.obs_noise * rng_obs.standard_normal((T, system.d_y))
 
     # Neither the states nor the observations depend on the estimate, so
-    # the plant runs first and kalman_filter then filters the whole record,
-    # replaying the covariance cycle once it repeats.
+    # the plant runs first, x_{t+1} = [A_t | I] [x_t; w_t], and
+    # kalman_filter then filters the whole record, replaying the covariance
+    # cycle once it repeats.
     A, _, C = system.stacks(0, T)
-    X, Y = np.empty((T, d_x)), np.empty((T, system.d_y))
-    x = np.zeros(d_x) if config.x0 is None else config.x0.copy()
-    for t in range(T):
-        X[t] = x
-        Y[t] = C[t] @ x + v[t]
-        x = A[t] @ x + w[t]
+    x0 = np.zeros(d_x) if config.x0 is None else config.x0
+    X = _affine_recursion(A, np.broadcast_to(np.eye(d_x), A.shape), x0, w)[:-1]
+    Y = np.einsum("tij,tj->ti", C, X) + v
 
     state = KalmanState(x_hat=np.zeros(d_x), Sigma=Sigma_x)
     X_hat, Sigmas, _ = kalman_filter(state, A, C, Sigma_x, Sigma_y, Y)

@@ -234,8 +234,37 @@ class LinearSystem:
         return np.stack(A), np.stack(B), np.stack([identity if M is None else M for M in C])
 
 
+class _PlantStep:
+    """The plant step of every rollout: ``x_{t+1} = [A_t | B_t | I] [x_t; u_t;
+    w_t]``, one matrix-vector product over a record row ``[x_t | u_t | w_t]``
+    (:func:`simulate`, :func:`step`, :class:`~nscontrol.sysid.BlackBoxSystem`).
+    The step matrix is rebuilt only when ``A_t`` or ``B_t`` is another object
+    than at the last call; :meth:`LinearSystem.matrices` hands out read-only
+    copies, so an object seen before still holds the same values."""
+
+    __slots__ = ("_A", "_B", "_matrix")
+
+    def __init__(self, d_x: int, d_u: int):
+        self._A = self._B = None
+        self._matrix = np.zeros((d_x, 2 * d_x + d_u))
+        self._matrix[:, d_x + d_u :] = np.eye(d_x)
+
+    def __call__(self, A: np.ndarray, B: np.ndarray, row: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``[A | B | I] row``, written into ``out`` when it is given."""
+        if A is not self._A or B is not self._B:
+            d_x = len(A)
+            self._matrix[:, :d_x] = A
+            self._matrix[:, d_x : d_x + B.shape[1]] = B
+            self._A, self._B = A, B
+        return self._matrix.dot(row, out=out)
+
+
 def step(system: LinearSystem, x: object, u: object, w: object, t: int = 0) -> np.ndarray:
-    """Advance one step: return ``A_t x + B_t u + w`` exactly.
+    """Advance one step: return ``[A_t | B_t | I] [x; u; w]``, the product
+    that :func:`simulate` and :class:`~nscontrol.sysid.BlackBoxSystem` step
+    by, so their states replay bit for bit.  It equals ``A_t x + B_t u + w``
+    up to the order of the sums.
 
     Parameters
     ----------
@@ -254,7 +283,7 @@ def step(system: LinearSystem, x: object, u: object, w: object, t: int = 0) -> n
     u = _finite_vector(u, system.d_u, "u")
     w = _finite_vector(w, system.d_x, "w")
     A, B, _ = system.matrices(t)
-    return A @ x + B @ u + w
+    return _PlantStep(system.d_x, system.d_u)(A, B, np.concatenate((x, u, w)))
 
 
 def observe(system: LinearSystem, x: object, t: int = 0) -> np.ndarray:
@@ -593,10 +622,10 @@ class Trajectory:
         return float(np.linalg.norm(self.states, axis=1).max())
 
     def replay_residual(self, system: LinearSystem) -> float:
-        """Max norm of ``x_{t+1} - (A_t x_t + B_t u_t + w_t)`` over the run.
+        """Max norm of ``x_{t+1} - step(x_t, u_t, w_t)`` over the run.
 
-        Zero (up to float equality) certifies that the stored data replays
-        the dynamics exactly.
+        :func:`step` takes the product :func:`simulate` steps by, so 0.0
+        certifies that the stored data replays the dynamics bit for bit.
         """
         worst = 0.0
         for t in range(self.horizon):
@@ -615,6 +644,13 @@ def simulate(
     x0: Optional[object] = None,
 ) -> Trajectory:
     """Run the system for ``T`` steps under a controller callback.
+
+    The run is kept as one record whose row ``t`` is ``[x_t | u_t | w_t]``,
+    and each step is one product ``x_{t+1} = [A_t | B_t | I] [x_t; u_t;
+    w_t]`` (:func:`step`), written into the next row; the step matrix is
+    rebuilt only when ``system.matrices(t)`` returns other objects.  The
+    trajectory's states, controls and perturbations are views of that
+    record.
 
     Parameters
     ----------
@@ -660,14 +696,18 @@ def simulate(
     T = _whole(T, 0, "horizon T")
     rng = np.random.default_rng(seed)
     d_x, d_u = system.d_x, system.d_u
-    x = np.zeros(d_x) if x0 is None else _finite_vector(x0, d_x, "x0")
+    x0 = np.zeros(d_x) if x0 is None else _finite_vector(x0, d_x, "x0")
 
-    states = np.zeros((T + 1, d_x))
-    controls = np.zeros((T, d_u))
-    noises = perturbations.draw(0, T, d_x, rng)
+    # Row t of the record is [x_t | u_t | w_t], the vector of step t's
+    # product; row T holds x_T alone.
+    record = np.zeros((T + 1, 2 * d_x + d_u))
+    record[:T, d_x + d_u :] = perturbations.draw(0, T, d_x, rng)
+    states, controls = record[:, :d_x], record[:T, d_x : d_x + d_u]
     observations = np.zeros((T, system.d_y))
+    plant = _PlantStep(d_x, d_u)
 
-    states[0] = x
+    x = states[0]
+    x[...] = x0
     played = 0
     try:
         for t in range(T):
@@ -683,15 +723,13 @@ def simulate(
                 raise EvaluationError(f"controller emitted a non-finite control at t={t}: {u}")
             controls[t] = u
             played = t + 1
-            x = np.dot(A, x, out=states[t + 1])
-            x += B.dot(u)
-            x += noises[t]
+            x = plant(A, B, record[t], states[t + 1])
             if not math.isfinite(x.dot(x)) and not _all_finite(x):  # likewise
                 raise EvaluationError(f"state is non-finite at t={t + 1}")
     except EvaluationError:
         _played_costs(cost, states[:played], controls[:played])
         raise
-    return Trajectory(states, controls, noises, observations,
+    return Trajectory(states, controls, record[:T, d_x + d_u :], observations,
                       _played_costs(cost, states[:-1], controls))
 
 

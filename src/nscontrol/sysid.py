@@ -39,6 +39,7 @@ from .harness import (
 from .lds_core import (
     LinearSystem,
     PerturbationSource,
+    _PlantStep,
     _all_finite,
     _finite_vector,
     _whole,
@@ -104,6 +105,12 @@ class BlackBoxSystem:
         Seeds the box's private disturbance stream.
     x0 : array_like, optional
         Initial state (default: origin); it must be finite.
+
+    The box keeps one record whose row ``t`` is ``[x_t | u_t | w_t]``, and
+    each step is the product of :func:`~nscontrol.lds_core.simulate`,
+    ``x_{t+1} = [A_t | B_t | I] [x_t; u_t; w_t]``, written into the next
+    row; so the box and ``simulate`` reach the same states bit for bit on
+    the same controls and perturbations.
     """
 
     def __init__(
@@ -116,15 +123,17 @@ class BlackBoxSystem:
         self._system = system
         self._source = PerturbationSource.zero() if perturbation is None else perturbation
         self._rng = np.random.default_rng(component_seed(int(seed), "blackbox"))
-        x = np.zeros(system.d_x) if x0 is None else _finite_vector(x0, system.d_x, "x0").copy()
-        # The histories are buffers that double when full (_states and
-        # _controls together): rows [0, t] of _states, [0, t) of _controls
-        # and [0, _drawn) of _ws are set, where t is the step counter and _ws
-        # runs ahead of it.
+        d_x, d_u = system.d_x, system.d_u
+        # The history is the record, a buffer that doubles when full: the x
+        # columns of rows [0, t], the u columns of rows [0, t) and the w
+        # columns of rows [0, _drawn) are set, where t is the step counter
+        # and _drawn runs ahead of it.
         self._t = 0
-        self._states = x[None, :]
-        self._controls = np.empty((1, system.d_u))
-        self._ws = np.empty((0, system.d_x))
+        self._record = np.zeros((1, 2 * d_x + d_u))
+        self._record[0, :d_x] = 0.0 if x0 is None else _finite_vector(x0, d_x, "x0")
+        self._x_cols, self._u_cols = slice(d_x), slice(d_x, d_x + d_u)
+        self._w_cols = slice(d_x + d_u, None)
+        self._plant = _PlantStep(d_x, d_u)
         self._drawn = 0
         self._bound_sq = math.inf
 
@@ -151,7 +160,7 @@ class BlackBoxSystem:
 
     def read_state(self) -> np.ndarray:
         """Current state (a copy)."""
-        return self._states[self._t].copy()
+        return self._record[self._t, self._x_cols].copy()
 
     def apply_control(self, u: object) -> None:
         """Advance one step under control ``u`` and the private noise:
@@ -163,14 +172,14 @@ class BlackBoxSystem:
             )
         t = self._t
         self._grow(t + 2)
-        self._controls[t] = u
-        self._advance((u,))
+        self._record[t, self._u_cols] = u
+        self._advance(1)
 
     def apply_controls(self, U: object) -> np.ndarray:
         """Advance one step per row of ``U`` (n, d_u), in order, and return
         the n states reached, shape (n, d_x).
 
-        Each step is ``x' = A_t x + B_t u_t + w_t`` as in
+        Each step is ``x' = [A_t | B_t | I] [x; u_t; w_t]`` as in
         :meth:`apply_control`, with the same rows and the same bits.  A
         non-finite state raises :class:`EvaluationError` naming its step;
         the histories then end at the last finite state.
@@ -182,33 +191,30 @@ class BlackBoxSystem:
             )
         start, n = self._t, len(U)
         self._grow(start + n + 1)
-        self._controls[start : start + n] = U
-        self._advance(U)
-        return self._states[start + 1 : self._t + 1].copy()
+        self._record[start : start + n, self._u_cols] = U
+        self._advance(n)
+        return self._record[start + 1 : self._t + 1, self._x_cols].copy()
 
     def _grow(self, rows: int) -> None:
-        """Make room for ``rows`` states and as many controls (the two
-        buffers share a capacity)."""
-        if rows > len(self._states):
-            self._states = _room(self._states, rows)
-            self._controls = _room(self._controls, rows)
+        """Make room for ``rows`` rows of the record."""
+        if rows > len(self._record):
+            self._record = _room(self._record, rows)
 
-    def _advance(self, U: object) -> None:
-        """The stepping kernel: one step per control row of ``U`` (an array
-        or a tuple of rows), which the caller has written into the history
-        from the step counter on, taking the perturbation rows in order from
-        the blocks drawn ahead."""
-        matrices, states, t = self._system.matrices, self._states, self._t
-        x, ws, drawn, bound_sq = states[t], self._ws, self._drawn, self._bound_sq
+    def _advance(self, n: int) -> None:
+        """The stepping kernel: ``n`` steps on the controls that the caller
+        has written into the record from the step counter on, taking the
+        perturbation rows in order from the blocks drawn ahead."""
+        matrices, plant, t = self._system.matrices, self._plant, self._t
+        record, x_cols, drawn, bound_sq = self._record, self._x_cols, self._drawn, self._bound_sq
         # A non-finite state is rejected below; numpy's warnings on the way
         # there are not wanted.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for u in U:
+                for _ in range(n):
                     A_t, B_t, _ = matrices(t)
                     if t >= drawn:
-                        ws, drawn = self._draw_ahead(t)
-                    x = np.add(A_t.dot(x) + B_t.dot(u), ws[t], out=states[t + 1])
+                        record, drawn = self._draw_ahead(t)
+                    x = plant(A_t, B_t, record[t], record[t + 1, x_cols])
                     xx = x.dot(x)
                     if not xx < bound_sq:
                         # x.x is finite exactly when every entry is, unless
@@ -227,8 +233,8 @@ class BlackBoxSystem:
                 self._t = t
 
     def _draw_ahead(self, t: int) -> tuple:
-        """Draw the perturbation rows from step ``t`` on into the history,
-        ``_DRAW_BLOCK`` of them, and return the history buffer and the
+        """Draw the perturbation rows from step ``t`` on into the record's w
+        columns, ``_DRAW_BLOCK`` of them, and return the record and the
         number of rows drawn; a recorded sequence only up to its length, so
         that running past its end raises at the step that needs the missing
         row."""
@@ -236,10 +242,10 @@ class BlackBoxSystem:
         if self._source.kind == "recorded":
             stop = max(min(stop, len(self._source.sequence)), t + 1)
         rows = self._source.draw(t, stop, self.d_x, self._rng)
-        self._ws = _room(self._ws, stop)
-        self._ws[t:stop] = rows
+        self._grow(stop)
+        self._record[t:stop, self._w_cols] = rows
         self._drawn = stop
-        return self._ws, stop
+        return self._record, stop
 
     # -- evaluation-side access (not for the learner) ----------------------
 
@@ -250,17 +256,17 @@ class BlackBoxSystem:
     @property
     def recorded_states(self) -> np.ndarray:
         """All visited states, shape ``(steps + 1, d_x)``."""
-        return self._states[: self._t + 1].copy()
+        return self._record[: self._t + 1, self._x_cols].copy()
 
     @property
     def recorded_controls(self) -> np.ndarray:
         """All applied controls, shape ``(steps, d_u)``."""
-        return self._controls[: self._t].copy()
+        return self._record[: self._t, self._u_cols].copy()
 
     @property
     def recorded_perturbations(self) -> np.ndarray:
         """All realized disturbances, shape ``(steps, d_x)``."""
-        return self._ws[: self._t].copy()
+        return self._record[: self._t, self._w_cols].copy()
 
 
 @dataclass(frozen=True)

@@ -519,7 +519,11 @@ def test_cli_filter_matches_always_validating_loop(monkeypatch):
 
 def _reference_filter(config, T, seed):
     """The ``filter`` command's rows and mean squared errors, from a loop
-    that steps the plant beside the filter and accumulates as it goes."""
+    that steps the plant beside the filter and accumulates as it goes.  The
+    plant step is the product ``[A_t | I] [x_t; w_t]``, concatenated afresh:
+    on pendulum at T = 300 the state reaches 3e17, whose rounding is the
+    whole error column, so the loop must round the state as the command
+    does."""
     system = config.system
     Sx, Sy = 0.1**2 * np.eye(system.d_x), 0.1**2 * np.eye(system.d_y)
     w = generate_perturbations(PerturbationSource.gaussian(sigma=0.1), T, system.d_x, seed)
@@ -536,7 +540,7 @@ def _reference_filter(config, T, seed):
         state_sq += state_err**2
         obs_sq += obs_err**2
         state = kalman_step(state, A_t, None, C_t, Sx, Sy, y=y)
-        x = A_t @ x + w[t]
+        x = np.concatenate((A_t, np.eye(system.d_x)), axis=1) @ np.concatenate((x, w[t]))
     return rows, {"mse_state": state_sq / T, "mse_obs": obs_sq / T}
 
 

@@ -558,7 +558,9 @@ def test_block_draw_matches_per_step_samples(data, dim, start, n, seed, embed):
 
 
 def _reference_simulate(system, controller, source, cost, T, seed):
-    """``simulate`` as a per-step loop that samples ``w_t`` inside each step."""
+    """``simulate`` as a per-step loop that samples ``w_t`` inside each step
+    and steps by the product ``[A_t | B_t | I] [x_t; u_t; w_t]``, each
+    factor concatenated afresh."""
     rng = np.random.default_rng(seed)
     x = np.zeros(system.d_x)
     states, controls, noises, observations, costs = [x], [], [], [], []
@@ -568,7 +570,7 @@ def _reference_simulate(system, controller, source, cost, T, seed):
         u = np.asarray(controller(t, x.copy(), y), dtype=float)
         w = source.sample(t, system.d_x, rng)
         costs.append(cost.value(x, u))
-        x = A.dot(x) + B.dot(u) + w
+        x = np.concatenate((A, B, np.eye(system.d_x)), axis=1).dot(np.concatenate((x, u, w)))
         states.append(x)
         controls.append(u)
         noises.append(w)

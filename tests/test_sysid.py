@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from nscontrol import harness
 from nscontrol.errors import ConfigurationError, EvaluationError
 from nscontrol.harness import component_seed
-from nscontrol.lds_core import LinearSystem, PerturbationSource, QuadraticCost
+from nscontrol.lds_core import LinearSystem, PerturbationSource, QuadraticCost, simulate
 from nscontrol.sysid import (
     STATE_GROWTH_LIMIT,
     BlackBoxSystem,
@@ -116,26 +116,32 @@ def test_blackbox_rejects_nonfinite_x0():
             BlackBoxSystem(SCALAR, x0=bad)
 
 
-def _in_place_provider(seed, d_x, d_u):
+def _in_place_provider(seed, d_x, d_u, d_y=None):
     """A time-varying provider that writes each step's matrices into the
-    same two buffers."""
+    same buffers: ``(A_t, B_t)``, and ``C_t`` too when ``d_y`` is given."""
     rng = np.random.default_rng(seed)
     A0, A1 = 0.4 * rng.normal(size=(2, d_x, d_x))
     B0 = rng.normal(size=(d_x, d_u))
     A, B = np.empty((d_x, d_x)), np.empty((d_x, d_u))
+    if d_y is not None:
+        C0, C = rng.normal(size=(d_y, d_x)), np.empty((d_y, d_x))
 
     def provider(t):
         A[...] = A0 + np.sin(0.3 * t) * A1
         B[...] = np.cos(0.2 * t) * B0
-        return A, B
+        if d_y is None:
+            return A, B
+        C[...] = (1.0 + 0.5 * np.sin(0.1 * t)) * C0
+        return A, B, C
 
     return provider
 
 
 def _reference_steps(system, source, seed, x0, U):
-    """The black box as a per-step loop: ``A_t @ x + B_t @ u + w_t`` with
-    ``w_t`` sampled inside each step.  Returns the states, perturbations and
-    the message of the error that stopped it (None if none did)."""
+    """The black box as a per-step loop: ``[A_t | B_t | I] [x; u; w_t]``,
+    each factor concatenated afresh, with ``w_t`` sampled inside each step.
+    Returns the states, perturbations and the message of the error that
+    stopped it (None if none did)."""
     rng = np.random.default_rng(component_seed(seed, "blackbox"))
     x, states, ws = x0, [x0], []
     for t, u in enumerate(U):
@@ -144,7 +150,7 @@ def _reference_steps(system, source, seed, x0, U):
             w = source.sample(t, system.d_x, rng)
         except ConfigurationError as exc:
             return states, ws, str(exc)
-        x = A_t @ x + B_t @ u + w
+        x = np.concatenate((A_t, B_t, np.eye(system.d_x)), axis=1).dot(np.concatenate((x, u, w)))
         states.append(x)
         ws.append(w)
     return states, ws, None
@@ -196,6 +202,52 @@ def test_block_stepping_matches_per_step_reference(data, d_x, d_u, steps, seed, 
     assert box.recorded_states.tobytes() == np.array(states).tobytes()
     assert box.recorded_controls.tobytes() == U[:taken].tobytes()
     assert box.recorded_perturbations.tobytes() == np.array(ws).reshape(taken, d_x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d_x=st.integers(1, 4),
+    d_u=st.integers(1, 2),
+    observed=st.booleans(),
+    time_varying=st.booleans(),
+    T=st.integers(0, 60),
+    one_by_one=st.integers(0, 60),
+)
+def test_simulate_step_and_black_box_share_one_plant_step(seed, d_x, d_u, observed, time_varying,
+                                                          T, one_by_one):
+    # simulate, step (so replay_residual) and the black box all step by
+    # [A_t | B_t | I] [x_t; u_t; w_t]: the replay residual of a run is
+    # exactly 0, and a box fed the run's controls (some one at a time,
+    # the rest in one block) and its perturbations as a recorded sequence
+    # reaches the run's states bit for bit.  An in-place provider hands the
+    # same buffers every step, so a step matrix kept across steps by the
+    # provider's objects would go stale.
+    rng = np.random.default_rng(seed)
+    d_y = int(rng.integers(1, d_x + 1)) if observed else None
+    if time_varying:
+        system = LinearSystem.time_varying(_in_place_provider(seed, d_x, d_u, d_y), d_x, d_u, d_y)
+    else:
+        C = None if d_y is None else rng.normal(size=(d_y, d_x))
+        system = LinearSystem.time_invariant(0.4 * rng.normal(size=(d_x, d_x)),
+                                             rng.normal(size=(d_x, d_u)), C)
+    K, x0 = 0.3 * rng.normal(size=(d_u, system.d_y)), rng.normal(size=d_x)
+
+    def controller(t, x, y):
+        return K @ y + np.sin(t + np.arange(d_u))
+
+    cost = QuadraticCost(np.eye(d_x), np.eye(d_u))
+    run = simulate(system, controller, PerturbationSource.gaussian(0.5), cost, T, seed=seed, x0=x0)
+    assert run.replay_residual(system) == 0.0
+
+    box = BlackBoxSystem(system, PerturbationSource.recorded(run.perturbations), seed=seed, x0=x0)
+    split = min(one_by_one, T)
+    for u in run.controls[:split]:
+        box.apply_control(u)
+    box.apply_controls(run.controls[split:])
+    assert box.recorded_states.tobytes() == run.states.tobytes()
+    assert box.recorded_controls.tobytes() == run.controls.tobytes()
+    assert box.recorded_perturbations.tobytes() == run.perturbations.tobytes()
 
 
 def test_apply_controls_validates_shape_and_handles_no_rows():
