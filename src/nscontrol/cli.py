@@ -54,7 +54,7 @@ from .harness import (
     run_experiment,
     scenario_presets,
 )
-from .lds_core import PerturbationSource
+from .lds_core import PerturbationSource, _all_finite
 from .serialize import write_csv, write_json_summary
 from .sysid import BlackBoxSystem, identify_then_control
 
@@ -196,6 +196,25 @@ def _finish(config: ScenarioConfig, line: str, csv_name: str, columns: list, row
     return 0
 
 
+def _open_loop(A: np.ndarray, E: np.ndarray, C: np.ndarray, x0: np.ndarray, r: np.ndarray,
+               lag: int) -> tuple:
+    """The states ``x_lag .. x_{T-1+lag}`` of the plant ``x_{t+1} = A_t x_t
+    + E_t r_t`` from ``x0``, run ahead of a filter or learner it does not
+    depend on, and the observations ``C_t x_{t+lag}``.  A plant that
+    overflows is a numerical failure: EvaluationError names the first
+    non-finite state, or else observation, without numpy's overflow
+    warnings on the way."""
+    T = A.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _affine_recursion(A, E, x0, r)[lag : lag + T]
+        Y = np.einsum("tij,tj->ti", C, X)
+    for what, Z, first in (("state", X, lag), ("observation", Y, 0)):
+        if not _all_finite(Z):
+            t = first + int(np.argmin(np.isfinite(Z).all(axis=1)))
+            raise EvaluationError(f"the open-loop plant's {what} is non-finite at t={t}")
+    return X, Y
+
+
 def _cmd_filter(args: argparse.Namespace) -> int:
     for flag, level in (("--process-noise", args.process_noise), ("--obs-noise", args.obs_noise)):
         if not level >= 0.0:  # also NaN
@@ -224,8 +243,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     # cycle once it repeats.
     A, _, C = system.stacks(0, T)
     x0 = np.zeros(d_x) if config.x0 is None else config.x0
-    X = _affine_recursion(A, np.broadcast_to(np.eye(d_x), A.shape), x0, w)[:-1]
-    Y = np.einsum("tij,tj->ti", C, X) + v
+    X, Y = _open_loop(A, np.broadcast_to(np.eye(d_x), A.shape), C, x0, w, 0)
+    Y = Y + v
 
     state = KalmanState(x_hat=np.zeros(d_x), Sigma=Sigma_x)
     X_hat, Sigmas, _ = kalman_filter(state, A, C, Sigma_x, Sigma_y, Y)
@@ -279,8 +298,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     # FFT convolution.
     A, B, C = system.stacks(0, T)
     x0 = np.zeros(system.d_x) if config.x0 is None else config.x0
-    X = _affine_recursion(A, B, x0, inputs)
-    online.run(inputs, np.einsum("tij,tj->ti", C, X[1:]))
+    online.run(inputs, _open_loop(A, B, C, x0, inputs, 1)[1])
     losses = np.array(online.losses)
     running = np.cumsum(losses) / np.arange(1, T + 1)
     rows = zip(range(1, T + 1), losses.tolist(), running.tolist())

@@ -1074,12 +1074,11 @@ def run_experiment(config: ScenarioConfig) -> RegretReport:
         _, comparator_costs = best_linear_in_hindsight(
             system, cost, w_record, config.x0, seed=config.seed, **comp_spec
         )
-    elif comp_kind == "zero" and config.cost_on == "observation":
-        zero = np.zeros((1, system.d_u, system.d_y))
-        comparator_costs = drc_rollout_costs(system, cost, zero, w_record, config.x0)
     elif comp_kind == "zero":
         zero = np.zeros((system.d_u, system.d_x))
-        comparator_costs = linear_rollout_costs(system, cost, zero, w_record, config.x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, u = _closed_loop(system, zero, w_record, config.x0, config.cost_on == "observation")
+        comparator_costs = _played_costs(cost, z, u, "the comparator rollout's cost")
     else:  # "none"
         comparator_costs = np.zeros(T)
 

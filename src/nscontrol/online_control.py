@@ -332,11 +332,8 @@ class _DisturbanceFeedback:
     raises ConfigurationError, so no signal is pushed twice.
 
     The OGD point ``m`` holds the parameters in ``(d_u, len(Ms), d_s)``
-    order, the order of the comparators' blocks; ``Ms`` is the ``(len(Ms),
-    d_u, d_s)`` view of it, and ``M`` is the ``(d_u, len(Ms) * d_s)`` one.
-    ``M'`` is the view ``M.T``, or one taken from ``Ms`` whenever ``Ms``
-    is reassigned, so a reassigned ``Ms`` is played too, until the next
-    OGD step.
+    order, the order of the comparators' blocks; ``M`` is its ``(d_u,
+    len(Ms) * d_s)`` view, and ``Ms`` a ``(len(Ms), d_u, d_s)`` copy.
     ``_window`` is the newest signal window ``s_t = (s_{t-lag}, ...,
     s_{t-lag-len(Ms)+1})``, flattened, so the learned action is ``u_t(M) = M
     s_t = S_t m`` with ``S_t = kron(I, s_t')``.
@@ -379,13 +376,12 @@ class _DisturbanceFeedback:
     allocated once with their ``M'`` views, beside the step counter and
     the gradient sum.  ``update`` writes the new point into the spare
     through ``_ogd_kernel``, the step :func:`ogd_update` wraps, runs both
-    checks and swaps the two; the counterfactual reads ``[m; -1]`` in
-    place (a reassigned ``Ms`` is copied into a scratch one first).
-    ``ogd`` builds a frozen :class:`OGDState` with a copy of the point on
-    read, and assigning one restarts the iterate from it.  ``Ms`` is a view
-    of the current point, which in-place writes reach; a buffer that such
-    a view was read of is replaced instead of overwritten, so an ``Ms``
-    already read keeps its values.
+    checks and swaps the two; the played control and the counterfactual
+    read the current one in place.  ``ogd`` (a frozen :class:`OGDState`)
+    and ``Ms`` (read-only) are snapshots, copies of the point built on
+    read.  Assigning an ``OGDState`` to ``ogd`` is the one way to set the
+    parameters: its point is written into the current buffer and played
+    next.
 
     A step costs about ``d_x^2 p`` flops on any horizon and any plant,
     plus a fixed count of numpy calls on vectors and small matrices.
@@ -421,7 +417,7 @@ class _DisturbanceFeedback:
                 raise ConfigurationError("constant schedule needs the horizon T")
             scale = scale / math.sqrt(horizon)
         self._p = p = self.d_u * n_M * d_s
-        self._next, self._next_shown = self._new_iterate(), False
+        self._iterate, self._next = self._new_iterate(), self._new_iterate()
         self.ogd = OGDState(point=np.zeros(p), radius=float(radius), step_scale=scale,
                             schedule=schedule)
         self.projected_steps = 0
@@ -434,9 +430,6 @@ class _DisturbanceFeedback:
         self._dynamics: Optional[tuple] = None
         self._window = np.zeros(n_M * d_s)
         self._played = np.zeros(d_s + self.d_u)  # the pair r_t that act writes
-        self._m_scratch = np.zeros(p + 1)  # [m; -1] of a reassigned Ms
-        self._m_scratch[p] = -1.0
-        self._m_blocks = self._m_scratch[:p].reshape(self.d_u, -1)  # M, a view
         shape = (self.d_x + self.d_u, p + 1)
         self._stack, self._spare = (self._new_stack(shape) for _ in range(2))
 
@@ -464,32 +457,19 @@ class _DisturbanceFeedback:
 
     @ogd.setter
     def ogd(self, state: OGDState) -> None:
-        """Restart the OGD iterate from ``state``: its point is played next."""
+        """Restart the OGD iterate from ``state``: its point is played next.
+        The one way to set the parameters."""
         if state.point.shape != (self._p,):
             raise ConfigurationError(
                 f"the OGD point has {state.point.size} entries, the learner {self._p}")
         self._ogd, self._ogd_t, self._ogd_sum = state, state.t, state.grad_norm_sq_sum
-        self._iterate, self._shown = self._new_iterate(), False
         self._iterate[1][...] = state.point
-        self._play_iterate()
-
-    def _play_iterate(self) -> None:
-        """Play the OGD point: ``Ms`` and ``M'`` are views of it again."""
-        self._Ms, self._m_played = None, self._iterate[0]
-        self._Mt = self._iterate[2]
 
     @property
     def Ms(self) -> np.ndarray:
-        """The held parameters, ``(len(Ms), d_u, d_s)``: a view of the OGD
-        point unless ``Ms`` was reassigned."""
-        if self._Ms is None:
-            self._Ms, self._shown = self._stacked(self._iterate[1]), True
-        return self._Ms
-
-    @Ms.setter
-    def Ms(self, Ms: np.ndarray) -> None:
-        self._Ms, self._m_played = Ms, None
-        self._Mt = Ms.transpose(0, 2, 1).reshape(-1, self.d_u)
+        """A snapshot of the held parameters, ``(len(Ms), d_u, d_s)``: a
+        read-only copy of the OGD point, built on read."""
+        return _read_only(self._stacked(self._iterate[1]))
 
     def _stacked(self, flat: np.ndarray) -> np.ndarray:
         """The ``(len(Ms), d_u, d_s)`` view of a flat point-order vector."""
@@ -525,7 +505,7 @@ class _DisturbanceFeedback:
 
     def _feedback(self) -> np.ndarray:
         """``sum_i Ms[i] window[i]``: the learned part of the current control."""
-        return self._window.dot(self._Mt)
+        return self._window.dot(self._iterate[2])
 
     def _push(self, signal: np.ndarray) -> None:
         """Shift the signal window by one signal, put ``signal`` first, and
@@ -538,11 +518,7 @@ class _DisturbanceFeedback:
     def _counterfactual(self, P: np.ndarray, played: np.ndarray) -> np.ndarray:
         """The pair ``r_t(M) = r_t + P Y_t [m; -1]`` at the parameters now
         held, as one vector, from the played pair ``r_t``."""
-        m = self._m_played
-        if m is None:  # Ms was reassigned
-            m = self._m_scratch
-            self._m_blocks[...] = self._Mt.T
-        return played + P.dot(self._stack.Y.dot(m))
+        return played + P.dot(self._stack.Y.dot(self._iterate[0]))
 
     def _loss_and_half_gradient(self, cost: object, P: np.ndarray, last: tuple) -> tuple:
         """Counterfactual loss and half its flat gradient in point order,
@@ -587,8 +563,6 @@ class _DisturbanceFeedback:
         _, _, signal_sq, E_t, E_key = last
         P, FB = self._validated(A_t, B_t, E_t, E_key)[:2]
         loss, half_grad = self._loss_and_half_gradient(cost, P, last)
-        if self._next_shown:  # the caller holds a view of the spare point
-            self._next, self._next_shown = self._new_iterate(), False
         state, old, point = self._ogd, self._iterate[1], self._next[1]
         t_ogd, grad_sum, grad_norm, eta, M_norm = _ogd_kernel(
             old, half_grad, 2.0, point, self._ogd_t, self._ogd_sum, state.schedule,
@@ -606,8 +580,6 @@ class _DisturbanceFeedback:
             raise EvaluationError("OGD iterate moved further than eta * ||g||")
         self._ogd_t, self._ogd_sum = t_ogd, grad_sum
         self._iterate, self._next = self._next, self._iterate
-        self._shown, self._next_shown = False, self._shown
-        self._play_iterate()
         self.grad_norm_max = max(self.grad_norm_max, grad_norm)
         self.telemetry.append({"t": t, "loss": loss, "M_norm": M_norm,
                                self._signal_key: math.sqrt(signal_sq), "grad_norm": grad_norm})
@@ -644,11 +616,10 @@ class GPCController(_DisturbanceFeedback):
 
     A controller spec (dict, config file or CLI flags) sets the learner
     options ``h``, ``radius``, ``step_size`` and ``schedule``; their
-    defaults live here alone.  The counterfactual ``x_t(M)`` is exact on
-    any horizon: it is ``x_t`` plus the correction ``J_t m - z_t``, in about
-    ``d_x^2 p`` flops a step, ``p = h d_x d_u``.  The output map ``P =
-    [[I, 0], [K_t, I]]`` and ``[F_t | B_t]`` are built whenever the content
-    of ``(A_t, B_t, K_t)`` changes.  Each update appends a telemetry dict to
+    defaults live here alone.  Assigning an :class:`OGDState` to ``ogd``
+    sets the parameters; ``ogd`` and ``Ms`` are snapshots.  The
+    counterfactual ``x_t(M)`` is exact on any horizon, in about ``d_x^2 p``
+    flops a step, ``p = h d_x d_u``.  Each update appends a telemetry dict to
     ``self.telemetry`` with the keys ``t``, ``loss`` (the counterfactual
     loss ``l_t(M^t)``), ``M_norm`` (``||M||`` after the step), ``w_norm``
     (``||w_{t-1}||``, the perturbation ``act`` pushed, 0 at the first step)

@@ -11,6 +11,7 @@ grid and log-linear decay fits, side-by-side simulations, and Monte
 Carlo replicas at frozen seeds.
 """
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -338,6 +339,14 @@ def test_criterion_07_dac_approximates_linear_policy():
 # ---------------------------------------------------------------------------
 
 
+def _set_Ms(learner, flat: np.ndarray) -> None:
+    """Set the learner's parameters to the blocks ``flat`` (``Ms`` order,
+    raveled) by assigning an ``OGDState`` whose point holds them in ``(d_u,
+    len(Ms), d_s)`` order."""
+    Ms = flat.reshape(learner.Ms.shape)
+    learner.ogd = dataclasses.replace(learner.ogd, point=Ms.transpose(1, 0, 2).ravel())
+
+
 def _fd_gradient(loss_at, flat: np.ndarray) -> np.ndarray:
     fd = np.zeros_like(flat)
     for i in range(flat.size):
@@ -376,10 +385,10 @@ def test_criterion_08_online_controller_gradients_and_convexity():
         _, grad = controller.loss_and_gradient(cost)
 
         def gpc_loss_at(flat):
-            saved = controller.Ms
-            controller.Ms = flat.reshape(controller.Ms.shape)
+            saved = controller.ogd
+            _set_Ms(controller, flat)
             x_cf, u_cf = controller.counterfactuals()
-            controller.Ms = saved
+            controller.ogd = saved
             return float(cost.value(x_cf, u_cf))
 
         err = float(np.max(np.abs(grad.ravel() - _fd_gradient(gpc_loss_at, controller.Ms.ravel().copy()))))
@@ -413,10 +422,10 @@ def test_criterion_08_online_controller_gradients_and_convexity():
         _, grad = controller.loss_and_gradient(cost)
 
         def grc_loss_at(flat):
-            saved = controller.Ms
-            controller.Ms = flat.reshape(controller.Ms.shape)
+            saved = controller.ogd
+            _set_Ms(controller, flat)
             y_cf, u_cf = controller.counterfactuals()
-            controller.Ms = saved
+            controller.ogd = saved
             return float(cost.value(y_cf, u_cf))
 
         err = float(np.max(np.abs(grad.ravel() - _fd_gradient(grc_loss_at, controller.Ms.ravel().copy()))))

@@ -8,9 +8,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from nscontrol import harness
 from nscontrol.cli import main
@@ -328,6 +330,18 @@ def test_filter_subcommand():
         assert data.shape == (60, 4)
         summary = read_json_summary(os.path.join(tmp, "summary.json"))
         assert summary["mse_state"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["filter", "spectral"])
+def test_a_diverging_open_loop_plant_is_a_numerical_failure(command):
+    # The pendulum is open-loop unstable and its state leaves the floats
+    # before T = 6000: a numerical failure (exit 3) that names the first
+    # non-finite state, with no overflow warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli([command, "--preset", "pendulum", "--horizon", "6000"])
+    assert code == 3
+    assert "numerical failure: the open-loop plant's state is non-finite at t=4891" in err
 
 
 def test_spectral_subcommand_caches_basis():

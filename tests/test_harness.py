@@ -1051,6 +1051,27 @@ def test_report_rolls_a_fitted_comparator_out_once(controller, comparator, close
     assert sweeps.call_count == closed_loops
 
 
+@pytest.mark.parametrize("preset", ["ventilator", "scalar-0.9"])
+def test_zero_comparator_is_one_sweep(preset):
+    # The zero comparator is priced by one closed-loop sweep, on observations
+    # (ventilator) or states (scalar-0.9), to the bytes of the public
+    # rollout of the zero response or linear policy.
+    config = config_from_preset(preset, {"kind": "zero"}, 300, comparator={"kind": "zero"})
+    with mock.patch.object(harness, "_closed_loop", wraps=harness._closed_loop) as sweeps:
+        report = run_experiment(config)
+    assert sweeps.call_count == 1
+    system = config.system
+    w = generate_perturbations(config.perturbation, 300, system.d_x, config.seed,
+                               config.noise_embedding)
+    if config.cost_on == "observation":
+        zero = np.zeros((1, system.d_u, system.d_y))
+        expected = drc_rollout_costs(system, config.cost, zero, w, config.x0)
+    else:
+        zero = np.zeros((system.d_u, system.d_x))
+        expected = linear_rollout_costs(system, config.cost, zero, w, config.x0)
+    assert np.array_equal(report.comparator_costs, expected)
+
+
 def test_diverging_comparator_rollout_is_a_typed_error():
     # LQR holds the pendulum upright, but the zero comparator's rollout
     # falls, and its cost leaves the floats at step 2453.

@@ -6,6 +6,7 @@ counterfactual paths against a plain recursion-from-zero reference, and the
 OGD iterates against the classical sqrt-horizon regret bound.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -364,6 +365,14 @@ def test_counterfactual_empty_history_errors():
 # ---------------------------------------------------------------------------
 
 
+def _set_Ms(learner, Ms):
+    """Set the learner's parameters to the blocks ``Ms`` (any shape holding
+    ``learner.Ms.size`` entries in its order) the one way there is: assign
+    an ``OGDState`` whose point holds them in ``(d_u, len(Ms), d_s)`` order."""
+    Ms = np.reshape(Ms, learner.Ms.shape)
+    learner.ogd = dataclasses.replace(learner.ogd, point=Ms.transpose(1, 0, 2).ravel())
+
+
 def _drive_gpc(controller, system, cost, noise, T, collect=None):
     """Manual act/observe/recover/update loop; returns realized states,
     controls and total played cost."""
@@ -478,10 +487,10 @@ def test_gpc_gradient_matches_finite_differences():
     _, grad = controller.loss_and_gradient(cost)
 
     def loss_at(Ms_flat):
-        saved = controller.Ms
-        controller.Ms = Ms_flat.reshape(controller.Ms.shape)
+        saved = controller.ogd
+        _set_Ms(controller, Ms_flat)
         x_cf, u_cf = controller.counterfactuals()
-        controller.Ms = saved
+        controller.ogd = saved
         return float(cost.value(x_cf, u_cf))
 
     flat = controller.Ms.ravel().copy()
@@ -516,10 +525,10 @@ def test_gpc_loss_is_midpoint_convex():
     controller.act(20, rng.uniform(-1, 1, size=2))
 
     def loss_at(Ms):
-        saved = controller.Ms
-        controller.Ms = Ms
+        saved = controller.ogd
+        _set_Ms(controller, Ms)
         x_cf, u_cf = controller.counterfactuals()
-        controller.Ms = saved
+        controller.ogd = saved
         return float(cost.value(x_cf, u_cf))
 
     shape = controller.Ms.shape
@@ -791,10 +800,10 @@ def test_grc_gradient_matches_finite_differences():
     _, grad = controller.loss_and_gradient(cost)
 
     def loss_at(flat):
-        saved = controller.Ms
-        controller.Ms = flat.reshape(controller.Ms.shape)
+        saved = controller.ogd
+        _set_Ms(controller, flat)
         y_cf, u_cf = controller.counterfactuals()
-        controller.Ms = saved
+        controller.ogd = saved
         return float(cost.value(y_cf, u_cf))
 
     flat = controller.Ms.ravel().copy()
@@ -817,10 +826,10 @@ def test_grc_loss_is_midpoint_convex_100_pairs():
     controller.act(15, C @ rng.uniform(-1, 1, size=3), C)
 
     def loss_at(Ms):
-        saved = controller.Ms
-        controller.Ms = Ms
+        saved = controller.ogd
+        _set_Ms(controller, Ms)
         y_cf, u_cf = controller.counterfactuals()
-        controller.Ms = saved
+        controller.ogd = saved
         return float(cost.value(y_cf, u_cf))
 
     shape = controller.Ms.shape
@@ -1157,10 +1166,10 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, T,
     assert [row["t"] for row in controller.telemetry] == list(range(T))
 
     def loss_at(flat):
-        saved = controller.Ms
-        controller.Ms = flat.reshape(saved.shape)
+        saved = controller.ogd
+        _set_Ms(controller, flat)
         x_cf, u_cf = controller.counterfactuals()
-        controller.Ms = saved
+        controller.ogd = saved
         return float(cost.value(x_cf, u_cf))
 
     for _ in range(2):  # the learned parameters, then random ones
@@ -1168,7 +1177,7 @@ def test_gpc_counterfactuals_and_gradient_match_references(seed, d_x, d_u, h, T,
         _, grad = controller.loss_and_gradient(cost)
         magnitude = magnitudes(np.abs(controller.Ms) + 1.0, T)[2]
         _assert_gradient_exact(controller, grad, loss_at, magnitude)
-        controller.Ms = rng.normal(size=controller.Ms.shape)
+        _set_Ms(controller, rng.normal(size=controller.Ms.shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1241,10 +1250,10 @@ def test_grc_counterfactuals_and_gradient_match_references(
         x = A_at(t) @ x + B_at(t) @ u + ws[t]
 
     def loss_at(flat):
-        saved = controller.Ms
-        controller.Ms = flat.reshape(saved.shape)
+        saved = controller.ogd
+        _set_Ms(controller, flat)
         y_cf, u_cf = controller.counterfactuals()
-        controller.Ms = saved
+        controller.ogd = saved
         return float(cost.value(y_cf, u_cf))
 
     for _ in range(2):  # the learned parameters, then random ones
@@ -1252,7 +1261,7 @@ def test_grc_counterfactuals_and_gradient_match_references(
         _, grad = controller.loss_and_gradient(cost)
         y_abs, u_abs = rollout(np.abs(controller.Ms) + 1.0, T, np.abs)
         _assert_gradient_exact(controller, grad, loss_at, _quadratic_magnitude(cost, y_abs, u_abs))
-        controller.Ms = rng.normal(size=controller.Ms.shape)
+        _set_Ms(controller, rng.normal(size=controller.Ms.shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1383,10 +1392,10 @@ def test_gpc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, h, T):
         w_hist.insert(0, ws[t])
 
     def loss_at(flat):
-        saved = learners[1].Ms
-        learners[1].Ms = flat.reshape(saved.shape)
+        saved = learners[1].ogd
+        _set_Ms(learners[1], flat)
         x_cf, u_cf = learners[1].counterfactuals()
-        learners[1].Ms = saved
+        learners[1].ogd = saved
         return float(twin.value(x_cf, u_cf))
 
     _assert_gradient_matches_fd(learners[1], learners[1].loss_and_gradient(twin)[1], loss_at)
@@ -1436,10 +1445,10 @@ def test_grc_callable_cost_matches_the_quadratic_path(seed, d_x, d_u, d_y, h, T)
             xs[i] = A_at(t) @ xs[i] + B_at(t) @ us[i] + ws[t]
 
     def loss_at(flat):
-        saved = learners[1].Ms
-        learners[1].Ms = flat.reshape(saved.shape)
+        saved = learners[1].ogd
+        _set_Ms(learners[1], flat)
         y_cf, u_cf = learners[1].counterfactuals()
-        learners[1].Ms = saved
+        learners[1].ogd = saved
         return float(twin.value(y_cf, u_cf))
 
     grad = learners[1].loss_and_gradient(twin)[1]
@@ -1482,7 +1491,6 @@ def test_counterfactual_pair_at_frozen_parameters_is_the_played_pair(
         learner = GRCController(d_x, d_u, d_y, h=h, radius=1e3, step_size=0.0)
     Ms = rng.normal(size=learner.Ms.shape)
     learner.ogd = OGDState(Ms.transpose(1, 0, 2).ravel(), radius=1e3, step_scale=0.0)
-    learner.Ms = Ms
     x, scale = np.zeros(d_x), 1.0
     for t in range(T):
         if kind == "gpc":
@@ -1857,10 +1865,10 @@ def test_closed_loop_calls_the_provider_once_per_step(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["gpc", "grc"])
-def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
-    # Ms is a view of the OGD point; a write into it between act() and the
-    # counterfactual query must reach u_t(M), and the returned u_t(M) must not
-    # share memory with the control act() played.
+def test_counterfactual_control_follows_parameters_set_through_ogd(kind):
+    # Parameters set through ogd between act() and the counterfactual query
+    # must reach u_t(M), and the returned u_t(M) must not share memory with
+    # the control act() played.
     A, B, C = np.array([[0.5]]), np.eye(1), np.eye(1)
     cost = QuadraticCost(np.eye(1), np.eye(1))
     if kind == "gpc":
@@ -1876,7 +1884,7 @@ def test_counterfactual_control_follows_in_place_writes_to_Ms(kind):
     act(4)
     # Entries of the signal window the learned part multiplies, newest first.
     window = controller._window.reshape(len(controller.Ms), -1).copy()
-    controller.Ms[...] = np.arange(1.0, len(controller.Ms) + 1).reshape(controller.Ms.shape)
+    _set_Ms(controller, np.arange(1.0, len(controller.Ms) + 1).reshape(controller.Ms.shape))
     _, u_cf = query()
     learned = sum(M @ s for M, s in zip(controller.Ms, window))
     if kind == "gpc":
@@ -2015,13 +2023,15 @@ def test_learner_snapshots_and_views_keep_their_contract(kind):
         assert not np.array_equal(learner.Ms, kept[1])
     assert np.array_equal(ogd.point, kept[0]) and np.array_equal(Ms, kept[1])
     assert ogd.t == 3 and learner.ogd.t == 6
-    # An in-place write into the current Ms reaches counterfactuals(), as
-    # assigning those values does.
+    # Parameters set through ogd reach counterfactuals(), and setting the
+    # snapshot taken before gives the pair back bit for bit.
     act(6, x)
-    learner.Ms[...] = 0.25
+    before, saved = learner.counterfactuals(), learner.ogd
+    _set_Ms(learner, np.full(learner.Ms.shape, 0.25))
     written = learner.counterfactuals()
-    learner.Ms = np.full(learner.Ms.shape, 0.25)
-    assert all(np.array_equal(a, b) for a, b in zip(written, learner.counterfactuals()))
+    assert not all(np.array_equal(a, b) for a, b in zip(written, before))
+    learner.ogd = saved
+    assert all(np.array_equal(a, b) for a, b in zip(before, learner.counterfactuals()))
     learner.update(6, *dynamics(6), cost)
     # Assigning an OGDState restarts the learner from it: it is played next,
     # and the next step is ogd_update's from it.
@@ -2037,6 +2047,60 @@ def test_learner_snapshots_and_views_keep_their_contract(kind):
     assert (learner.ogd.t, learner.ogd.grad_norm_sq_sum) == (3, expected.grad_norm_sq_sum)
     with pytest.raises(ConfigurationError, match=r"the OGD point has 3 entries, the learner \d+"):
         learner.ogd = OGDState(np.zeros(3))
+
+
+def _contract_run(kind, hook=lambda learner, t, when: None):
+    """Controls, telemetry and final ``ogd`` of a 30-step learner run on a
+    random time-varying plant, calling ``hook(learner, t, when)`` before
+    each ``act(t)`` (``when = "act"``) and between it and ``update(t)``
+    (``"update"``)."""
+    rng = np.random.default_rng(11)
+    d_y = None if kind == "gpc" else 1
+    learner, act, dynamics = _time_varying_learner(kind, rng, 2, 2, d_y, 2, 5.0, 0.5, None, 30)
+    cost, x, controls = QuadraticCost(np.eye(d_y or 2), np.eye(2)), np.zeros(2), []
+    for t in range(30):
+        hook(learner, t, "act")
+        u = act(t, x)
+        hook(learner, t, "update")
+        learner.update(t, *dynamics(t), cost)
+        controls.append(u.tobytes())
+        x = dynamics(t)[0] @ x + dynamics(t)[1] @ u + rng.uniform(-1.0, 1.0, size=2)
+    ogd = learner.ogd
+    return controls, learner.telemetry, (ogd.point.tobytes(), ogd.t, ogd.grad_norm_sq_sum)
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_learner_restarted_from_its_own_snapshot_continues_bit_for_bit(kind):
+    # Assigning a learner its own ogd mid-run, before an act or between an
+    # act and its update, changes nothing: the controls, the telemetry and
+    # the iterate are bit for bit those of a run left alone.
+    def restart(learner, t, when):
+        if (t, when) in {(10, "act"), (15, "update"), (20, "act")}:
+            learner.ogd = learner.ogd
+
+    assert _contract_run(kind, restart) == _contract_run(kind)
+
+
+@pytest.mark.parametrize("kind", ["gpc", "grc"])
+def test_learner_parameters_cannot_be_set_through_Ms(kind):
+    # Ms is a read-only snapshot: assigning it raises AttributeError and a
+    # write into a returned Ms raises ValueError.  Neither, nor a write into
+    # a returned ogd's point, changes the parameters, the counterfactual
+    # pair or anything the run plays afterwards.
+    def write(learner, t, when):
+        if (t, when) != (15, "update"):
+            return
+        Ms, pair = learner.Ms, learner.counterfactuals()
+        assert np.any(Ms != 0.0)
+        with pytest.raises(AttributeError):
+            learner.Ms = np.zeros(Ms.shape)
+        with pytest.raises(ValueError):
+            Ms[...] = 0.25
+        learner.ogd.point[...] = 0.25
+        assert learner.Ms.tobytes() == Ms.tobytes()
+        assert [v.tobytes() for v in learner.counterfactuals()] == [v.tobytes() for v in pair]
+
+    assert _contract_run(kind, write) == _contract_run(kind)
 
 
 def test_gpc_plays_its_own_copy_of_a_fixed_gain():
